@@ -1,0 +1,16 @@
+//! Records the compiler's version so every result names the toolchain
+//! that built the program it measured.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |v| v.trim().to_string());
+    println!("cargo:rustc-env=HORUS_BENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
