@@ -209,37 +209,83 @@ pub struct MessageMeta {
 #[derive(Clone)]
 pub struct Message {
     layout: Arc<HeaderLayout>,
-    /// Compact mode: the single bit-compacted header area.
-    compact: Vec<u8>,
-    /// Aligned mode: the stack of pushed records, bottom of the byte vector
-    /// = first pushed (top layer); the *end* of the vector is the top of the
-    /// header stack (last pushed, i.e. lowest layer so far).
-    aligned: Vec<u8>,
-    /// Aligned mode: (layer index, record start offset) of pushed records.
-    records: Vec<(u8, usize)>,
-    /// Aligned mode: fields of the most recently popped record.
-    popped: Option<(u8, Vec<u64>)>,
+    /// Compact mode: the single bit-compacted header area (empty in
+    /// aligned mode).
+    compact: HeaderBytes,
+    /// Aligned mode only; compact mode never allocates it.
+    aligned: Option<Box<AlignedState>>,
     body: Bytes,
     /// Receiving-side annotations; never serialized.
     pub meta: MessageMeta,
 }
 
+/// Longest compact header kept inside the message object.  The §7 stack's
+/// header is 20 bytes; a message is moved some sixty times on its way
+/// through two stacks and an executor, so the inline area is sized to what
+/// real stacks need rather than rounded up.
+const INLINE_HEADER: usize = 22;
+
+/// The compact header area: inline up to [`INLINE_HEADER`] bytes, so that
+/// creating, cloning and decoding a message allocates nothing for it.
+#[derive(Clone)]
+enum HeaderBytes {
+    Inline { len: u8, buf: [u8; INLINE_HEADER] },
+    Heap(Box<[u8]>),
+}
+
+impl HeaderBytes {
+    fn zeroed(len: usize) -> Self {
+        if len <= INLINE_HEADER {
+            HeaderBytes::Inline { len: len as u8, buf: [0; INLINE_HEADER] }
+        } else {
+            HeaderBytes::Heap(vec![0; len].into_boxed_slice())
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            HeaderBytes::Inline { len, buf } => &buf[..*len as usize],
+            HeaderBytes::Heap(b) => b,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        match self {
+            HeaderBytes::Inline { len, buf } => &mut buf[..*len as usize],
+            HeaderBytes::Heap(b) => b,
+        }
+    }
+}
+
+/// The header stack of an aligned-mode message.
+#[derive(Clone, Default)]
+struct AlignedState {
+    /// The pushed records; the front of the byte vector was pushed first
+    /// (top layer), the *end* is the top of the header stack (last pushed,
+    /// i.e. lowest layer so far).
+    bytes: Vec<u8>,
+    /// (layer index, record start offset) of pushed records.
+    records: Vec<(u8, usize)>,
+    /// Fields of the most recently popped record.
+    popped: Option<(u8, Vec<u64>)>,
+}
+
 impl Message {
     /// Creates a fresh message with the given body and no headers pushed.
     pub fn new(layout: Arc<HeaderLayout>, body: impl Into<Bytes>) -> Self {
-        let compact = match layout.mode {
-            HeaderMode::Compact => vec![0u8; layout.compact_bytes()],
-            HeaderMode::Aligned => Vec::new(),
+        let (compact, aligned) = match layout.mode {
+            HeaderMode::Compact => (HeaderBytes::zeroed(layout.compact_bytes()), None),
+            HeaderMode::Aligned => (HeaderBytes::zeroed(0), Some(Box::default())),
         };
-        Message {
-            layout,
-            compact,
-            aligned: Vec::new(),
-            records: Vec::new(),
-            popped: None,
-            body: body.into(),
-            meta: MessageMeta::default(),
-        }
+        Message { layout, compact, aligned, body: body.into(), meta: MessageMeta::default() }
+    }
+
+    fn aligned(&self) -> &AlignedState {
+        self.aligned.as_deref().expect("aligned-mode message carries its header stack")
+    }
+
+    fn aligned_mut(&mut self) -> &mut AlignedState {
+        self.aligned.as_deref_mut().expect("aligned-mode message carries its header stack")
     }
 
     /// The shared layout this message was created against.
@@ -265,15 +311,16 @@ impl Message {
         match self.layout.mode {
             HeaderMode::Compact => {}
             HeaderMode::Aligned => {
-                let start = self.aligned.len();
                 let rec_bytes = self.layout.slots[layer].rec_bytes;
                 let padded = rec_bytes.div_ceil(4) * 4;
+                let a = self.aligned_mut();
+                let start = a.bytes.len();
                 // Record header: layer id, payload length, padding count.
-                self.aligned.push(layer as u8);
-                self.aligned.push((padded - rec_bytes) as u8);
-                self.aligned.extend_from_slice(&(rec_bytes as u16).to_le_bytes());
-                self.aligned.resize(start + 4 + padded, 0);
-                self.records.push((layer as u8, start));
+                a.bytes.push(layer as u8);
+                a.bytes.push((padded - rec_bytes) as u8);
+                a.bytes.extend_from_slice(&(rec_bytes as u16).to_le_bytes());
+                a.bytes.resize(start + 4 + padded, 0);
+                a.records.push((layer as u8, start));
             }
         }
     }
@@ -289,7 +336,7 @@ impl Message {
         match self.layout.mode {
             HeaderMode::Compact => Ok(()),
             HeaderMode::Aligned => {
-                let (rec_layer, start) = *self.records.last().ok_or_else(|| {
+                let (rec_layer, start) = *self.aligned().records.last().ok_or_else(|| {
                     HorusError::Decode(format!(
                         "pop_header({}) on empty header stack",
                         self.layout.layer_name(layer)
@@ -303,17 +350,19 @@ impl Message {
                     )));
                 }
                 let slot = &self.layout.slots[layer];
+                let bytes = &self.aligned().bytes;
                 let mut vals = Vec::with_capacity(slot.fields.len());
                 for (i, f) in slot.fields.iter().enumerate() {
                     let off = start + 4 + slot.rec_offsets[i];
                     let n = f.aligned_bytes();
                     let mut raw = [0u8; 8];
-                    raw[..n].copy_from_slice(&self.aligned[off..off + n]);
+                    raw[..n].copy_from_slice(&bytes[off..off + n]);
                     vals.push(u64::from_le_bytes(raw) & mask(f.bits));
                 }
-                self.records.pop();
-                self.aligned.truncate(start);
-                self.popped = Some((layer as u8, vals));
+                let a = self.aligned_mut();
+                a.records.pop();
+                a.bytes.truncate(start);
+                a.popped = Some((layer as u8, vals));
                 Ok(())
             }
         }
@@ -329,7 +378,7 @@ impl Message {
         match self.layout.mode {
             HeaderMode::Compact => true,
             HeaderMode::Aligned => {
-                self.records.last().map(|&(l, _)| l as usize == layer).unwrap_or(false)
+                self.aligned().records.last().is_some_and(|&(l, _)| l as usize == layer)
             }
         }
     }
@@ -355,19 +404,18 @@ impl Message {
         match self.layout.mode {
             HeaderMode::Compact => {
                 let off = self.layout.slots[layer].bit_offsets[field];
-                set_bits(&mut self.compact, off, spec.bits, val);
+                set_bits(self.compact.as_mut_slice(), off, spec.bits, val);
             }
             HeaderMode::Aligned => {
                 let &(rec_layer, start) =
-                    self.records.last().expect("set_field before push_header");
+                    self.aligned().records.last().expect("set_field before push_header");
                 assert_eq!(
                     rec_layer as usize, layer,
                     "set_field: top record belongs to a different layer"
                 );
-                let slot = &self.layout.slots[layer];
-                let off = start + 4 + slot.rec_offsets[field];
+                let off = start + 4 + self.layout.slots[layer].rec_offsets[field];
                 let n = spec.aligned_bytes();
-                self.aligned[off..off + n].copy_from_slice(&val.to_le_bytes()[..n]);
+                self.aligned_mut().bytes[off..off + n].copy_from_slice(&val.to_le_bytes()[..n]);
             }
         }
     }
@@ -384,17 +432,18 @@ impl Message {
         match self.layout.mode {
             HeaderMode::Compact => {
                 let off = self.layout.slots[layer].bit_offsets[field];
-                get_bits(&self.compact, off, spec.bits)
+                get_bits(self.compact.as_slice(), off, spec.bits)
             }
             HeaderMode::Aligned => {
-                if let Some((l, vals)) = &self.popped {
+                let a = self.aligned();
+                if let Some((l, vals)) = &a.popped {
                     if *l as usize == layer {
                         return vals[field];
                     }
                 }
                 // Fall back to the top pushed record (send path).
                 let &(rec_layer, start) =
-                    self.records.last().expect("field() with no popped or pushed record");
+                    a.records.last().expect("field() with no popped or pushed record");
                 assert_eq!(
                     rec_layer as usize, layer,
                     "field(): record belongs to a different layer"
@@ -403,7 +452,7 @@ impl Message {
                 let off = start + 4 + slot.rec_offsets[field];
                 let n = spec.aligned_bytes();
                 let mut raw = [0u8; 8];
-                raw[..n].copy_from_slice(&self.aligned[off..off + n]);
+                raw[..n].copy_from_slice(&a.bytes[off..off + n]);
                 u64::from_le_bytes(raw) & mask(spec.bits)
             }
         }
@@ -412,10 +461,7 @@ impl Message {
     /// Current header area size in bytes — the quantity the §10 header
     /// ablation measures.
     pub fn header_wire_len(&self) -> usize {
-        match self.layout.mode {
-            HeaderMode::Compact => self.compact.len(),
-            HeaderMode::Aligned => self.aligned.len(),
-        }
+        self.header_area().len()
     }
 
     /// The current header area: the bit-compacted header (compact mode) or
@@ -423,8 +469,8 @@ impl Message {
     /// [`Message::encode_inner`] serializes ahead of the body.
     pub fn header_area(&self) -> &[u8] {
         match self.layout.mode {
-            HeaderMode::Compact => &self.compact,
-            HeaderMode::Aligned => &self.aligned,
+            HeaderMode::Compact => self.compact.as_slice(),
+            HeaderMode::Aligned => &self.aligned().bytes,
         }
     }
 
@@ -496,11 +542,12 @@ impl Message {
                         layout.compact_bytes()
                     )));
                 }
-                msg.compact.copy_from_slice(hdr);
+                msg.compact.as_mut_slice().copy_from_slice(hdr);
             }
             HeaderMode::Aligned => {
                 // Re-index the record stack by walking the records in push
                 // order (front of the buffer was pushed first).
+                let a = msg.aligned_mut();
                 let mut pos = 0usize;
                 while pos < hdr.len() {
                     if pos + 4 > hdr.len() {
@@ -517,13 +564,13 @@ impl Message {
                             "malformed aligned record at offset {pos}"
                         )));
                     }
-                    msg.records.push((layer, pos));
+                    a.records.push((layer, pos));
                     pos += 4 + rec_bytes + pad;
                 }
                 if pos != hdr.len() {
                     return Err(HorusError::Decode("aligned records overrun header area".into()));
                 }
-                msg.aligned.extend_from_slice(hdr);
+                a.bytes.extend_from_slice(hdr);
             }
         }
         Ok(msg)
@@ -549,33 +596,31 @@ fn mask(bits: u32) -> u64 {
     }
 }
 
-/// Writes `bits` bits of `val` at absolute bit offset `off` (LSB-first).
+/// The bytes a field at bit offset `off` touches: first byte, bit shift
+/// within it, byte count (at most 9: 7 bits of shift plus 64 of field).
+fn bit_window(off: usize, bits: u32) -> (usize, usize, usize) {
+    let shift = off % 8;
+    (off / 8, shift, (shift + bits as usize).div_ceil(8))
+}
+
+/// Writes `bits` bits of `val` at absolute bit offset `off` (LSB-first),
+/// through one little-endian window over the bytes the field touches.
 fn set_bits(area: &mut [u8], off: usize, bits: u32, val: u64) {
-    for i in 0..bits as usize {
-        let bit = (val >> i) & 1;
-        let pos = off + i;
-        let byte = pos / 8;
-        let shift = pos % 8;
-        if bit == 1 {
-            area[byte] |= 1 << shift;
-        } else {
-            area[byte] &= !(1 << shift);
-        }
-    }
+    let (byte, shift, n) = bit_window(off, bits);
+    let window = &mut area[byte..byte + n];
+    let mut raw = [0u8; 16];
+    raw[..n].copy_from_slice(window);
+    let field = (mask(bits) as u128) << shift;
+    let word = (u128::from_le_bytes(raw) & !field) | (((val as u128) << shift) & field);
+    window.copy_from_slice(&word.to_le_bytes()[..n]);
 }
 
 /// Reads `bits` bits at absolute bit offset `off` (LSB-first).
 fn get_bits(area: &[u8], off: usize, bits: u32) -> u64 {
-    let mut v = 0u64;
-    for i in 0..bits as usize {
-        let pos = off + i;
-        let byte = pos / 8;
-        let shift = pos % 8;
-        if (area[byte] >> shift) & 1 == 1 {
-            v |= 1 << i;
-        }
-    }
-    v
+    let (byte, shift, n) = bit_window(off, bits);
+    let mut raw = [0u8; 16];
+    raw[..n].copy_from_slice(&area[byte..byte + n]);
+    (u128::from_le_bytes(raw) >> shift) as u64 & mask(bits)
 }
 
 #[cfg(test)]
@@ -731,6 +776,67 @@ mod tests {
         // Overwrite with a smaller value clears old bits.
         set_bits(&mut area, 10, 64, 5);
         assert_eq!(get_bits(&area, 10, 64), 5);
+    }
+
+    /// The bit-by-bit pair the word-wise [`set_bits`]/[`get_bits`] replaced,
+    /// kept as the reference they are held equal to.
+    fn set_bits_serial(area: &mut [u8], off: usize, bits: u32, val: u64) {
+        for i in 0..bits as usize {
+            let pos = off + i;
+            if (val >> i) & 1 == 1 {
+                area[pos / 8] |= 1 << (pos % 8);
+            } else {
+                area[pos / 8] &= !(1 << (pos % 8));
+            }
+        }
+    }
+
+    fn get_bits_serial(area: &[u8], off: usize, bits: u32) -> u64 {
+        (0..bits as usize)
+            .filter(|i| (area[(off + i) / 8] >> ((off + i) % 8)) & 1 == 1)
+            .fold(0, |v, i| v | 1 << i)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Word-wise field access equals the bit-serial reference on any
+        /// background, at any offset (fields straddling byte boundaries
+        /// included), for any width, and when a field is overwritten with
+        /// a smaller value; bits outside the field are never touched.
+        #[test]
+        fn word_wise_bit_ops_match_the_bit_serial_reference(
+            background in proptest::collection::vec(any::<u8>(), 32),
+            off in 0usize..=192,
+            bits in 1u32..=64,
+            first in any::<u64>(),
+            second in any::<u64>(),
+        ) {
+            let first = first & mask(bits);
+            // Overwrite with a value that has fewer significant bits.
+            let second = second & mask(bits) & (first >> 1);
+            let mut fast = background.clone();
+            let mut slow = background;
+            prop_assert_eq!(get_bits(&fast, off, bits), get_bits_serial(&slow, off, bits));
+            for val in [first, second] {
+                set_bits(&mut fast, off, bits, val);
+                set_bits_serial(&mut slow, off, bits, val);
+                prop_assert_eq!(&fast, &slow);
+                prop_assert_eq!(get_bits(&fast, off, bits), val);
+                prop_assert_eq!(get_bits_serial(&slow, off, bits), val);
+            }
+        }
+    }
+
+    #[test]
+    fn field_ending_at_the_last_byte_stays_in_bounds() {
+        // The window never reaches past the last byte the field touches.
+        let mut area = [0u8; 9];
+        set_bits(&mut area, 7, 64, u64::MAX);
+        assert_eq!(get_bits(&area, 7, 64), u64::MAX);
+        assert_eq!(get_bits(&area, 71, 1), 0);
+        set_bits(&mut area, 71, 1, 1);
+        assert_eq!(area, [0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]);
     }
 
     #[test]

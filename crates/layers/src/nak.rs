@@ -18,7 +18,11 @@
 //! LOST placeholders; periodic status multicasts carrying cumulative
 //! acknowledgement vectors (pruning the retransmission buffer and closing
 //! the flow-control window); and status-silence failure suspicion reported
-//! through PROBLEM upcalls.  Point-to-point `send`s get their own reliable
+//! through PROBLEM upcalls.  The window is ack-clocked: besides the periodic
+//! status, a receiver multicasts one as soon as it has delivered half a
+//! window more from some sender than it last advertised, so a saturated
+//! sender is limited by its receivers' progress, not by `status_period`.
+//! Point-to-point `send`s get their own reliable
 //! FIFO channels with positive acknowledgements — the membership layer's
 //! flush protocol depends on them.
 //!
@@ -121,6 +125,16 @@ struct PeerRx {
     last_heard: SimTime,
     /// Highest seq this peer claims to have sent (from its status).
     claimed_sent: u32,
+    /// The cumulative ack for this peer carried by our last status.
+    advertised: u32,
+}
+
+impl PeerRx {
+    /// The cumulative ack we owe this peer: everything up to here has been
+    /// delivered (or declared lost).
+    fn cum_ack(&self) -> u32 {
+        self.expected.saturating_sub(1)
+    }
 }
 
 /// Per-peer point-to-point channel state.
@@ -205,34 +219,25 @@ impl Nak {
         }
     }
 
-    /// In-flight window: own casts not yet acked by every destination.
-    fn in_flight(&self) -> u32 {
-        (self.next_seq - 1).saturating_sub(self.min_ack())
+    /// Whether the flow-control window has room for one more cast, given
+    /// [`Nak::min_ack`]: own casts not yet acked by every destination
+    /// count as in flight; with no destination there is nothing to wait for.
+    fn window_open(&self, min_ack: Option<u32>) -> bool {
+        let in_flight = min_ack.map_or(0, |ack| (self.next_seq - 1).saturating_sub(ack));
+        in_flight < self.cfg.window
     }
 
-    /// The lowest cumulative ack over all (non-suspected) destinations.
-    /// Without an installed view the destination set is unknown, so every
-    /// peer we have ever heard from counts.
-    fn min_ack(&self) -> u32 {
-        let me = self.me;
-        let relevant: Vec<EndpointAddr> = match &self.dests {
-            Some(dests) => dests
-                .iter()
-                .copied()
-                .filter(|d| !self.suspected.contains(d) && Some(*d) != me)
-                .collect(),
-            None => self
-                .peers
-                .keys()
-                .copied()
-                .filter(|p| Some(*p) != me && !self.suspected.contains(p))
-                .collect(),
-        };
-        relevant
-            .iter()
-            .map(|d| self.acks.get(d).copied().unwrap_or(0))
-            .min()
-            .unwrap_or(self.next_seq - 1)
+    /// The lowest cumulative ack over all (non-suspected) destinations,
+    /// `None` when there is none.  Without an installed view the
+    /// destination set is unknown, so every peer we have ever heard from
+    /// counts.
+    fn min_ack(&self) -> Option<u32> {
+        let counts = |d: &&EndpointAddr| Some(**d) != self.me && !self.suspected.contains(d);
+        let ack = |d: &EndpointAddr| self.acks.get(d).copied().unwrap_or(0);
+        match &self.dests {
+            Some(dests) => dests.iter().filter(counts).map(ack).min(),
+            None => self.peers.keys().filter(counts).map(ack).min(),
+        }
     }
 
     fn send_cast(&mut self, mut msg: Message, ctx: &mut LayerCtx<'_>) {
@@ -268,17 +273,32 @@ impl Nak {
     }
 
     fn send_status(&mut self, ctx: &mut LayerCtx<'_>) {
-        let entries: Vec<(EndpointAddr, u32)> =
-            self.peers.iter().map(|(&p, rx)| (p, rx.expected.saturating_sub(1))).collect();
-        let mut w = WireWriter::with_capacity(8 + 12 * entries.len());
+        let mut w = WireWriter::with_capacity(8 + 12 * self.peers.len());
         w.put_u32(self.next_seq - 1);
-        w.put_u32(entries.len() as u32);
-        for (p, cum) in entries {
+        w.put_u32(self.peers.len() as u32);
+        for (&p, rx) in &mut self.peers {
+            rx.advertised = rx.cum_ack();
             w.put_addr(p);
-            w.put_u32(cum);
+            w.put_u32(rx.advertised);
         }
         let msg = self.control(ctx, KIND_STATUS, 0, w.finish());
         ctx.down(Down::Cast(msg));
+    }
+
+    /// The ack clock: multicasts a status now, instead of at the next
+    /// tick, once we have delivered half a window more from `src` than our
+    /// last status told it.  Half, because the sender stalls when a whole
+    /// window is unacknowledged: an ack sent at the halfway mark has the
+    /// other half of the window as its time to arrive, and costs one status
+    /// per `window / 2` deliveries.  Our own casts need no ack.
+    fn ack_clock(&mut self, src: EndpointAddr, ctx: &mut LayerCtx<'_>) {
+        if Some(src) == self.me {
+            return;
+        }
+        let Some(rx) = self.peers.get(&src) else { return };
+        if rx.cum_ack() - rx.advertised >= (self.cfg.window / 2).max(1) {
+            self.send_status(ctx);
+        }
     }
 
     /// Delivers contiguous buffered messages (and lost placeholders).
@@ -342,6 +362,7 @@ impl Nak {
             (std::cmp::Ordering::Equal, _) => {
                 ctx.up(Up::Cast { src, msg });
                 self.drain(src, ctx);
+                self.ack_clock(src, ctx);
             }
             (std::cmp::Ordering::Greater, Some(true)) => {
                 // Gap: request the missing range.
@@ -386,7 +407,7 @@ impl Nak {
         // could still be missing everything, so only the capacity cap
         // bounds the buffer.
         if self.dests.is_some() {
-            let min = self.min_ack();
+            let min = self.min_ack().unwrap_or(self.next_seq - 1);
             self.sendbuf.retain(|&s, _| s > min);
         }
         // Window may have opened.
@@ -394,8 +415,9 @@ impl Nak {
     }
 
     fn pump_pending(&mut self, ctx: &mut LayerCtx<'_>) {
-        while !self.pending.is_empty() && self.in_flight() < self.cfg.window {
-            let msg = self.pending.pop_front().expect("checked non-empty");
+        let min_ack = self.min_ack(); // sending does not move it
+        while self.window_open(min_ack) {
+            let Some(msg) = self.pending.pop_front() else { break };
             self.send_cast(msg, ctx);
         }
     }
@@ -426,6 +448,7 @@ impl Nak {
         if seq >= rx.expected.max(1) {
             rx.lost.insert(seq);
             self.drain(src, ctx);
+            self.ack_clock(src, ctx);
         }
     }
 
@@ -569,10 +592,10 @@ impl Layer for Nak {
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
         match ev {
             Down::Cast(msg) => {
-                if self.in_flight() >= self.cfg.window {
-                    self.pending.push_back(msg);
-                } else {
+                if self.window_open(self.min_ack()) {
                     self.send_cast(msg, ctx);
+                } else {
+                    self.pending.push_back(msg);
                 }
             }
             Down::Send { dests, msg } => {
@@ -873,35 +896,125 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flow_control_window_queues_excess() {
+    /// `n` members on `NAK(window):COM` in one installed view (flow control
+    /// needs a known destination set), on a loss-free net with one fixed
+    /// latency, so frames arrive in the order they were sent.
+    fn windowed_world(n: u64, window: u32, seed: u64) -> SimWorld {
         use horus_core::view::View;
-        let mut w = SimWorld::new(9, NetConfig::reliable());
-        for i in 1..=2 {
+        let latency = Duration::from_micros(100);
+        let net = NetConfig { latency_min: latency, latency_max: latency, ..NetConfig::reliable() };
+        let mut w = SimWorld::new(seed, net);
+        for i in 1..=n {
             let stack = StackBuilder::new(ep(i))
-                .push(Box::new(Nak::new(NakConfig { window: 4, ..NakConfig::default() })))
+                .push(Box::new(Nak::new(NakConfig { window, ..NakConfig::default() })))
                 .push(Box::new(Com::new()))
                 .build()
                 .unwrap();
             w.add_endpoint(stack);
             w.join(ep(i), GroupAddr::new(1));
         }
-        // Flow control needs a known destination set: install a view.
-        let view = View::initial(GroupAddr::new(1), ep(1)).with_joined(&[ep(2)]);
-        for i in 1..=2 {
+        let others: Vec<EndpointAddr> = (2..=n).map(ep).collect();
+        let view = View::initial(GroupAddr::new(1), ep(1)).with_joined(&others);
+        for i in 1..=n {
             w.down(ep(i), Down::InstallView(view.clone()));
         }
+        w
+    }
+
+    /// One `name=value` counter of endpoint `i`'s NAK dump.
+    fn nak_counter(w: &SimWorld, i: u64, name: &str) -> u64 {
+        let dump = w.stack(ep(i)).unwrap().focus("NAK").unwrap();
+        let field = dump.split_whitespace().find_map(|f| f.strip_prefix(name)).unwrap();
+        field.strip_prefix('=').unwrap().parse().unwrap()
+    }
+
+    /// Timer expirations NAK has handled at endpoint `i`.
+    fn nak_ticks(w: &SimWorld, i: u64) -> u64 {
+        w.stack_stats(ep(i)).unwrap().per_layer[0].timers
+    }
+
+    #[test]
+    fn flow_control_window_queues_excess() {
+        let mut w = windowed_world(2, 4, 9);
         for k in 0..20u8 {
             w.cast_bytes(ep(1), Workload::body(ep(1), k as u64 + 1, 16));
         }
-        // Immediately, at most `window` casts may be in flight...
-        w.run_for(Duration::from_millis(1));
-        assert!(w.delivered_casts(ep(2)).len() <= 4);
-        // ...but statuses open the window and everything eventually flows.
+        // The window holds the excess back, and at no instant are more
+        // than `window` casts out that the receiver has not delivered...
+        let mut queued = 0;
+        while w.now() < SimTime::from_millis(5) {
+            w.run_for(Duration::from_micros(10));
+            let outstanding = nak_counter(&w, 1, "sent") - w.delivered_casts(ep(2)).len() as u64;
+            assert!(outstanding <= 4, "{outstanding} casts in flight at {:?}", w.now());
+            queued = queued.max(nak_counter(&w, 1, "pending"));
+        }
+        assert_eq!(queued, 16);
+        // ...while statuses open it and everything flows, in order.
         w.run_for(Duration::from_secs(2));
         assert_eq!(w.delivered_casts(ep(2)).len(), 20);
         let logs = vec![DeliveryLog::from_upcalls(ep(2), w.upcalls(ep(2)))];
         assert!(check_fifo(&logs, Workload::parse).is_empty());
+    }
+
+    #[test]
+    fn ack_clock_drains_a_saturated_sender_without_a_tick() {
+        // Three windows' worth cast at one instant: one window goes out,
+        // two queue.  Receivers' early statuses (one per half window
+        // delivered) reopen the window, so everything is delivered
+        // everywhere before the first periodic status is even due.
+        let window = 64;
+        let mut w = windowed_world(3, window, 10);
+        let casts = 3 * window as u64;
+        for k in 1..=casts {
+            w.cast_bytes(ep(1), Workload::body(ep(1), k, 16));
+        }
+        w.run_for(Duration::from_micros(1));
+        assert_eq!(nak_counter(&w, 1, "sent"), window as u64);
+        assert_eq!(nak_counter(&w, 1, "pending"), casts - window as u64);
+        w.run_until(
+            SimTime::ZERO + (NakConfig::default().status_period - Duration::from_millis(1)),
+        );
+        for i in 1..=3 {
+            assert_eq!(w.delivered_casts(ep(i)).len() as u64, casts, "endpoint {i}");
+            assert_eq!(nak_ticks(&w, i), 0, "endpoint {i}: no periodic status yet");
+        }
+        assert_eq!(nak_counter(&w, 1, "pending"), 0);
+        // Each receiver sent one status per half window, and nothing else.
+        for i in 2..=3 {
+            assert_eq!(w.stack_stats(ep(i)).unwrap().msgs_sent, casts / (window as u64 / 2));
+        }
+        let logs: Vec<DeliveryLog> =
+            (1..=3).map(|i| DeliveryLog::from_upcalls(ep(i), w.upcalls(ep(i)))).collect();
+        assert!(check_fifo(&logs, Workload::parse).is_empty());
+    }
+
+    #[test]
+    fn below_half_a_window_per_period_only_periodic_statuses_are_sent() {
+        // 31 casts per status period against a half window of 32: every
+        // frame on the wire is a cast or a tick's status, as before the
+        // ack clock existed (which is what keeps recorded runs stable).
+        let mut w = windowed_world(2, 64, 11);
+        let period = NakConfig::default().status_period;
+        for k in 0..(5 * 31) {
+            let at = SimTime::from_millis(1) + period * (k / 31) + Duration::from_micros(k as u64);
+            w.cast_bytes_at(at, ep(1), Workload::body(ep(1), k as u64 + 1, 16));
+        }
+        w.run_for(period * 5 + Duration::from_millis(5));
+        assert_eq!(w.delivered_casts(ep(2)).len(), 5 * 31);
+        assert_eq!(nak_ticks(&w, 1), 5);
+        assert_eq!(w.stack_stats(ep(1)).unwrap().msgs_sent, 5 * 31 + 5);
+        assert_eq!(w.stack_stats(ep(2)).unwrap().msgs_sent, 5);
+    }
+
+    #[test]
+    fn own_loopback_casts_never_trigger_an_early_status() {
+        let mut w = windowed_world(1, 4, 12);
+        for k in 1..=40u64 {
+            w.cast_bytes(ep(1), Workload::body(ep(1), k, 16));
+        }
+        w.run_for(Duration::from_millis(10));
+        assert_eq!(w.delivered_casts(ep(1)).len(), 40);
+        assert_eq!(w.stack_stats(ep(1)).unwrap().msgs_sent, 40, "casts only, no status");
     }
 
     #[test]
@@ -947,11 +1060,6 @@ mod tests {
         assert!(check_fifo(&logs, Workload::parse).is_empty());
     }
 
-    fn nak_retransmissions(w: &SimWorld, i: u64) -> u64 {
-        let dump = w.stack(ep(i)).unwrap().focus("NAK").unwrap();
-        dump.split_whitespace().find_map(|f| f.strip_prefix("retrans=")).unwrap().parse().unwrap()
-    }
-
     #[test]
     fn unicast_retransmission_backs_off_exponentially() {
         // A message to an unreachable peer: with a fixed 40 ms rto, 3 s of
@@ -963,7 +1071,7 @@ mod tests {
         let msg = w.stack(ep(1)).unwrap().new_message(vec![42u8]);
         w.down_at(SimTime::from_millis(2), ep(1), Down::Send { dests: vec![ep(2)], msg });
         w.run_for(Duration::from_secs(3));
-        let retrans = nak_retransmissions(&w, 1);
+        let retrans = nak_counter(&w, 1, "retrans");
         assert!(
             (4..=20).contains(&retrans),
             "expected O(log) + capped-interval retransmissions in 3 s, got {retrans}"

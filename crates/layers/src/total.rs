@@ -62,8 +62,13 @@ pub struct Total {
     assigned: BTreeMap<(EndpointAddr, u32), u64>,
     /// Next global sequence number to deliver.
     gnext: u64,
-    /// Disjoint [base, end) ranges of global sequence numbers covered by
-    /// applied ORDER messages.
+    /// The contiguous coverage frontier: every global sequence in
+    /// `[1, frontier)` has been assigned by an applied (or self-issued)
+    /// ORDER.
+    frontier: u64,
+    /// [base, end) ranges covered by ORDER messages applied ahead of the
+    /// frontier (ORDERs from different senders arrive in any order); a
+    /// range is folded into `frontier` as soon as it touches it.
     covered: BTreeMap<u64, u64>,
     /// If the token was granted to us: the base our first assignment must
     /// start at.  We may only issue once `frontier() == grant` — i.e. we
@@ -105,6 +110,7 @@ impl Total {
             ordered: BTreeMap::new(),
             assigned: BTreeMap::new(),
             gnext: 1,
+            frontier: 1,
             covered: BTreeMap::new(),
             grant: None,
             holder: None,
@@ -118,23 +124,15 @@ impl Total {
         }
     }
 
-    /// The contiguous coverage frontier: every global sequence in
-    /// `[1, frontier)` has been assigned by an applied (or self-issued)
-    /// ORDER.
-    fn frontier(&self) -> u64 {
-        let mut f = 1;
-        for (&base, &end) in &self.covered {
-            if base > f {
-                break;
-            }
-            f = f.max(end);
-        }
-        f
-    }
-
     fn add_coverage(&mut self, base: u64, len: u64) {
         let e = self.covered.entry(base).or_insert(base);
         *e = (*e).max(base + len);
+        while let Some(first) = self.covered.first_entry() {
+            if *first.key() > self.frontier {
+                break;
+            }
+            self.frontier = self.frontier.max(first.remove());
+        }
     }
 
     /// The oracle (§7): pick the next holder after a batch — the sender of
@@ -152,7 +150,7 @@ impl Total {
             return; // the view change will rebuild the token deterministically
         }
         let Some(g_base) = self.grant else { return };
-        if self.frontier() != g_base {
+        if self.frontier != g_base {
             return; // not caught up with the order chain yet
         }
         let batch: Vec<(EndpointAddr, u32)> =
@@ -266,6 +264,7 @@ impl Total {
         self.assigned.clear();
         self.my_tseq = 0;
         self.gnext = 1;
+        self.frontier = 1;
         self.covered.clear();
         self.holder_gen = 0;
         self.holder = view.members().first().copied();
@@ -356,7 +355,7 @@ impl Layer for Total {
             self.holder,
             self.grant,
             self.gnext,
-            self.frontier(),
+            self.frontier,
             self.delivered,
             self.unordered.len(),
             self.ordered.len(),
@@ -500,6 +499,26 @@ mod tests {
                 assert!(n >= 30, "seed {seed} endpoint {i} delivered {n}");
             }
         }
+    }
+
+    #[test]
+    fn coverage_folds_into_the_frontier() {
+        let mut t = Total::new();
+        // In-order ORDERs leave nothing behind to walk.
+        for k in 0..1000 {
+            t.add_coverage(1 + 3 * k, 3);
+            assert!(t.covered.len() <= 1);
+        }
+        assert_eq!((t.frontier, t.covered.len()), (3001, 0));
+        // A gap holds the frontier back until the missing ORDER arrives.
+        t.add_coverage(3010, 5);
+        t.add_coverage(3015, 2);
+        assert_eq!((t.frontier, t.covered.len()), (3001, 2));
+        t.add_coverage(3001, 9);
+        assert_eq!((t.frontier, t.covered.len()), (3017, 0));
+        // A duplicate of an applied ORDER changes nothing.
+        t.add_coverage(3010, 5);
+        assert_eq!((t.frontier, t.covered.len()), (3017, 0));
     }
 
     #[test]

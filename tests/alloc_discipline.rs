@@ -13,7 +13,9 @@
 //!   per-event machinery allocations appear at any batch size;
 //! * the `Vec`-returning `handle` shim costs extra allocations per call,
 //!   which is precisely what `handle_into`/`handle_batch` eliminate;
-//! * `StackStats::dispatch_buf_grows` stays at zero once warm.
+//! * `StackStats::dispatch_buf_grows` stays at zero once warm;
+//! * a compact header of up to 22 bytes lives inside the `Message`: `new`,
+//!   `clone` and `decode_parts` allocate nothing for it.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test thread can
 //! pollute the counter.
@@ -21,6 +23,7 @@
 use bytes::Bytes;
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
+use horus_core::message::{FieldSpec, HeaderLayout, HeaderMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,8 +56,48 @@ fn cast_input(stack: &Stack, k: u8) -> StackInput {
     StackInput::FromApp(Down::Cast(stack.new_message(Bytes::from(vec![k; 16]))))
 }
 
+/// A one-layer compact layout of `n` 16-bit fields (2 × n header bytes).
+fn compact_layout(n: usize) -> std::sync::Arc<HeaderLayout> {
+    const FIELDS: [FieldSpec; 12] = [FieldSpec::new("f", 16); 12];
+    std::sync::Arc::new(HeaderLayout::build(&[("L", &FIELDS[..n])], HeaderMode::Compact).unwrap())
+}
+
+/// Allocations of `Message::new`, `clone` and `decode_parts` against
+/// `layout`, after checking that the three agree on every field.
+fn header_allocs(layout: &std::sync::Arc<HeaderLayout>) -> [u64; 3] {
+    let fields = layout.fields_of(0).len();
+    let body = Bytes::from_static(b"payload");
+    let before = allocs();
+    let mut msg = Message::new(layout.clone(), body.clone());
+    let new = allocs() - before;
+    for f in 0..fields {
+        msg.set_field(0, f, 0xA000 + f as u64);
+    }
+    let before = allocs();
+    let copy = msg.clone();
+    let clone = allocs() - before;
+    let hdr = msg.header_area().to_vec();
+    let before = allocs();
+    let decoded = Message::decode_parts(layout.clone(), &hdr, body).unwrap();
+    let decode = allocs() - before;
+    for f in 0..fields {
+        assert_eq!(copy.field(0, f), 0xA000 + f as u64);
+        assert_eq!(decoded.field(0, f), 0xA000 + f as u64);
+    }
+    assert_eq!(decoded.header_area(), &hdr[..]);
+    [new, clone, decode]
+}
+
 #[test]
 fn steady_state_dispatch_does_not_allocate() {
+    // 0. The message object itself: a compact header of at most 22 bytes
+    //    is inline, so new/clone/decode_parts allocate nothing (the body
+    //    is a shared `Bytes`); a longer one falls back to one heap block
+    //    and still round-trips.
+    assert!(std::mem::size_of::<Message>() <= 160, "{}", std::mem::size_of::<Message>());
+    assert_eq!(header_allocs(&compact_layout(11)), [0, 0, 0], "22-byte header is inline");
+    assert_eq!(header_allocs(&compact_layout(12)), [1, 1, 1], "24-byte header: one block");
+
     let mut stack = build_stack(EndpointAddr::new(1), "SEQNO:COM", StackConfig::default()).unwrap();
     let _ = stack.init();
     let mut sink = EffectSink::with_capacity(64);
