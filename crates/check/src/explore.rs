@@ -316,14 +316,6 @@ pub struct CheckConfig {
     /// test holds them equal); only `steps` — events actually executed —
     /// shrinks, which is the point.
     pub snapshot_resume: bool,
-    /// Share layer state copy-on-write between a branch-point world and its
-    /// parked sibling snapshots ([`SimWorld::snapshot`]); off pays a full
-    /// deep clone per sibling ([`SimWorld::snapshot_deep`]) — the honest
-    /// pre-CoW baseline the E27 `cow_off` benchmark arm measures against.
-    /// Either way the snapshot is behaviourally exact, so coverage and
-    /// verdicts are unaffected; only clone work (and with it the feasible
-    /// depth) changes.
-    pub cow_snapshots: bool,
 }
 
 impl Default for CheckConfig {
@@ -340,7 +332,6 @@ impl Default for CheckConfig {
             max_runs: 20_000,
             incremental_fp: true,
             snapshot_resume: true,
-            cow_snapshots: true,
         }
     }
 }
@@ -687,15 +678,7 @@ impl Scheduler for ControlledScheduler<'_> {
                     }
                     let mut choices = self.rec.taken.clone();
                     choices.push(alt as u16);
-                    let snap = if self.cfg.snapshot_resume {
-                        if self.cfg.cow_snapshots {
-                            world.snapshot()
-                        } else {
-                            world.snapshot_deep()
-                        }
-                    } else {
-                        None
-                    };
+                    let snap = if self.cfg.snapshot_resume { world.snapshot() } else { None };
                     spawn.push(match snap {
                         Some(w) => Job::Resume(Box::new(ResumeJob {
                             world: w,

@@ -5,7 +5,7 @@
 //! horus-check explore <scenario> [--depth N] [--drops N] [--max-crashes N]
 //!                     [--max-suspects N] [--wedge-oracle]
 //!                     [--states N] [--runs N] [--window-us N] [--workers N]
-//!                     [--no-reduction] [--fresh-fp] [--no-snapshot] [--no-cow]
+//!                     [--no-reduction] [--fresh-fp] [--no-snapshot]
 //!                     [--out FILE]
 //! horus-check replay <schedule-file> [--trace FILE] [--format v1|v2]
 //!                    [--sample N] [--kinds a,b,...]
@@ -42,7 +42,7 @@ fn usage() -> ExitCode {
         "usage:\n  horus-check scenarios\n  horus-check explore <scenario> [--depth N] \
          [--drops N] [--max-crashes N] [--max-suspects N] [--wedge-oracle] [--states N] \
          [--runs N] [--window-us N] [--workers N] \
-         [--no-reduction] [--fresh-fp] [--no-snapshot] [--no-cow] [--out FILE]\n  \
+         [--no-reduction] [--fresh-fp] [--no-snapshot] [--out FILE]\n  \
          horus-check replay <schedule-file> [--trace FILE] [--format v1|v2] [--sample N] \
          [--kinds a,b,...]\n  \
          horus-check bridge <trace-file> [--out FILE]"
@@ -121,7 +121,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
             "--no-reduction" => cfg.reduction = false,
             "--fresh-fp" => cfg.incremental_fp = false,
             "--no-snapshot" => cfg.snapshot_resume = false,
-            "--no-cow" => cfg.cow_snapshots = false,
             "--out" => match grab("--out") {
                 Some(v) => out = Some(v),
                 None => return ExitCode::from(1),

@@ -61,6 +61,19 @@ impl Default for StateDigest {
     }
 }
 
+/// Formatting straight into the digest: the bytes a `write!` would have put
+/// in a `String`, fed as they are produced and with **no** terminator (the
+/// inherent [`StateDigest::write_str`] appends one; a formatter calls this
+/// once per fragment, so it cannot).  FNV-1a is byte-serial, so
+/// `write!(d, ..)` followed by `write_bytes(&[0xff])` equals
+/// `d.write_str(&format!(..))` bit for bit.
+impl std::fmt::Write for StateDigest {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,6 +90,18 @@ mod tests {
         assert_eq!(digest(&["a", "b"]), digest(&["a", "b"]));
         assert_ne!(digest(&["a", "b"]), digest(&["b", "a"]));
         assert_ne!(digest(&["ab", "c"]), digest(&["a", "bc"]), "framing matters");
+    }
+
+    #[test]
+    fn formatting_into_the_digest_equals_digesting_the_string() {
+        use std::fmt::Write;
+        let mut streamed = StateDigest::new();
+        write!(streamed, "seq={} peers={:?} ", 7, [Some(1u8), None]).unwrap();
+        write!(streamed, "tail={:>4}", "x").unwrap();
+        streamed.write_bytes(&[0xff]);
+        let mut whole = StateDigest::new();
+        whole.write_str(&format!("seq={} peers={:?} tail={:>4}", 7, [Some(1u8), None], "x"));
+        assert_eq!(streamed.finish(), whole.finish());
     }
 
     #[test]

@@ -20,6 +20,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::RngCore;
 use std::any::Any;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -215,16 +216,27 @@ pub trait Layer: Send + Sync {
         String::new()
     }
 
+    /// [`Layer::dump`] written into `w` instead of returned.  The state
+    /// digest streams this at every fingerprint, so a layer on a
+    /// model-checked stack should format here and implement `dump` as
+    /// `dump_to` into a `String`; the default goes the other way round.
+    /// The two must produce the same text.
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        w.write_str(&self.dump())
+    }
+
     /// Feeds this layer's delivery-relevant state into a model-checking
     /// state digest (visited-state pruning in `horus-check`).
     ///
-    /// The default digests the [`Layer::dump`] report, which every stateful
-    /// layer in this repository already keeps current.  Override when the
-    /// dump omits state that changes future behaviour — an
-    /// under-discriminating digest makes the explorer merge states it
-    /// should distinguish and skip schedules it should search.
+    /// The default digests the [`Layer::dump_to`] report — the same bytes
+    /// and terminator as `d.write_str(&self.dump())`, without building the
+    /// string — which every stateful layer in this repository already keeps
+    /// current.  Override when the dump omits state that changes future
+    /// behaviour — an under-discriminating digest makes the explorer merge
+    /// states it should distinguish and skip schedules it should search.
     fn digest_state(&self, d: &mut crate::digest::StateDigest) {
-        d.write_str(&self.dump());
+        self.dump_to(d).expect("a state digest accepts every write");
+        d.write_bytes(&[0xff]);
     }
 
     /// Optional downcast hook so tests and tools can reach layer-specific
@@ -251,7 +263,7 @@ pub trait Layer: Send + Sync {
     /// Duplicates this layer's full state, if the layer supports it.
     ///
     /// Snapshot support is *opt-in*: the default `None` makes
-    /// [`crate::stack::Stack::try_clone`] (and therefore world snapshotting
+    /// [`crate::stack::Stack::clone_cow`] (and therefore world snapshotting
     /// in the simulator) fail gracefully, and callers fall back to
     /// re-execution.  A layer that opts in must clone **everything** that
     /// affects future behaviour — the model checker resumes exploration
@@ -274,6 +286,14 @@ pub trait Layer: Send + Sync {
     fn supports_snapshot(&self) -> bool {
         false
     }
+}
+
+/// [`Layer::dump_to`] into a fresh `String` — the body of [`Layer::dump`]
+/// for a layer that formats in `dump_to`.
+pub fn dump_string(layer: &(impl Layer + ?Sized)) -> String {
+    let mut s = String::new();
+    layer.dump_to(&mut s).expect("writing to a String cannot fail");
+    s
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@ use crate::view::View;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -342,10 +341,8 @@ impl StackBuilder {
             destroyed: false,
             scratch: VecDeque::with_capacity(n * 2),
             emit_buf: Vec::with_capacity(4),
-            layer_digests: (0..n).map(|_| Cell::new(0)).collect(),
-            layer_dirty: (0..n).map(|_| Cell::new(true)).collect(),
-            view_digest: Cell::new(0),
-            view_dirty: Cell::new(true),
+            layer_digests: (0..n).map(|_| AtomicU64::new(STALE)).collect(),
+            view_digest: AtomicU64::new(STALE),
             tracer: None,
             traced: false,
         })
@@ -387,10 +384,9 @@ enum Item {
 }
 
 /// Process-global count of layer states duplicated through
-/// [`Layer::clone_box`] — by deep stack clones ([`Stack::try_clone`]) and by
-/// copy-on-write materializations (first mutation of a shared layer after
-/// [`Stack::clone_cow`]).  The model checker's benchmarks read this as the
-/// "bytes cloned" proxy when comparing snapshot strategies.
+/// [`Layer::clone_box`] — copy-on-write materializations, i.e. the first
+/// mutation of a shared layer after [`Stack::clone_cow`].  The model
+/// checker's benchmarks read this as the "bytes cloned" proxy.
 static LAYER_CLONES: AtomicU64 = AtomicU64::new(0);
 
 /// Total layer-state duplications since process start (or the last
@@ -450,11 +446,25 @@ impl LayerCell {
         &mut **Arc::get_mut(&mut self.0).expect("uniquely owned after materialization")
     }
 
-    /// Shares the cell (no state copied) if the layer can be materialized
-    /// later.
-    fn share(&self) -> Option<LayerCell> {
-        self.get().supports_snapshot().then(|| LayerCell(Arc::clone(&self.0)))
+    /// Shares the cell (no state copied).  Only for layers that can be
+    /// materialized later ([`Stack::supports_snapshot`]).
+    fn share(&self) -> LayerCell {
+        LayerCell(Arc::clone(&self.0))
     }
+}
+
+/// The digest-cache value meaning "not cached".  A layer whose digest really
+/// is zero is simply re-digested every time.
+const STALE: u64 = 0;
+
+/// Serves a digest from `cache`, filling it from `fresh` when stale.
+fn cached(cache: &AtomicU64, fresh: impl FnOnce() -> u64) -> u64 {
+    let mut v = cache.load(Ordering::Relaxed);
+    if v == STALE {
+        v = fresh();
+        cache.store(v, Ordering::Relaxed);
+    }
+    v
 }
 
 /// A composed protocol stack for one endpoint: the Horus "endpoint object"
@@ -476,20 +486,24 @@ pub struct Stack {
     /// Reusable per-dispatch emission buffer: one allocation per stack, not
     /// one per layer dispatch.
     emit_buf: Vec<Emit>,
-    /// Cached per-layer state digests, parallel to `layers`.  The dirty bit
-    /// is the caching invariant: **every dispatch into a layer marks it
-    /// dirty** (in [`Stack::drain`] and [`Stack::init`]) before the layer
-    /// runs, so a stale cache entry can only describe a layer no event has
+    /// Cached per-layer state digests, parallel to `layers`; [`STALE`] is
+    /// the dirty mark.  The caching invariant: **every dispatch into a layer
+    /// marks it stale** (in [`Stack::drain`] and [`Stack::init`]) before the
+    /// layer runs, so a cached entry can only describe a layer no event has
     /// touched since the digest was taken.  Marking is conservative — a
     /// dispatch that mutates nothing still invalidates — which is what makes
     /// the scheme sound without trusting each of the 37 layer
     /// implementations to track its own mutations.
-    layer_digests: Vec<Cell<u64>>,
-    layer_dirty: Vec<Cell<bool>>,
+    ///
+    /// Atomics, not `Cell`s, because worlds on different explorer threads
+    /// share one immutable stack between snapshots and each may fill its
+    /// caches.  `Relaxed` suffices: an entry is one self-contained word that
+    /// publishes no other data, and racing fills store the same value (the
+    /// stack cannot change while it is shared).
+    layer_digests: Vec<AtomicU64>,
     /// Cached digest of the current view string (the one `format!` in the
-    /// stack's digest path), refreshed only when a view installs.
-    view_digest: Cell<u64>,
-    view_dirty: Cell<bool>,
+    /// stack's digest path), marked stale only when a view installs.
+    view_digest: AtomicU64,
     /// Structured-event hook ([`crate::trace`]).  `None` — the default —
     /// costs one branch per event site; executors mirror the installed sink
     /// for the events only they can see (frame arrival, timer firing).
@@ -593,46 +607,32 @@ impl Stack {
         }
     }
 
-    /// Duplicates the stack's full runtime state, if every layer supports
-    /// snapshotting ([`Layer::clone_box`]).
+    /// Whether every layer supports snapshotting
+    /// ([`Layer::supports_snapshot`]), i.e. whether [`Stack::clone_cow`]
+    /// returns `Some`.
+    pub fn supports_snapshot(&self) -> bool {
+        self.layers.iter().all(|l| l.get().supports_snapshot())
+    }
+
+    /// Duplicates the stack's full runtime state copy-on-write: every
+    /// layer's state is shared with the original instead of duplicated,
+    /// deferring each layer's clone to the first dispatch into it — on
+    /// either stack.
     ///
     /// The clone is *behaviourally exact*: layers, RNG stream position,
-    /// armed-timer bookkeeping, view, stats, and the digest caches all come
-    /// along, so a cloned stack fed the same events produces the same
-    /// effects — which is what lets the model checker resume exploration
-    /// from snapshotted worlds instead of re-executing prefixes.  Returns
-    /// `None` when any layer opts out.
-    pub fn try_clone(&self) -> Option<Stack> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for l in &self.layers {
-            layers.push(LayerCell::new(l.get().clone_box()?));
-            LAYER_CLONES.fetch_add(1, Ordering::Relaxed);
-        }
-        self.clone_rest(layers)
-    }
-
-    /// Copy-on-write counterpart of [`Stack::try_clone`]: shares every
-    /// layer's state with the original instead of duplicating it, deferring
-    /// each layer's clone to the first dispatch into it — on either stack.
-    ///
-    /// Behaviourally indistinguishable from a deep clone (the checker's
-    /// fingerprint `debug_assert` polices this); the difference is purely
-    /// when (and whether) layer state gets copied.  Returns `None` when any
-    /// layer opts out of snapshotting ([`Layer::supports_snapshot`]).
+    /// view, stats, and the digest caches all come along, so a cloned stack
+    /// fed the same events produces the same effects — which is what lets
+    /// the model checker resume exploration from snapshotted worlds instead
+    /// of re-executing prefixes.  Returns `None` when any layer opts out of
+    /// snapshotting ([`Stack::supports_snapshot`]).
     pub fn clone_cow(&self) -> Option<Stack> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for l in &self.layers {
-            layers.push(l.share()?);
+        if !self.supports_snapshot() {
+            return None;
         }
-        self.clone_rest(layers)
-    }
-
-    /// The non-layer half of stack duplication, shared by the deep and CoW
-    /// paths.
-    fn clone_rest(&self, layers: Vec<LayerCell>) -> Option<Stack> {
+        let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
         Some(Stack {
             local: self.local,
-            layers,
+            layers: self.layers.iter().map(LayerCell::share).collect(),
             layout: Arc::clone(&self.layout),
             fingerprint: self.fingerprint,
             config: self.config.clone(),
@@ -646,10 +646,8 @@ impl Stack {
             // entry point returns, so the clone starts with fresh buffers.
             scratch: VecDeque::new(),
             emit_buf: Vec::new(),
-            layer_digests: self.layer_digests.clone(),
-            layer_dirty: self.layer_dirty.clone(),
-            view_digest: self.view_digest.clone(),
-            view_dirty: self.view_dirty.clone(),
+            layer_digests: self.layer_digests.iter().map(copy).collect(),
+            view_digest: copy(&self.view_digest),
             tracer: self.tracer.clone(),
             traced: self.traced,
         })
@@ -734,21 +732,13 @@ impl Stack {
     /// digests are served from the cache and only layers dispatched into
     /// since the last call are re-digested.  Bit-identical to the
     /// from-scratch path by construction — both combine the same per-layer
-    /// digests in the same order — provided the dirty-marking invariant
+    /// digests in the same order — provided the stale-marking invariant
     /// holds (see the `layer_digests` field).
     pub fn state_digest_cached(&self) -> u64 {
-        if self.view_dirty.get() {
-            self.view_digest.set(self.view_digest_fresh());
-            self.view_dirty.set(false);
-        }
         let mut d = crate::digest::StateDigest::new();
-        self.digest_meta(&mut d, self.view_digest.get());
-        for i in 0..self.layers.len() {
-            if self.layer_dirty[i].get() {
-                self.layer_digests[i].set(self.layer_digest_fresh(i));
-                self.layer_dirty[i].set(false);
-            }
-            d.write_u64(self.layer_digests[i].get());
+        self.digest_meta(&mut d, cached(&self.view_digest, || self.view_digest_fresh()));
+        for (i, cache) in self.layer_digests.iter().enumerate() {
+            d.write_u64(cached(cache, || self.layer_digest_fresh(i)));
         }
         d.finish()
     }
@@ -786,7 +776,7 @@ impl Stack {
     pub fn init(&mut self) -> Vec<Effect> {
         let mut effects = Vec::new();
         for i in 0..self.layers.len() {
-            self.layer_dirty[i].set(true);
+            *self.layer_digests[i].get_mut() = STALE;
             let mut emitted = std::mem::take(&mut self.emit_buf);
             let mut ctx = LayerCtx {
                 layer: i,
@@ -940,7 +930,7 @@ impl Stack {
     fn drain(&mut self, effects: &mut Vec<Effect>) {
         while let Some((idx, item)) = self.scratch.pop_front() {
             self.stats.dispatches += 1;
-            self.layer_dirty[idx].set(true);
+            *self.layer_digests[idx].get_mut() = STALE;
             // Occupancy: the popped item plus whatever is still queued.
             self.stats.scratch_peak = self.stats.scratch_peak.max(self.scratch.len() as u64 + 1);
             {
@@ -1070,7 +1060,7 @@ impl Stack {
     fn top_out(&mut self, ev: Up, effects: &mut Vec<Effect>) {
         if let Up::View(v) = &ev {
             self.view = Some(v.clone());
-            self.view_dirty.set(true);
+            *self.view_digest.get_mut() = STALE;
             self.trace_lazy(|| TraceKind::ViewInstall { view: v.to_string() });
         }
         // Delivery identity: `(src, content digest)` is executor- and

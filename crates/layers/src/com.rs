@@ -14,7 +14,9 @@
 //! that, COM is promiscuous (plain stacks without a membership layer never
 //! install views).
 
+use horus_core::layer::dump_string;
 use horus_core::prelude::*;
+use std::fmt;
 
 const FIELDS_SRC: &[FieldSpec] = &[FieldSpec::new("src", 64)];
 const FIELDS_NONE: &[FieldSpec] = &[];
@@ -157,7 +159,12 @@ impl Layer for Com {
     }
 
     fn dump(&self) -> String {
-        format!(
+        dump_string(self)
+    }
+
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "casts={} delivered={} filtered={} members={:?}",
             self.casts,
             self.delivered,

@@ -31,8 +31,10 @@
 //! matrix row (requires FIFO + sources, provides nothing, masks nothing)
 //! makes `MBRSHIP:FD:…` compositions well-formed for the §6 checker.
 
+use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Duration;
 
 const FIELDS: &[FieldSpec] = &[FieldSpec::new("kind", 1), FieldSpec::new("hseq", 32)];
@@ -296,9 +298,14 @@ impl Layer for Fd {
     }
 
     fn dump(&self) -> String {
+        dump_string(self)
+    }
+
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         let suspected: Vec<&EndpointAddr> =
             self.peers.iter().filter(|(_, p)| p.suspected).map(|(m, _)| m).collect();
-        format!(
+        write!(
+            w,
             "beats_sent={} beats_seen={} monitored={} problems={} rescissions={} suspected={:?}",
             self.heartbeats_sent,
             self.heartbeats_seen,

@@ -21,8 +21,10 @@
 //! timeout.  Both provide property P12 (large messages).
 
 use bytes::Bytes;
+use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Duration;
 
 const FRAG_FIELDS: &[FieldSpec] = &[FieldSpec::new("last", 1), FieldSpec::new("wrapped", 1)];
@@ -176,7 +178,12 @@ impl Layer for Frag {
     }
 
     fn dump(&self) -> String {
-        format!(
+        dump_string(self)
+    }
+
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "frag_size={} fragmented={} fragments={} reassembled={} partial={}",
             self.frag_size,
             self.fragmented_msgs,
@@ -380,7 +387,12 @@ impl Layer for NFrag {
     }
 
     fn dump(&self) -> String {
-        format!(
+        dump_string(self)
+    }
+
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "frag_size={} reassembled={} partial={} expired={}",
             self.frag_size,
             self.reassembled,

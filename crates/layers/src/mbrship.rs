@@ -60,9 +60,11 @@
 //! (virtually (semi-)synchronous delivery) and P15 (consistent views).
 
 use bytes::Bytes;
+use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 use std::time::Duration;
 
 const FIELDS: &[FieldSpec] = &[
@@ -1456,8 +1458,22 @@ impl Layer for Mbrship {
     }
 
     fn dump(&self) -> String {
-        let round = match &self.phase {
-            Phase::Flushing(r) => format!(
+        dump_string(self)
+    }
+
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        let phase = match &self.phase {
+            Phase::Idle => "idle",
+            Phase::Normal => "normal",
+            Phase::Flushing(_) => "flushing",
+            Phase::Merging { .. } => "merging",
+            Phase::Blocked => "blocked",
+            Phase::Exited => "exited",
+        };
+        write!(w, "phase={phase}")?;
+        if let Phase::Flushing(r) = &self.phase {
+            write!(
+                w,
                 " round[e{} coord={} failed={:?} contribs={:?} oks={:?} sync={} cuts={} joiners={}]",
                 r.epoch,
                 r.coordinator,
@@ -1467,23 +1483,15 @@ impl Layer for Mbrship {
                 r.sync_sent,
                 r.cuts.is_some(),
                 r.joiner_views.len(),
-            ),
-            _ => String::new(),
-        };
-        format!(
-            "phase={}{round} view={} seq={} delivered={} recovered={} flushes={} views={} suspects={:?}",
-            match &self.phase {
-                Phase::Idle => "idle",
-                Phase::Normal => "normal",
-                Phase::Flushing(_) => "flushing",
-                Phase::Merging { .. } => "merging",
-                Phase::Blocked => "blocked",
-                Phase::Exited => "exited",
-            },
-            self.view
-                .as_ref()
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "-".to_string()),
+            )?;
+        }
+        match &self.view {
+            Some(v) => write!(w, " view={v}")?,
+            None => w.write_str(" view=-")?,
+        }
+        write!(
+            w,
+            " seq={} delivered={} recovered={} flushes={} views={} suspects={:?}",
             self.my_seq,
             self.delivered,
             self.recovered,

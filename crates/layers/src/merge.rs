@@ -11,7 +11,9 @@
 //! Requires P1, P3, P4, P8–P12, P15 beneath (i.e. a full membership
 //! stack); provides P16.
 
+use horus_core::layer::dump_string;
 use horus_core::prelude::*;
+use std::fmt;
 use std::time::Duration;
 
 const TIMER_PROBE: u64 = 0;
@@ -86,7 +88,11 @@ impl Layer for Merge {
     }
 
     fn dump(&self) -> String {
-        format!("contacts={:?} probes={}", self.contacts, self.probes)
+        dump_string(self)
+    }
+
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "contacts={:?} probes={}", self.contacts, self.probes)
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

@@ -30,9 +30,11 @@
 //! Table 4; requires only best-effort delivery with source addresses
 //! underneath.
 
+use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 use std::time::Duration;
 
 const FIELDS: &[FieldSpec] = &[FieldSpec::new("kind", 3), FieldSpec::new("seq", 32)];
@@ -592,10 +594,14 @@ impl Layer for Nak {
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
         match ev {
             Down::Cast(msg) => {
-                if self.window_open(self.min_ack()) {
+                // Never past queued casts: a view change or a suspicion can
+                // reopen the window without pumping the queue, and sequence
+                // numbers are assigned at send time.
+                if self.pending.is_empty() && self.window_open(self.min_ack()) {
                     self.send_cast(msg, ctx);
                 } else {
                     self.pending.push_back(msg);
+                    self.pump_pending(ctx);
                 }
             }
             Down::Send { dests, msg } => {
@@ -721,11 +727,16 @@ impl Layer for Nak {
     }
 
     fn dump(&self) -> String {
+        dump_string(self)
+    }
+
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         let uni_out: usize = self.uni.values().map(|c| c.out.len()).sum();
         let uni_ooo: usize = self.uni.values().map(|c| c.ooo.len()).sum();
         let rx_ooo: usize = self.peers.values().map(|r| r.ooo.len()).sum();
         let rx_lost: usize = self.peers.values().map(|r| r.lost.len()).sum();
-        format!(
+        write!(
+            w,
             "sent={} buffered={} pending={} naks={} retrans={} lost={} dups={} gcd={} \
              uni={}/{} rx={}/{} suspected={:?}",
             self.next_seq - 1,
@@ -954,6 +965,34 @@ mod tests {
         assert_eq!(w.delivered_casts(ep(2)).len(), 20);
         let logs = vec![DeliveryLog::from_upcalls(ep(2), w.upcalls(ep(2)))];
         assert!(check_fifo(&logs, Workload::parse).is_empty());
+    }
+
+    #[test]
+    fn a_cast_never_overtakes_queued_casts() {
+        // Window 2, and ep3 never acks (it is down): casts 1-2 fill the
+        // window, 3-4 queue.  A view without ep3 then reopens the window
+        // without pumping the queue; a cast issued at that instant must go
+        // out behind 3-4, not ahead of them.
+        use horus_core::view::View;
+        let mut w = windowed_world(3, 2, 12);
+        w.run_for(Duration::from_millis(1));
+        w.crash_at(w.now(), ep(3));
+        for k in 1..=4 {
+            w.cast_bytes(ep(1), Workload::body(ep(1), k, 16));
+        }
+        w.run_for(Duration::from_millis(5));
+        assert_eq!(w.delivered_casts(ep(2)).len(), 2, "ep2 has the first window");
+        assert_eq!(nak_counter(&w, 1, "pending"), 2, "ep3's silence holds the rest back");
+        let survivors = View::initial(GroupAddr::new(1), ep(1)).with_joined(&[ep(2)]);
+        w.down(ep(1), Down::InstallView(survivors));
+        w.cast_bytes(ep(1), Workload::body(ep(1), 5, 16));
+        w.run_for(Duration::from_millis(100));
+        let order: Vec<u64> = w
+            .delivered_casts(ep(2))
+            .iter()
+            .map(|(_, body, _)| Workload::parse(body).expect("workload body").1)
+            .collect();
+        assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

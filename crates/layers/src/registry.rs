@@ -364,6 +364,8 @@ pub fn build_stack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn parses_names_and_params() {
@@ -433,5 +435,90 @@ mod tests {
         // Each talks only to its own group and stack.
         assert_eq!(w.delivered_casts(EndpointAddr::new(1)).len(), 1);
         assert_eq!(w.delivered_casts(EndpointAddr::new(2)).len(), 1);
+    }
+
+    /// Forwards everything to the wrapped layer and, whenever the stack
+    /// digests it, first holds the layer's `digest_state` to the digest of
+    /// its `dump()` string.
+    struct DigestProbe {
+        inner: Box<dyn Layer>,
+        checks: Arc<AtomicU64>,
+    }
+
+    impl Layer for DigestProbe {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn header_fields(&self) -> &'static [FieldSpec] {
+            self.inner.header_fields()
+        }
+        fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
+            self.inner.on_init(ctx)
+        }
+        fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
+            self.inner.on_down(ev, ctx)
+        }
+        fn on_up(&mut self, ev: Up, ctx: &mut LayerCtx<'_>) {
+            self.inner.on_up(ev, ctx)
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut LayerCtx<'_>) {
+            self.inner.on_timer(token, ctx)
+        }
+        fn dump(&self) -> String {
+            self.inner.dump()
+        }
+        fn digest_state(&self, d: &mut horus_core::StateDigest) {
+            let mut streamed = horus_core::StateDigest::new();
+            self.inner.digest_state(&mut streamed);
+            let mut whole = horus_core::StateDigest::new();
+            whole.write_str(&self.inner.dump());
+            assert_eq!(
+                streamed.finish(),
+                whole.finish(),
+                "{}: digest_state is not write_str(&dump()) at {:?}",
+                self.inner.name(),
+                self.inner.dump()
+            );
+            self.checks.fetch_add(1, Ordering::Relaxed);
+            self.inner.digest_state(d);
+        }
+    }
+
+    #[test]
+    fn every_registered_layer_digests_exactly_its_dump() {
+        // Streaming `dump_to` into the digest must leave every fingerprint
+        // bit-identical to digesting the `dump()` string — for the layers
+        // that format in `dump_to` and for the ones still on the default.
+        use horus_net::NetConfig;
+        use horus_sim::SimWorld;
+        let names = layer_names();
+        assert_eq!(names.len(), 37);
+        for name in names {
+            let checks = Arc::new(AtomicU64::new(0));
+            let mut w = SimWorld::new(3, NetConfig::reliable());
+            let eps = [EndpointAddr::new(1), EndpointAddr::new(2)];
+            for ep in eps {
+                let inner = build_layer(&parse_stack(name).unwrap().remove(0)).unwrap();
+                let mut b = StackBuilder::new(ep)
+                    .push(Box::new(DigestProbe { inner, checks: checks.clone() }));
+                if name != "COM" {
+                    b = b.push(Box::new(Com::promiscuous()));
+                }
+                w.add_endpoint(b.build().unwrap_or_else(|e| panic!("{name}: {e}")));
+                w.join(ep, GroupAddr::new(1));
+            }
+            w.fingerprint_fresh();
+            assert_eq!(checks.load(Ordering::Relaxed), 2, "{name}: both fresh layers checked");
+            w.down(eps[1], Down::Merge { contact: eps[0] });
+            for k in 0..4u8 {
+                w.cast_bytes(eps[usize::from(k % 2)], vec![k; 40]);
+                w.run_for(Duration::from_millis(30));
+                w.fingerprint_fresh();
+            }
+            w.down(eps[0], Down::Suspect { member: eps[1] });
+            w.run_for(Duration::from_millis(200));
+            w.fingerprint_fresh();
+            assert_eq!(checks.load(Ordering::Relaxed), 12, "{name}");
+        }
     }
 }

@@ -37,9 +37,11 @@
 //! Requires P3, P8, P9, P15 beneath; provides P6 (totally ordered
 //! delivery).
 
+use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::BTreeMap;
+use std::fmt;
 
 const FIELDS: &[FieldSpec] = &[FieldSpec::new("kind", 2), FieldSpec::new("tseq", 32)];
 
@@ -350,7 +352,12 @@ impl Layer for Total {
     }
 
     fn dump(&self) -> String {
-        format!(
+        dump_string(self)
+    }
+
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "holder={:?} grant={:?} gnext={} frontier={} delivered={} buffered={} ordered={} assigned={} orders={} passes={} drains={} pend={:?}",
             self.holder,
             self.grant,

@@ -123,19 +123,29 @@ pub struct Delivery {
     pub wire: WireFrame,
 }
 
-/// The simulated datagram network: transport-level group membership,
-/// partition state, and per-frame physics.
-#[derive(Debug, Clone)]
-pub struct SimNetwork {
-    config: NetConfig,
+/// Who can talk to whom: changed only by join, leave, partition and heal.
+#[derive(Debug, Clone, Default)]
+struct Topology {
     /// Transport-level group membership (who receives casts to a group).
     groups: BTreeMap<GroupAddr, Vec<EndpointAddr>>,
     /// Which group an endpoint joined (one per endpoint in this model).
     member_of: BTreeMap<EndpointAddr, GroupAddr>,
     /// Partition region of each endpoint; unlisted endpoints are region 0.
     regions: BTreeMap<EndpointAddr, u32>,
+}
+
+/// The simulated datagram network: transport-level group membership,
+/// partition state, and per-frame physics.
+///
+/// Cloning is cheap: the maps and the fault plan sit behind `Arc`s that the
+/// clone shares, and whichever side changes one first (a join, leave,
+/// partition, heal, or a fault rule counting a hit) copies it then.
+#[derive(Debug, Clone)]
+pub struct SimNetwork {
+    config: NetConfig,
+    topo: Arc<Topology>,
     /// Scripted targeted faults, composed with the global physics above.
-    faults: FaultPlan,
+    faults: Arc<FaultPlan>,
     stats: NetStats,
     /// Cached membership/partition digest (see
     /// [`SimNetwork::digest_cached_into`]), cleared on every join, leave,
@@ -154,10 +164,8 @@ impl SimNetwork {
     pub fn new(config: NetConfig) -> Self {
         SimNetwork {
             config,
-            groups: BTreeMap::new(),
-            member_of: BTreeMap::new(),
-            regions: BTreeMap::new(),
-            faults: FaultPlan::new(),
+            topo: Arc::default(),
+            faults: Arc::default(),
             stats: NetStats::default(),
             membership_digest: std::cell::Cell::new(None),
             tracer: None,
@@ -233,14 +241,14 @@ impl SimNetwork {
 
     fn membership_digest_fresh(&self) -> u64 {
         let mut e = horus_core::digest::StateDigest::new();
-        for (g, members) in &self.groups {
+        for (g, members) in &self.topo.groups {
             e.write_u64(g.raw());
             for m in members {
                 e.write_u64(m.raw());
             }
             e.write_bytes(&[0xfd]);
         }
-        for (ep, region) in &self.regions {
+        for (ep, region) in &self.topo.regions {
             e.write_u64(ep.raw());
             e.write_u64(*region as u64);
         }
@@ -250,7 +258,7 @@ impl SimNetwork {
     /// Installs a targeted fault rule, returning its index into
     /// [`SimNetwork::fault_hits`].
     pub fn add_fault(&mut self, rule: FaultRule) -> usize {
-        self.faults.add(rule)
+        self.fault_plan_mut().add(rule)
     }
 
     /// The active fault plan.
@@ -261,7 +269,7 @@ impl SimNetwork {
     /// Mutable access to the fault plan (scenario scripts add or clear
     /// rules mid-run).
     pub fn fault_plan_mut(&mut self) -> &mut FaultPlan {
-        &mut self.faults
+        Arc::make_mut(&mut self.faults)
     }
 
     /// Per-rule hit counts, parallel to the order rules were added.
@@ -271,44 +279,54 @@ impl SimNetwork {
 
     /// Registers `ep` as a transport-level receiver of `group` multicasts.
     pub fn join(&mut self, group: GroupAddr, ep: EndpointAddr) {
-        self.membership_digest.set(None);
-        let members = self.groups.entry(group).or_default();
+        let topo = self.topo_mut();
+        let members = topo.groups.entry(group).or_default();
         if !members.contains(&ep) {
             members.push(ep);
         }
-        self.member_of.insert(ep, group);
+        topo.member_of.insert(ep, group);
     }
 
     /// Deregisters `ep` from its group (leave, destroy, or crash).
     pub fn leave(&mut self, ep: EndpointAddr) {
-        self.membership_digest.set(None);
-        if let Some(group) = self.member_of.remove(&ep) {
-            if let Some(members) = self.groups.get_mut(&group) {
+        if !self.topo.member_of.contains_key(&ep) {
+            return;
+        }
+        let topo = self.topo_mut();
+        if let Some(group) = topo.member_of.remove(&ep) {
+            if let Some(members) = topo.groups.get_mut(&group) {
                 members.retain(|&m| m != ep);
             }
         }
     }
 
+    /// Write access to the topology: invalidates the cached digest and
+    /// copies the maps first if a clone of this network still shares them.
+    fn topo_mut(&mut self) -> &mut Topology {
+        self.membership_digest.set(None);
+        Arc::make_mut(&mut self.topo)
+    }
+
     /// Transport-level receivers of `ep`'s multicasts (including `ep`).
     pub fn cast_targets(&self, ep: EndpointAddr) -> Vec<EndpointAddr> {
-        self.member_of.get(&ep).and_then(|g| self.groups.get(g)).cloned().unwrap_or_default()
+        let topo = &*self.topo;
+        topo.member_of.get(&ep).and_then(|g| topo.groups.get(g)).cloned().unwrap_or_default()
     }
 
     /// Splits the network: each inner slice becomes one partition region.
     /// Endpoints not mentioned keep their previous region.
     pub fn partition(&mut self, regions: &[&[EndpointAddr]]) {
-        self.membership_digest.set(None);
+        let topo = self.topo_mut();
         for (i, eps) in regions.iter().enumerate() {
             for &ep in *eps {
-                self.regions.insert(ep, i as u32 + 1);
+                topo.regions.insert(ep, i as u32 + 1);
             }
         }
     }
 
     /// Heals all partitions: every endpoint returns to region 0.
     pub fn heal(&mut self) {
-        self.membership_digest.set(None);
-        self.regions.clear();
+        self.topo_mut().regions.clear();
     }
 
     /// Whether two endpoints can currently exchange frames.
@@ -317,7 +335,7 @@ impl SimNetwork {
     }
 
     fn region(&self, ep: EndpointAddr) -> u32 {
-        self.regions.get(&ep).copied().unwrap_or(0)
+        self.topo.regions.get(&ep).copied().unwrap_or(0)
     }
 
     /// Transmits a multicast frame from `from` to its transport group
@@ -364,7 +382,7 @@ impl SimNetwork {
         self.stats.bytes_sent += wire.len() as u64;
         // Targeted nth-frame corruption is decided once per frame (the
         // per-source frame counter must not depend on the receiver set).
-        let corrupt_frame = self.faults.corrupt_frame(from);
+        let corrupt_frame = !self.faults.is_empty() && self.fault_plan_mut().corrupt_frame(from);
         let mut out = Vec::with_capacity(dests.len());
         for &to in dests {
             if to == from {
@@ -386,7 +404,14 @@ impl SimNetwork {
                 self.trace_drop(now, to, DropReason::Partition);
                 continue;
             }
-            match self.faults.drop_verdict(from, to, now, sched) {
+            // An empty plan drops nothing; skipping it keeps a shared plan
+            // shared.
+            let verdict = if self.faults.is_empty() {
+                None
+            } else {
+                self.fault_plan_mut().drop_verdict(from, to, now, sched)
+            };
+            match verdict {
                 Some(FaultDrop::Cut) => {
                     self.stats.dropped_cut += 1;
                     self.trace_drop(now, to, DropReason::Partition);

@@ -11,6 +11,7 @@
 use bytes::Bytes;
 use horus_core::digest::StateDigest;
 use horus_core::prelude::*;
+use horus_core::stack::EffectSink;
 use horus_net::{FaultRule, FixedScheduler, NetConfig, NetScheduler, RandomScheduler, SimNetwork};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -49,6 +50,10 @@ enum Ev {
 /// computed once at insertion when pending tracking is on (see
 /// [`SimWorld::fingerprint`]) so the pending-set combine never has to
 /// re-digest wire frames on removal.
+///
+/// The calendar holds entries as `Arc<Pending>`: a snapshot shares them, and
+/// whoever fires one takes it out with `Arc::unwrap_or_clone`, cloning only
+/// when another world still has it pending.
 #[derive(Debug, Clone)]
 struct Pending {
     ev: Ev,
@@ -146,14 +151,33 @@ pub struct ReadyEvent {
     pub kind: ReadyKind,
 }
 
+/// One endpoint's state: its stack, what it delivered, whether it lives.
+/// Shared between a world and its snapshots and never changed while shared
+/// — see [`Endpoint::slot_mut`].
 struct Slot {
     stack: Stack,
-    upcalls: Vec<(SimTime, Up)>,
+    /// The append-only upcall log, shared whole: pushing to a log a
+    /// snapshot still holds copies it first (`Arc::make_mut`).
+    upcalls: Arc<Vec<(SimTime, Up)>>,
     alive: bool,
     /// Incremental digest of the delivery-relevant upcall history, so the
     /// world fingerprint distinguishes states whose stacks converged but
     /// whose observable histories diverged.
     log_digest: StateDigest,
+}
+
+/// One world's handle on an endpoint: the (possibly shared) slot plus what
+/// belongs to this world alone.  The fingerprint caches describe *this
+/// world's* dirty queue and clean-slot sum, so they sit beside the `Arc`,
+/// never inside it: two worlds sharing a slot must not read each other's
+/// dirty marks.  Cloning shares the slot and copies the rest.
+#[derive(Clone)]
+struct Endpoint {
+    slot: Arc<Slot>,
+    /// The endpoint's vector clock (maintained only when `track_pending`):
+    /// joined with the fired event's creation clock and bumped at every
+    /// dispatch, then stamped onto whatever the dispatch schedules.
+    clock: VClock,
     /// Cached endpoint contribution to [`SimWorld::fingerprint`].  Valid —
     /// and summed into [`SimWorld::slots_sum`] — exactly when `dirty` is
     /// false.
@@ -165,12 +189,38 @@ struct Slot {
     dirty: Cell<bool>,
 }
 
+impl Endpoint {
+    /// Write access to the slot: the second copy-on-write level, above the
+    /// stack's per-layer one.  The first write after a snapshot gives this
+    /// world a slot of its own ([`Stack::clone_cow`], the log by reference);
+    /// endpoints a resumed run never dispatches into stay shared.
+    fn slot_mut(&mut self) -> &mut Slot {
+        if Arc::get_mut(&mut self.slot).is_none() {
+            let shared = &*self.slot;
+            self.slot = Arc::new(Slot {
+                stack: shared.stack.clone_cow().expect("snapshot() checked every stack"),
+                upcalls: Arc::clone(&shared.upcalls),
+                alive: shared.alive,
+                log_digest: shared.log_digest.clone(),
+            });
+        }
+        Arc::get_mut(&mut self.slot).expect("just made unique")
+    }
+}
+
 /// A vector clock: sorted `(endpoint raw address, counter)` pairs; absent
-/// components are zero.  Groups are small, so a sorted vec beats a map.
-type VClock = Vec<(u64, u64)>;
+/// components are zero.  Groups are small, so a sorted slice beats a map.
+/// Built once per dispatch ([`SimWorld::begin_causal`]) and shared by the
+/// endpoint and every entry that dispatch schedules; `None` is the empty
+/// (root) clock, which costs no allocation.
+type VClock = Option<Arc<[(u64, u64)]>>;
+
+fn vc_slice(c: &VClock) -> &[(u64, u64)] {
+    c.as_deref().unwrap_or(&[])
+}
 
 /// Componentwise `join` (pointwise max) of `b` into `a`.
-fn vc_join(a: &mut VClock, b: &[(u64, u64)]) {
+fn vc_join(a: &mut Vec<(u64, u64)>, b: &[(u64, u64)]) {
     for &(r, n) in b {
         match a.binary_search_by_key(&r, |&(ar, _)| ar) {
             Ok(i) => a[i].1 = a[i].1.max(n),
@@ -221,11 +271,15 @@ pub struct SimWorld {
     seq: u64,
     steps: u64,
     step_limit: u64,
-    calendar: BTreeMap<EventId, Pending>,
+    calendar: BTreeMap<EventId, Arc<Pending>>,
     net: SimNetwork,
-    endpoints: BTreeMap<EndpointAddr, Slot>,
+    endpoints: BTreeMap<EndpointAddr, Endpoint>,
     sched: Box<dyn NetScheduler + Send>,
-    traces: Vec<(SimTime, String)>,
+    /// Append-only like [`Slot::upcalls`], and shared the same way.
+    traces: Arc<Vec<(SimTime, String)>>,
+    /// The one effect buffer every dispatch emits into and
+    /// [`SimWorld::apply_effects`] drains; empty between dispatches.
+    sink: EffectSink,
     /// The dirty *queue*: endpoints dispatched into since the last
     /// fingerprint, each queued at most once (policed by [`Slot::dirty`]).
     /// [`SimWorld::fingerprint`] drains this instead of scanning every slot.
@@ -234,14 +288,12 @@ pub struct SimWorld {
     /// subtracts its stale contribution; the fingerprint adds the fresh one
     /// back while draining the queue, keeping the sum exact without a walk.
     slots_sum: Cell<u64>,
-    /// Per-endpoint vector clocks (maintained only when `track_pending`):
-    /// joined with the fired event's creation clock and bumped at every
-    /// dispatch, then stamped onto whatever the dispatch schedules.
-    clocks: BTreeMap<EndpointAddr, VClock>,
     /// The clock new calendar entries are stamped with: the dispatching
     /// endpoint's clock during a dispatch, empty (root) for scripted
     /// schedules.
     ctx_clock: VClock,
+    /// Scratch space [`SimWorld::begin_causal`] merges clocks in.
+    clock_buf: Vec<(u64, u64)>,
     /// When set, per-entry payload digests are computed at insertion and the
     /// pending-set sums below are maintained at every insert/remove, making
     /// the pending part of [`SimWorld::fingerprint`] O(1).  Enabled by
@@ -262,6 +314,14 @@ pub struct SimWorld {
     /// default: one branch per fire.
     tracer: Option<Arc<dyn TraceSink>>,
 }
+
+// The parallel explorer hands parked worlds to other threads.  Everything a
+// world shares with its snapshots sits behind an `Arc`, so this holds only
+// while the shared pieces (`Slot`, `Pending`) are `Sync` — no `Cell` inside.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<SimWorld>();
+};
 
 impl SimWorld {
     /// Creates a world with a deterministic seed and network physics.  The
@@ -294,11 +354,12 @@ impl SimWorld {
             net: SimNetwork::new(config),
             endpoints: BTreeMap::new(),
             sched,
-            traces: Vec::new(),
+            traces: Arc::default(),
+            sink: EffectSink::new(),
             dirty_eps: RefCell::new(Vec::new()),
             slots_sum: Cell::new(0),
-            clocks: BTreeMap::new(),
-            ctx_clock: Vec::new(),
+            ctx_clock: None,
+            clock_buf: Vec::new(),
             track_pending: false,
             pending_s1: 0,
             pending_s2: 0,
@@ -312,8 +373,8 @@ impl SimWorld {
     /// the resulting trace is causally ordered, not just time-ordered.
     pub fn set_tracer(&mut self, tracer: Arc<dyn TraceSink>) {
         self.net.set_tracer(tracer.clone());
-        for slot in self.endpoints.values_mut() {
-            slot.stack.set_tracer(tracer.clone());
+        for e in self.endpoints.values_mut() {
+            e.slot_mut().stack.set_tracer(tracer.clone());
         }
         self.tracer = Some(tracer);
     }
@@ -321,8 +382,8 @@ impl SimWorld {
     /// Removes the trace sink everywhere.
     pub fn clear_tracer(&mut self) {
         self.net.clear_tracer();
-        for slot in self.endpoints.values_mut() {
-            slot.stack.clear_tracer();
+        for e in self.endpoints.values_mut() {
+            e.slot_mut().stack.clear_tracer();
         }
         self.tracer = None;
     }
@@ -358,7 +419,7 @@ impl SimWorld {
             Ev::Heal => (EndpointAddr::NULL, TraceKind::Heal { digest, seq }),
             Ev::Fault { .. } => (EndpointAddr::NULL, TraceKind::Fault { digest, seq }),
         };
-        t.set_clock(&self.ctx_clock);
+        t.set_clock(vc_slice(&self.ctx_clock));
         t.record(TraceEvent { at: self.time, ep, kind });
     }
 
@@ -370,7 +431,10 @@ impl SimWorld {
         self.pending_s1 = 0;
         self.pending_s2 = 0;
         for (&(at, _), p) in self.calendar.iter_mut() {
-            p.digest = if on { ev_digest(&p.ev) } else { 0 };
+            let digest = if on { ev_digest(&p.ev) } else { 0 };
+            if p.digest != digest {
+                Arc::make_mut(p).digest = digest;
+            }
             if on {
                 self.pending_s1 = self.pending_s1.wrapping_add(p.digest);
                 self.pending_s2 =
@@ -406,14 +470,17 @@ impl SimWorld {
         if let Some(t) = &self.tracer {
             stack.set_tracer(t.clone());
         }
-        let effects = stack.init();
+        self.sink.extend(stack.init());
         self.endpoints.insert(
             ep,
-            Slot {
-                stack,
-                upcalls: Vec::new(),
-                alive: true,
-                log_digest: StateDigest::new(),
+            Endpoint {
+                slot: Arc::new(Slot {
+                    stack,
+                    upcalls: Arc::default(),
+                    alive: true,
+                    log_digest: StateDigest::new(),
+                }),
+                clock: None,
                 digest: Cell::new(0),
                 dirty: Cell::new(true),
             },
@@ -421,7 +488,7 @@ impl SimWorld {
         // A new slot starts dirty (contributing nothing to the clean-slot
         // sum) and queued, so the next fingerprint digests it.
         self.dirty_eps.borrow_mut().push(ep);
-        self.apply_effects(ep, effects);
+        self.apply_effects(ep);
         ep
     }
 
@@ -451,6 +518,7 @@ impl SimWorld {
             .endpoints
             .get(&ep)
             .unwrap_or_else(|| panic!("unknown endpoint {ep}"))
+            .slot
             .stack
             .new_message(body.into());
         self.down_at(at, ep, Down::Cast(msg));
@@ -493,12 +561,12 @@ impl SimWorld {
         debug_assert!(at >= self.time, "cannot schedule into the past");
         self.seq += 1;
         let digest = if self.track_pending { ev_digest(&ev) } else { 0 };
-        let clock = if self.track_pending { self.ctx_clock.clone() } else { Vec::new() };
+        let clock = if self.track_pending { self.ctx_clock.clone() } else { None };
         if self.track_pending {
             self.pending_s1 = self.pending_s1.wrapping_add(digest);
             self.pending_s2 = self.pending_s2.wrapping_add(digest.wrapping_mul(at.as_nanos()));
         }
-        self.calendar.insert((at, self.seq), Pending { ev, digest, clock });
+        self.calendar.insert((at, self.seq), Arc::new(Pending { ev, digest, clock }));
     }
 
     /// Reverses the [`SimWorld::schedule`] bookkeeping for a removed entry.
@@ -531,21 +599,10 @@ impl SimWorld {
             if at > deadline {
                 break;
             }
-            let ((at, seq), p) = self.calendar.pop_first().expect("peeked entry");
-            self.untrack_pending(at, &p);
+            let (id, p) = self.calendar.pop_first().expect("peeked entry");
             self.time = at;
-            let Pending { ev, digest, clock } = p;
-            self.begin_causal(Self::ready_kind(&ev).target(), clock);
-            if self.tracer.is_some() {
-                self.trace_fire(seq, digest, &ev);
-            }
-            self.dispatch(ev);
-            self.ctx_clock.clear();
+            self.fire_entry(id, p);
             processed += 1;
-            self.steps += 1;
-            if self.steps >= self.step_limit {
-                panic!("{}", self.storm_report());
-            }
         }
         self.time = self.time.max(deadline);
         processed
@@ -588,83 +645,87 @@ impl SimWorld {
         self.run_until(self.time + d)
     }
 
-    /// Marks a slot dirty ahead of a mutation: pulls its stale contribution
-    /// out of the clean-slot sum and queues the endpoint for re-digest at
+    /// Fires an entry already taken off the calendar (the caller has set
+    /// the clock): everything [`SimWorld::run_until`] and
+    /// [`SimWorld::fire`] do per event.
+    fn fire_entry(&mut self, (at, seq): EventId, p: Arc<Pending>) {
+        self.untrack_pending(at, &p);
+        let Pending { ev, digest, clock } = Arc::unwrap_or_clone(p);
+        self.begin_causal(Self::ready_kind(&ev).target(), clock);
+        if self.tracer.is_some() {
+            self.trace_fire(seq, digest, &ev);
+        }
+        self.dispatch(ev);
+        self.ctx_clock = None;
+        self.steps += 1;
+        if self.steps >= self.step_limit {
+            panic!("{}", self.storm_report());
+        }
+    }
+
+    /// Marks an endpoint dirty ahead of a mutation: pulls its stale
+    /// contribution out of the clean-slot sum and queues it for re-digest at
     /// the next fingerprint.  Idempotent between fingerprints.
     fn touch(
         dirty_eps: &RefCell<Vec<EndpointAddr>>,
         slots_sum: &Cell<u64>,
         ep: EndpointAddr,
-        slot: &Slot,
+        e: &Endpoint,
     ) {
-        if !slot.dirty.get() {
-            slot.dirty.set(true);
-            slots_sum.set(slots_sum.get().wrapping_sub(slot.digest.get()));
+        if !e.dirty.get() {
+            e.dirty.set(true);
+            slots_sum.set(slots_sum.get().wrapping_sub(e.digest.get()));
             dirty_eps.borrow_mut().push(ep);
         }
+    }
+
+    /// Feeds one input to a live endpoint's stack and performs the effects.
+    fn input(&mut self, ep: EndpointAddr, input: StackInput) {
+        let Some(e) = self.endpoints.get_mut(&ep) else { return };
+        if !e.slot.alive {
+            return;
+        }
+        Self::touch(&self.dirty_eps, &self.slots_sum, ep, e);
+        let slot = e.slot_mut();
+        slot.stack.set_now(self.time);
+        slot.stack.handle_into(input, &mut self.sink);
+        self.apply_effects(ep);
     }
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::Net { to, from, cast, wire } => {
-                let Some(slot) = self.endpoints.get_mut(&to) else { return };
-                if !slot.alive {
-                    return;
-                }
-                Self::touch(&self.dirty_eps, &self.slots_sum, to, slot);
-                slot.stack.set_now(self.time);
-                let fx = slot.stack.handle(StackInput::FromNet { from, cast, wire });
-                self.apply_effects(to, fx);
+                self.input(to, StackInput::FromNet { from, cast, wire });
             }
             Ev::Timer { ep, layer, token } => {
-                let Some(slot) = self.endpoints.get_mut(&ep) else { return };
-                if !slot.alive {
-                    return;
-                }
-                Self::touch(&self.dirty_eps, &self.slots_sum, ep, slot);
-                let fx = slot.stack.handle(StackInput::Timer { layer, token, now: self.time });
-                self.apply_effects(ep, fx);
+                self.input(ep, StackInput::Timer { layer, token, now: self.time });
             }
-            Ev::App { ep, down } => {
-                let Some(slot) = self.endpoints.get_mut(&ep) else { return };
-                if !slot.alive {
-                    return;
-                }
-                Self::touch(&self.dirty_eps, &self.slots_sum, ep, slot);
-                slot.stack.set_now(self.time);
-                let fx = slot.stack.handle(StackInput::FromApp(down));
-                self.apply_effects(ep, fx);
-            }
+            Ev::App { ep, down } => self.input(ep, StackInput::FromApp(down)),
             Ev::Crash { ep } => {
-                if let Some(slot) = self.endpoints.get_mut(&ep) {
-                    Self::touch(&self.dirty_eps, &self.slots_sum, ep, slot);
-                    slot.alive = false;
+                if let Some(e) = self.endpoints.get_mut(&ep) {
+                    Self::touch(&self.dirty_eps, &self.slots_sum, ep, e);
+                    e.slot_mut().alive = false;
                     self.net.leave(ep);
-                    self.traces.push((self.time, format!("{ep} crashed")));
+                    self.trace_note(format!("{ep} crashed"));
                 }
             }
             Ev::Partition { regions } => {
                 let slices: Vec<&[EndpointAddr]> = regions.iter().map(|r| r.as_slice()).collect();
                 self.net.partition(&slices);
-                self.traces.push((self.time, format!("partition {regions:?}")));
+                self.trace_note(format!("partition {regions:?}"));
             }
             Ev::Heal => {
                 self.net.heal();
-                self.traces.push((self.time, "partitions healed".to_string()));
+                self.trace_note("partitions healed".to_string());
             }
             Ev::Suspect { observer, target } => {
-                let Some(slot) = self.endpoints.get_mut(&observer) else { return };
-                if !slot.alive {
-                    return;
+                if self.is_live_slot(observer) {
+                    self.input(observer, StackInput::FromApp(Down::Suspect { member: target }));
+                    self.trace_note(format!("{observer} suspects {target} (scripted)"));
                 }
-                Self::touch(&self.dirty_eps, &self.slots_sum, observer, slot);
-                slot.stack.set_now(self.time);
-                let fx = slot.stack.handle(StackInput::FromApp(Down::Suspect { member: target }));
-                self.apply_effects(observer, fx);
-                self.traces.push((self.time, format!("{observer} suspects {target} (scripted)")));
             }
             Ev::Fault { rule } => {
-                self.traces.push((self.time, format!("fault installed: {rule:?}")));
+                self.trace_note(format!("fault installed: {rule:?}"));
                 if let FaultRule::SuspicionStorm { ref observers, target } = rule {
                     // The network cannot evaluate a suspicion storm — it is
                     // executed here, as one scripted suspicion per observer,
@@ -674,7 +735,7 @@ impl SimWorld {
                     let idx = self.net.add_fault(rule);
                     let mut fired = 0;
                     for observer in observers {
-                        if self.endpoints.get(&observer).is_some_and(|s| s.alive) {
+                        if self.is_live_slot(observer) {
                             self.dispatch(Ev::Suspect { observer, target });
                             fired += 1;
                         }
@@ -687,11 +748,25 @@ impl SimWorld {
         }
     }
 
-    fn apply_effects(&mut self, ep: EndpointAddr, effects: Vec<Effect>) {
-        for fx in effects {
+    /// Whether `ep` exists and has not crashed (a destroyed stack still
+    /// counts: it takes inputs and ignores them).
+    fn is_live_slot(&self, ep: EndpointAddr) -> bool {
+        self.endpoints.get(&ep).is_some_and(|e| e.slot.alive)
+    }
+
+    fn trace_note(&mut self, note: String) {
+        Arc::make_mut(&mut self.traces).push((self.time, note));
+    }
+
+    /// Performs (and drains) the effects the last dispatch into `ep` left
+    /// in the sink.
+    fn apply_effects(&mut self, ep: EndpointAddr) {
+        let mut sink = std::mem::take(&mut self.sink);
+        for fx in sink.drain() {
             match fx {
                 Effect::Deliver(up) => {
-                    if let Some(slot) = self.endpoints.get_mut(&ep) {
+                    if let Some(e) = self.endpoints.get_mut(&ep) {
+                        let slot = e.slot_mut();
                         match &up {
                             Up::View(v) => slot.log_digest.write_str(&v.to_string()),
                             Up::Cast { src, msg } => {
@@ -701,7 +776,7 @@ impl SimWorld {
                             }
                             _ => {}
                         }
-                        slot.upcalls.push((self.time, up));
+                        Arc::make_mut(&mut slot.upcalls).push((self.time, up));
                     }
                 }
                 Effect::NetCast { wire } => {
@@ -728,15 +803,16 @@ impl SimWorld {
                 Effect::SetTimer { layer, token, delay } => {
                     self.schedule(self.time + delay, Ev::Timer { ep, layer, token });
                 }
-                Effect::Trace(t) => self.traces.push((self.time, format!("{ep}: {t}"))),
+                Effect::Trace(t) => self.trace_note(format!("{ep}: {t}")),
             }
         }
+        self.sink = sink;
     }
 
     /// Whether an endpoint is still alive (has not crashed or been
     /// destroyed).
     pub fn is_alive(&self, ep: EndpointAddr) -> bool {
-        self.endpoints.get(&ep).map(|s| s.alive && !s.stack.is_destroyed()).unwrap_or(false)
+        self.endpoints.get(&ep).is_some_and(|e| e.slot.alive && !e.slot.stack.is_destroyed())
     }
 
     /// All endpoint addresses, in address order.
@@ -746,7 +822,7 @@ impl SimWorld {
 
     /// The recorded upcalls of an endpoint, in delivery order.
     pub fn upcalls(&self, ep: EndpointAddr) -> &[(SimTime, Up)] {
-        self.endpoints.get(&ep).map(|s| s.upcalls.as_slice()).unwrap_or(&[])
+        self.endpoints.get(&ep).map(|e| e.slot.upcalls.as_slice()).unwrap_or(&[])
     }
 
     /// How many views an endpoint has installed — a count-only variant of
@@ -759,7 +835,8 @@ impl SimWorld {
 
     /// Removes and returns an endpoint's recorded upcalls.
     pub fn take_upcalls(&mut self, ep: EndpointAddr) -> Vec<(SimTime, Up)> {
-        self.endpoints.get_mut(&ep).map(|s| std::mem::take(&mut s.upcalls)).unwrap_or_default()
+        let Some(e) = self.endpoints.get_mut(&ep) else { return Vec::new() };
+        Arc::unwrap_or_clone(std::mem::take(&mut e.slot_mut().upcalls))
     }
 
     /// CAST deliveries observed by an endpoint: `(source, body, time)`.
@@ -786,12 +863,12 @@ impl SimWorld {
 
     /// Stack counters for an endpoint.
     pub fn stack_stats(&self, ep: EndpointAddr) -> Option<&horus_core::stack::StackStats> {
-        self.endpoints.get(&ep).map(|s| s.stack.stats())
+        self.endpoints.get(&ep).map(|e| e.slot.stack.stats())
     }
 
     /// Borrow an endpoint's stack (for `focus`/`dump` inspection).
     pub fn stack(&self, ep: EndpointAddr) -> Option<&Stack> {
-        self.endpoints.get(&ep).map(|s| &s.stack)
+        self.endpoints.get(&ep).map(|e| &e.slot.stack)
     }
 
     /// The world's trace log (layer traces, crash/partition markers).
@@ -878,19 +955,8 @@ impl SimWorld {
         let Some(p) = self.calendar.remove(&id) else {
             return false;
         };
-        self.untrack_pending(id.0, &p);
         self.time = self.time.max(id.0);
-        let Pending { ev, digest, clock } = p;
-        self.begin_causal(Self::ready_kind(&ev).target(), clock);
-        if self.tracer.is_some() {
-            self.trace_fire(id.1, digest, &ev);
-        }
-        self.dispatch(ev);
-        self.ctx_clock.clear();
-        self.steps += 1;
-        if self.steps >= self.step_limit {
-            panic!("{}", self.storm_report());
-        }
+        self.fire_entry(id, p);
         true
     }
 
@@ -928,21 +994,21 @@ impl SimWorld {
     /// Crashes `ep` at the current instant (explorer-injected fail-stop, the
     /// same transition a scripted [`SimWorld::crash_at`] performs).
     pub fn inject_crash(&mut self, ep: EndpointAddr) {
-        self.begin_causal(Some(ep), Vec::new());
+        self.begin_causal(Some(ep), None);
         if let Some(t) = &self.tracer {
-            t.set_clock(&self.ctx_clock);
+            t.set_clock(vc_slice(&self.ctx_clock));
             t.record(TraceEvent { at: self.time, ep, kind: TraceKind::InjectCrash });
         }
         self.dispatch(Ev::Crash { ep });
-        self.ctx_clock.clear();
+        self.ctx_clock = None;
     }
 
     /// Tells `observer`'s stack to suspect `target` at the current instant
     /// (explorer-injected, possibly inaccurate, failure suspicion).
     pub fn inject_suspect(&mut self, observer: EndpointAddr, target: EndpointAddr) {
-        self.begin_causal(Some(observer), Vec::new());
+        self.begin_causal(Some(observer), None);
         if let Some(t) = &self.tracer {
-            t.set_clock(&self.ctx_clock);
+            t.set_clock(vc_slice(&self.ctx_clock));
             t.record(TraceEvent {
                 at: self.time,
                 ep: observer,
@@ -950,7 +1016,7 @@ impl SimWorld {
             });
         }
         self.dispatch(Ev::Suspect { observer, target });
-        self.ctx_clock.clear();
+        self.ctx_clock = None;
     }
 
     /// Enters a dispatch's causal context: joins the fired event's creation
@@ -961,22 +1027,26 @@ impl SimWorld {
         if !self.track_pending {
             return;
         }
-        match target {
-            Some(ep) => {
-                let c = self.clocks.entry(ep).or_default();
-                vc_join(c, &ev_clock);
-                let raw = ep.raw();
+        let entry = target.and_then(|ep| Some((ep.raw(), self.endpoints.get_mut(&ep)?)));
+        self.ctx_clock = match entry {
+            Some((raw, e)) => {
+                let c = &mut self.clock_buf;
+                c.clear();
+                c.extend_from_slice(vc_slice(&e.clock));
+                vc_join(c, vc_slice(&ev_clock));
                 match c.binary_search_by_key(&raw, |&(r, _)| r) {
                     Ok(i) => c[i].1 += 1,
                     Err(i) => c.insert(i, (raw, 1)),
                 }
-                self.ctx_clock = c.clone();
+                e.clock = Some(Arc::from(c.as_slice()));
+                e.clock.clone()
             }
-            // World-global events (partition, heal, fault rules) have no
-            // endpoint clock to bump; their consequences inherit the fired
-            // event's own creation clock.
-            None => self.ctx_clock = ev_clock,
-        }
+            // World-global events (partition, heal, fault rules) and events
+            // aimed at an endpoint this world never had have no endpoint
+            // clock to bump; their consequences inherit the fired event's
+            // own creation clock.
+            None => ev_clock,
+        };
     }
 
     /// Whether the creation contexts of two pending calendar entries are
@@ -988,7 +1058,8 @@ impl SimWorld {
         let (Some(pa), Some(pb)) = (self.calendar.get(&a), self.calendar.get(&b)) else {
             return false;
         };
-        vc_lt(&pa.clock, &pb.clock) || vc_lt(&pb.clock, &pa.clock)
+        let (a, b) = (vc_slice(&pa.clock), vc_slice(&pb.clock));
+        vc_lt(a, b) || vc_lt(b, a)
     }
 
     /// The time-independent payload digest of a pending entry (tracked
@@ -1004,46 +1075,27 @@ impl SimWorld {
     /// scheduler support snapshotting (`Layer::supports_snapshot` /
     /// `NetScheduler::clone_box`).
     ///
-    /// Layer state is shared **copy-on-write** with the original
-    /// ([`Stack::clone_cow`]): nothing per-layer is copied here, and a layer
-    /// is duplicated only when a later dispatch — on either world — first
-    /// mutates it.  Snapshots therefore cost O(touched), not O(world),
-    /// which is what lets the model checker park a sibling per untaken
-    /// branch at depths a deep clone per branch point would forbid.  Use
-    /// [`SimWorld::snapshot_deep`] to pay the full copy up front instead.
+    /// Nothing the world holds is copied here except the two maps' own
+    /// B-tree nodes: endpoint slots, calendar entries, vector clocks, the
+    /// logs and the network's maps are all shared by reference count, and a
+    /// piece is duplicated only when a later event — on either world —
+    /// first changes it (an endpoint's slot at the first dispatch into it,
+    /// a layer at the first dispatch that reaches it, a calendar entry if it
+    /// fires while the other world still has it pending).  Snapshots
+    /// therefore cost O(touched), not O(world), which is what lets the
+    /// model checker park a sibling per untaken branch.
     ///
-    /// Either way the clone is behaviourally exact: firing the same
-    /// schedule against the original and the snapshot produces identical
-    /// effects, upcalls, and fingerprints.  The model checker leans on this
-    /// to resume exploration from a branch point instead of re-executing
-    /// the settle phase and the choice prefix; anything less than an exact
-    /// clone corrupts the search, which is why unsupported layers make this
-    /// return `None` rather than best-effort copying.
+    /// The clone is behaviourally exact: firing the same schedule against
+    /// the original and the snapshot produces identical effects, upcalls,
+    /// and fingerprints, and neither can observe what the other does next.
+    /// The model checker leans on this to resume exploration from a branch
+    /// point instead of re-executing the settle phase and the choice prefix;
+    /// anything less than an exact clone corrupts the search, which is why
+    /// unsupported layers make this return `None` rather than best-effort
+    /// copying.
     pub fn snapshot(&self) -> Option<SimWorld> {
-        self.snapshot_impl(true)
-    }
-
-    /// [`SimWorld::snapshot`] with every layer deep-cloned up front (the
-    /// pre-CoW behaviour).  Kept as the honest baseline for the checker's
-    /// `cow_off` benchmark arm.
-    pub fn snapshot_deep(&self) -> Option<SimWorld> {
-        self.snapshot_impl(false)
-    }
-
-    fn snapshot_impl(&self, cow: bool) -> Option<SimWorld> {
-        let mut endpoints = BTreeMap::new();
-        for (ep, slot) in &self.endpoints {
-            endpoints.insert(
-                *ep,
-                Slot {
-                    stack: if cow { slot.stack.clone_cow()? } else { slot.stack.try_clone()? },
-                    upcalls: slot.upcalls.clone(),
-                    alive: slot.alive,
-                    log_digest: slot.log_digest.clone(),
-                    digest: slot.digest.clone(),
-                    dirty: slot.dirty.clone(),
-                },
-            );
+        if !self.endpoints.values().all(|e| e.slot.stack.supports_snapshot()) {
+            return None;
         }
         Some(SimWorld {
             time: self.time,
@@ -1052,13 +1104,14 @@ impl SimWorld {
             step_limit: self.step_limit,
             calendar: self.calendar.clone(),
             net: self.net.clone(),
-            endpoints,
+            endpoints: self.endpoints.clone(),
             sched: self.sched.clone_box()?,
-            traces: self.traces.clone(),
+            traces: Arc::clone(&self.traces),
+            sink: EffectSink::new(),
             dirty_eps: RefCell::new(self.dirty_eps.borrow().clone()),
             slots_sum: self.slots_sum.clone(),
-            clocks: self.clocks.clone(),
             ctx_clock: self.ctx_clock.clone(),
+            clock_buf: Vec::new(),
             track_pending: self.track_pending,
             pending_s1: self.pending_s1,
             pending_s2: self.pending_s2,
@@ -1100,10 +1153,10 @@ impl SimWorld {
         let mut sum = self.slots_sum.get();
         let mut dirty = self.dirty_eps.borrow_mut();
         for ep in dirty.drain(..) {
-            let slot = &self.endpoints[&ep];
-            let v = Self::slot_digest(ep, slot, slot.stack.state_digest_cached());
-            slot.digest.set(v);
-            slot.dirty.set(false);
+            let e = &self.endpoints[&ep];
+            let v = Self::slot_digest(ep, &e.slot, e.slot.stack.state_digest_cached());
+            e.digest.set(v);
+            e.dirty.set(false);
             sum = sum.wrapping_add(v);
         }
         self.slots_sum.set(sum);
@@ -1119,8 +1172,8 @@ impl SimWorld {
         let mut d = StateDigest::new();
         d.write_u64(self.endpoints.len() as u64);
         let mut sum: u64 = 0;
-        for (ep, slot) in &self.endpoints {
-            sum = sum.wrapping_add(Self::slot_digest(*ep, slot, slot.stack.state_digest()));
+        for (ep, e) in &self.endpoints {
+            sum = sum.wrapping_add(Self::slot_digest(*ep, &e.slot, e.slot.stack.state_digest()));
         }
         d.write_u64(sum);
         self.net.digest_into(&mut d);

@@ -15,7 +15,12 @@
 //!   which is precisely what `handle_into`/`handle_batch` eliminate;
 //! * `StackStats::dispatch_buf_grows` stays at zero once warm;
 //! * a compact header of up to 22 bytes lives inside the `Message`: `new`,
-//!   `clone` and `decode_parts` allocate nothing for it.
+//!   `clone` and `decode_parts` allocate nothing for it;
+//! * a `SimWorld::snapshot()` of the settled four-member `flush4` world
+//!   shares instead of copying: at most 20 allocations and 4 kB (it was 96
+//!   and 28.7 kB when slots, calendar entries and clocks were deep-copied),
+//!   all of it handed back when the snapshot is dropped, and one delivery
+//!   fired on a snapshot copies layers of the receiving endpoint only.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test thread can
 //! pollute the counter.
@@ -23,24 +28,39 @@
 use bytes::Bytes;
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
+use horus_check::Scenario;
 use horus_core::message::{FieldSpec, HeaderLayout, HeaderMode};
+use horus_core::stack::{layer_clones, reset_layer_clones};
+use horus_sim::ReadyKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
+static FREE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
+        FREE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
+    // A reallocation is booked as a free of the old block and an
+    // allocation of the new one.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        FREES.fetch_add(1, Ordering::Relaxed);
+        FREE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,6 +70,11 @@ static COUNTER: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// `(allocations, bytes allocated, frees, bytes freed)` so far.
+fn heap_traffic() -> [u64; 4] {
+    [&ALLOCS, &ALLOC_BYTES, &FREES, &FREE_BYTES].map(|c| c.load(Ordering::Relaxed))
 }
 
 fn cast_input(stack: &Stack, k: u8) -> StackInput {
@@ -174,4 +199,52 @@ fn steady_state_dispatch_does_not_allocate() {
         grows_at_warm,
         "scratch/emit buffers must not grow after warmup"
     );
+
+    snapshots_share_instead_of_copying();
+}
+
+/// Part 6 of the one test above (one `#[test]`, one thread, clean counters).
+fn snapshots_share_instead_of_copying() {
+    let scenario = Scenario::by_name("flush4").expect("registered scenario");
+    let world = scenario.build();
+
+    // 6a. The snapshot itself: two B-tree maps' nodes and little else.
+    let before = heap_traffic();
+    let snap = world.snapshot().expect("flush4 layers support snapshots");
+    let taken = heap_traffic();
+    drop(snap);
+    let dropped = heap_traffic();
+    let (allocs, bytes) = (taken[0] - before[0], taken[1] - before[1]);
+    assert!(allocs <= 20, "a flush4 snapshot made {allocs} allocations ({bytes} B)");
+    assert!(bytes <= 4096, "a flush4 snapshot allocated {bytes} B in {allocs} blocks");
+    assert_eq!(taken[2..], before[2..], "taking a snapshot frees nothing");
+    assert_eq!(
+        [dropped[2] - taken[2], dropped[3] - taken[3]],
+        [allocs, bytes],
+        "dropping the snapshot hands back exactly what taking it allocated"
+    );
+    assert_eq!(dropped[..2], taken[..2], "dropping a snapshot allocates nothing");
+
+    // 6b. Copy-on-write stops at the endpoint an event reaches: run a
+    // snapshot forward to its next frame delivery, fork there, fire that
+    // one delivery on the fork.
+    let mut at_delivery = world.snapshot().expect("snapshot");
+    let delivery = loop {
+        let next = *at_delivery.ready_events(Duration::ZERO).first().expect("flush4 keeps going");
+        if matches!(next.kind, ReadyKind::Deliver { .. }) {
+            break next;
+        }
+        at_delivery.fire(next.id);
+    };
+    let mut fork = at_delivery.snapshot().expect("snapshot");
+    let depth = world.stack(EndpointAddr::new(1)).expect("member 1").layer_names().len() as u64;
+    reset_layer_clones();
+    assert!(fork.fire(delivery.id));
+    let cloned = layer_clones();
+    assert!(
+        (1..=depth).contains(&cloned),
+        "one delivery copied {cloned} layers; the receiving stack has {depth}"
+    );
+    assert_eq!(at_delivery.fingerprint(), at_delivery.fingerprint_fresh());
+    assert_eq!(fork.fingerprint(), fork.fingerprint_fresh());
 }

@@ -211,21 +211,3 @@ fn dpor_parallel_report_is_worker_count_independent() {
         );
     }
 }
-
-/// CoW snapshots vs deep clones: a pure mechanism swap — the explored
-/// tree, the visited set, and the verdict must be identical; only clone
-/// work differs (gated in the smoke benchmark, not here).
-#[test]
-fn dpor_cow_matches_deep_clone_exploration() {
-    for name in ["flush3", "token3"] {
-        let scenario = Scenario::by_name(name).expect("registered scenario");
-        let cfg = cfg_for(name);
-        let (cow, cow_fps) = explore_collect(scenario, &cfg);
-        let (deep, deep_fps) =
-            explore_collect(scenario, &CheckConfig { cow_snapshots: false, ..cfg });
-        assert_eq!(cow.runs, deep.runs, "{name}: CoW changed the run set");
-        assert_eq!(cow.states, deep.states, "{name}: CoW changed the state count");
-        assert_eq!(cow.steps, deep.steps, "{name}: CoW changed executed steps");
-        assert_fp_sets_equal(name, &cow_fps, &deep_fps);
-    }
-}

@@ -21,10 +21,12 @@
 //! 6. **Parallel exploration is worker-count independent**: the 1/2/4-worker
 //!    arms reach the same exhaustion verdict over the same space, and on
 //!    multi-core hardware more workers finish no slower.
-//! 7. **CoW snapshots earn their keep**: at depth 7 — where every branch
-//!    point parks a sibling world — the copy-on-write arm must duplicate
-//!    strictly less layer state than the deep-clone arm over the same tree
-//!    (`horus_core::stack::layer_clones`, the bytes-cloned proxy).
+//! 7. **Snapshots stay copy-on-write**: at depth 7 — where every branch
+//!    point parks a sibling world — the layer states actually duplicated
+//!    (`horus_core::stack::layer_clones`, the bytes-cloned proxy) are
+//!    recorded, and must stay below one stack's worth per run.  (The
+//!    deep-clone arm this used to be compared against is retired; stateless
+//!    replay, arm 3b, is the one oracle for snapshots.)
 //!
 //! Ignored by default: it is a timing test and only means anything in
 //! release mode.  Run with
@@ -175,31 +177,22 @@ fn check_explorer_smoke() {
         );
     }
 
-    // Arms 7-8: copy-on-write vs deep-clone sibling snapshots, one depth
-    // deeper so every run parks worlds seven branch points down.  Wall-clock
-    // is within noise at this size (both ~0.05s), so the gate reads the
-    // layer-clone counter — the bytes-cloned proxy: CoW duplicates a layer
-    // only when a resumed sibling first mutates it, the deep arm duplicates
-    // all of them at every snapshot.
+    // Arm 7: one depth deeper, so every run parks worlds seven branch
+    // points down.  The gate reads the layer-clone counter — the
+    // bytes-cloned proxy: a layer is duplicated only when a resumed sibling
+    // first mutates it, so a run costs well under the 4 layers x 3 members a
+    // copy of the world would.
     let deep_cfg = CheckConfig { max_depth: 7, ..cfg.clone() };
     let (dpor7, secs_dpor7) = timed(|| {
         reset_layer_clones();
         explore(scenario, &deep_cfg)
     });
     let clones_cow = layer_clones();
-    let (deep7, secs_deep7) = timed(|| {
-        reset_layer_clones();
-        explore(scenario, &CheckConfig { cow_snapshots: false, ..deep_cfg.clone() })
-    });
-    let clones_deep = layer_clones();
     assert!(dpor7.violation.is_none() && dpor7.exhausted, "depth-7 flush3 must stay clean");
-    assert_eq!(dpor7.runs, deep7.runs, "snapshot mechanism changed the run set");
-    assert_eq!(dpor7.states, deep7.states, "snapshot mechanism changed the space");
-    assert_eq!(dpor7.steps, deep7.steps, "snapshot mechanism changed executed steps");
     assert!(
-        clones_cow < clones_deep,
-        "CoW snapshots must clone strictly less layer state than deep clones \
-         ({clones_cow} vs {clones_deep} layer clones)"
+        clones_cow < 4 * dpor7.runs,
+        "snapshots must stay copy-on-write: {clones_cow} layer clones over {} runs",
+        dpor7.runs
     );
 
     let arms = [
@@ -211,7 +204,6 @@ fn check_explorer_smoke() {
         arm_json("workers_2", &w2, secs_w2),
         arm_json("workers_4", &w4, secs_w4),
         arm_json_clones("dpor", &dpor7, secs_dpor7, clones_cow),
-        arm_json_clones("cow_off", &deep7, secs_deep7, clones_deep),
     ]
     .join(",\n");
     let json = format!(
