@@ -493,12 +493,24 @@ impl Message {
         Bytes::from(out)
     }
 
-    /// Reconstructs a message from [`Message::encode_inner`] output.
+    /// Reconstructs a message from a borrowed [`Message::encode_inner`]
+    /// image, copying it once; [`Message::decode_inner_shared`] is the
+    /// decode itself.
     ///
     /// # Errors
     ///
     /// Fails on truncation or on malformed aligned records.
     pub fn decode_inner(layout: Arc<HeaderLayout>, buf: &[u8]) -> Result<Self, HorusError> {
+        Message::decode_inner_shared(layout, Bytes::copy_from_slice(buf))
+    }
+
+    /// Reconstructs a message from an owned [`Message::encode_inner`] image
+    /// without copying it: the body is a slice of `buf`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncation or on malformed aligned records.
+    pub fn decode_inner_shared(layout: Arc<HeaderLayout>, buf: Bytes) -> Result<Self, HorusError> {
         if buf.len() < 2 {
             return Err(HorusError::Decode("message shorter than its length prefix".into()));
         }
@@ -510,11 +522,7 @@ impl Message {
                 buf.len() - 2
             )));
         }
-        Message::decode_parts(
-            layout,
-            &buf[2..2 + hdr_len],
-            Bytes::copy_from_slice(&buf[2 + hdr_len..]),
-        )
+        Message::decode_parts(layout, &buf[2..2 + hdr_len], buf.slice(2 + hdr_len..))
     }
 
     /// Reconstructs a message from an already-split header area and body.

@@ -22,7 +22,7 @@ use crate::addr::{EndpointAddr, GroupAddr};
 use crate::digest::StateDigest;
 use crate::error::HorusError;
 use crate::event::{Down, Effect, StackInput, Up};
-use crate::frame::{FrameChecksum, WireFrame, ENVELOPE_BYTES};
+use crate::frame::{frame_checksum, WireFrame, ENVELOPE_BYTES};
 use crate::layer::{Emit, Layer, LayerCtx};
 use crate::message::{HeaderLayout, HeaderMode, Message};
 use crate::time::SimTime;
@@ -426,6 +426,12 @@ impl LayerCell {
     /// Write access; materializes a private copy first if the cell is
     /// shared with a snapshot.
     ///
+    /// Sharing is read off the strong count alone: no `Weak` to a layer cell
+    /// is ever created (`share` is the only way to a second handle), so
+    /// `strong_count == 1` under `&mut self` means unique, and the one
+    /// `Arc::get_mut` left — a locked compare-exchange on the weak count —
+    /// cannot fail.
+    ///
     /// # Panics
     ///
     /// Panics when a shared layer breaks the
@@ -433,7 +439,7 @@ impl LayerCell {
     /// only happens after `supports_snapshot()` returned `true`, so
     /// `clone_box()` returning `None` here is a layer implementation bug.
     fn make_mut(&mut self) -> &mut dyn Layer {
-        if Arc::get_mut(&mut self.0).is_none() {
+        if Arc::strong_count(&self.0) != 1 {
             let copy = self.0.clone_box().unwrap_or_else(|| {
                 panic!(
                     "layer {} advertises snapshot support but clone_box returned None",
@@ -1087,10 +1093,12 @@ impl Stack {
     /// whose body *is* the message body — the application's payload `Bytes`
     /// reaches the transport by reference, never by copy.
     ///
-    /// The checksum covers `hdr_len|hdr|body` (computed streaming over the
-    /// two segments) — the link-level CRC every real datagram network
-    /// provides, and what makes the COM/frame level's byte re-ordering
-    /// detection (P10) actually true over the garbling simulated network.
+    /// The checksum covers `body|hdr_len|hdr` ([`frame_checksum`]: the
+    /// four-lane [`crate::frame::FrameChecksum`] streamed over the two
+    /// segments, built here and verified at every decode) — the link-level
+    /// CRC every real datagram network provides, and what makes the
+    /// COM/frame level's byte re-ordering detection (P10) actually true
+    /// over the garbling simulated network.
     fn encode_frame(&self, msg: &Message) -> WireFrame {
         WireFrame::build(self.fingerprint, msg.header_area(), msg.body().clone())
     }
@@ -1104,10 +1112,7 @@ impl Stack {
             return Err(FrameError::Fingerprint);
         }
         let sum = u32::from_le_bytes([head[2], head[3], head[4], head[5]]);
-        let mut ck = FrameChecksum::new();
-        ck.update(&head[6..]);
-        ck.update(&body);
-        if sum != ck.finish() {
+        if sum != frame_checksum(&head, &body) {
             return Err(FrameError::Malformed("frame checksum mismatch (garbled)".into()));
         }
         // Zero-copy receive: the body segment is attached to the decoded

@@ -15,6 +15,11 @@
 //! message, and the FIFO guarantee of the layer below makes per-source
 //! reassembly a simple accumulation.
 //!
+//! Each hop touches a payload byte once: every fragment past the message's
+//! own header is a slice of the caller's body ([`fragments`]), the receiver
+//! holds the fragments it is handed until the last one arrives, and
+//! [`reassemble`] gathers them with one allocation and one copy.
+//!
 //! [`NFrag`] is the Table 3 variant that sits *below* FIFO (directly on
 //! COM): it tags fragments with a message id and index so reassembly
 //! tolerates reordering, at the price of a bigger header and a reassembly
@@ -25,6 +30,7 @@ use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 const FRAG_FIELDS: &[FieldSpec] = &[FieldSpec::new("last", 1), FieldSpec::new("wrapped", 1)];
@@ -32,13 +38,56 @@ const FRAG_FIELDS: &[FieldSpec] = &[FieldSpec::new("last", 1), FieldSpec::new("w
 /// Stream key: per-source, casts and sends reassemble independently.
 type StreamKey = (EndpointAddr, bool);
 
+/// The `frag_size`-byte chunks of `msg`'s [`Message::encode_inner`] image,
+/// `[u16 hdr_len][header area][body]`, without building the image: a chunk
+/// that starts in the prefix is assembled by copy, every later one is a
+/// slice of `msg`'s body and shares its storage.
+fn fragments(msg: &Message, frag_size: usize) -> impl Iterator<Item = Bytes> + '_ {
+    let hdr = msg.header_area();
+    let hdr_len = (hdr.len() as u16).to_le_bytes();
+    let body = msg.body();
+    let prefix = hdr_len.len() + hdr.len();
+    let total = msg.encoded_inner_len();
+    (0..total).step_by(frag_size).map(move |lo| {
+        let hi = (lo + frag_size).min(total);
+        if lo >= prefix {
+            return body.slice(lo - prefix..hi - prefix);
+        }
+        let mut chunk = Vec::with_capacity(hi - lo);
+        let mut at = 0;
+        for part in [&hdr_len[..], hdr, &body[..]] {
+            let (from, to) = (lo.max(at), hi.min(at + part.len()));
+            if from < to {
+                chunk.extend_from_slice(&part[from - at..to - at]);
+            }
+            at += part.len();
+        }
+        Bytes::from(chunk)
+    })
+}
+
+/// Rebuilds the message whose image `chunks` are, in order: one
+/// exact-capacity buffer, one copy of each chunk into it — the one payload
+/// copy a reassembled message costs, which the caller reports — and a body
+/// that is a slice of that buffer.
+fn reassemble<'a>(
+    chunks: impl Iterator<Item = &'a Bytes> + Clone,
+    layout: &Arc<HeaderLayout>,
+) -> Result<Message, HorusError> {
+    let mut image = Vec::with_capacity(chunks.clone().map(Bytes::len).sum());
+    for chunk in chunks {
+        image.extend_from_slice(chunk);
+    }
+    Message::decode_inner_shared(layout.clone(), Bytes::from(image))
+}
+
 /// The FIFO-dependent fragmentation layer of §7.
 #[derive(Debug, Clone)]
 pub struct Frag {
     /// Fragment payload size.
     frag_size: usize,
-    /// Per-stream partial reassembly buffers.
-    partial: BTreeMap<StreamKey, Vec<u8>>,
+    /// Per-stream fragments received so far, held by reference.
+    partial: BTreeMap<StreamKey, Vec<Bytes>>,
     fragmented_msgs: u64,
     fragments_sent: u64,
     reassembled: u64,
@@ -82,15 +131,12 @@ impl Frag {
             self.pass_down(m, dests, ctx);
             return;
         }
-        // Slow path: serialize the message and chunk it.  The chunks are
-        // zero-copy slices of one `Bytes` buffer — the paper's "no copying
-        // of the data that the message will actually transport".
+        // Slow path: chunk the serialized message.  All but the chunks that
+        // hold its own header are slices of the caller's body — the paper's
+        // "no copying of the data that the message will actually transport".
         self.fragmented_msgs += 1;
-        let inner = msg.encode_inner();
-        let n = inner.len().div_ceil(self.frag_size);
-        for i in 0..n {
-            let chunk =
-                inner.slice(i * self.frag_size..((i + 1) * self.frag_size).min(inner.len()));
+        let n = msg.encoded_inner_len().div_ceil(self.frag_size);
+        for (i, chunk) in fragments(&msg, self.frag_size).enumerate() {
             let mut frag = ctx.new_message(chunk);
             ctx.stamp(&mut frag);
             ctx.set(&mut frag, 0, (i + 1 == n) as u64);
@@ -119,13 +165,13 @@ impl Frag {
             return;
         }
         let key = (src, cast);
-        let buf = self.partial.entry(key).or_default();
-        buf.extend_from_slice(msg.body());
         if !last {
+            self.partial.entry(key).or_default().push(msg.body().clone());
             return;
         }
-        let assembled = self.partial.remove(&key).expect("just inserted");
-        match Message::decode_inner(msg.layout().clone(), &assembled) {
+        let held = self.partial.remove(&key).unwrap_or_default();
+        ctx.note_payload_copy(1);
+        match reassemble(held.iter().chain([msg.body()]), msg.layout()) {
             Ok(mut original) => {
                 self.reassembled += 1;
                 original.meta.src = Some(src);
@@ -264,14 +310,11 @@ impl NFrag {
             self.pass_down(m, dests, ctx);
             return;
         }
-        let inner = msg.encode_inner();
-        let n = inner.len().div_ceil(self.frag_size);
+        let n = msg.encoded_inner_len().div_ceil(self.frag_size);
         assert!(n < 4096, "message too large for NFRAG's 12-bit fragment index");
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        for i in 0..n {
-            let chunk =
-                inner.slice(i * self.frag_size..((i + 1) * self.frag_size).min(inner.len()));
+        for (i, chunk) in fragments(&msg, self.frag_size).enumerate() {
             let mut frag = ctx.new_message(chunk);
             ctx.stamp(&mut frag);
             ctx.set(&mut frag, 0, 1);
@@ -320,11 +363,8 @@ impl NFrag {
         entry.chunks.insert(idx, msg.body().clone());
         if entry.chunks.len() == count as usize {
             let entry = self.partial.remove(&key).expect("just completed");
-            let mut assembled = Vec::new();
-            for (_, c) in entry.chunks {
-                assembled.extend_from_slice(&c);
-            }
-            match Message::decode_inner(msg.layout().clone(), &assembled) {
+            ctx.note_payload_copy(1);
+            match reassemble(entry.chunks.values(), msg.layout()) {
                 Ok(mut original) => {
                     self.reassembled += 1;
                     original.meta.src = Some(src);
@@ -433,6 +473,54 @@ mod tests {
             w.join(ep(i), GroupAddr::new(1));
         }
         w
+    }
+
+    /// A message as it reaches FRAG from a layer above: `body` under that
+    /// layer's stamped header, so the image's prefix is 6 bytes in compact
+    /// mode and 14 in aligned mode.
+    fn stamped_message(mode: HeaderMode, body: &Bytes) -> Message {
+        const ABOVE: &[FieldSpec] = &[FieldSpec::new("seq", 32)];
+        let layout = HeaderLayout::build(&[("ABOVE", ABOVE), ("FRAG", FRAG_FIELDS)], mode).unwrap();
+        let mut msg = Message::new(Arc::new(layout), body.clone());
+        msg.push_header(0);
+        msg.set_field(0, 0, 0xC0FF_EE00 + body.len() as u64);
+        msg
+    }
+
+    #[test]
+    fn fragments_are_the_serialized_images_chunks_and_share_the_body() {
+        let payload = Bytes::from((0..5000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let storage = payload.as_ptr() as usize..payload.as_ptr() as usize + payload.len();
+        for mode in [HeaderMode::Compact, HeaderMode::Aligned] {
+            for frag_size in [1usize, 3, 7, 64, 1024] {
+                // Every length up to a few fragments past the prefix, then
+                // strides that keep the one-byte fragments affordable.
+                let dense = 0..=(4 * frag_size + 40).min(5000);
+                let sparse = (0..=5000).step_by(if frag_size < 64 { 61 } else { 1 });
+                for len in dense.chain(sparse) {
+                    let msg = stamped_message(mode, &payload.slice(..len));
+                    let prefix = 2 + msg.header_area().len();
+                    let image = msg.encode_inner();
+                    let chunks: Vec<Bytes> = fragments(&msg, frag_size).collect();
+                    assert!(
+                        chunks.iter().map(|c| &c[..]).eq(image.chunks(frag_size)),
+                        "{mode:?}, {len} B at {frag_size}: chunks differ from encode_inner's"
+                    );
+                    for (i, chunk) in chunks.iter().enumerate() {
+                        let shares = storage.contains(&(chunk.as_ptr() as usize));
+                        assert_eq!(
+                            shares,
+                            i * frag_size >= prefix,
+                            "{mode:?}, {len} B at {frag_size}: fragment {i} (prefix {prefix})"
+                        );
+                    }
+                    let back = reassemble(chunks.iter(), msg.layout()).expect("decodes");
+                    assert_eq!(back.header_area(), msg.header_area());
+                    assert_eq!(back.body(), msg.body());
+                    assert_eq!(back.field(0, 0), msg.field(0, 0));
+                }
+            }
+        }
     }
 
     #[test]

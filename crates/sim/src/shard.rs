@@ -26,7 +26,7 @@
 //! the threaded executor, so protocol timers behave identically.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use horus_core::prelude::*;
 use horus_core::stack::StackStats;
 use horus_net::threaded::{Frame, FrameSink};
@@ -163,50 +163,67 @@ struct Worker {
 /// How long an idle worker sleeps when it has neither inputs nor timers.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
+/// Bursts a worker dispatches back to back, the queue never seen empty,
+/// before it fires due timers anyway: a producer that outruns the worker
+/// must not starve retransmission and failure-detection timers.
+const TIMER_PASS_EVERY: u32 = 16;
+
 impl Worker {
     fn now(&self) -> SimTime {
         SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
+    /// Inputs before timers: whatever is already queued is dispatched
+    /// first, and a due timer fires only once the queue has been seen empty
+    /// (or [`TIMER_PASS_EVERY`] bursts have gone by) — one timer, then the
+    /// queue again, since the frames that timer sent are inputs too.  Frames
+    /// that piled up while this thread was stalled or descheduled are older
+    /// than the `now` a timer is handed, and a layer that compares the two —
+    /// NAK's failure detector — must see them first, or it suspects peers
+    /// whose traffic is sitting in the queue.
     fn run(mut self) {
+        let mut bursts = 0;
         loop {
-            self.fire_due_timers();
-            // Block for the first input of the burst (bounded by the next
-            // timer), then drain greedily up to batch_max.
-            let wait = match self.timers.peek() {
-                Some(t) => t.due.saturating_duration_since(Instant::now()).min(IDLE_WAIT),
-                None => IDLE_WAIT,
-            };
-            match self.rx.recv_timeout(wait) {
-                Ok(first) => {
-                    let mut burst = std::mem::take(&mut self.burst);
-                    burst.push(first);
-                    while burst.len() < self.batch_max {
-                        match self.rx.try_recv() {
-                            Ok(input) => burst.push(input),
-                            Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-                        }
-                    }
-                    let stop = self.process_burst(&mut burst);
-                    self.burst = burst;
-                    if stop {
-                        return;
-                    }
+            if self.rx.try_recv_many(&mut self.burst, self.batch_max) == 0 {
+                bursts = 0;
+                if self.fire_next_due_timer() {
+                    continue;
                 }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
+                // Block for the first input of the burst (bounded by the
+                // next timer), then take what came with it.
+                let wait = match self.timers.peek() {
+                    Some(t) => t.due.saturating_duration_since(Instant::now()).min(IDLE_WAIT),
+                    None => IDLE_WAIT,
+                };
+                match self.rx.recv_timeout(wait) {
+                    Ok(first) => {
+                        self.burst.push(first);
+                        self.rx.try_recv_many(&mut self.burst, self.batch_max - 1);
+                    }
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return,
+                }
+            }
+            if self.process_burst() {
+                return;
+            }
+            bursts += 1;
+            if bursts >= TIMER_PASS_EVERY {
+                bursts = 0;
+                while self.fire_next_due_timer() {}
             }
         }
     }
 
-    /// Processes one drained burst; returns `true` on `Stop`.
+    /// Processes the drained burst; returns `true` on `Stop`.
     ///
     /// Consecutive inputs for the same endpoint are grouped into a run and
     /// dispatched through [`Stack::handle_batch`]: one `set_now`, one
     /// reusable sink, one effect walk per run instead of per event.
-    fn process_burst(&mut self, burst: &mut Vec<ShardIn>) -> bool {
+    fn process_burst(&mut self) -> bool {
         let now = self.now();
         let mut stop = false;
+        let mut burst = std::mem::take(&mut self.burst);
         let mut run = std::mem::take(&mut self.run);
         let mut run_ep: Option<EndpointAddr> = None;
         for input in burst.drain(..) {
@@ -261,6 +278,7 @@ impl Worker {
         }
         self.flush_run(run_ep, &mut run, now);
         self.run = run;
+        self.burst = burst;
         self.flush_casts();
         stop
     }
@@ -304,25 +322,23 @@ impl Worker {
         self.apply_effects(ep);
     }
 
-    fn fire_due_timers(&mut self) {
-        while self.timers.peek().is_some_and(|t| t.due <= Instant::now()) {
-            let Some(t) = self.timers.pop() else { break };
-            let now = self.now();
-            if let Some(sink) = &self.tracer {
-                sink.record(TraceEvent {
-                    at: now,
-                    ep: t.ep,
-                    kind: TraceKind::TimerFire {
-                        layer: t.layer,
-                        token: t.token,
-                        digest: 0,
-                        seq: 0,
-                    },
-                });
-            }
-            self.dispatch(t.ep, StackInput::Timer { layer: t.layer, token: t.token, now }, now);
+    /// Fires the earliest timer if it is due; returns whether one fired.
+    fn fire_next_due_timer(&mut self) -> bool {
+        if self.timers.peek().is_none_or(|t| t.due > Instant::now()) {
+            return false;
         }
+        let t = self.timers.pop().expect("peeked");
+        let now = self.now();
+        if let Some(sink) = &self.tracer {
+            sink.record(TraceEvent {
+                at: now,
+                ep: t.ep,
+                kind: TraceKind::TimerFire { layer: t.layer, token: t.token, digest: 0, seq: 0 },
+            });
+        }
+        self.dispatch(t.ep, StackInput::Timer { layer: t.layer, token: t.token, now }, now);
         self.flush_casts();
+        true
     }
 
     /// Drains the sink, performing `ep`'s effects.  Casts are accumulated

@@ -42,8 +42,110 @@ fn receiver(name: &str) -> Stack {
     s
 }
 
+/// Frames `chunk` for `rx` (a single-layer FRAG or NFRAG stack) under
+/// that layer's header with the given field values, and returns what the
+/// stack did with it.
+fn feed_fragment(rx: &mut Stack, fields: &[u64], chunk: &[u8]) -> Vec<Effect> {
+    let mut msg = rx.new_message(Bytes::copy_from_slice(chunk));
+    msg.push_header(0);
+    for (i, &v) in fields.iter().enumerate() {
+        msg.set_field(0, i, v);
+    }
+    let wire = WireFrame::build(rx.fingerprint(), msg.header_area(), msg.body().clone());
+    rx.handle(StackInput::FromNet { from: EndpointAddr::new(1), cast: true, wire })
+}
+
+fn delivered(fx: &[Effect]) -> usize {
+    fx.iter().filter(|e| matches!(e, Effect::Deliver(Up::Cast { .. }))).count()
+}
+
+fn traced(fx: &[Effect]) -> bool {
+    fx.iter().any(|e| matches!(e, Effect::Trace(t) if t.contains("reassembly decode failed")))
+}
+
+/// The layer's own dump says how many reassemblies it is holding.
+fn holds_no_partial(rx: &Stack) -> bool {
+    rx.dump().iter().any(|(_, state)| state.contains("partial=0"))
+}
+
+/// Forged FRAG sequences (`[last, wrapped]` header, any chunk): a message
+/// that ends on a wrong `last`, is made of zero-length chunks, or opens
+/// with a chunk shorter than the header length it claims is dropped with a
+/// trace — no panic, no delivery, nothing left in `partial`.
+#[test]
+fn frag_drops_malformed_fragment_sequences_with_a_trace() {
+    let cases: [&[(&[u8], u64)]; 5] = [
+        // `last` on the first fragment of what claims a 200-byte header.
+        &[(&[200, 0, 1, 2, 3], 1)],
+        // The same claim spread over three fragments, two of them empty.
+        &[(&[200], 0), (&[], 0), (&[0, 9, 9], 0), (&[], 1)],
+        // Nothing but zero-length chunks: shorter than the length prefix.
+        &[(&[], 0), (&[], 0), (&[], 1)],
+        // One byte: half a length prefix.
+        &[(&[7], 1)],
+        // A header of the wrong size for this stack's layout.
+        &[(&[3, 0], 0), (&[1, 2, 3, 4, 5, 6], 1)],
+    ];
+    for (n, case) in cases.iter().enumerate() {
+        let mut rx = receiver("FRAG");
+        for (i, &(chunk, last)) in case.iter().enumerate() {
+            let fx = feed_fragment(&mut rx, &[last, 1], chunk);
+            assert_eq!(delivered(&fx), 0, "case {n}, fragment {i}");
+            assert_eq!(traced(&fx), last == 1, "case {n}, fragment {i}: {fx:?}");
+        }
+        assert!(holds_no_partial(&rx), "case {n}: {:?}", rx.dump());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Arbitrary forged fragment sequences, FRAG and NFRAG: never a panic;
+    /// once a `last` fragment (FRAG) or a full set (NFRAG) has closed
+    /// every message, nothing stays in `partial`, whatever was decoded.
+    #[test]
+    fn fragment_sequences_never_panic_and_never_leak(
+        chunks in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..40), any::<bool>()), 0..12),
+        count in 1u64..6,
+    ) {
+        let mut frag = receiver("FRAG");
+        for (chunk, last) in &chunks {
+            let fx = feed_fragment(&mut frag, &[*last as u64, 1], chunk);
+            prop_assert!(delivered(&fx) <= 1);
+        }
+        let _ = feed_fragment(&mut frag, &[1, 1], &[]);
+        prop_assert!(holds_no_partial(&frag), "{:?}", frag.dump());
+
+        // NFRAG: [wrapped, msg_id, idx, count].  Message 7 can never
+        // complete: flagged chunks claim `count + 1` fragments but only
+        // indices below `count` are ever sent (duplicates included), the
+        // others carry an index past their own count and are discarded
+        // before anything is held.  Message 9 then arrives whole.
+        let mut nfrag = receiver("NFRAG");
+        for (i, (chunk, in_range)) in chunks.iter().enumerate() {
+            let fields = if *in_range {
+                [1, 7, i as u64 % count, count + 1]
+            } else {
+                [1, 7, count + i as u64, count]
+            };
+            let _ = feed_fragment(&mut nfrag, &fields, chunk);
+        }
+        for idx in 0..count {
+            let chunk = chunks.get(idx as usize).map_or(&[][..], |(c, _)| &c[..]);
+            let fx = feed_fragment(&mut nfrag, &[1, 9, idx, count], chunk);
+            prop_assert!(delivered(&fx) <= 1);
+            prop_assert!(idx + 1 == count || fx.is_empty());
+        }
+        // Only message 7 may still be held, and only if any of it was.
+        let held = chunks.iter().any(|(_, in_range)| *in_range) as usize;
+        let dump = nfrag.dump();
+        prop_assert!(
+            dump.iter().any(|(_, s)| s.contains(&format!("partial={held}"))),
+            "{:?}",
+            dump
+        );
+    }
 
     /// The wire codec itself: every getter is total over arbitrary bytes.
     #[test]

@@ -99,3 +99,84 @@ fn dropped_receiver_is_counted_not_silent() {
     net.deregister(ep(99));
     ex.stop();
 }
+
+/// Blocks the worker thread for [`STALL`] inside the downcall that carries
+/// the body `b"stall"`; a pass-through otherwise.
+#[derive(Debug)]
+struct StallOnCue;
+
+const STALL: Duration = Duration::from_millis(120);
+
+impl Layer for StallOnCue {
+    fn name(&self) -> &'static str {
+        "STALL"
+    }
+
+    fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
+        if matches!(&ev, Down::Cast(msg) if msg.body() == &b"stall"[..]) {
+            std::thread::sleep(STALL);
+        }
+        ctx.down(ev);
+    }
+}
+
+/// A worker that stalls for longer than NAK's `fail_timeout` must dispatch
+/// the frames that queued up meanwhile before it fires the timers that
+/// came due meanwhile: those frames are what NAK's failure detector would
+/// have heard, and firing first raises PROBLEM for a peer whose casts are
+/// sitting in the queue.  One timer at a time, too — the stalled member's
+/// overdue status has to reach its peer before the peer's own tick.
+#[test]
+fn a_stalled_worker_does_not_suspect_live_members() {
+    use horus::core::view::View;
+    use horus::layers::registry::{build_layer, parse_stack};
+
+    let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::default());
+    let view = View::initial(GroupAddr::new(1), ep(1)).with_joined(&[ep(2)]);
+    for i in 1..=2 {
+        let mut b = StackBuilder::new(ep(i)).push(Box::new(StallOnCue));
+        for spec in parse_stack("NAK(fail_timeout=50):COM").unwrap() {
+            b = b.push(build_layer(&spec).unwrap());
+        }
+        ex.add_stack(b.build().unwrap());
+        ex.down(ep(i), Down::Join { group: GroupAddr::new(1) });
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    for i in 1..=2 {
+        ex.down(ep(i), Down::InstallView(view.clone()));
+    }
+
+    // The peer casts once a millisecond throughout; 30 ms in, member 1 is
+    // handed the downcall that blocks the (one) worker for 120 ms.
+    let mut peer_casts = 0;
+    for ms in 0..300 {
+        if ms == 30 {
+            ex.cast_bytes(ep(1), &b"stall"[..]);
+        }
+        ex.cast_bytes(ep(2), vec![(ms % 251) as u8; 8]);
+        peer_casts += 1;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for i in 1..=2 {
+        assert!(
+            ex.wait_until(Duration::from_secs(10), |ex| ex.cast_count(ep(i)) > peer_casts),
+            "ep {i} delivered {} of {} casts",
+            ex.cast_count(ep(i)),
+            peer_casts + 1
+        );
+    }
+    // Two more status periods, so a suspicion raised late still shows.
+    std::thread::sleep(Duration::from_millis(50));
+    for i in 1..=2 {
+        let problems: Vec<EndpointAddr> = ex
+            .take_upcalls(ep(i))
+            .iter()
+            .filter_map(|up| match up {
+                Up::Problem { member } => Some(*member),
+                _ => None,
+            })
+            .collect();
+        assert!(problems.is_empty(), "ep {i} suspected {problems:?} after the stall");
+    }
+    ex.stop();
+}
