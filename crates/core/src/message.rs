@@ -242,6 +242,12 @@ impl HeaderBytes {
         }
     }
 
+    fn copy_of(src: &[u8]) -> Self {
+        let mut area = HeaderBytes::zeroed(src.len());
+        area.as_mut_slice().copy_from_slice(src);
+        area
+    }
+
     fn as_slice(&self) -> &[u8] {
         match self {
             HeaderBytes::Inline { len, buf } => &buf[..*len as usize],
@@ -485,12 +491,21 @@ impl Message {
     /// coalesced; the stack itself ships the two parts as a scatter-gather
     /// [`crate::frame::WireFrame`] instead.
     pub fn encode_inner(&self) -> Bytes {
-        let hdr = self.header_area();
-        let mut out = Vec::with_capacity(2 + hdr.len() + self.body.len());
-        out.extend_from_slice(&(hdr.len() as u16).to_le_bytes());
-        out.extend_from_slice(hdr);
-        out.extend_from_slice(&self.body);
-        Bytes::from(out)
+        encode_image(self.header_area(), &self.body)
+    }
+
+    /// Captures what [`Message::encode_inner`] would serialize right now,
+    /// without serializing it: the header area is copied (inline up to 22
+    /// bytes, so nothing is allocated for the stacks we ship) and the body
+    /// is held by reference count.  For layers that must *keep* a message
+    /// in case it has to be re-sent later (MBRSHIP's unstable-message log)
+    /// and almost never do re-send it.
+    pub fn inner_image(&self) -> InnerImage {
+        let hdr = match self.layout.mode {
+            HeaderMode::Compact => self.compact.clone(),
+            HeaderMode::Aligned => HeaderBytes::copy_of(&self.aligned().bytes),
+        };
+        InnerImage { hdr, body: self.body.clone() }
     }
 
     /// Reconstructs a message from a borrowed [`Message::encode_inner`]
@@ -583,6 +598,32 @@ impl Message {
         }
         Ok(msg)
     }
+}
+
+/// A deferred [`Message::encode_inner`], taken by
+/// [`Message::inner_image`]: [`InnerImage::encode`] yields, at any later
+/// time, the bytes `encode_inner` would have produced at capture time.
+/// It keeps the body's backing buffer alive for as long as it lives.
+#[derive(Clone)]
+pub struct InnerImage {
+    hdr: HeaderBytes,
+    body: Bytes,
+}
+
+impl InnerImage {
+    /// Serializes the captured header area and body, copying both.
+    pub fn encode(&self) -> Bytes {
+        encode_image(self.hdr.as_slice(), &self.body)
+    }
+}
+
+/// The `encode_inner` wire image: `u16` header length, header area, body.
+fn encode_image(hdr: &[u8], body: &[u8]) -> Bytes {
+    let mut out = Vec::with_capacity(2 + hdr.len() + body.len());
+    out.extend_from_slice(&(hdr.len() as u16).to_le_bytes());
+    out.extend_from_slice(hdr);
+    out.extend_from_slice(body);
+    Bytes::from(out)
 }
 
 impl fmt::Debug for Message {
@@ -833,6 +874,62 @@ mod tests {
                 prop_assert_eq!(get_bits(&fast, off, bits), val);
                 prop_assert_eq!(get_bits_serial(&slow, off, bits), val);
             }
+        }
+    }
+
+    const WIDE: &[FieldSpec] = &[FieldSpec::new("a", 64), FieldSpec::new("b", 61)];
+
+    proptest! {
+        /// An [`InnerImage`] is `encode_inner` deferred: whatever happens to
+        /// the message afterwards, `encode` yields the bytes `encode_inner`
+        /// gave at capture time, and they decode to the same message — with
+        /// a compact header that fits the inline area (8 bytes) or does not
+        /// (48), with aligned records pushed and popped, with a body that
+        /// is a slice of a larger buffer.
+        #[test]
+        fn inner_image_is_encode_inner_deferred(
+            wide in any::<bool>(),
+            aligned in any::<bool>(),
+            vals in proptest::collection::vec(any::<u64>(), 6),
+            pushed in 0usize..=3,
+            popped in 0usize..=3,
+            buffer in proptest::collection::vec(any::<u8>(), 0..96),
+            cut in any::<u8>(),
+        ) {
+            let mode = if aligned { HeaderMode::Aligned } else { HeaderMode::Compact };
+            let layout = if wide {
+                let layers = [("TOP", WIDE), ("MID", WIDE), ("BOT", WIDE)];
+                Arc::new(HeaderLayout::build(&layers, mode).unwrap())
+            } else {
+                layout(mode)
+            };
+            prop_assert_eq!(layout.compact_bytes() > INLINE_HEADER, wide);
+            let from = cut as usize % (buffer.len() + 1);
+            let mut m = Message::new(layout.clone(), Bytes::from(buffer).slice(from..));
+            let mut vals = vals.into_iter();
+            for layer in 0..pushed {
+                m.push_header(layer);
+                for (field, spec) in layout.fields_of(layer).iter().enumerate() {
+                    m.set_field(layer, field, vals.next().unwrap() & mask(spec.bits));
+                }
+            }
+            for layer in (0..pushed).rev().take(popped) {
+                m.pop_header(layer).unwrap();
+            }
+            let image = m.inner_image();
+            let encoded = m.encode_inner();
+            // The message moves on; the image does not.
+            let body = m.set_body(&b"another body"[..]);
+            if popped >= pushed {
+                m.push_header(0);
+                m.set_field(0, 0, 1);
+            }
+            prop_assert_eq!(image.encode(), encoded.clone());
+            prop_assert_eq!(image.clone().encode(), encoded.clone());
+            let decoded = Message::decode_inner(layout, &image.encode()).unwrap();
+            prop_assert_eq!(decoded.body(), &body);
+            prop_assert_eq!(decoded.encode_inner(), encoded.clone());
+            prop_assert_eq!(decoded.inner_image().encode(), encoded);
         }
     }
 

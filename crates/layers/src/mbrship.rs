@@ -37,6 +37,21 @@
 //! next coordinator, exactly as the paper describes ("a new round of the
 //! flush protocol may start up immediately").
 //!
+//! ## The unstable-message log
+//!
+//! Step 2 needs every member to hold the messages of a sender that may
+//! yet be declared failed, so each cast sent, delivered or recovered in
+//! the current view is logged until the next view is installed.  The log
+//! is one queue per origin (`UnstableLog`): sequence numbers are
+//! per-origin and only ever logged in increasing order, so an entry is
+//! appended, never searched for — except the sender's own loopback copy,
+//! which replaces the entry made at send time.  An entry is not an
+//! encoding but an [`InnerImage`]: the header area (inline) and the body
+//! by reference count.  The message is serialized only if a flush has to
+//! contribute it, which is also the only place the log copies a payload
+//! (and counts the copy).  Trimming the queues at the stability frontier
+//! is a `drain(..k)` this layer does not do yet (ROADMAP, bounded state).
+//!
 //! ## Merging
 //!
 //! Partitions are handled in the extended-virtual-synchrony style (§9):
@@ -61,6 +76,7 @@
 
 use bytes::Bytes;
 use horus_core::layer::dump_string;
+use horus_core::message::InnerImage;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -178,6 +194,52 @@ enum Phase {
     Exited,
 }
 
+/// The unstable-message log of Figure 2: one queue per origin, sorted by
+/// sequence number.  Sequence numbers are per-origin and view-scoped, and
+/// both the data path and flush recovery only ever log a sequence number
+/// above everything received from that origin so far, so logging is an
+/// append; the one exception is the sender's own loopback copy, which
+/// replaces the entry logged at send time a few places from the end.
+/// Entries are deferred encodings ([`InnerImage`]): nothing is serialized
+/// unless a flush has to contribute the message.
+#[derive(Clone, Default)]
+struct UnstableLog {
+    by_origin: BTreeMap<EndpointAddr, Vec<(u32, InnerImage)>>,
+}
+
+impl UnstableLog {
+    /// Logs `image` as message `seq` of `origin`, replacing an entry
+    /// already logged under that number.
+    fn put(&mut self, origin: EndpointAddr, seq: u32, image: InnerImage) {
+        let queue = self.by_origin.entry(origin).or_default();
+        if queue.last().is_none_or(|&(last, _)| last < seq) {
+            queue.push((seq, image));
+            return;
+        }
+        // Scanned from the end: the entry is as far back as this origin
+        // has casts in flight, and those cache lines are the warm ones.
+        match queue.iter().rposition(|&(logged, _)| logged <= seq) {
+            Some(i) if queue[i].0 == seq => queue[i].1 = image,
+            at => queue.insert(at.map_or(0, |i| i + 1), (seq, image)),
+        }
+    }
+
+    /// The queues of the given origins, by origin.
+    fn of<'a>(
+        &'a self,
+        origins: &'a BTreeSet<EndpointAddr>,
+    ) -> impl Iterator<Item = (EndpointAddr, &'a [(u32, InnerImage)])> {
+        self.by_origin
+            .iter()
+            .filter(|(origin, _)| origins.contains(origin))
+            .map(|(&origin, queue)| (origin, &queue[..]))
+    }
+
+    fn clear(&mut self) {
+        self.by_origin.clear();
+    }
+}
+
 /// The production membership layer.
 #[derive(Clone)]
 pub struct Mbrship {
@@ -193,8 +255,8 @@ pub struct Mbrship {
     /// Cumulative received per member, within the current view.
     recv: BTreeMap<EndpointAddr, u32>,
     /// Log of every data message received/sent in the current view
-    /// (the unstable-message log of Figure 2), as post-open encodings.
-    log: BTreeMap<(EndpointAddr, u32), Bytes>,
+    /// (the unstable-message log of Figure 2), as post-open images.
+    log: UnstableLog,
     /// Data that arrived for a view we have not installed yet.
     future: BTreeMap<(u32, EndpointAddr, u32), Message>,
     /// Subset sends that arrived for a view we have not installed yet
@@ -234,7 +296,7 @@ impl Mbrship {
             leaving_self: false,
             my_seq: 0,
             recv: BTreeMap::new(),
-            log: BTreeMap::new(),
+            log: UnstableLog::default(),
             future: BTreeMap::new(),
             future_sends: Vec::new(),
             pending: VecDeque::new(),
@@ -295,9 +357,9 @@ impl Mbrship {
     fn send_data(&mut self, mut msg: Message, ctx: &mut LayerCtx<'_>) {
         self.my_seq += 1;
         let seq = self.my_seq;
-        // Log before stamping so the stored encoding matches what receivers
+        // Log before stamping so the stored image matches what receivers
         // log after opening our header.
-        self.log.insert((self.me(), seq), msg.encode_inner());
+        self.log.put(self.me(), seq, msg.inner_image());
         ctx.stamp(&mut msg);
         ctx.set(&mut msg, 0, KIND_DATA);
         ctx.set(&mut msg, 1, 0);
@@ -467,7 +529,7 @@ impl Mbrship {
             return; // duplicate (e.g. already recovered through a flush)
         }
         *cum = seq;
-        self.log.insert((src, seq), msg.encode_inner());
+        self.log.put(src, seq, msg.inner_image());
         self.delivered += 1;
         ctx.up(Up::Cast { src, msg });
         self.maybe_flush_ok(ctx);
@@ -543,10 +605,10 @@ impl Mbrship {
     /// Starts (or restarts) a flush round, electing the coordinator
     /// deterministically.
     fn start_flush(&mut self, ctx: &mut LayerCtx<'_>) {
-        let Some(view) = self.view.clone() else { return };
         if matches!(self.phase, Phase::Blocked | Phase::Exited | Phase::Idle) {
             return;
         }
+        let Some(view) = &self.view else { return };
         let me = self.me();
         let failed: BTreeSet<EndpointAddr> =
             self.suspects.iter().copied().filter(|s| view.contains(*s) && *s != me).collect();
@@ -556,8 +618,7 @@ impl Mbrship {
         if coordinator == me {
             self.cur_epoch += 1;
             self.flushes_started += 1;
-            let joiners = self.pending_joiners.clone();
-            let body = Self::flush_body(&failed, &self.leave_reqs.clone(), &joiners);
+            let body = Self::flush_body(&failed, &self.leave_reqs, &self.pending_joiners);
             self.control_cast(ctx, KIND_FLUSH, self.cur_epoch, body);
             // Our own FLUSH arrives via transport loopback and drives us
             // through the same handler as everyone else.
@@ -590,7 +651,7 @@ impl Mbrship {
             }
         }
         let me = self.me();
-        let Some(view) = self.view.clone() else { return };
+        let Some(view) = &self.view else { return };
         let failed: BTreeSet<EndpointAddr> = failed_list.into_iter().collect();
         let leaving: BTreeSet<EndpointAddr> = leaving_list.into_iter().collect();
 
@@ -642,9 +703,6 @@ impl Mbrship {
     fn send_contrib(&mut self, ctx: &mut LayerCtx<'_>) {
         let me = self.me();
         let Phase::Flushing(round) = &self.phase else { return };
-        let coordinator = round.coordinator;
-        let epoch = round.epoch;
-        let failed = round.failed.clone();
         let Some(view) = &self.view else { return };
         let mut entries: Vec<(EndpointAddr, u32)> = Vec::new();
         for &m in view.members() {
@@ -662,15 +720,19 @@ impl Mbrship {
             w.put_addr(*m);
             w.put_u32(*acked);
         }
-        let msgs: Vec<(&(EndpointAddr, u32), &Bytes)> =
-            self.log.iter().filter(|((origin, _), _)| failed.contains(origin)).collect();
-        w.put_u32(msgs.len() as u32);
-        for ((origin, seq), inner) in msgs {
-            w.put_addr(*origin);
-            w.put_u32(*seq);
-            w.put_bytes(inner);
+        // The one place a logged message is serialized: a copy of every
+        // unstable message of a failed sender.
+        let unstable: usize = self.log.of(&round.failed).map(|(_, queue)| queue.len()).sum();
+        w.put_u32(unstable as u32);
+        for (origin, queue) in self.log.of(&round.failed) {
+            for (seq, image) in queue {
+                w.put_addr(origin);
+                w.put_u32(*seq);
+                w.put_bytes(&image.encode());
+            }
         }
-        self.control_send(ctx, coordinator, KIND_CONTRIB, epoch, w.finish());
+        ctx.note_payload_copy(unstable as u64);
+        self.control_send(ctx, round.coordinator, KIND_CONTRIB, round.epoch, w.finish());
     }
 
     fn handle_contrib(
@@ -730,13 +792,13 @@ impl Mbrship {
 
     fn try_sync(&mut self, ctx: &mut LayerCtx<'_>) {
         let me = self.me();
-        let Some(view) = self.view.clone() else { return };
         let (epoch, cuts, retrans) = {
             let Phase::Flushing(round) = &mut self.phase else { return };
             if round.coordinator != me || round.sync_sent {
                 return;
             }
-            let participants = Self::round_participants(&view, round, &self.suspects);
+            let Some(view) = &self.view else { return };
+            let participants = Self::round_participants(view, round, &self.suspects);
             if !participants.iter().all(|p| round.contribs.contains_key(p)) {
                 return;
             }
@@ -795,11 +857,11 @@ impl Mbrship {
             cuts.insert(addr, c);
         }
         let Ok(n_msgs) = r.get_u32() else { return };
-        let mut retrans: Vec<(EndpointAddr, u32, Bytes)> = Vec::with_capacity(n_msgs as usize);
+        let mut retrans: Vec<(EndpointAddr, u32, &[u8])> = Vec::new();
         for _ in 0..n_msgs {
             let (Ok(origin), Ok(seq)) = (r.get_addr(), r.get_u32()) else { return };
             let Ok(inner) = r.get_bytes() else { return };
-            retrans.push((origin, seq, Bytes::copy_from_slice(inner)));
+            retrans.push((origin, seq, inner));
         }
         {
             let Phase::Flushing(round) = &mut self.phase else { return };
@@ -811,9 +873,8 @@ impl Mbrship {
         self.last_progress = ctx.now();
         // Deliver recovered messages from failed senders, in order.
         retrans.sort_by_key(|&(origin, seq, _)| (origin, seq));
-        let view = self.view.clone();
         for (origin, seq, inner) in retrans {
-            let Some(view) = &view else { break };
+            let Some(view) = &self.view else { break };
             if !view.contains(origin) {
                 continue; // other side's failed member
             }
@@ -822,9 +883,11 @@ impl Mbrship {
                 continue; // already have it
             }
             *cum = seq;
-            self.log.insert((origin, seq), inner.clone());
-            match Message::decode_inner(ctx_layout(ctx), &inner) {
+            match Message::decode_inner(ctx_layout(ctx), inner) {
                 Ok(mut m) => {
+                    ctx.note_payload_copy(1);
+                    // Logged in turn: a later round may need it again.
+                    self.log.put(origin, seq, m.inner_image());
                     m.meta.src = Some(origin);
                     m.meta.flush_recovered = true;
                     self.delivered += 1;
@@ -839,10 +902,10 @@ impl Mbrship {
 
     /// Sends FLUSH_OK once our receive vector reaches the cut.
     fn maybe_flush_ok(&mut self, ctx: &mut LayerCtx<'_>) {
-        let Some(view) = self.view.clone() else { return };
         let (coordinator, epoch) = {
+            // Every delivered cast asks; outside a flush the answer is no.
             let Phase::Flushing(round) = &mut self.phase else { return };
-            let Some(cuts) = &round.cuts else { return };
+            let (Some(view), Some(cuts)) = (&self.view, &round.cuts) else { return };
             if round.flush_ok_sent {
                 return;
             }
@@ -892,24 +955,20 @@ impl Mbrship {
 
     fn try_install(&mut self, ctx: &mut LayerCtx<'_>) {
         let me = self.me();
-        let Some(view) = self.view.clone() else { return };
-        let (epoch, failed, leaving, joiner_views) = {
-            let Phase::Flushing(round) = &mut self.phase else { return };
-            if round.coordinator != me || !round.sync_sent {
-                return;
-            }
-            let participants = Self::round_participants(&view, round, &self.suspects);
-            if !participants.iter().all(|p| round.flush_oks.contains(p)) {
-                return;
-            }
-            (round.epoch, round.failed.clone(), round.leaving.clone(), round.joiner_views.clone())
-        };
-        let _ = epoch;
+        let Phase::Flushing(round) = &self.phase else { return };
+        if round.coordinator != me || !round.sync_sent {
+            return;
+        }
+        let Some(view) = &self.view else { return };
+        let participants = Self::round_participants(view, round, &self.suspects);
+        if !participants.iter().all(|p| round.flush_oks.contains(p)) {
+            return;
+        }
+        let (failed, leaving, joiner_views) = (&round.failed, &round.leaving, &round.joiner_views);
         // Build the successor view: drop failed & leaving, fold in joiners.
-        let removed: Vec<EndpointAddr> = failed.union(&leaving).copied().collect();
-        let survivors: Vec<EndpointAddr> =
-            view.members().iter().copied().filter(|m| !removed.contains(m)).collect();
-        if survivors.is_empty() && joiner_views.is_empty() {
+        let removed: Vec<EndpointAddr> = failed.union(leaving).copied().collect();
+        let no_survivors = view.members().iter().all(|m| removed.contains(m));
+        if no_survivors && joiner_views.is_empty() {
             // Everyone (including us) is leaving: nothing to install.
             self.phase = Phase::Exited;
             ctx.down(Down::Leave);
@@ -917,7 +976,7 @@ impl Mbrship {
             return;
         }
         let mut v_new = view.successor(me, &removed, &[]);
-        for jv in &joiner_views {
+        for jv in joiner_views {
             v_new = v_new.merged(jv, me);
         }
         if self.cfg.primary_partition && view.len() > 1 {
@@ -1009,7 +1068,7 @@ impl Mbrship {
         let mut r = WireReader::new(body);
         let Ok(their_view) = r.get_view() else { return };
         let me = self.me();
-        let Some(view) = self.view.clone() else { return };
+        let Some(view) = &self.view else { return };
         if their_view.id() == view.id() {
             // The requester is in our very view — nothing to merge.  Say
             // so explicitly: a silent drop parks the requester in
@@ -1116,14 +1175,14 @@ impl Mbrship {
                 let me = self.me.expect("layer initialised");
                 if round.coordinator == me {
                     if stalled {
-                        let view = self.view.clone().expect("flushing implies view");
+                        let view = self.view.as_ref().expect("flushing implies view");
                         // What a participant owes us depends on the round's
                         // stage: before SYNC only contributions exist —
                         // judging members by missing flush-oks then would
                         // condemn everyone, including live members whose
                         // contribution already arrived.
                         let awaited: Vec<EndpointAddr> =
-                            Self::round_participants(&view, round, &self.suspects)
+                            Self::round_participants(view, round, &self.suspects)
                                 .into_iter()
                                 .filter(|p| {
                                     if round.sync_sent {
@@ -1147,7 +1206,7 @@ impl Mbrship {
                     // earlier escalation, re-suspecting it would no-op and
                     // this watchdog would unicast SUSPECT reports to a dead
                     // successor forever.
-                    let view = self.view.clone().expect("flushing implies view");
+                    let view = self.view.as_ref().expect("flushing implies view");
                     let live: Vec<EndpointAddr> = view
                         .members()
                         .iter()
@@ -1787,5 +1846,501 @@ mod tests {
         ));
         // It falls back to a singleton view and could merge back.
         assert_eq!(w.installed_views(ep(3)).last().unwrap().members(), &[ep(3)]);
+    }
+
+    // ------------------------------------------------------------------
+    // Differential test: the queue log against the B-tree log
+    // ------------------------------------------------------------------
+
+    /// One MBRSHIP layer on its own, member or coordinator of a four-member
+    /// view, with the rest of the group played by the test — and beside it
+    /// the log this layer kept before it became queues of deferred
+    /// encodings: a `BTreeMap<(origin, seq), Bytes>` holding
+    /// `encode_inner()` of every cast sent (before stamping), delivered, or
+    /// recovered from a SYNC.  The model is filled from what the layer is
+    /// seen to do, and every CONTRIB and SYNC the layer emits must be, byte
+    /// for byte, what the model's contents serialize to.
+    struct Probe {
+        stack: Stack,
+        me: EndpointAddr,
+        view: View,
+        epoch: u16,
+        log: BTreeMap<(EndpointAddr, u32), Bytes>,
+        recv: BTreeMap<EndpointAddr, u32>,
+        my_seq: u32,
+        /// Data frames on their way to `me`, FIFO per source.
+        channel: BTreeMap<EndpointAddr, VecDeque<WireFrame>>,
+        /// Each peer's casts of this view as a receiver logs them.
+        cast_by: BTreeMap<EndpointAddr, Vec<Bytes>>,
+        round: Option<Round>,
+        bodies: u64,
+        contribs_checked: u32,
+    }
+
+    /// The test's view of the flush round in progress.
+    struct Round {
+        failed: BTreeSet<EndpointAddr>,
+        synced: bool,
+        /// Coordinator role: what `me` has been handed, in arrival order.
+        contribs: BTreeMap<EndpointAddr, BTreeMap<EndpointAddr, u32>>,
+        collected: BTreeMap<(EndpointAddr, u32), Bytes>,
+    }
+
+    impl Probe {
+        fn new(me: EndpointAddr, mode: HeaderMode) -> Self {
+            let mut stack = StackBuilder::new(me)
+                .mode(mode)
+                .push(Box::new(Mbrship::default()))
+                .build()
+                .unwrap();
+            let _ = stack.init();
+            let view = View::initial(GroupAddr::new(1), me);
+            let mut p = Probe {
+                stack,
+                me,
+                view,
+                epoch: 0,
+                log: BTreeMap::new(),
+                recv: BTreeMap::new(),
+                my_seq: 0,
+                channel: BTreeMap::new(),
+                cast_by: BTreeMap::new(),
+                round: None,
+                bodies: 0,
+                contribs_checked: 0,
+            };
+            p.feed(StackInput::FromApp(Down::Join { group: GroupAddr::new(1) }));
+            let members: Vec<_> = (1..=4).map(ep).collect();
+            p.install(members);
+            assert_eq!(p.view.len(), 4);
+            p
+        }
+
+        fn coordinator(&self) -> EndpointAddr {
+            self.view.members()[0]
+        }
+
+        fn vc(&self) -> u64 {
+            self.view.id().counter
+        }
+
+        fn body(&mut self) -> Bytes {
+            self.bodies += 1;
+            Bytes::from(self.bodies.to_le_bytes().to_vec())
+        }
+
+        /// A frame as a peer's MBRSHIP would have stamped it.
+        fn frame(&self, kind: u64, epoch: u16, seq: u32, body: Bytes) -> WireFrame {
+            let mut msg = self.stack.new_message(body);
+            msg.push_header(0);
+            for (field, val) in [kind, epoch as u64, self.vc(), seq as u64].into_iter().enumerate()
+            {
+                msg.set_field(0, field, val);
+            }
+            WireFrame::build(self.stack.fingerprint(), msg.header_area(), msg.body().clone())
+        }
+
+        /// A frame's message with MBRSHIP's header opened.
+        fn open(&self, wire: &WireFrame) -> Message {
+            let mut msg = Message::decode_parts(
+                self.stack.layout().clone(),
+                &wire.head()[8..],
+                wire.body().clone(),
+            )
+            .expect("a frame of this stack");
+            msg.pop_header(0).expect("stamped by MBRSHIP");
+            msg
+        }
+
+        /// Feeds one input and books everything the layer does in return,
+        /// looping its own control traffic back to it.
+        fn feed(&mut self, input: StackInput) {
+            let mut todo = VecDeque::from(self.stack.handle(input));
+            while let Some(fx) = todo.pop_front() {
+                match fx {
+                    Effect::Deliver(Up::Cast { src, msg }) => {
+                        let logged = msg.encode_inner();
+                        // A recovered cast no longer carries its header (in
+                        // aligned mode): it is the one the peer cast as this.
+                        let seq = if msg.meta.flush_recovered {
+                            let casts = &self.cast_by[&src];
+                            casts.iter().position(|cast| *cast == logged).expect("a cast of src")
+                                + 1
+                        } else {
+                            msg.field(0, 3) as usize
+                        } as u32;
+                        assert!(seq > self.recv.get(&src).copied().unwrap_or(0));
+                        self.recv.insert(src, seq);
+                        self.log.insert((src, seq), logged);
+                    }
+                    Effect::Deliver(Up::View(view)) => {
+                        self.view = view;
+                        self.epoch = 0;
+                        self.log.clear();
+                        self.recv.clear();
+                        self.my_seq = 0;
+                        self.channel.clear();
+                        self.cast_by.clear();
+                        self.round = None;
+                    }
+                    Effect::NetCast { wire } => {
+                        let msg = self.open(&wire);
+                        match msg.field(0, 0) {
+                            KIND_DATA => {
+                                self.my_seq += 1;
+                                assert_eq!(msg.field(0, 3), self.my_seq as u64);
+                                let unstamped = self.stack.new_message(msg.body().clone());
+                                self.log.insert((self.me, self.my_seq), unstamped.encode_inner());
+                                self.channel.entry(self.me).or_default().push_back(wire);
+                            }
+                            kind => {
+                                if kind == KIND_FLUSH {
+                                    self.epoch = msg.field(0, 1) as u16;
+                                    self.begin_round(msg.body());
+                                }
+                                if kind == KIND_SYNC {
+                                    self.check_sync(msg.body());
+                                }
+                                todo.extend(self.stack.handle(StackInput::FromNet {
+                                    from: self.me,
+                                    cast: true,
+                                    wire,
+                                }));
+                            }
+                        }
+                    }
+                    Effect::NetSend { dests, wire } => {
+                        let msg = self.open(&wire);
+                        if msg.field(0, 0) == KIND_CONTRIB {
+                            self.check_contrib(msg.body());
+                        }
+                        if dests == [self.me] {
+                            todo.extend(self.stack.handle(StackInput::FromNet {
+                                from: self.me,
+                                cast: false,
+                                wire,
+                            }));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        fn deliver(&mut self, from: EndpointAddr, cast: bool, wire: WireFrame) {
+            self.feed(StackInput::FromNet { from, cast, wire });
+        }
+
+        /// Hands `me` everything still on its way from `from`.
+        fn drain(&mut self, from: EndpointAddr) {
+            while let Some(wire) = self.channel.get_mut(&from).and_then(VecDeque::pop_front) {
+                self.deliver(from, true, wire);
+            }
+        }
+
+        fn install(&mut self, members: Vec<EndpointAddr>) {
+            let excluded: Vec<_> =
+                self.view.members().iter().copied().filter(|m| !members.contains(m)).collect();
+            let id = horus_core::view::ViewId { counter: self.vc() + 1, coordinator: members[0] };
+            let epochs = vec![1; members.len()];
+            let view = View::from_parts(GroupAddr::new(1), id, members, epochs);
+            let mut w = WireWriter::new();
+            w.put_view(&view);
+            w.put_addrs(&excluded);
+            w.put_addrs(&[]);
+            let wire = self.frame(KIND_VIEW, self.epoch, 0, w.finish());
+            self.deliver(view.members()[0], true, wire);
+        }
+
+        fn peer_casts(&mut self, peer: EndpointAddr) {
+            let body = self.body();
+            let seq = self.cast_by.get(&peer).map_or(0, Vec::len) as u32 + 1;
+            let wire = self.frame(KIND_DATA, 0, seq, body);
+            let logged = self.open(&wire).encode_inner();
+            self.cast_by.entry(peer).or_default().push(logged);
+            self.channel.entry(peer).or_default().push_back(wire);
+        }
+
+        fn begin_round(&mut self, flush_body: &[u8]) {
+            let failed = WireReader::new(flush_body).get_addrs().expect("failed list");
+            self.round = Some(Round {
+                failed: failed.into_iter().collect(),
+                synced: false,
+                contribs: BTreeMap::new(),
+                collected: BTreeMap::new(),
+            });
+        }
+
+        /// Starts a flush round that declares `failed` failed.
+        fn flush(&mut self, failed: &BTreeSet<EndpointAddr>) {
+            let failed: Vec<_> = failed.iter().copied().collect();
+            if self.coordinator() == self.me {
+                self.feed(StackInput::FromApp(Down::Flush { failed }));
+            } else {
+                let coordinator = self.coordinator();
+                self.drain(coordinator);
+                self.epoch += 1;
+                let body =
+                    Mbrship::flush_body(&failed.iter().copied().collect(), &BTreeSet::new(), &[]);
+                self.begin_round(&body);
+                let wire = self.frame(KIND_FLUSH, self.epoch, 0, body);
+                self.deliver(coordinator, true, wire);
+            }
+        }
+
+        /// The CONTRIB the B-tree log serializes to.
+        fn check_contrib(&mut self, got: &[u8]) {
+            let round = self.round.as_mut().expect("a round is on");
+            let mut vector = BTreeMap::new();
+            let mut w = WireWriter::new();
+            w.put_u32(self.view.len() as u32);
+            for &m in self.view.members() {
+                let mut acked = self.recv.get(&m).copied().unwrap_or(0);
+                if m == self.me {
+                    acked = acked.max(self.my_seq);
+                }
+                w.put_addr(m);
+                w.put_u32(acked);
+                vector.insert(m, acked);
+            }
+            let msgs: Vec<_> =
+                self.log.iter().filter(|((origin, _), _)| round.failed.contains(origin)).collect();
+            w.put_u32(msgs.len() as u32);
+            for (&(origin, seq), inner) in msgs {
+                w.put_addr(origin);
+                w.put_u32(seq);
+                w.put_bytes(inner);
+                round.collected.insert((origin, seq), inner.clone());
+            }
+            assert_eq!(got, &w.finish()[..], "CONTRIB of {}", self.me);
+            round.contribs.insert(self.me, vector);
+            self.contribs_checked += 1;
+        }
+
+        /// A surviving peer's CONTRIB: it has everything the survivors
+        /// cast, and the first `got` casts of each failed member.
+        fn peer_contributes(&mut self, peer: EndpointAddr, got: u8) {
+            let round = self.round.as_mut().expect("a round is on");
+            let mut vector = BTreeMap::new();
+            let mut msgs = Vec::new();
+            for &m in self.view.members() {
+                let cast = self.cast_by.get(&m).map_or(0, Vec::len);
+                let acked = if m == self.me {
+                    self.my_seq as usize
+                } else if round.failed.contains(&m) {
+                    let acked = got as usize % (cast + 1);
+                    msgs.extend(
+                        (1..=acked).map(|seq| (m, seq as u32, self.cast_by[&m][seq - 1].clone())),
+                    );
+                    acked
+                } else {
+                    cast
+                };
+                vector.insert(m, acked as u32);
+            }
+            let mut w = WireWriter::new();
+            w.put_u32(vector.len() as u32);
+            for (&m, &acked) in &vector {
+                w.put_addr(m);
+                w.put_u32(acked);
+            }
+            w.put_u32(msgs.len() as u32);
+            for (origin, seq, inner) in msgs {
+                w.put_addr(origin);
+                w.put_u32(seq);
+                w.put_bytes(&inner);
+                round.collected.insert((origin, seq), inner);
+            }
+            round.contribs.insert(peer, vector);
+            let wire = self.frame(KIND_CONTRIB, self.epoch, 0, w.finish());
+            self.deliver(peer, false, wire);
+        }
+
+        fn cuts(round: &Round) -> BTreeMap<EndpointAddr, u32> {
+            let mut cuts = BTreeMap::new();
+            for vector in round.contribs.values() {
+                for (&m, &acked) in vector {
+                    let cut = cuts.entry(m).or_insert(0);
+                    *cut = acked.max(*cut);
+                }
+            }
+            cuts
+        }
+
+        /// The SYNC the contributions handed to `me` add up to.
+        fn check_sync(&mut self, got: &[u8]) {
+            let round = self.round.as_mut().expect("a round is on");
+            let retrans: Vec<_> =
+                round.collected.iter().map(|(&(o, s), inner)| (o, s, inner.clone())).collect();
+            assert_eq!(got, &Mbrship::sync_body(&Self::cuts(round), &retrans)[..]);
+            round.synced = true;
+        }
+
+        /// Brings the round to its SYNC: as coordinator by collecting the
+        /// survivors' contributions, as member by being sent one.
+        fn sync(&mut self, got: u8) {
+            let survivors: Vec<_> = {
+                let round = self.round.as_ref().expect("a round is on");
+                self.view.members().iter().copied().filter(|m| !round.failed.contains(m)).collect()
+            };
+            if self.coordinator() == self.me {
+                for (i, &peer) in survivors.iter().enumerate() {
+                    if peer != self.me {
+                        self.peer_contributes(peer, got.rotate_left(i as u32));
+                    }
+                }
+                assert!(
+                    self.round.as_ref().is_some_and(|r| r.synced),
+                    "SYNC follows the last CONTRIB"
+                );
+            } else {
+                let round = self.round.as_mut().expect("a round is on");
+                let mut cuts = BTreeMap::new();
+                let mut retrans = Vec::new();
+                for &m in self.view.members() {
+                    let cast = self.cast_by.get(&m).map_or(0, Vec::len);
+                    let cut = if m == self.me {
+                        self.my_seq as usize
+                    } else if round.failed.contains(&m) {
+                        let have = self.recv.get(&m).copied().unwrap_or(0) as usize;
+                        let cut = have + got as usize % (cast - have + 1);
+                        retrans.extend(
+                            (1..=cut).map(|seq| (m, seq as u32, self.cast_by[&m][seq - 1].clone())),
+                        );
+                        cut
+                    } else {
+                        cast
+                    };
+                    cuts.insert(m, cut as u32);
+                }
+                round.synced = true;
+                let wire =
+                    self.frame(KIND_SYNC, self.epoch, 0, Mbrship::sync_body(&cuts, &retrans));
+                let coordinator = self.coordinator();
+                self.deliver(coordinator, true, wire);
+            }
+        }
+
+        /// Ends the round with the survivors' view.
+        fn close(&mut self) {
+            let round = self.round.as_ref().expect("a round is on");
+            let survivors: Vec<_> =
+                self.view.members().iter().copied().filter(|m| !round.failed.contains(m)).collect();
+            // The reliable layer beneath completes the survivors' streams.
+            for &peer in &survivors {
+                self.drain(peer);
+            }
+            if self.round.is_none() {
+                return; // our own FLUSH_OK was the last one outstanding
+            }
+            if self.coordinator() == self.me {
+                let me = self.me;
+                for &peer in survivors.iter().filter(|&&p| p != me) {
+                    let wire = self.frame(KIND_FLUSH_OK, self.epoch, 0, Bytes::new());
+                    self.deliver(peer, false, wire);
+                }
+            } else {
+                self.install(survivors.clone());
+            }
+            assert_eq!(self.view.members(), &survivors[..], "the survivors' view is installed");
+        }
+
+        fn finish_round(&mut self) {
+            if self.round.as_ref().is_some_and(|round| !round.synced) {
+                self.sync(0xA5);
+            }
+            if self.round.is_some() {
+                self.close();
+            }
+        }
+
+        fn step(&mut self, action: u8, arg: u8) {
+            let members = self.view.members().to_vec();
+            let pick = |from: &[EndpointAddr]| from[arg as usize % from.len()];
+            match action % 32 {
+                0..=9 if self.round.is_none() => {
+                    let peer = pick(&members);
+                    if peer != self.me {
+                        self.peer_casts(peer);
+                    }
+                }
+                10..=15 => {
+                    let body = self.body();
+                    let msg = self.stack.new_message(body);
+                    self.feed(StackInput::FromApp(Down::Cast(msg)));
+                }
+                0..=27 => {
+                    let busy: Vec<_> = self
+                        .channel
+                        .iter()
+                        .filter(|(_, frames)| !frames.is_empty())
+                        .map(|(&from, _)| from)
+                        .collect();
+                    if !busy.is_empty() {
+                        let from = pick(&busy);
+                        let wire = self.channel.get_mut(&from).and_then(VecDeque::pop_front);
+                        self.deliver(from, true, wire.expect("busy"));
+                    }
+                }
+                _ => match &self.round {
+                    Some(round) if !round.synced => self.sync(arg),
+                    Some(_) if action.is_multiple_of(2) => self.close(),
+                    // Everybody else is gone: start over with a full view.
+                    None if members.len() <= 2 => self.install((1..=4).map(ep).collect()),
+                    // A first round, or a restart of the one that is on:
+                    // the members the coordinator has given up on so far,
+                    // and whoever of the rest `arg` picks.
+                    _ => {
+                        let mut failed =
+                            self.round.as_ref().map(|r| r.failed.clone()).unwrap_or_default();
+                        failed.extend(
+                            members
+                                .iter()
+                                .enumerate()
+                                .filter(|&(i, &m)| {
+                                    arg >> i & 1 == 1 && m != self.me && m != members[0]
+                                })
+                                .map(|(_, &m)| m),
+                        );
+                        self.flush(&failed);
+                    }
+                },
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Casts interleaved with flush rounds — rounds that restart, failed
+        /// members with logged casts, recovery through SYNC, as coordinator
+        /// and as plain member, compact and aligned headers: every CONTRIB
+        /// and SYNC body is what the B-tree log of encodings would have
+        /// produced.
+        #[test]
+        fn queue_log_contributes_what_the_btree_log_did(
+            coordinator in proptest::prelude::any::<bool>(),
+            aligned in proptest::prelude::any::<bool>(),
+            script in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()), 0..400),
+        ) {
+            let mode = if aligned { HeaderMode::Aligned } else { HeaderMode::Compact };
+            let mut probe = Probe::new(if coordinator { ep(1) } else { ep(2) }, mode);
+            for (action, arg) in script {
+                probe.step(action, arg);
+            }
+            // Finish the round the script left open, then one last round
+            // over whatever is logged.
+            probe.finish_round();
+            if probe.view.len() > 2 {
+                let last = *probe.view.members().last().unwrap();
+                probe.flush(&BTreeSet::from([last]));
+                probe.finish_round();
+                proptest::prop_assert!(probe.contribs_checked > 0);
+            }
+        }
     }
 }

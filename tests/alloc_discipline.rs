@@ -23,7 +23,13 @@
 //!   fired on a snapshot copies layers of the receiving endpoint only;
 //! * a 64 KiB cast through `FRAG:NAK:COM` allocates at most 1.5 × its
 //!   payload in bytes, sender and receiver together, and the sender no
-//!   more than one fragment's copy plus per-fragment bookkeeping.
+//!   more than one fragment's copy plus per-fragment bookkeeping;
+//! * MBRSHIP's log and TOTAL's order book are queues: a cast through a lone
+//!   MBRSHIP layer allocates its wire frame and nothing else, data and
+//!   ORDERs arriving at a lone MBRSHIP or TOTAL layer allocate nothing once
+//!   the queues have grown, and a 64-byte cast through three merged §7
+//!   stacks costs at most 10 allocations end to end — the same for the
+//!   100 000th cast of a view as for the first.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test thread can
 //! pollute the counter.
@@ -32,10 +38,13 @@ use bytes::Bytes;
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
 use horus_check::Scenario;
-use horus_core::message::{FieldSpec, HeaderLayout, HeaderMode};
+use horus_core::message::{FieldSpec, HeaderLayout, HeaderMode, InnerImage};
 use horus_core::stack::{layer_clones, reset_layer_clones};
+use horus_core::wire::WireWriter;
+use horus_core::WireFrame;
 use horus_sim::ReadyKind;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -205,6 +214,153 @@ fn steady_state_dispatch_does_not_allocate() {
 
     snapshots_share_instead_of_copying();
     a_fragmented_cast_allocates_little_more_than_its_payload();
+    the_section_7_stack_orders_a_cast_in_ten_allocations();
+}
+
+/// A frame for the single-layer stack `rx` with the given header fields.
+fn framed(rx: &Stack, fields: &[u64], body: Bytes) -> WireFrame {
+    let mut msg = rx.new_message(body);
+    msg.push_header(0);
+    for (i, &v) in fields.iter().enumerate() {
+        msg.set_field(0, i, v);
+    }
+    WireFrame::build(rx.fingerprint(), msg.header_area(), msg.body().clone())
+}
+
+/// Part 8: the two layers on their own, then the whole §7 stack.
+fn the_section_7_stack_orders_a_cast_in_ten_allocations() {
+    assert!(std::mem::size_of::<InnerImage>() <= 72, "{}", std::mem::size_of::<InnerImage>());
+    let ep = EndpointAddr::new;
+    let lone = |i: u64, desc: &str| {
+        let mut s = build_stack(ep(i), desc, StackConfig::default()).expect("stack builds");
+        let _ = s.init();
+        let _ = s.handle(StackInput::FromApp(Down::Join { group: GroupAddr::new(1) }));
+        s
+    };
+    let payload = Bytes::from(vec![0x5Au8; 64]);
+    let mut sink = EffectSink::with_capacity(64);
+
+    // 8a. MBRSHIP alone, member 2 of the view {1, 2}, told so by a VIEW
+    // message (header `[kind, epoch, vc, seq]`; VIEW is kind 5, data 0).
+    let mut member = lone(2, "MBRSHIP");
+    let view = View::initial(GroupAddr::new(1), ep(1)).with_joined(&[ep(2)]);
+    let vc = view.id().counter;
+    let mut w = WireWriter::new();
+    w.put_view(&view);
+    w.put_addrs(&[]);
+    w.put_addrs(&[]);
+    let wire = framed(&member, &[5, 0, vc, 0], w.finish());
+    let _ = member.handle(StackInput::FromNet { from: ep(1), cast: true, wire });
+    assert_eq!(member.view().map(View::len), Some(2));
+    let before = allocs();
+    let frame = WireFrame::build(member.fingerprint(), &[0; 10], payload.clone());
+    let one_frame = allocs() - before;
+    drop(frame);
+    // Sending: the wire frame is the only thing a cast allocates; the log
+    // entry is an append to a queue that has grown past it.
+    // Receiving: nothing at all.
+    let (mut sent, mut received) = (0, 0);
+    for seq in 1..=4096u64 {
+        let warm = seq > 2049; // entry 2 049 doubles both queues; the next doubling is 4 097's
+        let msg = member.new_message(payload.clone());
+        let before = allocs();
+        member.handle_into(StackInput::FromApp(Down::Cast(msg)), &mut sink);
+        sent += if warm { allocs() - before } else { 0 };
+        sink.clear();
+        let wire = framed(&member, &[0, 0, vc, seq], payload.clone());
+        let before = allocs();
+        member.handle_into(StackInput::FromNet { from: ep(1), cast: true, wire }, &mut sink);
+        received += if warm { allocs() - before } else { 0 };
+        assert_eq!(sink.len(), 1, "cast {seq} of member 1 is delivered");
+        sink.clear();
+    }
+    assert_eq!(sent, 2047 * one_frame, "a cast through MBRSHIP allocates its frame only");
+    assert_eq!(received, 0, "a delivery through MBRSHIP allocates nothing");
+
+    // 8b. TOTAL alone (header `[kind, tseq]`, data 0, ORDER 1): eight casts
+    // of member 1, then the ORDER that names them; from the second round
+    // on neither allocates.
+    let mut total = lone(2, "TOTAL");
+    let mut received = 0;
+    for round in 0..64u64 {
+        for tseq in 8 * round + 1..=8 * round + 8 {
+            let wire = framed(&total, &[0, tseq], payload.clone());
+            let before = allocs();
+            total.handle_into(StackInput::FromNet { from: ep(1), cast: true, wire }, &mut sink);
+            received += if round > 0 { allocs() - before } else { 0 };
+            assert!(sink.is_empty());
+        }
+        let mut w = WireWriter::new();
+        w.put_u64(8 * round + 1);
+        w.put_addr(ep(1));
+        w.put_u32(8);
+        for tseq in 8 * round + 1..=8 * round + 8 {
+            w.put_addr(ep(1));
+            w.put_u32(tseq as u32);
+        }
+        let wire = framed(&total, &[1, 0], w.finish());
+        let before = allocs();
+        total.handle_into(StackInput::FromNet { from: ep(1), cast: true, wire }, &mut sink);
+        received += if round > 0 { allocs() - before } else { 0 };
+        assert_eq!(sink.len(), 8, "round {round}: the ORDER delivers its eight casts");
+        sink.clear();
+    }
+    assert_eq!(received, 0, "data and ORDERs through TOTAL allocate nothing");
+
+    // 8c. Three §7 stacks merged into one view and pumped by hand: every
+    // frame a stack emits is handed to its destinations, first in first
+    // out, until nothing is in flight.  No timer ever fires.
+    const STACK: &str = "TOTAL:MBRSHIP:FRAG:NAK:COM(promiscuous=true)";
+    let mut stacks = [lone(1, STACK), lone(2, STACK), lone(3, STACK)];
+    let mut in_flight: VecDeque<(usize, EndpointAddr, bool, WireFrame)> = VecDeque::new();
+    let mut delivered = [0u64; 3];
+    let mut pump = |stacks: &mut [Stack; 3], delivered: &mut [u64; 3], at: usize, input| {
+        let mut next = Some((at, input));
+        while let Some((at, input)) = next.take() {
+            stacks[at].handle_into(input, &mut sink);
+            let from = stacks[at].local_addr();
+            for fx in sink.drain() {
+                match fx {
+                    Effect::NetCast { wire } => {
+                        in_flight.extend((0..3).map(|to| (to, from, true, wire.clone())));
+                    }
+                    Effect::NetSend { dests, wire } => in_flight.extend(
+                        dests.iter().map(|d| (d.raw() as usize - 1, from, false, wire.clone())),
+                    ),
+                    Effect::Deliver(Up::Cast { .. }) => delivered[at] += 1,
+                    _ => {}
+                }
+            }
+            next = in_flight
+                .pop_front()
+                .map(|(to, from, cast, wire)| (to, StackInput::FromNet { from, cast, wire }));
+        }
+    };
+    for joiner in [1, 2] {
+        let merge = StackInput::FromApp(Down::Merge { contact: ep(1) });
+        pump(&mut stacks, &mut delivered, joiner, merge);
+    }
+    for s in &stacks {
+        assert_eq!(s.view().map(View::len), Some(3), "{} joined", s.local_addr());
+    }
+    // 64-byte casts round-robin, counted in windows of 10 000.
+    let mut windows = Vec::new();
+    for window in 0..10 {
+        let before = allocs();
+        for k in 0..10_000 {
+            let at = k % 3;
+            let msg = stacks[at].new_message(payload.clone());
+            pump(&mut stacks, &mut delivered, at, StackInput::FromApp(Down::Cast(msg)));
+        }
+        windows.push(allocs() - before);
+        assert_eq!(delivered, [10_000 * (window + 1); 3], "every cast is delivered everywhere");
+    }
+    let (first, last) = (windows[0], windows[9]);
+    assert!(first <= 100_000 && last <= 100_000, "allocations per 10 000 casts: {windows:?}");
+    assert!(
+        first.abs_diff(last) <= 2_500,
+        "casts 1-10 000 and 90 001-100 000 of one view cost the same: {windows:?}"
+    );
 }
 
 /// Part 7: one 64 KiB cast through lone `FRAG:NAK:COM` stacks, driven as

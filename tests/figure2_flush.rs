@@ -4,6 +4,7 @@
 
 mod common;
 
+use bytes::Bytes;
 use common::*;
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
@@ -14,9 +15,14 @@ use std::time::Duration;
 
 const DECOMPOSED: &str = "FLUSH:VSS:BMS:FRAG:NAK:COM(promiscuous=true)";
 
+/// Runs the Figure 2 script with the one-byte message `M`.
+fn figure2(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode) {
+    figure2_with(stack, seed, net, mode, Bytes::from_static(b"M"));
+}
+
 /// Runs the Figure 2 script: D, partitioned together with C, casts M and
 /// crashes; the flush must deliver M at A and B exactly once, recovered.
-fn figure2(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode) {
+fn figure2_with(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode, m_body: Bytes) {
     let (a, b, c, d) = (ep(1), ep(2), ep(3), ep(4));
     let config = StackConfig { mode, ..StackConfig::default() };
     let mut w = SimWorld::new(seed, net);
@@ -33,7 +39,7 @@ fn figure2(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode) {
 
     let t = w.now();
     w.partition_at(t + Duration::from_millis(1), &[&[a, b], &[c, d]]);
-    w.cast_bytes_at(t + Duration::from_millis(2), d, &b"M"[..]);
+    w.cast_bytes_at(t + Duration::from_millis(2), d, m_body.clone());
     w.crash_at(t + Duration::from_millis(5), d);
     w.heal_at(t + Duration::from_millis(8));
     w.run_for(Duration::from_secs(4));
@@ -43,7 +49,10 @@ fn figure2(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode) {
             .upcalls(m)
             .iter()
             .filter_map(|(_, up)| match up {
-                Up::Cast { src, msg } if *src == d => Some(msg.meta.flush_recovered),
+                Up::Cast { src, msg } if *src == d => {
+                    assert_eq!(msg.body(), &m_body, "{stack} seed {seed}: {m} delivers M intact");
+                    Some(msg.meta.flush_recovered)
+                }
                 _ => None,
             })
             .collect();
@@ -76,6 +85,21 @@ fn figure2_under_loss() {
 #[test]
 fn figure2_aligned_headers() {
     figure2(VSYNC, 9, NetConfig::reliable(), HeaderMode::Aligned);
+}
+
+/// M is five fragments long.  C, the one survivor it reached, logs it as
+/// FRAG reassembled it — a body that is a slice of the gather buffer, kept
+/// by reference — and serializes it only for its flush contribution; A and
+/// B get it through CONTRIB and SYNC, themselves fragmented on the way.
+#[test]
+fn figure2_multi_fragment_message() {
+    let m_body: Bytes = (0..4500u32).map(|i| (i * 7 + i / 251) as u8).collect::<Vec<u8>>().into();
+    for mode in [HeaderMode::Compact, HeaderMode::Aligned] {
+        for seed in 1..=2 {
+            figure2_with(VSYNC, 70 + seed, NetConfig::reliable(), mode, m_body.clone());
+        }
+    }
+    figure2_with(VSYNC, 73, NetConfig::lossy(0.1), HeaderMode::Compact, m_body);
 }
 
 #[test]

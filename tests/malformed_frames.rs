@@ -8,7 +8,7 @@
 use bytes::Bytes;
 use horus::layers::registry::{build_stack, layer_names};
 use horus::prelude::*;
-use horus_core::wire::WireReader;
+use horus_core::wire::{WireReader, WireWriter};
 use horus_core::WireFrame;
 use proptest::prelude::*;
 
@@ -97,8 +97,120 @@ fn frag_drops_malformed_fragment_sequences_with_a_trace() {
     }
 }
 
+/// An ORDER body as TOTAL's token holder writes it, except that the count
+/// on the wire is `n`, whatever the number of entries that follow.
+fn order_body(g_base: u64, n: u32, entries: &[(u64, u32)]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_u64(g_base);
+    w.put_addr(EndpointAddr::new(1));
+    w.put_u32(n);
+    for &(src, tseq) in entries {
+        w.put_u64(src); // an address, or the null one no address encodes to
+        w.put_u32(tseq);
+    }
+    w.finish().to_vec()
+}
+
+/// TOTAL's `[kind, tseq]` header: data is kind 0, an ORDER kind 1.
+fn feed_total(rx: &mut Stack, kind: u64, tseq: u64, body: &[u8]) -> Vec<Effect> {
+    feed_fragment(rx, &[kind, tseq], body)
+}
+
+fn traces(fx: &[Effect], what: &str) -> usize {
+    fx.iter().filter(|e| matches!(e, Effect::Trace(t) if t.contains(what))).count()
+}
+
+/// A forged ORDER is parsed whole before any of it is applied: a range
+/// that runs past `u64::MAX`, a count the bytes present cannot hold, or a
+/// body cut short anywhere is dropped with a trace and leaves no mark on
+/// the layer (it used to overflow — a panic in a debug build — or apply the
+/// entries it managed to read without their coverage).
+#[test]
+fn total_drops_a_malformed_order_whole() {
+    let entries = [(1, 1), (3, 1)];
+    let intact = order_body(1, 2, &entries);
+    let mut forged = vec![
+        order_body(u64::MAX, 2, &entries),
+        order_body(u64::MAX - 1, 2, &entries),
+        order_body(1, u32::MAX, &entries),
+        order_body(1, 3, &entries),
+        order_body(1, 2, &[(1, 1), (0, 1)]), // a null sender address
+    ];
+    forged.extend((0..intact.len()).map(|cut| intact[..cut].to_vec()));
+    let mut rx = receiver("TOTAL");
+    let before = rx.dump();
+    for (i, body) in forged.iter().enumerate() {
+        let fx = feed_total(&mut rx, 1, 0, body);
+        assert_eq!(traces(&fx, "malformed ORDER"), 1, "case {i}: {fx:?}");
+        assert_eq!(fx.len(), 1, "case {i}: nothing but the trace: {fx:?}");
+        assert_eq!(rx.dump(), before, "case {i}");
+    }
+    // The intact one is applied.
+    let fx = feed_total(&mut rx, 1, 0, &intact);
+    assert!(fx.is_empty(), "{fx:?}");
+    assert!(rx.dump()[0].1.contains("frontier=3 delivered=0 buffered=0 ordered=2 assigned=2"));
+
+    // Far ahead of the frontier an ORDER parks — as the message it came in,
+    // whatever the distance — and one ending exactly at `u64::MAX` is as
+    // good as any.
+    for g_base in [1 << 40, u64::MAX - 2] {
+        let mut rx = receiver("TOTAL");
+        assert!(feed_total(&mut rx, 1, 0, &order_body(g_base, 2, &entries)).is_empty());
+        let dump = rx.dump()[0].1.clone();
+        assert!(dump.contains("frontier=1 delivered=0 buffered=0 ordered=2 assigned=2"), "{dump}");
+        assert!(
+            dump.contains(&format!("pend=[({g_base}, (ep:1, 1)), ({}, (ep:3, 1))]", g_base + 1))
+        );
+    }
+}
+
+/// Data that breaks the per-sender FIFO order TOTAL is entitled to (only a
+/// forged frame or a mis-composed stack can) is put in its place if it
+/// fills a gap and dropped with a trace if it repeats a cast that is
+/// buffered or was delivered; nothing is delivered twice.
+#[test]
+fn total_buffers_out_of_order_data_once() {
+    let mut rx = receiver("TOTAL");
+    let buffered = |rx: &Stack| rx.dump()[0].1.split(' ').nth(5).unwrap().to_string();
+    for (tseq, repeats) in [(5, 0), (3, 0), (5, 1), (3, 1), (4, 0), (0, 1)] {
+        let fx = feed_total(&mut rx, 0, tseq, &[tseq as u8]);
+        assert_eq!(traces(&fx, "duplicate data"), repeats, "tseq {tseq}: {fx:?}");
+        assert_eq!(delivered(&fx), 0);
+    }
+    assert_eq!(buffered(&rx), "buffered=3");
+    // Sender 1 is the `from` of every frame `feed_fragment` builds.
+    let fx = feed_total(&mut rx, 1, 0, &order_body(1, 3, &[(1, 3), (1, 4), (1, 5)]));
+    let bodies: Vec<u8> = fx
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Deliver(Up::Cast { msg, .. }) => Some(msg.body()[0]),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(bodies, [3, 4, 5]);
+    for tseq in [4, 5, 1] {
+        let fx = feed_total(&mut rx, 0, tseq, &[tseq as u8]);
+        assert_eq!((traces(&fx, "duplicate data"), fx.len()), (1, 1), "tseq {tseq}: {fx:?}");
+    }
+    assert_eq!(buffered(&rx), "buffered=0");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Arbitrary bytes as an ORDER body, then arbitrary data: never a
+    /// panic, whatever was parked, folded or buffered.
+    #[test]
+    fn total_survives_arbitrary_orders(
+        bodies in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..64), any::<bool>(), any::<u32>()), 0..12),
+    ) {
+        let mut rx = receiver("TOTAL");
+        for (body, order, tseq) in &bodies {
+            let _ = feed_total(&mut rx, *order as u64, *tseq as u64, body);
+            let _ = rx.dump();
+        }
+    }
 
     /// Arbitrary forged fragment sequences, FRAG and NFRAG: never a panic;
     /// once a `last` fragment (FRAG) or a full set (NFRAG) has closed
