@@ -162,6 +162,75 @@ struct UniChan {
     abandoned: u32,
 }
 
+/// The retransmission buffer of own multicasts.  Sequence numbers enter
+/// one after the other at the top (every cast) and leave at the bottom
+/// (capacity, acknowledgements), so it is a queue and not a map: `msgs[i]`
+/// holds seq `base + i`.
+#[derive(Debug, Clone, Default)]
+struct SendBuf {
+    base: u32,
+    msgs: VecDeque<Message>,
+    /// The B-tree this queue replaced, given every operation the way the
+    /// layer used to perform it and compared with the queue after each.
+    #[cfg(test)]
+    model: BTreeMap<u32, Message>,
+}
+
+impl SendBuf {
+    /// Buffers `seq`, the successor of the last one buffered, holding at
+    /// most `cap`.  The oldest is evicted *before* the push, so the deque
+    /// never grows (and doubles its allocation) past `cap`.
+    fn push(&mut self, seq: u32, msg: Message, cap: usize) {
+        #[cfg(test)]
+        {
+            self.model.insert(seq, msg.clone());
+            while self.model.len() > cap {
+                self.model.pop_first();
+            }
+        }
+        if cap > 0 {
+            if self.msgs.len() >= cap {
+                self.msgs.pop_front();
+                self.base += 1;
+            }
+            if self.msgs.is_empty() {
+                self.base = seq;
+            }
+            self.msgs.push_back(msg);
+        }
+        #[cfg(test)]
+        self.check();
+    }
+
+    /// Drops every seq up to and including `acked`.
+    fn prune(&mut self, acked: u32) {
+        let n = (acked.saturating_add(1).saturating_sub(self.base) as usize).min(self.msgs.len());
+        self.msgs.drain(..n);
+        self.base += n as u32;
+        #[cfg(test)]
+        {
+            self.model.retain(|&s, _| s > acked);
+            self.check();
+        }
+    }
+
+    fn get(&self, seq: u32) -> Option<&Message> {
+        self.msgs.get(seq.checked_sub(self.base)? as usize)
+    }
+
+    fn len(&self) -> usize {
+        self.msgs.len()
+    }
+
+    #[cfg(test)]
+    fn check(&self) {
+        let image = |(seq, msg): (u32, &Message)| (seq, msg.encode_inner());
+        let queue: Vec<_> = (self.base..).zip(&self.msgs).map(image).collect();
+        let tree: Vec<_> = self.model.iter().map(|(&seq, msg)| (seq, msg)).map(image).collect();
+        assert_eq!(queue, tree, "the queue holds what the B-tree would");
+    }
+}
+
 /// The production NAK layer.
 #[derive(Debug, Clone)]
 pub struct Nak {
@@ -169,7 +238,7 @@ pub struct Nak {
     /// Next multicast seq to assign (first message gets 1).
     next_seq: u32,
     /// Retransmission buffer of own multicasts.
-    sendbuf: BTreeMap<u32, Message>,
+    sendbuf: SendBuf,
     /// Flow-control queue of not-yet-sent casts.
     pending: VecDeque<Message>,
     /// Per-source receive state.
@@ -205,7 +274,7 @@ impl Nak {
         Nak {
             cfg,
             next_seq: 1,
-            sendbuf: BTreeMap::new(),
+            sendbuf: SendBuf::default(),
             pending: VecDeque::new(),
             peers: BTreeMap::new(),
             acks: BTreeMap::new(),
@@ -248,11 +317,7 @@ impl Nak {
         ctx.stamp(&mut msg);
         ctx.set(&mut msg, 0, KIND_DATA);
         ctx.set(&mut msg, 1, seq as u64);
-        self.sendbuf.insert(seq, msg.clone());
-        while self.sendbuf.len() > self.cfg.buffer_cap {
-            let (&oldest, _) = self.sendbuf.iter().next().expect("non-empty");
-            self.sendbuf.remove(&oldest);
-        }
+        self.sendbuf.push(seq, msg.clone(), self.cfg.buffer_cap);
         ctx.down(Down::Cast(msg));
     }
 
@@ -410,7 +475,7 @@ impl Nak {
         // bounds the buffer.
         if self.dests.is_some() {
             let min = self.min_ack().unwrap_or(self.next_seq - 1);
-            self.sendbuf.retain(|&s, _| s > min);
+            self.sendbuf.prune(min);
         }
         // Window may have opened.
         self.pump_pending(ctx);
@@ -434,7 +499,7 @@ impl Nak {
             return; // planted-bug mode: losses stay lost
         }
         for seq in from..=to.min(from + MAX_NAK_RANGE - 1) {
-            if let Some(buffered) = self.sendbuf.get(&seq) {
+            if let Some(buffered) = self.sendbuf.get(seq) {
                 self.retransmissions += 1;
                 ctx.down(Down::Send { dests: vec![src], msg: buffered.clone() });
             } else {
@@ -1161,5 +1226,142 @@ mod tests {
         w.partition_at(w.now(), &[&[ep(1)], &[ep(2)]]);
         w.run_for(Duration::from_secs(1));
         assert_eq!(problems(&w), 2, "cleared suspicion re-arms the detector");
+    }
+
+    /// Member 1 of two on `NAK(buffer):COM`, driven by hand: its own casts
+    /// and the STATUS and NAK frames a peer (honest or not) could send it.
+    struct Probe {
+        stack: Stack,
+        /// The body of every cast made; cast `seq` is `bodies[seq - 1]`.
+        bodies: Vec<bytes::Bytes>,
+    }
+
+    impl Probe {
+        fn new(buffer_cap: usize) -> Self {
+            let nak = Nak::new(NakConfig { buffer_cap, ..NakConfig::default() });
+            let mut stack = StackBuilder::new(ep(1))
+                .push(Box::new(nak))
+                .push(Box::new(Com::new()))
+                .build()
+                .unwrap();
+            let _ = stack.init();
+            Probe { stack, bodies: Vec::new() }
+        }
+
+        fn nak(&self) -> &Nak {
+            self.stack.focus_as::<Nak>("NAK").expect("the layer")
+        }
+
+        fn cast(&mut self) {
+            let body = bytes::Bytes::from((self.bodies.len() as u32).to_le_bytes().to_vec());
+            self.bodies.push(body.clone());
+            let msg = self.stack.new_message(body);
+            self.stack.handle(StackInput::FromApp(Down::Cast(msg)));
+        }
+
+        /// A control frame as the peer's stack would have built it.
+        fn peer_sends(&mut self, kind: u64, body: bytes::Bytes) -> Vec<Effect> {
+            let mut msg = self.stack.new_message(body);
+            msg.push_header(0);
+            msg.set_field(0, 0, kind);
+            let wire =
+                WireFrame::build(self.stack.fingerprint(), msg.header_area(), msg.body().clone());
+            self.stack.handle(StackInput::FromNet { from: ep(2), cast: false, wire })
+        }
+
+        /// The peer's status: it has everything of ours up to `acked`.
+        fn status(&mut self, acked: u32) {
+            let mut w = WireWriter::with_capacity(20);
+            w.put_u32(0);
+            w.put_u32(1);
+            w.put_addr(ep(1));
+            w.put_u32(acked);
+            self.peer_sends(KIND_STATUS, w.finish());
+        }
+
+        /// The peer asks for `from..=to` again.  Every seq asked for (and
+        /// ever cast) is answered, with the cast's own bytes when the B-tree
+        /// would still have held it and with a LOST placeholder otherwise.
+        fn nak_range(&mut self, from: u32, to: u32) {
+            let held: Vec<bool> =
+                (from..=to).map(|seq| self.nak().sendbuf.model.contains_key(&seq)).collect();
+            let mut w = WireWriter::with_capacity(8);
+            w.put_u32(from);
+            w.put_u32(to);
+            let replies: Vec<(u64, u32, bytes::Bytes)> = self
+                .peer_sends(KIND_NAK, w.finish())
+                .into_iter()
+                .filter_map(|fx| match fx {
+                    Effect::NetSend { dests, wire } => {
+                        assert_eq!(dests, vec![ep(2)]);
+                        let layout = self.stack.layout().clone();
+                        let msg =
+                            Message::decode_parts(layout, &wire.head()[8..], wire.body().clone())
+                                .expect("our own frame");
+                        Some((msg.field(0, 0), msg.field(0, 1) as u32, msg.body().clone()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let valid = from >= 1 && from <= to && to as usize <= self.bodies.len();
+            if !valid {
+                assert!(replies.is_empty(), "a range never cast is not answered");
+                return;
+            }
+            let asked = from..=to.min(from + MAX_NAK_RANGE - 1);
+            assert_eq!(replies.len(), asked.clone().count());
+            for ((seq, held), (kind, got_seq, body)) in asked.zip(held).zip(replies) {
+                assert_eq!(got_seq, seq);
+                if held {
+                    assert_eq!((kind, &body), (KIND_DATA, &self.bodies[seq as usize - 1]));
+                } else {
+                    assert_eq!(kind, KIND_LOST);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Casts, acknowledgements (stale, current and of casts not made
+        /// yet), view installs and retransmission requests in any order,
+        /// at capacities from nothing to more than is ever cast: after
+        /// every operation the queue holds what the B-tree it replaced
+        /// would (`SendBuf::check`), and every NAK is answered from it as
+        /// it would have been from the tree.
+        #[test]
+        fn queue_send_buffer_matches_the_btree_send_buffer(
+            buffer_cap in 0usize..=12,
+            script in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()), 0..300),
+        ) {
+            use horus_core::view::View;
+            let mut probe = Probe::new(buffer_cap);
+            for (action, arg) in script {
+                let sent = probe.bodies.len() as u32;
+                match action % 16 {
+                    0..=7 => probe.cast(),
+                    // Acks around the newest cast, three past it at most.
+                    8..=10 => probe.status((sent + 3).saturating_sub(u32::from(arg % 8))),
+                    11 => {
+                        let view = View::initial(GroupAddr::new(1), ep(1)).with_joined(&[ep(2)]);
+                        probe.stack.handle(StackInput::FromApp(Down::InstallView(view)));
+                    }
+                    // Ranges reaching from before the oldest cast held to
+                    // past the newest.
+                    _ => {
+                        let from = (sent + 2).saturating_sub(u32::from(arg % 16));
+                        probe.nak_range(from, from + u32::from(arg / 16));
+                    }
+                }
+                let dump = probe.stack.focus("NAK").expect("the layer");
+                let buffered = format!(" buffered={} ", probe.nak().sendbuf.model.len());
+                proptest::prop_assert!(dump.contains(&buffered), "{dump} lacks{buffered}");
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use horus::layers::registry::build_stack;
 use horus::prelude::*;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn ep(i: u64) -> EndpointAddr {
     EndpointAddr::new(i)
@@ -126,6 +126,12 @@ impl Layer for StallOnCue {
 /// have heard, and firing first raises PROBLEM for a peer whose casts are
 /// sitting in the queue.  One timer at a time, too — the stalled member's
 /// overdue status has to reach its peer before the peer's own tick.
+///
+/// The same rule has to hold for a worker that is not asleep between
+/// inputs but spinning: the test opens with a sender that never lets it
+/// park, for six status periods, and every status timer of those periods
+/// must still fire (a spin ends at the next timer's `due`) without anybody
+/// being suspected.
 #[test]
 fn a_stalled_worker_does_not_suspect_live_members() {
     use horus::core::view::View;
@@ -146,9 +152,40 @@ fn a_stalled_worker_does_not_suspect_live_members() {
         ex.down(ep(i), Down::InstallView(view.clone()));
     }
 
+    // One cast at a time, the next the instant the last is delivered: the
+    // queue is empty between any two, and the worker spins instead of parking.
+    const NAK: usize = 1; // STALL:NAK:COM
+    let nak_ticks = |ex: &ShardExecutor| -> Vec<u64> {
+        let stats = ex.stats_by_endpoint();
+        (1..=2).map(|i| stats[&ep(i)].per_layer[NAK].timers).collect()
+    };
+    let (ticks_before, parks_before) = (nak_ticks(&ex), ex.wake_stats()[0].parks);
+    let started = Instant::now();
+    let mut rounds = 0;
+    while started.elapsed() < Duration::from_millis(120) {
+        ex.cast_bytes(ep(2), vec![(rounds % 251) as u8; 8]);
+        rounds += 1;
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while ex.cast_count(ep(1)) < rounds {
+            assert!(Instant::now() < give_up, "cast {rounds} not delivered");
+            std::hint::spin_loop();
+        }
+    }
+    let parks = ex.wake_stats()[0].parks - parks_before;
+    for (i, (after, before)) in nak_ticks(&ex).iter().zip(&ticks_before).enumerate() {
+        let fired = after - before;
+        assert!(fired >= 5, "member {}: {fired} status timers in six periods", i + 1);
+    }
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+        assert!(
+            parks < rounds as u64 / 10,
+            "{parks} parks in {rounds} rounds: not a spinning worker"
+        );
+    }
+
     // The peer casts once a millisecond throughout; 30 ms in, member 1 is
     // handed the downcall that blocks the (one) worker for 120 ms.
-    let mut peer_casts = 0;
+    let mut peer_casts = rounds;
     for ms in 0..300 {
         if ms == 30 {
             ex.cast_bytes(ep(1), &b"stall"[..]);
