@@ -7,35 +7,33 @@
 //!
 //! Real threads, real time, in-process loopback transport: a 2-member
 //! group floods N casts through the `NAK:COM` stack under
-//! * `event_queue` — one scheduler thread per stack (the model the paper
-//!   adopts),
-//! * `locked_threads` — four workers contending on a stack lock (the
-//!   model it abandons), and
-//! * `sharded` — the sharded run-to-completion executor with batched
-//!   dispatch and direct shard delivery (PR 3).
+//! * `locked_threads` — four workers per stack contending on a stack lock
+//!   (the model the paper abandons; [`bench::LockedThreads`]), and
+//! * `sharded` — two shards, so one run-to-completion worker per stack
+//!   (the model it adopts), with batched dispatch and direct shard
+//!   delivery.
 //!
 //! E23 rides along: the `batch_size` sweep holds the sharded executor
 //! fixed and varies only `batch_max`, isolating what batching at the
 //! dispatch boundary is worth.
 
-use bench::ep;
+use bench::{ep, LockedThreads};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use horus_core::prelude::*;
 use horus_layers::registry::build_stack;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
-use horus_sim::threaded::{DispatchModel, ThreadedEndpoint};
 use std::time::Duration;
 
 const FLOOD: usize = 500;
 
-fn flood(model: DispatchModel) {
+fn flood_locked(threads: usize) {
     let net = LoopbackNet::new();
     let g = GroupAddr::new(1);
-    let mut endpoints: Vec<ThreadedEndpoint> = (1..=2)
+    let endpoints: Vec<LockedThreads> = (1..=2)
         .map(|i| {
             let s = build_stack(ep(i), "NAK:COM", StackConfig::default()).unwrap();
-            ThreadedEndpoint::spawn(s, net.clone(), model)
+            LockedThreads::spawn(s, net.clone(), threads)
         })
         .collect();
     for e in &endpoints {
@@ -45,9 +43,9 @@ fn flood(model: DispatchModel) {
     for k in 0..FLOOD {
         endpoints[0].cast_bytes(vec![(k % 251) as u8; 32]);
     }
-    let ok = endpoints[1].wait_until(Duration::from_secs(30), |e| e.cast_count() >= FLOOD);
-    assert!(ok, "receiver saw {}/{FLOOD}", endpoints[1].cast_count());
-    for e in &mut endpoints {
+    let seen = endpoints[1].wait_for_casts(FLOOD, Duration::from_secs(30));
+    assert_eq!(seen, FLOOD, "receiver saw {seen}/{FLOOD}");
+    for e in endpoints {
         e.stop();
     }
 }
@@ -76,11 +74,8 @@ fn bench_dispatch(c: &mut Criterion) {
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(20));
     g.throughput(Throughput::Elements(FLOOD as u64));
-    g.bench_function(BenchmarkId::new("event_queue", FLOOD), |b| {
-        b.iter(|| flood(DispatchModel::EventQueue));
-    });
     g.bench_function(BenchmarkId::new("locked_threads", FLOOD), |b| {
-        b.iter(|| flood(DispatchModel::LockedThreads(4)));
+        b.iter(|| flood_locked(4));
     });
     g.bench_function(BenchmarkId::new("sharded", FLOOD), |b| {
         b.iter(|| flood_sharded(2, 64));

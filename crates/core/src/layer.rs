@@ -153,8 +153,8 @@ impl<'a> LayerCtx<'a> {
 
 /// A protocol layer: the abstract data type of the paper's §1.
 ///
-/// Implementations must be `Send + Sync` so stacks can run under the
-/// threaded executor and so snapshotted layer state can be shared
+/// Implementations must be `Send + Sync` so stacks can run on the
+/// shard workers and so snapshotted layer state can be shared
 /// copy-on-write between explorer workers (layers hold no interior
 /// mutability: all mutation flows through `&mut self` dispatch).  The
 /// default method bodies make a new layer a pure pass-through; override only

@@ -671,8 +671,7 @@ impl Stack {
 
     /// Sets the stack's notion of "now".  Executors call this before
     /// [`Stack::handle`] whenever virtual or real time has advanced.
-    /// Monotone: an older timestamp (possible under the threaded executor,
-    /// where inputs are timestamped at enqueue time) is ignored.
+    /// Monotone: an older timestamp is ignored.
     pub fn set_now(&mut self, now: SimTime) {
         self.now = self.now.max(now);
     }

@@ -2,11 +2,11 @@
 //!
 //! [`TraceSink`] is the single seam through which the whole runtime —
 //! [`Stack`](crate::stack::Stack) dispatch in this crate, the simulated and
-//! loopback transports in `horus-net`, and all three executors in
+//! loopback transports in `horus-net`, and both executors in
 //! `horus-sim` — reports structured events: layer crossings, frame
 //! send/deliver/drop, timer arm/fire, view installs, crashes, suspicions.
 //! Sink implementations live in `horus-trace` (a lock-free ring for the
-//! real-time executors, an ordered vector-clock-stamped log for the
+//! real-time executor, an ordered vector-clock-stamped log for the
 //! virtual-time world); this module defines only the trait and the event
 //! vocabulary so every crate below `horus-trace` can *emit* without
 //! depending on any collector.

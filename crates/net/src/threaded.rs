@@ -1,9 +1,10 @@
 //! An in-process, multi-threaded loopback transport.
 //!
-//! Used by the real-time executors and benchmarks (the §10 dispatch-model
-//! ablation): frames move between endpoint threads over lock-free channels
-//! with no simulated physics — the closest in-process analogue to the
-//! paper's "almost no overhead at all" ATM configuration.
+//! Used by the real-time executor and benchmarks (the §10 dispatch-model
+//! ablation): frames move between endpoint threads through the sinks the
+//! endpoints registered, with no simulated physics — the closest
+//! in-process analogue to the paper's "almost no overhead at all" ATM
+//! configuration.
 //!
 //! Two hot-path properties matter for the sharded executor built on top:
 //!
@@ -18,7 +19,6 @@
 //!   registry snapshot over a whole burst of frames: one lock acquisition
 //!   per burst instead of one per frame.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use horus_core::addr::{EndpointAddr, GroupAddr};
 use horus_core::frame::WireFrame;
 use horus_core::time::SimTime;
@@ -40,13 +40,10 @@ pub struct Frame {
     pub wire: WireFrame,
 }
 
-/// Where a registered endpoint's frames go.
-///
-/// The default [`LoopbackNet::register`] installs a channel sender, but an
-/// executor can install anything — the sharded executor registers a sink
-/// that pushes frames straight into the owning shard's input queue, removing
-/// the per-endpoint pump thread (and its extra wake-up per frame) from the
-/// receive path.
+/// Where a registered endpoint's frames go: whatever the endpoint's owner
+/// hands [`LoopbackNet::register_sink`].  The sharded executor registers a
+/// sink that pushes frames straight into the owning shard's input queue, so
+/// no thread sits between the transport and the stack.
 pub trait FrameSink: Send + Sync {
     /// Delivers one frame; `false` means the receiver is gone (its frames
     /// are counted as dropped-on-closed-channel).
@@ -58,16 +55,6 @@ pub trait FrameSink: Send + Sync {
     /// single consumer wake-up.
     fn deliver_many(&self, frames: &mut Vec<Frame>) -> usize {
         frames.drain(..).map(|f| usize::from(self.deliver(f))).sum()
-    }
-}
-
-impl FrameSink for Sender<Frame> {
-    fn deliver(&self, frame: Frame) -> bool {
-        self.send(frame).is_ok()
-    }
-
-    fn deliver_many(&self, frames: &mut Vec<Frame>) -> usize {
-        self.send_iter(frames.drain(..)).unwrap_or(0)
     }
 }
 
@@ -145,25 +132,6 @@ impl LoopbackStats {
     }
 }
 
-/// A shared in-process transport; clone handles freely across threads.
-///
-/// ```
-/// use horus_net::LoopbackNet;
-/// use horus_core::{EndpointAddr, GroupAddr, WireFrame};
-/// use bytes::Bytes;
-///
-/// let net = LoopbackNet::new();
-/// let a = EndpointAddr::new(1);
-/// let b = EndpointAddr::new(2);
-/// let rx_a = net.register(a);
-/// let rx_b = net.register(b);
-/// let g = GroupAddr::new(9);
-/// net.join(g, a);
-/// net.join(g, b);
-/// net.cast(a, WireFrame::raw(Bytes::from_static(b"hello")));
-/// assert_eq!(&rx_b.recv().unwrap().wire.to_bytes()[..], b"hello");
-/// assert_eq!(&rx_a.recv().unwrap().wire.to_bytes()[..], b"hello"); // loopback to self
-/// ```
 /// The installed trace sink plus the wall-clock epoch its timestamps are
 /// relative to (the loopback has no virtual clock).
 struct LoopbackTracer {
@@ -171,6 +139,34 @@ struct LoopbackTracer {
     epoch: Instant,
 }
 
+/// A shared in-process transport; clone handles freely across threads.
+///
+/// ```
+/// use horus_net::threaded::Frame;
+/// use horus_net::LoopbackNet;
+/// use horus_core::{EndpointAddr, GroupAddr, WireFrame};
+/// use bytes::Bytes;
+/// use std::sync::{Arc, Mutex};
+///
+/// let net = LoopbackNet::new();
+/// let a = EndpointAddr::new(1);
+/// let b = EndpointAddr::new(2);
+/// let heard = Arc::new(Mutex::new(Vec::new()));
+/// for ep in [a, b] {
+///     let heard = heard.clone();
+///     net.register_sink(ep, Arc::new(move |f: Frame| {
+///         heard.lock().unwrap().push((ep, f.wire.to_bytes()));
+///         true
+///     }));
+/// }
+/// let g = GroupAddr::new(9);
+/// net.join(g, a);
+/// net.join(g, b);
+/// net.cast(a, WireFrame::raw(Bytes::from_static(b"hello")));
+/// let hello = Bytes::from_static(b"hello");
+/// // Every member hears it, the sender's own loopback copy included.
+/// assert_eq!(*heard.lock().unwrap(), vec![(a, hello.clone()), (b, hello)]);
+/// ```
 #[derive(Clone, Default)]
 pub struct LoopbackNet {
     inner: Arc<Mutex<Registry>>,
@@ -222,21 +218,13 @@ impl LoopbackNet {
         }
     }
 
-    /// Registers an endpoint, returning the channel its frames arrive on.
-    /// Re-registering an address replaces the previous receiver.
-    pub fn register(&self, ep: EndpointAddr) -> Receiver<Frame> {
-        let (tx, rx) = unbounded();
-        self.inner.lock().endpoints.insert(ep, Arc::new(tx));
-        rx
-    }
-
-    /// Registers an endpoint with a custom frame sink instead of a channel
-    /// (e.g. a shard queue).  Re-registering replaces the previous sink.
+    /// Registers an endpoint: its frames go to `sink` (e.g. a shard queue).
+    /// Re-registering an address replaces the previous sink.
     pub fn register_sink(&self, ep: EndpointAddr, sink: Arc<dyn FrameSink>) {
         self.inner.lock().endpoints.insert(ep, sink);
     }
 
-    /// Removes an endpoint entirely (its channel closes).
+    /// Removes an endpoint entirely (its sink is dropped).
     pub fn deregister(&self, ep: EndpointAddr) {
         let mut reg = self.inner.lock();
         reg.endpoints.remove(&ep);
@@ -417,22 +405,46 @@ mod tests {
         WireFrame::raw(Bytes::from_static(b))
     }
 
+    /// A sink that keeps what it is handed.
+    #[derive(Default)]
+    struct Inbox(Mutex<Vec<Frame>>);
+
+    impl FrameSink for Inbox {
+        fn deliver(&self, frame: Frame) -> bool {
+            self.0.lock().push(frame);
+            true
+        }
+    }
+
+    impl Inbox {
+        fn take(&self) -> Vec<Frame> {
+            std::mem::take(&mut *self.0.lock())
+        }
+    }
+
+    /// Registers `ep` with an [`Inbox`] of its own.
+    fn inbox(net: &LoopbackNet, ep: EndpointAddr) -> Arc<Inbox> {
+        let inbox = Arc::new(Inbox::default());
+        net.register_sink(ep, inbox.clone());
+        inbox
+    }
+
     #[test]
     fn cast_fans_out_to_group() {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
-        let rxs: Vec<_> = (1..=3)
+        let inboxes: Vec<_> = (1..=3)
             .map(|i| {
-                let r = net.register(ep(i));
                 net.join(g, ep(i));
-                r
+                inbox(&net, ep(i))
             })
             .collect();
         assert_eq!(net.cast(ep(1), raw(b"m")), 3);
-        for rx in &rxs {
-            let f = rx.recv().unwrap();
-            assert_eq!(f.from, ep(1));
-            assert!(f.cast);
+        for inbox in &inboxes {
+            let got = inbox.take();
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].from, ep(1));
+            assert!(got[0].cast);
         }
         let s = net.stats();
         assert_eq!(s.frames_cast, 1);
@@ -443,21 +455,16 @@ mod tests {
     fn cast_batch_amortizes_the_snapshot() {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
-        let rxs: Vec<_> = (1..=2)
+        let inboxes: Vec<_> = (1..=2)
             .map(|i| {
-                let r = net.register(ep(i));
                 net.join(g, ep(i));
-                r
+                inbox(&net, ep(i))
             })
             .collect();
         let wires: Vec<WireFrame> = (0..10).map(|_| raw(b"b")).collect();
         assert_eq!(net.cast_batch(ep(1), wires), 20);
-        for rx in &rxs {
-            let mut got = 0;
-            while rx.try_recv().is_ok() {
-                got += 1;
-            }
-            assert_eq!(got, 10);
+        for inbox in &inboxes {
+            assert_eq!(inbox.take().len(), 10);
         }
         let s = net.stats();
         assert_eq!(s.frames_cast, 10);
@@ -467,11 +474,13 @@ mod tests {
     #[test]
     fn send_targets_only_destinations() {
         let net = LoopbackNet::new();
-        let _rx1 = net.register(ep(1));
-        let rx2 = net.register(ep(2));
+        let in1 = inbox(&net, ep(1));
+        let in2 = inbox(&net, ep(2));
         assert_eq!(net.send(ep(1), &[ep(2)], raw(b"s")), 1);
-        assert!(!rx2.recv().unwrap().cast);
-        assert!(rx2.try_recv().is_err());
+        let got = in2.take();
+        assert_eq!(got.len(), 1);
+        assert!(!got[0].cast);
+        assert!(in1.take().is_empty());
         assert_eq!(net.stats().frames_sent, 1);
     }
 
@@ -479,38 +488,37 @@ mod tests {
     fn deregister_stops_delivery() {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
-        let _rx1 = net.register(ep(1));
-        let rx2 = net.register(ep(2));
+        let _in1 = inbox(&net, ep(1));
+        let in2 = inbox(&net, ep(2));
         net.join(g, ep(1));
         net.join(g, ep(2));
         net.deregister(ep(2));
         assert_eq!(net.cast(ep(1), raw(b"m")), 1);
-        drop(net);
-        assert!(rx2.try_recv().is_err());
+        assert!(in2.take().is_empty());
     }
 
     #[test]
-    fn delivery_to_dropped_receiver_counts_as_closed_drop() {
+    fn delivery_to_a_closed_sink_counts_as_closed_drop() {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
-        let _rx1 = net.register(ep(1));
-        let rx2 = net.register(ep(2));
+        let _in1 = inbox(&net, ep(1));
+        // ep(2) is still registered, but its sink reports its receiver
+        // gone: the dropped-on-closed-channel class.
+        net.register_sink(ep(2), Arc::new(|_: Frame| false));
         net.join(g, ep(1));
         net.join(g, ep(2));
-        // The receiver half is gone but ep(2) is still registered: the send
-        // fails at the channel, which is the dropped-on-closed-channel class.
-        drop(rx2);
         assert_eq!(net.cast(ep(1), raw(b"m")), 1);
+        assert_eq!(net.cast_batch(ep(1), [raw(b"m"), raw(b"m")]), 2);
         let s = net.stats();
-        assert_eq!(s.deliveries, 1);
-        assert_eq!(s.dropped_closed, 1);
+        assert_eq!(s.deliveries, 3);
+        assert_eq!(s.dropped_closed, 3);
     }
 
     #[test]
     fn unregistered_destination_counts_as_unregistered_drop() {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
-        let _rx1 = net.register(ep(1));
+        let _in1 = inbox(&net, ep(1));
         net.join(g, ep(1));
         // ep(2) joined but never registered: a harness ordering bug.
         net.join(g, ep(2));
@@ -521,26 +529,6 @@ mod tests {
         assert_eq!(s.dropped_closed, 0);
     }
 
-    #[test]
-    fn custom_sink_receives_frames() {
-        let net = LoopbackNet::new();
-        let g = GroupAddr::new(1);
-        let _rx1 = net.register(ep(1));
-        let got = Arc::new(AtomicU64::new(0));
-        let got2 = Arc::clone(&got);
-        net.register_sink(
-            ep(2),
-            Arc::new(move |_f: Frame| {
-                got2.fetch_add(1, Ordering::Relaxed);
-                true
-            }),
-        );
-        net.join(g, ep(1));
-        net.join(g, ep(2));
-        assert_eq!(net.cast(ep(1), raw(b"m")), 2);
-        assert_eq!(got.load(Ordering::Relaxed), 1);
-    }
-
     /// The regression the snapshot-then-send discipline exists for: a
     /// receiver whose sink is slow (blocking in `deliver`) must not hold the
     /// registry lock and thereby stall senders between unrelated endpoints.
@@ -548,7 +536,7 @@ mod tests {
     fn slow_receiver_does_not_stall_unrelated_senders() {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
-        let _rx1 = net.register(ep(1));
+        let _in1 = inbox(&net, ep(1));
         net.register_sink(
             ep(2),
             Arc::new(|_f: Frame| {
@@ -559,8 +547,8 @@ mod tests {
         net.join(g, ep(1));
         net.join(g, ep(2));
         // Unrelated pair in its own group.
-        let _rx3 = net.register(ep(3));
-        let rx4 = net.register(ep(4));
+        let _in3 = inbox(&net, ep(3));
+        let in4 = inbox(&net, ep(4));
         let g2 = GroupAddr::new(2);
         net.join(g2, ep(3));
         net.join(g2, ep(4));
@@ -580,7 +568,7 @@ mod tests {
             elapsed < Duration::from_millis(100),
             "unrelated cast stalled behind a slow receiver: {elapsed:?}"
         );
-        assert_eq!(rx4.recv().unwrap().from, ep(3));
+        assert_eq!(in4.take()[0].from, ep(3));
         slow.join().unwrap();
     }
 
@@ -588,23 +576,19 @@ mod tests {
     fn works_across_threads() {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
-        let rx = net.register(ep(2));
+        let in2 = inbox(&net, ep(2));
         net.join(g, ep(1));
         net.join(g, ep(2));
         let net2 = net.clone();
-        // Sender must be registered to have a loopback queue; register it.
-        let _rx1 = net.register(ep(1));
+        // The sender's own loopback copy needs a sink too.
+        let _in1 = inbox(&net, ep(1));
         let h = std::thread::spawn(move || {
             for _ in 0..100 {
                 net2.cast(ep(1), raw(b"m"));
             }
         });
         h.join().unwrap();
-        let mut got = 0;
-        while rx.try_recv().is_ok() {
-            got += 1;
-        }
-        assert_eq!(got, 100);
+        assert_eq!(in2.take().len(), 100);
         let s = net.stats();
         assert_eq!(s.frames_cast, 100);
         assert_eq!(s.deliveries, 200);

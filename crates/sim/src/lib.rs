@@ -20,10 +20,10 @@
 //!   plus liveness oracles every quiet window, ddmin fault-plan
 //!   minimization, replayable `(seed, plan)` artifacts.
 //! * [`workload`] — message workload generators for the benchmarks.
-//! * [`threaded`] — a real-time, really-threaded executor over the loopback
-//!   transport, for the §10 dispatch-model ablation.
-//! * [`shard`] — the sharded run-to-completion executor: N workers, each
-//!   owning a disjoint set of stacks, batched dispatch through one reusable
+//! * [`shard`] — the real-time executor, over the in-process loopback
+//!   transport: N run-to-completion workers, each owning a disjoint set of
+//!   stacks (one worker, one stack is §10's "one scheduling thread per
+//!   stack"), batched dispatch through one reusable
 //!   [`horus_core::EffectSink`], frames delivered straight into the owning
 //!   shard's queue.
 
@@ -32,7 +32,6 @@ pub mod invariants;
 pub mod sched;
 pub mod shard;
 pub mod soak;
-pub mod threaded;
 pub mod workload;
 pub mod world;
 

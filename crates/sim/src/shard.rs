@@ -19,8 +19,8 @@
 //!   [`LoopbackNet::cast_batch`] under a single registry snapshot.
 //! * **Direct shard delivery** — endpoints are registered on the loopback
 //!   transport with a sink that pushes frames straight into the owning
-//!   shard's queue, eliminating the per-endpoint pump thread (and its
-//!   extra wake-up per frame) of [`crate::threaded::ThreadedEndpoint`].
+//!   shard's queue: no per-endpoint pump thread, and none of the extra
+//!   wake-up per frame one would cost.
 //! * **Spin-then-park hand-off** — batching amortises the hand-off into
 //!   the worker only while the queue stays non-empty.  Below saturation
 //!   the queue is empty between inputs, and a worker that blocks the
@@ -31,8 +31,11 @@
 //!   when the thread sleeps — are stated once, on `Worker::run`, and
 //!   [`ShardExecutor::wake_stats`] counts what the second one did.
 //!
-//! Timekeeping maps the monotonic OS clock onto [`SimTime`], exactly as in
-//! the threaded executor, so protocol timers behave identically.
+//! This is the one real-time executor: a [`ShardConfig::default`] executor
+//! holding one stack is the paper's "one scheduling thread per stack", and
+//! is what `horus::socket::GroupSocket` runs on.  Timekeeping maps the
+//! monotonic OS clock onto [`SimTime`], so protocol timers behave as they do
+//! in the simulated world.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -172,6 +175,10 @@ impl Ord for TimerEntry {
 struct Owned {
     stack: Stack,
     log: Arc<EpLog>,
+    /// Mirror of the stack's trace sink: the worker records this endpoint's
+    /// frame/timer *arrivals* through it; dispatch internals are recorded
+    /// by the stack itself.
+    tracer: Option<Arc<dyn TraceSink>>,
 }
 
 /// One shard: a single-threaded run-to-completion loop over the stacks it
@@ -195,11 +202,9 @@ struct Worker {
     /// registry snapshot.
     pending_casts: Vec<WireFrame>,
     pending_from: Option<EndpointAddr>,
-    /// Mirror of the owned stacks' trace sink (cached at adoption so the
-    /// frame hot path never does a per-event map lookup): the worker
-    /// records frame/timer *arrivals*; dispatch internals are recorded by
-    /// the stacks themselves.
-    tracer: Option<Arc<dyn TraceSink>>,
+    /// Whether any owned stack has a trace sink.  While none does, an
+    /// arrival costs this one branch and no map lookup.
+    traced: bool,
     /// Whether this worker may spin before it parks: false on a machine
     /// with one hardware thread, where the sender cannot run meanwhile.
     spin: bool,
@@ -334,18 +339,18 @@ impl Worker {
         for input in burst.drain(..) {
             let (ep, stack_input) = match input {
                 ShardIn::Frame { to, frame } => {
-                    if let Some(t) = &self.tracer {
-                        t.record(TraceEvent {
-                            at: now,
-                            ep: to,
-                            kind: TraceKind::FrameDeliver {
+                    if self.traced {
+                        self.trace_arrival(
+                            to,
+                            now,
+                            TraceKind::FrameDeliver {
                                 from: frame.from,
                                 cast: frame.cast,
                                 bytes: frame.wire.len(),
                                 digest: 0,
                                 seq: 0,
                             },
-                        });
+                        );
                     }
                     (
                         to,
@@ -409,14 +414,20 @@ impl Worker {
 
     fn adopt(&mut self, mut stack: Stack, log: Arc<EpLog>) {
         let ep = stack.local_addr();
-        if let Some(t) = stack.tracer() {
-            self.tracer = Some(t.clone());
-        }
+        let tracer = stack.tracer().cloned();
+        self.traced |= tracer.is_some();
         stack.set_now(self.now());
         let fx = stack.init();
-        self.stacks.insert(ep, Owned { stack, log });
+        self.stacks.insert(ep, Owned { stack, log, tracer });
         self.sink.extend(fx);
         self.apply_effects(ep);
+    }
+
+    /// Records an arrival at `ep` through `ep`'s own sink, if it has one.
+    fn trace_arrival(&self, ep: EndpointAddr, at: SimTime, kind: TraceKind) {
+        if let Some(t) = self.stacks.get(&ep).and_then(|o| o.tracer.as_ref()) {
+            t.record(TraceEvent { at, ep, kind });
+        }
     }
 
     /// Run-to-completion dispatch of one input into its owning stack.
@@ -434,12 +445,9 @@ impl Worker {
         }
         let t = self.timers.pop().expect("peeked");
         let now = self.now();
-        if let Some(sink) = &self.tracer {
-            sink.record(TraceEvent {
-                at: now,
-                ep: t.ep,
-                kind: TraceKind::TimerFire { layer: t.layer, token: t.token, digest: 0, seq: 0 },
-            });
+        if self.traced {
+            let kind = TraceKind::TimerFire { layer: t.layer, token: t.token, digest: 0, seq: 0 };
+            self.trace_arrival(t.ep, now, kind);
         }
         self.dispatch(t.ep, StackInput::Timer { layer: t.layer, token: t.token, now }, now);
         self.flush_casts();
@@ -605,7 +613,7 @@ impl ShardExecutor {
                 run: Vec::with_capacity(config.batch_max.max(1)),
                 pending_casts: Vec::with_capacity(config.batch_max.max(1)),
                 pending_from: None,
-                tracer: None,
+                traced: false,
                 spin: parallelism > 1,
                 wake: Arc::clone(&counters),
             };
@@ -742,20 +750,24 @@ impl ShardExecutor {
         total
     }
 
-    /// Stops the workers and deregisters every endpoint.
+    /// Stops the workers, then deregisters every endpoint.  In that order:
+    /// `Stop` queues behind whatever was handed in before this call, so a
+    /// last downcall (a LEAVE, say) still casts from a registered endpoint.
+    /// A frame that arrives once a worker has exited finds its queue closed
+    /// and is counted by the transport as `dropped_closed`.
     pub fn stop(&mut self) {
         if self.stopped {
             return;
         }
         self.stopped = true;
-        for ep in self.eps.keys() {
-            self.net.deregister(*ep);
-        }
         for tx in &self.txs {
             let _ = tx.send(ShardIn::Stop);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
+        }
+        for ep in self.eps.keys() {
+            self.net.deregister(*ep);
         }
     }
 }

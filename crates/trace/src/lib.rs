@@ -8,8 +8,8 @@
 //!   virtual-time simulator, where `SimWorld` announces the causal clock of
 //!   every dispatch;
 //! * [`TraceRing`] — a lock-free bounded MPMC ring for the real-time
-//!   executors (threaded, sharded), where many worker threads record
-//!   concurrently and a collector drains;
+//!   (sharded) executor, where many worker threads record concurrently and
+//!   a collector drains;
 //! * the line-oriented **trace file format** (`# horus-trace v1`) with
 //!   [`serialize_trace`] / [`parse_trace`];
 //! * [`chrome_trace`] — Chrome `about:tracing` / Perfetto JSON export;
@@ -151,7 +151,7 @@ struct RingSlot {
 }
 
 /// A bounded lock-free MPMC ring (Vyukov's array queue) for the real-time
-/// executors: every worker thread records straight into the ring; a
+/// executor: every worker thread records straight into the ring; a
 /// collector drains it during or after the run.  When full, the *newest*
 /// record is dropped (and counted) — backpressure must never stall a
 /// dispatch path.
@@ -286,7 +286,7 @@ impl Drop for TraceRing {
 
 impl TraceSink for TraceRing {
     fn record(&self, ev: TraceEvent) {
-        // Real-time executors keep no vector clocks.
+        // The real-time executor keeps no vector clocks.
         self.push(TraceRecord { at: ev.at, ep: ev.ep, clock: Vec::new(), kind: ev.kind });
     }
 }

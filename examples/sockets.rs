@@ -1,5 +1,5 @@
-//! The UNIX-socket embedding (§1, §11), running in real time on the
-//! threaded executor: "a UNIX sendto operation will be mapped to a
+//! The UNIX-socket embedding (§1, §11), running in real time, one
+//! scheduling thread per socket: "a UNIX sendto operation will be mapped to a
 //! multicast, and a recvfrom will receive the next incoming message".
 //!
 //! Three "processes" chat through `GroupSocket`s without ever seeing the

@@ -15,7 +15,7 @@
 //! | [`horus_net`] | deterministic simulated network; in-process threaded transport |
 //! | [`horus_layers`] | the layer library: COM, NAK, FRAG, MBRSHIP, TOTAL, CAUSAL, SAFE, STABLE, PINWHEEL, MERGE, BMS/VSS/FLUSH, reference twins, the Figure 1 utility catalogue, and the run-time [`horus_layers::registry`] |
 //! | [`horus_props`] | Table 3/4 property algebra, well-formedness checking, minimal-stack planning |
-//! | [`horus_sim`] | discrete-event world, virtual-synchrony invariant checkers, workloads, threaded executor |
+//! | [`horus_sim`] | discrete-event world, virtual-synchrony invariant checkers, workloads, the real-time shard executor |
 //!
 //! ## Quickstart
 //!

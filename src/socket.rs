@@ -6,8 +6,9 @@
 //! a recvfrom will receive the next incoming message".
 //!
 //! [`GroupSocket`] is that top-most module: it runs a full protocol stack
-//! on the threaded executor (real time, in-process transport) and offers a
-//! blocking datagram-socket API.  The application never sees the HCPI —
+//! on a one-shard [`ShardExecutor`] of its own (real time, in-process
+//! transport, one scheduling thread per socket) and offers a blocking
+//! datagram-socket API.  The application never sees the HCPI —
 //! the point of the embedding is exactly that Horus "can be hidden behind
 //! standard abstractions".
 
@@ -15,7 +16,7 @@ use bytes::Bytes;
 use horus_core::prelude::*;
 use horus_layers::registry::build_stack;
 use horus_net::LoopbackNet;
-use horus_sim::threaded::{DispatchModel, ThreadedEndpoint};
+use horus_sim::shard::{ShardConfig, ShardExecutor};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -41,7 +42,9 @@ use std::time::{Duration, Instant};
 /// # Ok::<(), horus_core::HorusError>(())
 /// ```
 pub struct GroupSocket {
-    ep: ThreadedEndpoint,
+    addr: EndpointAddr,
+    /// One worker thread, owning this socket's one stack.
+    ex: ShardExecutor,
     inbox: VecDeque<(EndpointAddr, Bytes)>,
     /// Non-CAST upcalls observed (views, problems, ...), for curious
     /// applications; capped to the most recent 1024.
@@ -57,29 +60,30 @@ impl GroupSocket {
     /// Fails when the stack description does not parse or build.
     pub fn bind(net: &LoopbackNet, addr: EndpointAddr, stack: &str) -> Result<Self, HorusError> {
         let stack = build_stack(addr, stack, StackConfig::default())?;
-        let ep = ThreadedEndpoint::spawn(stack, net.clone(), DispatchModel::EventQueue);
-        Ok(GroupSocket { ep, inbox: VecDeque::new(), events: VecDeque::new() })
+        let mut ex = ShardExecutor::new(net.clone(), ShardConfig::default());
+        ex.add_stack(stack);
+        Ok(GroupSocket { addr, ex, inbox: VecDeque::new(), events: VecDeque::new() })
     }
 
     /// The socket's own address.
     pub fn local_addr(&self) -> EndpointAddr {
-        self.ep.addr()
+        self.addr
     }
 
     /// Joins a process group (the `bind`/`connect` analogue).
     pub fn join(&self, group: GroupAddr) {
-        self.ep.down(Down::Join { group });
+        self.ex.down(self.addr, Down::Join { group });
     }
 
     /// `sendto`: multicasts a payload to the group.
     pub fn sendto(&self, body: impl Into<Bytes>) {
-        self.ep.cast_bytes(body.into());
+        self.ex.cast_bytes(self.addr, body.into());
     }
 
     /// Asks the view containing `contact` to merge with ours (only
     /// meaningful when the stack contains a membership layer).
     pub fn merge(&self, contact: EndpointAddr) {
-        self.ep.down(Down::Merge { contact });
+        self.ex.down(self.addr, Down::Merge { contact });
     }
 
     /// The most recent view observed, if the stack runs membership.
@@ -138,18 +142,19 @@ impl GroupSocket {
     /// Issues a raw HCPI downcall (for callers that outgrow the datagram
     /// metaphor without wanting to leave it entirely).
     pub fn downcall(&self, down: Down) {
-        self.ep.down(down);
+        self.ex.down(self.addr, down);
     }
 
-    /// Leaves the group and shuts the stack down.
+    /// Leaves the group and shuts the stack down.  The worker handles the
+    /// LEAVE, announcement to the group included, before it sees the stop
+    /// queued behind it.
     pub fn close(mut self) {
-        self.ep.down(Down::Leave);
-        std::thread::sleep(Duration::from_millis(10));
-        self.ep.stop();
+        self.ex.down(self.addr, Down::Leave);
+        self.ex.stop();
     }
 
     fn drain(&mut self) {
-        for up in self.ep.take_upcalls() {
+        for up in self.ex.take_upcalls(self.addr) {
             match up {
                 Up::Cast { src, msg } => self.inbox.push_back((src, msg.body().clone())),
                 other => {

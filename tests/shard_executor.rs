@@ -10,6 +10,8 @@ use horus::layers::registry::build_stack;
 use horus::prelude::*;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
+use horus_trace::TraceBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn ep(i: u64) -> EndpointAddr {
@@ -85,10 +87,9 @@ fn dropped_receiver_is_counted_not_silent() {
         ex.add_stack(s);
         ex.down(ep(i), Down::Join { group: g });
     }
-    // A bare transport endpoint joins the group, then its receiver drops.
-    let rx = net.register(ep(99));
+    // A bare transport endpoint whose receiver is gone joins the group.
+    net.register_sink(ep(99), Arc::new(|_| false));
     net.join(g, ep(99));
-    drop(rx);
     std::thread::sleep(Duration::from_millis(20));
 
     ex.cast_bytes(ep(1), &b"gone"[..]);
@@ -98,6 +99,69 @@ fn dropped_receiver_is_counted_not_silent() {
     assert_eq!(s.deliveries, 2, "the live members still got theirs");
     net.deregister(ep(99));
     ex.stop();
+}
+
+/// The worker records an endpoint's frame and timer arrivals through that
+/// endpoint's own trace sink: three stacks on one shard, two with a buffer
+/// each and one untraced, and neither buffer holds a record of another
+/// endpoint.
+#[test]
+fn arrivals_are_traced_through_the_owning_stacks_sink() {
+    let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::default());
+    let g = GroupAddr::new(1);
+    let bufs = [Arc::new(TraceBuf::new()), Arc::new(TraceBuf::new())];
+    // The untraced stack is adopted last: nothing it does may reach a buffer.
+    for i in 1..=3 {
+        let mut s = build_stack(ep(i), "NAK:COM", StackConfig::default()).unwrap();
+        if let Some(buf) = bufs.get(i as usize - 1) {
+            s.set_tracer(buf.clone());
+        }
+        ex.add_stack(s);
+        ex.down(ep(i), Down::Join { group: g });
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    for i in 1..=3 {
+        ex.cast_bytes(ep(i), vec![i as u8; 8]);
+    }
+    assert!(ex.wait_until(Duration::from_secs(5), |ex| (1..=3).all(|i| ex.cast_count(ep(i)) >= 3)));
+    // NAK's 20 ms status timer fires at every member meanwhile.
+    std::thread::sleep(Duration::from_millis(60));
+    ex.stop();
+    for (i, buf) in bufs.iter().enumerate() {
+        let me = ep(i as u64 + 1);
+        let events = buf.take();
+        let count = |pick: fn(&TraceKind) -> bool| events.iter().filter(|e| pick(&e.kind)).count();
+        let frames = count(|k| matches!(k, TraceKind::FrameDeliver { .. }));
+        let timers = count(|k| matches!(k, TraceKind::TimerFire { .. }));
+        assert!(frames >= 3, "{me} heard three casts, its buffer {frames} arrivals");
+        assert!(timers > 0, "{me} ticked");
+        assert!(events.iter().all(|e| e.ep == me), "{me}'s buffer holds another's records");
+    }
+}
+
+/// `stop` lets the worker drain what was queued before it: a downcall
+/// handed in immediately before `stop()` still casts from a registered
+/// endpoint, and a live peer on another executor receives it.
+#[test]
+fn a_downcall_queued_before_stop_is_still_cast() {
+    let net = LoopbackNet::new();
+    let g = GroupAddr::new(1);
+    let mut leaver = ShardExecutor::new(net.clone(), ShardConfig::default());
+    let mut peer = ShardExecutor::new(net.clone(), ShardConfig::default());
+    for (ex, i) in [(&mut leaver, 1), (&mut peer, 2)] {
+        ex.add_stack(build_stack(ep(i), "NOP", StackConfig::default()).unwrap());
+        ex.down(ep(i), Down::Join { group: g });
+    }
+    assert!(leaver.wait_until(Duration::from_secs(5), |_| net.members(g).len() == 2));
+    leaver.cast_bytes(ep(1), &b"last words"[..]);
+    leaver.stop();
+    assert!(
+        peer.wait_until(Duration::from_secs(5), |peer| peer.cast_count(ep(2)) >= 1),
+        "the cast queued before stop() never reached the peer"
+    );
+    assert_eq!(net.stats().dropped_unregistered, 0);
+    assert_eq!(net.members(g), vec![ep(2)], "stop() deregistered the leaver afterwards");
+    peer.stop();
 }
 
 /// Blocks the worker thread for [`STALL`] inside the downcall that carries

@@ -1,6 +1,6 @@
 //! The §11 socket embedding over the *full* membership stack, in real
-//! time on the threaded executor: views form, totally ordered traffic
-//! flows, a member leaves — all behind `sendto`/`recvfrom`.
+//! time, a one-shard executor per socket: views form, totally ordered
+//! traffic flows, a member leaves — all behind `sendto`/`recvfrom`.
 
 use horus::socket::GroupSocket;
 use horus_core::{EndpointAddr, GroupAddr, Up};

@@ -6,11 +6,11 @@
 //!    reports is the same for `--workers 1` and `--workers 4`, and its
 //!    traced replay serializes *byte-identically* — tracing adds
 //!    observability without adding nondeterminism.
-//! 2. **Cross-executor agreement**: the same workload run under the
-//!    threaded and the sharded real-time executors yields the same
-//!    canonical delivery projection (per `(receiver, sender)` CAST digest
-//!    sequences) — the executor-independent part of a trace really is
-//!    executor-independent.
+//! 2. **Cross-executor agreement**: the same workload run on one shard
+//!    (both stacks on one worker) and on two (a worker per stack) yields
+//!    the same canonical delivery projection (per `(receiver, sender)`
+//!    CAST digest sequences) — the placement-independent part of a trace
+//!    really is placement-independent.
 //! 3. **The trace→schedule bridge round-trips**: the committed soak-wedge
 //!    fault plan, replayed as the `soakwedge` scenario with tracing on,
 //!    bridges back into exactly the committed `.check` fixture and the
@@ -34,7 +34,6 @@ use horus_check::{
 use horus_core::trace::TraceSink;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
-use horus_sim::threaded::{DispatchModel, ThreadedEndpoint};
 use horus_trace::{
     delivery_projection, kind_counts, latency_stats, parse_trace, parse_trace_v2, serialize_trace,
     trace_to_v2, LatencyStats, MetricsSink, TraceBuf, TraceRing,
@@ -80,44 +79,12 @@ fn worker_counts_agree_down_to_trace_bytes() {
     assert_eq!(trace_one, trace_four, "traces must be byte-identical across worker counts");
 }
 
-/// Runs `casts` casts from each of two members over bare COM under the
-/// threaded executor, tracing into a ring; returns the canonical
+/// Runs `casts` casts from each of two members over bare COM on a
+/// `shards`-worker executor, tracing into a ring; returns the canonical
 /// projection of the captured trace.
-fn threaded_projection(casts: usize) -> std::collections::BTreeMap<(u64, u64), Vec<u64>> {
+fn projection(shards: usize, casts: usize) -> std::collections::BTreeMap<(u64, u64), Vec<u64>> {
     let ring = Arc::new(TraceRing::with_capacity(1 << 14));
-    let net = LoopbackNet::new();
-    let g = GroupAddr::new(1);
-    let mut endpoints: Vec<ThreadedEndpoint> = (1..=2)
-        .map(|i| {
-            let mut s =
-                build_stack(ep(i), "COM(promiscuous=true)", StackConfig::default()).unwrap();
-            s.set_tracer(ring.clone());
-            ThreadedEndpoint::spawn(s, net.clone(), DispatchModel::EventQueue)
-        })
-        .collect();
-    for e in &endpoints {
-        e.down(Down::Join { group: g });
-    }
-    std::thread::sleep(Duration::from_millis(20));
-    for k in 0..casts {
-        endpoints[0].cast_bytes(format!("1:{k}"));
-        endpoints[1].cast_bytes(format!("2:{k}"));
-    }
-    // Loopback delivers to the whole group, senders included.
-    let ok = endpoints[0].wait_until(Duration::from_secs(20), |_| {
-        endpoints.iter().all(|e| e.cast_count() >= 2 * casts)
-    });
-    assert!(ok, "threaded flood incomplete");
-    for e in &mut endpoints {
-        e.stop();
-    }
-    projection_of(&ring)
-}
-
-/// The same workload under the sharded executor.
-fn sharded_projection(casts: usize) -> std::collections::BTreeMap<(u64, u64), Vec<u64>> {
-    let ring = Arc::new(TraceRing::with_capacity(1 << 14));
-    let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::with_shards(2));
+    let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::with_shards(shards));
     let g = GroupAddr::new(1);
     for i in 1..=2 {
         let mut s = build_stack(ep(i), "COM(promiscuous=true)", StackConfig::default()).unwrap();
@@ -130,10 +97,11 @@ fn sharded_projection(casts: usize) -> std::collections::BTreeMap<(u64, u64), Ve
         ex.cast_bytes(ep(1), format!("1:{k}"));
         ex.cast_bytes(ep(2), format!("2:{k}"));
     }
+    // Loopback delivers to the whole group, senders included.
     let ok = ex.wait_until(Duration::from_secs(20), |ex| {
         (1..=2).all(|i| ex.cast_count(ep(i)) >= 2 * casts)
     });
-    assert!(ok, "sharded flood incomplete");
+    assert!(ok, "{shards}-shard flood incomplete");
     ex.stop();
     projection_of(&ring)
 }
@@ -145,17 +113,17 @@ fn projection_of(ring: &TraceRing) -> std::collections::BTreeMap<(u64, u64), Vec
 }
 
 #[test]
-fn threaded_and_sharded_executors_project_identically() {
+fn one_shard_and_two_shard_executors_project_identically() {
     // Cross-sender interleaving is scheduling noise; what must agree is the
-    // per-(receiver, sender) digest sequence — per-sender FIFO holds on the
-    // loopback channels and the shard queues alike.
+    // per-(receiver, sender) digest sequence — per-sender FIFO holds whether
+    // the two stacks share a worker's queue or have one each.
     const CASTS: usize = 40;
-    let threaded = threaded_projection(CASTS);
-    let sharded = sharded_projection(CASTS);
-    assert_eq!(threaded, sharded, "canonical projections must agree across executors");
+    let one = projection(1, CASTS);
+    let two = projection(2, CASTS);
+    assert_eq!(one, two, "canonical projections must agree across shard counts");
     // And the projection is not vacuous: both senders reached both members.
-    assert_eq!(threaded.len(), 4, "two senders times two receivers");
-    for ((rx, tx), digests) in &threaded {
+    assert_eq!(one.len(), 4, "two senders times two receivers");
+    for ((rx, tx), digests) in &one {
         assert_eq!(digests.len(), CASTS, "stream ep:{tx} -> ep:{rx} lost casts");
     }
 }
