@@ -12,27 +12,16 @@
 //! the deterministic simulator and under the threaded runtime.
 
 use crate::addr::EndpointAddr;
-use crate::event::{Down, Up};
-use crate::message::{FieldSpec, HeaderLayout, Message};
-use crate::stack::StackStats;
+use crate::event::{Down, Effect, Up};
+use crate::message::{FieldSpec, Message};
+use crate::stack::StackCore;
 use crate::time::SimTime;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::RngCore;
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
-
-/// What a layer emitted during one dispatch; translated by the stack runtime
-/// into queue entries or executor effects.
-#[derive(Debug)]
-pub(crate) enum Emit {
-    Down(Down),
-    Up(Up),
-    Timer { token: u64, delay: Duration },
-    Trace(String),
-}
 
 /// The execution context handed to a layer for the duration of one event
 /// dispatch.
@@ -40,48 +29,53 @@ pub(crate) enum Emit {
 /// All interaction with the rest of the stack goes through this object:
 /// emitting events up or down, arming timers, creating control messages, and
 /// reading/writing this layer's own header fields on a message.
+///
+/// Nothing is buffered here: [`down`](Self::down) and [`up`](Self::up) put
+/// the event on the stack's work queue (or turn it into an executor effect
+/// when it leaves the stack), and [`set_timer`](Self::set_timer) and
+/// [`trace`](Self::trace) append their effect, at the moment of the call.
+/// So everything a handler emits takes effect **in emission order**, and an
+/// event bound for another layer runs **after the current handler returns**,
+/// behind whatever was queued before it.
 pub struct LayerCtx<'a> {
+    /// The layer now running; the stack updates it for each dispatch.
     pub(crate) layer: usize,
-    pub(crate) now: SimTime,
-    pub(crate) local: EndpointAddr,
-    pub(crate) layout: &'a Arc<HeaderLayout>,
-    pub(crate) rng: &'a mut StdRng,
-    pub(crate) emitted: &'a mut Vec<Emit>,
-    pub(crate) stats: &'a mut StackStats,
+    pub(crate) core: &'a mut StackCore,
+    pub(crate) effects: &'a mut Vec<Effect>,
 }
 
 impl<'a> LayerCtx<'a> {
     /// Passes an event toward the network (to the layer below, or off the
     /// bottom of the stack).
     pub fn down(&mut self, ev: Down) {
-        self.emitted.push(Emit::Down(ev));
+        self.core.emit_down(self.layer, ev, self.effects);
     }
 
     /// Passes an event toward the application (to the layer above, or out of
     /// the top of the stack).
     pub fn up(&mut self, ev: Up) {
-        self.emitted.push(Emit::Up(ev));
+        self.core.emit_up(self.layer, ev, self.effects);
     }
 
     /// Arms a timer; [`Layer::on_timer`] fires with the same token after
     /// `delay`.  Timers are one-shot; periodic layers re-arm themselves.
     pub fn set_timer(&mut self, delay: Duration, token: u64) {
-        self.emitted.push(Emit::Timer { token, delay });
+        self.core.arm_timer(self.layer, token, delay, self.effects);
     }
 
     /// Emits a free-form trace record (collected by the executor).
     pub fn trace(&mut self, text: impl Into<String>) {
-        self.emitted.push(Emit::Trace(text.into()));
+        self.core.note(text.into(), self.effects);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// The address of the endpoint owning this stack.
     pub fn local_addr(&self) -> EndpointAddr {
-        self.local
+        self.core.local
     }
 
     /// This layer's index in the stack (0 = top). Useful in dumps.
@@ -91,18 +85,18 @@ impl<'a> LayerCtx<'a> {
 
     /// Deterministic per-stack randomness (timer jitter, probe selection).
     pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
+        &mut self.core.rng
     }
 
     /// A deterministic random `u64` (shorthand over [`LayerCtx::rng`]).
     pub fn random_u64(&mut self) -> u64 {
-        self.rng.next_u64()
+        self.core.rng.next_u64()
     }
 
     /// Creates a fresh message (for protocol control traffic) against this
     /// stack's header layout.
     pub fn new_message(&self, body: impl Into<Bytes>) -> Message {
-        Message::new(self.layout.clone(), body)
+        Message::new(self.core.layout.clone(), body)
     }
 
     /// Begins this layer's header on a message travelling down.
@@ -138,16 +132,16 @@ impl<'a> LayerCtx<'a> {
     /// Records that a packing layer coalesced `msgs` messages into one wire
     /// frame, saving `bytes_saved` bytes of per-frame envelope overhead.
     pub fn note_packed(&mut self, msgs: u64, bytes_saved: u64) {
-        self.stats.frames_packed += 1;
-        self.stats.msgs_packed += msgs;
-        self.stats.bytes_saved_packing += bytes_saved;
+        self.core.stats.frames_packed += 1;
+        self.core.stats.msgs_packed += msgs;
+        self.core.stats.bytes_saved_packing += bytes_saved;
     }
 
     /// Records `n` payload copies.  Layers that must materialize a new body
     /// (fragment reassembly, packing, transforms) report here so the
     /// zero-copy discipline of the hot path stays observable.
     pub fn note_payload_copy(&mut self, n: u64) {
-        self.stats.payload_copies += n;
+        self.core.stats.payload_copies += n;
     }
 }
 
@@ -159,6 +153,10 @@ impl<'a> LayerCtx<'a> {
 /// mutability: all mutation flows through `&mut self` dispatch).  The
 /// default method bodies make a new layer a pure pass-through; override only
 /// the events the protocol participates in.
+///
+/// A handler runs to completion before any event it passed on is handled:
+/// `ctx.down(ev)` and `ctx.up(ev)` queue `ev` for the neighbouring layer, in
+/// the order of the calls, and return at once.
 ///
 /// ```
 /// use horus_core::prelude::*;
@@ -294,65 +292,4 @@ pub fn dump_string(layer: &(impl Layer + ?Sized)) -> String {
     let mut s = String::new();
     layer.dump_to(&mut s).expect("writing to a String cannot fail");
     s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::message::HeaderMode;
-    use rand::SeedableRng;
-
-    #[derive(Debug, Default)]
-    struct Nop;
-    impl Layer for Nop {
-        fn name(&self) -> &'static str {
-            "NOP"
-        }
-        fn is_passive(&self) -> bool {
-            true
-        }
-    }
-
-    #[test]
-    fn default_layer_passes_through() {
-        let layout = Arc::new(HeaderLayout::build(&[("NOP", &[])], HeaderMode::Compact).unwrap());
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut emitted = Vec::new();
-        let mut stats = StackStats::default();
-        let mut ctx = LayerCtx {
-            layer: 0,
-            now: SimTime::ZERO,
-            local: EndpointAddr::new(1),
-            layout: &layout,
-            rng: &mut rng,
-            emitted: &mut emitted,
-            stats: &mut stats,
-        };
-        let mut l = Nop;
-        l.on_down(Down::Leave, &mut ctx);
-        l.on_up(Up::Exit, &mut ctx);
-        assert!(matches!(emitted[0], Emit::Down(Down::Leave)));
-        assert!(matches!(emitted[1], Emit::Up(Up::Exit)));
-        assert!(l.is_passive());
-        assert!(l.as_any().is_none());
-    }
-
-    #[test]
-    fn ctx_creates_messages_against_layout() {
-        let layout = Arc::new(HeaderLayout::build(&[("NOP", &[])], HeaderMode::Compact).unwrap());
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut emitted = Vec::new();
-        let mut stats = StackStats::default();
-        let ctx = LayerCtx {
-            layer: 0,
-            now: SimTime::ZERO,
-            local: EndpointAddr::new(1),
-            layout: &layout,
-            rng: &mut rng,
-            emitted: &mut emitted,
-            stats: &mut stats,
-        };
-        let m = ctx.new_message(&b"x"[..]);
-        assert_eq!(m.body(), &b"x"[..]);
-    }
 }

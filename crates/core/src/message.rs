@@ -168,26 +168,137 @@ impl HeaderLayout {
 /// These model per-message state the 1995 system kept in its message object
 /// (source endpoint, stability identifier, ordering position) without paying
 /// wire bytes for information that is local to the receiving stack.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The optional annotations are stored as one presence bit each plus a plain
+/// word, not as `Option`s: an event carrying a message is moved at every
+/// layer crossing, and four `Option`s cost 80 bytes where this costs 48.
+/// An absent annotation's word is always its zero value, so the derived
+/// equality compares what the accessors return.
+#[derive(Clone, PartialEq, Eq)]
 pub struct MessageMeta {
-    /// The sending endpoint, filled in by the COM layer on receipt.
-    pub src: Option<EndpointAddr>,
-    /// Stability identifier assigned by a STABLE/PINWHEEL layer, for use
-    /// with the `ack`/`stable` downcalls.
-    pub msg_id: Option<MsgId>,
-    /// Global total-order sequence number assigned by TOTAL, if any.
-    pub total_seq: Option<u64>,
-    /// Whether this delivery was recovered by a flush (Figure 2 path)
-    /// rather than received directly from its sender.
-    pub flush_recovered: bool,
+    src: EndpointAddr,
+    msg_id: MsgId,
+    total_seq: u64,
+    rpc_id: u64,
+    /// Presence bits ([`HAS_SRC`] ...) plus the two booleans.
+    flags: u8,
     /// Application-assigned send priority (used by PRIO/NNAK layers;
     /// higher is more urgent).
     pub priority: u8,
     /// Logical channel for MUX layers (cactus-stack multiplexing, §4).
     pub channel: u8,
+}
+
+const HAS_SRC: u8 = 1 << 0;
+const HAS_MSG_ID: u8 = 1 << 1;
+const HAS_TOTAL_SEQ: u8 = 1 << 2;
+const HAS_RPC: u8 = 1 << 3;
+const RPC_IS_REPLY: u8 = 1 << 4;
+const FLUSH_RECOVERED: u8 = 1 << 5;
+
+const NO_MSG_ID: MsgId = MsgId { origin: EndpointAddr::NULL, seq: 0 };
+
+impl MessageMeta {
+    fn has(&self, bit: u8) -> bool {
+        self.flags & bit != 0
+    }
+
+    fn mark(&mut self, bit: u8, on: bool) {
+        if on {
+            self.flags |= bit;
+        } else {
+            self.flags &= !bit;
+        }
+    }
+
+    /// The sending endpoint, filled in by the COM layer on receipt.
+    pub fn src(&self) -> Option<EndpointAddr> {
+        self.has(HAS_SRC).then_some(self.src)
+    }
+
+    /// Sets or clears [`MessageMeta::src`].
+    pub fn set_src(&mut self, src: Option<EndpointAddr>) {
+        self.mark(HAS_SRC, src.is_some());
+        self.src = src.unwrap_or(EndpointAddr::NULL);
+    }
+
+    /// Stability identifier assigned by a STABLE/PINWHEEL layer, for use
+    /// with the `ack`/`stable` downcalls.
+    pub fn msg_id(&self) -> Option<MsgId> {
+        self.has(HAS_MSG_ID).then_some(self.msg_id)
+    }
+
+    /// Sets or clears [`MessageMeta::msg_id`].
+    pub fn set_msg_id(&mut self, id: Option<MsgId>) {
+        self.mark(HAS_MSG_ID, id.is_some());
+        self.msg_id = id.unwrap_or(NO_MSG_ID);
+    }
+
+    /// Global total-order sequence number assigned by TOTAL, if any.
+    pub fn total_seq(&self) -> Option<u64> {
+        self.has(HAS_TOTAL_SEQ).then_some(self.total_seq)
+    }
+
+    /// Sets or clears [`MessageMeta::total_seq`].
+    pub fn set_total_seq(&mut self, seq: Option<u64>) {
+        self.mark(HAS_TOTAL_SEQ, seq.is_some());
+        self.total_seq = seq.unwrap_or(0);
+    }
+
     /// RPC correlation: `(request id, is_reply)`, managed by the RPC
     /// layer.
-    pub rpc: Option<(u64, bool)>,
+    pub fn rpc(&self) -> Option<(u64, bool)> {
+        self.has(HAS_RPC).then_some((self.rpc_id, self.has(RPC_IS_REPLY)))
+    }
+
+    /// Sets or clears [`MessageMeta::rpc`].
+    pub fn set_rpc(&mut self, rpc: Option<(u64, bool)>) {
+        let (id, is_reply) = rpc.unwrap_or((0, false));
+        self.mark(HAS_RPC, rpc.is_some());
+        self.mark(RPC_IS_REPLY, is_reply);
+        self.rpc_id = id;
+    }
+
+    /// Whether this delivery was recovered by a flush (Figure 2 path)
+    /// rather than received directly from its sender.
+    pub fn flush_recovered(&self) -> bool {
+        self.has(FLUSH_RECOVERED)
+    }
+
+    /// Sets [`MessageMeta::flush_recovered`].
+    pub fn set_flush_recovered(&mut self, recovered: bool) {
+        self.mark(FLUSH_RECOVERED, recovered);
+    }
+}
+
+impl Default for MessageMeta {
+    fn default() -> Self {
+        MessageMeta {
+            src: EndpointAddr::NULL,
+            msg_id: NO_MSG_ID,
+            total_seq: 0,
+            rpc_id: 0,
+            flags: 0,
+            priority: 0,
+            channel: 0,
+        }
+    }
+}
+
+/// What `#[derive(Debug)]` printed when the annotations were `Option`
+/// fields, in the same order.
+impl fmt::Debug for MessageMeta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MessageMeta")
+            .field("src", &self.src())
+            .field("msg_id", &self.msg_id())
+            .field("total_seq", &self.total_seq())
+            .field("flush_recovered", &self.flush_recovered())
+            .field("priority", &self.priority)
+            .field("channel", &self.channel)
+            .field("rpc", &self.rpc())
+            .finish()
+    }
 }
 
 /// A Horus message: a header area managed per [`HeaderMode`] plus a cheaply
@@ -209,28 +320,29 @@ pub struct MessageMeta {
 #[derive(Clone)]
 pub struct Message {
     layout: Arc<HeaderLayout>,
-    /// Compact mode: the single bit-compacted header area (empty in
-    /// aligned mode).
-    compact: HeaderBytes,
-    /// Aligned mode only; compact mode never allocates it.
-    aligned: Option<Box<AlignedState>>,
+    /// The single bit-compacted header area (compact mode) or the header
+    /// stack (aligned mode).
+    hdr: HeaderBytes,
     body: Bytes,
     /// Receiving-side annotations; never serialized.
     pub meta: MessageMeta,
 }
 
 /// Longest compact header kept inside the message object.  The §7 stack's
-/// header is 20 bytes; a message is moved some sixty times on its way
-/// through two stacks and an executor, so the inline area is sized to what
-/// real stacks need rather than rounded up.
+/// header is 20 bytes; a message is moved once per layer crossing and a few
+/// times more per executor hop, so the inline area is sized to what real
+/// stacks need rather than rounded up.
 const INLINE_HEADER: usize = 22;
 
-/// The compact header area: inline up to [`INLINE_HEADER`] bytes, so that
-/// creating, cloning and decoding a message allocates nothing for it.
+/// A message's header area.  A compact header is inline up to
+/// [`INLINE_HEADER`] bytes, so that creating, cloning and decoding a message
+/// allocates nothing for it; an aligned-mode message carries its header
+/// stack in the same 24 bytes.
 #[derive(Clone)]
 enum HeaderBytes {
     Inline { len: u8, buf: [u8; INLINE_HEADER] },
     Heap(Box<[u8]>),
+    Aligned(Box<AlignedState>),
 }
 
 impl HeaderBytes {
@@ -252,6 +364,7 @@ impl HeaderBytes {
         match self {
             HeaderBytes::Inline { len, buf } => &buf[..*len as usize],
             HeaderBytes::Heap(b) => b,
+            HeaderBytes::Aligned(a) => &a.bytes,
         }
     }
 
@@ -259,6 +372,7 @@ impl HeaderBytes {
         match self {
             HeaderBytes::Inline { len, buf } => &mut buf[..*len as usize],
             HeaderBytes::Heap(b) => b,
+            HeaderBytes::Aligned(a) => &mut a.bytes,
         }
     }
 }
@@ -279,19 +393,25 @@ struct AlignedState {
 impl Message {
     /// Creates a fresh message with the given body and no headers pushed.
     pub fn new(layout: Arc<HeaderLayout>, body: impl Into<Bytes>) -> Self {
-        let (compact, aligned) = match layout.mode {
-            HeaderMode::Compact => (HeaderBytes::zeroed(layout.compact_bytes()), None),
-            HeaderMode::Aligned => (HeaderBytes::zeroed(0), Some(Box::default())),
+        let hdr = match layout.mode {
+            HeaderMode::Compact => HeaderBytes::zeroed(layout.compact_bytes()),
+            HeaderMode::Aligned => HeaderBytes::Aligned(Box::default()),
         };
-        Message { layout, compact, aligned, body: body.into(), meta: MessageMeta::default() }
+        Message { layout, hdr, body: body.into(), meta: MessageMeta::default() }
     }
 
     fn aligned(&self) -> &AlignedState {
-        self.aligned.as_deref().expect("aligned-mode message carries its header stack")
+        match &self.hdr {
+            HeaderBytes::Aligned(a) => a,
+            _ => panic!("aligned-mode message carries its header stack"),
+        }
     }
 
     fn aligned_mut(&mut self) -> &mut AlignedState {
-        self.aligned.as_deref_mut().expect("aligned-mode message carries its header stack")
+        match &mut self.hdr {
+            HeaderBytes::Aligned(a) => a,
+            _ => panic!("aligned-mode message carries its header stack"),
+        }
     }
 
     /// The shared layout this message was created against.
@@ -410,7 +530,7 @@ impl Message {
         match self.layout.mode {
             HeaderMode::Compact => {
                 let off = self.layout.slots[layer].bit_offsets[field];
-                set_bits(self.compact.as_mut_slice(), off, spec.bits, val);
+                set_bits(self.hdr.as_mut_slice(), off, spec.bits, val);
             }
             HeaderMode::Aligned => {
                 let &(rec_layer, start) =
@@ -438,7 +558,7 @@ impl Message {
         match self.layout.mode {
             HeaderMode::Compact => {
                 let off = self.layout.slots[layer].bit_offsets[field];
-                get_bits(self.compact.as_slice(), off, spec.bits)
+                get_bits(self.hdr.as_slice(), off, spec.bits)
             }
             HeaderMode::Aligned => {
                 let a = self.aligned();
@@ -474,10 +594,7 @@ impl Message {
     /// the pushed record stack (aligned mode).  This is exactly what
     /// [`Message::encode_inner`] serializes ahead of the body.
     pub fn header_area(&self) -> &[u8] {
-        match self.layout.mode {
-            HeaderMode::Compact => self.compact.as_slice(),
-            HeaderMode::Aligned => &self.aligned().bytes,
-        }
+        self.hdr.as_slice()
     }
 
     /// Size of [`Message::encode_inner`] output, without encoding.  Lets
@@ -501,9 +618,9 @@ impl Message {
     /// in case it has to be re-sent later (MBRSHIP's unstable-message log)
     /// and almost never do re-send it.
     pub fn inner_image(&self) -> InnerImage {
-        let hdr = match self.layout.mode {
-            HeaderMode::Compact => self.compact.clone(),
-            HeaderMode::Aligned => HeaderBytes::copy_of(&self.aligned().bytes),
+        let hdr = match &self.hdr {
+            HeaderBytes::Aligned(a) => HeaderBytes::copy_of(&a.bytes),
+            compact => compact.clone(),
         };
         InnerImage { hdr, body: self.body.clone() }
     }
@@ -555,22 +672,12 @@ impl Message {
         body: Bytes,
     ) -> Result<Self, HorusError> {
         let hdr_len = hdr.len();
-        let mut msg = Message::new(layout.clone(), body);
-        match layout.mode {
-            HeaderMode::Compact => {
-                if hdr_len != layout.compact_bytes() {
-                    return Err(HorusError::Decode(format!(
-                        "compact header is {} bytes, layout expects {}",
-                        hdr_len,
-                        layout.compact_bytes()
-                    )));
-                }
-                msg.compact.as_mut_slice().copy_from_slice(hdr);
-            }
-            HeaderMode::Aligned => {
+        let mut msg = Message::new(layout, body);
+        let Message { layout, hdr: area, .. } = &mut msg;
+        match area {
+            HeaderBytes::Aligned(a) => {
                 // Re-index the record stack by walking the records in push
                 // order (front of the buffer was pushed first).
-                let a = msg.aligned_mut();
                 let mut pos = 0usize;
                 while pos < hdr.len() {
                     if pos + 4 > hdr.len() {
@@ -594,6 +701,16 @@ impl Message {
                     return Err(HorusError::Decode("aligned records overrun header area".into()));
                 }
                 a.bytes.extend_from_slice(hdr);
+            }
+            compact => {
+                if hdr_len != layout.compact_bytes() {
+                    return Err(HorusError::Decode(format!(
+                        "compact header is {} bytes, layout expects {}",
+                        hdr_len,
+                        layout.compact_bytes()
+                    )));
+                }
+                compact.as_mut_slice().copy_from_slice(hdr);
             }
         }
         Ok(msg)

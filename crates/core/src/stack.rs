@@ -23,7 +23,7 @@ use crate::digest::StateDigest;
 use crate::error::HorusError;
 use crate::event::{Down, Effect, StackInput, Up};
 use crate::frame::{frame_checksum, WireFrame, ENVELOPE_BYTES};
-use crate::layer::{Emit, Layer, LayerCtx};
+use crate::layer::{Layer, LayerCtx};
 use crate::message::{HeaderLayout, HeaderMode, Message};
 use crate::time::SimTime;
 use crate::trace::{DropReason, TraceEvent, TraceKind, TraceSink};
@@ -35,6 +35,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Configuration of a stack's runtime behaviour.
 #[derive(Debug, Clone)]
@@ -92,9 +93,10 @@ pub struct StackStats {
     /// Calls to [`Stack::handle_batch`] (so `batched_inputs / batches` is the
     /// achieved batch size).
     pub batches: u64,
-    /// Times a reused dispatch buffer (scratch queue or emission buffer) had
-    /// to grow during an input's processing.  Zero in steady state: the
-    /// buffers warm up and every further event dispatches allocation-free.
+    /// Times the stack's one dispatch buffer — the scratch queue layers emit
+    /// into — had to grow during an input's processing.  Zero in steady
+    /// state: the queue warms up and every further event dispatches
+    /// allocation-free.
     pub dispatch_buf_grows: u64,
     /// Per-layer crossing counters, indexed top-first like the stack's
     /// layers (sized at build; empty only for a default value that was
@@ -324,27 +326,29 @@ impl StackBuilder {
         let fingerprint = fingerprint(&specs, self.config.mode);
         let seed = self.config.seed.unwrap_or(self.local.raw());
         let n = self.layers.len();
+        let passive: Vec<bool> = self.layers.iter().map(|l| l.is_passive()).collect();
         Ok(Stack {
-            local: self.local,
             layers: self.layers.into_iter().map(LayerCell::new).collect(),
-            layout,
-            fingerprint,
-            config: self.config,
-            now: SimTime::ZERO,
-            rng: StdRng::seed_from_u64(seed),
-            group: None,
-            view: None,
-            stats: StackStats {
-                per_layer: vec![LayerTraffic::default(); n],
-                ..StackStats::default()
-            },
-            destroyed: false,
-            scratch: VecDeque::with_capacity(n * 2),
-            emit_buf: Vec::with_capacity(4),
             layer_digests: (0..n).map(|_| AtomicU64::new(STALE)).collect(),
-            view_digest: AtomicU64::new(STALE),
-            tracer: None,
-            traced: false,
+            core: StackCore {
+                local: self.local,
+                layout,
+                fingerprint,
+                routes: Arc::new(Routes::build(&passive, self.config.skip_passive)),
+                now: SimTime::ZERO,
+                rng: StdRng::seed_from_u64(seed),
+                group: None,
+                view: None,
+                stats: StackStats {
+                    per_layer: vec![LayerTraffic::default(); n],
+                    ..StackStats::default()
+                },
+                destroyed: false,
+                scratch: VecDeque::with_capacity(n * 2),
+                view_digest: AtomicU64::new(STALE),
+                tracer: None,
+                traced: false,
+            },
         })
     }
 }
@@ -377,10 +381,64 @@ fn fingerprint(specs: &[(&'static str, &[crate::message::FieldSpec])], mode: Hea
     (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16
 }
 
+/// One unit of queued work: an event bound for a layer.
 enum Item {
     Down(Down),
     Up(Up),
     Timer(u64),
+}
+
+/// Where an event leaving a layer in one direction goes: the next layer
+/// that is not skipped (`None`: out of the stack), and how many passive
+/// layers the skip optimization bypasses on the way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hop {
+    to: Option<usize>,
+    skipped: u64,
+}
+
+/// Where the events one layer emits go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Route {
+    down: Hop,
+    up: Hop,
+}
+
+/// The routes of one stack composition, computed once in
+/// [`StackBuilder::build`]: [`Layer::is_passive`] is a constant of the
+/// layer's type, so nothing is left to scan for when a layer emits.
+#[derive(Debug, PartialEq, Eq)]
+struct Routes {
+    /// Per layer, top first.
+    layers: Vec<Route>,
+    /// Where a downcall from the application enters.
+    from_app: Option<usize>,
+    /// Where a frame from the network enters.
+    from_net: Option<usize>,
+}
+
+impl Routes {
+    fn build(passive: &[bool], skip_passive: bool) -> Routes {
+        let n = passive.len();
+        let active = |i: usize| !(skip_passive && passive[i]);
+        let nobody = Hop { to: None, skipped: 0 };
+        let mut layers = vec![Route { down: nobody, up: nobody }; n];
+        let mut below = None;
+        for i in (0..n).rev() {
+            layers[i].down = Hop { to: below, skipped: (below.unwrap_or(n) - (i + 1)) as u64 };
+            if active(i) {
+                below = Some(i);
+            }
+        }
+        let mut above = None;
+        for (i, route) in layers.iter_mut().enumerate() {
+            route.up = Hop { to: above, skipped: (i - above.map_or(0, |j| j + 1)) as u64 };
+            if active(i) {
+                above = Some(i);
+            }
+        }
+        Routes { layers, from_app: below, from_net: above }
+    }
 }
 
 /// Process-global count of layer states duplicated through
@@ -475,26 +533,17 @@ fn cached(cache: &AtomicU64, fresh: impl FnOnce() -> u64) -> u64 {
 
 /// A composed protocol stack for one endpoint: the Horus "endpoint object"
 /// together with its layers and the per-stack event scheduler.
+///
+/// Two halves, so that one layer can run while it emits into the other
+/// without a buffer in between: the layer cells with their digest caches,
+/// and `StackCore` — everything a running layer reaches through its
+/// [`LayerCtx`].
 pub struct Stack {
-    local: EndpointAddr,
     /// Per-layer copy-on-write cells; see [`LayerCell`].
     layers: Vec<LayerCell>,
-    layout: Arc<HeaderLayout>,
-    fingerprint: u16,
-    config: StackConfig,
-    now: SimTime,
-    rng: StdRng,
-    group: Option<GroupAddr>,
-    view: Option<View>,
-    stats: StackStats,
-    destroyed: bool,
-    scratch: VecDeque<(usize, Item)>,
-    /// Reusable per-dispatch emission buffer: one allocation per stack, not
-    /// one per layer dispatch.
-    emit_buf: Vec<Emit>,
     /// Cached per-layer state digests, parallel to `layers`; [`STALE`] is
     /// the dirty mark.  The caching invariant: **every dispatch into a layer
-    /// marks it stale** (in [`Stack::drain`] and [`Stack::init`]) before the
+    /// marks it stale** (in [`run_queue`] and [`Stack::init`]) before the
     /// layer runs, so a cached entry can only describe a layer no event has
     /// touched since the digest was taken.  Marking is conservative — a
     /// dispatch that mutates nothing still invalidates — which is what makes
@@ -507,6 +556,25 @@ pub struct Stack {
     /// publishes no other data, and racing fills store the same value (the
     /// stack cannot change while it is shared).
     layer_digests: Vec<AtomicU64>,
+    core: StackCore,
+}
+
+/// The half of a [`Stack`] that is not its layers: the work queue, the
+/// routes between layers, and the endpoint state events leaving the stack
+/// update.  A [`LayerCtx`] borrows it for as long as one input is processed.
+pub(crate) struct StackCore {
+    pub(crate) local: EndpointAddr,
+    pub(crate) layout: Arc<HeaderLayout>,
+    fingerprint: u16,
+    routes: Arc<Routes>,
+    pub(crate) now: SimTime,
+    pub(crate) rng: StdRng,
+    group: Option<GroupAddr>,
+    view: Option<View>,
+    pub(crate) stats: StackStats,
+    destroyed: bool,
+    /// The work queue: events bound for a layer, first in first out.
+    scratch: VecDeque<(usize, Item)>,
     /// Cached digest of the current view string (the one `format!` in the
     /// stack's digest path), marked stale only when a view installs.
     view_digest: AtomicU64,
@@ -525,37 +593,37 @@ pub struct Stack {
 impl Stack {
     /// The owning endpoint's address.
     pub fn local_addr(&self) -> EndpointAddr {
-        self.local
+        self.core.local
     }
 
     /// The group joined through this stack, if any.
     pub fn group(&self) -> Option<GroupAddr> {
-        self.group
+        self.core.group
     }
 
     /// The most recent view delivered to the application, if any.
     pub fn view(&self) -> Option<&View> {
-        self.view.as_ref()
+        self.core.view.as_ref()
     }
 
     /// The stack's pre-computed header layout.
     pub fn layout(&self) -> &Arc<HeaderLayout> {
-        &self.layout
+        &self.core.layout
     }
 
     /// The stack composition fingerprint carried on wire messages.
     pub fn fingerprint(&self) -> u16 {
-        self.fingerprint
+        self.core.fingerprint
     }
 
     /// Accumulated counters.
     pub fn stats(&self) -> &StackStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Whether `destroy` has completed; a destroyed stack ignores inputs.
     pub fn is_destroyed(&self) -> bool {
-        self.destroyed
+        self.core.destroyed
     }
 
     /// Installs a trace sink; every subsequent dispatch reports its layer
@@ -563,14 +631,14 @@ impl Stack {
     /// The sink's [`TraceSink::interested`] answer is cached here: an
     /// uninterested sink leaves dispatch on the untraced path.
     pub fn set_tracer(&mut self, tracer: Arc<dyn TraceSink>) {
-        self.traced = tracer.interested();
-        self.tracer = Some(tracer);
+        self.core.traced = tracer.interested();
+        self.core.tracer = Some(tracer);
     }
 
     /// Removes the trace sink, returning dispatch to the untraced path.
     pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-        self.traced = false;
+        self.core.tracer = None;
+        self.core.traced = false;
     }
 
     /// The installed trace sink, if it wants events.  Executors clone this
@@ -578,38 +646,10 @@ impl Stack {
     /// firing) into the same collector; an uninterested sink reads as
     /// `None` so executors skip their event sites too.
     pub fn tracer(&self) -> Option<&Arc<dyn TraceSink>> {
-        if self.traced {
-            self.tracer.as_ref()
+        if self.core.traced {
+            self.core.tracer.as_ref()
         } else {
             None
-        }
-    }
-
-    /// Records one trace event, stamped with the stack's own clock.  One
-    /// branch when disabled; kind construction happens at the call site,
-    /// so call this only with cheap (copy/`&'static str`) payloads outside
-    /// a `traced`-checked block.
-    #[inline]
-    fn trace(&self, kind: TraceKind) {
-        if self.traced {
-            if let Some(t) = &self.tracer {
-                t.record(TraceEvent { at: self.now, ep: self.local, kind });
-            }
-        }
-    }
-
-    /// [`trace`](Self::trace) for event payloads that are expensive to
-    /// build (digests, rendered strings): the construction closure runs
-    /// only after the sink [`admit`](TraceSink::admit)s the event, so a
-    /// sampling sink skips the build cost of the records it discards.
-    #[inline]
-    fn trace_lazy(&self, kind: impl FnOnce() -> TraceKind) {
-        if self.traced {
-            if let Some(t) = &self.tracer {
-                if t.admit() {
-                    t.record(TraceEvent { at: self.now, ep: self.local, kind: kind() });
-                }
-            }
         }
     }
 
@@ -636,26 +676,28 @@ impl Stack {
             return None;
         }
         let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+        let core = &self.core;
         Some(Stack {
-            local: self.local,
             layers: self.layers.iter().map(LayerCell::share).collect(),
-            layout: Arc::clone(&self.layout),
-            fingerprint: self.fingerprint,
-            config: self.config.clone(),
-            now: self.now,
-            rng: self.rng.clone(),
-            group: self.group,
-            view: self.view.clone(),
-            stats: self.stats.clone(),
-            destroyed: self.destroyed,
-            // Dispatch scratch space is drained to empty before any public
-            // entry point returns, so the clone starts with fresh buffers.
-            scratch: VecDeque::new(),
-            emit_buf: Vec::new(),
             layer_digests: self.layer_digests.iter().map(copy).collect(),
-            view_digest: copy(&self.view_digest),
-            tracer: self.tracer.clone(),
-            traced: self.traced,
+            core: StackCore {
+                local: core.local,
+                layout: Arc::clone(&core.layout),
+                fingerprint: core.fingerprint,
+                routes: Arc::clone(&core.routes),
+                now: core.now,
+                rng: core.rng.clone(),
+                group: core.group,
+                view: core.view.clone(),
+                stats: core.stats.clone(),
+                destroyed: core.destroyed,
+                // The work queue is drained to empty before any public
+                // entry point returns, so the clone starts with a fresh one.
+                scratch: VecDeque::new(),
+                view_digest: copy(&core.view_digest),
+                tracer: core.tracer.clone(),
+                traced: core.traced,
+            },
         })
     }
 
@@ -666,19 +708,19 @@ impl Stack {
 
     /// Creates an application message against this stack's layout.
     pub fn new_message(&self, body: impl Into<Bytes>) -> Message {
-        Message::new(self.layout.clone(), body)
+        Message::new(self.core.layout.clone(), body)
     }
 
     /// Sets the stack's notion of "now".  Executors call this before
     /// [`Stack::handle`] whenever virtual or real time has advanced.
     /// Monotone: an older timestamp is ignored.
     pub fn set_now(&mut self, now: SimTime) {
-        self.now = self.now.max(now);
+        self.core.now = self.core.now.max(now);
     }
 
     /// Current virtual time as last told by the executor.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// The `focus` downcall of Table 1: a state report from the named layer.
@@ -741,7 +783,7 @@ impl Stack {
     /// holds (see the `layer_digests` field).
     pub fn state_digest_cached(&self) -> u64 {
         let mut d = crate::digest::StateDigest::new();
-        self.digest_meta(&mut d, cached(&self.view_digest, || self.view_digest_fresh()));
+        self.digest_meta(&mut d, cached(&self.core.view_digest, || self.view_digest_fresh()));
         for (i, cache) in self.layer_digests.iter().enumerate() {
             d.write_u64(cached(cache, || self.layer_digest_fresh(i)));
         }
@@ -752,16 +794,16 @@ impl Stack {
     /// `destroyed` are plain integers, so they are digested fresh each time;
     /// only the view (a `format!`) is worth caching.
     fn digest_meta(&self, d: &mut crate::digest::StateDigest, view_digest: u64) {
-        d.write_u64(self.local.raw());
-        d.write_u64(self.fingerprint as u64);
-        d.write_u64(self.destroyed as u64);
-        d.write_u64(self.group.map(|g| g.raw()).unwrap_or(0));
+        d.write_u64(self.core.local.raw());
+        d.write_u64(self.core.fingerprint as u64);
+        d.write_u64(self.core.destroyed as u64);
+        d.write_u64(self.core.group.map(|g| g.raw()).unwrap_or(0));
         d.write_u64(view_digest);
     }
 
     fn view_digest_fresh(&self) -> u64 {
         let mut vd = crate::digest::StateDigest::new();
-        match &self.view {
+        match &self.core.view {
             Some(v) => vd.write_str(&v.to_string()),
             None => vd.write_str("-"),
         }
@@ -780,22 +822,13 @@ impl Stack {
     /// (layers arm their periodic timers here).
     pub fn init(&mut self) -> Vec<Effect> {
         let mut effects = Vec::new();
-        for i in 0..self.layers.len() {
-            *self.layer_digests[i].get_mut() = STALE;
-            let mut emitted = std::mem::take(&mut self.emit_buf);
-            let mut ctx = LayerCtx {
-                layer: i,
-                now: self.now,
-                local: self.local,
-                layout: &self.layout,
-                rng: &mut self.rng,
-                emitted: &mut emitted,
-                stats: &mut self.stats,
-            };
-            self.layers[i].make_mut().on_init(&mut ctx);
-            self.absorb(i, &mut emitted, &mut effects);
-            self.emit_buf = emitted;
-            self.drain(&mut effects);
+        let Stack { layers, layer_digests, core } = self;
+        let mut ctx = LayerCtx { layer: 0, core, effects: &mut effects };
+        for i in 0..layers.len() {
+            *layer_digests[i].get_mut() = STALE;
+            ctx.layer = i;
+            layers[i].make_mut().on_init(&mut ctx);
+            run_queue(layers, layer_digests, &mut ctx);
         }
         effects
     }
@@ -818,17 +851,17 @@ impl Stack {
     /// sequence — each input still runs to completion before the next starts,
     /// so batching is observationally invisible (the batch differential test
     /// holds this to byte-identical effects).  What the batch buys is
-    /// amortization: one warm effect sink, warm scratch and emission buffers,
-    /// and one executor round-trip for the whole burst instead of a
-    /// `Vec<Effect>` allocation and effect walk per event.
+    /// amortization: one warm effect sink, a warm work queue, and one
+    /// executor round-trip for the whole burst instead of a `Vec<Effect>`
+    /// allocation and effect walk per event.
     pub fn handle_batch(
         &mut self,
         inputs: impl IntoIterator<Item = StackInput>,
         sink: &mut EffectSink,
     ) {
-        self.stats.batches += 1;
+        self.core.stats.batches += 1;
         for input in inputs {
-            self.stats.batched_inputs += 1;
+            self.core.stats.batched_inputs += 1;
             self.handle_into(input, sink);
         }
     }
@@ -840,17 +873,17 @@ impl Stack {
     /// internal work queue drains completely before `handle_into` returns, so
     /// one input's processing is never interleaved with another's.
     pub fn handle_into(&mut self, input: StackInput, sink: &mut EffectSink) {
-        let scratch_cap = self.scratch.capacity();
-        let emit_cap = self.emit_buf.capacity();
+        let Stack { layers, layer_digests, core } = self;
+        let scratch_cap = core.scratch.capacity();
         let effects = sink.buf();
-        if self.destroyed {
+        if core.destroyed {
             return;
         }
         match input {
             StackInput::FromApp(Down::Dump) => {
                 // The dump downcall is answered by the runtime on behalf of
                 // every layer, so even passive layers appear.
-                for l in &self.layers {
+                for l in layers.iter() {
                     let l = l.get();
                     effects.push(Effect::Deliver(Up::DumpInfo { layer: l.name(), info: l.dump() }));
                 }
@@ -858,169 +891,170 @@ impl Stack {
             }
             StackInput::FromApp(down) => {
                 if let Down::Join { group } = &down {
-                    self.group = Some(*group);
+                    core.group = Some(*group);
                 }
-                match self.first_active_down(0) {
-                    Some(i) => self.scratch.push_back((i, Item::Down(down))),
-                    None => self.bottom_out(down, effects),
-                }
+                core.route_down(core.routes.from_app, down, effects);
             }
             StackInput::FromNet { from, cast, wire } => {
-                self.stats.bytes_received += wire.len() as u64;
-                match self.decode_frame(&wire) {
+                core.stats.bytes_received += wire.len() as u64;
+                match core.decode_frame(&wire) {
                     Ok(mut msg) => {
-                        self.stats.msgs_received += 1;
-                        msg.meta.src = Some(from);
+                        core.stats.msgs_received += 1;
+                        msg.meta.set_src(Some(from));
                         let up = if cast {
                             Up::Cast { src: from, msg }
                         } else {
                             Up::Send { src: from, msg }
                         };
-                        let n = self.layers.len();
-                        match self.first_active_up(n - 1) {
-                            Some(i) => self.scratch.push_back((i, Item::Up(up))),
-                            None => self.top_out(up, effects),
-                        }
+                        core.route_up(core.routes.from_net, up, effects);
                     }
                     Err(e) => {
                         let reason = if matches!(e, FrameError::Fingerprint) {
-                            self.stats.fingerprint_drops += 1;
+                            core.stats.fingerprint_drops += 1;
                             DropReason::Fingerprint
                         } else {
-                            self.stats.decode_drops += 1;
+                            core.stats.decode_drops += 1;
                             DropReason::Decode
                         };
-                        self.trace(TraceKind::FrameDrop { digest: 0, seq: 0, reason });
+                        core.trace(TraceKind::FrameDrop { digest: 0, seq: 0, reason });
                         effects.push(Effect::Trace(format!(
                             "{}: dropped wire message from {from}: {e}",
-                            self.local
+                            core.local
                         )));
                     }
                 }
             }
             StackInput::Timer { layer, token, now } => {
-                self.set_now(now);
-                if layer < self.layers.len() {
-                    self.scratch.push_back((layer, Item::Timer(token)));
+                core.now = core.now.max(now);
+                if layer < layers.len() {
+                    core.scratch.push_back((layer, Item::Timer(token)));
                 }
             }
             StackInput::Tick { now } => {
-                self.set_now(now);
+                core.now = core.now.max(now);
             }
         }
-        self.drain(effects);
-        if self.scratch.capacity() > scratch_cap || self.emit_buf.capacity() > emit_cap {
-            self.stats.dispatch_buf_grows += 1;
+        let mut ctx = LayerCtx { layer: 0, core, effects };
+        run_queue(layers, layer_digests, &mut ctx);
+        if ctx.core.scratch.capacity() > scratch_cap {
+            ctx.core.stats.dispatch_buf_grows += 1;
+        }
+    }
+}
+
+/// Runs the work queue dry: each queued event is dispatched into its layer,
+/// which emits through `ctx` straight back into the queue (or out of the
+/// stack, as effects).
+fn run_queue(layers: &mut [LayerCell], layer_digests: &mut [AtomicU64], ctx: &mut LayerCtx<'_>) {
+    while let Some((idx, item)) = ctx.core.scratch.pop_front() {
+        let core = &mut *ctx.core;
+        core.stats.dispatches += 1;
+        *layer_digests[idx].get_mut() = STALE;
+        // Occupancy: the popped item plus whatever is still queued.
+        core.stats.scratch_peak = core.stats.scratch_peak.max(core.scratch.len() as u64 + 1);
+        {
+            let traffic = &mut core.stats.per_layer[idx];
+            match &item {
+                Item::Down(_) => traffic.downs += 1,
+                Item::Up(_) => traffic.ups += 1,
+                Item::Timer(_) => traffic.timers += 1,
+            }
+        }
+        if core.traced {
+            let layer = layers[idx].get().name();
+            core.trace(match &item {
+                Item::Down(_) => TraceKind::LayerDown { layer },
+                Item::Up(_) => TraceKind::LayerUp { layer },
+                Item::Timer(token) => TraceKind::LayerTimer { layer, token: *token },
+            });
+        }
+        ctx.layer = idx;
+        let layer = layers[idx].make_mut();
+        match item {
+            Item::Down(ev) => layer.on_down(ev, ctx),
+            Item::Up(ev) => layer.on_up(ev, ctx),
+            Item::Timer(token) => layer.on_timer(token, ctx),
+        }
+    }
+}
+
+impl StackCore {
+    /// Records one trace event, stamped with the stack's own clock.  One
+    /// branch when disabled; kind construction happens at the call site,
+    /// so call this only with cheap (copy/`&'static str`) payloads outside
+    /// a `traced`-checked block.
+    #[inline]
+    fn trace(&self, kind: TraceKind) {
+        if self.traced {
+            if let Some(t) = &self.tracer {
+                t.record(TraceEvent { at: self.now, ep: self.local, kind });
+            }
         }
     }
 
-    /// Index of the first non-skipped layer at or below `i` (toward the
-    /// network).
-    fn first_active_down(&self, i: usize) -> Option<usize> {
-        if !self.config.skip_passive {
-            return (i < self.layers.len()).then_some(i);
-        }
-        (i..self.layers.len()).find(|&j| !self.layers[j].get().is_passive())
-    }
-
-    /// Index of the first non-skipped layer at or above `i` (toward the
-    /// application).
-    fn first_active_up(&self, i: usize) -> Option<usize> {
-        if !self.config.skip_passive {
-            return Some(i);
-        }
-        (0..=i).rev().find(|&j| !self.layers[j].get().is_passive())
-    }
-
-    fn drain(&mut self, effects: &mut Vec<Effect>) {
-        while let Some((idx, item)) = self.scratch.pop_front() {
-            self.stats.dispatches += 1;
-            *self.layer_digests[idx].get_mut() = STALE;
-            // Occupancy: the popped item plus whatever is still queued.
-            self.stats.scratch_peak = self.stats.scratch_peak.max(self.scratch.len() as u64 + 1);
-            {
-                let traffic = &mut self.stats.per_layer[idx];
-                match &item {
-                    Item::Down(_) => traffic.downs += 1,
-                    Item::Up(_) => traffic.ups += 1,
-                    Item::Timer(_) => traffic.timers += 1,
+    /// [`trace`](Self::trace) for event payloads that are expensive to
+    /// build (digests, rendered strings): the construction closure runs
+    /// only after the sink [`admit`](TraceSink::admit)s the event, so a
+    /// sampling sink skips the build cost of the records it discards.
+    #[inline]
+    fn trace_lazy(&self, kind: impl FnOnce() -> TraceKind) {
+        if self.traced {
+            if let Some(t) = &self.tracer {
+                if t.admit() {
+                    t.record(TraceEvent { at: self.now, ep: self.local, kind: kind() });
                 }
             }
-            if self.traced {
-                let layer = self.layers[idx].get().name();
-                self.trace(match &item {
-                    Item::Down(_) => TraceKind::LayerDown { layer },
-                    Item::Up(_) => TraceKind::LayerUp { layer },
-                    Item::Timer(token) => TraceKind::LayerTimer { layer, token: *token },
-                });
-            }
-            let mut emitted = std::mem::take(&mut self.emit_buf);
-            let mut ctx = LayerCtx {
-                layer: idx,
-                now: self.now,
-                local: self.local,
-                layout: &self.layout,
-                rng: &mut self.rng,
-                emitted: &mut emitted,
-                stats: &mut self.stats,
-            };
-            match item {
-                Item::Down(ev) => self.layers[idx].make_mut().on_down(ev, &mut ctx),
-                Item::Up(ev) => self.layers[idx].make_mut().on_up(ev, &mut ctx),
-                Item::Timer(token) => self.layers[idx].make_mut().on_timer(token, &mut ctx),
-            }
-            self.absorb(idx, &mut emitted, effects);
-            self.emit_buf = emitted;
         }
     }
 
-    /// Routes what layer `idx` emitted: to neighbouring layers' queues or to
-    /// executor effects.
-    fn absorb(&mut self, idx: usize, emitted: &mut Vec<Emit>, effects: &mut Vec<Effect>) {
-        if self.config.skip_passive {
-            // Count what the skip optimization saved: each emitted event
-            // would otherwise visit every passive neighbour it bypasses.
-            for e in emitted.iter() {
-                match e {
-                    Emit::Down(_) => {
-                        let next = self.first_active_down(idx + 1).unwrap_or(self.layers.len());
-                        self.stats.skipped += (next - (idx + 1)) as u64;
-                    }
-                    Emit::Up(_) if idx > 0 => {
-                        let next = self.first_active_up(idx - 1).map(|j| j + 1).unwrap_or(0);
-                        self.stats.skipped += (idx - next) as u64;
-                    }
-                    _ => {}
-                }
-            }
+    /// [`LayerCtx::down`]: layer `from` passes `ev` toward the network.
+    #[inline]
+    pub(crate) fn emit_down(&mut self, from: usize, ev: Down, effects: &mut Vec<Effect>) {
+        let hop = self.routes.layers[from].down;
+        self.stats.skipped += hop.skipped;
+        self.route_down(hop.to, ev, effects);
+    }
+
+    /// [`LayerCtx::up`]: layer `from` passes `ev` toward the application.
+    #[inline]
+    pub(crate) fn emit_up(&mut self, from: usize, ev: Up, effects: &mut Vec<Effect>) {
+        let hop = self.routes.layers[from].up;
+        self.stats.skipped += hop.skipped;
+        self.route_up(hop.to, ev, effects);
+    }
+
+    #[inline]
+    fn route_down(&mut self, to: Option<usize>, ev: Down, effects: &mut Vec<Effect>) {
+        match to {
+            Some(i) => self.scratch.push_back((i, Item::Down(ev))),
+            None => self.bottom_out(ev, effects),
         }
-        for e in emitted.drain(..) {
-            match e {
-                Emit::Down(ev) => match self.first_active_down(idx + 1) {
-                    Some(j) => self.scratch.push_back((j, Item::Down(ev))),
-                    None => self.bottom_out(ev, effects),
-                },
-                Emit::Up(ev) => {
-                    let dest = if idx == 0 { None } else { self.first_active_up(idx - 1) };
-                    match dest {
-                        Some(j) => self.scratch.push_back((j, Item::Up(ev))),
-                        None => self.top_out(ev, effects),
-                    }
-                }
-                Emit::Timer { token, delay } => {
-                    self.trace(TraceKind::TimerArm {
-                        layer: idx,
-                        token,
-                        delay_us: delay.as_micros() as u64,
-                    });
-                    effects.push(Effect::SetTimer { layer: idx, token, delay });
-                }
-                Emit::Trace(t) => {
-                    self.trace_lazy(|| TraceKind::Note(t.clone()));
-                    effects.push(Effect::Trace(t));
-                }
-            }
+    }
+
+    #[inline]
+    fn route_up(&mut self, to: Option<usize>, ev: Up, effects: &mut Vec<Effect>) {
+        match to {
+            Some(i) => self.scratch.push_back((i, Item::Up(ev))),
+            None => self.top_out(ev, effects),
         }
+    }
+
+    /// [`LayerCtx::set_timer`].
+    pub(crate) fn arm_timer(
+        &mut self,
+        layer: usize,
+        token: u64,
+        delay: Duration,
+        effects: &mut Vec<Effect>,
+    ) {
+        self.trace(TraceKind::TimerArm { layer, token, delay_us: delay.as_micros() as u64 });
+        effects.push(Effect::SetTimer { layer, token, delay });
+    }
+
+    /// [`LayerCtx::trace`].
+    pub(crate) fn note(&mut self, text: String, effects: &mut Vec<Effect>) {
+        self.trace_lazy(|| TraceKind::Note(text.clone()));
+        effects.push(Effect::Trace(text));
     }
 
     /// A downcall fell off the bottom of the stack: convert to transport
@@ -1139,10 +1173,10 @@ impl fmt::Display for FrameError {
 impl fmt::Debug for Stack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Stack")
-            .field("local", &self.local)
+            .field("local", &self.core.local)
             .field("layers", &self.layer_names())
-            .field("mode", &self.config.mode)
-            .field("fingerprint", &self.fingerprint)
+            .field("mode", &self.core.layout.mode())
+            .field("fingerprint", &self.core.fingerprint)
             .finish()
     }
 }
@@ -1444,5 +1478,242 @@ mod tests {
         let _ = s.handle(StackInput::Timer { layer, token, now: SimTime::from_millis(10) });
         assert_eq!(s.focus("TICK").unwrap(), "fired=1");
         assert_eq!(s.now(), SimTime::from_millis(10));
+    }
+
+    #[test]
+    fn default_layer_passes_through() {
+        let mut s = StackBuilder::new(ep(1)).push(Box::new(Nop)).build().unwrap();
+        let mut effects = Vec::new();
+        let mut ctx = LayerCtx { layer: 0, core: &mut s.core, effects: &mut effects };
+        let mut l = Nop;
+        l.on_down(Down::Leave, &mut ctx);
+        l.on_up(Up::Exit, &mut ctx);
+        assert!(matches!(effects[0], Effect::NetLeave));
+        assert!(matches!(effects[1], Effect::Deliver(Up::Exit)));
+        assert!(l.is_passive());
+        assert!(l.as_any().is_none());
+    }
+
+    #[test]
+    fn ctx_creates_messages_against_layout() {
+        let mut s = StackBuilder::new(ep(1)).push(Box::new(Nop)).build().unwrap();
+        let mut effects = Vec::new();
+        let ctx = LayerCtx { layer: 0, core: &mut s.core, effects: &mut effects };
+        let m = ctx.new_message(&b"x"[..]);
+        assert_eq!(m.body(), &b"x"[..]);
+    }
+
+    #[test]
+    fn queue_entry_stays_small() {
+        // What a layer crossing moves: one of these in, one out.
+        let entry = std::mem::size_of::<(usize, Item)>();
+        assert!(entry <= 144, "{entry}");
+    }
+
+    type Journal = Arc<std::sync::Mutex<Vec<String>>>;
+
+    /// On a timer, emits one of everything, in a fixed order.
+    struct Emitter(Journal);
+    impl Layer for Emitter {
+        fn name(&self) -> &'static str {
+            "EMITTER"
+        }
+        fn on_timer(&mut self, _token: u64, ctx: &mut LayerCtx<'_>) {
+            ctx.trace("note");
+            ctx.down(Down::Cast(ctx.new_message(&b"x"[..])));
+            ctx.set_timer(Duration::from_millis(5), 9);
+            ctx.up(Up::Exit);
+            ctx.down(Down::Leave);
+            self.0.lock().unwrap().push("EMITTER returns".into());
+        }
+    }
+
+    /// Passes everything on, journalling what it saw.
+    struct Witness(&'static str, Journal);
+    impl Layer for Witness {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+        fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
+            self.1.lock().unwrap().push(format!("{} down {}", self.0, ev.kind()));
+            ctx.down(ev);
+        }
+        fn on_up(&mut self, ev: Up, ctx: &mut LayerCtx<'_>) {
+            self.1.lock().unwrap().push(format!("{} up {}", self.0, ev.kind()));
+            ctx.up(ev);
+        }
+    }
+
+    fn effect_kinds(fx: &[Effect]) -> Vec<&'static str> {
+        fx.iter()
+            .map(|e| match e {
+                Effect::Deliver(_) => "Deliver",
+                Effect::NetCast { .. } => "NetCast",
+                Effect::NetSend { .. } => "NetSend",
+                Effect::NetJoin { .. } => "NetJoin",
+                Effect::NetLeave => "NetLeave",
+                Effect::SetTimer { .. } => "SetTimer",
+                Effect::Trace(_) => "Trace",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn emission_order_is_effect_order() {
+        let fire = |layer| StackInput::Timer { layer, token: 1, now: SimTime::from_millis(1) };
+
+        // Alone, every emission leaves the stack at once, and is traced as
+        // it does.
+        #[derive(Debug, Default)]
+        struct Kinds(std::sync::Mutex<Vec<&'static str>>);
+        impl TraceSink for Kinds {
+            fn record(&self, ev: TraceEvent) {
+                self.0.lock().unwrap().push(ev.kind.name());
+            }
+        }
+        let journal = Journal::default();
+        let traced = Arc::new(Kinds::default());
+        let mut alone =
+            StackBuilder::new(ep(1)).push(Box::new(Emitter(journal.clone()))).build().unwrap();
+        alone.set_tracer(traced.clone());
+        let fx = alone.handle(fire(0));
+        assert_eq!(effect_kinds(&fx), ["Trace", "NetCast", "SetTimer", "Deliver", "NetLeave"]);
+        assert!(matches!(&fx[2], Effect::SetTimer { layer: 0, token: 9, .. }));
+        assert_eq!(
+            *traced.0.lock().unwrap(),
+            ["layer-timer", "note", "frame-send", "timer-arm", "deliver"]
+        );
+
+        // Between two layers, what is bound for them waits until the
+        // emitter has returned and then runs first in, first out; what is
+        // bound for the executor does not wait.
+        let journal = Journal::default();
+        let mut between = StackBuilder::new(ep(1))
+            .push(Box::new(Witness("TOP", journal.clone())))
+            .push(Box::new(Emitter(journal.clone())))
+            .push(Box::new(Witness("BOTTOM", journal.clone())))
+            .build()
+            .unwrap();
+        let fx = between.handle(fire(1));
+        assert_eq!(effect_kinds(&fx), ["Trace", "SetTimer", "NetCast", "Deliver", "NetLeave"]);
+        assert!(matches!(&fx[1], Effect::SetTimer { layer: 1, token: 9, .. }));
+        assert_eq!(
+            *journal.lock().unwrap(),
+            ["EMITTER returns", "BOTTOM down cast", "TOP up EXIT", "BOTTOM down leave"]
+        );
+    }
+
+    /// A pass-through layer that is passive or not, as told.
+    struct Pass(bool);
+    impl Layer for Pass {
+        fn name(&self) -> &'static str {
+            "PASS"
+        }
+        fn is_passive(&self) -> bool {
+            self.0
+        }
+    }
+
+    /// The scan [`Routes`] replaced, as `Stack` ran it for every emitted
+    /// event: the first non-skipped layer at or below `i`.
+    fn first_active_down(passive: &[bool], skip_passive: bool, i: usize) -> Option<usize> {
+        if !skip_passive {
+            return (i < passive.len()).then_some(i);
+        }
+        (i..passive.len()).find(|&j| !passive[j])
+    }
+
+    /// The first non-skipped layer at or above `i`.
+    fn first_active_up(passive: &[bool], skip_passive: bool, i: usize) -> Option<usize> {
+        if !skip_passive {
+            return Some(i);
+        }
+        (0..=i).rev().find(|&j| !passive[j])
+    }
+
+    /// [`Routes`] by the scan, counting skipped layers per emitted event as
+    /// the stack used to.
+    fn scanned_routes(passive: &[bool], skip: bool) -> Routes {
+        let n = passive.len();
+        let layers = (0..n)
+            .map(|idx| {
+                let down = first_active_down(passive, skip, idx + 1);
+                let up = if idx == 0 { None } else { first_active_up(passive, skip, idx - 1) };
+                let (mut down_skipped, mut up_skipped) = (0, 0);
+                if skip {
+                    down_skipped = down.unwrap_or(n) - (idx + 1);
+                    if idx > 0 {
+                        up_skipped = idx - up.map(|j| j + 1).unwrap_or(0);
+                    }
+                }
+                Route {
+                    down: Hop { to: down, skipped: down_skipped as u64 },
+                    up: Hop { to: up, skipped: up_skipped as u64 },
+                }
+            })
+            .collect();
+        Routes {
+            layers,
+            from_app: first_active_down(passive, skip, 0),
+            from_net: first_active_up(passive, skip, n - 1),
+        }
+    }
+
+    /// The route table of a stack with this passivity pattern is the scan's,
+    /// and a cast sent down and brought back up counts the skipped layers
+    /// the scan counts.
+    fn routes_match_the_scan(passive: &[bool], skip: bool) {
+        let build = |i| {
+            StackBuilder::new(ep(i))
+                .extend(passive.iter().map(|&p| Box::new(Pass(p)) as Box<dyn Layer>))
+                .skip_passive(skip)
+                .build()
+                .unwrap()
+        };
+        let (mut tx, mut rx) = (build(1), build(2));
+        let scan = scanned_routes(passive, skip);
+        assert_eq!(*tx.core.routes, scan);
+
+        let fx = tx.handle(StackInput::FromApp(Down::Cast(tx.new_message(&b"x"[..]))));
+        let [Effect::NetCast { wire }] = &fx[..] else { panic!("unexpected {fx:?}") };
+        let fx = rx.handle(StackInput::FromNet { from: ep(1), cast: true, wire: wire.clone() });
+        assert!(matches!(&fx[..], [Effect::Deliver(Up::Cast { .. })]), "unexpected {fx:?}");
+
+        let walk = |entry: Option<usize>, hop: fn(&Route) -> Hop| {
+            let (mut dispatches, mut skipped, mut at) = (0, 0, entry);
+            while let Some(i) = at {
+                dispatches += 1;
+                skipped += hop(&scan.layers[i]).skipped;
+                at = hop(&scan.layers[i]).to;
+            }
+            (dispatches, skipped)
+        };
+        let down = walk(scan.from_app, |route| route.down);
+        let up = walk(scan.from_net, |route| route.up);
+        assert_eq!((tx.stats().dispatches, tx.stats().skipped), down);
+        assert_eq!((rx.stats().dispatches, rx.stats().skipped), up);
+    }
+
+    #[test]
+    fn routes_match_the_scan_at_the_edges() {
+        for skip in [true, false] {
+            routes_match_the_scan(&[true], skip);
+            routes_match_the_scan(&[true, true, true], skip);
+            routes_match_the_scan(&[true, false, false], skip);
+            routes_match_the_scan(&[false, false, true], skip);
+            routes_match_the_scan(&[true, true, false, true, true], skip);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn routes_match_the_scan_for_any_composition(
+            passive in proptest::collection::vec(any::<bool>(), 1..=12),
+            skip in any::<bool>(),
+        ) {
+            routes_match_the_scan(&passive, skip);
+        }
     }
 }

@@ -264,7 +264,7 @@ pub enum TraceKind {
         /// Calendar sequence number.
         seq: u64,
     },
-    /// A free-text layer trace (`Emit::Trace` / `Effect::Trace`).
+    /// A free-text layer trace ([`crate::LayerCtx::trace`] / `Effect::Trace`).
     Note(String),
 }
 

@@ -131,7 +131,7 @@ impl Layer for Com {
                     return;
                 }
                 self.delivered += 1;
-                msg.meta.src = Some(src);
+                msg.meta.set_src(Some(src));
                 ctx.up(Up::Cast { src, msg });
             }
             Up::Send { src, mut msg } => {
@@ -151,7 +151,7 @@ impl Layer for Com {
                 };
                 // Point-to-point sends are never view-filtered: merge
                 // requests arrive from outside the view by design (§5).
-                msg.meta.src = Some(src);
+                msg.meta.set_src(Some(src));
                 ctx.up(Up::Send { src, msg });
             }
             other => ctx.up(other),

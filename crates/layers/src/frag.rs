@@ -174,7 +174,7 @@ impl Frag {
         match reassemble(held.iter().chain([msg.body()]), msg.layout()) {
             Ok(mut original) => {
                 self.reassembled += 1;
-                original.meta.src = Some(src);
+                original.meta.set_src(Some(src));
                 self.pass_up(src, cast, original, ctx);
             }
             Err(e) => ctx.trace(format!("FRAG: reassembly decode failed: {e}")),
@@ -367,7 +367,7 @@ impl NFrag {
             match reassemble(entry.chunks.values(), msg.layout()) {
                 Ok(mut original) => {
                     self.reassembled += 1;
-                    original.meta.src = Some(src);
+                    original.meta.set_src(Some(src));
                     if cast {
                         ctx.up(Up::Cast { src, msg: original });
                     } else {

@@ -888,8 +888,8 @@ impl Mbrship {
                     ctx.note_payload_copy(1);
                     // Logged in turn: a later round may need it again.
                     self.log.put(origin, seq, m.inner_image());
-                    m.meta.src = Some(origin);
-                    m.meta.flush_recovered = true;
+                    m.meta.set_src(Some(origin));
+                    m.meta.set_flush_recovered(true);
                     self.delivered += 1;
                     self.recovered += 1;
                     ctx.up(Up::Cast { src: origin, msg: m });
@@ -1962,7 +1962,7 @@ mod tests {
                         let logged = msg.encode_inner();
                         // A recovered cast no longer carries its header (in
                         // aligned mode): it is the one the peer cast as this.
-                        let seq = if msg.meta.flush_recovered {
+                        let seq = if msg.meta.flush_recovered() {
                             let casts = &self.cast_by[&src];
                             casts.iter().position(|cast| *cast == logged).expect("a cast of src")
                                 + 1

@@ -770,8 +770,8 @@ impl Layer for FlushLayer {
                                 ctx.new_message(Bytes::new()).layout().clone(),
                                 &inner,
                             ) {
-                                m.meta.src = Some(o);
-                                m.meta.flush_recovered = true;
+                                m.meta.set_src(Some(o));
+                                m.meta.set_flush_recovered(true);
                                 self.recovered += 1;
                                 ctx.up(Up::Cast { src: o, msg: m });
                             }

@@ -233,7 +233,7 @@ impl Pack {
             match Message::decode_parts(msg.layout().clone(), hdr, sub_body) {
                 Ok(mut m) => {
                     self.unpacked += 1;
-                    m.meta.src = Some(src);
+                    m.meta.set_src(Some(src));
                     self.pass_up(src, cast, m, ctx);
                 }
                 Err(e) => {

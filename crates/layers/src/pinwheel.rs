@@ -161,7 +161,7 @@ impl Layer for Pinwheel {
                 match ctx.get(&msg, 0) {
                     KIND_DATA => {
                         let id = MsgId { origin: src, seq: ctx.get(&msg, 1) };
-                        msg.meta.msg_id = Some(id);
+                        msg.meta.set_msg_id(Some(id));
                         if self.auto_ack {
                             self.local_ack(id);
                         }
@@ -356,7 +356,7 @@ mod tests {
             .upcalls(ep(2))
             .iter()
             .find_map(|(_, up)| match up {
-                Up::Cast { msg, .. } => msg.meta.msg_id,
+                Up::Cast { msg, .. } => msg.meta.msg_id(),
                 _ => None,
             })
             .expect("id attached");

@@ -425,7 +425,7 @@ impl TotalRef {
         while let Some(&key) = self.ordered.get(&self.gnext) {
             let Some(mut msg) = self.unordered.remove(&key) else { break };
             self.ordered.remove(&self.gnext);
-            msg.meta.total_seq = Some(self.gnext);
+            msg.meta.set_total_seq(Some(self.gnext));
             self.gnext += 1;
             ctx.up(Up::Cast { src: key.0, msg });
         }
@@ -512,7 +512,7 @@ impl Layer for TotalRef {
                 };
                 for key in leftovers {
                     let mut msg = self.unordered.remove(&key).expect("buffered");
-                    msg.meta.total_seq = Some(self.gnext);
+                    msg.meta.set_total_seq(Some(self.gnext));
                     self.gnext += 1;
                     ctx.up(Up::Cast { src: key.0, msg });
                 }

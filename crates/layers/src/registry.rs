@@ -521,4 +521,101 @@ mod tests {
             assert_eq!(checks.load(Ordering::Relaxed), 12, "{name}");
         }
     }
+
+    /// A pair of stacks of one composition, driven by hand: what either
+    /// sends the other receives, for a few rounds, and every timer armed on
+    /// the way fires once.  Returns, per input, what the stack asked for —
+    /// what left by the bottom, what left by the top, and what a layer
+    /// asked for itself, each in its order — and per stack its counters
+    /// with the number of downcalls fed to it.
+    fn drive_pair(desc: &str, skip_passive: bool) -> (Vec<String>, [(StackStats, u64); 2]) {
+        let eps = [EndpointAddr::new(1), EndpointAddr::new(2)];
+        let config = StackConfig { skip_passive, ..StackConfig::default() };
+        let mut stacks = eps.map(|ep| build_stack(ep, desc, config.clone()).expect(desc));
+        let mut downcalls = [0u64; 2];
+        let mut log = Vec::new();
+        let mut todo: std::collections::VecDeque<(usize, StackInput)> = Default::default();
+        let mut now = SimTime::ZERO;
+        let mut perform = |at: usize, fx: Vec<Effect>, todo: &mut std::collections::VecDeque<_>| {
+            let (mut bottom, mut top, mut own) = (Vec::new(), Vec::new(), Vec::new());
+            for effect in &fx {
+                match effect {
+                    Effect::Deliver(_) => top.push(effect),
+                    Effect::SetTimer { .. } => own.push(effect),
+                    Effect::Trace(t) if !t.contains("fell off the bottom") => own.push(effect),
+                    _ => bottom.push(effect),
+                }
+            }
+            log.push(format!("{at} {bottom:?} {top:?} {own:?}"));
+            for effect in bottom.into_iter().chain(own) {
+                match effect.clone() {
+                    Effect::NetCast { wire } | Effect::NetSend { wire, .. } => {
+                        let from = eps[at];
+                        todo.push_back((1 - at, StackInput::FromNet { from, cast: true, wire }));
+                    }
+                    Effect::SetTimer { layer, token, delay } => {
+                        now += delay;
+                        todo.push_back((at, StackInput::Timer { layer, token, now }));
+                    }
+                    _ => {}
+                }
+            }
+        };
+        for (at, stack) in stacks.iter_mut().enumerate() {
+            let fx = stack.init();
+            perform(at, fx, &mut todo);
+            let cast = Down::Cast(stack.new_message(vec![at as u8; 48]));
+            todo.push_back((at, StackInput::FromApp(Down::Join { group: GroupAddr::new(1) })));
+            todo.push_back((at, StackInput::FromApp(Down::Merge { contact: eps[0] })));
+            todo.push_back((at, StackInput::FromApp(cast)));
+        }
+        for _ in 0..64 {
+            let Some((at, input)) = todo.pop_front() else { break };
+            downcalls[at] += u64::from(matches!(input, StackInput::FromApp(_)));
+            let fx = stacks[at].handle(input);
+            perform(at, fx, &mut todo);
+        }
+        let [a, b] = stacks;
+        (log, [(a.stats().clone(), downcalls[0]), (b.stats().clone(), downcalls[1])])
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Over compositions drawn from the registry, with passive layers
+        /// at the top, at the bottom, in runs and alone in the stack:
+        /// routing around them changes nothing a stack sends, delivers or
+        /// arms, and `skipped` counts exactly the dispatches a stack
+        /// that visits every layer makes on top — emitted events only, as
+        /// ever: a downcall entering past passive layers at the top, or a
+        /// frame past passive layers at the bottom, is not counted.
+        #[test]
+        fn skipping_passive_layers_is_invisible_over_the_registry(
+            picks in proptest::collection::vec((any::<bool>(), 0usize..37), 1..=6),
+        ) {
+            let names = layer_names();
+            let layers: Vec<&str> =
+                picks.iter().map(|&(nop, i)| if nop { "NOP" } else { names[i] }).collect();
+            let desc = layers.join(":");
+            let on_top = layers.iter().take_while(|&&l| l == "NOP").count() as u64;
+            let at_bottom = layers.iter().rev().take_while(|&&l| l == "NOP").count() as u64;
+
+            let (skipping, skipping_stats) = drive_pair(&desc, true);
+            let (visiting, visiting_stats) = drive_pair(&desc, false);
+            prop_assert_eq!(skipping, visiting, "{}", &desc);
+            for ((skip, downcalls), (visit, _)) in skipping_stats.iter().zip(&visiting_stats) {
+                prop_assert_eq!(visit.skipped, 0);
+                prop_assert_eq!(
+                    visit.dispatches,
+                    skip.dispatches
+                        + skip.skipped
+                        + on_top * downcalls
+                        + at_bottom * skip.msgs_received,
+                    "{}: {:?}", &desc, skip
+                );
+            }
+        }
+    }
 }

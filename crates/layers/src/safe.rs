@@ -37,7 +37,7 @@ impl Safe {
         // Release the longest stable prefix per queue order; holding back
         // out-of-order releases keeps per-origin FIFO intact.
         while let Some((_, msg)) = self.held.front() {
-            let stable = match (matrix, msg.meta.msg_id) {
+            let stable = match (matrix, msg.meta.msg_id()) {
                 (Some(m), Some(id)) => m.is_stable(id.origin, id.seq),
                 // Without an id or matrix we cannot prove stability.
                 _ => false,

@@ -58,7 +58,7 @@ struct PendingCall {
 /// Request/reply correlation over subset sends.
 ///
 /// A client marks an outgoing `send` as a request by setting
-/// `msg.meta.rpc = Some((0, false))`; the layer assigns the id, retries,
+/// `msg.meta.set_rpc(Some((0, false)))`; the layer assigns the id, retries,
 /// and times out.  The server's delivery carries `rpc = Some((id, false))`;
 /// replying with `rpc = Some((id, true))` routes the response back, and
 /// the client's delivery carries `rpc = Some((id, true))`.
@@ -119,7 +119,7 @@ impl Layer for Rpc {
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
         match ev {
             Down::Send { dests, mut msg } => {
-                let (kind, id) = match msg.meta.rpc {
+                let (kind, id) = match msg.meta.rpc() {
                     Some((_, false)) => {
                         let id = self.next_id;
                         self.next_id += 1;
@@ -154,19 +154,19 @@ impl Layer for Rpc {
                 let id = ctx.get(&msg, 1);
                 match kind {
                     R_REQUEST => {
-                        msg.meta.rpc = Some((id, false));
+                        msg.meta.set_rpc(Some((id, false)));
                         ctx.up(Up::Send { src, msg });
                     }
                     R_REPLY => {
                         // Duplicate replies (after retries) complete once.
                         if self.pending.remove(&id).is_some() {
                             self.completed += 1;
-                            msg.meta.rpc = Some((id, true));
+                            msg.meta.set_rpc(Some((id, true)));
                             ctx.up(Up::Send { src, msg });
                         }
                     }
                     _ => {
-                        msg.meta.rpc = None;
+                        msg.meta.set_rpc(None);
                         ctx.up(Up::Send { src, msg });
                     }
                 }
@@ -790,7 +790,7 @@ mod tests {
         w.upcalls(e)
             .iter()
             .filter_map(|(_, up)| match up {
-                Up::Send { src, msg } => Some((*src, msg.body().to_vec(), msg.meta.rpc)),
+                Up::Send { src, msg } => Some((*src, msg.body().to_vec(), msg.meta.rpc())),
                 _ => None,
             })
             .collect()
@@ -804,7 +804,7 @@ mod tests {
         let mut w = pair(1, NetConfig::reliable(), mk);
         // Client request.
         let mut req = w.stack(ep(1)).unwrap().new_message(&b"what time is it"[..]);
-        req.meta.rpc = Some((0, false));
+        req.meta.set_rpc(Some((0, false)));
         w.down(ep(1), Down::Send { dests: vec![ep(2)], msg: req });
         w.run_for(Duration::from_millis(50));
         // Server sees the request with an id and replies.
@@ -816,7 +816,7 @@ mod tests {
         let (id, is_reply) = rpc.expect("request id attached");
         assert!(!is_reply);
         let mut rsp = w.stack(ep(2)).unwrap().new_message(&b"simulated oclock"[..]);
-        rsp.meta.rpc = Some((id, true));
+        rsp.meta.set_rpc(Some((id, true)));
         w.down(ep(2), Down::Send { dests: vec![ep(1)], msg: rsp });
         w.run_for(Duration::from_millis(50));
         let got = sends_of(&w, ep(1));
@@ -838,7 +838,7 @@ mod tests {
         let mut w = pair(2, NetConfig::reliable(), mk);
         w.crash_at(SimTime::from_millis(1), ep(2));
         let mut req = w.stack(ep(1)).unwrap().new_message(&b"anyone?"[..]);
-        req.meta.rpc = Some((0, false));
+        req.meta.set_rpc(Some((0, false)));
         w.down_at(SimTime::from_millis(2), ep(1), Down::Send { dests: vec![ep(2)], msg: req });
         w.run_for(Duration::from_secs(1));
         assert!(w.upcalls(ep(1)).iter().any(
@@ -856,7 +856,7 @@ mod tests {
         };
         let mut w = pair(3, NetConfig::lossy(0.4), mk);
         let mut req = w.stack(ep(1)).unwrap().new_message(&b"ping"[..]);
-        req.meta.rpc = Some((0, false));
+        req.meta.set_rpc(Some((0, false)));
         w.down(ep(1), Down::Send { dests: vec![ep(2)], msg: req });
         w.run_for(Duration::from_millis(200));
         // Server saw at least one copy; reply (also lossy, so echo several
@@ -866,7 +866,7 @@ mod tests {
         for (_, _, rpc) in sends_of(&w, ep(2)) {
             let (id, _) = rpc.unwrap();
             let mut rsp = w.stack(ep(2)).unwrap().new_message(&b"pong"[..]);
-            rsp.meta.rpc = Some((id, true));
+            rsp.meta.set_rpc(Some((id, true)));
             w.down(ep(2), Down::Send { dests: vec![ep(1)], msg: rsp });
         }
         w.run_for(Duration::from_secs(1));

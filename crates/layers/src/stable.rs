@@ -10,7 +10,7 @@
 //! so-called stability matrix."
 //!
 //! The layer numbers every cast per origin, attaches the resulting
-//! [`MsgId`] to deliveries (`msg.meta.msg_id`), and gossips per-member
+//! [`MsgId`] to deliveries (`msg.meta.msg_id()`), and gossips per-member
 //! acknowledgement rows on a timer.  What "processed" means is entirely up
 //! to the application — "displayed to a user, logged to disk, safe to
 //! delete" — which is exactly the end-to-end point: with auto-ack
@@ -173,7 +173,7 @@ impl Layer for Stable {
                 match ctx.get(&msg, 0) {
                     KIND_DATA => {
                         let id = MsgId { origin: src, seq: ctx.get(&msg, 1) };
-                        msg.meta.msg_id = Some(id);
+                        msg.meta.set_msg_id(Some(id));
                         if self.auto_ack {
                             self.local_ack(id);
                         }
@@ -305,7 +305,7 @@ mod tests {
                 .upcalls(ep(i))
                 .iter()
                 .find_map(|(_, up)| match up {
-                    Up::Cast { msg, .. } => msg.meta.msg_id,
+                    Up::Cast { msg, .. } => msg.meta.msg_id(),
                     _ => None,
                 })
                 .expect("delivered with id");
@@ -326,7 +326,7 @@ mod tests {
             .upcalls(ep(2))
             .iter()
             .filter_map(|(_, up)| match up {
-                Up::Cast { msg, .. } => msg.meta.msg_id,
+                Up::Cast { msg, .. } => msg.meta.msg_id(),
                 _ => None,
             })
             .collect();

@@ -355,7 +355,7 @@ impl Total {
             let Some((_, mut msg)) = book.queue.remove(at) else { break };
             book.delivered = book.delivered.max(tseq);
             self.ordered.pop_front();
-            msg.meta.total_seq = Some(self.gnext);
+            msg.meta.set_total_seq(Some(self.gnext));
             self.gnext += 1;
             self.delivered += 1;
             ctx.up(Up::Cast { src, msg });
@@ -376,7 +376,7 @@ impl Total {
         }
         for (src, book) in leftovers {
             for (_, mut msg) in book.queue {
-                msg.meta.total_seq = Some(self.gnext);
+                msg.meta.set_total_seq(Some(self.gnext));
                 self.gnext += 1;
                 self.delivered += 1;
                 self.view_drains += 1;
@@ -701,7 +701,7 @@ mod tests {
             .upcalls(ep(2))
             .iter()
             .filter_map(|(_, up)| match up {
-                Up::Cast { msg, .. } => msg.meta.total_seq,
+                Up::Cast { msg, .. } => msg.meta.total_seq(),
                 _ => None,
             })
             .collect();
@@ -847,7 +847,7 @@ mod tests {
                 let Some(mut msg) = self.unordered.remove(&key) else { break };
                 self.ordered.remove(&self.gnext);
                 self.assigned.remove(&key);
-                msg.meta.total_seq = Some(self.gnext);
+                msg.meta.set_total_seq(Some(self.gnext));
                 self.gnext += 1;
                 self.delivered += 1;
                 ctx.up(Up::Cast { src: key.0, msg });
@@ -864,7 +864,7 @@ mod tests {
             }
             for key in leftovers {
                 let mut msg = self.unordered.remove(&key).expect("key from buffer");
-                msg.meta.total_seq = Some(self.gnext);
+                msg.meta.set_total_seq(Some(self.gnext));
                 self.gnext += 1;
                 self.delivered += 1;
                 self.view_drains += 1;

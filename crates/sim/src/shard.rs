@@ -185,23 +185,17 @@ struct Owned {
 /// owns.  All state here is thread-local to the worker.
 struct Worker {
     rx: Receiver<ShardIn>,
-    net: LoopbackNet,
     epoch: Instant,
     batch_max: usize,
-    record_upcalls: bool,
     stacks: BTreeMap<EndpointAddr, Owned>,
-    timers: BinaryHeap<TimerEntry>,
     /// Reusable effect buffer: zero allocations per event once warm.
     sink: EffectSink,
+    out: Outbox,
     /// Reusable input burst buffer.
     burst: Vec<ShardIn>,
     /// Reusable run buffer: consecutive same-endpoint inputs of a burst,
     /// fed to [`Stack::handle_batch`] in one call.
     run: Vec<StackInput>,
-    /// Casts pending transmission for `pending_from`, flushed in one
-    /// registry snapshot.
-    pending_casts: Vec<WireFrame>,
-    pending_from: Option<EndpointAddr>,
     /// Whether any owned stack has a trace sink.  While none does, an
     /// arrival costs this one branch and no map lookup.
     traced: bool,
@@ -209,6 +203,19 @@ struct Worker {
     /// with one hardware thread, where the sender cannot run meanwhile.
     spin: bool,
     wake: Arc<WakeCounters>,
+}
+
+/// Where a stack's effects go: the transport, the timer heap, the upcall
+/// log.  Apart from the stacks, so that effects are performed while the
+/// stack that asked for them is still borrowed from the map.
+struct Outbox {
+    net: LoopbackNet,
+    record_upcalls: bool,
+    timers: BinaryHeap<TimerEntry>,
+    /// Casts pending transmission for `pending_from`, flushed in one
+    /// registry snapshot.
+    pending_casts: Vec<WireFrame>,
+    pending_from: Option<EndpointAddr>,
 }
 
 /// How long an idle worker sleeps when it has neither inputs nor timers.
@@ -272,7 +279,7 @@ impl Worker {
                 if !took {
                     // Block for the first input of the burst (bounded by the
                     // next timer), then take what came with it.
-                    let wait = match self.timers.peek() {
+                    let wait = match self.out.timers.peek() {
                         Some(t) => t.due.saturating_duration_since(Instant::now()).min(IDLE_WAIT),
                         None => IDLE_WAIT,
                     };
@@ -308,7 +315,7 @@ impl Worker {
         self.wake.spins.fetch_add(1, Ordering::Relaxed);
         let mut now = Instant::now();
         let give_up = now + SPIN_BEFORE_PARK;
-        let give_up = self.timers.peek().map_or(give_up, |t| t.due.min(give_up));
+        let give_up = self.out.timers.peek().map_or(give_up, |t| t.due.min(give_up));
         loop {
             let next_poll = now + SPIN_POLL_EVERY;
             while now < next_poll {
@@ -369,7 +376,7 @@ impl Worker {
                 }
                 ShardIn::Stats { reply } => {
                     self.flush_run(run_ep.take(), &mut run, now);
-                    self.flush_casts();
+                    self.out.flush_casts();
                     let stats: Vec<(EndpointAddr, StackStats)> =
                         self.stacks.iter().map(|(&ep, o)| (ep, o.stack.stats().clone())).collect();
                     let _ = reply.send(stats);
@@ -389,38 +396,24 @@ impl Worker {
         self.flush_run(run_ep, &mut run, now);
         self.run = run;
         self.burst = burst;
-        self.flush_casts();
+        self.out.flush_casts();
         stop
     }
 
     /// Dispatches a buffered same-endpoint run through `handle_batch`.
     fn flush_run(&mut self, ep: Option<EndpointAddr>, run: &mut Vec<StackInput>, now: SimTime) {
-        if run.is_empty() {
-            return;
+        if let Some(ep) = ep.filter(|_| !run.is_empty()) {
+            self.feed(ep, now, |stack, sink| stack.handle_batch(run.drain(..), sink));
         }
-        let Some(ep) = ep else {
-            run.clear();
-            return;
-        };
-        match self.stacks.get_mut(&ep) {
-            Some(owned) => {
-                owned.stack.set_now(now);
-                owned.stack.handle_batch(run.drain(..), &mut self.sink);
-            }
-            None => run.clear(),
-        }
-        self.apply_effects(ep);
+        run.clear();
     }
 
-    fn adopt(&mut self, mut stack: Stack, log: Arc<EpLog>) {
+    fn adopt(&mut self, stack: Stack, log: Arc<EpLog>) {
         let ep = stack.local_addr();
         let tracer = stack.tracer().cloned();
         self.traced |= tracer.is_some();
-        stack.set_now(self.now());
-        let fx = stack.init();
         self.stacks.insert(ep, Owned { stack, log, tracer });
-        self.sink.extend(fx);
-        self.apply_effects(ep);
+        self.feed(ep, self.now(), |stack, sink| sink.extend(stack.init()));
     }
 
     /// Records an arrival at `ep` through `ep`'s own sink, if it has one.
@@ -430,53 +423,56 @@ impl Worker {
         }
     }
 
-    /// Run-to-completion dispatch of one input into its owning stack.
-    fn dispatch(&mut self, ep: EndpointAddr, input: StackInput, now: SimTime) {
+    /// Run-to-completion dispatch into `ep`'s stack: one look-up of the
+    /// stack, `inputs` fed to it at `now`, its effects performed.
+    fn feed(
+        &mut self,
+        ep: EndpointAddr,
+        now: SimTime,
+        inputs: impl FnOnce(&mut Stack, &mut EffectSink),
+    ) {
         let Some(owned) = self.stacks.get_mut(&ep) else { return };
         owned.stack.set_now(now);
-        owned.stack.handle_into(input, &mut self.sink);
-        self.apply_effects(ep);
+        inputs(&mut owned.stack, &mut self.sink);
+        self.out.apply_effects(ep, &owned.log, &mut self.sink);
     }
 
     /// Fires the earliest timer if it is due; returns whether one fired.
     fn fire_next_due_timer(&mut self) -> bool {
-        if self.timers.peek().is_none_or(|t| t.due > Instant::now()) {
+        if self.out.timers.peek().is_none_or(|t| t.due > Instant::now()) {
             return false;
         }
-        let t = self.timers.pop().expect("peeked");
+        let t = self.out.timers.pop().expect("peeked");
         let now = self.now();
         if self.traced {
             let kind = TraceKind::TimerFire { layer: t.layer, token: t.token, digest: 0, seq: 0 };
             self.trace_arrival(t.ep, now, kind);
         }
-        self.dispatch(t.ep, StackInput::Timer { layer: t.layer, token: t.token, now }, now);
-        self.flush_casts();
+        let input = StackInput::Timer { layer: t.layer, token: t.token, now };
+        self.feed(t.ep, now, |stack, sink| stack.handle_into(input, sink));
+        self.out.flush_casts();
         true
     }
+}
 
+impl Outbox {
     /// Drains the sink, performing `ep`'s effects.  Casts are accumulated
     /// and flushed in one [`LoopbackNet::cast_batch`] snapshot; any effect
     /// whose transport ordering could interleave with them flushes first.
-    fn apply_effects(&mut self, ep: EndpointAddr) {
+    fn apply_effects(&mut self, ep: EndpointAddr, log: &EpLog, sink: &mut EffectSink) {
         if self.pending_from != Some(ep) {
             self.flush_casts();
             self.pending_from = Some(ep);
         }
-        let log = self.stacks.get(&ep).map(|o| Arc::clone(&o.log));
-        // Move the sink out so its drain doesn't pin `self`; it (and its
-        // capacity) goes straight back afterwards.
-        let mut sink = std::mem::take(&mut self.sink);
         for fx in sink.drain() {
             match fx {
                 Effect::Deliver(up) => {
-                    if let Some(log) = &log {
-                        if matches!(up, Up::Cast { .. }) {
-                            log.casts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        log.upcalls.fetch_add(1, Ordering::Relaxed);
-                        if self.record_upcalls {
-                            log.log.lock().push(up);
-                        }
+                    if matches!(up, Up::Cast { .. }) {
+                        log.casts.fetch_add(1, Ordering::Relaxed);
+                    }
+                    log.upcalls.fetch_add(1, Ordering::Relaxed);
+                    if self.record_upcalls {
+                        log.log.lock().push(up);
                     }
                 }
                 Effect::NetCast { wire } => self.pending_casts.push(wire),
@@ -498,7 +494,6 @@ impl Worker {
                 Effect::Trace(_) => {}
             }
         }
-        self.sink = sink;
     }
 
     fn flush_casts(&mut self) {
@@ -602,17 +597,19 @@ impl ShardExecutor {
             let counters = Arc::new(WakeCounters::default());
             let worker = Worker {
                 rx,
-                net: net.clone(),
                 epoch: Instant::now(),
                 batch_max: config.batch_max.max(1),
-                record_upcalls: config.record_upcalls,
                 stacks: BTreeMap::new(),
-                timers: BinaryHeap::new(),
                 sink: EffectSink::with_capacity(64),
+                out: Outbox {
+                    net: net.clone(),
+                    record_upcalls: config.record_upcalls,
+                    timers: BinaryHeap::new(),
+                    pending_casts: Vec::with_capacity(config.batch_max.max(1)),
+                    pending_from: None,
+                },
                 burst: Vec::with_capacity(config.batch_max.max(1)),
                 run: Vec::with_capacity(config.batch_max.max(1)),
-                pending_casts: Vec::with_capacity(config.batch_max.max(1)),
-                pending_from: None,
                 traced: false,
                 spin: parallelism > 1,
                 wake: Arc::clone(&counters),

@@ -53,7 +53,7 @@ fn main() -> Result<(), HorusError> {
             .upcalls(ep)
             .iter()
             .filter_map(|(_, up)| match up {
-                Up::Cast { src, msg } if *src == d => Some(msg.meta.flush_recovered),
+                Up::Cast { src, msg } if *src == d => Some(msg.meta.flush_recovered()),
                 _ => None,
             })
             .next()

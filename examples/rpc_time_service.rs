@@ -40,7 +40,7 @@ fn main() -> Result<(), HorusError> {
 
     // Client ep3 asks the time server (ep1, the senior member) via RPC.
     let mut req = world.stack(EndpointAddr::new(3)).unwrap().new_message(&b"time?"[..]);
-    req.meta.rpc = Some((0, false));
+    req.meta.set_rpc(Some((0, false)));
     world.down(EndpointAddr::new(3), Down::Send { dests: vec![EndpointAddr::new(1)], msg: req });
     world.run_for(Duration::from_millis(50));
 
@@ -51,7 +51,7 @@ fn main() -> Result<(), HorusError> {
         .iter()
         .filter_map(|(_, up)| match up {
             Up::Send { src, msg } => {
-                msg.meta.rpc.and_then(|(id, is_reply)| (!is_reply).then_some((*src, id)))
+                msg.meta.rpc().and_then(|(id, is_reply)| (!is_reply).then_some((*src, id)))
             }
             _ => None,
         })
@@ -64,7 +64,7 @@ fn main() -> Result<(), HorusError> {
             .stack(EndpointAddr::new(1))
             .unwrap()
             .new_message(format!("{server_now}").into_bytes());
-        rsp.meta.rpc = Some((id, true));
+        rsp.meta.set_rpc(Some((id, true)));
         world.down(EndpointAddr::new(1), Down::Send { dests: vec![client], msg: rsp });
     }
     world.run_for(Duration::from_millis(100));
@@ -75,7 +75,7 @@ fn main() -> Result<(), HorusError> {
         .upcalls(EndpointAddr::new(3))
         .iter()
         .filter_map(|(_, up)| match up {
-            Up::Send { msg, .. } if matches!(msg.meta.rpc, Some((_, true))) => {
+            Up::Send { msg, .. } if matches!(msg.meta.rpc(), Some((_, true))) => {
                 Some(String::from_utf8_lossy(msg.body()).to_string())
             }
             _ => None,

@@ -2,8 +2,8 @@
 //!
 //! The PR 3 executor work promises that dispatching an event through a
 //! *warm* stack allocates nothing in the dispatch machinery itself: the
-//! [`EffectSink`] is reused, the stack's scratch and emit buffers are
-//! reused, and the only allocations left on a cast are the inherent ones
+//! [`EffectSink`] is reused, the stack's work queue is reused, and the
+//! only allocations left on a cast are the inherent ones
 //! (building the wire frame's header block).  This test pins that down
 //! with a counting global allocator:
 //!
@@ -15,7 +15,9 @@
 //!   which is precisely what `handle_into`/`handle_batch` eliminate;
 //! * `StackStats::dispatch_buf_grows` stays at zero once warm;
 //! * a compact header of up to 22 bytes lives inside the `Message`: `new`,
-//!   `clone` and `decode_parts` allocate nothing for it;
+//!   `clone` and `decode_parts` allocate nothing for it, and the events
+//!   that carry a message from layer to layer stay within their sizes
+//!   (`Message` 112 B, `Up`/`Effect` 128 B, `Down`/`StackInput` 136 B);
 //! * a `SimWorld::snapshot()` of the settled four-member `flush4` world
 //!   shares instead of copying: at most 20 allocations and 4 kB (it was 96
 //!   and 28.7 kB when slots, calendar entries and clocks were deep-copied),
@@ -38,6 +40,7 @@ use bytes::Bytes;
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
 use horus_check::Scenario;
+use horus_core::message::HeaderMode::{Aligned, Compact};
 use horus_core::message::{FieldSpec, HeaderLayout, HeaderMode, InnerImage};
 use horus_core::stack::{layer_clones, reset_layer_clones};
 use horus_core::wire::WireWriter;
@@ -93,10 +96,10 @@ fn cast_input(stack: &Stack, k: u8) -> StackInput {
     StackInput::FromApp(Down::Cast(stack.new_message(Bytes::from(vec![k; 16]))))
 }
 
-/// A one-layer compact layout of `n` 16-bit fields (2 × n header bytes).
-fn compact_layout(n: usize) -> std::sync::Arc<HeaderLayout> {
+/// A one-layer layout of `n` 16-bit fields (2 × n header bytes when compact).
+fn layout(n: usize, mode: HeaderMode) -> std::sync::Arc<HeaderLayout> {
     const FIELDS: [FieldSpec; 12] = [FieldSpec::new("f", 16); 12];
-    std::sync::Arc::new(HeaderLayout::build(&[("L", &FIELDS[..n])], HeaderMode::Compact).unwrap())
+    std::sync::Arc::new(HeaderLayout::build(&[("L", &FIELDS[..n])], mode).unwrap())
 }
 
 /// Allocations of `Message::new`, `clone` and `decode_parts` against
@@ -107,6 +110,7 @@ fn header_allocs(layout: &std::sync::Arc<HeaderLayout>) -> [u64; 3] {
     let before = allocs();
     let mut msg = Message::new(layout.clone(), body.clone());
     let new = allocs() - before;
+    msg.push_header(0);
     for f in 0..fields {
         msg.set_field(0, f, 0xA000 + f as u64);
     }
@@ -131,15 +135,23 @@ fn steady_state_dispatch_does_not_allocate() {
     //    is inline, so new/clone/decode_parts allocate nothing (the body
     //    is a shared `Bytes`); a longer one falls back to one heap block
     //    and still round-trips.
-    assert!(std::mem::size_of::<Message>() <= 160, "{}", std::mem::size_of::<Message>());
-    assert_eq!(header_allocs(&compact_layout(11)), [0, 0, 0], "22-byte header is inline");
-    assert_eq!(header_allocs(&compact_layout(12)), [1, 1, 1], "24-byte header: one block");
+    use std::mem::size_of;
+    assert!(size_of::<Message>() <= 112, "{}", size_of::<Message>());
+    assert!(size_of::<Up>() <= 128, "{}", size_of::<Up>());
+    assert!(size_of::<Effect>() <= 128, "{}", size_of::<Effect>());
+    assert!(size_of::<Down>() <= 136, "{}", size_of::<Down>());
+    assert!(size_of::<StackInput>() <= 136, "{}", size_of::<StackInput>());
+    assert_eq!(header_allocs(&layout(11, Compact)), [0, 0, 0], "22-byte header is inline");
+    assert_eq!(header_allocs(&layout(12, Compact)), [1, 1, 1], "24-byte header: one block");
+    // An aligned header stack is a box and the two vectors inside it, as it
+    // was when the box had a field of its own.
+    assert_eq!(header_allocs(&layout(11, Aligned)), [1, 3, 3], "aligned: box, records, bytes");
 
     let mut stack = build_stack(EndpointAddr::new(1), "SEQNO:COM", StackConfig::default()).unwrap();
     let _ = stack.init();
     let mut sink = EffectSink::with_capacity(64);
 
-    // Warm up: grow the sink, scratch, and emit buffers to steady state.
+    // Warm up: grow the sink and the work queue to steady state.
     for k in 0..32u8 {
         stack.handle_into(cast_input(&stack, k), &mut sink);
         sink.clear();
@@ -171,7 +183,7 @@ fn steady_state_dispatch_does_not_allocate() {
     assert!(per_cast > 0, "a cast builds a wire frame; expected some inherent allocations");
 
     // 3. A batch of N casts costs exactly N single casts: the machinery
-    //    (sink, scratch, emit, batch loop) adds nothing per event.
+    //    (sink, work queue, batch loop) adds nothing per event.
     const N: u64 = 64;
     let mut inputs: Vec<StackInput> = Vec::with_capacity(N as usize);
     for k in 0..N {
@@ -209,7 +221,7 @@ fn steady_state_dispatch_does_not_allocate() {
     assert_eq!(
         stack.stats().dispatch_buf_grows,
         grows_at_warm,
-        "scratch/emit buffers must not grow after warmup"
+        "the work queue must not grow after warmup"
     );
 
     snapshots_share_instead_of_copying();

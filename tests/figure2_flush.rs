@@ -51,7 +51,7 @@ fn figure2_with(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode, m_body
             .filter_map(|(_, up)| match up {
                 Up::Cast { src, msg } if *src == d => {
                     assert_eq!(msg.body(), &m_body, "{stack} seed {seed}: {m} delivers M intact");
-                    Some(msg.meta.flush_recovered)
+                    Some(msg.meta.flush_recovered())
                 }
                 _ => None,
             })

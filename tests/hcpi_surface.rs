@@ -97,7 +97,7 @@ fn every_downcall_is_issuable_and_upcalls_flow() {
             .upcalls(ep(i))
             .iter()
             .find_map(|(_, up)| match up {
-                Up::Cast { msg, .. } => msg.meta.msg_id,
+                Up::Cast { msg, .. } => msg.meta.msg_id(),
                 _ => None,
             })
             .expect("delivered with stability id");

@@ -3,9 +3,9 @@
 //! property-set algebra.
 
 use bytes::Bytes;
-use horus_core::message::{FieldSpec, HeaderLayout, HeaderMode, Message};
+use horus_core::message::{FieldSpec, HeaderLayout, HeaderMode, Message, MessageMeta};
 use horus_core::wire::{WireReader, WireWriter};
-use horus_core::{EndpointAddr, GroupAddr, View};
+use horus_core::{EndpointAddr, GroupAddr, MsgId, View};
 use horus_props::{derive_stack, plan_minimal_stack, PropSet};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -163,5 +163,88 @@ proptest! {
                 stack, provided, required
             );
         }
+    }
+
+    /// `MessageMeta` keeps presence bits and plain words; through its
+    /// accessors, its `Debug` output and its equality it is the struct of
+    /// `Option`s it replaced, whatever is set, overwritten and cleared.
+    #[test]
+    fn message_meta_is_a_struct_of_options(
+        ops in proptest::collection::vec(
+            (0u8..7, any::<bool>(), prop_oneof![Just(0u64), any::<u64>()], any::<u64>(), any::<bool>()),
+            0..24,
+        ),
+    ) {
+        // Raw 0 is `EndpointAddr::NULL`: present, and not to be taken for absent.
+        let addr = |raw| if raw == 0 { EndpointAddr::NULL } else { EndpointAddr::new(raw) };
+        let mut meta = MessageMeta::default();
+        let mut plain = plain::MessageMeta::default();
+        for (field, present, a, b, flag) in ops {
+            match field {
+                0 => {
+                    plain.src = present.then(|| addr(a));
+                    meta.set_src(plain.src);
+                }
+                1 => {
+                    plain.msg_id = present.then(|| MsgId { origin: addr(a), seq: b });
+                    meta.set_msg_id(plain.msg_id);
+                }
+                2 => {
+                    plain.total_seq = present.then_some(a);
+                    meta.set_total_seq(plain.total_seq);
+                }
+                3 => {
+                    plain.rpc = present.then_some((a, flag));
+                    meta.set_rpc(plain.rpc);
+                }
+                4 => {
+                    plain.flush_recovered = flag;
+                    meta.set_flush_recovered(flag);
+                }
+                5 => {
+                    plain.priority = a as u8;
+                    meta.priority = a as u8;
+                }
+                _ => {
+                    plain.channel = b as u8;
+                    meta.channel = b as u8;
+                }
+            }
+            prop_assert_eq!(meta.src(), plain.src);
+            prop_assert_eq!(meta.msg_id(), plain.msg_id);
+            prop_assert_eq!(meta.total_seq(), plain.total_seq);
+            prop_assert_eq!(meta.rpc(), plain.rpc);
+            prop_assert_eq!(meta.flush_recovered(), plain.flush_recovered);
+            prop_assert_eq!(format!("{meta:?}"), format!("{plain:?}"));
+            prop_assert_eq!(format!("{meta:#?}"), format!("{plain:#?}"));
+        }
+        // Equality sees what the accessors return, not what was there before.
+        let mut fresh = MessageMeta::default();
+        fresh.set_src(plain.src);
+        fresh.set_msg_id(plain.msg_id);
+        fresh.set_total_seq(plain.total_seq);
+        fresh.set_rpc(plain.rpc);
+        fresh.set_flush_recovered(plain.flush_recovered);
+        fresh.priority = plain.priority;
+        fresh.channel = plain.channel;
+        prop_assert_eq!(&meta, &fresh);
+        prop_assert_eq!(meta.clone(), fresh);
+    }
+}
+
+/// `MessageMeta` as it was declared before it was packed, under the same
+/// name so that the derived `Debug` is the reference for the written one.
+mod plain {
+    use horus_core::{EndpointAddr, MsgId};
+
+    #[derive(Debug, Default)]
+    pub struct MessageMeta {
+        pub src: Option<EndpointAddr>,
+        pub msg_id: Option<MsgId>,
+        pub total_seq: Option<u64>,
+        pub flush_recovered: bool,
+        pub priority: u8,
+        pub channel: u8,
+        pub rpc: Option<(u64, bool)>,
     }
 }
