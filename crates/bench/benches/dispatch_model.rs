@@ -12,10 +12,6 @@
 //! * `sharded` — two shards, so one run-to-completion worker per stack
 //!   (the model it adopts), with batched dispatch and direct shard
 //!   delivery.
-//!
-//! E23 rides along: the `batch_size` sweep holds the sharded executor
-//! fixed and varies only `batch_max`, isolating what batching at the
-//! dispatch boundary is worth.
 
 use bench::{ep, LockedThreads};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -50,8 +46,8 @@ fn flood_locked(threads: usize) {
     }
 }
 
-fn flood_sharded(shards: usize, batch_max: usize) {
-    let cfg = ShardConfig::with_shards(shards).batch_max(batch_max).record_upcalls(false);
+fn flood_sharded(shards: usize) {
+    let cfg = ShardConfig::with_shards(shards).record_upcalls(false);
     let mut ex = ShardExecutor::new(LoopbackNet::new(), cfg);
     let g = GroupAddr::new(1);
     for i in 1..=2 {
@@ -78,25 +74,10 @@ fn bench_dispatch(c: &mut Criterion) {
         b.iter(|| flood_locked(4));
     });
     g.bench_function(BenchmarkId::new("sharded", FLOOD), |b| {
-        b.iter(|| flood_sharded(2, 64));
+        b.iter(|| flood_sharded(2));
     });
     g.finish();
 }
 
-/// E23 — batch-size sweep: same executor, same workload, only the
-/// dispatch burst limit varies.
-fn bench_batch_size(c: &mut Criterion) {
-    let mut g = c.benchmark_group("batch_size");
-    g.sample_size(10);
-    g.measurement_time(Duration::from_secs(20));
-    g.throughput(Throughput::Elements(FLOOD as u64));
-    for batch_max in [1usize, 16, 64] {
-        g.bench_function(BenchmarkId::new("sharded", batch_max), |b| {
-            b.iter(|| flood_sharded(2, batch_max));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_dispatch, bench_batch_size);
+criterion_group!(benches, bench_dispatch);
 criterion_main!(benches);

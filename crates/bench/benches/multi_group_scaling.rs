@@ -8,8 +8,8 @@
 //!
 //! On a multi-core box throughput should grow with shards until the
 //! physical core count; on a single-core box the sweep degenerates to a
-//! context-switch tax and the curve stays flat — `BENCH_dispatch.json`
-//! records which regime the numbers were taken in.
+//! context-switch tax and the curve stays flat — report
+//! `available_parallelism()` with the numbers (E22 does).
 
 use bench::ep;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -25,7 +25,7 @@ const CASTS_PER_GROUP: usize = 100;
 /// Floods `GROUPS` disjoint sender→receiver pairs and waits for every
 /// receiver to see its `CASTS_PER_GROUP` casts.
 fn flood_groups(shards: usize) {
-    let cfg = ShardConfig::with_shards(shards).batch_max(64).record_upcalls(false);
+    let cfg = ShardConfig::with_shards(shards).record_upcalls(false);
     let mut ex = ShardExecutor::new(LoopbackNet::new(), cfg);
     for gi in 0..GROUPS as u64 {
         let g = GroupAddr::new(gi + 1);

@@ -22,7 +22,6 @@ use std::time::{Duration, Instant};
 pub use horus_core;
 pub use horus_layers;
 pub use horus_net;
-pub use horus_props;
 pub use horus_sim;
 
 /// Endpoint helper.

@@ -175,7 +175,7 @@ pub fn config_from_meta(trace: &ParsedTrace) -> Result<CheckConfig, String> {
     };
     Ok(CheckConfig {
         window: Duration::from_micros(get("window_us")?),
-        reduction: trace.meta.get("reduction").map(String::as_str) != Some("off"),
+        oracle: trace.meta.get("reduction").map(String::as_str) == Some("off"),
         max_depth: get("max_depth")? as usize,
         max_drops: get("max_drops")? as u32,
         max_crashes: get("max_crashes")? as u32,
@@ -186,15 +186,14 @@ pub fn config_from_meta(trace: &ParsedTrace) -> Result<CheckConfig, String> {
 
 /// The `meta` lines `horus-check replay --trace` stamps into a captured
 /// trace — everything [`schedule_from_trace`] needs to re-enact it.  Keys
-/// come out sorted, matching how a parsed trace re-serializes, so a
-/// capture survives a v1→v2→v1 `convert` loop byte-identically.
+/// come out sorted, the order a parsed trace holds them in.
 pub fn trace_meta(scenario: &Scenario, cfg: &CheckConfig) -> Vec<(String, String)> {
     [
         ("max_crashes", cfg.max_crashes.to_string()),
         ("max_depth", cfg.max_depth.to_string()),
         ("max_drops", cfg.max_drops.to_string()),
         ("max_suspects", cfg.max_suspects.to_string()),
-        ("reduction", if cfg.reduction { "on" } else { "off" }.to_string()),
+        ("reduction", if cfg.oracle { "off" } else { "on" }.to_string()),
         ("scenario", scenario.name.to_string()),
         ("window_us", (cfg.window.as_micros() as u64).to_string()),
     ]
@@ -281,7 +280,7 @@ mod tests {
     use super::*;
     use crate::explore::{explore, replay_choices_traced};
     use horus_core::trace::TraceSink;
-    use horus_trace::{parse_trace, serialize_trace, TraceBuf};
+    use horus_trace::{parse_trace_v2, serialize_trace_v2, TraceBuf};
     use std::sync::Arc;
 
     /// Captures a replay of `choices` as a parsed trace with bridge meta.
@@ -289,8 +288,8 @@ mod tests {
         let scenario = Scenario::by_name(name).unwrap();
         let buf = Arc::new(TraceBuf::new());
         let _ = replay_choices_traced(scenario, choices, cfg, buf.clone() as Arc<dyn TraceSink>);
-        let text = serialize_trace(&trace_meta(scenario, cfg), &buf.take());
-        parse_trace(&text).unwrap()
+        let bytes = serialize_trace_v2(&trace_meta(scenario, cfg), &buf.take());
+        parse_trace_v2(&bytes).unwrap()
     }
 
     #[test]

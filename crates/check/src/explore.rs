@@ -4,19 +4,21 @@
 //! prefix at each branch point and continues with choice 0 (calendar order)
 //! once the prefix is spent; branch points encountered past the prefix
 //! report how many options they offered, and their untaken siblings become
-//! new DFS nodes.  Two execution strategies realize the same tree:
+//! new DFS nodes.  Two explorers walk that tree, and only two
+//! ([`CheckConfig::oracle`], DESIGN decision 19):
 //!
-//! * **Snapshot resume** (default): at each expandable branch point the
-//!   world is cloned ([`SimWorld::snapshot`]) once per untaken sibling, and
-//!   the sibling's run later *resumes* from that clone — no settle phase,
-//!   no prefix re-execution.  This is where the incremental fingerprints
-//!   and the snapshot machinery earn their throughput (E25).
-//! * **Stateless replay** (fallback, and the replay path for committed
-//!   schedules): the run re-executes from `Scenario::build`, consuming the
-//!   prefix choice by choice.  Used automatically when a stack layer opts
-//!   out of snapshotting, and on demand via `--no-snapshot` /
-//!   [`CheckConfig::snapshot_resume`] — the equivalence tests hold the two
-//!   strategies to identical runs, states, and verdicts.
+//! * **The fast path** (default): sleep-set reduction on, fingerprints
+//!   served from the world's incremental caches, and at each expandable
+//!   branch point the world is cloned ([`SimWorld::snapshot`]) once per
+//!   untaken sibling so the sibling's run later *resumes* from that clone —
+//!   no settle phase, no prefix re-execution.  A layer that opts out of
+//!   snapshotting gets a stateless-replay node for that branch instead.
+//! * **The oracle** (`--oracle`): no reduction, every fingerprint
+//!   re-digested from scratch ([`SimWorld::fingerprint_fresh`]), every run
+//!   re-executed from `Scenario::build` consuming its prefix choice by
+//!   choice — the search written for clarity, which `tests/check_dpor.rs`
+//!   holds the fast path's fingerprint set and verdict equal to on every
+//!   registry scenario.  Committed schedules replay the same stateless way.
 //!
 //! Three bounds keep the space finite:
 //!
@@ -41,8 +43,8 @@
 //! endpoint-class heuristic this replaces, sleep sets *never narrow the
 //! option list* (enumeration and committed fixtures see the identical,
 //! unfiltered options) and never skip a reachable state: the differential
-//! suite holds the DPOR visited-fingerprint set equal to `--no-reduction`'s
-//! on every registry scenario, at a fraction of the runs (E27 vs E24).
+//! suite holds the DPOR visited-fingerprint set equal to the oracle's on
+//! every registry scenario, at a fraction of the runs (E27 vs E24).
 //! Visited-state pruning cooperates via sleep-aware entries: a state is
 //! pruned only when it was previously reached with a sleep set no larger
 //! than the current one (re-visits store the intersection), which is what
@@ -89,9 +91,9 @@ pub type FpSet = HashSet<u64, BuildHasherDefault<FpHasher>>;
 /// visit with a smaller sleep set would, so pruning that later visit loses
 /// states.  The classical repair (Godefroid, state-space caching): prune a
 /// revisit only when a previous visit's sleep set was a **subset** of the
-/// current one; otherwise re-explore and store the intersection.  With the
-/// reduction off every sleep set is empty, every subset test passes, and
-/// this degenerates to exactly the plain [`FpSet`] behaviour.
+/// current one; otherwise re-explore and store the intersection.  Under the
+/// oracle every sleep set is empty, every subset test passes, and this
+/// degenerates to exactly the plain [`FpSet`] behaviour.
 #[derive(Default)]
 pub struct Visited {
     #[allow(clippy::type_complexity)]
@@ -268,12 +270,14 @@ pub struct CheckConfig {
     /// Concurrency window: ready events within this much of the earliest
     /// pending event may be reordered.  Zero means exact ties only.
     pub window: Duration,
-    /// Happens-before dynamic partial-order reduction via sleep sets: skip
-    /// sibling runs whose reordering provably commutes with an
-    /// already-explored one.  Never narrows the option list (replayed
-    /// fixtures see identical enumeration) and never loses a state — the
-    /// differential suite holds the visited set equal to reduction-off.
-    pub reduction: bool,
+    /// Which of the two explorers runs.  `false` (default) is the fast path:
+    /// sleep-set reduction, incremental fingerprints, snapshot-resumed
+    /// siblings.  `true` is the reference search tests compare it against:
+    /// no reduction, [`SimWorld::fingerprint_fresh`] at every step, every
+    /// run a stateless replay from `Scenario::build`.  Neither narrows the
+    /// option list, so replayed fixtures see identical enumeration either
+    /// way; the two reach the same fingerprint set and the same verdict.
+    pub oracle: bool,
     /// Branch points per run that offer alternatives.
     pub max_depth: usize,
     /// Induced message drops per run.
@@ -302,27 +306,13 @@ pub struct CheckConfig {
     pub max_states: u64,
     /// Global executed-run budget.
     pub max_runs: u64,
-    /// Serve fingerprints from the world's incremental caches.  Off means
-    /// every branch point re-digests every stack and the whole calendar from
-    /// scratch ([`SimWorld::fingerprint_fresh`]) — the honest pre-cache
-    /// baseline the E25 benchmark arm measures against.  The two paths are
-    /// bit-identical, so coverage is unaffected either way.
-    pub incremental_fp: bool,
-    /// Resume sibling runs from world snapshots taken at their branch
-    /// points instead of re-executing the settle phase and choice prefix
-    /// from scratch.  Falls back to stateless replay per-branch when a
-    /// layer does not support snapshotting.  The explored tree, the visited
-    /// states, and the verdict are identical either way (the equivalence
-    /// test holds them equal); only `steps` — events actually executed —
-    /// shrinks, which is the point.
-    pub snapshot_resume: bool,
 }
 
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             window: Duration::from_micros(100),
-            reduction: true,
+            oracle: false,
             max_depth: 6,
             max_drops: 0,
             max_crashes: 0,
@@ -330,8 +320,6 @@ impl Default for CheckConfig {
             wedge_oracle: false,
             max_states: 200_000,
             max_runs: 20_000,
-            incremental_fp: true,
-            snapshot_resume: true,
         }
     }
 }
@@ -441,7 +429,7 @@ struct ControlledScheduler<'a> {
     /// Sleeping events: postponed in this subtree because an earlier
     /// sibling of an ancestor branch point explores every schedule that
     /// fires them first.  Woken (removed) by any dependent step.  Always
-    /// empty with the reduction off, and during committed-schedule replay.
+    /// empty under the oracle, and during committed-schedule replay.
     sleep: Vec<SleepEntry>,
     /// Sleep set handed to this job by its spawner; installs into `sleep`
     /// at the moment the final prefix choice is consumed — i.e. exactly at
@@ -469,8 +457,8 @@ impl<'a> ControlledScheduler<'a> {
     /// of the option list stays disjoint from the scheduler's other fields.
     /// The list is *never* filtered by the reduction: sleep sets postpone
     /// whole sibling runs instead of hiding options, so enumeration — and
-    /// with it every committed fixture's choice indices — is identical with
-    /// the reduction on or off.
+    /// with it every committed fixture's choice indices — is identical on
+    /// the fast path and under the oracle.
     fn fill_options(&self, world: &SimWorld, ready: &[ReadyEvent], opts: &mut Vec<Step>) {
         enumerate_options(
             self.scenario.members,
@@ -599,11 +587,8 @@ impl Scheduler for ControlledScheduler<'_> {
                     self.state_budget_hit = true;
                     return Step::Halt;
                 }
-                let fp = if self.cfg.incremental_fp {
-                    world.fingerprint()
-                } else {
-                    world.fingerprint_fresh()
-                };
+                let fp =
+                    if self.cfg.oracle { world.fingerprint_fresh() } else { world.fingerprint() };
                 let key = sleep_key(world.now(), &self.sleep);
                 if !visited.check_insert(fp, &key) {
                     self.rec.pruned = true;
@@ -627,8 +612,8 @@ impl Scheduler for ControlledScheduler<'_> {
         if !expandable {
             // Past the depth bound the run is deterministic and spawns
             // nothing, so sleeping buys nothing — and clearing keeps the
-            // deep continuation (choice, visited keys) identical to
-            // reduction-off, which the differential set-equality relies on.
+            // deep continuation (choice, visited keys) identical to the
+            // oracle's, which the differential set-equality relies on.
             self.sleep.clear();
         }
 
@@ -667,7 +652,7 @@ impl Scheduler for ControlledScheduler<'_> {
             let asleep: Vec<bool> = opts.iter().map(|&s| self.is_asleep(ready, s)).collect();
             if let Some(spawn) = self.spawn.as_deref_mut() {
                 let mut acc = self.sleep.clone();
-                if self.cfg.reduction {
+                if !self.cfg.oracle {
                     if let Step::Fire(i) = opts[choice] {
                         acc.extend(sleep_entry(world, &ready[i]));
                     }
@@ -678,7 +663,7 @@ impl Scheduler for ControlledScheduler<'_> {
                     }
                     let mut choices = self.rec.taken.clone();
                     choices.push(alt as u16);
-                    let snap = if self.cfg.snapshot_resume { world.snapshot() } else { None };
+                    let snap = if self.cfg.oracle { None } else { world.snapshot() };
                     spawn.push(match snap {
                         Some(w) => Job::Resume(Box::new(ResumeJob {
                             world: w,
@@ -691,7 +676,7 @@ impl Scheduler for ControlledScheduler<'_> {
                         })),
                         None => Job::Fresh(choices, acc.clone()),
                     });
-                    if self.cfg.reduction {
+                    if !self.cfg.oracle {
                         if let Step::Fire(i) = opts[alt] {
                             acc.extend(sleep_entry(world, &ready[i]));
                         }
@@ -729,18 +714,8 @@ impl Scheduler for ControlledScheduler<'_> {
 /// Executes one DFS node: a fresh build-and-replay, or a resume from a
 /// branch-point snapshot.  `visited` enables cross-run pruning; `spawn`
 /// receives the untaken siblings of every expandable branch point
-/// encountered past the node's prefix.
+/// encountered past the node's prefix; `tracer` records the explored window.
 fn run_job(
-    scenario: &Scenario,
-    cfg: &CheckConfig,
-    job: Job,
-    visited: Option<&mut Visited>,
-    spawn: Option<&mut Vec<Job>>,
-) -> RunRecord {
-    run_job_inner(scenario, cfg, job, visited, spawn, None)
-}
-
-fn run_job_inner(
     scenario: &Scenario,
     cfg: &CheckConfig,
     job: Job,
@@ -870,21 +845,10 @@ fn wedge_violation(scenario: &Scenario, world: &SimWorld, taken: &[u16]) -> Opti
 }
 
 /// Re-executes the scenario under `choices` from scratch, calendar order
-/// past the end.  `visited` enables cross-run pruning; pass `None` to
-/// replay a schedule in full.
-pub fn run_one(
-    scenario: &Scenario,
-    choices: &[u16],
-    cfg: &CheckConfig,
-    visited: Option<&mut Visited>,
-) -> RunRecord {
-    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), visited, None)
-}
-
-/// Replays a choice list with pruning disabled (the verdict-stable path used
-/// by `horus-check replay` and the committed fixtures).
+/// past the end, with pruning disabled (the verdict-stable path used by
+/// `horus-check replay` and the committed fixtures).
 pub fn replay_choices(scenario: &Scenario, choices: &[u16], cfg: &CheckConfig) -> RunRecord {
-    run_one(scenario, choices, cfg, None)
+    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, None)
 }
 
 /// [`replay_choices`] with a trace sink installed for the explored window:
@@ -898,7 +862,7 @@ pub fn replay_choices_traced(
     cfg: &CheckConfig,
     tracer: Arc<dyn TraceSink>,
 ) -> RunRecord {
-    run_job_inner(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, Some(tracer))
+    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, Some(tracer))
 }
 
 /// Explores the scenario's bounded schedule space depth-first.  Stops at the
@@ -910,8 +874,8 @@ pub fn explore(scenario: &Scenario, cfg: &CheckConfig) -> CheckReport {
 }
 
 /// [`explore`] that also hands back the visited-fingerprint set — the raw
-/// material of the DPOR differential suite, which holds the reduced
-/// exploration's coverage equal to `--no-reduction`'s state for state.
+/// material of the differential suite, which holds the fast path's
+/// coverage equal to the oracle's state for state.
 pub fn explore_collect(scenario: &Scenario, cfg: &CheckConfig) -> (CheckReport, FpSet) {
     let mut visited = Visited::default();
     let report = explore_with(scenario, cfg, &mut visited);
@@ -937,7 +901,7 @@ fn explore_with(scenario: &Scenario, cfg: &CheckConfig, visited: &mut Visited) -
         // Untaken siblings of every expandable branch point past the node's
         // prefix are pushed onto `frontier` *during* the run, while each
         // branch point's world is live and can be snapshotted.
-        let rec = run_job(scenario, cfg, job, Some(&mut *visited), Some(&mut frontier));
+        let rec = run_job(scenario, cfg, job, Some(&mut *visited), Some(&mut frontier), None);
         report.runs += 1;
         report.steps += rec.steps;
         report.branch_points += rec.branch_options.len() as u64;
@@ -996,7 +960,7 @@ fn explore_task(
             return out;
         }
         let states_before = visited.len();
-        let rec = run_job(scenario, cfg, job, Some(&mut visited), Some(&mut frontier));
+        let rec = run_job(scenario, cfg, job, Some(&mut visited), Some(&mut frontier), None);
         out.runs += 1;
         out.steps += rec.steps;
         out.branch_points += rec.branch_options.len() as u64;
@@ -1058,6 +1022,7 @@ pub fn explore_parallel(scenario: &Scenario, cfg: &CheckConfig, workers: usize) 
         Job::Fresh(Vec::new(), Vec::new()),
         Some(&mut root_visited),
         Some(&mut tasks),
+        None,
     );
     report.runs = 1;
     report.steps = root.steps;
@@ -1294,48 +1259,6 @@ mod tests {
         assert_eq!(va.choices, vb.choices);
         assert_eq!(va.oracle, vb.oracle);
         assert_eq!(va.message, vb.message);
-    }
-
-    #[test]
-    fn fresh_fingerprints_explore_the_same_space() {
-        // incremental_fp only changes *how* fingerprints are computed, never
-        // their values — coverage must be identical.
-        let s = Scenario::by_name("fifo2").unwrap();
-        let cfg = tiny_cfg();
-        let inc = explore(s, &cfg);
-        let fresh = explore(s, &CheckConfig { incremental_fp: false, ..cfg });
-        assert_eq!(inc.runs, fresh.runs);
-        assert_eq!(inc.states, fresh.states);
-        assert_eq!(inc.violation.map(|v| v.choices), fresh.violation.map(|v| v.choices));
-    }
-
-    #[test]
-    fn snapshot_resume_explores_the_same_space() {
-        // Snapshot-resume only changes *how* a branch sibling is reached
-        // (cloned world vs rebuild-and-replay), never which runs exist or
-        // what they conclude.  Only `steps` may differ: resumed runs count
-        // just their suffix.
-        for name in ["fifo2", "flush3"] {
-            let s = Scenario::by_name(name).unwrap();
-            let cfg = tiny_cfg();
-            let snap = explore(s, &cfg);
-            let fresh = explore(s, &CheckConfig { snapshot_resume: false, ..cfg });
-            assert_eq!(snap.runs, fresh.runs, "{name}: run set diverged");
-            assert_eq!(snap.states, fresh.states, "{name}: state set diverged");
-            assert_eq!(snap.branch_points, fresh.branch_points, "{name}");
-            assert_eq!(snap.exhausted, fresh.exhausted, "{name}");
-            assert_eq!(
-                snap.violation.map(|v| (v.oracle, v.choices)),
-                fresh.violation.map(|v| (v.oracle, v.choices)),
-                "{name}: verdict diverged"
-            );
-            assert!(
-                snap.steps <= fresh.steps,
-                "{name}: resumed runs must not re-execute prefixes ({} vs {})",
-                snap.steps,
-                fresh.steps
-            );
-        }
     }
 
     #[test]

@@ -19,13 +19,15 @@
 //!   flush/merge story, concurrent casts under an unordered stack, a merge
 //!   interrupted by a false suspicion) with the invariant oracles each must
 //!   satisfy.
-//! * [`explore`] — the depth-first schedule explorer: snapshot-resume (or
-//!   stateless replay) search over choice prefixes, sleep-aware
-//!   visited-state pruning on [`horus_sim::SimWorld::fingerprint`], and
-//!   happens-before dynamic partial-order reduction via sleep sets — runs
-//!   that merely reorder provably commuting deliveries are explored once,
-//!   without losing a single reachable state (the differential suite holds
-//!   the visited set equal to `--no-reduction`'s).
+//! * [`explore`] — the depth-first schedule explorer: snapshot-resume
+//!   search over choice prefixes, sleep-aware visited-state pruning on
+//!   [`horus_sim::SimWorld::fingerprint`], and happens-before dynamic
+//!   partial-order reduction via sleep sets — runs that merely reorder
+//!   provably commuting deliveries are explored once, without losing a
+//!   single reachable state.  One reference search sits beside it
+//!   ([`CheckConfig::oracle`]: no reduction, from-scratch fingerprints,
+//!   stateless replay); the differential suite holds the two visited sets
+//!   equal.
 //! * [`schedule`] — the serialized schedule format: scenario + bounds +
 //!   choice list, replayable byte-identically with `horus-check replay`.
 //! * [`shrink`] — delta-debugging (`ddmin`) of violating choice lists down

@@ -5,23 +5,23 @@
 //! horus-check explore <scenario> [--depth N] [--drops N] [--max-crashes N]
 //!                     [--max-suspects N] [--wedge-oracle]
 //!                     [--states N] [--runs N] [--window-us N] [--workers N]
-//!                     [--no-reduction] [--fresh-fp] [--no-snapshot]
-//!                     [--out FILE]
-//! horus-check replay <schedule-file> [--trace FILE] [--format v1|v2]
-//!                    [--sample N] [--kinds a,b,...]
+//!                     [--oracle] [--out FILE]
+//! horus-check replay <schedule-file> [--trace FILE] [--sample N]
+//!                    [--kinds a,b,...]
 //! horus-check bridge <trace-file> [--out FILE]
 //! ```
 //!
 //! `explore` exits 0 when the bounded space is clean, 3 when a violation was
-//! found (after shrinking and printing/writing the schedule).  `replay` exits
-//! 0 when the re-executed verdict matches the one recorded in the file, 2 on
+//! found (after shrinking and printing/writing the schedule); `--oracle`
+//! runs the reference search (no reduction, from-scratch fingerprints,
+//! stateless replay) the fast path is tested against.  `replay` exits 0
+//! when the re-executed verdict matches the one recorded in the file, 2 on
 //! a mismatch; `--trace` additionally captures the replay as a causal trace
-//! file (inspect with `horus-trace`, convert back with `bridge`) — `--format
-//! v2` writes the binary format, `--sample N` keeps 1-in-N records, and
-//! `--kinds` restricts the capture to a comma-separated kind list (the
-//! thinning flags are stamped into the meta; sampled traces cannot be
-//! bridged).  `bridge` re-enacts a captured trace (either format) into a
-//! replayable schedule.
+//! file (inspect with `horus-trace`, convert back with `bridge`) —
+//! `--sample N` keeps 1-in-N records, and `--kinds` restricts the capture
+//! to a comma-separated kind list (the thinning flags are stamped into the
+//! meta; sampled traces cannot be bridged).  `bridge` re-enacts a captured
+//! trace into a replayable schedule.
 
 use horus_check::schedule::verdict_line;
 use horus_check::{
@@ -30,8 +30,7 @@ use horus_check::{
 };
 use horus_core::trace::{FilterSink, KindMask, SamplingSink, TraceSink};
 use horus_trace::{
-    parse_trace_any, serialize_trace, serialize_trace_v2, TraceBuf, META_KINDS, META_SAMPLED_OUT,
-    META_SAMPLE_EVERY,
+    parse_trace_v2, serialize_trace_v2, TraceBuf, META_KINDS, META_SAMPLED_OUT, META_SAMPLE_EVERY,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -41,10 +40,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  horus-check scenarios\n  horus-check explore <scenario> [--depth N] \
          [--drops N] [--max-crashes N] [--max-suspects N] [--wedge-oracle] [--states N] \
-         [--runs N] [--window-us N] [--workers N] \
-         [--no-reduction] [--fresh-fp] [--no-snapshot] [--out FILE]\n  \
-         horus-check replay <schedule-file> [--trace FILE] [--format v1|v2] [--sample N] \
-         [--kinds a,b,...]\n  \
+         [--runs N] [--window-us N] [--workers N] [--oracle] [--out FILE]\n  \
+         horus-check replay <schedule-file> [--trace FILE] [--sample N] [--kinds a,b,...]\n  \
          horus-check bridge <trace-file> [--out FILE]"
     );
     ExitCode::from(1)
@@ -118,9 +115,7 @@ fn cmd_explore(args: &[String]) -> ExitCode {
                 Some(v) => cfg.window = Duration::from_micros(v),
                 None => return ExitCode::from(1),
             },
-            "--no-reduction" => cfg.reduction = false,
-            "--fresh-fp" => cfg.incremental_fp = false,
-            "--no-snapshot" => cfg.snapshot_resume = false,
+            "--oracle" => cfg.oracle = true,
             "--out" => match grab("--out") {
                 Some(v) => out = Some(v),
                 None => return ExitCode::from(1),
@@ -179,7 +174,6 @@ fn cmd_explore(args: &[String]) -> ExitCode {
 fn cmd_replay(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else { return usage() };
     let mut trace_out: Option<String> = None;
-    let mut format_v2 = false;
     let mut sample: u64 = 1;
     let mut kinds: Option<String> = None;
     let mut it = args[1..].iter();
@@ -188,11 +182,6 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             "--trace" => match it.next() {
                 Some(v) => trace_out = Some(v.clone()),
                 None => return usage(),
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("v1") => format_v2 = false,
-                Some("v2") => format_v2 = true,
-                _ => return usage(),
             },
             "--sample" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) if n >= 1 => sample = n,
@@ -258,21 +247,12 @@ fn cmd_replay(args: &[String]) -> ExitCode {
                 meta.push((META_SAMPLED_OUT.to_string(), s.sampled_out().to_string()));
             }
             let records = buf.take();
-            let bytes = if format_v2 {
-                serialize_trace_v2(&meta, &records)
-            } else {
-                serialize_trace(&meta, &records).into_bytes()
-            };
+            let bytes = serialize_trace_v2(&meta, &records);
             if let Err(e) = std::fs::write(out, &bytes) {
                 eprintln!("cannot write {out}: {e}");
                 return ExitCode::from(1);
             }
-            println!(
-                "trace written to {out} ({} records, {} bytes, {})",
-                records.len(),
-                bytes.len(),
-                if format_v2 { "v2" } else { "v1" }
-            );
+            println!("trace written to {out} ({} records, {} bytes)", records.len(), bytes.len());
             rec
         }
         None => replay_choices(scenario, &schedule.choices, &cfg),
@@ -311,7 +291,7 @@ fn cmd_bridge(args: &[String]) -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let trace = match parse_trace_any(&bytes) {
+    let trace = match parse_trace_v2(&bytes) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot parse {path}: {e}");

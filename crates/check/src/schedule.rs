@@ -36,9 +36,10 @@ pub struct Schedule {
     pub scenario: String,
     /// Concurrency window in microseconds.
     pub window_us: u64,
-    /// Whether the sleep-set DPOR was on when the schedule was found.
-    /// Provenance only: the reduction never filters option lists (choice
-    /// indices are stable either way) and replay never prunes.
+    /// Whether the sleep-set DPOR was on when the schedule was found — `on`
+    /// for the fast path, `off` for [`CheckConfig::oracle`].  Provenance
+    /// only: neither explorer filters option lists (choice indices are
+    /// stable either way) and replay never prunes.
     pub reduction: bool,
     /// Branch-point expansion depth the run was found under.
     pub max_depth: usize,
@@ -70,7 +71,7 @@ impl Schedule {
         Schedule {
             scenario: scenario.name.to_string(),
             window_us: cfg.window.as_micros() as u64,
-            reduction: cfg.reduction,
+            reduction: !cfg.oracle,
             max_depth: cfg.max_depth,
             max_drops: cfg.max_drops,
             max_crashes: cfg.max_crashes,
@@ -85,7 +86,7 @@ impl Schedule {
     pub fn to_config(&self) -> CheckConfig {
         CheckConfig {
             window: Duration::from_micros(self.window_us),
-            reduction: self.reduction,
+            oracle: !self.reduction,
             max_depth: self.max_depth,
             max_drops: self.max_drops,
             max_crashes: self.max_crashes,

@@ -20,20 +20,12 @@
 //!   share one stack, distinguished by a channel tag in the header and
 //!   surfaced through `msg.meta.channel`.
 
+use crate::util::fnv;
 use bytes::Bytes;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn fnv(data: &[u8], seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 // =====================================================================
 // RPC

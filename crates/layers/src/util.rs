@@ -69,7 +69,9 @@ impl Layer for NopOpaque {
 // CHKSUM
 // ---------------------------------------------------------------------
 
-fn fnv(data: &[u8], seed: u64) -> u64 {
+/// Seeded FNV-1a: CHKSUM's checksum here, SECURE's toy key derivation,
+/// keystream and MAC in `services`.
+pub(crate) fn fnv(data: &[u8], seed: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     for &b in data {
         h ^= b as u64;

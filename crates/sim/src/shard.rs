@@ -12,7 +12,7 @@
 //!   run-to-completion loop over one input queue — each shard's execution
 //!   is a deterministic function of its queue arrival order.
 //! * **Batched dispatch** — workers drain their queue in bursts of up to
-//!   [`ShardConfig::batch_max`] inputs and push them through
+//!   `BATCH_MAX` inputs and push them through
 //!   [`Stack::handle_batch`] with one reusable [`EffectSink`]: one lock
 //!   acquisition, one effect walk, and zero per-event allocations for a
 //!   whole burst.  Consecutive casts from one endpoint leave through
@@ -56,9 +56,6 @@ pub struct ShardConfig {
     /// Number of worker threads (and stack shards).  Stacks are assigned by
     /// `endpoint address % shards`.
     pub shards: usize,
-    /// Maximum inputs drained from a shard's queue per dispatch burst.  `1`
-    /// degenerates to per-event dispatch (the ablation baseline).
-    pub batch_max: usize,
     /// Whether delivered upcalls are recorded (retrievable through
     /// [`ShardExecutor::take_upcalls`]).  Flood benchmarks switch this off
     /// and rely on the monotone counters alone.
@@ -67,7 +64,7 @@ pub struct ShardConfig {
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig { shards: 1, batch_max: 64, record_upcalls: true }
+        ShardConfig { shards: 1, record_upcalls: true }
     }
 }
 
@@ -75,12 +72,6 @@ impl ShardConfig {
     /// `shards` workers, defaults otherwise.
     pub fn with_shards(shards: usize) -> Self {
         ShardConfig { shards: shards.max(1), ..ShardConfig::default() }
-    }
-
-    /// Overrides the dispatch burst limit.
-    pub fn batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max.max(1);
-        self
     }
 
     /// Enables or disables upcall recording.
@@ -186,7 +177,6 @@ struct Owned {
 struct Worker {
     rx: Receiver<ShardIn>,
     epoch: Instant,
-    batch_max: usize,
     stacks: BTreeMap<EndpointAddr, Owned>,
     /// Reusable effect buffer: zero allocations per event once warm.
     sink: EffectSink,
@@ -217,6 +207,10 @@ struct Outbox {
     pending_casts: Vec<WireFrame>,
     pending_from: Option<EndpointAddr>,
 }
+
+/// Most inputs a worker drains from its queue per dispatch burst: most of
+/// what batching buys arrives by 16 and the curve is flat from there (E23).
+const BATCH_MAX: usize = 64;
 
 /// How long an idle worker sleeps when it has neither inputs nor timers.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
@@ -269,7 +263,7 @@ impl Worker {
         let mut bursts = 0;
         let mut after_burst = false;
         loop {
-            if self.rx.try_recv_many(&mut self.burst, self.batch_max) == 0 {
+            if self.rx.try_recv_many(&mut self.burst, BATCH_MAX) == 0 {
                 bursts = 0;
                 if self.fire_next_due_timer() {
                     continue;
@@ -290,7 +284,7 @@ impl Worker {
                     match self.rx.recv_timeout(wait) {
                         Ok(first) => {
                             self.burst.push(first);
-                            self.rx.try_recv_many(&mut self.burst, self.batch_max - 1);
+                            self.rx.try_recv_many(&mut self.burst, BATCH_MAX - 1);
                         }
                         Err(RecvTimeoutError::Timeout) => continue,
                         Err(RecvTimeoutError::Disconnected) => return,
@@ -322,7 +316,7 @@ impl Worker {
                 std::hint::spin_loop();
                 now = Instant::now();
             }
-            if self.rx.try_recv_many(&mut self.burst, self.batch_max) > 0 {
+            if self.rx.try_recv_many(&mut self.burst, BATCH_MAX) > 0 {
                 self.wake.spin_takes.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
@@ -598,18 +592,17 @@ impl ShardExecutor {
             let worker = Worker {
                 rx,
                 epoch: Instant::now(),
-                batch_max: config.batch_max.max(1),
                 stacks: BTreeMap::new(),
                 sink: EffectSink::with_capacity(64),
                 out: Outbox {
                     net: net.clone(),
                     record_upcalls: config.record_upcalls,
                     timers: BinaryHeap::new(),
-                    pending_casts: Vec::with_capacity(config.batch_max.max(1)),
+                    pending_casts: Vec::with_capacity(BATCH_MAX),
                     pending_from: None,
                 },
-                burst: Vec::with_capacity(config.batch_max.max(1)),
-                run: Vec::with_capacity(config.batch_max.max(1)),
+                burst: Vec::with_capacity(BATCH_MAX),
+                run: Vec::with_capacity(BATCH_MAX),
                 traced: false,
                 spin: parallelism > 1,
                 wake: Arc::clone(&counters),
@@ -795,9 +788,8 @@ mod tests {
         StackBuilder::new(ep(i)).push(Box::new(Nop)).build().unwrap()
     }
 
-    fn flood(shards: usize, batch_max: usize) {
-        let cfg = ShardConfig::with_shards(shards).batch_max(batch_max);
-        let mut ex = ShardExecutor::new(LoopbackNet::new(), cfg);
+    fn flood(shards: usize) {
+        let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::with_shards(shards));
         let g = GroupAddr::new(1);
         for i in 1..=4 {
             ex.add_stack(nop_stack(i));
@@ -810,7 +802,7 @@ mod tests {
         for i in 1..=4 {
             assert!(
                 ex.wait_until(Duration::from_secs(5), |ex| ex.cast_count(ep(i)) >= 50),
-                "ep {i} saw {}/50 casts under {shards} shards batch {batch_max}",
+                "ep {i} saw {}/50 casts under {shards} shards",
                 ex.cast_count(ep(i))
             );
         }
@@ -819,17 +811,12 @@ mod tests {
 
     #[test]
     fn delivers_across_shards() {
-        flood(3, 64);
+        flood(3);
     }
 
     #[test]
     fn delivers_with_single_shard() {
-        flood(1, 64);
-    }
-
-    #[test]
-    fn delivers_unbatched() {
-        flood(2, 1);
+        flood(1);
     }
 
     #[test]
@@ -877,8 +864,7 @@ mod tests {
 
     #[test]
     fn stats_aggregate_per_shard_and_overall() {
-        let mut ex =
-            ShardExecutor::new(LoopbackNet::new(), ShardConfig::with_shards(2).batch_max(8));
+        let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::with_shards(2));
         let g = GroupAddr::new(1);
         for i in 1..=2 {
             ex.add_stack(nop_stack(i));

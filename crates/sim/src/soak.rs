@@ -115,8 +115,8 @@ pub struct SoakConfig {
 }
 
 /// The default 1-in-N sampling rate for traced soaks: cheap enough to
-/// leave on for a whole campaign (see `BENCH_trace.json`'s
-/// `sampling_sink` arm) while keeping long-soak traces tractable.
+/// leave on for a whole campaign (a sampled-out event costs one relaxed
+/// fetch-add; E29) while keeping long-soak traces tractable.
 pub const DEFAULT_TRACE_SAMPLE: u64 = 64;
 
 impl Default for SoakConfig {

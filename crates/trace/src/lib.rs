@@ -10,8 +10,10 @@
 //! * [`TraceRing`] — a lock-free bounded MPMC ring for the real-time
 //!   (sharded) executor, where many worker threads record concurrently and
 //!   a collector drains;
-//! * the line-oriented **trace file format** (`# horus-trace v1`) with
-//!   [`serialize_trace`] / [`parse_trace`];
+//! * the binary **trace file format** (`# horus-trace v2`, module [`v2`])
+//!   with [`serialize_trace_v2`] / [`parse_trace_v2`] — the only encoding
+//!   written or read; [`serialize_parsed`] renders a parsed trace as text
+//!   for people (`horus-trace dump`, `diff`), and nothing parses that text;
 //! * [`chrome_trace`] — Chrome `about:tracing` / Perfetto JSON export;
 //! * [`delivery_projection`] — the executor-independent canonical view of a
 //!   trace (per `(receiver, sender)` CAST digest sequences) used by the
@@ -23,7 +25,7 @@
 
 use horus_core::addr::EndpointAddr;
 use horus_core::time::SimTime;
-use horus_core::trace::{ClockEntry, DropReason, TraceEvent, TraceKind, TraceSink};
+use horus_core::trace::{ClockEntry, TraceEvent, TraceKind, TraceSink};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
@@ -35,10 +37,7 @@ pub mod metrics;
 pub mod v2;
 
 pub use metrics::{latency_stats, Histogram, LatencyStats, MetricsSink};
-pub use v2::{parse_trace_any, parse_trace_v2, serialize_trace_v2, trace_to_v2, TRACE_HEADER_V2};
-
-/// The file-format header line.
-pub const TRACE_HEADER: &str = "# horus-trace v1";
+pub use v2::{parse_trace_v2, serialize_trace_v2, TRACE_HEADER_V2};
 
 /// Meta key: records a collector dropped because its ring overflowed —
 /// nonzero means the trace has holes and `horus-trace stats` warns.
@@ -292,16 +291,16 @@ impl TraceSink for TraceRing {
 }
 
 // ---------------------------------------------------------------------------
-// Trace file format
+// The record view and its text rendering
 // ---------------------------------------------------------------------------
 
-/// Percent-escapes a free-text value for the single-line format.
+/// Percent-escapes a free-text value so a rendered record stays one line
+/// of space-separated `key=value` fields.
 ///
 /// `%` is escaped because it is the escape character and space because it
 /// is the field separator; beyond those, *every* whitespace and control
-/// character is escaped byte-wise (each UTF-8 byte as `%XX` uppercase hex)
-/// — the parser trims line ends, so a value ending in a tab or a Unicode
-/// line separator would otherwise not round-trip.
+/// character is escaped byte-wise (each UTF-8 byte as `%XX` uppercase hex),
+/// so no value can break a line or hide at its end.
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut utf8 = [0u8; 4];
@@ -408,49 +407,15 @@ fn kind_fields(kind: &TraceKind) -> Vec<(&'static str, String)> {
     }
 }
 
-/// Renders one record as its single line (no trailing newline).
-pub fn record_line(rec: &TraceRecord) -> String {
-    let vc = if rec.clock.is_empty() {
-        "-".to_string()
-    } else {
-        rec.clock.iter().map(|(r, c)| format!("{r}:{c}")).collect::<Vec<_>>().join(",")
-    };
-    let mut line =
-        format!("t={} ep={} vc={} {}", rec.at.as_nanos(), rec.ep.raw(), vc, rec.kind.name());
-    for (k, v) in kind_fields(&rec.kind) {
-        line.push(' ');
-        line.push_str(k);
-        line.push('=');
-        line.push_str(&v);
-    }
-    line
-}
-
-/// Serializes a whole trace: header, `meta key: value` lines (in the given
-/// order), then one line per record.
-pub fn serialize_trace(meta: &[(String, String)], records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    out.push_str(TRACE_HEADER);
-    out.push('\n');
-    for (k, v) in meta {
-        out.push_str(&format!("meta {k}: {v}\n"));
-    }
-    for rec in records {
-        out.push_str(&record_line(rec));
-        out.push('\n');
-    }
-    out
-}
-
-/// One parsed trace line: the generic `key=value` view every consumer
-/// (CLI, bridge, tests) works from.
+/// One parsed record: the generic `key=value` view every consumer (CLI,
+/// bridge, tests) works from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedRecord {
     /// Event time in nanoseconds.
     pub at_ns: u64,
     /// Raw endpoint address (`0` = world-global).
     pub ep: u64,
-    /// Vector clock, empty when the line carried `vc=-`.
+    /// Vector clock, empty when the recording executor keeps none.
     pub clock: Vec<(u64, u64)>,
     /// The kind name (`frame-deliver`, `timer-fire`, ...).
     pub kind: String,
@@ -479,64 +444,10 @@ pub struct ParsedTrace {
     pub records: Vec<ParsedRecord>,
 }
 
-/// Parses a trace file produced by [`serialize_trace`].
-pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(h) if h.trim() == TRACE_HEADER => {}
-        other => return Err(format!("bad trace header: {other:?}")),
-    }
-    let mut out = ParsedTrace::default();
-    for (i, line) in lines.enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("meta ") {
-            let (k, v) =
-                rest.split_once(':').ok_or_else(|| format!("line {}: meta without ':'", i + 2))?;
-            out.meta.insert(k.trim().to_string(), v.trim().to_string());
-            continue;
-        }
-        out.records.push(parse_record_line(line).map_err(|e| format!("line {}: {e}", i + 2))?);
-    }
-    Ok(out)
-}
-
-fn parse_record_line(line: &str) -> Result<ParsedRecord, String> {
-    let mut parts = line.split(' ');
-    let t = parts.next().and_then(|p| p.strip_prefix("t=")).ok_or("missing t=")?;
-    let ep = parts.next().and_then(|p| p.strip_prefix("ep=")).ok_or("missing ep=")?;
-    let vc = parts.next().and_then(|p| p.strip_prefix("vc=")).ok_or("missing vc=")?;
-    let kind = parts.next().ok_or("missing kind")?;
-    let mut clock = Vec::new();
-    if vc != "-" {
-        for comp in vc.split(',') {
-            let (r, c) = comp.split_once(':').ok_or("bad vc component")?;
-            clock.push((
-                r.parse().map_err(|_| "bad vc actor")?,
-                c.parse().map_err(|_| "bad vc count")?,
-            ));
-        }
-    }
-    let mut fields = BTreeMap::new();
-    for p in parts {
-        let (k, v) = p.split_once('=').ok_or_else(|| format!("bad field {p:?}"))?;
-        fields.insert(k.to_string(), v.to_string());
-    }
-    Ok(ParsedRecord {
-        at_ns: t.parse().map_err(|_| "bad t")?,
-        ep: ep.parse().map_err(|_| "bad ep")?,
-        clock,
-        kind: kind.to_string(),
-        fields,
-    })
-}
-
 /// The parsed (`key=value`) view of one collected record — the same view
-/// `serialize_trace` + `parse_trace` would produce, without the text trip.
-/// Both file formats serialize from this view, which is what makes the
-/// v1↔v2 round trip lossless by construction.
+/// [`serialize_trace_v2`] + [`parse_trace_v2`] produce, without the trip
+/// through bytes (the encoder serializes from this view, which is what
+/// makes that round trip lossless by construction).
 pub fn parsed_from_record(rec: &TraceRecord) -> ParsedRecord {
     ParsedRecord {
         at_ns: rec.at.as_nanos(),
@@ -547,12 +458,12 @@ pub fn parsed_from_record(rec: &TraceRecord) -> ParsedRecord {
     }
 }
 
-/// Renders one parsed record as its v1 line (no trailing newline).
+/// Renders one parsed record as a line of text (no trailing newline):
+/// `t=<ns> ep=<raw> vc=<actor:count,...|-> <kind> key=value ...`, free-text
+/// values still escaped.
 ///
 /// Fields come out in the canonical per-kind order when the kind is in the
-/// vocabulary (sorted otherwise), so a record that came from
-/// [`parse_trace`] re-renders byte-identically — the property the
-/// `convert` CLI's v1→v2→v1 loop leans on.
+/// vocabulary (sorted otherwise), so equal records render to equal bytes.
 pub fn parsed_line(rec: &ParsedRecord) -> String {
     let vc = if rec.clock.is_empty() {
         "-".to_string()
@@ -578,11 +489,11 @@ pub fn parsed_line(rec: &ParsedRecord) -> String {
     line
 }
 
-/// Serializes a parsed trace back to v1 text (meta in key order).
+/// Renders a parsed trace as text: `meta key: value` lines in key order,
+/// then one [`parsed_line`] per record.  For people and for `diff`ing —
+/// there is no parser for it.
 pub fn serialize_parsed(trace: &ParsedTrace) -> String {
     let mut out = String::new();
-    out.push_str(TRACE_HEADER);
-    out.push('\n');
     for (k, v) in &trace.meta {
         out.push_str(&format!("meta {k}: {v}\n"));
     }
@@ -694,20 +605,6 @@ pub fn kind_counts(records: &[ParsedRecord]) -> BTreeMap<String, u64> {
     out
 }
 
-/// A drop-reason helper for consumers that want typed reasons back.
-pub fn parse_drop_reason(name: &str) -> Option<DropReason> {
-    Some(match name {
-        "decode" => DropReason::Decode,
-        "fingerprint" => DropReason::Fingerprint,
-        "induced" => DropReason::Induced,
-        "loss" => DropReason::Loss,
-        "partition" => DropReason::Partition,
-        "mtu" => DropReason::Mtu,
-        "unroutable" => DropReason::Unroutable,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,8 +675,8 @@ mod tests {
     }
 
     #[test]
-    fn serialize_parse_roundtrip() {
-        let records = vec![
+    fn record_view_and_its_rendering() {
+        let records = [
             rec(
                 1000,
                 2,
@@ -794,11 +691,10 @@ mod tests {
             rec(2000, 2, TraceKind::ViewInstall { view: "g:1[v2@ep:1 ep:1 ep:2]".into() }),
             rec(3000, 2, TraceKind::Note("hello world\n100%".into())),
         ];
-        let meta = vec![("scenario".to_string(), "wedge".to_string())];
-        let text = serialize_trace(&meta, &records);
-        let parsed = parse_trace(&text).unwrap();
-        assert_eq!(parsed.meta.get("scenario").unwrap(), "wedge");
-        assert_eq!(parsed.records.len(), 3);
+        let parsed = ParsedTrace {
+            meta: [("scenario".to_string(), "wedge".to_string())].into(),
+            records: records.iter().map(parsed_from_record).collect(),
+        };
         let d = &parsed.records[0];
         assert_eq!(d.kind, "frame-deliver");
         assert_eq!(d.at_ns, 1000);
@@ -809,21 +705,25 @@ mod tests {
         assert_eq!(d.u64_field("seq"), Some(17));
         assert_eq!(parsed.records[1].text_field("view").unwrap(), "g:1[v2@ep:1 ep:1 ep:2]");
         assert_eq!(parsed.records[2].text_field("text").unwrap(), "hello world\n100%");
-        // Determinism: serializing the parse input again is byte-identical.
-        assert_eq!(serialize_trace(&meta, &records), text);
+        // The rendering: one line per record, free text escaped in place.
+        assert_eq!(
+            serialize_parsed(&parsed),
+            "meta scenario: wedge\n\
+             t=1000 ep=2 vc=1:2,2:1 frame-deliver from=1 cast=1 bytes=64 digest=57005 seq=17\n\
+             t=2000 ep=2 vc=1:2,2:1 view-install view=g:1[v2@ep:1%20ep:1%20ep:2]\n\
+             t=3000 ep=2 vc=1:2,2:1 note text=hello%20world%0A100%25\n"
+        );
     }
 
     #[test]
     fn projection_groups_casts_per_sender() {
-        let records = vec![
+        let records = [
             rec(1, 2, TraceKind::Deliver { kind: "CAST", src: 1, digest: 11 }),
             rec(2, 2, TraceKind::Deliver { kind: "CAST", src: 3, digest: 31 }),
             rec(3, 2, TraceKind::Deliver { kind: "CAST", src: 1, digest: 12 }),
             rec(4, 2, TraceKind::Deliver { kind: "VIEW", src: 0, digest: 0 }),
         ];
-        let text = serialize_trace(&[], &records);
-        let parsed = parse_trace(&text).unwrap();
-        let proj = delivery_projection(&parsed.records);
+        let proj = delivery_projection(&records.map(|r| parsed_from_record(&r)));
         assert_eq!(proj[&(2, 1)], vec![11, 12]);
         assert_eq!(proj[&(2, 3)], vec![31]);
         assert!(!proj.contains_key(&(2, 0)));
@@ -831,10 +731,8 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_shaped_json() {
-        let records = vec![rec(1500, 1, TraceKind::FrameSend { cast: true, bytes: 9 })];
-        let text = serialize_trace(&[], &records);
-        let parsed = parse_trace(&text).unwrap();
-        let json = chrome_trace(&parsed.records);
+        let record = rec(1500, 1, TraceKind::FrameSend { cast: true, bytes: 9 });
+        let json = chrome_trace(&[parsed_from_record(&record)]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"frame-send\""));
         assert!(json.contains("\"ts\":1.5"));

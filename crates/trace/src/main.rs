@@ -5,23 +5,23 @@
 //! horus-trace stats <file> [--latency]
 //! horus-trace diff <a> <b>
 //! horus-trace export <file> [--prometheus]
-//! horus-trace convert <file> --format v1|v2 [--out FILE]
 //! ```
 //!
-//! Every subcommand auto-detects the file format (v1 text or v2 binary).
-//! `dump` prints records (optionally filtered, or as Chrome-trace JSON for
-//! `about:tracing` / Perfetto).  `stats` summarizes a trace; `--latency`
+//! Every subcommand reads the v2 binary format — the only encoding on disk.
+//! `dump` renders records as text, one line each (optionally filtered, or as
+//! Chrome-trace JSON for `about:tracing` / Perfetto); nothing parses that
+//! text back.  `stats` summarizes a trace; `--latency`
 //! adds the per-(endpoint, layer) dwell and timer-latency histograms.
 //! `diff` compares the canonical delivery projections of two traces — exit
 //! 0 when they agree, 2 when they drift (timestamps and scheduling noise
 //! are deliberately ignored; see `delivery_projection`) — and points at
 //! the first diverging record for debugging.  `export` renders a
-//! Prometheus-style text exposition; `convert` rewrites between formats.
+//! Prometheus-style text exposition.
 
 use horus_trace::{
     chrome_trace, delivery_projection, first_divergence, kind_counts, latency_stats,
-    metrics::prometheus_text, parse_trace_any, parsed_line, serialize_parsed, trace_to_v2,
-    Histogram, LatencyStats, ParsedTrace, META_DROPPED, META_SAMPLED_OUT, META_SAMPLE_EVERY,
+    metrics::prometheus_text, parse_trace_v2, parsed_line, serialize_parsed, Histogram,
+    LatencyStats, ParsedTrace, META_DROPPED, META_SAMPLED_OUT, META_SAMPLE_EVERY,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -31,13 +31,12 @@ fn usage() -> ExitCode {
     eprintln!("       horus-trace stats <file> [--latency]");
     eprintln!("       horus-trace diff <a> <b>");
     eprintln!("       horus-trace export <file> [--prometheus]");
-    eprintln!("       horus-trace convert <file> --format v1|v2 [--out FILE]");
     ExitCode::from(1)
 }
 
 fn load(path: &str) -> Result<ParsedTrace, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_trace_any(&bytes).map_err(|e| format!("{path}: {e}"))
+    parse_trace_v2(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -48,7 +47,6 @@ fn main() -> ExitCode {
         "stats" => cmd_stats(&args[1..]),
         "diff" => cmd_diff(&args[1..]),
         "export" => cmd_export(&args[1..]),
-        "convert" => cmd_convert(&args[1..]),
         _ => usage(),
     }
 }
@@ -88,28 +86,16 @@ fn cmd_dump(args: &[String]) -> ExitCode {
     // File order is already dispatch order under virtual time; the ring
     // collectors may interleave shards, so present by timestamp.
     trace.records.sort_by_key(|r| r.at_ns);
-    if chrome {
-        print!("{}", chrome_trace(&trace.records));
-        return ExitCode::SUCCESS;
+    let text = if chrome { chrome_trace(&trace.records) } else { serialize_parsed(&trace) };
+    // A reader that stops early (`dump ... | head`) is not an error.
+    use std::io::Write as _;
+    match std::io::stdout().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("error: {e}");
+            ExitCode::from(1)
+        }
+        _ => ExitCode::SUCCESS,
     }
-    for (k, v) in &trace.meta {
-        println!("meta {k}: {v}");
-    }
-    for r in &trace.records {
-        let vc = if r.clock.is_empty() {
-            "-".to_string()
-        } else {
-            r.clock.iter().map(|(a, c)| format!("{a}:{c}")).collect::<Vec<_>>().join(",")
-        };
-        let fields = r
-            .fields
-            .keys()
-            .map(|k| format!("{k}={}", r.text_field(k).unwrap_or_default()))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!("{:>12}ns ep:{} vc={} {} {}", r.at_ns, r.ep, vc, r.kind, fields);
-    }
-    ExitCode::SUCCESS
 }
 
 /// Capture-health lines shared by `stats` and `export`: sampling is
@@ -305,54 +291,5 @@ fn cmd_export(args: &[String]) -> ExitCode {
     let latency = latency_stats(&trace.records);
     let kinds: BTreeMap<String, u64> = kind_counts(&trace.records);
     print!("{}", prometheus_text(&latency, &kinds, &trace.meta));
-    ExitCode::SUCCESS
-}
-
-fn cmd_convert(args: &[String]) -> ExitCode {
-    let mut file = None;
-    let mut format = None;
-    let mut out_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some(f @ ("v1" | "v2")) => format = Some(f.to_string()),
-                _ => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => return usage(),
-            },
-            _ if file.is_none() => file = Some(a.clone()),
-            _ => return usage(),
-        }
-    }
-    let (Some(file), Some(format)) = (file, format) else { return usage() };
-    let trace = match load(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let bytes = match format.as_str() {
-        "v1" => serialize_parsed(&trace).into_bytes(),
-        _ => trace_to_v2(&trace),
-    };
-    match out_path {
-        Some(p) => {
-            if let Err(e) = std::fs::write(&p, &bytes) {
-                eprintln!("error: {p}: {e}");
-                return ExitCode::from(1);
-            }
-            eprintln!("wrote {} bytes ({format}) to {p}", bytes.len());
-        }
-        None => {
-            use std::io::Write as _;
-            if std::io::stdout().write_all(&bytes).is_err() {
-                return ExitCode::from(1);
-            }
-        }
-    }
     ExitCode::SUCCESS
 }

@@ -634,7 +634,7 @@ mod tests {
 
     #[test]
     fn offline_pass_matches_the_live_sink() {
-        use crate::{parse_trace, serialize_trace, TraceBuf};
+        use crate::{parse_trace_v2, serialize_trace_v2, TraceBuf};
         use std::sync::Arc;
         let events = [
             ev(10, 1, TraceKind::AppDown { kind: "CAST", digest: 1, seq: 1 }),
@@ -662,8 +662,8 @@ mod tests {
             live.record(e.clone());
             buf.record(e.clone());
         }
-        let text = serialize_trace(&[], &buf.take());
-        let offline = latency_stats(&parse_trace(&text).unwrap().records);
+        let bytes = serialize_trace_v2(&[], &buf.take());
+        let offline = latency_stats(&parse_trace_v2(&bytes).unwrap().records);
         assert_eq!(live.snapshot().latency, offline);
         assert!(!offline.is_empty());
         assert_eq!(LatencyStats::aggregate(&offline.dwell)["NAK"].count(), 2);

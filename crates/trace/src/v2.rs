@@ -1,5 +1,6 @@
-//! Binary trace format **v2**: the same records as the v1 text format at
-//! roughly a quarter of the bytes.
+//! Binary trace format **v2** — the one encoding trace files are written
+//! and read in (the v1 text format it replaced is recognised only to say
+//! so; E29 measured v2 at roughly a quarter of its bytes).
 //!
 //! Layout after the `# horus-trace v2` header line:
 //!
@@ -8,16 +9,14 @@
 //! varint record_count, then per record:
 //!   varint body_len                  (length prefix; skippable)
 //!   body:
-//!     u8     tag                     (TraceKind::id, or 0xFF = generic)
+//!     u8     tag                     (TraceKind::id)
 //!     varint zigzag(at_ns ⊖ prev)    (wrapping timestamp delta vs previous)
 //!     varint ep
 //!     varint clock_len, then per entry: varint actor, varint count
-//!     fields:
-//!       tag < 0xFF: per the kind's schema, in canonical order —
-//!         U64    -> varint
-//!         Digest -> 8-byte little-endian u64
-//!         Str    -> str              (stored escaped, as in v1)
-//!       tag == 0xFF: str kind, varint n, then n × (str key, str value)
+//!     fields, per the kind's schema, in canonical order:
+//!       U64    -> varint
+//!       Digest -> 8-byte little-endian u64
+//!       Str    -> str                (stored escaped, as it renders)
 //! ```
 //!
 //! `varint` is LEB128 (7 bits per byte, high bit = continue), little-endian
@@ -28,12 +27,13 @@
 //! and collapse to one byte each.  Digests get fixed 8-byte slots because
 //! they are hashes: uniformly distributed, so varints would *cost* bytes.
 //!
-//! Both formats serialize the same [`ParsedRecord`] view and the generic
-//! tag covers records whose fields don't match their kind's schema (e.g. a
-//! hand-edited file), so the v1↔v2 round trip is lossless by construction
-//! — the cross-format proptests in `tests/trace_format.rs` hold it there.
+//! The encoder writes the fields [`crate::parsed_from_record`] shows
+//! ([`ParsedRecord`]) and the decoder rebuilds exactly that view, so the
+//! round trip is lossless by construction — the proptests in
+//! `tests/trace_format.rs` hold it there, and hold [`parse_trace_v2`] to
+//! `Err`, never a panic, on anything else.
 
-use crate::{parse_trace, parsed_from_record, ParsedRecord, ParsedTrace, TraceRecord};
+use crate::{kind_fields, ParsedRecord, ParsedTrace, TraceRecord};
 use horus_core::trace::{kind_id_by_name, KIND_NAMES};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -41,8 +41,8 @@ use std::collections::HashMap;
 /// The v2 header line (without the newline that terminates it).
 pub const TRACE_HEADER_V2: &str = "# horus-trace v2";
 
-/// The record tag for the generic (schema-less) encoding.
-const GENERIC_TAG: u8 = 0xFF;
+/// How a file in the retired text encoding starts.
+const TRACE_HEADER_V1: &str = "# horus-trace v1";
 
 /// Field encodings.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -57,7 +57,7 @@ enum FType {
 }
 
 /// Per-kind field schemas, indexed by [`TraceKind::id`]; the tuple order is
-/// the wire order and matches `kind_fields`' canonical v1 order.
+/// the wire order and matches `kind_fields`' canonical rendering order.
 ///
 /// [`TraceKind::id`]: horus_core::trace::TraceKind::id
 const SCHEMAS: [&[(&str, FType)]; 19] = [
@@ -89,7 +89,7 @@ const SCHEMAS: [&[(&str, FType)]; 19] = [
 ];
 
 /// The canonical field order for a kind name, when it is in the vocabulary
-/// (v1 rendering and the v2 schema agree on it).
+/// (the text rendering and the wire schema agree on it).
 pub(crate) fn schema_keys(kind: &str) -> Option<Vec<&'static str>> {
     let id = kind_id_by_name(kind)?;
     Some(SCHEMAS[id as usize].iter().map(|(k, _)| *k).collect())
@@ -117,15 +117,6 @@ fn zigzag(d: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Whether `s` is the canonical decimal rendering of a u64 — the condition
-/// under which a numeric wire encoding round-trips the exact string.
-fn canonical_u64(s: &str) -> Option<u64> {
-    let v: u64 = s.parse().ok()?;
-    // Canonical decimals have no leading zeros / signs / whitespace; the
-    // cheap complete check is to render back.
-    (v.to_string() == s).then_some(v)
 }
 
 /// A bounds-checked reader over the binary body.
@@ -216,69 +207,42 @@ impl Interner {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Picks the wire encoding for one record: its schema tag when the fields
-/// are exactly the kind's schema with canonical numerics, generic otherwise.
-fn record_tag(rec: &ParsedRecord) -> u8 {
-    let Some(id) = kind_id_by_name(&rec.kind) else { return GENERIC_TAG };
-    let schema = SCHEMAS[id as usize];
-    if schema.len() != rec.fields.len() {
-        return GENERIC_TAG;
-    }
-    for &(key, ty) in schema {
-        match (rec.fields.get(key), ty) {
-            (Some(v), FType::U64 | FType::Digest) if canonical_u64(v).is_some() => {}
-            (Some(_), FType::Str) => {}
-            _ => return GENERIC_TAG,
-        }
-    }
-    id
-}
-
-fn encode_record(out: &mut Vec<u8>, intern: &mut Interner, rec: &ParsedRecord, prev_ns: u64) {
+fn encode_record(out: &mut Vec<u8>, intern: &mut Interner, rec: &TraceRecord, prev_ns: u64) {
     let mut body = Vec::with_capacity(32);
-    let tag = record_tag(rec);
+    let tag = rec.kind.id();
     body.push(tag);
     // Wrapping difference: lossless for ANY pair of u64 timestamps (the
     // zigzag varint stays short for the small forward/backward steps real
     // traces take), and the decoder's wrapping add inverts it exactly.
-    put_varint(&mut body, zigzag(rec.at_ns.wrapping_sub(prev_ns) as i64));
-    put_varint(&mut body, rec.ep);
+    put_varint(&mut body, zigzag(rec.at.as_nanos().wrapping_sub(prev_ns) as i64));
+    put_varint(&mut body, rec.ep.raw());
     put_varint(&mut body, rec.clock.len() as u64);
     for &(actor, count) in &rec.clock {
         put_varint(&mut body, actor);
         put_varint(&mut body, count);
     }
-    if tag == GENERIC_TAG {
-        intern.put_str(&mut body, &rec.kind);
-        put_varint(&mut body, rec.fields.len() as u64);
-        for (k, v) in &rec.fields {
-            intern.put_str(&mut body, k);
-            intern.put_str(&mut body, v);
-        }
-    } else {
-        for &(key, ty) in SCHEMAS[tag as usize] {
-            let v = &rec.fields[key];
-            match ty {
-                FType::U64 => put_varint(&mut body, canonical_u64(v).unwrap()),
-                FType::Digest => body.extend_from_slice(&canonical_u64(v).unwrap().to_le_bytes()),
-                FType::Str => intern.put_str(&mut body, v),
-            }
+    // `kind_fields` is the view's one source (`parsed_from_record` reads
+    // it too) and yields the schema's keys in the schema's order.
+    let number = |v: &str| v.parse::<u64>().expect("kind_fields renders numbers as decimal u64");
+    for (&(key, ty), (k, v)) in SCHEMAS[tag as usize].iter().zip(kind_fields(&rec.kind)) {
+        debug_assert_eq!(key, k, "schema and kind_fields disagree for tag {tag}");
+        match ty {
+            FType::U64 => put_varint(&mut body, number(&v)),
+            FType::Digest => body.extend_from_slice(&number(&v).to_le_bytes()),
+            FType::Str => intern.put_str(&mut body, &v),
         }
     }
     put_varint(out, body.len() as u64);
     out.extend_from_slice(&body);
 }
 
-fn encode<'a>(
-    meta: impl IntoIterator<Item = (&'a str, &'a str)>,
-    records: impl IntoIterator<Item = ParsedRecord>,
-) -> Vec<u8> {
-    let records: Vec<ParsedRecord> = records.into_iter().collect();
+/// Serializes collected records as a v2 binary trace (meta pairs keep the
+/// given order).
+pub fn serialize_trace_v2(meta: &[(String, String)], records: &[TraceRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + records.len() * 16);
     out.extend_from_slice(TRACE_HEADER_V2.as_bytes());
     out.push(b'\n');
     let mut intern = Interner::default();
-    let meta: Vec<_> = meta.into_iter().collect();
     put_varint(&mut out, meta.len() as u64);
     for (k, v) in meta {
         intern.put_str(&mut out, k);
@@ -286,42 +250,33 @@ fn encode<'a>(
     }
     put_varint(&mut out, records.len() as u64);
     let mut prev_ns = 0;
-    for rec in &records {
+    for rec in records {
         encode_record(&mut out, &mut intern, rec, prev_ns);
-        prev_ns = rec.at_ns;
+        prev_ns = rec.at.as_nanos();
     }
     out
-}
-
-/// Serializes collected records as a v2 binary trace (the counterpart of
-/// [`serialize_trace`]; meta pairs keep the given order).
-///
-/// [`serialize_trace`]: crate::serialize_trace
-pub fn serialize_trace_v2(meta: &[(String, String)], records: &[TraceRecord]) -> Vec<u8> {
-    encode(
-        meta.iter().map(|(k, v)| (k.as_str(), v.as_str())),
-        records.iter().map(parsed_from_record),
-    )
-}
-
-/// Re-encodes a parsed trace (either format) as v2 bytes.
-pub fn trace_to_v2(trace: &ParsedTrace) -> Vec<u8> {
-    encode(trace.meta.iter().map(|(k, v)| (k.as_str(), v.as_str())), trace.records.iter().cloned())
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Parses a v2 binary trace.
+/// Parses a v2 binary trace — the one entry point every reader of trace
+/// bytes (the CLIs, the trace→schedule bridge) loads through.
 ///
 /// # Errors
 ///
 /// On a missing header or any truncated/malformed structure — with enough
-/// context to say what was being read.
+/// context to say what was being read; never a panic, whatever the bytes.
 pub fn parse_trace_v2(bytes: &[u8]) -> Result<ParsedTrace, String> {
     let header_len = TRACE_HEADER_V2.len() + 1;
-    if bytes.len() < header_len || &bytes[..header_len - 1] != TRACE_HEADER_V2.as_bytes() {
+    if bytes.starts_with(TRACE_HEADER_V1.as_bytes()) {
+        return Err("v1 text traces are no longer read; re-capture".into());
+    }
+    if bytes.len() < header_len
+        || &bytes[..header_len - 1] != TRACE_HEADER_V2.as_bytes()
+        || bytes[header_len - 1] != b'\n'
+    {
         return Err("bad v2 trace header".into());
     }
     let mut r = Reader::new(&bytes[header_len..]);
@@ -357,52 +312,26 @@ fn decode_record(r: &mut Reader<'_>, prev_ns: u64) -> Result<ParsedRecord, Strin
     for _ in 0..clock_len {
         clock.push((r.varint()?, r.varint()?));
     }
-    let (kind, fields) = if tag == GENERIC_TAG {
-        let kind = r.str()?;
-        let n = r.varint()?;
-        let mut fields = BTreeMap::new();
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.str()?;
-            fields.insert(k, v);
-        }
-        (kind, fields)
-    } else {
-        let schema =
-            SCHEMAS.get(tag as usize).ok_or_else(|| format!("unknown record tag {tag}"))?;
-        let mut fields = BTreeMap::new();
-        for &(key, ty) in *schema {
-            let v = match ty {
-                FType::U64 => r.varint()?.to_string(),
-                FType::Digest => r.fixed_u64()?.to_string(),
-                FType::Str => r.str()?,
-            };
-            fields.insert(key.to_string(), v);
-        }
-        (KIND_NAMES[tag as usize].to_string(), fields)
-    };
+    let schema = SCHEMAS.get(tag as usize).ok_or_else(|| format!("unknown record tag {tag}"))?;
+    let mut fields = BTreeMap::new();
+    for &(key, ty) in *schema {
+        let v = match ty {
+            FType::U64 => r.varint()?.to_string(),
+            FType::Digest => r.fixed_u64()?.to_string(),
+            FType::Str => r.str()?,
+        };
+        fields.insert(key.to_string(), v);
+    }
     if r.pos != body_end {
         return Err("record body length mismatch".into());
     }
-    Ok(ParsedRecord { at_ns, ep, clock, kind, fields })
-}
-
-/// Parses a trace in either format, auto-detected by header — the one
-/// entry point the CLI and the trace→schedule bridge load through.
-pub fn parse_trace_any(bytes: &[u8]) -> Result<ParsedTrace, String> {
-    if bytes.starts_with(TRACE_HEADER_V2.as_bytes()) {
-        parse_trace_v2(bytes)
-    } else {
-        let text =
-            std::str::from_utf8(bytes).map_err(|_| "not a v2 trace, and not UTF-8 text either")?;
-        parse_trace(text)
-    }
+    Ok(ParsedRecord { at_ns, ep, clock, kind: KIND_NAMES[tag as usize].to_string(), fields })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serialize_trace;
+    use crate::parsed_from_record;
     use horus_core::addr::EndpointAddr;
     use horus_core::time::SimTime;
     use horus_core::trace::TraceKind;
@@ -437,44 +366,15 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_and_cross_format_equality() {
+    fn v2_roundtrips_the_record_view() {
         let meta = vec![("scenario".to_string(), "wedge".to_string())];
         let records = sample_records();
         let v2 = serialize_trace_v2(&meta, &records);
-        let from_v2 = parse_trace_v2(&v2).unwrap();
-        let from_v1 = parse_trace(&serialize_trace(&meta, &records)).unwrap();
-        assert_eq!(from_v2, from_v1, "both formats must parse to the same view");
-        // Auto-detection sees both.
-        assert_eq!(parse_trace_any(&v2).unwrap(), from_v2);
-        assert_eq!(parse_trace_any(serialize_trace(&meta, &records).as_bytes()).unwrap(), from_v1);
-        // Re-encoding the parsed form is stable.
-        assert_eq!(trace_to_v2(&from_v2), v2);
-    }
-
-    #[test]
-    fn generic_tag_covers_off_schema_records() {
-        let mut t = ParsedTrace::default();
-        t.records.push(ParsedRecord {
-            at_ns: 5,
-            ep: 1,
-            clock: vec![],
-            kind: "custom-kind".to_string(),
-            fields: [("a".to_string(), "007".to_string()), ("b".to_string(), "x%20y".to_string())]
-                .into(),
-        });
-        // A vocabulary kind with non-canonical numerics must also fall back.
-        t.records.push(ParsedRecord {
-            at_ns: 6,
-            ep: 1,
-            clock: vec![],
-            kind: "crash".to_string(),
-            fields: [
-                ("digest".to_string(), "01".to_string()),
-                ("seq".to_string(), "2".to_string()),
-            ]
-            .into(),
-        });
-        assert_eq!(parse_trace_v2(&trace_to_v2(&t)).unwrap(), t);
+        let parsed = parse_trace_v2(&v2).unwrap();
+        assert_eq!(parsed.meta, meta.iter().cloned().collect());
+        assert_eq!(parsed.records, records.iter().map(parsed_from_record).collect::<Vec<_>>());
+        // Same records, same bytes.
+        assert_eq!(serialize_trace_v2(&meta, &records), v2);
     }
 
     #[test]
@@ -487,23 +387,13 @@ mod tests {
         let mut padded = v2.clone();
         padded.push(0);
         assert!(parse_trace_v2(&padded).is_err());
-    }
-
-    #[test]
-    fn v2_is_substantially_smaller_than_v1() {
-        // Synthetic but shaped like a real ring capture: layer crossings
-        // dominate, timestamps grow, names repeat.
-        let mut records = Vec::new();
-        for i in 0..1000u64 {
-            records.push(rec(i * 1300, 1 + i % 3, TraceKind::LayerDown { layer: "NAK" }));
-            records.push(rec(
-                i * 1300 + 400,
-                1 + i % 3,
-                TraceKind::FrameSend { cast: true, bytes: 64 },
-            ));
-        }
-        let v1 = serialize_trace(&[], &records).len();
-        let v2 = serialize_trace_v2(&[], &records).len();
-        assert!(v1 as f64 / v2 as f64 >= 3.0, "v2 must be ≥3× smaller: v1={v1}B v2={v2}B");
+        // A tag outside the vocabulary (the first record's tag byte follows
+        // the header, two counts and the body length).
+        let mut forged = v2.clone();
+        forged[TRACE_HEADER_V2.len() + 4] = SCHEMAS.len() as u8;
+        assert!(parse_trace_v2(&forged).unwrap_err().contains("unknown record tag"));
+        // The retired text encoding gets told so.
+        let err = parse_trace_v2(b"# horus-trace v1\nt=1 ep=1 vc=- inject-crash\n").unwrap_err();
+        assert_eq!(err, "v1 text traces are no longer read; re-capture");
     }
 }

@@ -26,7 +26,7 @@ use horus::sim::soak::{
     gen_plan, minimize_plan, parse_artifact, run_soak, run_soak_traced, serialize_artifact_traced,
     SoakConfig, SoakOutcome, SoakPlan,
 };
-use horus::trace::{serialize_trace, TraceBuf, META_SAMPLED_OUT, META_SAMPLE_EVERY};
+use horus::trace::{serialize_trace_v2, TraceBuf, META_SAMPLED_OUT, META_SAMPLE_EVERY};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -49,8 +49,7 @@ fn run_with_capture(
         ("seed".to_string(), cfg.seed.to_string()),
         ("stack".to_string(), cfg.stack.clone()),
     ];
-    let text = serialize_trace(&meta, &buf.take());
-    std::fs::write(path, &text).expect("write trace");
+    std::fs::write(path, serialize_trace_v2(&meta, &buf.take())).expect("write trace");
     println!(
         "  trace: kept={} sampled_out={} (1-in-{}) -> {path}",
         outcome.trace_kept,

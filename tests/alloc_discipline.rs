@@ -21,8 +21,10 @@
 //! * a `SimWorld::snapshot()` of the settled four-member `flush4` world
 //!   shares instead of copying: at most 20 allocations and 4 kB (it was 96
 //!   and 28.7 kB when slots, calendar entries and clocks were deep-copied),
-//!   all of it handed back when the snapshot is dropped, and one delivery
-//!   fired on a snapshot copies layers of the receiving endpoint only;
+//!   all of it handed back when the snapshot is dropped, one delivery
+//!   fired on a snapshot copies layers of the receiving endpoint only, and
+//!   a whole depth-7 `flush3` exploration — a sibling world parked at every
+//!   branch point — copies fewer than 4 layers a run (a world has 12);
 //! * a 64 KiB cast through `FRAG:NAK:COM` allocates at most 1.5 × its
 //!   payload in bytes, sender and receiver together, and the sender no
 //!   more than one fragment's copy plus per-fragment bookkeeping;
@@ -39,7 +41,7 @@
 use bytes::Bytes;
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
-use horus_check::Scenario;
+use horus_check::{explore, CheckConfig, Scenario};
 use horus_core::message::HeaderMode::{Aligned, Compact};
 use horus_core::message::{FieldSpec, HeaderLayout, HeaderMode, InnerImage};
 use horus_core::stack::{layer_clones, reset_layer_clones};
@@ -477,4 +479,19 @@ fn snapshots_share_instead_of_copying() {
     );
     assert_eq!(at_delivery.fingerprint(), at_delivery.fingerprint_fresh());
     assert_eq!(fork.fingerprint(), fork.fingerprint_fresh());
+
+    // 6c. And it stays that way across a search: a layer is duplicated only
+    // when a resumed sibling first mutates it, so a run costs well under
+    // the 4 layers x 3 members a copy of the world would.
+    let flush3 = Scenario::by_name("flush3").expect("registered scenario");
+    let cfg = CheckConfig { max_depth: 7, max_drops: 1, ..CheckConfig::default() };
+    reset_layer_clones();
+    let report = explore(flush3, &cfg);
+    let cloned = layer_clones();
+    assert!(report.exhausted && report.violation.is_none(), "depth-7 flush3 must stay clean");
+    assert!(
+        cloned < 4 * report.runs,
+        "snapshots must stay copy-on-write: {cloned} layer clones over {} runs",
+        report.runs
+    );
 }

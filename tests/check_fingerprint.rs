@@ -5,15 +5,17 @@
 //! performance optimization over the from-scratch walk
 //! (`SimWorld::fingerprint_fresh`) — the two must be *bit-identical* at
 //! every observable instant, or visited-state pruning silently changes the
-//! explored space.  These tests drive every registered scenario and every
-//! committed fixture through both paths and compare.
+//! explored space.  The first test drives every registered scenario in
+//! calendar order and compares at each step (debug builds also compare at
+//! every step of every explorer run and fixture replay; `check_dpor` holds
+//! whole explorations through the two paths to the same fingerprint set).
 //!
 //! The parallel explorer's contract is worker-count independence: the same
 //! scenario and config must produce the same exhaustion verdict and the
 //! same minimized counterexample whether explored with 1 worker or 4.
 
 use horus_check::schedule::verdict_line;
-use horus_check::{explore_parallel, replay_choices, shrink, CheckConfig, Scenario, Schedule};
+use horus_check::{explore_parallel, replay_choices, shrink, CheckConfig, Scenario};
 use horus_sim::{ReadyEvent, Scheduler, SimWorld, Step};
 use std::time::Duration;
 
@@ -53,44 +55,6 @@ fn incremental_fingerprint_matches_fresh_on_every_scenario() {
             "divergence at the deadline of scenario {}",
             scenario.name
         );
-    }
-}
-
-fn fixtures() -> Vec<(String, Schedule)> {
-    let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("fixtures directory exists") {
-        let path = entry.expect("readable entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("check") {
-            continue;
-        }
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {name}: {e}"));
-        let schedule = Schedule::parse(&text).unwrap_or_else(|e| panic!("parse {name}: {e}"));
-        out.push((name, schedule));
-    }
-    assert!(out.len() >= 4, "fixture corpus unexpectedly small: {}", out.len());
-    out
-}
-
-#[test]
-fn fixtures_replay_identically_under_incremental_and_fresh_fingerprints() {
-    // Every committed fixture, replayed twice: once with the incremental
-    // fingerprint (the default) and once forcing the from-scratch walk.
-    // Both the verdict and the taken-choice trace must agree — fingerprints
-    // feed visited-set pruning, and pruning must not depend on which
-    // implementation computed the hash.  (In debug builds the replay itself
-    // also asserts cached == fresh at every branch point.)
-    for (name, schedule) in fixtures() {
-        let scenario = Scenario::by_name(&schedule.scenario)
-            .unwrap_or_else(|| panic!("{name}: unknown scenario {:?}", schedule.scenario));
-        let incremental = schedule.to_config();
-        let fresh = CheckConfig { incremental_fp: false, ..schedule.to_config() };
-        let ri = replay_choices(scenario, &schedule.choices, &incremental);
-        let rf = replay_choices(scenario, &schedule.choices, &fresh);
-        assert_eq!(verdict_line(&ri), verdict_line(&rf), "{name}: verdict differs");
-        assert_eq!(ri.taken, rf.taken, "{name}: taken trace differs");
-        assert_eq!(verdict_line(&ri), schedule.verdict, "{name}: verdict drift");
     }
 }
 

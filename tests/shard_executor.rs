@@ -8,9 +8,11 @@
 
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
+use horus_core::trace::{ClockEntry, TraceEvent, TraceSink};
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
 use horus_trace::TraceBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +21,9 @@ fn ep(i: u64) -> EndpointAddr {
 }
 
 const GROUPS: u64 = 3;
-const CASTS: usize = 25;
+/// The quieter shard (the three receivers) is handed `GROUPS * CASTS` = 150
+/// frames: more than two of the worker's 64-input bursts.
+const CASTS: usize = 50;
 
 /// 3 disjoint 2-member groups over single-layer NOP stacks (which add no
 /// protocol chatter, so transport and stack counters can be equated
@@ -27,7 +31,7 @@ const CASTS: usize = 25;
 #[test]
 fn multi_group_delivery_with_accounting_parity() {
     let net = LoopbackNet::new();
-    let mut ex = ShardExecutor::new(net.clone(), ShardConfig::with_shards(2).batch_max(16));
+    let mut ex = ShardExecutor::new(net.clone(), ShardConfig::with_shards(2));
     for gi in 0..GROUPS {
         let g = GroupAddr::new(gi + 1);
         for m in 0..2 {
@@ -137,6 +141,52 @@ fn arrivals_are_traced_through_the_owning_stacks_sink() {
         assert!(timers > 0, "{me} ticked");
         assert!(events.iter().all(|e| e.ep == me), "{me}'s buffer holds another's records");
     }
+}
+
+/// A sink that wants nothing is never called.
+#[derive(Debug, Default)]
+struct Uninterested {
+    calls: AtomicU64,
+}
+
+impl TraceSink for Uninterested {
+    fn record(&self, _ev: TraceEvent) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+    fn set_clock(&self, _clock: &[ClockEntry]) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+    fn admit(&self) -> bool {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+    fn interested(&self) -> bool {
+        false
+    }
+}
+
+/// "Disabled tracing is free", as a count: a stack holding a sink whose
+/// `interested()` is false reads as untraced, and 1 000 casts through
+/// `NAK:COM` — stack event sites and the worker's arrival sites both — make
+/// not one call into the sink.
+#[test]
+fn an_uninterested_sink_is_never_called() {
+    let sink = Arc::new(Uninterested::default());
+    let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::default());
+    for i in 1..=2 {
+        let mut s = build_stack(ep(i), "NAK:COM", StackConfig::default()).unwrap();
+        s.set_tracer(sink.clone());
+        assert!(s.tracer().is_none(), "an uninterested sink must read as no sink");
+        ex.add_stack(s);
+        ex.down(ep(i), Down::Join { group: GroupAddr::new(1) });
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    for k in 0..1000u32 {
+        ex.cast_bytes(ep(1), k.to_le_bytes().to_vec());
+    }
+    assert!(ex.wait_until(Duration::from_secs(10), |ex| ex.cast_count(ep(2)) >= 1000));
+    ex.stop();
+    assert_eq!(sink.calls.load(Ordering::Relaxed), 0, "admit/record/set_clock calls");
 }
 
 /// `stop` lets the worker drain what was queued before it: a downcall

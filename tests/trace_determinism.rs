@@ -16,9 +16,9 @@
 //!    bridges back into exactly the committed `.check` fixture and the
 //!    same verdict.
 //! 4. **Latency stats are format- and run-independent**: the per-layer
-//!    histograms computed from the v1 text and from its v2 binary
-//!    re-encoding are equal, and the rendered quantile table is
-//!    byte-identical across repeated traced replays.
+//!    histograms computed from the collected records' in-memory view and
+//!    from the v2 file they encode to are equal, and the rendered quantile
+//!    table is byte-identical across repeated traced replays.
 //! 5. **Live equals offline**: a [`MetricsSink`] installed as the tracer
 //!    of a replay snapshots to exactly the histograms the offline
 //!    [`latency_stats`] pass extracts from a captured trace of the same
@@ -35,8 +35,8 @@ use horus_core::trace::TraceSink;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
 use horus_trace::{
-    delivery_projection, kind_counts, latency_stats, parse_trace, parse_trace_v2, serialize_trace,
-    trace_to_v2, LatencyStats, MetricsSink, TraceBuf, TraceRing,
+    delivery_projection, kind_counts, latency_stats, parse_trace_v2, parsed_from_record,
+    serialize_trace_v2, LatencyStats, MetricsSink, ParsedRecord, ParsedTrace, TraceBuf, TraceRing,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,20 +47,26 @@ fn ep(i: u64) -> EndpointAddr {
 
 /// Serializes the traced replay of `choices` (meta included, so the result
 /// is exactly what `horus-check replay --trace` writes).
-fn traced_replay_text(scenario: &Scenario, choices: &[u16], cfg: &CheckConfig) -> String {
+fn traced_replay_bytes(scenario: &Scenario, choices: &[u16], cfg: &CheckConfig) -> Vec<u8> {
     let buf = Arc::new(TraceBuf::new());
     let _ = replay_choices_traced(scenario, choices, cfg, buf.clone() as Arc<dyn TraceSink>);
-    serialize_trace(&trace_meta(scenario, cfg), &buf.take())
+    serialize_trace_v2(&trace_meta(scenario, cfg), &buf.take())
+}
+
+/// The same capture, read back the way every consumer reads a trace file.
+fn traced_replay(scenario: &Scenario, choices: &[u16], cfg: &CheckConfig) -> ParsedTrace {
+    parse_trace_v2(&traced_replay_bytes(scenario, choices, cfg)).expect("a capture parses")
 }
 
 #[test]
 fn traced_replay_is_byte_deterministic() {
     let scenario = Scenario::by_name("fifo2").unwrap();
     let cfg = CheckConfig::default();
-    let first = traced_replay_text(scenario, &[1], &cfg);
-    assert!(first.lines().count() > 10, "a replay must actually record events");
+    let first = traced_replay_bytes(scenario, &[1], &cfg);
+    let records = parse_trace_v2(&first).expect("a capture parses").records.len();
+    assert!(records > 10, "a replay must actually record events");
     for _ in 0..2 {
-        assert_eq!(traced_replay_text(scenario, &[1], &cfg), first);
+        assert_eq!(traced_replay_bytes(scenario, &[1], &cfg), first);
     }
 }
 
@@ -74,8 +80,8 @@ fn worker_counts_agree_down_to_trace_bytes() {
     let one = explore_parallel(scenario, &cfg, 1).violation.expect("planted bug");
     let four = explore_parallel(scenario, &cfg, 4).violation.expect("planted bug");
     assert_eq!(one.choices, four.choices, "counterexample must be worker-count independent");
-    let trace_one = traced_replay_text(scenario, &one.choices, &cfg);
-    let trace_four = traced_replay_text(scenario, &four.choices, &cfg);
+    let trace_one = traced_replay_bytes(scenario, &one.choices, &cfg);
+    let trace_four = traced_replay_bytes(scenario, &four.choices, &cfg);
     assert_eq!(trace_one, trace_four, "traces must be byte-identical across worker counts");
 }
 
@@ -108,8 +114,8 @@ fn projection(shards: usize, casts: usize) -> std::collections::BTreeMap<(u64, u
 
 fn projection_of(ring: &TraceRing) -> std::collections::BTreeMap<(u64, u64), Vec<u64>> {
     assert_eq!(ring.dropped(), 0, "ring must be sized for the workload");
-    let text = serialize_trace(&[], &ring.drain());
-    delivery_projection(&parse_trace(&text).unwrap().records)
+    let records: Vec<ParsedRecord> = ring.drain().iter().map(parsed_from_record).collect();
+    delivery_projection(&records)
 }
 
 #[test]
@@ -151,20 +157,23 @@ fn latency_table(stats: &LatencyStats) -> String {
 #[test]
 fn latency_stats_agree_across_formats_and_runs() {
     // The `stats --latency` acceptance loop: the same capture must yield
-    // the same histograms whether it is read as v1 text or as its v2
-    // binary re-encoding, and re-capturing must reproduce the table.
+    // the same histograms whether they are computed from the records as
+    // collected or from the v2 file they encode to, and re-capturing must
+    // reproduce the table.
     let scenario = Scenario::by_name("flush3").unwrap();
     let cfg = CheckConfig::default();
-    let text = traced_replay_text(scenario, &[], &cfg);
-    let v1 = parse_trace(&text).unwrap();
-    let from_v1 = latency_stats(&v1.records);
-    assert!(!from_v1.dwell.is_empty(), "a flush3 replay must cross layers");
-    let v2 = parse_trace_v2(&trace_to_v2(&v1)).unwrap();
-    assert_eq!(latency_stats(&v2.records), from_v1, "v1 and v2 must agree on latency");
-    let table = latency_table(&from_v1);
+    let buf = Arc::new(TraceBuf::new());
+    let _ = replay_choices_traced(scenario, &[], &cfg, buf.clone() as Arc<dyn TraceSink>);
+    let collected = buf.take();
+    let in_memory: Vec<ParsedRecord> = collected.iter().map(parsed_from_record).collect();
+    let from_memory = latency_stats(&in_memory);
+    assert!(!from_memory.dwell.is_empty(), "a flush3 replay must cross layers");
+    let file = parse_trace_v2(&serialize_trace_v2(&[], &collected)).unwrap();
+    assert_eq!(latency_stats(&file.records), from_memory, "the file must agree on latency");
+    let table = latency_table(&from_memory);
     assert!(table.lines().count() >= 2, "per-layer rows must be non-empty");
     for _ in 0..2 {
-        let rerun = parse_trace(&traced_replay_text(scenario, &[], &cfg)).unwrap();
+        let rerun = traced_replay(scenario, &[], &cfg);
         assert_eq!(
             latency_table(&latency_stats(&rerun.records)),
             table,
@@ -183,7 +192,7 @@ fn metrics_sink_matches_the_offline_pass() {
     let live = Arc::new(MetricsSink::new());
     let _ = replay_choices_traced(scenario, &[], &cfg, live.clone() as Arc<dyn TraceSink>);
     let snap = live.snapshot();
-    let offline = parse_trace(&traced_replay_text(scenario, &[], &cfg)).unwrap();
+    let offline = traced_replay(scenario, &[], &cfg);
     assert_eq!(snap.records as usize, offline.records.len(), "record counts must agree");
     assert_eq!(snap.kinds, kind_counts(&offline.records), "kind counts must agree");
     assert_eq!(snap.latency, latency_stats(&offline.records), "histograms must agree");
@@ -198,8 +207,7 @@ fn soak_wedge_plan_bridges_to_the_committed_fixture() {
     // schedule fixture byte for byte and replay to its verdict.
     let scenario = Scenario::by_name("soakwedge").unwrap();
     let cfg = CheckConfig::default();
-    let text = traced_replay_text(scenario, &[], &cfg);
-    let trace = parse_trace(&text).unwrap();
+    let trace = traced_replay(scenario, &[], &cfg);
     assert!(
         trace.records.iter().any(|r| r.kind == "partition")
             && trace.records.iter().any(|r| r.kind == "crash"),

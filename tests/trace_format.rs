@@ -1,16 +1,17 @@
-//! Property tests over the trace file formats: v1 text escaping survives
-//! arbitrary payload bytes, the v2 binary format round-trips losslessly,
-//! and both formats agree record-for-record on the same capture (the
-//! invariant `horus-trace convert` and the CLI's auto-detection lean on).
-//! Plus the latency `Histogram`'s accuracy contract: quantiles are exact
-//! to the bucket, i.e. within 25% of the true rank statistic.
+//! Property tests over the trace file format: free text survives escaping
+//! and the v2 encoding whatever bytes it holds, the v2 binary format
+//! round-trips the record view losslessly, and `parse_trace_v2` — the only
+//! code that reads trace bytes from disk — answers anything that is not a
+//! trace with `Err`, never a panic.  Plus the latency `Histogram`'s
+//! accuracy contract: quantiles are exact to the bucket, i.e. within 25%
+//! of the true rank statistic.
 
-use horus_core::trace::{DropReason, TraceKind, KIND_NAMES};
+use horus_check::{replay_choices_traced, Scenario, Schedule};
+use horus_core::trace::{DropReason, TraceKind, TraceSink, KIND_NAMES};
 use horus_core::{EndpointAddr, SimTime};
 use horus_trace::{
-    first_divergence, parse_trace, parse_trace_any, parse_trace_v2, parsed_from_record,
-    serialize_parsed, serialize_trace, serialize_trace_v2, trace_to_v2, Histogram, ParsedTrace,
-    TraceRecord,
+    first_divergence, parse_trace_v2, parsed_from_record, parsed_line, serialize_parsed,
+    serialize_trace_v2, Histogram, ParsedTrace, TraceBuf, TraceRecord, TRACE_HEADER_V2,
 };
 use proptest::prelude::*;
 use proptest::strategy::Func;
@@ -30,9 +31,9 @@ const DROPS: &[DropReason] = &[
     DropReason::Unroutable,
 ];
 
-/// Characters chosen to stress the v1 escaper: field/record separators,
-/// the escape char itself, ASCII + Unicode whitespace (`line.trim()` bait),
-/// control bytes, and multi-byte UTF-8.
+/// Characters chosen to stress the escaper: field/record separators, the
+/// escape char itself, ASCII + Unicode whitespace, control bytes, and
+/// multi-byte UTF-8.
 const NASTY_CHARS: &[char] = &[
     ' ', '=', '%', '\t', '\n', '\r', '\u{0}', '\u{1b}', '\u{7f}', '\u{a0}', '\u{2028}', 'é', '日',
     '🦀', 'a', 'Z', '0', ':', ',', '#',
@@ -133,7 +134,7 @@ fn arb_meta(rng: &mut StdRng) -> Vec<(String, String)> {
     (0..len).map(|i| (keys[i].to_string(), rng.gen_range(0..1000u64).to_string())).collect()
 }
 
-/// The parsed view both formats serialize from.
+/// The parsed view the encoder serializes from.
 fn parsed(meta: &[(String, String)], records: &[TraceRecord]) -> ParsedTrace {
     ParsedTrace {
         meta: meta.iter().cloned().collect(),
@@ -141,14 +142,92 @@ fn parsed(meta: &[(String, String)], records: &[TraceRecord]) -> ParsedTrace {
     }
 }
 
+/// LEB128, as the format writes it — for forging files by hand.
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    loop {
+        let b = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(b);
+            return out;
+        }
+        out.push(b | 0x80);
+    }
+}
+
+/// A v2 file from its parts: header line, then `tail` verbatim.
+fn forged(tail: &[&[u8]]) -> Vec<u8> {
+    let mut out = format!("{TRACE_HEADER_V2}\n").into_bytes();
+    for part in tail {
+        out.extend_from_slice(part);
+    }
+    out
+}
+
+#[test]
+fn forged_counts_and_indices_are_errors() {
+    let huge = varint(u64::MAX);
+    let (none, one) = (varint(0), varint(1));
+    // A record body up to (not including) its fields: tag, time delta, ep,
+    // clock length.
+    let inject_crash: &[u8] = &[13, 0, 1, 0];
+    let cases: [(&str, Vec<u8>); 9] = [
+        ("meta_count", forged(&[&huge])),
+        ("record_count", forged(&[&none, &huge])),
+        ("body length past the file", forged(&[&none, &one, &huge, inject_crash])),
+        ("body length short of the body", forged(&[&none, &one, &varint(2), inject_crash])),
+        ("clock_len", forged(&[&none, &one, &varint(12), &[13, 0, 1], &huge])),
+        ("string length", forged(&[&one, &none, &huge])),
+        ("back-reference past the table", forged(&[&one, &varint(7), &varint(7)])),
+        (
+            "tag past the vocabulary",
+            forged(&[&none, &one, &varint(4), &[KIND_NAMES.len() as u8, 0, 1, 0]]),
+        ),
+        ("tag 0xFF", forged(&[&none, &one, &varint(4), &[0xFF, 0, 1, 0]])),
+    ];
+    for (what, bytes) in cases {
+        assert!(parse_trace_v2(&bytes).is_err(), "a forged {what} must be refused");
+    }
+    // The body the forgeries are built around is itself well-formed.
+    let ok = parse_trace_v2(&forged(&[&none, &one, &varint(4), inject_crash])).unwrap();
+    assert_eq!(ok.records[0].kind, "inject-crash");
+    assert!(parse_trace_v2(b"").is_err() && parse_trace_v2(b"# horus-trace v2").is_err());
+}
+
+#[test]
+fn a_replay_capture_costs_at_most_twenty_bytes_a_record() {
+    // What `horus-check replay tests/fixtures/flush3_clean.check --trace`
+    // writes, minus the meta: deterministic records, so a deterministic
+    // size — 18.2 B/record when this was written, three-entry vector clock
+    // and 8-byte digests included (a clock-less ring capture of a `NAK:COM`
+    // flood takes 9.4).
+    let text = include_str!("fixtures/flush3_clean.check");
+    let schedule = Schedule::parse(text).expect("fixture parses");
+    let scenario = Scenario::by_name(&schedule.scenario).expect("registered scenario");
+    let buf = std::sync::Arc::new(TraceBuf::new());
+    let sink = buf.clone() as std::sync::Arc<dyn TraceSink>;
+    let _ = replay_choices_traced(scenario, &schedule.choices, &schedule.to_config(), sink);
+    let records = buf.take();
+    assert!(records.len() > 1000, "a flush3 replay records thousands of events");
+    let bytes = serialize_trace_v2(&[], &records).len();
+    assert!(
+        bytes <= 20 * records.len(),
+        "{bytes} B for {} records is {:.1} B/record",
+        records.len(),
+        bytes as f64 / records.len() as f64
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// v1 text: arbitrary payload strings (separators, `%`, Unicode
-    /// whitespace, control bytes, multi-byte UTF-8) survive escape →
-    /// line-parse → unescape unchanged.
+    /// Arbitrary payload strings (separators, `%`, Unicode whitespace,
+    /// control bytes, multi-byte UTF-8) survive escape → encode → decode →
+    /// unescape unchanged, and render as one line of space-separated
+    /// tokens whatever they hold.
     #[test]
-    fn v1_escaping_roundtrips_arbitrary_payloads(text in Func(arb_text)) {
+    fn escaping_roundtrips_arbitrary_payloads(text in Func(arb_text)) {
         let note = TraceRecord {
             at: SimTime::from_nanos(7),
             ep: EndpointAddr::new(1),
@@ -161,38 +240,54 @@ proptest! {
             clock: vec![(1, 2)],
             kind: TraceKind::ViewInstall { view: text.clone() },
         };
-        let parsed = parse_trace(&serialize_trace(&[], &[note, view])).unwrap();
+        let parsed = parse_trace_v2(&serialize_trace_v2(&[], &[note, view])).unwrap();
         prop_assert_eq!(parsed.records.len(), 2);
         prop_assert_eq!(parsed.records[0].text_field("text").unwrap(), text.clone());
         prop_assert_eq!(parsed.records[1].text_field("view").unwrap(), text);
+        for r in &parsed.records {
+            let line = parsed_line(r);
+            prop_assert_eq!(line.split(' ').count(), 5, "t, ep, vc, kind, one field: {}", line);
+            prop_assert!(!line.chars().any(|c| c != ' ' && (c.is_whitespace() || c.is_control())));
+        }
     }
 
-    /// v1 text: whole arbitrary traces parse back to exactly the view the
-    /// records project to, and re-serialize byte-identically.
+    /// Whole arbitrary traces decode to exactly the view the records
+    /// project to, and the same records encode to the same bytes.
     #[test]
-    fn v1_parses_to_the_record_view(records in Func(arb_trace), meta in Func(arb_meta)) {
-        let text = serialize_trace(&meta, &records);
-        let p = parse_trace(&text).unwrap();
-        prop_assert_eq!(&p, &parsed(&meta, &records));
-        prop_assert_eq!(serialize_parsed(&p), text);
-    }
-
-    /// v2 binary: encodes the same view v1 does, losslessly, and the
-    /// header auto-detection routes both formats to the same parse.
-    #[test]
-    fn v2_roundtrips_and_matches_v1(records in Func(arb_trace), meta in Func(arb_meta)) {
+    fn v2_roundtrips_the_record_view(records in Func(arb_trace), meta in Func(arb_meta)) {
         let expect = parsed(&meta, &records);
         let bytes = serialize_trace_v2(&meta, &records);
-        prop_assert_eq!(&parse_trace_v2(&bytes).unwrap(), &expect);
-        prop_assert_eq!(&parse_trace_any(&bytes).unwrap(), &expect);
-        let text = serialize_trace(&meta, &records);
-        prop_assert_eq!(&parse_trace_any(text.as_bytes()).unwrap(), &expect);
-        // Re-encoding the parsed view is the `convert` loop: still lossless.
-        prop_assert_eq!(&parse_trace_v2(&trace_to_v2(&expect)).unwrap(), &expect);
-        prop_assert!(first_divergence(
-            &parse_trace_v2(&bytes).unwrap().records,
-            &parse_trace(&text).unwrap().records,
-        ).is_none());
+        let back = parse_trace_v2(&bytes).unwrap();
+        prop_assert_eq!(&back, &expect);
+        prop_assert!(first_divergence(&back.records, &expect.records).is_none());
+        prop_assert_eq!(serialize_parsed(&back), serialize_parsed(&expect));
+        prop_assert_eq!(serialize_trace_v2(&meta, &records), bytes);
+    }
+
+    /// Nothing that is not a trace parses as one, and nothing panics: every
+    /// strict prefix of a valid file is refused; a flipped bit is refused or
+    /// decodes to some other trace; bytes after a valid header likewise.
+    #[test]
+    fn malformed_v2_is_an_error_never_a_panic(
+        records in Func(arb_trace),
+        meta in Func(arb_meta),
+        noise in proptest::collection::vec(any::<u8>(), 0..200),
+        flips in proptest::collection::vec(any::<u64>(), 48),
+    ) {
+        let bytes = serialize_trace_v2(&meta, &records);
+        for cut in 0..bytes.len() {
+            prop_assert!(parse_trace_v2(&bytes[..cut]).is_err(), "prefix of {} bytes parsed", cut);
+        }
+        // Every bit of the counts and the first record or two, then a
+        // sample of the rest.
+        let head = (0..bytes.len().min(TRACE_HEADER_V2.len() + 24) * 8).map(|b| b as u64);
+        for bit in head.chain(flips) {
+            let bit = (bit % (bytes.len() as u64 * 8)) as usize;
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = parse_trace_v2(&flipped);
+        }
+        let _ = parse_trace_v2(&forged(&[&noise]));
     }
 
     /// Histogram quantiles report the floor of the bucket holding the true
