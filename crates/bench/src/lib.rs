@@ -7,6 +7,8 @@
 //! payload delivered, virtual-time latencies — are printed to stderr by
 //! the benches as they run, and copied into EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use horus_core::prelude::*;

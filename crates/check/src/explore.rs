@@ -11,8 +11,7 @@
 //!   served from the world's incremental caches, and at each expandable
 //!   branch point the world is cloned ([`SimWorld::snapshot`]) once per
 //!   untaken sibling so the sibling's run later *resumes* from that clone —
-//!   no settle phase, no prefix re-execution.  A layer that opts out of
-//!   snapshotting gets a stateless-replay node for that branch instead.
+//!   no settle phase, no prefix re-execution.
 //! * **The oracle** (`--oracle`): no reduction, every fingerprint
 //!   re-digested from scratch ([`SimWorld::fingerprint_fresh`]), every run
 //!   re-executed from `Scenario::build` consuming its prefix choice by
@@ -639,9 +638,9 @@ impl Scheduler for ControlledScheduler<'_> {
         };
 
         // Expansion happens *here*, while the branch point's world exists:
-        // each untaken *awake* sibling becomes a DFS node, preferably a
-        // snapshot of this world (so the sibling run resumes in place) and
-        // otherwise a full replay prefix.  Only beyond the replayed prefix
+        // each untaken *awake* sibling becomes a DFS node — a snapshot of
+        // this world (so the sibling run resumes in place), or under the
+        // oracle a full replay prefix.  Only beyond the replayed prefix
         // — the resumed branch point's own siblings were pushed by the run
         // that discovered it.  Each sibling inherits the current sleep set
         // plus the fire events of its awake left siblings (the taken option
@@ -663,18 +662,20 @@ impl Scheduler for ControlledScheduler<'_> {
                     }
                     let mut choices = self.rec.taken.clone();
                     choices.push(alt as u16);
-                    let snap = if self.cfg.oracle { None } else { world.snapshot() };
-                    spawn.push(match snap {
-                        Some(w) => Job::Resume(Box::new(ResumeJob {
-                            world: w,
+                    spawn.push(if self.cfg.oracle {
+                        Job::Fresh(choices, acc.clone())
+                    } else {
+                        Job::Resume(Box::new(ResumeJob {
+                            world: world
+                                .snapshot()
+                                .expect("Scenario::build's fixed net scheduler clones"),
                             choices,
                             branch_base: self.rec.branch_options.clone(),
                             drops_left: self.drops_left,
                             crashes_left: self.crashes_left,
                             suspects_left: self.suspects_left,
                             sleep: acc.clone(),
-                        })),
-                        None => Job::Fresh(choices, acc.clone()),
+                        }))
                     });
                     if !self.cfg.oracle {
                         if let Step::Fire(i) = opts[alt] {

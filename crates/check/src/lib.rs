@@ -40,6 +40,8 @@
 //! A found violation is therefore not a flaky failure but a *file*: commit
 //! it under `tests/fixtures/` and it replays forever.
 
+#![forbid(unsafe_code)]
+
 pub mod bridge;
 pub mod explore;
 pub mod scenario;

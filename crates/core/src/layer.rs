@@ -114,11 +114,6 @@ impl<'a> LayerCtx<'a> {
         msg.pop_header(self.layer)
     }
 
-    /// Whether the message's current top header belongs to this layer.
-    pub fn is_mine(&self, msg: &Message) -> bool {
-        msg.has_header(self.layer)
-    }
-
     /// Writes field `field` of this layer's header.
     pub fn set(&self, msg: &mut Message, field: usize, val: u64) {
         msg.set_field(self.layer, field, val);
@@ -147,12 +142,18 @@ impl<'a> LayerCtx<'a> {
 
 /// A protocol layer: the abstract data type of the paper's §1.
 ///
-/// Implementations must be `Send + Sync` so stacks can run on the
-/// shard workers and so snapshotted layer state can be shared
-/// copy-on-write between explorer workers (layers hold no interior
-/// mutability: all mutation flows through `&mut self` dispatch).  The
-/// default method bodies make a new layer a pure pass-through; override only
-/// the events the protocol participates in.
+/// A layer is a value: `Clone + Send + Sync + 'static`, with all mutation
+/// flowing through `&mut self` dispatch (no interior mutability).  `Send +
+/// Sync` lets stacks run on the shard workers and lets snapshotted layer
+/// state be shared copy-on-write between explorer workers; `Clone` is how
+/// a snapshot materialises a layer, so it must copy **everything** that
+/// affects future behaviour — `#[derive(Clone)]` does.  The framework
+/// takes cloning, downcasting ([`crate::stack::Stack::focus_as`]) and the
+/// `String` form of the state report from the type ([`LayerObject`]); a
+/// layer writes none of them.
+///
+/// The default method bodies make a new layer a pure pass-through; override
+/// only the events the protocol participates in.
 ///
 /// A handler runs to completion before any event it passed on is handled:
 /// `ctx.down(ev)` and `ctx.up(ev)` queue `ev` for the neighbouring layer, in
@@ -160,9 +161,10 @@ impl<'a> LayerCtx<'a> {
 ///
 /// ```
 /// use horus_core::prelude::*;
+/// use std::fmt;
 ///
 /// /// Counts messages travelling down the stack.
-/// #[derive(Debug, Default)]
+/// #[derive(Debug, Default, Clone)]
 /// struct Counter { down: u64 }
 ///
 /// impl Layer for Counter {
@@ -171,10 +173,14 @@ impl<'a> LayerCtx<'a> {
 ///         if matches!(ev, Down::Cast(_)) { self.down += 1; }
 ///         ctx.down(ev);
 ///     }
-///     fn dump(&self) -> String { format!("down={}", self.down) }
+///     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+///         write!(w, "down={}", self.down)
+///     }
 /// }
+///
+/// assert_eq!(Counter { down: 2 }.dump(), "down=2");
 /// ```
-pub trait Layer: Send + Sync {
+pub trait Layer: LayerObject {
     /// The layer's name, e.g. `"NAK"`. Used in stack descriptions, dumps,
     /// and the stack fingerprint.
     fn name(&self) -> &'static str;
@@ -209,38 +215,26 @@ pub trait Layer: Send + Sync {
         false
     }
 
-    /// One-line state report for the `dump`/`focus` debugging interface.
-    fn dump(&self) -> String {
-        String::new()
-    }
-
-    /// [`Layer::dump`] written into `w` instead of returned.  The state
-    /// digest streams this at every fingerprint, so a layer on a
-    /// model-checked stack should format here and implement `dump` as
-    /// `dump_to` into a `String`; the default goes the other way round.
-    /// The two must produce the same text.
-    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
-        w.write_str(&self.dump())
+    /// One-line state report for the `dump`/`focus` debugging interface,
+    /// written into `w`.  The state digest streams this at every
+    /// fingerprint; [`LayerObject::dump`] collects it into a `String`.  A
+    /// layer without state writes nothing.
+    fn dump_to(&self, _w: &mut dyn fmt::Write) -> fmt::Result {
+        Ok(())
     }
 
     /// Feeds this layer's delivery-relevant state into a model-checking
     /// state digest (visited-state pruning in `horus-check`).
     ///
-    /// The default digests the [`Layer::dump_to`] report — the same bytes
-    /// and terminator as `d.write_str(&self.dump())`, without building the
-    /// string — which every stateful layer in this repository already keeps
-    /// current.  Override when the dump omits state that changes future
-    /// behaviour — an under-discriminating digest makes the explorer merge
-    /// states it should distinguish and skip schedules it should search.
+    /// The default digests the [`Layer::dump_to`] report — the bytes of the
+    /// dump and a `0xff` terminator, without building the string — which
+    /// every stateful layer in this repository already keeps current.
+    /// Override when the dump omits state that changes future behaviour —
+    /// an under-discriminating digest makes the explorer merge states it
+    /// should distinguish and skip schedules it should search.
     fn digest_state(&self, d: &mut crate::digest::StateDigest) {
         self.dump_to(d).expect("a state digest accepts every write");
         d.write_bytes(&[0xff]);
-    }
-
-    /// Optional downcast hook so tests and tools can reach layer-specific
-    /// state through [`crate::stack::Stack::focus_as`].
-    fn as_any(&self) -> Option<&dyn Any> {
-        None
     }
 
     /// How many units of *pending work* this layer is still holding: state
@@ -257,39 +251,31 @@ pub trait Layer: Send + Sync {
     fn pending_work(&self) -> u64 {
         0
     }
-
-    /// Duplicates this layer's full state, if the layer supports it.
-    ///
-    /// Snapshot support is *opt-in*: the default `None` makes
-    /// [`crate::stack::Stack::clone_cow`] (and therefore world snapshotting
-    /// in the simulator) fail gracefully, and callers fall back to
-    /// re-execution.  A layer that opts in must clone **everything** that
-    /// affects future behaviour — the model checker resumes exploration
-    /// from cloned worlds, so a shallow or partial clone silently corrupts
-    /// the search.  For layers whose state is plain data this is just
-    /// `Some(Box::new(self.clone()))`.
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        None
-    }
-
-    /// Whether [`Layer::clone_box`] returns `Some` — i.e. whether this
-    /// layer's state can be duplicated for snapshotting.
-    ///
-    /// Copy-on-write snapshots ([`crate::stack::Stack::clone_cow`]) need to
-    /// know *up front* that every layer can be materialized later without
-    /// paying for a probe clone, so implementations that override
-    /// `clone_box` must override this to `true` as well.  The two must
-    /// agree: a layer that advertises snapshot support but returns `None`
-    /// from `clone_box` panics at the first post-snapshot mutation.
-    fn supports_snapshot(&self) -> bool {
-        false
-    }
 }
 
-/// [`Layer::dump_to`] into a fresh `String` — the body of [`Layer::dump`]
-/// for a layer that formats in `dump_to`.
-pub fn dump_string(layer: &(impl Layer + ?Sized)) -> String {
-    let mut s = String::new();
-    layer.dump_to(&mut s).expect("writing to a String cannot fail");
-    s
+/// What the framework derives from a layer being a `Clone + 'static` value;
+/// implemented for every such [`Layer`] and by hand for none.
+///
+/// `Any` is a supertrait so that `&dyn Layer` upcasts to `&dyn Any` for
+/// [`crate::stack::Stack::focus_as`].
+pub trait LayerObject: Any + Send + Sync {
+    /// Duplicates the layer's full state — how a copy-on-write snapshot
+    /// ([`crate::stack::Stack::clone_cow`]) materialises a shared layer at
+    /// the first dispatch into it.
+    fn clone_layer(&self) -> Box<dyn Layer>;
+
+    /// [`Layer::dump_to`] collected into a `String`.
+    fn dump(&self) -> String;
+}
+
+impl<T: Layer + Clone + 'static> LayerObject for T {
+    fn clone_layer(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+
+    fn dump(&self) -> String {
+        let mut s = String::new();
+        self.dump_to(&mut s).expect("writing to a String cannot fail");
+        s
+    }
 }

@@ -32,7 +32,7 @@
 //! use horus_core::prelude::*;
 //!
 //! // A stack of two pass-through layers; see `horus-layers` for real ones.
-//! #[derive(Debug, Default)]
+//! #[derive(Debug, Default, Clone)]
 //! struct Nop;
 //! impl Layer for Nop {
 //!     fn name(&self) -> &'static str { "NOP" }
@@ -49,6 +49,8 @@
 //! assert!(matches!(effects[0], Effect::NetCast { .. }));
 //! # Ok::<(), horus_core::HorusError>(())
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod digest;
@@ -68,7 +70,7 @@ pub use digest::StateDigest;
 pub use error::HorusError;
 pub use event::{Down, Effect, MergeId, MsgId, StabilityMatrix, StackInput, Up};
 pub use frame::WireFrame;
-pub use layer::{Layer, LayerCtx};
+pub use layer::{Layer, LayerCtx, LayerObject};
 pub use message::{FieldSpec, HeaderLayout, HeaderMode, Message};
 pub use stack::{EffectSink, LayerTraffic, Stack, StackBuilder, StackConfig, StackStats};
 pub use time::SimTime;
@@ -83,7 +85,7 @@ pub mod prelude {
     pub use crate::error::HorusError;
     pub use crate::event::{Down, Effect, MergeId, MsgId, StabilityMatrix, StackInput, Up};
     pub use crate::frame::WireFrame;
-    pub use crate::layer::{Layer, LayerCtx};
+    pub use crate::layer::{Layer, LayerCtx, LayerObject};
     pub use crate::message::{FieldSpec, HeaderLayout, HeaderMode, Message};
     pub use crate::stack::{
         EffectSink, LayerTraffic, Stack, StackBuilder, StackConfig, StackStats,

@@ -31,6 +31,7 @@ use crate::view::View;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,7 +251,7 @@ impl From<EffectSink> for Vec<Effect> {
 ///
 /// ```
 /// use horus_core::prelude::*;
-/// #[derive(Debug, Default)]
+/// #[derive(Debug, Default, Clone)]
 /// struct Nop;
 /// impl Layer for Nop { fn name(&self) -> &'static str { "NOP" } }
 ///
@@ -441,10 +442,10 @@ impl Routes {
     }
 }
 
-/// Process-global count of layer states duplicated through
-/// [`Layer::clone_box`] — copy-on-write materializations, i.e. the first
-/// mutation of a shared layer after [`Stack::clone_cow`].  The model
-/// checker's benchmarks read this as the "bytes cloned" proxy.
+/// Process-global count of layer states duplicated — copy-on-write
+/// materializations, i.e. the first mutation of a shared layer after
+/// [`Stack::clone_cow`].  The model checker's benchmarks read this as the
+/// "bytes cloned" proxy.
 static LAYER_CLONES: AtomicU64 = AtomicU64::new(0);
 
 /// Total layer-state duplications since process start (or the last
@@ -465,7 +466,7 @@ pub fn reset_layer_clones() {
 /// A freshly built stack owns each layer exclusively (`Arc` strong count 1)
 /// and mutates it in place.  [`Stack::clone_cow`] shares the `Arc`s instead
 /// of cloning layer state; the first dispatch into a shared layer — on
-/// either side — materializes a private copy via [`Layer::clone_box`].
+/// either side — materializes a private copy (the layer's `Clone`).
 /// Layers a parked exploration sibling never touches are therefore never
 /// cloned, which is what makes world snapshots O(touched) instead of
 /// O(world).
@@ -489,29 +490,15 @@ impl LayerCell {
     /// `strong_count == 1` under `&mut self` means unique, and the one
     /// `Arc::get_mut` left — a locked compare-exchange on the weak count —
     /// cannot fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a shared layer breaks the
-    /// [`Layer::supports_snapshot`]/[`Layer::clone_box`] agreement: sharing
-    /// only happens after `supports_snapshot()` returned `true`, so
-    /// `clone_box()` returning `None` here is a layer implementation bug.
     fn make_mut(&mut self) -> &mut dyn Layer {
         if Arc::strong_count(&self.0) != 1 {
-            let copy = self.0.clone_box().unwrap_or_else(|| {
-                panic!(
-                    "layer {} advertises snapshot support but clone_box returned None",
-                    self.0.name()
-                )
-            });
             LAYER_CLONES.fetch_add(1, Ordering::Relaxed);
-            self.0 = Arc::new(copy);
+            self.0 = Arc::new(self.get().clone_layer());
         }
         &mut **Arc::get_mut(&mut self.0).expect("uniquely owned after materialization")
     }
 
-    /// Shares the cell (no state copied).  Only for layers that can be
-    /// materialized later ([`Stack::supports_snapshot`]).
+    /// Shares the cell (no state copied).
     fn share(&self) -> LayerCell {
         LayerCell(Arc::clone(&self.0))
     }
@@ -653,13 +640,6 @@ impl Stack {
         }
     }
 
-    /// Whether every layer supports snapshotting
-    /// ([`Layer::supports_snapshot`]), i.e. whether [`Stack::clone_cow`]
-    /// returns `Some`.
-    pub fn supports_snapshot(&self) -> bool {
-        self.layers.iter().all(|l| l.get().supports_snapshot())
-    }
-
     /// Duplicates the stack's full runtime state copy-on-write: every
     /// layer's state is shared with the original instead of duplicated,
     /// deferring each layer's clone to the first dispatch into it — on
@@ -669,15 +649,11 @@ impl Stack {
     /// view, stats, and the digest caches all come along, so a cloned stack
     /// fed the same events produces the same effects — which is what lets
     /// the model checker resume exploration from snapshotted worlds instead
-    /// of re-executing prefixes.  Returns `None` when any layer opts out of
-    /// snapshotting ([`Stack::supports_snapshot`]).
-    pub fn clone_cow(&self) -> Option<Stack> {
-        if !self.supports_snapshot() {
-            return None;
-        }
+    /// of re-executing prefixes.
+    pub fn clone_cow(&self) -> Stack {
         let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
         let core = &self.core;
-        Some(Stack {
+        Stack {
             layers: self.layers.iter().map(LayerCell::share).collect(),
             layer_digests: self.layer_digests.iter().map(copy).collect(),
             core: StackCore {
@@ -698,7 +674,7 @@ impl Stack {
                 tracer: core.tracer.clone(),
                 traced: core.traced,
             },
-        })
+        }
     }
 
     /// Layer names, top first.
@@ -728,14 +704,10 @@ impl Stack {
         self.layers.iter().find(|l| l.get().name() == name).map(|l| l.get().dump())
     }
 
-    /// Typed `focus`: borrow a layer's concrete type (layers opt in through
-    /// [`Layer::as_any`]).
+    /// Typed `focus`: borrow a layer's concrete type.
     pub fn focus_as<T: 'static>(&self, name: &str) -> Option<&T> {
-        self.layers
-            .iter()
-            .find(|l| l.get().name() == name)
-            .and_then(|l| l.get().as_any())
-            .and_then(|a| a.downcast_ref::<T>())
+        let layer = self.layers.iter().find(|l| l.get().name() == name)?.get();
+        (layer as &dyn Any).downcast_ref::<T>()
     }
 
     /// The `dump` downcall: every layer's state report, top first.
@@ -1186,7 +1158,7 @@ mod tests {
     use super::*;
     use crate::message::FieldSpec;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Nop;
     impl Layer for Nop {
         fn name(&self) -> &'static str {
@@ -1198,7 +1170,7 @@ mod tests {
     }
 
     /// A layer that stamps a sequence number on casts.
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Seq {
         next: u64,
         seen: Vec<u64>,
@@ -1232,11 +1204,8 @@ mod tests {
                 other => ctx.up(other),
             }
         }
-        fn dump(&self) -> String {
-            format!("next={} seen={}", self.next, self.seen.len())
-        }
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
+        fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+            write!(w, "next={} seen={}", self.next, self.seen.len())
         }
     }
 
@@ -1445,9 +1414,46 @@ mod tests {
     }
 
     #[test]
+    fn default_digest_is_the_dump_and_a_terminator() {
+        use crate::layer::LayerObject;
+        let seq = Seq { next: 3, seen: vec![1, 2] };
+        let mut streamed = StateDigest::new();
+        seq.digest_state(&mut streamed);
+        let mut whole = StateDigest::new();
+        whole.write_str(&seq.dump());
+        assert_eq!(streamed.finish(), whole.finish());
+    }
+
+    #[test]
+    fn a_layer_that_only_names_itself_is_snapshotted_and_focused() {
+        /// Cloning, downcasting and the dump all come from the type.
+        #[derive(Clone)]
+        struct Bare;
+        impl Layer for Bare {
+            fn name(&self) -> &'static str {
+                "BARE"
+            }
+        }
+        let original = StackBuilder::new(ep(1)).push(Box::new(Bare)).build().unwrap();
+        let mut copy = original.clone_cow();
+        assert!(copy.focus_as::<Bare>("BARE").is_some());
+        assert!(copy.focus_as::<Nop>("BARE").is_none());
+        assert_eq!(copy.focus("BARE").unwrap(), "");
+        // No other test in this binary clones a layer, so the process-wide
+        // counter moves only here.
+        let before = layer_clones();
+        for _ in 0..2 {
+            let m = copy.new_message(&b"x"[..]);
+            let fx = copy.handle(StackInput::FromApp(Down::Cast(m)));
+            assert!(matches!(fx[..], [Effect::NetCast { .. }]));
+            assert_eq!(layer_clones(), before + 1, "shared until the first dispatch, then own");
+        }
+    }
+
+    #[test]
     fn timer_roundtrip() {
         /// Arms a timer on init and counts expirations.
-        #[derive(Debug, Default)]
+        #[derive(Debug, Default, Clone)]
         struct Ticker {
             fired: u64,
         }
@@ -1462,8 +1468,8 @@ mod tests {
                 assert_eq!(token, 7);
                 self.fired += 1;
             }
-            fn dump(&self) -> String {
-                format!("fired={}", self.fired)
+            fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+                write!(w, "fired={}", self.fired)
             }
         }
         let mut s = StackBuilder::new(ep(1)).push(Box::new(Ticker::default())).build().unwrap();
@@ -1491,7 +1497,6 @@ mod tests {
         assert!(matches!(effects[0], Effect::NetLeave));
         assert!(matches!(effects[1], Effect::Deliver(Up::Exit)));
         assert!(l.is_passive());
-        assert!(l.as_any().is_none());
     }
 
     #[test]
@@ -1513,6 +1518,7 @@ mod tests {
     type Journal = Arc<std::sync::Mutex<Vec<String>>>;
 
     /// On a timer, emits one of everything, in a fixed order.
+    #[derive(Clone)]
     struct Emitter(Journal);
     impl Layer for Emitter {
         fn name(&self) -> &'static str {
@@ -1529,6 +1535,7 @@ mod tests {
     }
 
     /// Passes everything on, journalling what it saw.
+    #[derive(Clone)]
     struct Witness(&'static str, Journal);
     impl Layer for Witness {
         fn name(&self) -> &'static str {
@@ -1604,6 +1611,7 @@ mod tests {
     }
 
     /// A pass-through layer that is passive or not, as told.
+    #[derive(Clone)]
     struct Pass(bool);
     impl Layer for Pass {
         fn name(&self) -> &'static str {

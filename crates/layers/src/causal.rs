@@ -24,6 +24,7 @@
 
 use horus_core::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// CAUSAL supports views of at most this many members (the vector
 /// timestamp travels in the message header).
@@ -132,14 +133,6 @@ impl Causal {
 }
 
 impl Layer for Causal {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "CAUSAL"
     }
@@ -212,18 +205,15 @@ impl Layer for Causal {
         }
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "vt={:?} delivered={} delayed={} buffered={}",
             self.vt,
             self.delivered,
             self.delayed,
             self.buffer.len()
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -250,14 +240,6 @@ impl Ts {
 }
 
 impl Layer for Ts {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "TS"
     }
@@ -293,12 +275,8 @@ impl Layer for Ts {
         }
     }
 
-    fn dump(&self) -> String {
-        format!("clock={} peers={}", self.clock, self.last_seen.len())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "clock={} peers={}", self.clock, self.last_seen.len())
     }
 }
 

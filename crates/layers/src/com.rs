@@ -14,7 +14,6 @@
 //! that, COM is promiscuous (plain stacks without a membership layer never
 //! install views).
 
-use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use std::fmt;
 
@@ -63,14 +62,6 @@ impl Com {
 }
 
 impl Layer for Com {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "COM"
     }
@@ -158,10 +149,6 @@ impl Layer for Com {
         }
     }
 
-    fn dump(&self) -> String {
-        dump_string(self)
-    }
-
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         write!(
             w,
@@ -171,10 +158,6 @@ impl Layer for Com {
             self.filtered,
             self.members.as_ref().map(|m| m.len())
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -31,7 +31,6 @@
 //! matrix row (requires FIFO + sources, provides nothing, masks nothing)
 //! makes `MBRSHIP:FD:…` compositions well-formed for the §6 checker.
 
-use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -225,14 +224,6 @@ impl Fd {
 }
 
 impl Layer for Fd {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FD"
     }
@@ -297,10 +288,6 @@ impl Layer for Fd {
         }
     }
 
-    fn dump(&self) -> String {
-        dump_string(self)
-    }
-
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         let suspected: Vec<&EndpointAddr> =
             self.peers.iter().filter(|(_, p)| p.suspected).map(|(m, _)| m).collect();
@@ -314,10 +301,6 @@ impl Layer for Fd {
             self.rescissions,
             suspected
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -26,7 +26,6 @@
 //! timeout.  Both provide property P12 (large messages).
 
 use bytes::Bytes;
-use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -191,14 +190,6 @@ impl Frag {
 }
 
 impl Layer for Frag {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FRAG"
     }
@@ -223,10 +214,6 @@ impl Layer for Frag {
         }
     }
 
-    fn dump(&self) -> String {
-        dump_string(self)
-    }
-
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         write!(
             w,
@@ -237,10 +224,6 @@ impl Layer for Frag {
             self.reassembled,
             self.partial.len()
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -381,14 +364,6 @@ impl NFrag {
 }
 
 impl Layer for NFrag {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NFRAG"
     }
@@ -426,10 +401,6 @@ impl Layer for NFrag {
         ctx.set_timer(self.reassembly_timeout, NFRAG_GC);
     }
 
-    fn dump(&self) -> String {
-        dump_string(self)
-    }
-
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         write!(
             w,
@@ -439,10 +410,6 @@ impl Layer for NFrag {
             self.partial.len(),
             self.expired
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -50,6 +50,8 @@
 //! | [`mod@reference`] | NAK_REF, TOTAL_REF | §8 reference implementations |
 //! | [`util`] | CHKSUM, SIGN, ENCRYPT, COMPRESS, FLOW, TRACE, ACCT, LOGGER, RATE, PRIO, DROP, NOP, SEQNO | Figure 1 catalogue |
 
+#![forbid(unsafe_code)]
+
 pub mod causal;
 pub mod com;
 pub mod fd;

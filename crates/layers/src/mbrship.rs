@@ -75,7 +75,6 @@
 //! (virtually (semi-)synchronous delivery) and P15 (consistent views).
 
 use bytes::Bytes;
-use horus_core::layer::dump_string;
 use horus_core::message::InnerImage;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
@@ -1321,14 +1320,6 @@ impl Default for Mbrship {
 }
 
 impl Layer for Mbrship {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "MBRSHIP"
     }
@@ -1516,10 +1507,6 @@ impl Layer for Mbrship {
         }
     }
 
-    fn dump(&self) -> String {
-        dump_string(self)
-    }
-
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         let phase = match &self.phase {
             Phase::Idle => "idle",
@@ -1577,10 +1564,6 @@ impl Layer for Mbrship {
             + self.pending.len() as u64
             + self.future.len() as u64
             + self.future_sends.len() as u64
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -39,6 +39,7 @@ use bytes::Bytes;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 use std::time::Duration;
 
 // =====================================================================
@@ -291,14 +292,6 @@ impl Bms {
 }
 
 impl Layer for Bms {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "BMS"
     }
@@ -438,8 +431,9 @@ impl Layer for Bms {
         ctx.set_timer(self.tick, BMS_TICK);
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "phase={} view={} views={} suspects={:?} joiners={:?}",
             match self.phase {
                 BmsPhase::Idle => "idle",
@@ -452,10 +446,6 @@ impl Layer for Bms {
             self.suspects,
             self.joiners,
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -495,14 +485,6 @@ impl Vss {
 }
 
 impl Layer for Vss {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "VSS"
     }
@@ -559,17 +541,14 @@ impl Layer for Vss {
         }
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "vc={} future={} dropped_stale={}",
             self.view_counter,
             self.future.len(),
             self.dropped_stale
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -676,14 +655,6 @@ impl FlushLayer {
 }
 
 impl Layer for FlushLayer {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FLUSH"
     }
@@ -806,18 +777,15 @@ impl Layer for FlushLayer {
         }
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "seq={} logged={} active={} recovered={}",
             self.my_seq,
             self.log.len(),
             self.active.is_some(),
             self.recovered
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

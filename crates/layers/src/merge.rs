@@ -11,7 +11,6 @@
 //! Requires P1, P3, P4, P8–P12, P15 beneath (i.e. a full membership
 //! stack); provides P16.
 
-use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use std::fmt;
 use std::time::Duration;
@@ -53,14 +52,6 @@ impl Merge {
 }
 
 impl Layer for Merge {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "MERGE"
     }
@@ -87,16 +78,8 @@ impl Layer for Merge {
         }
     }
 
-    fn dump(&self) -> String {
-        dump_string(self)
-    }
-
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         write!(w, "contacts={:?} probes={}", self.contacts, self.probes)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

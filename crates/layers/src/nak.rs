@@ -30,7 +30,6 @@
 //! Table 4; requires only best-effort delivery with source addresses
 //! underneath.
 
-use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -635,14 +634,6 @@ impl Nak {
 }
 
 impl Layer for Nak {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NAK"
     }
@@ -791,10 +782,6 @@ impl Layer for Nak {
         ctx.set_timer(self.cfg.status_period, TIMER_TICK);
     }
 
-    fn dump(&self) -> String {
-        dump_string(self)
-    }
-
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         let uni_out: usize = self.uni.values().map(|c| c.out.len()).sum();
         let uni_ooo: usize = self.uni.values().map(|c| c.ooo.len()).sum();
@@ -845,10 +832,6 @@ impl Layer for Nak {
             }
         }
         n
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -16,6 +16,7 @@
 
 use horus_core::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Duration;
 
 const FIELDS: &[FieldSpec] = &[FieldSpec::new("kind", 1), FieldSpec::new("seq", 32)];
@@ -96,14 +97,6 @@ impl Nnak {
 }
 
 impl Layer for Nnak {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NNAK"
     }
@@ -204,20 +197,17 @@ impl Layer for Nnak {
         ctx.set_timer(self.rto, TIMER_TICK);
     }
 
-    fn dump(&self) -> String {
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         let queued: usize = self.chans.values().map(|c| c.queue.len()).sum();
         let unacked: usize = self.chans.values().map(|c| c.out.len()).sum();
-        format!(
+        write!(
+            w,
             "chans={} queued={} unacked={} retrans={}",
             self.chans.len(),
             queued,
             unacked,
             self.retransmissions
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -32,6 +32,7 @@ use horus_core::frame::ENVELOPE_BYTES;
 use horus_core::prelude::*;
 use horus_core::wire::WireWriter;
 use std::collections::VecDeque;
+use std::fmt;
 use std::time::Duration;
 
 const PACK_FIELDS: &[FieldSpec] = &[FieldSpec::new("npack", 16)];
@@ -254,14 +255,6 @@ impl Pack {
 }
 
 impl Layer for Pack {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "PACK"
     }
@@ -297,8 +290,9 @@ impl Layer for Pack {
         }
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "max_msgs={} max_bytes={} carriers={} singles={} packed={} \
              flushes(count/size/timer)={}/{}/{} unpacked={} malformed={} queued={}",
             self.max_msgs,
@@ -313,10 +307,6 @@ impl Layer for Pack {
             self.malformed,
             self.queue.len()
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

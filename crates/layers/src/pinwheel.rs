@@ -17,6 +17,7 @@
 
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
+use std::fmt;
 use std::time::Duration;
 
 const FIELDS: &[FieldSpec] = &[FieldSpec::new("kind", 1), FieldSpec::new("sseq", 32)];
@@ -117,14 +118,6 @@ impl Pinwheel {
 }
 
 impl Layer for Pinwheel {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "PINWHEEL"
     }
@@ -223,15 +216,12 @@ impl Layer for Pinwheel {
         }
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "slots={} rows_sent={} stable_upcalls={} seq={}",
             self.slots_elapsed, self.rows_sent, self.stable_upcalls, self.my_seq
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -25,6 +25,7 @@
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -138,14 +139,6 @@ impl NakRef {
 }
 
 impl Layer for NakRef {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NAK_REF"
     }
@@ -332,18 +325,15 @@ impl Layer for NakRef {
         ctx.set_timer(self.period, TICK);
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "sent={} buffered={} retrans={} suspected={:?}",
             self.next_seq,
             self.sent.len(),
             self.retransmissions,
             self.suspected
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -433,14 +423,6 @@ impl TotalRef {
 }
 
 impl Layer for TotalRef {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "TOTAL_REF"
     }
@@ -530,17 +512,14 @@ impl Layer for TotalRef {
         }
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "sequencer={} buffered={} orders={}",
             self.i_am_sequencer(),
             self.unordered.len(),
             self.orders_issued
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

@@ -164,22 +164,28 @@ pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
                 (false, false) => Com::new(),
             })
         }
-        "NAK" => Box::new(Nak::new(NakConfig {
-            status_period: p.millis_or("period", Duration::from_millis(20))?,
-            fail_timeout: p.millis_or("fail_timeout", Duration::from_millis(200))?,
-            window: p.get_or("window", 4096)?,
-            buffer_cap: p.get_or("buffer", 16384)?,
-            rto: p.millis_or("rto", Duration::from_millis(40))?,
-            rto_max: p.millis_or("rto_max", Duration::from_millis(320))?,
-            uni_gc: p.millis_or("uni_gc", Duration::from_millis(1600))?,
-            retransmit: p.get_or("retransmit", true)?,
-        })),
-        "FD" => Box::new(Fd::new(FdConfig {
-            period: p.millis_or("period", Duration::from_millis(25))?,
-            min_timeout: p.millis_or("min_timeout", Duration::from_millis(75))?,
-            margin: p.get_or("margin", 3.0)?,
-            jitter: p.millis_or("jitter", Duration::from_millis(10))?,
-        })),
+        "NAK" => {
+            let d = NakConfig::default();
+            Box::new(Nak::new(NakConfig {
+                status_period: p.millis_or("period", d.status_period)?,
+                fail_timeout: p.millis_or("fail_timeout", d.fail_timeout)?,
+                window: p.get_or("window", d.window)?,
+                buffer_cap: p.get_or("buffer", d.buffer_cap)?,
+                rto: p.millis_or("rto", d.rto)?,
+                rto_max: p.millis_or("rto_max", d.rto_max)?,
+                uni_gc: p.millis_or("uni_gc", d.uni_gc)?,
+                retransmit: p.get_or("retransmit", d.retransmit)?,
+            }))
+        }
+        "FD" => {
+            let d = FdConfig::default();
+            Box::new(Fd::new(FdConfig {
+                period: p.millis_or("period", d.period)?,
+                min_timeout: p.millis_or("min_timeout", d.min_timeout)?,
+                margin: p.get_or("margin", d.margin)?,
+                jitter: p.millis_or("jitter", d.jitter)?,
+            }))
+        }
         "NNAK" => Box::new(Nnak::new(
             p.get_or("window", 8)?,
             p.millis_or("rto", Duration::from_millis(30))?,
@@ -198,13 +204,16 @@ pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
             p.get_or("size", 1024)?,
             p.millis_or("timeout", Duration::from_secs(2))?,
         )),
-        "MBRSHIP" => Box::new(Mbrship::new(MbrshipConfig {
-            auto_merge: p.get_or("auto_merge", true)?,
-            primary_partition: p.get_or("primary", false)?,
-            tick: p.millis_or("tick", Duration::from_millis(25))?,
-            flush_timeout: p.millis_or("flush_timeout", Duration::from_millis(400))?,
-            merge_retries: p.get_or("merge_retries", 8)?,
-        })),
+        "MBRSHIP" => {
+            let d = MbrshipConfig::default();
+            Box::new(Mbrship::new(MbrshipConfig {
+                auto_merge: p.get_or("auto_merge", d.auto_merge)?,
+                primary_partition: p.get_or("primary", d.primary_partition)?,
+                tick: p.millis_or("tick", d.tick)?,
+                flush_timeout: p.millis_or("flush_timeout", d.flush_timeout)?,
+                merge_retries: p.get_or("merge_retries", d.merge_retries)?,
+            }))
+        }
         "BMS" => Box::new(Bms::new(
             p.millis_or("tick", Duration::from_millis(25))?,
             p.millis_or("timeout", Duration::from_millis(400))?,
@@ -364,8 +373,6 @@ pub fn build_stack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn parses_names_and_params() {
@@ -394,6 +401,14 @@ mod tests {
             assert_eq!(layer.name(), name, "constructed layer reports its own name");
         }
         assert!(layer_names().len() >= 30, "the paper's ~thirty protocols");
+    }
+
+    #[test]
+    fn parameterless_layers_take_their_config_defaults() {
+        let built = |name: &str| build_layer(&parse_stack(name).unwrap().remove(0)).unwrap().dump();
+        assert_eq!(built("NAK"), Nak::new(NakConfig::default()).dump());
+        assert_eq!(built("FD"), Fd::new(FdConfig::default()).dump());
+        assert_eq!(built("MBRSHIP"), Mbrship::new(MbrshipConfig::default()).dump());
     }
 
     #[test]
@@ -435,91 +450,6 @@ mod tests {
         // Each talks only to its own group and stack.
         assert_eq!(w.delivered_casts(EndpointAddr::new(1)).len(), 1);
         assert_eq!(w.delivered_casts(EndpointAddr::new(2)).len(), 1);
-    }
-
-    /// Forwards everything to the wrapped layer and, whenever the stack
-    /// digests it, first holds the layer's `digest_state` to the digest of
-    /// its `dump()` string.
-    struct DigestProbe {
-        inner: Box<dyn Layer>,
-        checks: Arc<AtomicU64>,
-    }
-
-    impl Layer for DigestProbe {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn header_fields(&self) -> &'static [FieldSpec] {
-            self.inner.header_fields()
-        }
-        fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
-            self.inner.on_init(ctx)
-        }
-        fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
-            self.inner.on_down(ev, ctx)
-        }
-        fn on_up(&mut self, ev: Up, ctx: &mut LayerCtx<'_>) {
-            self.inner.on_up(ev, ctx)
-        }
-        fn on_timer(&mut self, token: u64, ctx: &mut LayerCtx<'_>) {
-            self.inner.on_timer(token, ctx)
-        }
-        fn dump(&self) -> String {
-            self.inner.dump()
-        }
-        fn digest_state(&self, d: &mut horus_core::StateDigest) {
-            let mut streamed = horus_core::StateDigest::new();
-            self.inner.digest_state(&mut streamed);
-            let mut whole = horus_core::StateDigest::new();
-            whole.write_str(&self.inner.dump());
-            assert_eq!(
-                streamed.finish(),
-                whole.finish(),
-                "{}: digest_state is not write_str(&dump()) at {:?}",
-                self.inner.name(),
-                self.inner.dump()
-            );
-            self.checks.fetch_add(1, Ordering::Relaxed);
-            self.inner.digest_state(d);
-        }
-    }
-
-    #[test]
-    fn every_registered_layer_digests_exactly_its_dump() {
-        // Streaming `dump_to` into the digest must leave every fingerprint
-        // bit-identical to digesting the `dump()` string — for the layers
-        // that format in `dump_to` and for the ones still on the default.
-        use horus_net::NetConfig;
-        use horus_sim::SimWorld;
-        let names = layer_names();
-        assert_eq!(names.len(), 37);
-        for name in names {
-            let checks = Arc::new(AtomicU64::new(0));
-            let mut w = SimWorld::new(3, NetConfig::reliable());
-            let eps = [EndpointAddr::new(1), EndpointAddr::new(2)];
-            for ep in eps {
-                let inner = build_layer(&parse_stack(name).unwrap().remove(0)).unwrap();
-                let mut b = StackBuilder::new(ep)
-                    .push(Box::new(DigestProbe { inner, checks: checks.clone() }));
-                if name != "COM" {
-                    b = b.push(Box::new(Com::promiscuous()));
-                }
-                w.add_endpoint(b.build().unwrap_or_else(|e| panic!("{name}: {e}")));
-                w.join(ep, GroupAddr::new(1));
-            }
-            w.fingerprint_fresh();
-            assert_eq!(checks.load(Ordering::Relaxed), 2, "{name}: both fresh layers checked");
-            w.down(eps[1], Down::Merge { contact: eps[0] });
-            for k in 0..4u8 {
-                w.cast_bytes(eps[usize::from(k % 2)], vec![k; 40]);
-                w.run_for(Duration::from_millis(30));
-                w.fingerprint_fresh();
-            }
-            w.down(eps[0], Down::Suspect { member: eps[1] });
-            w.run_for(Duration::from_millis(200));
-            w.fingerprint_fresh();
-            assert_eq!(checks.load(Ordering::Relaxed), 12, "{name}");
-        }
     }
 
     /// A pair of stacks of one composition, driven by hand: what either

@@ -15,6 +15,7 @@
 
 use horus_core::prelude::*;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// The safe-delivery layer.  No header fields: it reacts to the metadata
 /// and STABLE upcalls of the stability layer beneath it — a zero-byte
@@ -53,14 +54,6 @@ impl Safe {
 }
 
 impl Layer for Safe {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "SAFE"
     }
@@ -88,12 +81,14 @@ impl Layer for Safe {
         }
     }
 
-    fn dump(&self) -> String {
-        format!("held={} max_held={} delivered={}", self.held.len(), self.max_held, self.delivered)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
+            "held={} max_held={} delivered={}",
+            self.held.len(),
+            self.max_held,
+            self.delivered
+        )
     }
 }
 

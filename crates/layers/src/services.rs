@@ -25,6 +25,7 @@ use bytes::Bytes;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Duration;
 
 // =====================================================================
@@ -88,14 +89,6 @@ impl Default for Rpc {
 }
 
 impl Layer for Rpc {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "RPC"
     }
@@ -198,17 +191,14 @@ impl Layer for Rpc {
         ctx.set_timer(self.timeout, RPC_TICK);
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "pending={} completed={} timed_out={}",
             self.pending.len(),
             self.completed,
             self.timed_out
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -276,14 +266,6 @@ impl Default for ClockSync {
 }
 
 impl Layer for ClockSync {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "CLOCKSYNC"
     }
@@ -371,12 +353,12 @@ impl Layer for ClockSync {
         ctx.set_timer(self.period, CS_TICK);
     }
 
-    fn dump(&self) -> String {
-        format!("skew={}us estimate={:?}us rounds={}", self.skew_us, self.estimate_us, self.rounds)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
+            "skew={}us estimate={:?}us rounds={}",
+            self.skew_us, self.estimate_us, self.rounds
+        )
     }
 }
 
@@ -559,14 +541,6 @@ impl Secure {
 }
 
 impl Layer for Secure {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "SECURE"
     }
@@ -658,8 +632,9 @@ impl Layer for Secure {
         }
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "epoch={} keys={} held={} minted={} rejected={}",
             self.epoch(),
             self.keys.len(),
@@ -667,10 +642,6 @@ impl Layer for Secure {
             self.keys_minted,
             self.rejected
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -700,14 +671,6 @@ impl Mux {
 }
 
 impl Layer for Mux {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "MUX"
     }
@@ -743,12 +706,8 @@ impl Layer for Mux {
         }
     }
 
-    fn dump(&self) -> String {
-        format!("channels={:?}", self.per_channel)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "channels={:?}", self.per_channel)
     }
 }
 

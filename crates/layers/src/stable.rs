@@ -22,6 +22,7 @@
 
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
+use std::fmt;
 use std::time::Duration;
 
 const FIELDS: &[FieldSpec] = &[FieldSpec::new("kind", 1), FieldSpec::new("sseq", 32)];
@@ -124,14 +125,6 @@ impl Stable {
 }
 
 impl Layer for Stable {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "STABLE"
     }
@@ -223,15 +216,12 @@ impl Layer for Stable {
         }
     }
 
-    fn dump(&self) -> String {
-        format!(
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "auto_ack={} seq={} rows_sent={} stable_upcalls={}",
             self.auto_ack, self.my_seq, self.rows_sent, self.stable_upcalls
         )
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

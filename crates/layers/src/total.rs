@@ -59,7 +59,6 @@
 //! delivery).
 
 use bytes::Bytes;
-use horus_core::layer::dump_string;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use std::collections::{BTreeMap, VecDeque};
@@ -416,14 +415,6 @@ impl Total {
 }
 
 impl Layer for Total {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "TOTAL"
     }
@@ -475,10 +466,6 @@ impl Layer for Total {
         }
     }
 
-    fn dump(&self) -> String {
-        dump_string(self)
-    }
-
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
         // Assignments awaiting delivery: the ring, then the parked ORDERs
         // by base (`base + i` stays below an ORDER's checked end).
@@ -510,10 +497,6 @@ impl Layer for Total {
         // Buffered data awaiting a global sequence number (a parked token
         // keeps this non-empty) plus casts held back during a flush.
         (self.buffered() + self.held.len()) as u64
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -946,8 +929,9 @@ mod tests {
             }
         }
 
-        fn dump(&self) -> String {
-            format!(
+        fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+            write!(
+                w,
                 "holder={:?} grant={:?} gnext={} frontier={} delivered={} buffered={} ordered={} assigned={} orders={} passes={} drains={} pend={:?}",
                 self.holder,
                 self.grant,
@@ -972,6 +956,7 @@ mod tests {
     /// Stands in for everything beneath TOTAL: data passes through both
     /// ways, and a frame marked in this layer's one header field becomes
     /// the VIEW or FLUSH upcall MBRSHIP would have made.
+    #[derive(Clone)]
     struct Below;
 
     const BELOW_FIELDS: &[FieldSpec] = &[FieldSpec::new("what", 2)];

@@ -17,6 +17,7 @@
 use bytes::Bytes;
 use horus_core::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -30,14 +31,6 @@ use std::time::Duration;
 pub struct Nop;
 
 impl Layer for Nop {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NOP"
     }
@@ -52,14 +45,6 @@ impl Layer for Nop {
 pub struct NopOpaque;
 
 impl Layer for NopOpaque {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NOP_OPAQUE"
     }
@@ -91,14 +76,6 @@ pub struct Chksum {
 }
 
 impl Layer for Chksum {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "CHKSUM"
     }
@@ -147,11 +124,8 @@ impl Layer for Chksum {
             other => ctx.up(other),
         }
     }
-    fn dump(&self) -> String {
-        format!("dropped={}", self.dropped)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "dropped={}", self.dropped)
     }
 }
 
@@ -178,14 +152,6 @@ impl Sign {
 }
 
 impl Layer for Sign {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "SIGN"
     }
@@ -218,11 +184,8 @@ impl Layer for Sign {
             other => ctx.up(other),
         }
     }
-    fn dump(&self) -> String {
-        format!("rejected={}", self.rejected)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "rejected={}", self.rejected)
     }
 }
 
@@ -259,14 +222,6 @@ impl Encrypt {
 }
 
 impl Layer for Encrypt {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "ENCRYPT"
     }
@@ -299,9 +254,6 @@ impl Layer for Encrypt {
             }
             other => ctx.up(other),
         }
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -353,14 +305,6 @@ fn rle_decode(data: &[u8]) -> Option<Vec<u8>> {
 }
 
 impl Layer for Compress {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "COMPRESS"
     }
@@ -403,11 +347,8 @@ impl Layer for Compress {
             other => ctx.up(other),
         }
     }
-    fn dump(&self) -> String {
-        format!("packed={} saved={}B", self.packed, self.saved)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "packed={} saved={}B", self.packed, self.saved)
     }
 }
 
@@ -444,14 +385,6 @@ impl Default for Flow {
 }
 
 impl Layer for Flow {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FLOW"
     }
@@ -487,11 +420,8 @@ impl Layer for Flow {
             ctx.set_timer(self.period, FLOW_REFILL);
         }
     }
-    fn dump(&self) -> String {
-        format!("tokens={} queued={} max_queue={}", self.tokens, self.queue.len(), self.max_queue)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "tokens={} queued={} max_queue={}", self.tokens, self.queue.len(), self.max_queue)
     }
 }
 
@@ -525,14 +455,6 @@ impl Default for Prio {
 }
 
 impl Layer for Prio {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "PRIO"
     }
@@ -556,11 +478,8 @@ impl Layer for Prio {
             ctx.set_timer(self.window, PRIO_FLUSH);
         }
     }
-    fn dump(&self) -> String {
-        format!("queued={} sent={}", self.queue.len(), self.reordered)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "queued={} sent={}", self.queue.len(), self.reordered)
     }
 }
 
@@ -588,11 +507,6 @@ impl Trace {
     pub fn down_counts(&self) -> &BTreeMap<&'static str, u64> {
         &self.downs
     }
-
-    /// Event counts observed going up.
-    pub fn up_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.ups
-    }
 }
 
 impl Default for Trace {
@@ -602,14 +516,6 @@ impl Default for Trace {
 }
 
 impl Layer for Trace {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "TRACE"
     }
@@ -627,11 +533,8 @@ impl Layer for Trace {
         }
         ctx.up(ev);
     }
-    fn dump(&self) -> String {
-        format!("down={:?} up={:?}", self.downs, self.ups)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "down={:?} up={:?}", self.downs, self.ups)
     }
 }
 
@@ -660,14 +563,6 @@ impl Acct {
 }
 
 impl Layer for Acct {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "ACCT"
     }
@@ -686,11 +581,12 @@ impl Layer for Acct {
         }
         ctx.up(ev);
     }
-    fn dump(&self) -> String {
-        format!("sent={}msg/{}B recv_sources={:?}", self.sent_msgs, self.sent_bytes, self.by_source)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            w,
+            "sent={}msg/{}B recv_sources={:?}",
+            self.sent_msgs, self.sent_bytes, self.by_source
+        )
     }
 }
 
@@ -719,14 +615,6 @@ impl Logger {
 }
 
 impl Layer for Logger {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "LOGGER"
     }
@@ -736,11 +624,8 @@ impl Layer for Logger {
         }
         ctx.up(ev);
     }
-    fn dump(&self) -> String {
-        format!("journal={} entries", self.journal.len())
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "journal={} entries", self.journal.len())
     }
 }
 
@@ -771,14 +656,6 @@ impl DropEvery {
 }
 
 impl Layer for DropEvery {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "DROP"
     }
@@ -795,11 +672,8 @@ impl Layer for DropEvery {
             other => ctx.down(other),
         }
     }
-    fn dump(&self) -> String {
-        format!("dropped={}", self.dropped)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "dropped={}", self.dropped)
     }
 }
 
@@ -821,14 +695,6 @@ pub struct Seqno {
 }
 
 impl Layer for Seqno {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "SEQNO"
     }
@@ -864,11 +730,8 @@ impl Layer for Seqno {
             other => ctx.up(other),
         }
     }
-    fn dump(&self) -> String {
-        format!("sent={} anomalies={}", self.next, self.anomalies)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
+        write!(w, "sent={} anomalies={}", self.next, self.anomalies)
     }
 }
 

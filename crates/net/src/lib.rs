@@ -12,6 +12,8 @@
 //! and know which endpoints joined which transport-level group, exactly the
 //! service the COM layer adapts to the HCPI.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod sched;
 pub mod sim;

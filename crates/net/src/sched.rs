@@ -47,8 +47,8 @@ pub trait NetScheduler {
     fn pick(&mut self, n: usize) -> usize;
 
     /// Duplicates this scheduler's full state (RNG position included), if
-    /// supported.  Opt-in, like `Layer::clone_box`: the default `None`
-    /// makes world snapshotting fall back to re-execution.
+    /// supported.  Opt-in: the default `None` makes `SimWorld::snapshot`
+    /// return `None`.
     fn clone_box(&self) -> Option<Box<dyn NetScheduler + Send>> {
         None
     }

@@ -261,11 +261,6 @@ impl SimNetwork {
         self.fault_plan_mut().add(rule)
     }
 
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Mutable access to the fault plan (scenario scripts add or clear
     /// rules mid-run).
     pub fn fault_plan_mut(&mut self) -> &mut FaultPlan {

@@ -26,6 +26,8 @@
 //! exactly {P3, P4, P6, P8, P9, P10, P11, P12, P15} — see
 //! [`check::section7`] and the E3 tests.
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 pub mod matrix;
 pub mod planner;

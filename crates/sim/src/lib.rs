@@ -27,6 +27,8 @@
 //!   [`horus_core::EffectSink`], frames delivered straight into the owning
 //!   shard's queue.
 
+#![forbid(unsafe_code)]
+
 pub mod detector;
 pub mod invariants;
 pub mod sched;

@@ -82,13 +82,11 @@ impl ShardConfig {
 }
 
 /// Per-endpoint observation shared between the owning worker and the
-/// executor facade: monotone counters plus (optionally) the upcall log.
+/// executor facade: a monotone counter plus (optionally) the upcall log.
 #[derive(Debug, Default)]
 struct EpLog {
     /// Monotone count of CAST upcalls delivered.
     casts: AtomicUsize,
-    /// Monotone count of all upcalls delivered.
-    upcalls: AtomicUsize,
     /// The recorded upcalls (empty when recording is off).
     log: Mutex<Vec<Up>>,
 }
@@ -464,7 +462,6 @@ impl Outbox {
                     if matches!(up, Up::Cast { .. }) {
                         log.casts.fetch_add(1, Ordering::Relaxed);
                     }
-                    log.upcalls.fetch_add(1, Ordering::Relaxed);
                     if self.record_upcalls {
                         log.log.lock().push(up);
                     }
@@ -540,7 +537,7 @@ impl FrameSink for ShardSink {
 /// use horus_core::prelude::*;
 /// use std::time::Duration;
 ///
-/// #[derive(Debug, Default)]
+/// #[derive(Debug, Default, Clone)]
 /// struct Nop;
 /// impl Layer for Nop { fn name(&self) -> &'static str { "NOP" } }
 ///
@@ -676,11 +673,6 @@ impl ShardExecutor {
         self.entry(ep).log.casts.load(Ordering::Relaxed)
     }
 
-    /// Monotone count of all upcalls delivered to `ep`.
-    pub fn upcall_count(&self, ep: EndpointAddr) -> usize {
-        self.entry(ep).log.upcalls.load(Ordering::Relaxed)
-    }
-
     /// Drains `ep`'s recorded upcalls (empty when recording is disabled).
     pub fn take_upcalls(&self, ep: EndpointAddr) -> Vec<Up> {
         std::mem::take(&mut *self.entry(ep).log.log.lock())
@@ -772,7 +764,7 @@ impl Drop for ShardExecutor {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Nop;
     impl Layer for Nop {
         fn name(&self) -> &'static str {
@@ -833,7 +825,7 @@ mod tests {
 
     #[test]
     fn timers_fire_under_real_time() {
-        #[derive(Debug, Default)]
+        #[derive(Debug, Default, Clone)]
         struct Tick {
             count: u64,
         }

@@ -549,22 +549,32 @@ pub fn serialize_artifact_traced(
     out
 }
 
+/// An artifact is outside input: these bound what one may ask of a replay,
+/// so that a malformed file is an `Err`, never a panic or a run without end.
+const MAX_MEMBERS: u64 = 64;
+const MAX_CASTS: u64 = 1_000_000;
+/// One hour of virtual time, for every instant and duration in the file.
+const MAX_SPAN_US: u64 = 3_600_000_000;
+
+/// Parses a value that must lie in `lo..=hi` (a NaN lies in no range).
+fn in_range<T: std::str::FromStr + PartialOrd>(s: &str, lo: T, hi: T) -> Option<T> {
+    s.trim().parse().ok().filter(|v| (lo..=hi).contains(v))
+}
+
+/// An endpoint id: nonzero here, held to `members` once that is known.
+fn parse_ep(s: &str) -> Result<EndpointAddr, String> {
+    in_range(s, 1, u64::MAX).map(EndpointAddr::new).ok_or_else(|| format!("bad endpoint id {s:?}"))
+}
+
 fn parse_members(s: &str) -> Result<Vec<EndpointAddr>, String> {
-    s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse::<u64>()
-                .map(EndpointAddr::new)
-                .map_err(|_| format!("bad endpoint id {p:?}"))
-        })
-        .collect()
+    s.split(',').map(parse_ep).collect()
 }
 
 fn parse_event(rest: &str) -> Result<SoakEvent, String> {
     let mut it = rest.split_whitespace();
     let at = it
         .next()
-        .and_then(|s| s.parse::<u64>().ok())
+        .and_then(|s| in_range(s, 0, MAX_SPAN_US))
         .map(SimTime::from_micros)
         .ok_or_else(|| format!("bad event time in {rest:?}"))?;
     let kind = it.next().ok_or_else(|| format!("missing event kind in {rest:?}"))?;
@@ -573,44 +583,34 @@ fn parse_event(rest: &str) -> Result<SoakEvent, String> {
             let sides_s = it.next().ok_or("partition: missing sides")?;
             let dur = it
                 .next()
-                .and_then(|s| s.parse::<u64>().ok())
+                .and_then(|s| in_range(s, 1, MAX_SPAN_US))
                 .map(Duration::from_micros)
                 .ok_or("partition: bad duration")?;
             let sides = sides_s.split('|').map(parse_members).collect::<Result<Vec<_>, _>>()?;
+            if sides.len() < 2 {
+                return Err("partition: needs at least two sides".into());
+            }
+            let mut all: Vec<&EndpointAddr> = sides.iter().flatten().collect();
+            all.sort();
+            if let Some(pair) = all.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(format!("partition: {} appears twice", pair[0]));
+            }
             SoakAction::Partition { sides, dur }
         }
-        "crash" => {
-            let ep = it
-                .next()
-                .and_then(|s| s.parse::<u64>().ok())
-                .map(EndpointAddr::new)
-                .ok_or("crash: bad endpoint")?;
-            SoakAction::Crash { ep }
-        }
+        "crash" => SoakAction::Crash { ep: parse_ep(it.next().ok_or("crash: missing endpoint")?)? },
         "storm" => {
             let spec = it.next().ok_or("storm: missing spec")?;
             let (obs, target) = spec.split_once('>').ok_or("storm: expected obs>target")?;
-            SoakAction::Storm {
-                observers: parse_members(obs)?,
-                target: target
-                    .parse::<u64>()
-                    .map(EndpointAddr::new)
-                    .map_err(|_| format!("storm: bad target {target:?}"))?,
+            let (observers, target) = (parse_members(obs)?, parse_ep(target)?);
+            if observers.contains(&target) {
+                return Err(format!("storm: {target} cannot suspect itself"));
             }
+            SoakAction::Storm { observers, target }
         }
         "merge" => {
             let spec = it.next().ok_or("merge: missing spec")?;
             let (who, contact) = spec.split_once('>').ok_or("merge: expected who>contact")?;
-            SoakAction::Merge {
-                who: who
-                    .parse::<u64>()
-                    .map(EndpointAddr::new)
-                    .map_err(|_| format!("merge: bad who {who:?}"))?,
-                contact: contact
-                    .parse::<u64>()
-                    .map(EndpointAddr::new)
-                    .map_err(|_| format!("merge: bad contact {contact:?}"))?,
-            }
+            SoakAction::Merge { who: parse_ep(who)?, contact: parse_ep(contact)? }
         }
         other => return Err(format!("unknown event kind {other:?}")),
     };
@@ -620,7 +620,28 @@ fn parse_event(rest: &str) -> Result<SoakEvent, String> {
     Ok(SoakEvent { at, action })
 }
 
+/// Every endpoint an action names.
+fn endpoints_of(action: &SoakAction) -> Vec<EndpointAddr> {
+    match action {
+        SoakAction::Partition { sides, .. } => sides.iter().flatten().copied().collect(),
+        SoakAction::Crash { ep } => vec![*ep],
+        SoakAction::Storm { observers, target } => {
+            observers.iter().chain([target]).copied().collect()
+        }
+        SoakAction::Merge { who, contact } => vec![*who, *contact],
+    }
+}
+
 /// Parses an artifact produced by [`serialize_artifact`].
+///
+/// # Errors
+///
+/// Fails, naming the line, on anything [`run_soak`] could not run: unknown
+/// keys and event kinds, values out of range (`members` in
+/// 2..=64, `loss` in `[0, 1]`, at most an hour of virtual time), endpoint
+/// ids outside `1..=members`, overlapping partition sides, a storm whose
+/// target observes itself.  The stack descriptor is only held non-empty —
+/// whether it builds is for the caller's stack factory to say.
 pub fn parse_artifact(text: &str) -> Result<(SoakConfig, SoakPlan), String> {
     let mut lines = text.lines();
     match lines.next() {
@@ -630,40 +651,41 @@ pub fn parse_artifact(text: &str) -> Result<(SoakConfig, SoakPlan), String> {
     let mut cfg = SoakConfig::default();
     let mut events = Vec::new();
     for (no, raw) in lines.enumerate() {
-        let line = raw.trim();
+        let (no, line) = (no + 2, raw.trim());
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let (key, value) = line
             .split_once(':')
             .map(|(k, v)| (k.trim(), v.trim()))
-            .ok_or_else(|| format!("line {}: expected `key: value`, got {line:?}", no + 2))?;
-        let bad = |what: &str| format!("line {}: bad {what} {value:?}", no + 2);
+            .ok_or_else(|| format!("line {no}: expected `key: value`, got {line:?}"))?;
+        let bad = || format!("line {no}: bad {key} {value:?}");
+        let span = || in_range(value, 0, MAX_SPAN_US).map(Duration::from_micros).ok_or_else(bad);
         match key {
-            "seed" => cfg.seed = value.parse().map_err(|_| bad("seed"))?,
-            "members" => cfg.members = value.parse().map_err(|_| bad("members"))?,
+            "seed" => cfg.seed = value.parse().map_err(|_| bad())?,
+            "members" => cfg.members = in_range(value, 2, MAX_MEMBERS).ok_or_else(bad)?,
+            "stack" if value.is_empty() => return Err(bad()),
             "stack" => cfg.stack = value.to_string(),
-            "events" => cfg.events = value.parse().map_err(|_| bad("events"))?,
-            "horizon_us" => {
-                cfg.horizon = Duration::from_micros(value.parse().map_err(|_| bad("horizon_us"))?)
-            }
-            "quiet_us" => {
-                cfg.quiet = Duration::from_micros(value.parse().map_err(|_| bad("quiet_us"))?)
-            }
-            "settle_us" => {
-                cfg.settle = Duration::from_micros(value.parse().map_err(|_| bad("settle_us"))?)
-            }
-            "loss" => cfg.loss = value.parse().map_err(|_| bad("loss"))?,
-            "casts" => cfg.casts = value.parse().map_err(|_| bad("casts"))?,
-            "check_total" => cfg.check_total = value.parse().map_err(|_| bad("check_total"))?,
-            "trace_sample" => cfg.trace_sample = value.parse().map_err(|_| bad("trace_sample"))?,
+            "events" => cfg.events = value.parse().map_err(|_| bad())?,
+            "horizon_us" => cfg.horizon = span()?,
+            "quiet_us" => cfg.quiet = span()?,
+            "settle_us" => cfg.settle = span()?,
+            "loss" => cfg.loss = in_range(value, 0.0, 1.0).ok_or_else(bad)?,
+            "casts" => cfg.casts = in_range(value, 0, MAX_CASTS).ok_or_else(bad)?,
+            "check_total" => cfg.check_total = value.parse().map_err(|_| bad())?,
+            "trace_sample" => cfg.trace_sample = value.parse().map_err(|_| bad())?,
             "event" => {
-                events.push(parse_event(value).map_err(|e| format!("line {}: {e}", no + 2))?)
+                events.push((no, parse_event(value).map_err(|e| format!("line {no}: {e}"))?))
             }
-            other => return Err(format!("line {}: unknown key {other:?}", no + 2)),
+            other => return Err(format!("line {no}: unknown key {other:?}")),
         }
     }
-    Ok((cfg, SoakPlan { events }))
+    for (no, ev) in &events {
+        if let Some(ep) = endpoints_of(&ev.action).into_iter().find(|ep| ep.raw() > cfg.members) {
+            return Err(format!("line {no}: {ep} is not one of the {} members", cfg.members));
+        }
+    }
+    Ok((cfg, SoakPlan { events: events.into_iter().map(|(_, ev)| ev).collect() }))
 }
 
 #[cfg(test)]
@@ -778,5 +800,40 @@ mod tests {
         let ok = serialize_artifact(&SoakConfig::default(), &SoakPlan::default(), &[]);
         assert!(parse_artifact(&(ok.clone() + "wat: 1\n")).is_err());
         assert!(parse_artifact(&(ok + "event: 5 reboot 1\n")).is_err());
+    }
+
+    #[test]
+    fn artifact_out_of_range_is_an_error_naming_its_line() {
+        let valid = serialize_artifact(&SoakConfig::default(), &SoakPlan::default(), &[]);
+        assert!(parse_artifact(&valid).is_ok());
+        for line in [
+            "event: 5 crash 0",
+            "event: 5 merge 0>1",
+            "event: 5 crash 5",
+            "event: 5 partition 1,2|1,2 100",
+            "event: 5 partition 1,2 100",
+            "event: 5 partition 1|2 0",
+            "event: 5 storm 1,2>2",
+            "event: 18446744073709551615 crash 1",
+            "members: 0",
+            "members: 18446744073709551615",
+            "loss: 7.5",
+            "loss: NaN",
+            "casts: 18446744073709551615",
+            "quiet_us: 18446744073709551615",
+            "stack:",
+        ] {
+            // In place of the valid line with that key, or at the end.
+            let key = line.split_once(':').unwrap().0;
+            let mut lines: Vec<&str> = valid.lines().collect();
+            let at = lines.iter().position(|l| l.split_once(':').is_some_and(|(k, _)| k == key));
+            match at {
+                Some(i) => lines[i] = line,
+                None => lines.push(line),
+            }
+            let no = at.unwrap_or(lines.len() - 1) + 1;
+            let err = parse_artifact(&lines.join("\n")).expect_err(line);
+            assert!(err.starts_with(&format!("line {no}:")), "{line}: {err}");
+        }
     }
 }

@@ -143,7 +143,7 @@ mod tests {
         };
         // Scheduled counts differ by kind; verify on a throwaway world.
         use horus_net::NetConfig;
-        #[derive(Debug, Default)]
+        #[derive(Debug, Default, Clone)]
         struct Nop;
         impl Layer for Nop {
             fn name(&self) -> &'static str {

@@ -198,7 +198,7 @@ impl Endpoint {
         if Arc::get_mut(&mut self.slot).is_none() {
             let shared = &*self.slot;
             self.slot = Arc::new(Slot {
-                stack: shared.stack.clone_cow().expect("snapshot() checked every stack"),
+                stack: shared.stack.clone_cow(),
                 upcalls: Arc::clone(&shared.upcalls),
                 alive: shared.alive,
                 log_digest: shared.log_digest.clone(),
@@ -247,7 +247,7 @@ fn vc_lt(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
 /// use horus_core::prelude::*;
 /// use std::time::Duration;
 ///
-/// #[derive(Debug, Default)]
+/// #[derive(Debug, Default, Clone)]
 /// struct Nop;
 /// impl Layer for Nop { fn name(&self) -> &'static str { "NOP" } }
 ///
@@ -815,22 +815,9 @@ impl SimWorld {
         self.endpoints.get(&ep).is_some_and(|e| e.slot.alive && !e.slot.stack.is_destroyed())
     }
 
-    /// All endpoint addresses, in address order.
-    pub fn endpoint_addrs(&self) -> Vec<EndpointAddr> {
-        self.endpoints.keys().copied().collect()
-    }
-
     /// The recorded upcalls of an endpoint, in delivery order.
     pub fn upcalls(&self, ep: EndpointAddr) -> &[(SimTime, Up)] {
         self.endpoints.get(&ep).map(|e| e.slot.upcalls.as_slice()).unwrap_or(&[])
-    }
-
-    /// How many views an endpoint has installed — a count-only variant of
-    /// [`installed_views`](Self::installed_views) that clones nothing, for
-    /// callers (like the model checker's per-step oracle trigger) that only
-    /// need to notice *that* a view landed, not which.
-    pub fn installed_view_count(&self, ep: EndpointAddr) -> usize {
-        self.upcalls(ep).iter().filter(|(_, up)| matches!(up, Up::View(_))).count()
     }
 
     /// Removes and returns an endpoint's recorded upcalls.
@@ -1071,9 +1058,8 @@ impl SimWorld {
     }
 
     /// Duplicates the entire world — clock, calendar, network, endpoint
-    /// stacks, logs, pending-digest sums — if every stack layer and the net
-    /// scheduler support snapshotting (`Layer::supports_snapshot` /
-    /// `NetScheduler::clone_box`).
+    /// stacks, logs, pending-digest sums — if the net scheduler supports
+    /// snapshotting (`NetScheduler::clone_box`; every layer does).
     ///
     /// Nothing the world holds is copied here except the two maps' own
     /// B-tree nodes: endpoint slots, calendar entries, vector clocks, the
@@ -1091,12 +1077,9 @@ impl SimWorld {
     /// The model checker leans on this to resume exploration from a branch
     /// point instead of re-executing the settle phase and the choice prefix;
     /// anything less than an exact clone corrupts the search, which is why
-    /// unsupported layers make this return `None` rather than best-effort
-    /// copying.
+    /// an unsupported scheduler makes this return `None` rather than
+    /// best-effort copying.
     pub fn snapshot(&self) -> Option<SimWorld> {
-        if !self.endpoints.values().all(|e| e.slot.stack.supports_snapshot()) {
-            return None;
-        }
         Some(SimWorld {
             time: self.time,
             seq: self.seq,
@@ -1346,7 +1329,7 @@ fn msg_digest(e: &mut StateDigest, m: &Message) {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Nop;
     impl Layer for Nop {
         fn name(&self) -> &'static str {

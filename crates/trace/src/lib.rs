@@ -4,12 +4,10 @@
 //! events the whole Horus runtime emits through
 //! [`horus_core::trace::TraceSink`] (see DESIGN decision 10):
 //!
-//! * [`TraceBuf`] — an ordered, vector-clock-stamped log for the
-//!   virtual-time simulator, where `SimWorld` announces the causal clock of
-//!   every dispatch;
-//! * [`TraceRing`] — a lock-free bounded MPMC ring for the real-time
-//!   (sharded) executor, where many worker threads record concurrently and
-//!   a collector drains;
+//! * [`TraceBuf`] — the collector: an ordered log behind a mutex, stamped
+//!   with the vector clock `SimWorld` announces for every dispatch under
+//!   virtual time, clock-less when the shard executor's workers record
+//!   into it;
 //! * the binary **trace file format** (`# horus-trace v2`, module [`v2`])
 //!   with [`serialize_trace_v2`] / [`parse_trace_v2`] — the only encoding
 //!   written or read; [`serialize_parsed`] renders a parsed trace as text
@@ -23,15 +21,14 @@
 //! `horus-check` replay schedule lives in `horus-check` (it needs the
 //! scenario registry); this crate stays a pure producer/consumer of traces.
 
+#![forbid(unsafe_code)]
+
 use horus_core::addr::EndpointAddr;
 use horus_core::time::SimTime;
 use horus_core::trace::{ClockEntry, TraceEvent, TraceKind, TraceSink};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 pub mod metrics;
 pub mod v2;
@@ -84,8 +81,9 @@ struct BufInner {
 ///
 /// `SimWorld` calls [`TraceSink::set_clock`] as it enters each dispatch's
 /// causal context; every record that follows is stamped with that clock, so
-/// the collected log is causally annotated, not just time-ordered.  A plain
-/// mutex is fine here: the simulator is single-threaded per world.
+/// the collected log is causally annotated, not just time-ordered.  The
+/// real-time executor announces no clocks; its workers record concurrently
+/// and the mutex orders them (each worker's own records stay in order).
 #[derive(Default)]
 pub struct TraceBuf {
     inner: Mutex<BufInner>,
@@ -135,158 +133,6 @@ impl TraceSink for TraceBuf {
         let mut g = self.inner.lock();
         g.clock.clear();
         g.clock.extend_from_slice(clock);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TraceRing: the lock-free real-time collector
-// ---------------------------------------------------------------------------
-
-struct RingSlot {
-    /// Vyukov sequence word: `== pos` means free for the producer claiming
-    /// `pos`; `== pos + 1` means occupied for the consumer expecting `pos`.
-    seq: AtomicUsize,
-    val: UnsafeCell<MaybeUninit<TraceRecord>>,
-}
-
-/// A bounded lock-free MPMC ring (Vyukov's array queue) for the real-time
-/// executor: every worker thread records straight into the ring; a
-/// collector drains it during or after the run.  When full, the *newest*
-/// record is dropped (and counted) — backpressure must never stall a
-/// dispatch path.
-pub struct TraceRing {
-    slots: Box<[RingSlot]>,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-// SAFETY: slots are only accessed through the seq handshake below — a slot's
-// value cell is touched exclusively by the single producer or consumer that
-// won the CAS for its position.
-unsafe impl Send for TraceRing {}
-unsafe impl Sync for TraceRing {}
-
-impl fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceRing")
-            .field("capacity", &self.slots.len())
-            .field("dropped", &self.dropped.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl TraceRing {
-    /// Creates a ring holding at least `capacity` records (rounded up to a
-    /// power of two, minimum 2).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Box<[RingSlot]> = (0..cap)
-            .map(|i| RingSlot {
-                seq: AtomicUsize::new(i),
-                val: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        TraceRing {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Records dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Enqueues one record; `false` (and a `dropped` bump) when full.
-    pub fn push(&self, rec: TraceRecord) -> bool {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos as isize;
-            if dif == 0 {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS makes this thread the slot's sole
-                        // producer until the seq store publishes it.
-                        unsafe { (*slot.val.get()).write(rec) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return true;
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Dequeues the oldest record, if any.
-    pub fn pop(&self) -> Option<TraceRecord> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos.wrapping_add(1) as isize;
-            if dif == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS makes this thread the slot's sole
-                        // consumer; the producer published with Release.
-                        let rec = unsafe { (*slot.val.get()).assume_init_read() };
-                        slot.seq.store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(rec);
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Drains everything currently in the ring, oldest first.
-    pub fn drain(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        while let Some(r) = self.pop() {
-            out.push(r);
-        }
-        out
-    }
-}
-
-impl Drop for TraceRing {
-    fn drop(&mut self) {
-        // Records own heap (view strings, notes, clocks): drain what the
-        // consumer never took.
-        while self.pop().is_some() {}
-    }
-}
-
-impl TraceSink for TraceRing {
-    fn record(&self, ev: TraceEvent) {
-        // The real-time executor keeps no vector clocks.
-        self.push(TraceRecord { at: ev.at, ep: ev.ep, clock: Vec::new(), kind: ev.kind });
     }
 }
 
@@ -608,7 +454,6 @@ pub fn kind_counts(records: &[ParsedRecord]) -> BTreeMap<String, u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn rec(at_ns: u64, ep: u64, kind: TraceKind) -> TraceRecord {
         TraceRecord {
@@ -632,46 +477,6 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].clock, vec![(7, 3)]);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn ring_is_fifo_and_drops_newest_when_full() {
-        let ring = TraceRing::with_capacity(4);
-        for i in 0..4 {
-            assert!(ring.push(rec(i, 1, TraceKind::InjectCrash)));
-        }
-        assert!(!ring.push(rec(9, 1, TraceKind::InjectCrash)), "full ring must refuse");
-        assert_eq!(ring.dropped(), 1);
-        let drained = ring.drain();
-        assert_eq!(drained.len(), 4);
-        assert_eq!(drained[0].at.as_nanos(), 0);
-        assert_eq!(drained[3].at.as_nanos(), 3);
-    }
-
-    #[test]
-    fn ring_survives_concurrent_producers() {
-        let ring = Arc::new(TraceRing::with_capacity(1 << 12));
-        let mut handles = Vec::new();
-        for tid in 0..4u64 {
-            let ring = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..500u64 {
-                    ring.push(rec(i, tid + 1, TraceKind::InjectCrash));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let drained = ring.drain();
-        assert_eq!(drained.len(), 2000);
-        assert_eq!(ring.dropped(), 0);
-        // Per-producer FIFO survives interleaving.
-        for tid in 1..=4u64 {
-            let seq: Vec<u64> =
-                drained.iter().filter(|r| r.ep.raw() == tid).map(|r| r.at.as_nanos()).collect();
-            assert_eq!(seq, (0..500).collect::<Vec<_>>());
-        }
     }
 
     #[test]

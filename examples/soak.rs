@@ -127,8 +127,24 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = replay {
-        let text = std::fs::read_to_string(&path).expect("read artifact");
-        let (mut cfg, plan) = parse_artifact(&text).expect("parse artifact");
+        // The artifact is outside input: whatever is wrong with it is an
+        // error message and exit 1, and only a stack that built once goes
+        // on to the factory.
+        let loaded = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_artifact(&text))
+            .and_then(|(cfg, plan)| {
+                build_stack(EndpointAddr::new(1), &cfg.stack, StackConfig::default())
+                    .map_err(|e| format!("stack: {e}"))?;
+                Ok((cfg, plan))
+            });
+        let (mut cfg, plan) = match loaded {
+            Ok(loaded) => loaded,
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                return ExitCode::from(1);
+            }
+        };
         if let Some(n) = trace_sample {
             cfg.trace_sample = n;
         }

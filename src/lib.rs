@@ -47,6 +47,8 @@
 //! # Ok::<(), HorusError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use horus_core as core;
 pub use horus_layers as layers;
 pub use horus_net as net;

@@ -216,7 +216,7 @@ fn a_downcall_queued_before_stop_is_still_cast() {
 
 /// Blocks the worker thread for [`STALL`] inside the downcall that carries
 /// the body `b"stall"`; a pass-through otherwise.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StallOnCue;
 
 const STALL: Duration = Duration::from_millis(120);

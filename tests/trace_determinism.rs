@@ -36,7 +36,7 @@ use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
 use horus_trace::{
     delivery_projection, kind_counts, latency_stats, parse_trace_v2, parsed_from_record,
-    serialize_trace_v2, LatencyStats, MetricsSink, ParsedRecord, ParsedTrace, TraceBuf, TraceRing,
+    serialize_trace_v2, LatencyStats, MetricsSink, ParsedRecord, ParsedTrace, TraceBuf,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,15 +86,15 @@ fn worker_counts_agree_down_to_trace_bytes() {
 }
 
 /// Runs `casts` casts from each of two members over bare COM on a
-/// `shards`-worker executor, tracing into a ring; returns the canonical
-/// projection of the captured trace.
+/// `shards`-worker executor, tracing into a [`TraceBuf`]; returns the
+/// canonical projection of the captured trace.
 fn projection(shards: usize, casts: usize) -> std::collections::BTreeMap<(u64, u64), Vec<u64>> {
-    let ring = Arc::new(TraceRing::with_capacity(1 << 14));
+    let buf = Arc::new(TraceBuf::new());
     let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::with_shards(shards));
     let g = GroupAddr::new(1);
     for i in 1..=2 {
         let mut s = build_stack(ep(i), "COM(promiscuous=true)", StackConfig::default()).unwrap();
-        s.set_tracer(ring.clone());
+        s.set_tracer(buf.clone());
         ex.add_stack(s);
         ex.down(ep(i), Down::Join { group: g });
     }
@@ -109,12 +109,7 @@ fn projection(shards: usize, casts: usize) -> std::collections::BTreeMap<(u64, u
     });
     assert!(ok, "{shards}-shard flood incomplete");
     ex.stop();
-    projection_of(&ring)
-}
-
-fn projection_of(ring: &TraceRing) -> std::collections::BTreeMap<(u64, u64), Vec<u64>> {
-    assert_eq!(ring.dropped(), 0, "ring must be sized for the workload");
-    let records: Vec<ParsedRecord> = ring.drain().iter().map(parsed_from_record).collect();
+    let records: Vec<ParsedRecord> = buf.take().iter().map(parsed_from_record).collect();
     delivery_projection(&records)
 }
 
