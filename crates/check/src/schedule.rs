@@ -29,6 +29,11 @@ use std::time::Duration;
 /// Magic first line of every schedule file.
 pub const HEADER: &str = "# horus-check schedule v1";
 
+/// The longest concurrency window a schedule may ask for: an hour, the
+/// bound a `.soak` artifact puts on its times.  A file is outside input,
+/// and virtual time past the window's end must not overflow.
+const MAX_WINDOW_US: u64 = 3_600_000_000;
+
 /// A parsed (or to-be-written) schedule file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
@@ -116,7 +121,8 @@ impl Schedule {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line, or of a window
+    /// longer than an hour.
     pub fn parse(text: &str) -> Result<Schedule, String> {
         let mut lines = text.lines();
         match lines.next() {
@@ -144,7 +150,11 @@ impl Schedule {
             match key.trim() {
                 "scenario" => scenario = Some(val.to_string()),
                 "window_us" => {
-                    window_us = Some(val.parse().map_err(|e| format!("window_us {val:?}: {e}"))?);
+                    let us: u64 = val.parse().map_err(|e| format!("window_us {val:?}: {e}"))?;
+                    if us > MAX_WINDOW_US {
+                        return Err(format!("window_us {us} is over the {MAX_WINDOW_US} µs bound"));
+                    }
+                    window_us = Some(us);
                 }
                 "reduction" => {
                     reduction = Some(match val {
@@ -225,6 +235,15 @@ mod tests {
         assert!(Schedule::parse(&format!("{HEADER}\nscenario fifo2\n")).is_err());
         let missing = format!("{HEADER}\nscenario: fifo2\n");
         assert!(Schedule::parse(&missing).is_err());
+    }
+
+    #[test]
+    fn a_window_past_an_hour_is_refused() {
+        let mut s = sample();
+        s.window_us = MAX_WINDOW_US;
+        assert_eq!(Schedule::parse(&s.serialize()).unwrap(), s);
+        s.window_us = u64::MAX;
+        assert!(Schedule::parse(&s.serialize()).unwrap_err().contains("bound"));
     }
 
     #[test]

@@ -294,7 +294,17 @@ impl NFrag {
             return;
         }
         let n = msg.encoded_inner_len().div_ceil(self.frag_size);
-        assert!(n < 4096, "message too large for NFRAG's 12-bit fragment index");
+        if n >= 1 << 12 {
+            ctx.up(Up::SystemError {
+                reason: format!(
+                    "NFRAG: a {}-byte message needs {n} fragments of {} bytes; the 12-bit \
+                     fragment index holds 4095",
+                    msg.body().len(),
+                    self.frag_size
+                ),
+            });
+            return;
+        }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         for (i, chunk) in fragments(&msg, self.frag_size).enumerate() {

@@ -63,6 +63,23 @@ impl Params {
         Ok(self.get(key)?.unwrap_or(default))
     }
 
+    /// Like [`Params::get_or`] for a count or size that must not be zero.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the value does not parse as `T` or is zero.
+    pub fn positive_or<T: std::str::FromStr + Default + PartialEq>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, HorusError> {
+        let v = self.get_or(key, default)?;
+        if v == T::default() {
+            return Err(HorusError::BadParam(format!("parameter {key} must be positive")));
+        }
+        Ok(v)
+    }
+
     /// A `Duration` parameter expressed in milliseconds.
     pub fn millis_or(&self, key: &str, default: Duration) -> Result<Duration, HorusError> {
         Ok(self.get::<u64>(key)?.map(Duration::from_millis).unwrap_or(default))
@@ -151,7 +168,8 @@ fn parse_one(part: &str) -> Result<LayerSpec, HorusError> {
 ///
 /// # Errors
 ///
-/// Fails on unknown names or unparseable parameters.
+/// Fails on unknown names, unparseable parameters, or a zero size or
+/// count (`FRAG(size=0)`, `PACK(msgs=0)`) that the layer cannot work with.
 pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
     let p = &spec.params;
     Ok(match spec.name.as_str() {
@@ -194,14 +212,14 @@ pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
             p.millis_or("period", Duration::from_millis(20))?,
             p.millis_or("fail_timeout", Duration::from_millis(200))?,
         )),
-        "FRAG" => Box::new(Frag::new(p.get_or("size", 1024)?)),
+        "FRAG" => Box::new(Frag::new(p.positive_or("size", 1024)?)),
         "PACK" => Box::new(Pack::new(
-            p.get_or("msgs", 16)?,
-            p.get_or("bytes", 1200)?,
+            p.positive_or("msgs", 16)?,
+            p.positive_or("bytes", 1200)?,
             p.millis_or("delay", Duration::from_millis(1))?,
         )),
         "NFRAG" => Box::new(NFrag::new(
-            p.get_or("size", 1024)?,
+            p.positive_or("size", 1024)?,
             p.millis_or("timeout", Duration::from_secs(2))?,
         )),
         "MBRSHIP" => {
@@ -261,7 +279,7 @@ pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
         "TRACE" => Box::new(Trace::new(p.get_or("verbose", false)?)),
         "ACCT" => Box::new(Acct::new()),
         "LOGGER" => Box::new(Logger::new()),
-        "DROP" => Box::new(DropEvery::new(p.get_or("nth", 2)?)),
+        "DROP" => Box::new(DropEvery::new(p.positive_or("nth", 2)?)),
         "SEQNO" => Box::new(Seqno::default()),
         "RPC" => Box::new(Rpc::new(
             p.millis_or("timeout", Duration::from_millis(100))?,

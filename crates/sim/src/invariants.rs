@@ -13,7 +13,9 @@
 //! * **Safety** ([`check_virtual_synchrony`], [`check_fifo`],
 //!   [`check_total_order`]): "nothing bad happened".  A stack that
 //!   partitions, wedges, and never delivers another message passes all of
-//!   them vacuously.
+//!   them vacuously.  [`SafetyMonitor`] is the same three checks fed one
+//!   upcall at a time: it says *whether* they would fail, and they say
+//!   *what* failed.
 //! * **Liveness** ([`check_view_convergence`], [`check_final_view_delivery`],
 //!   [`ProgressWatchdog`]): "the good thing eventually happened".  §5/§9's
 //!   merge-back lifecycle and TOTAL's token regeneration are liveness
@@ -25,7 +27,7 @@
 use bytes::Bytes;
 use horus_core::prelude::*;
 use horus_core::view::ViewId;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fmt;
 use std::time::Duration;
 
@@ -342,6 +344,186 @@ pub fn check_total_order(logs: &[DeliveryLog]) -> Vec<Violation> {
         }
     }
     violations
+}
+
+/// The safety checkers above, fed incrementally: each member's upcall log
+/// is read from a cursor, and every upcall is judged once, when it is
+/// first seen.
+///
+/// [`SafetyMonitor::tripped`] holds exactly when [`check_virtual_synchrony`]
+/// and [`check_fifo`] — and [`check_total_order`], when asked for — would
+/// return a violation over the logs read so far.  Each property they test
+/// is prefix-closed (a log that breaks one breaks it in every extension),
+/// so the monitor only looks for the first bad upcall and a trip is final.
+/// It detects and the checkers explain: to learn *what* broke, run them
+/// over full [`DeliveryLog`]s once the monitor has tripped.
+///
+/// The state kept is O(1) per delivery: the member list of each view id as
+/// first installed; per member its current view, the deliveries of its
+/// current epoch and the last FIFO sequence number per logical sender; the
+/// first completed delivery multiset of each view transition; and, for
+/// total order, each member's first-occurrence positions plus, per pair of
+/// members, the largest position on either side among the messages both
+/// have delivered.
+#[derive(Debug, Clone)]
+pub struct SafetyMonitor {
+    seq_of: fn(&Bytes) -> Option<(u64, u64)>,
+    members: Vec<Watch>,
+    /// Member list of each view id, as it was first installed anywhere.
+    views: BTreeMap<ViewId, Vec<EndpointAddr>>,
+    /// The first completed delivery multiset, sorted, of each transition
+    /// `v -> v'`.
+    transitions: BTreeMap<(ViewId, ViewId), Vec<(EndpointAddr, Bytes)>>,
+    /// With total order: for members `a < b` at `a * n + b`, the largest
+    /// first-occurrence position in `a`'s log and in `b`'s among the
+    /// messages both have delivered (1-based; 0 while they share none).
+    shared: Option<Vec<(usize, usize)>>,
+    examined: u64,
+    tripped: bool,
+}
+
+/// One member's side of a [`SafetyMonitor`].
+#[derive(Debug, Clone)]
+struct Watch {
+    ep: EndpointAddr,
+    /// Upcalls of this member already read.
+    cursor: usize,
+    view: Option<View>,
+    /// Deliveries `(src, body)` since `view` was installed.
+    epoch: Vec<(EndpointAddr, Bytes)>,
+    /// Last sequence number per logical sender.
+    fifo: BTreeMap<u64, u64>,
+    /// Casts delivered so far.
+    casts: usize,
+    /// With total order: the 1-based position of each message's first
+    /// delivery.
+    first: HashMap<(EndpointAddr, Bytes), usize>,
+}
+
+impl SafetyMonitor {
+    /// A monitor over `members`' logs.  `seq_of` decodes a body for the
+    /// FIFO check exactly as [`check_fifo`]'s argument does; `check_total`
+    /// adds [`check_total_order`].
+    pub fn new(
+        members: &[EndpointAddr],
+        seq_of: fn(&Bytes) -> Option<(u64, u64)>,
+        check_total: bool,
+    ) -> Self {
+        let n = members.len();
+        SafetyMonitor {
+            seq_of,
+            members: members
+                .iter()
+                .map(|&ep| Watch {
+                    ep,
+                    cursor: 0,
+                    view: None,
+                    epoch: Vec::new(),
+                    fifo: BTreeMap::new(),
+                    casts: 0,
+                    first: HashMap::new(),
+                })
+                .collect(),
+            views: BTreeMap::new(),
+            transitions: BTreeMap::new(),
+            shared: check_total.then(|| vec![(0, 0); n * n]),
+            examined: 0,
+            tripped: false,
+        }
+    }
+
+    /// Reads the upcalls `ep` recorded since the last call.  `upcalls` is
+    /// the member's whole log so far; it may only have grown since.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ep` is not one of the monitored members, or if its log
+    /// is shorter than at the last call.
+    pub fn observe(&mut self, ep: EndpointAddr, upcalls: &[(SimTime, Up)]) {
+        let i = self
+            .members
+            .iter()
+            .position(|w| w.ep == ep)
+            .unwrap_or_else(|| panic!("{ep} is not a monitored member"));
+        let fresh = &upcalls[self.members[i].cursor..];
+        for (_, up) in fresh {
+            match up {
+                Up::View(view) => self.install(i, view),
+                Up::Cast { src, msg } => self.deliver(i, *src, msg.body()),
+                _ => {}
+            }
+        }
+        self.examined += fresh.len() as u64;
+        self.members[i].cursor = upcalls.len();
+    }
+
+    /// Whether the checkers would report a violation over the logs read so
+    /// far.  Once true, true for good.
+    pub fn tripped(&self) -> bool {
+        self.tripped
+    }
+
+    /// Upcalls read so far, over all members.
+    pub fn examined(&self) -> u64 {
+        self.examined
+    }
+
+    /// Member `i` installs `view`: self-inclusion, monotonicity and view
+    /// agreement, and the epoch it closes is held to the transition's.
+    fn install(&mut self, i: usize, view: &View) {
+        let w = &mut self.members[i];
+        let mut bad = !view.contains(w.ep);
+        let mut epoch = std::mem::take(&mut w.epoch);
+        if let Some(prev) = w.view.replace(view.clone()) {
+            bad |= view.id().counter <= prev.id().counter;
+            epoch.sort_unstable();
+            match self.transitions.entry((prev.id(), view.id())) {
+                btree_map::Entry::Vacant(e) => {
+                    e.insert(epoch);
+                }
+                btree_map::Entry::Occupied(e) => bad |= *e.get() != epoch,
+            }
+        }
+        match self.views.entry(view.id()) {
+            btree_map::Entry::Vacant(e) => {
+                e.insert(view.members().to_vec());
+            }
+            btree_map::Entry::Occupied(e) => bad |= e.get() != view.members(),
+        }
+        self.tripped |= bad;
+    }
+
+    /// Member `i` delivers `body` from `src`: the sender is in the view in
+    /// force, the logical sender's sequence rises, and the message's first
+    /// delivery keeps its order with every other member's.
+    fn deliver(&mut self, i: usize, src: EndpointAddr, body: &Bytes) {
+        let w = &mut self.members[i];
+        self.tripped |= !w.view.as_ref().is_some_and(|v| v.contains(src));
+        w.epoch.push((src, body.clone()));
+        if let Some((sender, seq)) = (self.seq_of)(body) {
+            self.tripped |= w.fifo.insert(sender, seq).is_some_and(|prev| seq <= prev);
+        }
+        w.casts += 1;
+        let pos = w.casts;
+        let Some(shared) = &mut self.shared else { return };
+        let key = (src, body.clone());
+        if w.first.contains_key(&key) {
+            return; // first occurrence wins
+        }
+        // This message is now the latest one `i` shares with each member
+        // that already has it; it must be their latest one too.
+        let n = self.members.len();
+        for (j, other) in self.members.iter().enumerate() {
+            let Some(&theirs) = other.first.get(&key) else { continue };
+            let reach = &mut shared[i.min(j) * n + i.max(j)];
+            let (mine, before) =
+                if i < j { (&mut reach.0, &mut reach.1) } else { (&mut reach.1, &mut reach.0) };
+            self.tripped |= theirs < *before;
+            *mine = pos;
+            *before = (*before).max(theirs);
+        }
+        self.members[i].first.insert(key, pos);
+    }
 }
 
 /// **Liveness**: after the last fault heals at `heal_at`, every correct

@@ -12,12 +12,15 @@
 //!   failure detector of §5, a deterministic suspicion schedule.
 //! * [`invariants`] — checkers for the virtual-synchrony guarantees of §5
 //!   (view agreement, same-view delivery agreement, FIFO and total order),
-//!   applied to the upcall logs a `SimWorld` records.
+//!   applied to the upcall logs a `SimWorld` records, and
+//!   [`invariants::SafetyMonitor`], the same safety checks fed one upcall
+//!   at a time.
 //! * [`sched`] — the schedule-level choice point: a [`sched::Scheduler`]
 //!   picks which ready event fires next, which is how `horus-check`
 //!   systematically explores delivery/timer/failure orderings.
 //! * [`soak`] — seeded chaos-soak campaigns: random fault plans, safety
-//!   plus liveness oracles every quiet window, ddmin fault-plan
+//!   (monitored incrementally) plus liveness oracles every quiet window,
+//!   ddmin fault-plan
 //!   minimization, replayable `(seed, plan)` artifacts.
 //! * [`workload`] — message workload generators for the benchmarks.
 //! * [`shard`] — the real-time executor, over the in-process loopback
@@ -38,7 +41,9 @@ pub mod workload;
 pub mod world;
 
 pub use detector::{FailureDetector, Suspicion};
-pub use invariants::{check_fifo, check_total_order, check_virtual_synchrony, DeliveryLog};
+pub use invariants::{
+    check_fifo, check_total_order, check_virtual_synchrony, DeliveryLog, SafetyMonitor,
+};
 pub use sched::{CalendarScheduler, RunOutcome, Scheduler, Step};
 pub use shard::{ShardConfig, ShardExecutor};
 pub use soak::{SoakAction, SoakConfig, SoakEvent, SoakOutcome, SoakPlan};
