@@ -21,15 +21,19 @@
 //!   transport with a sink that pushes frames straight into the owning
 //!   shard's queue: no per-endpoint pump thread, and none of the extra
 //!   wake-up per frame one would cost.
-//! * **Spin-then-park hand-off** — batching amortises the hand-off into
-//!   the worker only while the queue stays non-empty.  Below saturation
-//!   the queue is empty between inputs, and a worker that blocks the
-//!   instant it sees that pays a thread wake-up (≈ 18 µs on the reference
-//!   box, against ≈ 3 µs of stack work) on every input.  So a worker that
-//!   has just finished a burst polls its queue for a bounded while before
-//!   it blocks; the two rules of the loop — what is dispatched first, and
-//!   when the thread sleeps — are stated once, on `Worker::run`, and
-//!   [`ShardExecutor::wake_stats`] counts what the second one did.
+//! * **Adaptive spin-then-park hand-off** — batching amortises the
+//!   hand-off into the worker only while the queue stays non-empty.  Below
+//!   saturation the queue is empty between inputs, and a worker that
+//!   blocks the instant it sees that pays a thread wake-up (≈ 18 µs on the
+//!   reference box, against ≈ 3 µs of stack work) on every input.  So a
+//!   worker that has just finished a burst polls its queue, yielding its
+//!   processor between polls, for a window that grows while parks keep
+//!   being ended by input it just missed (the guest halt-polling rule).
+//!   When to poll, spin or park is decided by `WaitCore` on the instants
+//!   it is handed, apart from the thread; the two rules of the loop —
+//!   what is dispatched first, and when the thread sleeps — are stated
+//!   once, on `Worker::run`, and [`ShardExecutor::wake_stats`] counts what
+//!   the second one did.
 //!
 //! This is the one real-time executor: a [`ShardConfig::default`] executor
 //! holding one stack is the paper's "one scheduling thread per stack", and
@@ -85,7 +89,9 @@ impl ShardConfig {
 /// executor facade: a monotone counter plus (optionally) the upcall log.
 #[derive(Debug, Default)]
 struct EpLog {
-    /// Monotone count of CAST upcalls delivered.
+    /// Monotone count of CAST upcalls delivered, published (`Release`)
+    /// only once the upcall is in `log`: a reader that sees `k` (`Acquire`)
+    /// finds cast `k` there.
     casts: AtomicUsize,
     /// The recorded upcalls (empty when recording is off).
     log: Mutex<Vec<Up>>,
@@ -139,6 +145,9 @@ enum ShardIn {
 
 struct TimerEntry {
     due: Instant,
+    /// Arming order: timers due at the same instant fire in it, as
+    /// `SimWorld`'s calendar orders `(time, seq)`.
+    seq: u64,
     ep: EndpointAddr,
     layer: usize,
     token: u64,
@@ -146,7 +155,7 @@ struct TimerEntry {
 
 impl PartialEq for TimerEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
+        (self.due, self.seq) == (other.due, other.seq)
     }
 }
 impl Eq for TimerEntry {}
@@ -157,7 +166,7 @@ impl PartialOrd for TimerEntry {
 }
 impl Ord for TimerEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due) // min-heap
+        (other.due, other.seq).cmp(&(self.due, self.seq)) // min-heap
     }
 }
 
@@ -187,9 +196,8 @@ struct Worker {
     /// Whether any owned stack has a trace sink.  While none does, an
     /// arrival costs this one branch and no map lookup.
     traced: bool,
-    /// Whether this worker may spin before it parks: false on a machine
-    /// with one hardware thread, where the sender cannot run meanwhile.
-    spin: bool,
+    /// When to poll, spin or park.
+    wait: WaitCore,
     wake: Arc<WakeCounters>,
 }
 
@@ -200,6 +208,8 @@ struct Outbox {
     net: LoopbackNet,
     record_upcalls: bool,
     timers: BinaryHeap<TimerEntry>,
+    /// Timers armed so far: the next one's [`TimerEntry::seq`].
+    timer_seq: u64,
     /// Casts pending transmission for `pending_from`, flushed in one
     /// registry snapshot.
     pending_casts: Vec<WireFrame>,
@@ -213,12 +223,17 @@ const BATCH_MAX: usize = 64;
 /// How long an idle worker sleeps when it has neither inputs nor timers.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
-/// How long a worker that has just finished a burst polls its queue before
-/// it parks: 2–3 wake-ups' worth (≈ 18 µs each on the reference box), the
-/// competitive bound — a worker that parks after spinning this long has
-/// spent at most a small multiple of what parking at once would have cost
-/// the next sender.
-const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
+/// The shortest spin window, and the one a worker starts with: 2–3
+/// wake-ups' worth (≈ 18 µs each on the reference box), the competitive
+/// bound — a worker that parks after spinning this long has spent at most
+/// a small multiple of what parking at once would have cost the next
+/// sender.  Linux's guest halt-polling starts its window at the same 50 µs.
+const SPIN_MIN: Duration = Duration::from_micros(50);
+
+/// The longest spin window, and the horizon a park is judged by: an input
+/// that ends a park within this long of the spin's start would have been
+/// caught by a longer spin.  Halt-polling's default ceiling.
+const SPIN_MAX: Duration = Duration::from_micros(200);
 
 /// Time between two polls of the queue while spinning.  Each poll takes the
 /// queue's lock, which the senders also take: polling back to back slows
@@ -229,6 +244,89 @@ const SPIN_POLL_EVERY: Duration = Duration::from_micros(1);
 /// before it fires due timers anyway: a producer that outruns the worker
 /// must not starve retransmission and failure-detection timers.
 const TIMER_PASS_EVERY: u32 = 16;
+
+/// What a worker whose queue is empty does next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// Go back to the top of the loop: a timer is due.
+    Poll,
+    /// Poll the queue every [`SPIN_POLL_EVERY`] until input turns up or
+    /// the instant passes, yielding the processor in between.
+    SpinUntil(Instant),
+    /// Block until input turns up or the instant passes.
+    ParkUntil(Instant),
+}
+
+/// The worker's wait policy, kept apart from its thread so that each rule
+/// is a function of the instants it is handed: the thread asks
+/// [`WaitCore::next`] what to do, does it, and reports how the spin or
+/// park ended through [`WaitCore::ended`].
+///
+/// The spin window adapts as Linux's guest halt-polling governor does
+/// (`Documentation/virt/guest-halt-polling.rst`): it starts at
+/// [`SPIN_MIN`] and doubles, up to [`SPIN_MAX`], when a park is ended by an
+/// input that arrived within [`SPIN_MAX`] of the spin's start — a longer
+/// spin would have caught it — and halves, down to [`SPIN_MIN`], when a
+/// park times out or its input came later than that.  A spin that catches
+/// its input leaves the window as it is.  So a steady stream whose gaps fit
+/// under the ceiling stops meeting a parked worker after a gap or two,
+/// while sporadic input keeps the spin at its shortest.
+#[derive(Debug)]
+struct WaitCore {
+    /// Whether this worker may spin at all: false on a machine with one
+    /// hardware thread, where the sender cannot run meanwhile.
+    spin: bool,
+    /// The current spin window, in [`SPIN_MIN`, `SPIN_MAX`].
+    window: Duration,
+    /// When the last spin started, until the park after it (or the input
+    /// it caught) has been judged.
+    spun_at: Option<Instant>,
+    /// Whether the wait handed out last is a park.
+    parking: bool,
+}
+
+impl WaitCore {
+    fn new(spin: bool) -> Self {
+        WaitCore { spin, window: SPIN_MIN, spun_at: None, parking: false }
+    }
+
+    /// What to do at `now`, with the queue empty and no timer fired: a
+    /// timer due at `due` comes first, a spin is earned only by a
+    /// `burst` just processed, and neither a spin nor a park runs past
+    /// `due`.
+    fn next(&mut self, now: Instant, burst: bool, due: Option<Instant>) -> Next {
+        let until = |wait: Duration| due.map_or(now + wait, |due| due.min(now + wait));
+        self.parking = false;
+        if due.is_some_and(|due| due <= now) {
+            Next::Poll
+        } else if burst && self.spin {
+            self.spun_at = Some(now);
+            Next::SpinUntil(until(self.window))
+        } else {
+            self.parking = true;
+            Next::ParkUntil(until(IDLE_WAIT))
+        }
+    }
+
+    /// How the wait [`WaitCore::next`] handed out ended: with input seen at
+    /// `input`, or with its time up (`None`).  A spin that finds nothing is
+    /// judged by the park after it; a park after no spin is not judged.
+    fn ended(&mut self, input: Option<Instant>) {
+        if !std::mem::take(&mut self.parking) {
+            if input.is_some() {
+                self.spun_at = None;
+            }
+            return;
+        }
+        let Some(start) = self.spun_at.take() else { return };
+        self.window = match input {
+            Some(at) if at.saturating_duration_since(start) <= SPIN_MAX => {
+                (self.window * 2).min(SPIN_MAX)
+            }
+            _ => (self.window / 2).max(SPIN_MIN),
+        };
+    }
+}
 
 impl Worker {
     fn now(&self) -> SimTime {
@@ -247,16 +345,19 @@ impl Worker {
     /// NAK's failure detector — must see them first, or it suspects peers
     /// whose traffic is sitting in the queue.
     ///
-    /// **Spin, then park.**  With the queue empty and no timer due, a
-    /// worker that has just processed a burst polls the queue every
-    /// [`SPIN_POLL_EVERY`] for at most [`SPIN_BEFORE_PARK`], and never past
-    /// the next timer's `due`; a poll that finds input takes the whole
-    /// burst.  Only then does it block, for at most [`IDLE_WAIT`] or until
-    /// that timer.  A worker woken by a timeout, or by a timer that sent
-    /// nothing, has processed no burst and parks again at once, so an idle
-    /// executor burns nothing; one whose machine has a single hardware
-    /// thread never spins.  Either way the loop comes back to its top, so
-    /// the first rule holds across a spin as it does across a park.
+    /// **Spin, then park.**  With the queue empty and no timer due, the
+    /// worker does what [`WaitCore::next`] says: a worker that has just
+    /// processed a burst polls the queue every [`SPIN_POLL_EVERY`] for the
+    /// core's current window, never past the next timer's `due`, and
+    /// yields its processor between polls, so the thread that will fill
+    /// the queue — or the one that just did — can run; a poll that finds
+    /// input takes the whole burst.  Otherwise it blocks, for at most
+    /// [`IDLE_WAIT`] or until that timer.  A worker woken by a timeout, or
+    /// by a timer that sent nothing, has processed no burst and parks again
+    /// at once, so an idle executor burns nothing; one whose machine has a
+    /// single hardware thread never spins.  Either way the loop comes back
+    /// to its top, so the first rule holds across a spin as it does across
+    /// a park.
     fn run(mut self) {
         let mut bursts = 0;
         let mut after_burst = false;
@@ -266,33 +367,42 @@ impl Worker {
                 if self.fire_next_due_timer() {
                     continue;
                 }
-                let took = after_burst && self.spin_take();
-                after_burst = false;
-                if !took {
-                    // Block for the first input of the burst (bounded by the
-                    // next timer), then take what came with it.
-                    let wait = match self.out.timers.peek() {
-                        Some(t) => t.due.saturating_duration_since(Instant::now()).min(IDLE_WAIT),
-                        None => IDLE_WAIT,
-                    };
-                    if wait.is_zero() {
-                        continue; // the spin ended at a timer's `due`
-                    }
-                    self.wake.parks.fetch_add(1, Ordering::Relaxed);
-                    match self.rx.recv_timeout(wait) {
-                        Ok(first) => {
-                            self.burst.push(first);
-                            self.rx.try_recv_many(&mut self.burst, BATCH_MAX - 1);
+                let due = self.out.timers.peek().map(|t| t.due);
+                match self.wait.next(Instant::now(), std::mem::take(&mut after_burst), due) {
+                    Next::Poll => continue,
+                    Next::SpinUntil(until) => {
+                        self.wake.spins.fetch_add(1, Ordering::Relaxed);
+                        let took = self.spin_until(until);
+                        self.wait.ended(took.then(Instant::now));
+                        if !took {
+                            continue;
                         }
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => return,
+                        self.wake.spin_takes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Next::ParkUntil(until) => {
+                        // Block for the first input of the burst, then take
+                        // what came with it.
+                        self.wake.parks.fetch_add(1, Ordering::Relaxed);
+                        let wait = until.saturating_duration_since(Instant::now());
+                        match self.rx.recv_timeout(wait) {
+                            Ok(first) => {
+                                self.wait.ended(Some(Instant::now()));
+                                self.burst.push(first);
+                                self.rx.try_recv_many(&mut self.burst, BATCH_MAX - 1);
+                            }
+                            Err(RecvTimeoutError::Timeout) => {
+                                self.wait.ended(None);
+                                continue;
+                            }
+                            Err(RecvTimeoutError::Disconnected) => return,
+                        }
                     }
                 }
             }
             if self.process_burst() {
                 return;
             }
-            after_burst = self.spin;
+            after_burst = true;
             bursts += 1;
             if bursts >= TIMER_PASS_EVERY {
                 bursts = 0;
@@ -301,24 +411,20 @@ impl Worker {
         }
     }
 
-    /// The spin phase: polls the queue into `self.burst` until input turns
-    /// up (`true`) or the spin's time — or the next timer's — is up.
-    fn spin_take(&mut self) -> bool {
-        self.wake.spins.fetch_add(1, Ordering::Relaxed);
+    /// The spin: polls the queue into `self.burst` until input turns up
+    /// (`true`) or `until` passes, yielding the processor between polls.
+    fn spin_until(&mut self, until: Instant) -> bool {
         let mut now = Instant::now();
-        let give_up = now + SPIN_BEFORE_PARK;
-        let give_up = self.out.timers.peek().map_or(give_up, |t| t.due.min(give_up));
         loop {
             let next_poll = now + SPIN_POLL_EVERY;
             while now < next_poll {
-                std::hint::spin_loop();
+                std::thread::yield_now();
                 now = Instant::now();
             }
             if self.rx.try_recv_many(&mut self.burst, BATCH_MAX) > 0 {
-                self.wake.spin_takes.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
-            if now >= give_up {
+            if now >= until {
                 return false;
             }
         }
@@ -456,14 +562,18 @@ impl Outbox {
             self.flush_casts();
             self.pending_from = Some(ep);
         }
+        // One clock read per walk: timers armed together are due together,
+        // and fire in arming order.
+        let mut now = None;
         for fx in sink.drain() {
             match fx {
                 Effect::Deliver(up) => {
-                    if matches!(up, Up::Cast { .. }) {
-                        log.casts.fetch_add(1, Ordering::Relaxed);
-                    }
+                    let cast = matches!(up, Up::Cast { .. });
                     if self.record_upcalls {
                         log.log.lock().push(up);
+                    }
+                    if cast {
+                        log.casts.fetch_add(1, Ordering::Release);
                     }
                 }
                 Effect::NetCast { wire } => self.pending_casts.push(wire),
@@ -480,7 +590,9 @@ impl Outbox {
                     self.net.leave(ep);
                 }
                 Effect::SetTimer { layer, token, delay } => {
-                    self.timers.push(TimerEntry { due: Instant::now() + delay, ep, layer, token });
+                    let due = *now.get_or_insert_with(Instant::now) + delay;
+                    self.timers.push(TimerEntry { due, seq: self.timer_seq, ep, layer, token });
+                    self.timer_seq += 1;
                 }
                 Effect::Trace(_) => {}
             }
@@ -595,13 +707,14 @@ impl ShardExecutor {
                     net: net.clone(),
                     record_upcalls: config.record_upcalls,
                     timers: BinaryHeap::new(),
+                    timer_seq: 0,
                     pending_casts: Vec::with_capacity(BATCH_MAX),
                     pending_from: None,
                 },
                 burst: Vec::with_capacity(BATCH_MAX),
                 run: Vec::with_capacity(BATCH_MAX),
                 traced: false,
-                spin: parallelism > 1,
+                wait: WaitCore::new(parallelism > 1),
                 wake: Arc::clone(&counters),
             };
             txs.push(tx);
@@ -668,9 +781,12 @@ impl ShardExecutor {
         self.down(ep, Down::Cast(msg));
     }
 
-    /// Monotone count of CAST upcalls delivered to `ep`.
+    /// Monotone count of CAST upcalls delivered to `ep`.  Never ahead of
+    /// the recorded upcalls: once this reads `k`,
+    /// [`ShardExecutor::take_upcalls`] returns (or has returned) the `k`-th
+    /// cast.
     pub fn cast_count(&self, ep: EndpointAddr) -> usize {
-        self.entry(ep).log.casts.load(Ordering::Relaxed)
+        self.entry(ep).log.casts.load(Ordering::Acquire)
     }
 
     /// Drains `ep`'s recorded upcalls (empty when recording is disabled).
@@ -895,10 +1011,41 @@ mod tests {
         ex.stop();
     }
 
+    #[test]
+    fn timers_armed_together_fire_in_arming_order() {
+        #[derive(Debug, Default, Clone)]
+        struct Ties;
+        impl Layer for Ties {
+            fn name(&self) -> &'static str {
+                "TIES"
+            }
+            fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
+                for token in 0..16 {
+                    ctx.set_timer(Duration::from_millis(1), token);
+                }
+            }
+            fn on_timer(&mut self, token: u64, ctx: &mut LayerCtx<'_>) {
+                ctx.up(Up::DumpInfo { layer: "TIES", info: token.to_string() });
+            }
+        }
+        let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::default());
+        ex.add_stack(StackBuilder::new(ep(1)).push(Box::new(Ties)).build().unwrap());
+        let mut fired = Vec::new();
+        assert!(ex.wait_until(Duration::from_secs(5), |ex| {
+            fired.extend(ex.take_upcalls(ep(1)).into_iter().filter_map(|up| match up {
+                Up::DumpInfo { info, .. } => Some(info),
+                _ => None,
+            }));
+            fired.len() == 16
+        }));
+        assert_eq!(fired, (0..16).map(|t| t.to_string()).collect::<Vec<_>>());
+        ex.stop();
+    }
+
     /// A one-shard executor (as on a machine with `parallelism` hardware
     /// threads) with one joined NOP member, its set-up burst behind it.
     fn lone_member(parallelism: usize) -> ShardExecutor {
-        let cfg = ShardConfig::default().record_upcalls(false);
+        let cfg = ShardConfig::default();
         let mut ex = ShardExecutor::with_parallelism(LoopbackNet::new(), cfg, parallelism);
         ex.add_stack(nop_stack(1));
         ex.down(ep(1), Down::Join { group: GroupAddr::new(1) });
@@ -909,60 +1056,188 @@ mod tests {
 
     /// One cast at a time, the next issued the instant the last is seen
     /// delivered: the queue is empty between any two, as at a paced rate.
-    fn ping_pong(ex: &ShardExecutor, rounds: usize) {
-        let seen = ex.cast_count(ep(1));
+    /// `seen(count)` runs after each delivery.
+    fn ping_pong(ex: &ShardExecutor, rounds: usize, mut seen: impl FnMut(usize)) {
+        let before = ex.cast_count(ep(1));
         for k in 1..=rounds {
             ex.cast_bytes(ep(1), &b"x"[..]);
             let give_up = Instant::now() + Duration::from_secs(10);
-            while ex.cast_count(ep(1)) < seen + k {
+            while ex.cast_count(ep(1)) < before + k {
                 assert!(Instant::now() < give_up, "cast {k} of {rounds} not delivered");
                 std::hint::spin_loop();
             }
+            seen(before + k);
         }
     }
 
     #[test]
-    fn a_paced_sender_finds_the_worker_spinning_not_parked() {
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
-            return; // nothing to hand off to: the sender runs only once the worker parks
-        }
-        const ROUNDS: usize = 2_000;
+    fn cast_count_never_runs_ahead_of_the_upcall_log() {
         let mut ex = lone_member(2);
-        let before = ex.wake_stats()[0];
-        ping_pong(&ex, ROUNDS);
-        let after = ex.wake_stats()[0];
-        // Not one spin take a round: a sender that sees the delivery before
-        // the worker is back at the top of its loop is served from there.
-        let parks = after.parks - before.parks;
-        assert!(parks < ROUNDS as u64 / 10, "{parks} parks in {ROUNDS} rounds ({after:?})");
-        assert!(after.spin_takes > before.spin_takes);
+        let casts = |ups: Vec<Up>| ups.iter().filter(|up| matches!(up, Up::Cast { .. })).count();
+        let mut taken = casts(ex.take_upcalls(ep(1)));
+        ping_pong(&ex, 10_000, |count| {
+            taken += casts(ex.take_upcalls(ep(1)));
+            assert!(taken >= count, "cast_count read {count} with {taken} casts in the log");
+        });
         ex.stop();
     }
 
+    /// What counts alone show: no burst, no spin; one burst (NOP sets no
+    /// timer) earns one spin, which finds nothing, and parks follow it.
     #[test]
     fn an_idle_worker_parks_and_does_not_spin() {
+        let wake = |ex: &ShardExecutor| ex.wake_stats()[0];
         let cfg = ShardConfig::default();
         let mut ex = ShardExecutor::with_parallelism(LoopbackNet::new(), cfg, 2);
-        std::thread::sleep(Duration::from_millis(100));
-        let idle = ex.wake_stats()[0];
+        assert!(ex.wait_until(Duration::from_secs(5), |ex| wake(ex).parks >= 1));
+        let idle = wake(&ex);
         assert_eq!((idle.spins, idle.spin_takes), (0, 0), "no burst, so no spin");
-        assert!(idle.parks >= 2, "idle for twenty IDLE_WAITs: {idle:?}");
-        // One burst (NOP sets no timer) earns one spin, which finds nothing.
         ex.add_stack(nop_stack(1));
-        std::thread::sleep(Duration::from_millis(100));
-        let after = ex.wake_stats()[0];
+        assert!(ex.wait_until(Duration::from_secs(5), |ex| wake(ex).spins >= 1));
+        let parks = wake(&ex).parks;
+        assert!(ex.wait_until(Duration::from_secs(5), |ex| wake(ex).parks > parks));
+        let after = wake(&ex);
         assert_eq!((after.spins, after.spin_takes), (1, 0));
-        assert!(after.parks > idle.parks);
         ex.stop();
     }
 
     #[test]
     fn one_hardware_thread_never_spins() {
-        const ROUNDS: usize = 200;
         let mut ex = lone_member(1);
-        ping_pong(&ex, ROUNDS);
+        ping_pong(&ex, 200, |_| {});
         let wake = ex.wake_stats()[0];
         assert_eq!((wake.spins, wake.spin_takes), (0, 0));
         ex.stop();
+    }
+
+    // The wait policy, on synthetic instants: no thread, no sleep.
+
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    /// After a burst at `at`: a spin that finds nothing, then a park that
+    /// input ends at `input` (`None`: it times out).
+    fn spin_then_park(core: &mut WaitCore, at: Instant, input: Option<Instant>) {
+        let Next::SpinUntil(until) = core.next(at, true, None) else {
+            panic!("a burst earns a spin");
+        };
+        core.ended(None);
+        assert_eq!(core.next(until, false, None), Next::ParkUntil(until + IDLE_WAIT));
+        core.ended(input);
+    }
+
+    #[test]
+    fn a_park_ended_by_an_early_input_grows_the_window() {
+        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        assert_eq!(core.next(t, true, None), Next::SpinUntil(t + SPIN_MIN));
+        core.ended(None);
+        core.next(t + SPIN_MIN, false, None);
+        core.ended(Some(t + us(83)));
+        assert_eq!(core.window, us(100));
+        assert_eq!(core.next(t + us(90), true, None), Next::SpinUntil(t + us(190)));
+    }
+
+    #[test]
+    fn a_timeout_or_a_late_input_shrinks_the_window() {
+        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        spin_then_park(&mut core, t, Some(t + us(83)));
+        spin_then_park(&mut core, t, Some(t + us(83)));
+        assert_eq!(core.window, us(200));
+        spin_then_park(&mut core, t, None);
+        assert_eq!(core.window, us(100), "a park that times out");
+        spin_then_park(&mut core, t, Some(t + SPIN_MAX + us(1)));
+        assert_eq!(core.window, SPIN_MIN, "an input past the ceiling");
+    }
+
+    #[test]
+    fn the_window_stays_within_its_bounds() {
+        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        for _ in 0..5 {
+            spin_then_park(&mut core, t, Some(t + us(10)));
+        }
+        assert_eq!(core.window, SPIN_MAX);
+        for _ in 0..5 {
+            spin_then_park(&mut core, t, None);
+        }
+        assert_eq!(core.window, SPIN_MIN);
+    }
+
+    #[test]
+    fn a_spin_that_catches_its_input_leaves_the_window_alone() {
+        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        spin_then_park(&mut core, t, Some(t + us(83)));
+        core.next(t, true, None);
+        core.ended(Some(t + us(83)));
+        assert_eq!(core.window, us(100));
+        // Nor is a park judged by a spin that took input before it.
+        core.next(t + us(90), false, None);
+        core.ended(None);
+        assert_eq!(core.window, us(100));
+    }
+
+    #[test]
+    fn no_spin_or_park_runs_past_a_timer() {
+        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        for _ in 0..2 {
+            spin_then_park(&mut core, t, Some(t + us(10)));
+        }
+        assert_eq!(core.next(t, true, Some(t + us(30))), Next::SpinUntil(t + us(30)));
+        core.ended(None);
+        assert_eq!(core.next(t + us(30), false, Some(t + us(30))), Next::Poll);
+        assert_eq!(core.next(t, true, Some(t)), Next::Poll);
+        assert_eq!(core.next(t, false, Some(t + us(30))), Next::ParkUntil(t + us(30)));
+    }
+
+    #[test]
+    fn no_spin_without_a_burst_or_a_second_hardware_thread() {
+        let t = Instant::now();
+        let mut core = WaitCore::new(true);
+        assert_eq!(core.next(t, false, None), Next::ParkUntil(t + IDLE_WAIT));
+        core.ended(Some(t + us(10)));
+        assert_eq!(core.window, SPIN_MIN, "a park after no spin is not judged");
+        let mut alone = WaitCore::new(false);
+        assert_eq!(alone.next(t, true, None), Next::ParkUntil(t + IDLE_WAIT));
+    }
+
+    /// A stream of single inputs `gap` apart, each dispatched in 3 µs and
+    /// found 10 µs after it arrived if the worker was parked.  Returns, per
+    /// gap, whether the input met a parked worker and the window after it.
+    fn stream(gap: Duration, gaps: usize) -> Vec<(bool, Duration)> {
+        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        (1..=gaps as u32)
+            .map(|k| {
+                let (done, input) = (t + gap * (k - 1) + us(3), t + gap * k);
+                let Next::SpinUntil(until) = core.next(done, true, None) else {
+                    panic!("a burst earns a spin");
+                };
+                let parked = input > until;
+                if parked {
+                    core.ended(None);
+                    let Next::ParkUntil(woken) = core.next(until, false, None) else {
+                        panic!("no timer, so a park");
+                    };
+                    assert!(input <= woken);
+                    core.ended(Some(input + us(10)));
+                } else {
+                    core.ended(Some(input));
+                }
+                (parked, core.window)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_steady_stream_stops_meeting_a_parked_worker() {
+        let gaps = stream(us(83), 50);
+        assert!(gaps[3..].iter().all(|&(parked, _)| !parked), "{gaps:?}");
+        let gaps = stream(us(180), 50);
+        assert!(gaps[3..].iter().all(|&(parked, _)| !parked), "{gaps:?}");
+    }
+
+    #[test]
+    fn sporadic_input_never_grows_the_window() {
+        let gaps = stream(Duration::from_millis(1), 50);
+        assert!(gaps.iter().all(|&(parked, window)| parked && window == SPIN_MIN), "{gaps:?}");
     }
 }
