@@ -10,13 +10,13 @@
 #![forbid(unsafe_code)]
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use horus_core::prelude::*;
 use horus_layers::registry::build_stack;
 use horus_net::threaded::Frame;
 use horus_net::{LoopbackNet, NetConfig};
 use horus_sim::SimWorld;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -139,7 +139,10 @@ impl LockedThreads {
         let addr = stack.local_addr();
         let layout = stack.layout().clone();
         let casts = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
+        // The workers share the one receiver behind a mutex: one queue under
+        // one lock, which they contend for as they do for the stack.
+        let rx = Arc::new(Mutex::new(rx));
         let sink_tx = tx.clone();
         net.register_sink(addr, Arc::new(move |f| sink_tx.send(LockedIn::Frame(f)).is_ok()));
         let epoch = Instant::now();
@@ -150,22 +153,21 @@ impl LockedThreads {
             .map(|_| {
                 let (rx, stack, net, casts) =
                     (rx.clone(), stack.clone(), net.clone(), casts.clone());
-                std::thread::spawn(move || {
-                    while let Ok(input) = rx.recv() {
-                        let input = match input {
-                            LockedIn::Stop => break,
-                            LockedIn::Frame(f) => {
-                                StackInput::FromNet { from: f.from, cast: f.cast, wire: f.wire }
-                            }
-                            LockedIn::App(down) => StackInput::FromApp(down),
-                        };
-                        let fx = {
-                            let mut stack = stack.lock().expect("no worker panics under the lock");
-                            stack.set_now(SimTime::from_nanos(epoch.elapsed().as_nanos() as u64));
-                            stack.handle(input)
-                        };
-                        Self::apply(&net, addr, &casts, fx);
-                    }
+                std::thread::spawn(move || loop {
+                    let next = rx.lock().expect("no worker panics under the lock").recv();
+                    let input = match next {
+                        Err(_) | Ok(LockedIn::Stop) => break,
+                        Ok(LockedIn::Frame(f)) => {
+                            StackInput::FromNet { from: f.from, cast: f.cast, wire: f.wire }
+                        }
+                        Ok(LockedIn::App(down)) => StackInput::FromApp(down),
+                    };
+                    let fx = {
+                        let mut stack = stack.lock().expect("no worker panics under the lock");
+                        stack.set_now(SimTime::from_nanos(epoch.elapsed().as_nanos() as u64));
+                        stack.handle(input)
+                    };
+                    Self::apply(&net, addr, &casts, fx);
                 })
             })
             .collect();

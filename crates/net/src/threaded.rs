@@ -49,12 +49,13 @@ pub trait FrameSink: Send + Sync {
     /// are counted as dropped-on-closed-channel).
     fn deliver(&self, frame: Frame) -> bool;
 
-    /// Delivers a burst, draining `frames`; returns how many were queued.
-    /// The default delivers one at a time; queue-backed sinks override it
-    /// to publish the whole burst under a single lock acquisition and a
-    /// single consumer wake-up.
-    fn deliver_many(&self, frames: &mut Vec<Frame>) -> usize {
-        frames.drain(..).map(|f| usize::from(self.deliver(f))).sum()
+    /// Delivers a burst of casts from `from`; returns how many were
+    /// queued.  The default delivers one at a time; queue-backed sinks
+    /// override it to publish the whole burst under a single lock
+    /// acquisition and a single consumer wake-up.
+    fn deliver_many(&self, from: EndpointAddr, wires: &[WireFrame]) -> usize {
+        let frame = |wire: &WireFrame| Frame { from, cast: true, wire: wire.clone() };
+        wires.iter().map(|wire| usize::from(self.deliver(frame(wire)))).sum()
     }
 }
 
@@ -310,35 +311,26 @@ impl LoopbackNet {
 
     /// Multicasts a burst of frames to `from`'s group with a single registry
     /// snapshot — the dispatch-boundary batching of the sharded executor.
-    /// Each member sink receives the whole burst through
+    /// Each member sink is handed the whole slice through
     /// [`FrameSink::deliver_many`]: one lock acquisition and one wake-up per
     /// member per burst, instead of one per frame.
-    pub fn cast_batch(
-        &self,
-        from: EndpointAddr,
-        wires: impl IntoIterator<Item = WireFrame>,
-    ) -> usize {
-        let batch: Vec<WireFrame> = wires.into_iter().collect();
-        self.stats.frames_cast.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        if batch.is_empty() {
+    pub fn cast_batch(&self, from: EndpointAddr, wires: &[WireFrame]) -> usize {
+        self.stats.frames_cast.fetch_add(wires.len() as u64, Ordering::Relaxed);
+        if wires.is_empty() {
             return 0;
         }
         let Some((targets, fanout)) = self.cast_targets(from) else { return 0 };
         let mut queued = 0;
-        let mut burst: Vec<Frame> = Vec::with_capacity(batch.len());
         {
             let _order = fanout.lock();
             for sink in &targets {
-                burst.extend(batch.iter().map(|w| Frame { from, cast: true, wire: w.clone() }));
-                let delivered = sink.deliver_many(&mut burst);
+                let delivered = sink.deliver_many(from, wires);
                 queued += delivered;
-                if delivered < batch.len() {
-                    self.stats
-                        .dropped_closed
-                        .fetch_add((batch.len() - delivered) as u64, Ordering::Relaxed);
-                    self.trace_drop(from);
+                let refused = wires.len() - delivered;
+                if refused > 0 {
+                    self.stats.dropped_closed.fetch_add(refused as u64, Ordering::Relaxed);
+                    (0..refused).for_each(|_| self.trace_drop(from));
                 }
-                burst.clear();
             }
         }
         self.stats.deliveries.fetch_add(queued as u64, Ordering::Relaxed);
@@ -462,7 +454,7 @@ mod tests {
             })
             .collect();
         let wires: Vec<WireFrame> = (0..10).map(|_| raw(b"b")).collect();
-        assert_eq!(net.cast_batch(ep(1), wires), 20);
+        assert_eq!(net.cast_batch(ep(1), &wires), 20);
         for inbox in &inboxes {
             assert_eq!(inbox.take().len(), 10);
         }
@@ -508,7 +500,7 @@ mod tests {
         net.join(g, ep(1));
         net.join(g, ep(2));
         assert_eq!(net.cast(ep(1), raw(b"m")), 1);
-        assert_eq!(net.cast_batch(ep(1), [raw(b"m"), raw(b"m")]), 2);
+        assert_eq!(net.cast_batch(ep(1), &[raw(b"m"), raw(b"m")]), 2);
         let s = net.stats();
         assert_eq!(s.deliveries, 3);
         assert_eq!(s.dropped_closed, 3);

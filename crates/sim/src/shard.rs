@@ -11,16 +11,21 @@
 //!   dispatch path, and — because each worker is a single-threaded
 //!   run-to-completion loop over one input queue — each shard's execution
 //!   is a deterministic function of its queue arrival order.
-//! * **Batched dispatch** — workers drain their queue in bursts of up to
-//!   `BATCH_MAX` inputs and push them through
-//!   [`Stack::handle_batch`] with one reusable [`EffectSink`]: one lock
-//!   acquisition, one effect walk, and zero per-event allocations for a
-//!   whole burst.  Consecutive casts from one endpoint leave through
-//!   [`LoopbackNet::cast_batch`] under a single registry snapshot.
+//! * **Batched dispatch** — a worker takes everything queued for it at
+//!   once, by swapping its inbox's buffer for its own empty one under one
+//!   lock, and feeds each same-endpoint run of that burst straight from it
+//!   into [`Stack::handle_batch`] with one reusable [`EffectSink`]: one
+//!   lock acquisition per burst, one effect walk per run, and zero
+//!   per-event allocations.  A burst has no cap; it is whatever queued
+//!   while the worker was busy.  A walk's upcalls reach the endpoint's log
+//!   under one lock, and consecutive casts from one endpoint leave through
+//!   [`LoopbackNet::cast_batch`] as one slice under a single registry
+//!   snapshot.
 //! * **Direct shard delivery** — endpoints are registered on the loopback
 //!   transport with a sink that pushes frames straight into the owning
-//!   shard's queue: no per-endpoint pump thread, and none of the extra
-//!   wake-up per frame one would cost.
+//!   shard's inbox, a cast burst's frames under one lock and at most one
+//!   wake-up: no per-endpoint pump thread, and none of the extra wake-up
+//!   per frame one would cost.
 //! * **Adaptive spin-then-park hand-off** — batching amortises the
 //!   hand-off into the worker only while the queue stays non-empty.  Below
 //!   saturation the queue is empty between inputs, and a worker that
@@ -42,7 +47,6 @@
 //! in the simulated world.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use horus_core::prelude::*;
 use horus_core::stack::StackStats;
 use horus_net::threaded::{Frame, FrameSink};
@@ -50,7 +54,7 @@ use horus_net::LoopbackNet;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,9 +93,9 @@ impl ShardConfig {
 /// executor facade: a monotone counter plus (optionally) the upcall log.
 #[derive(Debug, Default)]
 struct EpLog {
-    /// Monotone count of CAST upcalls delivered, published (`Release`)
-    /// only once the upcall is in `log`: a reader that sees `k` (`Acquire`)
-    /// finds cast `k` there.
+    /// Monotone count of CAST upcalls delivered, published (`Release`) once
+    /// per effect walk, after that walk's upcalls are in `log`: a reader
+    /// that sees `k` (`Acquire`) finds cast `k` there.
     casts: AtomicUsize,
     /// The recorded upcalls (empty when recording is off).
     log: Mutex<Vec<Up>>,
@@ -101,8 +105,8 @@ struct EpLog {
 /// `Worker::run`): monotone counts since the executor was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeStats {
-    /// Blocking receives entered: each is a thread the next sender has to
-    /// wake (a `futex` round trip) before any layer runs.
+    /// Sleeps on the inbox entered: each is a thread the next sender has
+    /// to wake (a `futex` round trip) before any layer runs.
     pub parks: u64,
     /// Spin phases entered, each straight after a burst.
     pub spins: u64,
@@ -131,16 +135,85 @@ impl WakeCounters {
 }
 
 enum ShardIn {
-    /// A wire frame for `to`, pushed by the transport sink.
-    Frame { to: EndpointAddr, frame: Frame },
-    /// An application downcall.
-    App { ep: EndpointAddr, down: Down },
+    /// A wire frame (pushed by the transport sink) or an application
+    /// downcall for `ep`'s stack, built as the stack takes it.
+    Input { ep: EndpointAddr, input: StackInput },
     /// Adopt a stack (run its init) — sent once per endpoint at add time.
     AddStack { stack: Box<Stack>, log: Arc<EpLog> },
     /// Report every owned stack's counters.
-    Stats { reply: Sender<Vec<(EndpointAddr, StackStats)>> },
+    Stats { reply: mpsc::Sender<Vec<(EndpointAddr, StackStats)>> },
     /// Drain and exit.
     Stop,
+}
+
+impl ShardIn {
+    /// Whether this is a frame or downcall for `ep`'s stack.
+    fn is_for(&self, ep: EndpointAddr) -> bool {
+        matches!(self, ShardIn::Input { ep: to, .. } if *to == ep)
+    }
+}
+
+/// One shard's input queue, taken whole: senders append under the lock,
+/// and the worker swaps the queued buffer for its own empty one, so no
+/// input is moved under the lock and both buffers keep their capacity.
+#[derive(Default)]
+struct Inbox {
+    state: Mutex<InboxState>,
+    /// Signalled by a push that finds the worker asleep.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct InboxState {
+    items: Vec<ShardIn>,
+    /// The worker is blocked on `ready`.  Set and read under the lock, so
+    /// a sender that reads `false` knows the worker will see its input
+    /// before it sleeps: only a push that reads `true` pays for a notify.
+    asleep: bool,
+    /// The worker has exited; pushes are refused.
+    closed: bool,
+}
+
+impl Inbox {
+    /// Queues `inputs` in order, waking the worker if it sleeps; `false`,
+    /// queuing nothing, once the worker has exited.
+    fn push(&self, inputs: impl IntoIterator<Item = ShardIn>) -> bool {
+        let mut state = self.state.lock();
+        if state.closed {
+            return false;
+        }
+        state.items.extend(inputs);
+        let asleep = state.asleep;
+        drop(state);
+        if asleep {
+            self.ready.notify_one();
+        }
+        true
+    }
+
+    /// Swaps everything queued into the empty `burst`; returns whether
+    /// anything was.
+    fn take(&self, burst: &mut Vec<ShardIn>) -> bool {
+        std::mem::swap(&mut self.state.lock().items, burst);
+        !burst.is_empty()
+    }
+
+    /// [`Inbox::take`], sleeping until input is queued or `until` passes.
+    fn take_or_wait(&self, burst: &mut Vec<ShardIn>, until: Instant) -> bool {
+        let mut state = self.state.lock();
+        while state.items.is_empty() {
+            let Some(wait) = until.checked_duration_since(Instant::now()) else { return false };
+            state.asleep = true;
+            state = self.ready.wait_timeout(state, wait).unwrap_or_else(PoisonError::into_inner).0;
+            state.asleep = false;
+        }
+        std::mem::swap(&mut state.items, burst);
+        true
+    }
+
+    fn close(&self) {
+        self.state.lock().closed = true;
+    }
 }
 
 struct TimerEntry {
@@ -182,23 +255,25 @@ struct Owned {
 /// One shard: a single-threaded run-to-completion loop over the stacks it
 /// owns.  All state here is thread-local to the worker.
 struct Worker {
-    rx: Receiver<ShardIn>,
+    inbox: Arc<Inbox>,
     epoch: Instant,
     stacks: BTreeMap<EndpointAddr, Owned>,
     /// Reusable effect buffer: zero allocations per event once warm.
     sink: EffectSink,
     out: Outbox,
-    /// Reusable input burst buffer.
+    /// The burst being processed: the inbox's buffer, swapped out whole,
+    /// and swapped back in empty by the next take.
     burst: Vec<ShardIn>,
-    /// Reusable run buffer: consecutive same-endpoint inputs of a burst,
-    /// fed to [`Stack::handle_batch`] in one call.
-    run: Vec<StackInput>,
-    /// Whether any owned stack has a trace sink.  While none does, an
-    /// arrival costs this one branch and no map lookup.
-    traced: bool,
     /// When to poll, spin or park.
     wait: WaitCore,
     wake: Arc<WakeCounters>,
+}
+
+/// However the worker's thread ends, its inbox refuses what comes after.
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.inbox.close();
+    }
 }
 
 /// Where a stack's effects go: the transport, the timer heap, the upcall
@@ -214,11 +289,10 @@ struct Outbox {
     /// registry snapshot.
     pending_casts: Vec<WireFrame>,
     pending_from: Option<EndpointAddr>,
+    /// The upcalls of the effect walk in progress, moved into the
+    /// endpoint's log under one lock when the walk ends.
+    upcalls: Vec<Up>,
 }
-
-/// Most inputs a worker drains from its queue per dispatch burst: most of
-/// what batching buys arrives by 16 and the curve is flat from there (E23).
-const BATCH_MAX: usize = 64;
 
 /// How long an idle worker sleeps when it has neither inputs nor timers.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
@@ -362,7 +436,7 @@ impl Worker {
         let mut bursts = 0;
         let mut after_burst = false;
         loop {
-            if self.rx.try_recv_many(&mut self.burst, BATCH_MAX) == 0 {
+            if !self.inbox.take(&mut self.burst) {
                 bursts = 0;
                 if self.fire_next_due_timer() {
                     continue;
@@ -380,21 +454,11 @@ impl Worker {
                         self.wake.spin_takes.fetch_add(1, Ordering::Relaxed);
                     }
                     Next::ParkUntil(until) => {
-                        // Block for the first input of the burst, then take
-                        // what came with it.
                         self.wake.parks.fetch_add(1, Ordering::Relaxed);
-                        let wait = until.saturating_duration_since(Instant::now());
-                        match self.rx.recv_timeout(wait) {
-                            Ok(first) => {
-                                self.wait.ended(Some(Instant::now()));
-                                self.burst.push(first);
-                                self.rx.try_recv_many(&mut self.burst, BATCH_MAX - 1);
-                            }
-                            Err(RecvTimeoutError::Timeout) => {
-                                self.wait.ended(None);
-                                continue;
-                            }
-                            Err(RecvTimeoutError::Disconnected) => return,
+                        let took = self.inbox.take_or_wait(&mut self.burst, until);
+                        self.wait.ended(took.then(Instant::now));
+                        if !took {
+                            continue;
                         }
                     }
                 }
@@ -421,7 +485,7 @@ impl Worker {
                 std::thread::yield_now();
                 now = Instant::now();
             }
-            if self.rx.try_recv_many(&mut self.burst, BATCH_MAX) > 0 {
+            if self.inbox.take(&mut self.burst) {
                 return true;
             }
             if now >= until {
@@ -430,108 +494,70 @@ impl Worker {
         }
     }
 
-    /// Processes the drained burst; returns `true` on `Stop`.
+    /// Processes the taken burst, in order; returns `true` on `Stop`.
     ///
-    /// Consecutive inputs for the same endpoint are grouped into a run and
-    /// dispatched through [`Stack::handle_batch`]: one `set_now`, one
+    /// Each run of consecutive inputs for one endpoint is fed to
+    /// [`Stack::handle_batch`] straight from the burst: one `set_now`, one
     /// reusable sink, one effect walk per run instead of per event.
     fn process_burst(&mut self) -> bool {
         let now = self.now();
-        let mut stop = false;
         let mut burst = std::mem::take(&mut self.burst);
-        let mut run = std::mem::take(&mut self.run);
-        let mut run_ep: Option<EndpointAddr> = None;
-        for input in burst.drain(..) {
-            let (ep, stack_input) = match input {
-                ShardIn::Frame { to, frame } => {
-                    if self.traced {
-                        self.trace_arrival(
-                            to,
-                            now,
-                            TraceKind::FrameDeliver {
-                                from: frame.from,
-                                cast: frame.cast,
-                                bytes: frame.wire.len(),
-                                digest: 0,
-                                seq: 0,
-                            },
-                        );
-                    }
-                    (
-                        to,
-                        StackInput::FromNet {
-                            from: frame.from,
-                            cast: frame.cast,
-                            wire: frame.wire,
-                        },
-                    )
+        let mut inputs = burst.drain(..).peekable();
+        let mut stop = false;
+        while let Some(next) = inputs.next() {
+            match next {
+                ShardIn::Input { ep, input } => {
+                    let rest = std::iter::from_fn(|| {
+                        let next = inputs.next_if(|next| next.is_for(ep))?;
+                        let ShardIn::Input { input, .. } = next else {
+                            unreachable!("is_for admits inputs only")
+                        };
+                        Some(input)
+                    });
+                    self.feed(ep, now, |stack, tracer, sink| {
+                        let run = std::iter::once(input).chain(rest);
+                        let arrived = |input: &StackInput| trace_arrival(tracer, ep, now, input);
+                        stack.handle_batch(run.inspect(arrived), sink);
+                    });
                 }
-                ShardIn::App { ep, down } => (ep, StackInput::FromApp(down)),
-                ShardIn::AddStack { stack, log } => {
-                    self.flush_run(run_ep.take(), &mut run, now);
-                    self.adopt(*stack, log);
-                    continue;
-                }
+                ShardIn::AddStack { stack, log } => self.adopt(*stack, log),
                 ShardIn::Stats { reply } => {
-                    self.flush_run(run_ep.take(), &mut run, now);
                     self.out.flush_casts();
                     let stats: Vec<(EndpointAddr, StackStats)> =
                         self.stacks.iter().map(|(&ep, o)| (ep, o.stack.stats().clone())).collect();
                     let _ = reply.send(stats);
-                    continue;
                 }
                 ShardIn::Stop => {
                     stop = true;
                     break;
                 }
-            };
-            if run_ep != Some(ep) {
-                self.flush_run(run_ep, &mut run, now);
-                run_ep = Some(ep);
             }
-            run.push(stack_input);
         }
-        self.flush_run(run_ep, &mut run, now);
-        self.run = run;
+        drop(inputs);
         self.burst = burst;
         self.out.flush_casts();
         stop
     }
 
-    /// Dispatches a buffered same-endpoint run through `handle_batch`.
-    fn flush_run(&mut self, ep: Option<EndpointAddr>, run: &mut Vec<StackInput>, now: SimTime) {
-        if let Some(ep) = ep.filter(|_| !run.is_empty()) {
-            self.feed(ep, now, |stack, sink| stack.handle_batch(run.drain(..), sink));
-        }
-        run.clear();
-    }
-
     fn adopt(&mut self, stack: Stack, log: Arc<EpLog>) {
         let ep = stack.local_addr();
         let tracer = stack.tracer().cloned();
-        self.traced |= tracer.is_some();
         self.stacks.insert(ep, Owned { stack, log, tracer });
-        self.feed(ep, self.now(), |stack, sink| sink.extend(stack.init()));
-    }
-
-    /// Records an arrival at `ep` through `ep`'s own sink, if it has one.
-    fn trace_arrival(&self, ep: EndpointAddr, at: SimTime, kind: TraceKind) {
-        if let Some(t) = self.stacks.get(&ep).and_then(|o| o.tracer.as_ref()) {
-            t.record(TraceEvent { at, ep, kind });
-        }
+        self.feed(ep, self.now(), |stack, _, sink| sink.extend(stack.init()));
     }
 
     /// Run-to-completion dispatch into `ep`'s stack: one look-up of the
-    /// stack, `inputs` fed to it at `now`, its effects performed.
+    /// stack, `inputs` fed to it at `now`, its effects performed.  `inputs`
+    /// is handed the stack's trace sink, to record arrivals through.
     fn feed(
         &mut self,
         ep: EndpointAddr,
         now: SimTime,
-        inputs: impl FnOnce(&mut Stack, &mut EffectSink),
+        inputs: impl FnOnce(&mut Stack, Option<&dyn TraceSink>, &mut EffectSink),
     ) {
         let Some(owned) = self.stacks.get_mut(&ep) else { return };
         owned.stack.set_now(now);
-        inputs(&mut owned.stack, &mut self.sink);
+        inputs(&mut owned.stack, owned.tracer.as_deref(), &mut self.sink);
         self.out.apply_effects(ep, &owned.log, &mut self.sink);
     }
 
@@ -540,23 +566,46 @@ impl Worker {
         if self.out.timers.peek().is_none_or(|t| t.due > Instant::now()) {
             return false;
         }
-        let t = self.out.timers.pop().expect("peeked");
+        let TimerEntry { ep, layer, token, .. } = self.out.timers.pop().expect("peeked");
         let now = self.now();
-        if self.traced {
-            let kind = TraceKind::TimerFire { layer: t.layer, token: t.token, digest: 0, seq: 0 };
-            self.trace_arrival(t.ep, now, kind);
-        }
-        let input = StackInput::Timer { layer: t.layer, token: t.token, now };
-        self.feed(t.ep, now, |stack, sink| stack.handle_into(input, sink));
+        self.feed(ep, now, |stack, tracer, sink| {
+            let input = StackInput::Timer { layer, token, now };
+            trace_arrival(tracer, ep, now, &input);
+            stack.handle_into(input, sink);
+        });
         self.out.flush_casts();
         true
     }
+}
+
+/// Records a frame's or a timer's arrival at `ep` through `tracer`, if
+/// there is one; other inputs are not recorded here.
+fn trace_arrival(
+    tracer: Option<&dyn TraceSink>,
+    ep: EndpointAddr,
+    at: SimTime,
+    input: &StackInput,
+) {
+    let Some(tracer) = tracer else { return };
+    let kind = match *input {
+        StackInput::FromNet { from, cast, ref wire } => {
+            TraceKind::FrameDeliver { from, cast, bytes: wire.len(), digest: 0, seq: 0 }
+        }
+        StackInput::Timer { layer, token, .. } => {
+            TraceKind::TimerFire { layer, token, digest: 0, seq: 0 }
+        }
+        StackInput::FromApp(_) | StackInput::Tick { .. } => return,
+    };
+    tracer.record(TraceEvent { at, ep, kind });
 }
 
 impl Outbox {
     /// Drains the sink, performing `ep`'s effects.  Casts are accumulated
     /// and flushed in one [`LoopbackNet::cast_batch`] snapshot; any effect
     /// whose transport ordering could interleave with them flushes first.
+    /// The walk's upcalls are moved into `log` under one lock at its end —
+    /// a swap when the reader has emptied it — and only then are its casts
+    /// published.
     fn apply_effects(&mut self, ep: EndpointAddr, log: &EpLog, sink: &mut EffectSink) {
         if self.pending_from != Some(ep) {
             self.flush_casts();
@@ -565,15 +614,13 @@ impl Outbox {
         // One clock read per walk: timers armed together are due together,
         // and fire in arming order.
         let mut now = None;
+        let mut casts = 0;
         for fx in sink.drain() {
             match fx {
                 Effect::Deliver(up) => {
-                    let cast = matches!(up, Up::Cast { .. });
+                    casts += usize::from(matches!(up, Up::Cast { .. }));
                     if self.record_upcalls {
-                        log.log.lock().push(up);
-                    }
-                    if cast {
-                        log.casts.fetch_add(1, Ordering::Release);
+                        self.upcalls.push(up);
                     }
                 }
                 Effect::NetCast { wire } => self.pending_casts.push(wire),
@@ -597,6 +644,17 @@ impl Outbox {
                 Effect::Trace(_) => {}
             }
         }
+        if !self.upcalls.is_empty() {
+            let mut recorded = log.log.lock();
+            if recorded.is_empty() {
+                std::mem::swap(&mut *recorded, &mut self.upcalls);
+            } else {
+                recorded.append(&mut self.upcalls);
+            }
+        }
+        if casts > 0 {
+            log.casts.fetch_add(casts, Ordering::Release);
+        }
     }
 
     fn flush_casts(&mut self) {
@@ -607,7 +665,8 @@ impl Outbox {
 
     fn flush_casts_to(&mut self, from: EndpointAddr) {
         if !self.pending_casts.is_empty() {
-            self.net.cast_batch(from, self.pending_casts.drain(..));
+            self.net.cast_batch(from, &self.pending_casts);
+            self.pending_casts.clear();
         }
     }
 }
@@ -619,24 +678,31 @@ struct EpEntry {
 }
 
 /// The transport sink for one endpoint: frames go straight into the owning
-/// shard's queue.  Bursts are published through `send_iter` — one lock and
-/// one worker wake-up per burst, which is where the dispatch-boundary
-/// batching pays on the receive side.
+/// shard's inbox, each built there as the stack input it will be.  A cast
+/// burst is queued under one lock with at most one wake-up, which is where
+/// the dispatch-boundary batching pays on the receive side.
 struct ShardSink {
     ep: EndpointAddr,
-    tx: Sender<ShardIn>,
+    inbox: Arc<Inbox>,
 }
 
 impl FrameSink for ShardSink {
-    fn deliver(&self, frame: Frame) -> bool {
-        self.tx.send(ShardIn::Frame { to: self.ep, frame }).is_ok()
+    fn deliver(&self, Frame { from, cast, wire }: Frame) -> bool {
+        let input = StackInput::FromNet { from, cast, wire };
+        self.inbox.push([ShardIn::Input { ep: self.ep, input }])
     }
 
-    fn deliver_many(&self, frames: &mut Vec<Frame>) -> usize {
+    fn deliver_many(&self, from: EndpointAddr, wires: &[WireFrame]) -> usize {
         let ep = self.ep;
-        self.tx
-            .send_iter(frames.drain(..).map(|frame| ShardIn::Frame { to: ep, frame }))
-            .unwrap_or(0)
+        let inputs = wires.iter().map(|wire| ShardIn::Input {
+            ep,
+            input: StackInput::FromNet { from, cast: true, wire: wire.clone() },
+        });
+        if self.inbox.push(inputs) {
+            wires.len()
+        } else {
+            0
+        }
     }
 }
 
@@ -668,7 +734,7 @@ impl FrameSink for ShardSink {
 /// # Ok::<(), HorusError>(())
 /// ```
 pub struct ShardExecutor {
-    txs: Vec<Sender<ShardIn>>,
+    inboxes: Vec<Arc<Inbox>>,
     workers: Vec<JoinHandle<()>>,
     net: LoopbackNet,
     eps: BTreeMap<EndpointAddr, EpEntry>,
@@ -692,14 +758,14 @@ impl ShardExecutor {
     /// waits for off the processor, so the workers park at once.
     fn with_parallelism(net: LoopbackNet, config: ShardConfig, parallelism: usize) -> Self {
         let n = config.shards.max(1);
-        let mut txs = Vec::with_capacity(n);
+        let mut inboxes = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         let mut wake = Vec::with_capacity(n);
         for i in 0..n {
-            let (tx, rx) = unbounded::<ShardIn>();
+            let inbox = Arc::new(Inbox::default());
             let counters = Arc::new(WakeCounters::default());
             let worker = Worker {
-                rx,
+                inbox: Arc::clone(&inbox),
                 epoch: Instant::now(),
                 stacks: BTreeMap::new(),
                 sink: EffectSink::with_capacity(64),
@@ -708,16 +774,15 @@ impl ShardExecutor {
                     record_upcalls: config.record_upcalls,
                     timers: BinaryHeap::new(),
                     timer_seq: 0,
-                    pending_casts: Vec::with_capacity(BATCH_MAX),
+                    pending_casts: Vec::new(),
                     pending_from: None,
+                    upcalls: Vec::new(),
                 },
-                burst: Vec::with_capacity(BATCH_MAX),
-                run: Vec::with_capacity(BATCH_MAX),
-                traced: false,
+                burst: Vec::new(),
                 wait: WaitCore::new(parallelism > 1),
                 wake: Arc::clone(&counters),
             };
-            txs.push(tx);
+            inboxes.push(inbox);
             wake.push(counters);
             workers.push(
                 std::thread::Builder::new()
@@ -726,12 +791,12 @@ impl ShardExecutor {
                     .expect("spawn shard worker"),
             );
         }
-        ShardExecutor { txs, workers, net, eps: BTreeMap::new(), wake, stopped: false }
+        ShardExecutor { inboxes, workers, net, eps: BTreeMap::new(), wake, stopped: false }
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.txs.len()
+        self.inboxes.len()
     }
 
     /// The transport this executor runs over.
@@ -741,7 +806,7 @@ impl ShardExecutor {
 
     /// The shard index that owns (or would own) `ep`.
     pub fn shard_of(&self, ep: EndpointAddr) -> usize {
-        (ep.raw() % self.txs.len() as u64) as usize
+        (ep.raw() % self.inboxes.len() as u64) as usize
     }
 
     /// Hands a stack to its owning shard and registers it on the transport
@@ -752,10 +817,10 @@ impl ShardExecutor {
         let shard = self.shard_of(ep);
         let layout = stack.layout().clone();
         let log = Arc::new(EpLog::default());
-        let tx = self.txs[shard].clone();
-        self.net.register_sink(ep, Arc::new(ShardSink { ep, tx }));
-        let _ = self.txs[shard]
-            .send(ShardIn::AddStack { stack: Box::new(stack), log: Arc::clone(&log) });
+        let inbox = Arc::clone(&self.inboxes[shard]);
+        self.net.register_sink(ep, Arc::new(ShardSink { ep, inbox }));
+        self.inboxes[shard]
+            .push([ShardIn::AddStack { stack: Box::new(stack), log: Arc::clone(&log) }]);
         self.eps.insert(ep, EpEntry { shard, log, layout });
         ep
     }
@@ -766,8 +831,8 @@ impl ShardExecutor {
 
     /// Issues a downcall to `ep`'s stack.
     pub fn down(&self, ep: EndpointAddr, down: Down) {
-        let entry = self.entry(ep);
-        let _ = self.txs[entry.shard].send(ShardIn::App { ep, down });
+        let input = StackInput::FromApp(down);
+        self.inboxes[self.entry(ep).shard].push([ShardIn::Input { ep, input }]);
     }
 
     /// Creates a message against `ep`'s stack layout.
@@ -811,12 +876,12 @@ impl ShardExecutor {
     /// shard worker).
     pub fn stats_by_endpoint(&self) -> BTreeMap<EndpointAddr, StackStats> {
         let mut out = BTreeMap::new();
-        for tx in &self.txs {
-            let (reply_tx, reply_rx) = unbounded();
-            if tx.send(ShardIn::Stats { reply: reply_tx }).is_err() {
+        for inbox in &self.inboxes {
+            let (reply, replied) = mpsc::channel();
+            if !inbox.push([ShardIn::Stats { reply }]) {
                 continue;
             }
-            if let Ok(stats) = reply_rx.recv_timeout(Duration::from_secs(5)) {
+            if let Ok(stats) = replied.recv_timeout(Duration::from_secs(5)) {
                 out.extend(stats);
             }
         }
@@ -825,7 +890,7 @@ impl ShardExecutor {
 
     /// Per-shard aggregated counters (index = shard).
     pub fn shard_stats(&self) -> Vec<StackStats> {
-        let mut per_shard = vec![StackStats::default(); self.txs.len()];
+        let mut per_shard = vec![StackStats::default(); self.inboxes.len()];
         for (ep, stats) in self.stats_by_endpoint() {
             per_shard[self.shard_of(ep)].merge(&stats);
         }
@@ -858,8 +923,8 @@ impl ShardExecutor {
             return;
         }
         self.stopped = true;
-        for tx in &self.txs {
-            let _ = tx.send(ShardIn::Stop);
+        for inbox in &self.inboxes {
+            inbox.push([ShardIn::Stop]);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -1108,6 +1173,59 @@ mod tests {
         let wake = ex.wake_stats()[0];
         assert_eq!((wake.spins, wake.spin_takes), (0, 0));
         ex.stop();
+    }
+
+    /// Ping-pong through a worker that never spins, so a hand-off finds it
+    /// parked or about to park.  A push that skipped its notify would leave
+    /// the worker asleep until its park timed out, [`IDLE_WAIT`] later: the
+    /// rounds must go by faster than a lost wake-up in every other one.
+    #[test]
+    fn no_wake_up_is_lost_across_ten_thousand_hand_offs() {
+        const ROUNDS: u32 = 10_000;
+        let mut ex = lone_member(1);
+        let parks = ex.wake_stats()[0].parks;
+        let (started, budget) = (Instant::now(), IDLE_WAIT * ROUNDS / 2);
+        ping_pong(&ex, ROUNDS as usize, |count| {
+            assert!(started.elapsed() < budget, "{count} casts in {:?}", started.elapsed());
+        });
+        let wake = ex.wake_stats()[0];
+        assert!(wake.parks > parks, "the worker never parked");
+        assert_eq!((wake.spins, wake.spin_takes), (0, 0));
+        ex.stop();
+    }
+
+    #[test]
+    fn an_inbox_closed_by_its_worker_refuses_a_push() {
+        let mut ex = lone_member(2);
+        let inbox = Arc::clone(&ex.inboxes[0]);
+        assert!(inbox.push([ShardIn::Stop]), "the live worker's inbox refused a push");
+        ex.stop();
+        assert!(!inbox.push([ShardIn::Stop]), "the exited worker's inbox took a push");
+    }
+
+    /// Inputs queued by single pushes and by bursts come out of one take in
+    /// arrival order, however many there are.
+    #[test]
+    fn one_take_is_everything_queued_in_arrival_order() {
+        const QUEUED: u64 = 200;
+        let input = |i: u64| ShardIn::Input { ep: ep(i), input: StackInput::FromApp(Down::Dump) };
+        let inbox = Inbox::default();
+        for i in 1..=QUEUED / 2 {
+            assert!(inbox.push([input(i)]));
+        }
+        assert!(inbox.push((QUEUED / 2 + 1..=QUEUED).map(input)));
+        let mut burst = Vec::new();
+        assert!(inbox.take(&mut burst));
+        let order: Vec<u64> = burst
+            .iter()
+            .map(|next| match next {
+                ShardIn::Input { ep, .. } => ep.raw(),
+                _ => unreachable!("only inputs were queued"),
+            })
+            .collect();
+        assert_eq!(order, (1..=QUEUED).collect::<Vec<_>>());
+        burst.clear();
+        assert!(!inbox.take(&mut burst), "one take leaves nothing queued");
     }
 
     // The wait policy, on synthetic instants: no thread, no sleep.

@@ -33,6 +33,7 @@ const RETIRED: &[(&str, &[&str])] = &[
         "a layer says each thing once: four framework methods and the lock-free ring",
         &["fn supports_snapshot\\b", "fn as_any\\b", "dump_string", "TraceRing", "fn clone_box"],
     ),
+    ("the worker's hand-offs are swaps", &["crossbeam", "try_recv_many", "send_iter", "BATCH_MAX"]),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.

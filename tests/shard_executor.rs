@@ -6,6 +6,7 @@
 //! lost — the satellite-2 counterpart of the simulated net's `NetStats`
 //! parity tests.
 
+use bytes::Bytes;
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
 use horus_core::trace::{ClockEntry, TraceEvent, TraceSink};
@@ -22,7 +23,7 @@ fn ep(i: u64) -> EndpointAddr {
 
 const GROUPS: u64 = 3;
 /// The quieter shard (the three receivers) is handed `GROUPS * CASTS` = 150
-/// frames: more than two of the worker's 64-input bursts.
+/// frames, in however many bursts the worker's takes split them into.
 const CASTS: usize = 50;
 
 /// 3 disjoint 2-member groups over single-layer NOP stacks (which add no
@@ -103,6 +104,24 @@ fn dropped_receiver_is_counted_not_silent() {
     assert_eq!(s.deliveries, 2, "the live members still got theirs");
     net.deregister(ep(99));
     ex.stop();
+}
+
+/// A traced capture holds one `FrameDrop` per frame the transport counts
+/// as `dropped_closed`: a burst refused by a closed receiver is as many
+/// drops as it has frames, in the capture as in the counter.
+#[test]
+fn a_traced_capture_counts_every_closed_drop() {
+    let net = LoopbackNet::new();
+    let capture = Arc::new(TraceBuf::new());
+    net.set_tracer(capture.clone());
+    net.register_sink(ep(1), Arc::new(|_| false));
+    net.join(GroupAddr::new(1), ep(1));
+    let wires: Vec<WireFrame> = (0..3u8).map(|k| WireFrame::raw(Bytes::from(vec![k]))).collect();
+    assert_eq!(net.cast_batch(ep(1), &wires), 0);
+    assert_eq!(net.stats().dropped_closed, 3);
+    let events = capture.take();
+    let drops = events.iter().filter(|e| matches!(e.kind, TraceKind::FrameDrop { .. })).count();
+    assert_eq!(drops, 3, "a FrameDrop per refused frame");
 }
 
 /// The worker records an endpoint's frame and timer arrivals through that
