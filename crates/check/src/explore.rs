@@ -53,7 +53,7 @@ use crate::scenario::{Oracle, Scenario};
 use horus_core::prelude::{EndpointAddr, SimTime, Up};
 use horus_core::trace::TraceSink;
 use horus_sim::sched::{RunOutcome, Scheduler, Step};
-use horus_sim::{EventId, ReadyEvent, ReadyKind, SimWorld};
+use horus_sim::{CreationClock, EventId, ReadyEvent, ReadyKind, SimWorld};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,6 +115,14 @@ impl Visited {
         self.map.keys().copied()
     }
 
+    /// Whether a visit to `fp` under `key` would be pruned: some earlier
+    /// visit's stored key is a subset of it.  Coverage only grows — a
+    /// re-visit stores the intersection, never a superset — so a visit
+    /// covered now is covered at any later check.
+    fn covers(&self, fp: u64, key: &[(u64, u64)]) -> bool {
+        self.map.get(&fp).is_some_and(|stored| covered(stored, key))
+    }
+
     /// Records a visit to `fp` under canonical sleep key `key`.  Returns
     /// `false` when the visit is redundant (prune): some earlier visit
     /// covered at least every continuation this one would explore.
@@ -126,8 +134,8 @@ impl Visited {
             }
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 let stored = e.get();
-                if stored.iter().all(|s| key.contains(s)) {
-                    return false; // stored ⊆ current: already covered.
+                if covered(stored, key) {
+                    return false;
                 }
                 // Re-explore; remember the intersection so future visits
                 // prune only against what *both* explorations covered.
@@ -138,6 +146,12 @@ impl Visited {
             }
         }
     }
+}
+
+/// The prune test: `stored ⊆ key`, i.e. an earlier visit explored at least
+/// every continuation a visit under `key` would.
+fn covered(stored: &[(u64, u64)], key: &[(u64, u64)]) -> bool {
+    stored.iter().all(|s| key.contains(s))
 }
 
 /// One sleeping event: a pending calendar entry whose firing is postponed
@@ -183,8 +197,15 @@ fn sleep_entry(world: &SimWorld, ev: &ReadyEvent) -> Option<SleepEntry> {
 /// effective firing times (otherwise order shifts `now`, and with it every
 /// downstream emission time), and no causal order between their creation
 /// contexts (the vector clocks refine the static target test: an event
-/// created *by* another is never an exchangeable race).
-fn independent(world: &SimWorld, now: SimTime, e: &SleepEntry, f: &ReadyEvent) -> bool {
+/// created *by* another is never an exchangeable race).  `f_clock` is `f`'s
+/// creation clock, looked up once per step by the caller.
+fn independent(
+    world: &SimWorld,
+    now: SimTime,
+    e: &SleepEntry,
+    f: &ReadyEvent,
+    f_clock: Option<CreationClock<'_>>,
+) -> bool {
     if matches!(f.kind, ReadyKind::Crash { .. }) {
         return false;
     }
@@ -195,7 +216,7 @@ fn independent(world: &SimWorld, now: SimTime, e: &SleepEntry, f: &ReadyEvent) -
     if e.at.max(now) != f.at.max(now) {
         return false;
     }
-    !world.causally_ordered(e.id, f.id)
+    !f_clock.is_some_and(|c| world.causally_ordered(e.id, c))
 }
 
 /// Canonicalizes a sleep set for the visited map: sorted
@@ -203,11 +224,37 @@ fn independent(world: &SimWorld, now: SimTime, e: &SleepEntry, f: &ReadyEvent) -
 /// run-*dependent* (insertion sequence), absolute times depend on the path
 /// length — the delay relative to `now` plus the payload digest is what two
 /// converging runs agree on.
-fn sleep_key(now: SimTime, sleep: &[SleepEntry]) -> Vec<(u64, u64)> {
+fn sleep_key<'e>(now: SimTime, sleep: impl IntoIterator<Item = &'e SleepEntry>) -> Vec<(u64, u64)> {
     let mut key: Vec<(u64, u64)> =
-        sleep.iter().map(|e| ((e.at.max(now) - now).as_nanos() as u64, e.digest)).collect();
+        sleep.into_iter().map(|e| ((e.at.max(now) - now).as_nanos() as u64, e.digest)).collect();
     key.sort_unstable();
     key
+}
+
+/// Whether the `Step::Drop(i)` sibling spawned with sleep set `sleep` would
+/// be pruned at its first check, decided without running it.  Its resumed
+/// run takes the drop (which retires `ready[i]` from the sleep set) and, if
+/// the calendar still holds an event by the deadline, checks the state the
+/// drop left: the world's fingerprint without that entry, under the
+/// remaining sleep set.  Coverage only grows, so covered now means pruned
+/// then.  A drop of the only ready event is left to its run: whether the
+/// calendar continues past the window is not in `ready`.
+fn drop_is_covered(
+    world: &SimWorld,
+    ready: &[ReadyEvent],
+    i: usize,
+    sleep: &[SleepEntry],
+    visited: &Visited,
+    deadline: SimTime,
+) -> bool {
+    // `ready[0]` is the calendar's first entry, due by the deadline (the
+    // run would not be asking otherwise); dropping it leaves `ready[1]`.
+    let continues = i != 0 || ready.get(1).is_some_and(|e| e.at <= deadline);
+    let id = ready[i].id;
+    continues
+        && world.fingerprint_without(id).is_some_and(|fp| {
+            visited.covers(fp, &sleep_key(world.now(), sleep.iter().filter(|e| e.id != id)))
+        })
 }
 
 /// The deterministic option list for a ready set — the *one* enumeration
@@ -332,6 +379,15 @@ enum Job {
     Fresh(Vec<u16>, Vec<SleepEntry>),
     /// Resume from a snapshot taken at the diverging branch point.
     Resume(Box<ResumeJob>),
+    /// A drop sibling decided where it was spawned: the state its drop
+    /// reaches was already covered, so its resumed run would take the drop
+    /// and be pruned at its first check.  It keeps its place on the frontier
+    /// and is booked as that run: one run, one step, one prune.
+    Pruned {
+        /// Branch points on the run's path: its parent's, plus the one the
+        /// drop is taken at.
+        branch_points: u64,
+    },
 }
 
 /// A snapshot-resume DFS node (boxed: a `SimWorld` is large next to a
@@ -440,6 +496,11 @@ struct ControlledScheduler<'a> {
     /// DFS frontier to push untaken siblings onto as branch points are
     /// encountered; `None` disables expansion (replay).
     spawn: Option<&'a mut Vec<Job>>,
+    /// Whether `spawn` is explored against `visited` — the sequential
+    /// search and each parallel task, not the parallel root run, whose
+    /// siblings seed tasks with fresh maps.  Only then may a drop sibling
+    /// whose state `visited` already covers be pushed as a [`Job::Pruned`].
+    decide_drops: bool,
     state_budget_hit: bool,
     /// Per-member upcall counts at the last view scan; only upcalls
     /// appended past these cursors are examined, so watching for view
@@ -493,7 +554,8 @@ impl<'a> ControlledScheduler<'a> {
             Step::Fire(i) => {
                 let f = ready[i];
                 let now = world.now();
-                self.sleep.retain(|e| independent(world, now, e, &f));
+                let f_clock = world.creation_clock(f.id);
+                self.sleep.retain(|e| independent(world, now, e, &f, f_clock));
             }
             Step::Drop(i) => {
                 let id = ready[i].id;
@@ -660,6 +722,24 @@ impl Scheduler for ControlledScheduler<'_> {
                     if asleep[alt] {
                         continue;
                     }
+                    let covered_drop = match (opts[alt], self.visited.as_deref()) {
+                        (Step::Drop(i), Some(visited)) if self.decide_drops && !self.cfg.oracle => {
+                            drop_is_covered(
+                                world,
+                                ready,
+                                i,
+                                &acc,
+                                visited,
+                                self.scenario.deadline(),
+                            )
+                        }
+                        _ => false,
+                    };
+                    if covered_drop {
+                        let branch_points = self.rec.branch_options.len() as u64 + 1;
+                        spawn.push(Job::Pruned { branch_points });
+                        continue;
+                    }
                     let mut choices = self.rec.taken.clone();
                     choices.push(alt as u16);
                     spawn.push(if self.cfg.oracle {
@@ -713,15 +793,18 @@ impl Scheduler for ControlledScheduler<'_> {
 }
 
 /// Executes one DFS node: a fresh build-and-replay, or a resume from a
-/// branch-point snapshot.  `visited` enables cross-run pruning; `spawn`
-/// receives the untaken siblings of every expandable branch point
-/// encountered past the node's prefix; `tracer` records the explored window.
+/// branch-point snapshot (a [`Job::Pruned`] marker is booked by the search
+/// loop, never run).  `visited` enables cross-run pruning; `spawn` receives
+/// the untaken siblings of every expandable branch point encountered past
+/// the node's prefix, and `decide_drops` says whether that frontier is
+/// explored against `visited`; `tracer` records the explored window.
 fn run_job(
     scenario: &Scenario,
     cfg: &CheckConfig,
     job: Job,
     visited: Option<&mut Visited>,
     spawn: Option<&mut Vec<Job>>,
+    decide_drops: bool,
     tracer: Option<Arc<dyn TraceSink>>,
 ) -> RunRecord {
     let (
@@ -765,6 +848,7 @@ fn run_job(
                 r.sleep,
             )
         }
+        Job::Pruned { .. } => unreachable!("a decided sibling is booked, not run"),
     };
     // Tracing starts *here* — after `Scenario::build` ran the settle phase —
     // so a captured trace holds exactly the explored window, which is what
@@ -792,6 +876,7 @@ fn run_job(
         armed_sleep,
         visited,
         spawn,
+        decide_drops,
         state_budget_hit: false,
         upcalls_seen: Vec::new(),
         opts_buf: Vec::new(),
@@ -849,7 +934,7 @@ fn wedge_violation(scenario: &Scenario, world: &SimWorld, taken: &[u16]) -> Opti
 /// past the end, with pruning disabled (the verdict-stable path used by
 /// `horus-check replay` and the committed fixtures).
 pub fn replay_choices(scenario: &Scenario, choices: &[u16], cfg: &CheckConfig) -> RunRecord {
-    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, None)
+    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, false, None)
 }
 
 /// [`replay_choices`] with a trace sink installed for the explored window:
@@ -863,7 +948,15 @@ pub fn replay_choices_traced(
     cfg: &CheckConfig,
     tracer: Arc<dyn TraceSink>,
 ) -> RunRecord {
-    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, Some(tracer))
+    run_job(
+        scenario,
+        cfg,
+        Job::Fresh(choices.to_vec(), Vec::new()),
+        None,
+        None,
+        false,
+        Some(tracer),
+    )
 }
 
 /// Explores the scenario's bounded schedule space depth-first.  Stops at the
@@ -899,11 +992,17 @@ fn explore_with(scenario: &Scenario, cfg: &CheckConfig, visited: &mut Visited) -
         if report.runs >= cfg.max_runs || visited.len() >= cfg.max_states {
             return report;
         }
+        report.runs += 1;
+        if let Job::Pruned { branch_points } = job {
+            report.steps += 1;
+            report.branch_points += branch_points;
+            report.pruned += 1;
+            continue;
+        }
         // Untaken siblings of every expandable branch point past the node's
         // prefix are pushed onto `frontier` *during* the run, while each
         // branch point's world is live and can be snapshotted.
-        let rec = run_job(scenario, cfg, job, Some(&mut *visited), Some(&mut frontier), None);
-        report.runs += 1;
+        let rec = run_job(scenario, cfg, job, Some(&mut *visited), Some(&mut frontier), true, None);
         report.steps += rec.steps;
         report.branch_points += rec.branch_options.len() as u64;
         if rec.pruned {
@@ -960,16 +1059,22 @@ fn explore_task(
         {
             return out;
         }
-        let states_before = visited.len();
-        let rec = run_job(scenario, cfg, job, Some(&mut visited), Some(&mut frontier), None);
         out.runs += 1;
+        shared_runs.fetch_add(1, Ordering::Relaxed);
+        if let Job::Pruned { branch_points } = job {
+            out.steps += 1;
+            out.branch_points += branch_points;
+            out.pruned += 1;
+            continue;
+        }
+        let states_before = visited.len();
+        let rec = run_job(scenario, cfg, job, Some(&mut visited), Some(&mut frontier), true, None);
         out.steps += rec.steps;
         out.branch_points += rec.branch_options.len() as u64;
         if rec.pruned {
             out.pruned += 1;
         }
         out.states = visited.len();
-        shared_runs.fetch_add(1, Ordering::Relaxed);
         shared_states.fetch_add(visited.len() - states_before, Ordering::Relaxed);
         if let Some(v) = rec.violation {
             out.violation = Some(v);
@@ -1014,7 +1119,9 @@ pub fn explore_parallel(scenario: &Scenario, cfg: &CheckConfig, workers: usize) 
 
     // Root run: seeds the task list (one job per untaken sibling of its
     // branch points, snapshots included), and catches calendar-order
-    // violations before any thread spawns.
+    // violations before any thread spawns.  Its siblings are explored
+    // against their tasks' own visited sets, not this one, so none is
+    // decided at spawn.
     let mut root_visited = Visited::default();
     let mut tasks: Vec<Job> = Vec::new();
     let root = run_job(
@@ -1023,6 +1130,7 @@ pub fn explore_parallel(scenario: &Scenario, cfg: &CheckConfig, workers: usize) 
         Job::Fresh(Vec::new(), Vec::new()),
         Some(&mut root_visited),
         Some(&mut tasks),
+        false,
         None,
     );
     report.runs = 1;

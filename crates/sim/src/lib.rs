@@ -48,4 +48,4 @@ pub use sched::{CalendarScheduler, RunOutcome, Scheduler, Step};
 pub use shard::{ShardConfig, ShardExecutor};
 pub use soak::{SoakAction, SoakConfig, SoakEvent, SoakOutcome, SoakPlan};
 pub use workload::{Workload, WorkloadKind};
-pub use world::{EventId, ReadyEvent, ReadyKind, SimWorld};
+pub use world::{CreationClock, EventId, ReadyEvent, ReadyKind, SimWorld};

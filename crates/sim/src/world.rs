@@ -14,7 +14,7 @@ use horus_core::prelude::*;
 use horus_core::stack::EffectSink;
 use horus_net::{FaultRule, FixedScheduler, NetConfig, NetScheduler, RandomScheduler, SimNetwork};
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,6 +71,64 @@ struct Pending {
 /// calendar *is* the legacy earliest-first, insertion-order-tie-break
 /// dispatch order.
 pub type EventId = (SimTime, u64);
+
+/// The event calendar: every pending entry in one buffer, sorted by
+/// *descending* [`EventId`] so the next event sits at the back.
+///
+/// One buffer is what a parked world is cheap for: a snapshot clones it as
+/// one allocation plus a reference-count increment per entry, and a dropped
+/// world frees one allocation.  A `VecDeque` rather than a `Vec` because
+/// an insert shifts the shorter side: entries due soon land near the back,
+/// and a workload scheduled up front in rising time (the soak's) lands at
+/// the front, so either shifts only the few entries on its near side.
+#[derive(Clone, Default)]
+struct Calendar {
+    buf: VecDeque<(EventId, Arc<Pending>)>,
+}
+
+impl Calendar {
+    fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The next entry to fire: the smallest id.
+    fn first(&self) -> Option<&(EventId, Arc<Pending>)> {
+        self.buf.back()
+    }
+
+    fn pop_first(&mut self) -> Option<(EventId, Arc<Pending>)> {
+        self.buf.pop_back()
+    }
+
+    /// Inserts an entry under a fresh id (ids are unique: every schedule
+    /// takes a new sequence number).
+    fn insert(&mut self, id: EventId, p: Arc<Pending>) {
+        let at = self.buf.partition_point(|&(k, _)| k > id);
+        self.buf.insert(at, (id, p));
+    }
+
+    fn position(&self, id: EventId) -> Option<usize> {
+        self.buf.binary_search_by(|&(k, _)| id.cmp(&k)).ok()
+    }
+
+    fn get(&self, id: EventId) -> Option<&Arc<Pending>> {
+        self.position(id).map(|i| &self.buf[i].1)
+    }
+
+    fn remove(&mut self, id: EventId) -> Option<Arc<Pending>> {
+        let i = self.position(id)?;
+        self.buf.remove(i).map(|(_, p)| p)
+    }
+
+    /// Entries in firing order (ascending id).
+    fn iter(&self) -> impl Iterator<Item = &(EventId, Arc<Pending>)> {
+        self.buf.iter().rev()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut (EventId, Arc<Pending>)> {
+        self.buf.iter_mut().rev()
+    }
+}
 
 /// What a pending calendar entry will do when fired — the read-only view a
 /// [`crate::sched::Scheduler`] picks from.
@@ -215,6 +273,12 @@ impl Endpoint {
 /// (root) clock, which costs no allocation.
 type VClock = Option<Arc<[(u64, u64)]>>;
 
+/// A pending entry's creation clock, borrowed from its world
+/// ([`SimWorld::creation_clock`]).  Opaque: the one thing to do with it is
+/// compare other entries against it ([`SimWorld::causally_ordered`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CreationClock<'a>(&'a [(u64, u64)]);
+
 fn vc_slice(c: &VClock) -> &[(u64, u64)] {
     c.as_deref().unwrap_or(&[])
 }
@@ -271,7 +335,7 @@ pub struct SimWorld {
     seq: u64,
     steps: u64,
     step_limit: u64,
-    calendar: BTreeMap<EventId, Arc<Pending>>,
+    calendar: Calendar,
     net: SimNetwork,
     endpoints: BTreeMap<EndpointAddr, Endpoint>,
     sched: Box<dyn NetScheduler + Send>,
@@ -350,7 +414,7 @@ impl SimWorld {
             seq: 0,
             steps: 0,
             step_limit: MAX_STEPS_PER_RUN,
-            calendar: BTreeMap::new(),
+            calendar: Calendar::default(),
             net: SimNetwork::new(config),
             endpoints: BTreeMap::new(),
             sched,
@@ -430,7 +494,8 @@ impl SimWorld {
         self.track_pending = on;
         self.pending_s1 = 0;
         self.pending_s2 = 0;
-        for (&(at, _), p) in self.calendar.iter_mut() {
+        for ((at, _), p) in self.calendar.iter_mut() {
+            let at = *at;
             let digest = if on { ev_digest(&p.ev) } else { 0 };
             if p.digest != digest {
                 Arc::make_mut(p).digest = digest;
@@ -595,7 +660,7 @@ impl SimWorld {
     /// the offending protocol loop can be identified from the failure alone.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some((&(at, _), _)) = self.calendar.first_key_value() {
+        while let Some(&((at, _), _)) = self.calendar.first() {
             if at > deadline {
                 break;
             }
@@ -613,7 +678,7 @@ impl SimWorld {
     /// busiest `(endpoint, event kind)` pair names the culprit.
     fn storm_report(&self) -> String {
         let mut by_source: BTreeMap<(String, &'static str), u64> = BTreeMap::new();
-        for p in self.calendar.values() {
+        for (_, p) in self.calendar.iter() {
             let (ep, kind) = match &p.ev {
                 Ev::Net { to, .. } => (to.to_string(), "net delivery"),
                 Ev::Timer { ep, .. } => (ep.to_string(), "timer"),
@@ -899,7 +964,7 @@ impl SimWorld {
 
     /// The earliest pending calendar time, if any.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.calendar.first_key_value().map(|(&(at, _), _)| at)
+        self.calendar.first().map(|&((at, _), _)| at)
     }
 
     /// The *ready set*: every pending event scheduled within `window` of the
@@ -922,15 +987,15 @@ impl SimWorld {
     /// not cost a fresh allocation each time.
     pub fn ready_events_into(&self, window: Duration, out: &mut Vec<ReadyEvent>) {
         out.clear();
-        let Some((&(first_at, _), _)) = self.calendar.first_key_value() else {
+        let Some(&((first_at, _), _)) = self.calendar.first() else {
             return;
         };
         let horizon = first_at + window;
         out.extend(
             self.calendar
                 .iter()
-                .take_while(|(&(at, _), _)| at <= horizon)
-                .map(|(&id, p)| ReadyEvent { id, at: id.0, kind: Self::ready_kind(&p.ev) }),
+                .take_while(|&&((at, _), _)| at <= horizon)
+                .map(|&(id, ref p)| ReadyEvent { id, at: id.0, kind: Self::ready_kind(&p.ev) }),
         );
     }
 
@@ -939,7 +1004,7 @@ impl SimWorld {
     /// ahead of an earlier one simply means the earlier one is *delayed*.
     /// Returns `false` if the id is no longer pending.
     pub fn fire(&mut self, id: EventId) -> bool {
-        let Some(p) = self.calendar.remove(&id) else {
+        let Some(p) = self.calendar.remove(id) else {
             return false;
         };
         self.time = self.time.max(id.0);
@@ -953,11 +1018,11 @@ impl SimWorld {
     /// timers, scripted events and loopback deliveries always happen.
     pub fn drop_pending(&mut self, id: EventId) -> bool {
         let droppable = matches!(
-            self.calendar.get(&id).map(|p| &p.ev),
+            self.calendar.get(id).map(|p| &p.ev),
             Some(Ev::Net { to, from, .. }) if to != from
         );
         if droppable {
-            let p = self.calendar.remove(&id).expect("checked entry");
+            let p = self.calendar.remove(id).expect("checked entry");
             self.untrack_pending(id.0, &p);
             self.net.stats_mut().dropped_induced += 1;
             if let Some(t) = &self.tracer {
@@ -1036,16 +1101,25 @@ impl SimWorld {
         };
     }
 
-    /// Whether the creation contexts of two pending calendar entries are
-    /// strictly ordered by happens-before (either direction).  The DPOR in
-    /// `horus-check` refuses to treat causally ordered events as an
-    /// exchangeable race.  Returns `false` for unknown ids and for worlds
-    /// without pending tracking (no clocks maintained).
-    pub fn causally_ordered(&self, a: EventId, b: EventId) -> bool {
-        let (Some(pa), Some(pb)) = (self.calendar.get(&a), self.calendar.get(&b)) else {
+    /// The creation clock of a pending calendar entry: the vector clock of
+    /// the dispatch that scheduled it.  `None` for unknown ids.  Look it up
+    /// once and test many entries against it with
+    /// [`SimWorld::causally_ordered`].
+    pub fn creation_clock(&self, id: EventId) -> Option<CreationClock<'_>> {
+        self.calendar.get(id).map(|p| CreationClock(vc_slice(&p.clock)))
+    }
+
+    /// Whether the creation context of pending entry `a` and `clock` (another
+    /// entry's [`SimWorld::creation_clock`]) are strictly ordered by
+    /// happens-before (either direction).  The DPOR in `horus-check` refuses
+    /// to treat causally ordered events as an exchangeable race.  Returns
+    /// `false` for an unknown id and for worlds without pending tracking (no
+    /// clocks maintained).
+    pub fn causally_ordered(&self, a: EventId, clock: CreationClock<'_>) -> bool {
+        let Some(pa) = self.calendar.get(a) else {
             return false;
         };
-        let (a, b) = (vc_slice(&pa.clock), vc_slice(&pb.clock));
+        let (a, b) = (vc_slice(&pa.clock), clock.0);
         vc_lt(a, b) || vc_lt(b, a)
     }
 
@@ -1054,21 +1128,23 @@ impl SimWorld {
     /// run-independent event identity: insertion sequence numbers differ
     /// between converging runs, payload digests do not.
     pub fn pending_digest(&self, id: EventId) -> Option<u64> {
-        self.calendar.get(&id).map(|p| if p.digest != 0 { p.digest } else { ev_digest(&p.ev) })
+        self.calendar.get(id).map(|p| if p.digest != 0 { p.digest } else { ev_digest(&p.ev) })
     }
 
     /// Duplicates the entire world — clock, calendar, network, endpoint
     /// stacks, logs, pending-digest sums — if the net scheduler supports
     /// snapshotting (`NetScheduler::clone_box`; every layer does).
     ///
-    /// Nothing the world holds is copied here except the two maps' own
-    /// B-tree nodes: endpoint slots, calendar entries, vector clocks, the
-    /// logs and the network's maps are all shared by reference count, and a
-    /// piece is duplicated only when a later event — on either world —
-    /// first changes it (an endpoint's slot at the first dispatch into it,
-    /// a layer at the first dispatch that reaches it, a calendar entry if it
-    /// fires while the other world still has it pending).  Snapshots
-    /// therefore cost O(touched), not O(world), which is what lets the
+    /// Nothing the world holds is copied here but two buffers: the
+    /// calendar's (one allocation, a reference-count increment per entry)
+    /// and the endpoint map's B-tree nodes.  Endpoint slots, calendar
+    /// entries, vector clocks, the logs and the network's maps are all
+    /// shared by reference count, and a piece is duplicated only when a
+    /// later event — on either world — first changes it (an endpoint's slot
+    /// at the first dispatch into it, a layer at the first dispatch that
+    /// reaches it, a calendar entry if it fires while the other world still
+    /// has it pending).  Snapshots therefore cost O(touched) plus one
+    /// pointer per pending event, not O(world), which is what lets the
     /// model checker park a sibling per untaken branch.
     ///
     /// The clone is behaviourally exact: firing the same schedule against
@@ -1113,15 +1189,40 @@ impl SimWorld {
     /// explorer skip states it should visit (missed coverage), never report
     /// phantom violations.
     pub fn fingerprint(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.write_u64(self.endpoints.len() as u64);
-        d.write_u64(self.slots_sum_cached());
-        self.net.digest_cached_into(&mut d);
         let (n, s1, s2) = if self.track_pending {
             (self.calendar.len() as u64, self.pending_s1, self.pending_s2)
         } else {
             self.pending_sums_fresh()
         };
+        self.fingerprint_cached_with(n, s1, s2)
+    }
+
+    /// The [`fingerprint`](Self::fingerprint) this world would have after
+    /// pending entry `id` is removed unfired — what
+    /// [`SimWorld::drop_pending`] leaves — without removing it.  A drop
+    /// changes nothing else the fingerprint reads (network counters are
+    /// not digested, time does not move, no stack is touched), so this is
+    /// the same combine with the entry's `(digest, at)` taken out of the
+    /// pending sums.  `None` for an id that is not pending, and on a world
+    /// without pending tracking (no sums to take it out of).
+    pub fn fingerprint_without(&self, id: EventId) -> Option<u64> {
+        if !self.track_pending {
+            return None;
+        }
+        let h = self.calendar.get(id)?.digest;
+        Some(self.fingerprint_cached_with(
+            self.calendar.len() as u64 - 1,
+            self.pending_s1.wrapping_sub(h),
+            self.pending_s2.wrapping_sub(h.wrapping_mul(id.0.as_nanos())),
+        ))
+    }
+
+    /// The cached fingerprint over the given pending combine.
+    fn fingerprint_cached_with(&self, n: u64, s1: u64, s2: u64) -> u64 {
+        let mut d = StateDigest::new();
+        d.write_u64(self.endpoints.len() as u64);
+        d.write_u64(self.slots_sum_cached());
+        self.net.digest_cached_into(&mut d);
         Self::write_pending_combine(&mut d, self.time, n, s1, s2);
         d.finish()
     }
@@ -1193,7 +1294,7 @@ impl SimWorld {
     fn pending_sums_fresh(&self) -> (u64, u64, u64) {
         let mut s1: u64 = 0;
         let mut s2: u64 = 0;
-        for (&(at, _), p) in &self.calendar {
+        for &((at, _), ref p) in self.calendar.iter() {
             let h = ev_digest(&p.ev);
             s1 = s1.wrapping_add(h);
             s2 = s2.wrapping_add(h.wrapping_mul(at.as_nanos()));
@@ -1518,6 +1619,121 @@ mod tests {
         let b = build(25);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint_fresh(), b.fingerprint_fresh());
+    }
+
+    /// The calendar beside its model: a `BTreeMap` keyed by id, the
+    /// structure the calendar replaced, kept as the reference and not as a
+    /// second path.  Every operation runs on both; every step compares.
+    struct CalendarProbe {
+        cal: Calendar,
+        model: BTreeMap<EventId, u64>,
+        now: SimTime,
+        seq: u64,
+        /// Ids popped or removed, so absent-id lookups probe between live
+        /// neighbours and not only past the ends.
+        gone: Vec<EventId>,
+    }
+
+    impl CalendarProbe {
+        fn new() -> Self {
+            CalendarProbe {
+                cal: Calendar::default(),
+                model: BTreeMap::new(),
+                now: SimTime::ZERO,
+                seq: 0,
+                gone: Vec::new(),
+            }
+        }
+
+        /// Schedules an entry at `now + delay` under the next sequence
+        /// number, tagged so the two sides' entries can be told apart.
+        fn schedule(&mut self, delay: Duration) {
+            self.seq += 1;
+            let id = (self.now + delay, self.seq);
+            let tag = self.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            self.cal.insert(id, Arc::new(Pending { ev: Ev::Heal, digest: tag, clock: None }));
+            self.model.insert(id, tag);
+        }
+
+        /// A pending id (`arg` picks which), or a popped or never-used one.
+        fn pick(&self, arg: u8, present: bool) -> EventId {
+            if present && !self.model.is_empty() {
+                *self.model.keys().nth(usize::from(arg) % self.model.len()).unwrap()
+            } else if !self.gone.is_empty() && arg.is_multiple_of(2) {
+                self.gone[usize::from(arg) % self.gone.len()]
+            } else {
+                (self.now + Duration::from_micros(u64::from(arg)), self.seq + 1)
+            }
+        }
+
+        fn step(&mut self, action: u8, arg: u8) {
+            match action % 8 {
+                // Tied and near-tied times: ten slots 10 µs apart.
+                0..=2 => self.schedule(Duration::from_micros(10 * u64::from(arg % 10))),
+                // A workload scheduled up front, in rising time.
+                3 => {
+                    for k in 0..u64::from(arg % 64) {
+                        self.schedule(Duration::from_micros(1000 + 7 * k));
+                    }
+                }
+                4 => {
+                    let got = self.cal.pop_first().map(|(id, p)| (id, p.digest));
+                    assert_eq!(got, self.model.pop_first());
+                    if let Some((id, _)) = got {
+                        self.now = id.0;
+                        self.gone.push(id);
+                    }
+                }
+                5 | 6 => {
+                    let id = self.pick(arg, action % 8 == 5);
+                    let got = self.cal.remove(id).map(|p| p.digest);
+                    assert_eq!(got, self.model.remove(&id), "remove {id:?}");
+                    if got.is_some() {
+                        self.gone.push(id);
+                    }
+                }
+                _ => {
+                    let id = self.pick(arg, !arg.is_multiple_of(3));
+                    assert_eq!(self.cal.get(id).map(|p| p.digest), self.model.get(&id).copied());
+                }
+            }
+            assert_eq!(self.cal.len(), self.model.len());
+            assert_eq!(
+                self.cal.first().map(|(id, p)| (*id, p.digest)),
+                self.model.first_key_value().map(|(id, t)| (*id, *t))
+            );
+            assert!(
+                self.cal
+                    .iter()
+                    .map(|(id, p)| (*id, p.digest))
+                    .eq(self.model.iter().map(|(i, t)| (*i, *t))),
+                "in-order iteration diverged from the model"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Inserts (tied times, rising sequence, and up-front bursts in
+        /// rising time), pops, removes and lookups of present and absent
+        /// ids: the sorted buffer answers each exactly as the B-tree did.
+        #[test]
+        fn calendar_matches_its_btree_model(
+            script in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()), 0..300),
+        ) {
+            let mut probe = CalendarProbe::new();
+            for (action, arg) in script {
+                probe.step(action, arg);
+            }
+            while probe.cal.first().is_some() {
+                probe.step(4, 0);
+            }
+        }
     }
 
     #[test]

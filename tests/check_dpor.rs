@@ -173,14 +173,15 @@ fn dpor_differential_mergerace() {
 /// The reduction must actually reduce somewhere: flush3's healed trio has
 /// independent deliveries to spare, so if the fast path matches the oracle
 /// run for run here, the sleep sets are dead code.  The counts are exact:
-/// exploration is deterministic.
+/// exploration is deterministic.  `branch_points` is pinned too, because a
+/// drop sibling decided at spawn books its branch points by hand.
 #[test]
 fn dpor_reduces_flush3_runs() {
     let (fast, oracle) = flush3_pair();
     assert!(fast.violation.is_none(), "flush3 must be clean: {:?}", fast.violation);
     assert_eq!(
-        (fast.runs, fast.states, fast.steps, fast.pruned, fast.exhausted),
-        (2021, 5357, 7029, 2017, true),
+        (fast.runs, fast.states, fast.steps, fast.branch_points, fast.pruned, fast.exhausted),
+        (2021, 5357, 7029, 8556, 2017, true),
         "the fast path's flush3 (depth 5, 1 drop) search changed"
     );
     assert_eq!(
