@@ -56,7 +56,6 @@ use horus_sim::sched::{RunOutcome, Scheduler, Step};
 use horus_sim::{CreationClock, EventId, ReadyEvent, ReadyKind, SimWorld};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -496,11 +495,6 @@ struct ControlledScheduler<'a> {
     /// DFS frontier to push untaken siblings onto as branch points are
     /// encountered; `None` disables expansion (replay).
     spawn: Option<&'a mut Vec<Job>>,
-    /// Whether `spawn` is explored against `visited` — the sequential
-    /// search and each parallel task, not the parallel root run, whose
-    /// siblings seed tasks with fresh maps.  Only then may a drop sibling
-    /// whose state `visited` already covers be pushed as a [`Job::Pruned`].
-    decide_drops: bool,
     state_budget_hit: bool,
     /// Per-member upcall counts at the last view scan; only upcalls
     /// appended past these cursors are examined, so watching for view
@@ -723,16 +717,14 @@ impl Scheduler for ControlledScheduler<'_> {
                         continue;
                     }
                     let covered_drop = match (opts[alt], self.visited.as_deref()) {
-                        (Step::Drop(i), Some(visited)) if self.decide_drops && !self.cfg.oracle => {
-                            drop_is_covered(
-                                world,
-                                ready,
-                                i,
-                                &acc,
-                                visited,
-                                self.scenario.deadline(),
-                            )
-                        }
+                        (Step::Drop(i), Some(visited)) if !self.cfg.oracle => drop_is_covered(
+                            world,
+                            ready,
+                            i,
+                            &acc,
+                            visited,
+                            self.scenario.deadline(),
+                        ),
                         _ => false,
                     };
                     if covered_drop {
@@ -796,15 +788,14 @@ impl Scheduler for ControlledScheduler<'_> {
 /// branch-point snapshot (a [`Job::Pruned`] marker is booked by the search
 /// loop, never run).  `visited` enables cross-run pruning; `spawn` receives
 /// the untaken siblings of every expandable branch point encountered past
-/// the node's prefix, and `decide_drops` says whether that frontier is
-/// explored against `visited`; `tracer` records the explored window.
+/// the node's prefix, a drop sibling whose state `visited` already covers
+/// as a [`Job::Pruned`]; `tracer` records the explored window.
 fn run_job(
     scenario: &Scenario,
     cfg: &CheckConfig,
     job: Job,
     visited: Option<&mut Visited>,
     spawn: Option<&mut Vec<Job>>,
-    decide_drops: bool,
     tracer: Option<Arc<dyn TraceSink>>,
 ) -> RunRecord {
     let (
@@ -876,7 +867,6 @@ fn run_job(
         armed_sleep,
         visited,
         spawn,
-        decide_drops,
         state_budget_hit: false,
         upcalls_seen: Vec::new(),
         opts_buf: Vec::new(),
@@ -934,7 +924,7 @@ fn wedge_violation(scenario: &Scenario, world: &SimWorld, taken: &[u16]) -> Opti
 /// past the end, with pruning disabled (the verdict-stable path used by
 /// `horus-check replay` and the committed fixtures).
 pub fn replay_choices(scenario: &Scenario, choices: &[u16], cfg: &CheckConfig) -> RunRecord {
-    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, false, None)
+    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, None)
 }
 
 /// [`replay_choices`] with a trace sink installed for the explored window:
@@ -948,15 +938,7 @@ pub fn replay_choices_traced(
     cfg: &CheckConfig,
     tracer: Arc<dyn TraceSink>,
 ) -> RunRecord {
-    run_job(
-        scenario,
-        cfg,
-        Job::Fresh(choices.to_vec(), Vec::new()),
-        None,
-        None,
-        false,
-        Some(tracer),
-    )
+    run_job(scenario, cfg, Job::Fresh(choices.to_vec(), Vec::new()), None, None, Some(tracer))
 }
 
 /// Explores the scenario's bounded schedule space depth-first.  Stops at the
@@ -1002,7 +984,7 @@ fn explore_with(scenario: &Scenario, cfg: &CheckConfig, visited: &mut Visited) -
         // Untaken siblings of every expandable branch point past the node's
         // prefix are pushed onto `frontier` *during* the run, while each
         // branch point's world is live and can be snapshotted.
-        let rec = run_job(scenario, cfg, job, Some(&mut *visited), Some(&mut frontier), true, None);
+        let rec = run_job(scenario, cfg, job, Some(&mut *visited), Some(&mut frontier), None);
         report.steps += rec.steps;
         report.branch_points += rec.branch_options.len() as u64;
         if rec.pruned {
@@ -1015,171 +997,6 @@ fn explore_with(scenario: &Scenario, cfg: &CheckConfig, visited: &mut Visited) -
         }
     }
     report.exhausted = true;
-    report
-}
-
-/// What one parallel subtree task observed.
-struct TaskOutcome {
-    runs: u64,
-    states: u64,
-    steps: u64,
-    branch_points: u64,
-    pruned: u64,
-    exhausted: bool,
-    violation: Option<FoundViolation>,
-}
-
-/// Sequential DFS over the subtree rooted at `seed`, with a task-private
-/// visited set.  Budgets are enforced against the *shared* counters so the
-/// whole exploration respects `max_runs`/`max_states`, but pruning never
-/// crosses task boundaries — which is what makes the set of runs a task
-/// executes a pure function of its seed, independent of worker count or
-/// timing (as long as no shared budget binds).
-fn explore_task(
-    scenario: &Scenario,
-    cfg: &CheckConfig,
-    seed: Job,
-    shared_runs: &AtomicU64,
-    shared_states: &AtomicU64,
-) -> TaskOutcome {
-    let mut out = TaskOutcome {
-        runs: 0,
-        states: 0,
-        steps: 0,
-        branch_points: 0,
-        pruned: 0,
-        exhausted: false,
-        violation: None,
-    };
-    let mut visited = Visited::default();
-    let mut frontier: Vec<Job> = vec![seed];
-    while let Some(job) = frontier.pop() {
-        if shared_runs.load(Ordering::Relaxed) >= cfg.max_runs
-            || shared_states.load(Ordering::Relaxed) >= cfg.max_states
-        {
-            return out;
-        }
-        out.runs += 1;
-        shared_runs.fetch_add(1, Ordering::Relaxed);
-        if let Job::Pruned { branch_points } = job {
-            out.steps += 1;
-            out.branch_points += branch_points;
-            out.pruned += 1;
-            continue;
-        }
-        let states_before = visited.len();
-        let rec = run_job(scenario, cfg, job, Some(&mut visited), Some(&mut frontier), true, None);
-        out.steps += rec.steps;
-        out.branch_points += rec.branch_options.len() as u64;
-        if rec.pruned {
-            out.pruned += 1;
-        }
-        out.states = visited.len();
-        shared_states.fetch_add(visited.len() - states_before, Ordering::Relaxed);
-        if let Some(v) = rec.violation {
-            out.violation = Some(v);
-            return out;
-        }
-    }
-    out.exhausted = true;
-    out
-}
-
-/// [`explore`] with the DFS frontier sharded across `workers` OS threads.
-///
-/// The root (empty-prefix) run executes first; each untaken sibling of its
-/// branch points seeds an independent *task* — a choice-prefix subtree
-/// explored sequentially with a task-private visited set.  Tasks are dealt
-/// to workers round-robin by index, so the partition is a pure function of
-/// the task list, not of thread timing.  Per-task visited sets trade some
-/// cross-subtree pruning for a determinism guarantee: as long as no global
-/// budget binds, `runs`, `states`, `steps` and the reported violation are
-/// identical for every worker count (the determinism test holds
-/// `--workers 1` against `--workers 4`).  A task that finds a violation
-/// stops *itself* — other tasks still run to completion, and the report
-/// carries the violation with the lexicographically-least choice prefix,
-/// again independent of timing.
-///
-/// `states` is the sum of per-task distinct fingerprints; states discovered
-/// by several tasks count once per task.
-pub fn explore_parallel(scenario: &Scenario, cfg: &CheckConfig, workers: usize) -> CheckReport {
-    let workers = workers.max(1);
-    let mut report = CheckReport {
-        scenario: scenario.name,
-        runs: 0,
-        states: 0,
-        steps: 0,
-        branch_points: 0,
-        pruned: 0,
-        exhausted: false,
-        violation: None,
-    };
-    let shared_runs = AtomicU64::new(0);
-    let shared_states = AtomicU64::new(0);
-
-    // Root run: seeds the task list (one job per untaken sibling of its
-    // branch points, snapshots included), and catches calendar-order
-    // violations before any thread spawns.  Its siblings are explored
-    // against their tasks' own visited sets, not this one, so none is
-    // decided at spawn.
-    let mut root_visited = Visited::default();
-    let mut tasks: Vec<Job> = Vec::new();
-    let root = run_job(
-        scenario,
-        cfg,
-        Job::Fresh(Vec::new(), Vec::new()),
-        Some(&mut root_visited),
-        Some(&mut tasks),
-        false,
-        None,
-    );
-    report.runs = 1;
-    report.steps = root.steps;
-    report.branch_points = root.branch_options.len() as u64;
-    report.pruned = u64::from(root.pruned);
-    report.states = root_visited.len();
-    shared_runs.store(1, Ordering::Relaxed);
-    shared_states.store(report.states, Ordering::Relaxed);
-    if let Some(v) = root.violation {
-        report.violation = Some(v);
-        return report;
-    }
-
-    let outcomes: Vec<TaskOutcome> = std::thread::scope(|s| {
-        // Deal tasks round-robin by index: worker w takes tasks w, w+N, ...
-        // Collected up front so each spawned worker owns its jobs (a job
-        // may hold a world snapshot — moved, never shared).
-        let mut dealt: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, t) in tasks.into_iter().enumerate() {
-            dealt[i % workers].push(t);
-        }
-        let handles: Vec<_> = dealt
-            .into_iter()
-            .map(|my_tasks| {
-                let (shared_runs, shared_states) = (&shared_runs, &shared_states);
-                s.spawn(move || {
-                    my_tasks
-                        .into_iter()
-                        .map(|t| explore_task(scenario, cfg, t, shared_runs, shared_states))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker panicked")).collect()
-    });
-
-    let mut exhausted = true;
-    for o in &outcomes {
-        report.runs += o.runs;
-        report.states += o.states;
-        report.steps += o.steps;
-        report.branch_points += o.branch_points;
-        report.pruned += o.pruned;
-        exhausted &= o.exhausted;
-    }
-    report.violation =
-        outcomes.into_iter().filter_map(|o| o.violation).min_by(|a, b| a.choices.cmp(&b.choices));
-    report.exhausted = exhausted && report.violation.is_none();
     report
 }
 
@@ -1347,27 +1164,6 @@ mod tests {
         assert_eq!(v.oracle, "quiescence");
         assert!(v.message.contains("pending work"), "got {}", v.message);
         assert_eq!(v.choices, vec![7]);
-    }
-
-    #[test]
-    fn parallel_report_is_worker_count_independent() {
-        // The determinism contract: per-task visited sets and round-robin
-        // task dealing make the report a pure function of the scenario and
-        // config — 1 worker and 4 must agree on everything, including the
-        // (lex-least) counterexample.
-        let s = Scenario::by_name("fifo2").unwrap();
-        let cfg = tiny_cfg();
-        let one = explore_parallel(s, &cfg, 1);
-        let four = explore_parallel(s, &cfg, 4);
-        assert_eq!(one.runs, four.runs);
-        assert_eq!(one.states, four.states);
-        assert_eq!(one.steps, four.steps);
-        assert_eq!(one.branch_points, four.branch_points);
-        assert_eq!(one.exhausted, four.exhausted);
-        let (va, vb) = (one.violation.expect("found"), four.violation.expect("found"));
-        assert_eq!(va.choices, vb.choices);
-        assert_eq!(va.oracle, vb.oracle);
-        assert_eq!(va.message, vb.message);
     }
 
     #[test]

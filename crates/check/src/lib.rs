@@ -50,8 +50,8 @@ pub mod shrink;
 
 pub use bridge::{schedule_from_trace, trace_meta};
 pub use explore::{
-    explore, explore_collect, explore_parallel, replay_choices, replay_choices_traced, CheckConfig,
-    CheckReport, FoundViolation, FpSet, RunRecord,
+    explore, explore_collect, replay_choices, replay_choices_traced, CheckConfig, CheckReport,
+    FoundViolation, FpSet, RunRecord,
 };
 pub use scenario::{Oracle, Scenario};
 pub use schedule::Schedule;

@@ -4,7 +4,7 @@
 //! horus-check scenarios
 //! horus-check explore <scenario> [--depth N] [--drops N] [--max-crashes N]
 //!                     [--max-suspects N] [--wedge-oracle]
-//!                     [--states N] [--runs N] [--window-us N] [--workers N]
+//!                     [--states N] [--runs N] [--window-us N]
 //!                     [--oracle] [--out FILE]
 //! horus-check replay <schedule-file> [--trace FILE] [--sample N]
 //!                    [--kinds a,b,...]
@@ -25,8 +25,8 @@
 
 use horus_check::schedule::verdict_line;
 use horus_check::{
-    explore, explore_parallel, replay_choices, replay_choices_traced, schedule_from_trace,
-    trace_meta, CheckConfig, Scenario, Schedule,
+    explore, replay_choices, replay_choices_traced, schedule_from_trace, trace_meta, CheckConfig,
+    Scenario, Schedule,
 };
 use horus_core::trace::{FilterSink, KindMask, SamplingSink, TraceSink};
 use horus_trace::{
@@ -40,7 +40,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  horus-check scenarios\n  horus-check explore <scenario> [--depth N] \
          [--drops N] [--max-crashes N] [--max-suspects N] [--wedge-oracle] [--states N] \
-         [--runs N] [--window-us N] [--workers N] [--oracle] [--out FILE]\n  \
+         [--runs N] [--window-us N] [--oracle] [--out FILE]\n  \
          horus-check replay <schedule-file> [--trace FILE] [--sample N] [--kinds a,b,...]\n  \
          horus-check bridge <trace-file> [--out FILE]"
     );
@@ -69,77 +69,17 @@ fn cmd_explore(args: &[String]) -> ExitCode {
         eprintln!("unknown scenario {name:?}; try `horus-check scenarios`");
         return ExitCode::from(1);
     };
-    let mut cfg = CheckConfig::default();
-    let mut out: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut grab = |what: &str| -> Option<String> {
-            let v = it.next().cloned();
-            if v.is_none() {
-                eprintln!("{what} needs a value");
-            }
-            v
-        };
-        match flag.as_str() {
-            "--depth" => match grab("--depth").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.max_depth = v,
-                None => return ExitCode::from(1),
-            },
-            "--drops" => match grab("--drops").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.max_drops = v,
-                None => return ExitCode::from(1),
-            },
-            "--max-crashes" => match grab("--max-crashes").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.max_crashes = v,
-                None => return ExitCode::from(1),
-            },
-            "--max-suspects" => match grab("--max-suspects").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.max_suspects = v,
-                None => return ExitCode::from(1),
-            },
-            "--wedge-oracle" => cfg.wedge_oracle = true,
-            "--workers" => match grab("--workers").and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => workers = Some(v),
-                _ => return ExitCode::from(1),
-            },
-            "--states" => match grab("--states").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.max_states = v,
-                None => return ExitCode::from(1),
-            },
-            "--runs" => match grab("--runs").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.max_runs = v,
-                None => return ExitCode::from(1),
-            },
-            "--window-us" => match grab("--window-us").and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.window = Duration::from_micros(v),
-                None => return ExitCode::from(1),
-            },
-            "--oracle" => cfg.oracle = true,
-            "--out" => match grab("--out") {
-                Some(v) => out = Some(v),
-                None => return ExitCode::from(1),
-            },
-            other => {
-                eprintln!("unknown flag {other:?}");
-                return usage();
-            }
-        }
-    }
+    let (cfg, out) = match explore_flags(&args[1..]) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
+    };
 
     let started = std::time::Instant::now();
-    let report = match workers {
-        Some(n) => explore_parallel(scenario, &cfg, n),
-        None => explore(scenario, &cfg),
-    };
+    let report = explore(scenario, &cfg);
     let secs = started.elapsed().as_secs_f64();
     println!(
-        "scenario {} ({}): {} runs, {} states, {} steps, {} branch points, {} pruned in {:.2}s ({})",
+        "scenario {}: {} runs, {} states, {} steps, {} branch points, {} pruned in {:.2}s ({})",
         report.scenario,
-        match workers {
-            Some(n) => format!("{n} workers"),
-            None => "sequential".to_string(),
-        },
         report.runs,
         report.states,
         report.steps,
@@ -169,6 +109,52 @@ fn cmd_explore(args: &[String]) -> ExitCode {
         None => print!("{text}"),
     }
     ExitCode::from(3)
+}
+
+/// Reads `explore`'s flags into a config and the `--out` path; a bad
+/// flag or value has already been reported when this returns `Err`.
+fn explore_flags(flags: &[String]) -> Result<(CheckConfig, Option<String>), ExitCode> {
+    let mut cfg = CheckConfig::default();
+    let mut out = None;
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--depth" => cfg.max_depth = number(flag, it.next())?,
+            "--drops" => cfg.max_drops = number(flag, it.next())?,
+            "--max-crashes" => cfg.max_crashes = number(flag, it.next())?,
+            "--max-suspects" => cfg.max_suspects = number(flag, it.next())?,
+            "--states" => cfg.max_states = number(flag, it.next())?,
+            "--runs" => cfg.max_runs = number(flag, it.next())?,
+            "--window-us" => cfg.window = Duration::from_micros(number(flag, it.next())?),
+            "--wedge-oracle" => cfg.wedge_oracle = true,
+            "--oracle" => cfg.oracle = true,
+            "--out" => match it.next() {
+                Some(v) => out = Some(v.clone()),
+                None => {
+                    eprintln!("--out needs a value");
+                    return Err(ExitCode::from(1));
+                }
+            },
+            other => {
+                eprintln!("unknown flag {other:?}");
+                return Err(usage());
+            }
+        }
+    }
+    Ok((cfg, out))
+}
+
+/// The value after `flag` as a number, or exit 1 with a message that
+/// names the flag and what it got.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, ExitCode> {
+    let Some(v) = value else {
+        eprintln!("{flag}: expected a number, got nothing");
+        return Err(ExitCode::from(1));
+    };
+    v.parse().map_err(|_| {
+        eprintln!("{flag}: expected a number, got {v:?}");
+        ExitCode::from(1)
+    })
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {

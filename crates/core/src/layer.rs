@@ -144,10 +144,9 @@ impl<'a> LayerCtx<'a> {
 ///
 /// A layer is a value: `Clone + Send + Sync + 'static`, with all mutation
 /// flowing through `&mut self` dispatch (no interior mutability).  `Send +
-/// Sync` lets stacks run on the shard workers and lets snapshotted layer
-/// state be shared copy-on-write between explorer workers; `Clone` is how
-/// a snapshot materialises a layer, so it must copy **everything** that
-/// affects future behaviour — `#[derive(Clone)]` does.  The framework
+/// Sync` lets stacks run on the shard workers; `Clone` is how a snapshot
+/// materialises a layer, so it must copy **everything** that affects
+/// future behaviour — `#[derive(Clone)]` does.  The framework
 /// takes cloning, downcasting ([`crate::stack::Stack::focus_as`]) and the
 /// `String` form of the state report from the type ([`LayerObject`]); a
 /// layer writes none of them.

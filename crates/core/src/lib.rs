@@ -79,6 +79,17 @@ pub use trace::{
 };
 pub use view::{View, ViewId};
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m` whether or not an earlier holder panicked.  A panic is
+/// reported on the thread that raised it; every lock in the workspace
+/// guards data a later holder can carry on with (queues, logs, registries,
+/// histograms), so poisoning would only repeat the panic at each later lock.
+#[inline]
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Convenient glob-import surface for applications and layer authors.
 pub mod prelude {
     pub use crate::addr::{EndpointAddr, GroupAddr, Rank};
@@ -95,4 +106,24 @@ pub mod prelude {
         DropReason, FilterSink, KindMask, NullSink, SamplingSink, TraceEvent, TraceKind, TraceSink,
     };
     pub use crate::view::{View, ViewId};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn a_panicking_holder_does_not_poison_the_lock() {
+        let m = Arc::new(Mutex::new(1));
+        let held = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let mut guard = lock(&held);
+            *guard += 1;
+            panic!("panics while holding the lock");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        assert_eq!(*lock(&m), 2);
+    }
 }

@@ -537,9 +537,11 @@ pub struct Stack {
     /// the scheme sound without trusting each of the 37 layer
     /// implementations to track its own mutations.
     ///
-    /// Atomics, not `Cell`s, because worlds on different explorer threads
-    /// share one immutable stack between snapshots and each may fill its
-    /// caches.  `Relaxed` suffices: an entry is one self-contained word that
+    /// Atomics, not `Cell`s, so that a stack is `Sync` like the layers it
+    /// holds, and a `SimWorld`, whose snapshots share stacks, stays `Send`.
+    /// No caller moves a world between threads today; a relaxed load or
+    /// store of one word is the same plain move a `Cell` compiles to.
+    /// `Relaxed` suffices: an entry is one self-contained word that
     /// publishes no other data, and racing fills store the same value (the
     /// stack cannot change while it is shared).
     layer_digests: Vec<AtomicU64>,

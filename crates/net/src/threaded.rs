@@ -21,12 +21,12 @@
 
 use horus_core::addr::{EndpointAddr, GroupAddr};
 use horus_core::frame::WireFrame;
+use horus_core::lock;
 use horus_core::time::SimTime;
 use horus_core::trace::{DropReason, TraceEvent, TraceKind, TraceSink};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A frame as delivered by the loopback transport.
@@ -198,18 +198,18 @@ impl LoopbackNet {
     /// Installs a trace sink observing this transport's drop classes.
     /// Timestamps are elapsed time since installation.
     pub fn set_tracer(&self, sink: Arc<dyn TraceSink>) {
-        *self.tracer.lock() = Some(LoopbackTracer { sink, epoch: Instant::now() });
+        *lock(&self.tracer) = Some(LoopbackTracer { sink, epoch: Instant::now() });
     }
 
     /// Removes the trace sink.
     pub fn clear_tracer(&self) {
-        *self.tracer.lock() = None;
+        *lock(&self.tracer) = None;
     }
 
     /// Records an unroutable-frame drop against `ep` (the destination when
     /// known, the sender for closed-channel drops observed mid-fan-out).
     fn trace_drop(&self, ep: EndpointAddr) {
-        let guard = self.tracer.lock();
+        let guard = lock(&self.tracer);
         if let Some(t) = guard.as_ref() {
             t.sink.record(TraceEvent {
                 at: SimTime::from_nanos(t.epoch.elapsed().as_nanos() as u64),
@@ -222,12 +222,12 @@ impl LoopbackNet {
     /// Registers an endpoint: its frames go to `sink` (e.g. a shard queue).
     /// Re-registering an address replaces the previous sink.
     pub fn register_sink(&self, ep: EndpointAddr, sink: Arc<dyn FrameSink>) {
-        self.inner.lock().endpoints.insert(ep, sink);
+        lock(&self.inner).endpoints.insert(ep, sink);
     }
 
     /// Removes an endpoint entirely (its sink is dropped).
     pub fn deregister(&self, ep: EndpointAddr) {
-        let mut reg = self.inner.lock();
+        let mut reg = lock(&self.inner);
         reg.endpoints.remove(&ep);
         if let Some(g) = reg.member_of.remove(&ep) {
             if let Some(group) = reg.groups.get_mut(&g) {
@@ -238,7 +238,7 @@ impl LoopbackNet {
 
     /// Adds `ep` to the transport-level multicast group.
     pub fn join(&self, group: GroupAddr, ep: EndpointAddr) {
-        let mut reg = self.inner.lock();
+        let mut reg = lock(&self.inner);
         let entry = reg.groups.entry(group).or_default();
         if !entry.members.contains(&ep) {
             entry.members.push(ep);
@@ -248,7 +248,7 @@ impl LoopbackNet {
 
     /// Removes `ep` from its multicast group (but keeps it registered).
     pub fn leave(&self, ep: EndpointAddr) {
-        let mut reg = self.inner.lock();
+        let mut reg = lock(&self.inner);
         if let Some(g) = reg.member_of.remove(&ep) {
             if let Some(group) = reg.groups.get_mut(&g) {
                 group.members.retain(|&m| m != ep);
@@ -266,7 +266,7 @@ impl LoopbackNet {
         &self,
         from: EndpointAddr,
     ) -> Option<(Vec<Arc<dyn FrameSink>>, Arc<Mutex<()>>)> {
-        let reg = self.inner.lock();
+        let reg = lock(&self.inner);
         let group = reg.member_of.get(&from)?;
         let group = reg.groups.get(group)?;
         let mut sinks = Vec::with_capacity(group.members.len());
@@ -295,7 +295,7 @@ impl LoopbackNet {
         let Some((targets, fanout)) = self.cast_targets(from) else { return 0 };
         let mut queued = 0;
         {
-            let _order = fanout.lock();
+            let _order = lock(&fanout);
             for sink in &targets {
                 if sink.deliver(Frame { from, cast: true, wire: wire.clone() }) {
                     queued += 1;
@@ -322,7 +322,7 @@ impl LoopbackNet {
         let Some((targets, fanout)) = self.cast_targets(from) else { return 0 };
         let mut queued = 0;
         {
-            let _order = fanout.lock();
+            let _order = lock(&fanout);
             for sink in &targets {
                 let delivered = sink.deliver_many(from, wires);
                 queued += delivered;
@@ -345,7 +345,7 @@ impl LoopbackNet {
     pub fn send(&self, from: EndpointAddr, dests: &[EndpointAddr], wire: WireFrame) -> usize {
         self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         let (targets, fanout) = {
-            let reg = self.inner.lock();
+            let reg = lock(&self.inner);
             let mut targets: Vec<Arc<dyn FrameSink>> = Vec::with_capacity(dests.len());
             for to in dests {
                 match reg.endpoints.get(to) {
@@ -363,7 +363,7 @@ impl LoopbackNet {
                 .map(|group| Arc::clone(&group.fanout));
             (targets, fanout)
         };
-        let _order = fanout.as_ref().map(|f| f.lock());
+        let _order = fanout.as_ref().map(|f| lock(f));
         let mut queued = 0;
         for sink in &targets {
             if sink.deliver(Frame { from, cast: false, wire: wire.clone() }) {
@@ -379,7 +379,7 @@ impl LoopbackNet {
 
     /// Current transport-level members of a group.
     pub fn members(&self, group: GroupAddr) -> Vec<EndpointAddr> {
-        self.inner.lock().groups.get(&group).map(|g| g.members.clone()).unwrap_or_default()
+        lock(&self.inner).groups.get(&group).map(|g| g.members.clone()).unwrap_or_default()
     }
 }
 
@@ -403,14 +403,14 @@ mod tests {
 
     impl FrameSink for Inbox {
         fn deliver(&self, frame: Frame) -> bool {
-            self.0.lock().push(frame);
+            lock(&self.0).push(frame);
             true
         }
     }
 
     impl Inbox {
         fn take(&self) -> Vec<Frame> {
-            std::mem::take(&mut *self.0.lock())
+            std::mem::take(&mut *lock(&self.0))
         }
     }
 

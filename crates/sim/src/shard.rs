@@ -47,14 +47,14 @@
 //! in the simulated world.
 
 use bytes::Bytes;
+use horus_core::lock;
 use horus_core::prelude::*;
 use horus_core::stack::StackStats;
 use horus_net::threaded::{Frame, FrameSink};
 use horus_net::LoopbackNet;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -178,7 +178,7 @@ impl Inbox {
     /// Queues `inputs` in order, waking the worker if it sleeps; `false`,
     /// queuing nothing, once the worker has exited.
     fn push(&self, inputs: impl IntoIterator<Item = ShardIn>) -> bool {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if state.closed {
             return false;
         }
@@ -194,13 +194,13 @@ impl Inbox {
     /// Swaps everything queued into the empty `burst`; returns whether
     /// anything was.
     fn take(&self, burst: &mut Vec<ShardIn>) -> bool {
-        std::mem::swap(&mut self.state.lock().items, burst);
+        std::mem::swap(&mut lock(&self.state).items, burst);
         !burst.is_empty()
     }
 
     /// [`Inbox::take`], sleeping until input is queued or `until` passes.
     fn take_or_wait(&self, burst: &mut Vec<ShardIn>, until: Instant) -> bool {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         while state.items.is_empty() {
             let Some(wait) = until.checked_duration_since(Instant::now()) else { return false };
             state.asleep = true;
@@ -212,7 +212,7 @@ impl Inbox {
     }
 
     fn close(&self) {
-        self.state.lock().closed = true;
+        lock(&self.state).closed = true;
     }
 }
 
@@ -645,7 +645,7 @@ impl Outbox {
             }
         }
         if !self.upcalls.is_empty() {
-            let mut recorded = log.log.lock();
+            let mut recorded = lock(&log.log);
             if recorded.is_empty() {
                 std::mem::swap(&mut *recorded, &mut self.upcalls);
             } else {
@@ -856,7 +856,7 @@ impl ShardExecutor {
 
     /// Drains `ep`'s recorded upcalls (empty when recording is disabled).
     pub fn take_upcalls(&self, ep: EndpointAddr) -> Vec<Up> {
-        std::mem::take(&mut *self.entry(ep).log.log.lock())
+        std::mem::take(&mut *lock(&self.entry(ep).log.log))
     }
 
     /// Busy-waits (politely) until `pred` holds or `timeout` elapses;

@@ -379,14 +379,6 @@ pub struct SimWorld {
     tracer: Option<Arc<dyn TraceSink>>,
 }
 
-// The parallel explorer hands parked worlds to other threads.  Everything a
-// world shares with its snapshots sits behind an `Arc`, so this holds only
-// while the shared pieces (`Slot`, `Pending`) are `Sync` — no `Cell` inside.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<SimWorld>();
-};
-
 impl SimWorld {
     /// Creates a world with a deterministic seed and network physics.  The
     /// network's probabilistic choice points are resolved by a

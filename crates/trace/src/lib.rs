@@ -24,11 +24,12 @@
 #![forbid(unsafe_code)]
 
 use horus_core::addr::EndpointAddr;
+use horus_core::lock;
 use horus_core::time::SimTime;
 use horus_core::trace::{ClockEntry, TraceEvent, TraceKind, TraceSink};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Mutex;
 
 pub mod metrics;
 pub mod v2;
@@ -91,7 +92,7 @@ pub struct TraceBuf {
 
 impl fmt::Debug for TraceBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceBuf").field("len", &self.inner.lock().events.len()).finish()
+        f.debug_struct("TraceBuf").field("len", &lock(&self.inner).events.len()).finish()
     }
 }
 
@@ -103,7 +104,7 @@ impl TraceBuf {
 
     /// Number of records collected so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        lock(&self.inner).events.len()
     }
 
     /// Whether nothing has been recorded.
@@ -113,24 +114,24 @@ impl TraceBuf {
 
     /// Removes and returns everything collected so far.
     pub fn take(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.inner.lock().events)
+        std::mem::take(&mut lock(&self.inner).events)
     }
 
     /// A copy of everything collected so far.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.inner.lock().events.clone()
+        lock(&self.inner).events.clone()
     }
 }
 
 impl TraceSink for TraceBuf {
     fn record(&self, ev: TraceEvent) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let clock = g.clock.clone();
         g.events.push(TraceRecord { at: ev.at, ep: ev.ep, clock, kind: ev.kind });
     }
 
     fn set_clock(&self, clock: &[ClockEntry]) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.clock.clear();
         g.clock.extend_from_slice(clock);
     }

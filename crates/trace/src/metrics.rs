@@ -29,13 +29,14 @@
 //! `layer-timer` crossing that follows the fire.
 
 use crate::{ParsedRecord, META_DROPPED};
+use horus_core::lock;
 use horus_core::stack::StackStats;
 use horus_core::trace::{ClockEntry, TraceEvent, TraceKind, TraceSink};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of buckets: 4 exact small-value buckets plus 4 sub-buckets for
 /// each of the 62 octaves `[2^o, 2^(o+1))`, `o = 2..=63`.
@@ -372,7 +373,7 @@ impl MetricsSink {
         let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
         let mut records = 0;
         for shard in &self.shards {
-            let shard = shard.lock().clone();
+            let shard = lock(shard).clone();
             latency.merge_from(&shard.tracker.finish());
             for (k, c) in shard.kinds {
                 *kinds.entry(k.to_string()).or_insert(0) += c;
@@ -397,7 +398,7 @@ pub struct MetricsSnapshot {
 impl TraceSink for MetricsSink {
     fn record(&self, ev: TraceEvent) {
         let slot = SLOT.with(|s| *s);
-        let mut shard = self.shards[slot % METRIC_SHARDS].lock();
+        let mut shard = lock(&self.shards[slot % METRIC_SHARDS]);
         let at = ev.at.as_nanos();
         let ep = ev.ep.raw();
         let t = &mut shard.tracker;

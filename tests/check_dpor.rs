@@ -28,7 +28,7 @@
 //! Depths are tuned per scenario so the oracle exhausts within test time —
 //! it is the expensive arm by definition.
 
-use horus_check::{explore_collect, explore_parallel, CheckConfig, CheckReport, FpSet, Scenario};
+use horus_check::{explore_collect, CheckConfig, CheckReport, FpSet, Scenario};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -189,33 +189,4 @@ fn dpor_reduces_flush3_runs() {
         (4329, 5357, true),
         "the oracle's flush3 (depth 5, 1 drop) search changed"
     );
-}
-
-/// Worker-count determinism must survive the sleep sets: jobs now carry
-/// sleep state, and the report has to stay a pure function of scenario and
-/// config — not of which worker popped which job first.
-#[test]
-fn dpor_parallel_report_is_worker_count_independent() {
-    for name in ["flush3", "mergerace"] {
-        let scenario = Scenario::by_name(name).expect("registered scenario");
-        let cfg = cfg_for(name);
-        let one = explore_parallel(scenario, &cfg, 1);
-        for workers in [2, 4] {
-            let many = explore_parallel(scenario, &cfg, workers);
-            assert_eq!(one.runs, many.runs, "{name}: {workers} workers changed the run set");
-            assert_eq!(one.states, many.states, "{name}: {workers} workers changed the states");
-            assert_eq!(one.steps, many.steps, "{name}: {workers} workers changed the steps");
-            assert_eq!(one.exhausted, many.exhausted, "{name}: {workers} workers");
-            assert_eq!(
-                one.violation.as_ref().map(|v| (v.oracle, &v.choices)),
-                many.violation.as_ref().map(|v| (v.oracle, &v.choices)),
-                "{name}: {workers} workers changed the verdict"
-            );
-        }
-        // Per-task visited sets count a state once per task that meets it,
-        // hence more "states" than the sequential search's 5357.
-        if name == "flush3" {
-            assert_eq!((one.runs, one.states, one.exhausted), (4221, 116_832, true));
-        }
-    }
 }

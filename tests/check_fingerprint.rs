@@ -1,5 +1,4 @@
-//! Differential and determinism tests for the incremental fingerprints and
-//! the parallel explorer.
+//! Differential tests for the incremental fingerprints.
 //!
 //! The incremental fingerprint (`SimWorld::fingerprint`) exists purely as a
 //! performance optimization over the from-scratch walk
@@ -12,13 +11,8 @@
 //! The second holds `SimWorld::fingerprint_without` — the fingerprint a drop
 //! would leave, which the explorer decides drop siblings by — to both paths
 //! on a snapshot that really dropped the entry.
-//!
-//! The parallel explorer's contract is worker-count independence: the same
-//! scenario and config must produce the same exhaustion verdict and the
-//! same minimized counterexample whether explored with 1 worker or 4.
 
-use horus_check::schedule::verdict_line;
-use horus_check::{explore_parallel, replay_choices, shrink, CheckConfig, Scenario};
+use horus_check::Scenario;
 use horus_core::prelude::SimTime;
 use horus_sim::{ReadyEvent, Scheduler, SimWorld, Step};
 use std::time::Duration;
@@ -104,33 +98,4 @@ fn fingerprint_without_matches_a_real_drop_on_every_scenario() {
     let ready = w.ready_events(Duration::from_micros(100));
     let id = ready.first().expect("flush3 has pending events after settling").id;
     assert_eq!(w.fingerprint_without(id), None, "untracked world");
-}
-
-#[test]
-fn parallel_exploration_is_worker_count_independent_end_to_end() {
-    // fifo2 holds a real violation the explorer must find.  Worker count
-    // must not change what is found: same stats, same violation, and — the
-    // part users actually consume — the same *minimized* schedule file after
-    // shrinking, replaying to the same verdict.
-    let scenario = Scenario::by_name("fifo2").unwrap();
-    let cfg =
-        CheckConfig { max_depth: 6, window: Duration::from_micros(100), ..CheckConfig::default() };
-    let one = explore_parallel(scenario, &cfg, 1);
-    let four = explore_parallel(scenario, &cfg, 4);
-
-    assert_eq!(one.exhausted, four.exhausted);
-    assert_eq!(one.runs, four.runs, "run counts differ across worker counts");
-    assert_eq!(one.states, four.states, "state counts differ across worker counts");
-    let v1 = one.violation.expect("fifo2 violation with 1 worker");
-    let v4 = four.violation.expect("fifo2 violation with 4 workers");
-    assert_eq!(v1.oracle, v4.oracle);
-    assert_eq!(v1.choices, v4.choices, "counterexample prefix differs");
-
-    let s1 = shrink(scenario, &cfg, v1.oracle, &v1.choices);
-    let s4 = shrink(scenario, &cfg, v4.oracle, &v4.choices);
-    assert_eq!(s1, s4, "minimized counterexamples differ");
-    let r1 = replay_choices(scenario, &s1, &cfg);
-    let r4 = replay_choices(scenario, &s4, &cfg);
-    assert_eq!(verdict_line(&r1), verdict_line(&r4));
-    assert!(r1.violation.is_some(), "shrunk schedule must still violate");
 }

@@ -34,6 +34,17 @@ const RETIRED: &[(&str, &[&str])] = &[
         &["fn supports_snapshot\\b", "fn as_any\\b", "dump_string", "TraceRing", "fn clone_box"],
     ),
     ("the worker's hand-offs are swaps", &["crossbeam", "try_recv_many", "send_iter", "BATCH_MAX"]),
+    (
+        "two explorer paths, not three; std's mutex, not a vendored wrapper",
+        &[
+            "explore_parallel",
+            "explore_task",
+            "TaskOutcome",
+            "decide_drops",
+            "--workers",
+            "parking_lot",
+        ],
+    ),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.
