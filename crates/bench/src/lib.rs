@@ -189,7 +189,7 @@ impl LockedThreads {
                 }
                 Effect::NetJoin { group } => net.join(group, addr),
                 Effect::NetLeave => net.leave(addr),
-                Effect::Deliver(_) | Effect::SetTimer { .. } | Effect::Trace(_) => {}
+                Effect::Deliver(_) | Effect::SetTimer { .. } => {}
             }
         }
     }

@@ -27,9 +27,10 @@ use crate::explore::{enumerate_options, replay_choices, CheckConfig};
 use crate::scenario::Scenario;
 use crate::schedule::{verdict_line, Schedule};
 use horus_core::prelude::EndpointAddr;
+use horus_core::trace::{DropReason, TraceKind};
 use horus_sim::sched::{Scheduler, Step};
 use horus_sim::{ReadyEvent, SimWorld};
-use horus_trace::{ParsedRecord, ParsedTrace};
+use horus_trace::{ParsedTrace, TraceRecord};
 use std::time::Duration;
 
 /// One schedule-relevant trace event, in trace order.
@@ -45,42 +46,44 @@ enum TraceOp {
     Suspect { observer: EndpointAddr, target: EndpointAddr },
 }
 
-/// Filters a parsed trace down to the operations a scheduler controls.
+/// Filters a trace down to the operations a scheduler controls.
 /// Stack-internal hops (`layer-*`, `deliver`, `frame-send`, ...) are
-/// consequences of these, not decisions, and are skipped.
-fn schedule_ops(records: &[ParsedRecord]) -> Result<Vec<TraceOp>, String> {
-    let mut ops = Vec::new();
-    for (i, r) in records.iter().enumerate() {
-        let seq = || {
-            r.u64_field("seq")
-                .ok_or_else(|| format!("record {i} ({}) lacks a calendar seq", r.kind))
-        };
-        match r.kind.as_str() {
+/// consequences of these, not decisions, and are skipped.  Every kind is
+/// named: a new calendar-fire kind fails to compile here until it is
+/// sorted into one side or the other.
+fn schedule_ops(records: &[TraceRecord]) -> Vec<TraceOp> {
+    records
+        .iter()
+        .filter_map(|r| match r.kind {
             // Every calendar fire the simulator dispatches.
-            "frame-deliver" | "timer-fire" | "app-down" | "crash" | "partition" | "heal"
-            | "fault" => ops.push(TraceOp::Fire(seq()?)),
+            TraceKind::FrameDeliver { seq, .. }
+            | TraceKind::TimerFire { seq, .. }
+            | TraceKind::AppDown { seq, .. }
+            | TraceKind::Crash { seq, .. }
+            | TraceKind::Suspect { seq, .. }
+            | TraceKind::Partition { seq, .. }
+            | TraceKind::Heal { seq, .. }
+            | TraceKind::Fault { seq, .. } => Some(TraceOp::Fire(seq)),
             // Only *induced* drops are scheduling decisions; physics and
             // decode drops replay on their own.
-            "frame-drop" if r.fields.get("reason").map(String::as_str) == Some("induced") => {
-                ops.push(TraceOp::Drop(seq()?));
+            TraceKind::FrameDrop { seq, reason: DropReason::Induced, .. } => {
+                Some(TraceOp::Drop(seq))
             }
-            "inject-crash" => ops.push(TraceOp::Crash(EndpointAddr::new(r.ep))),
-            "inject-suspect" => {
-                let observer = r
-                    .u64_field("observer")
-                    .ok_or_else(|| format!("record {i}: inject-suspect lacks observer"))?;
-                let target = r
-                    .u64_field("target")
-                    .ok_or_else(|| format!("record {i}: inject-suspect lacks target"))?;
-                ops.push(TraceOp::Suspect {
-                    observer: EndpointAddr::new(observer),
-                    target: EndpointAddr::new(target),
-                });
+            TraceKind::InjectCrash => Some(TraceOp::Crash(r.ep)),
+            TraceKind::InjectSuspect { observer, target } => {
+                Some(TraceOp::Suspect { observer, target })
             }
-            _ => {}
-        }
-    }
-    Ok(ops)
+            TraceKind::LayerDown { .. }
+            | TraceKind::LayerUp { .. }
+            | TraceKind::LayerTimer { .. }
+            | TraceKind::FrameSend { .. }
+            | TraceKind::FrameDrop { .. }
+            | TraceKind::TimerArm { .. }
+            | TraceKind::Deliver { .. }
+            | TraceKind::ViewInstall { .. }
+            | TraceKind::Note(_) => None,
+        })
+        .collect()
 }
 
 /// The re-enacting scheduler: at every step, take the option matching the
@@ -239,7 +242,7 @@ pub fn schedule_from_trace(trace: &ParsedTrace) -> Result<Schedule, String> {
     let scenario = Scenario::by_name(name)
         .ok_or_else(|| format!("trace references unknown scenario {name:?}"))?;
     let cfg = config_from_meta(trace)?;
-    let ops = schedule_ops(&trace.records)?;
+    let ops = schedule_ops(&trace.records);
 
     let mut world = scenario.build();
     let mut bridge = BridgeScheduler {
@@ -331,10 +334,26 @@ mod tests {
         // the suspect block of the option list.
         let cfg = CheckConfig { max_suspects: 1, ..CheckConfig::default() };
         let trace = capture("wedge", &[11], &cfg);
-        assert!(trace.records.iter().any(|r| r.kind == "inject-suspect"));
+        assert!(trace.records.iter().any(|r| matches!(r.kind, TraceKind::InjectSuspect { .. })));
         let schedule = schedule_from_trace(&trace).unwrap();
         assert_eq!(schedule.choices, vec![11]);
         assert_eq!(schedule.verdict, "clean");
+    }
+
+    #[test]
+    fn a_scripted_suspicion_is_a_calendar_fire() {
+        let record = |kind| TraceRecord {
+            at: horus_core::time::SimTime::ZERO,
+            ep: EndpointAddr::new(1),
+            clock: vec![],
+            kind,
+        };
+        let records = [
+            record(TraceKind::LayerDown { layer: "FD" }),
+            record(TraceKind::Suspect { target: EndpointAddr::new(2), digest: 3, seq: 7 }),
+            record(TraceKind::Note("ep:1 suspects ep:2".into())),
+        ];
+        assert_eq!(schedule_ops(&records), [TraceOp::Fire(7)]);
     }
 
     #[test]

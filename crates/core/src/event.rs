@@ -302,8 +302,6 @@ pub enum Effect {
     NetLeave,
     /// Arm a timer for `layer` with `token`, firing after `delay`.
     SetTimer { layer: usize, token: u64, delay: Duration },
-    /// Free-form trace record (TRACE layer, debugging).
-    Trace(String),
 }
 
 #[cfg(test)]

@@ -63,9 +63,10 @@ impl<'a> LayerCtx<'a> {
         self.core.arm_timer(self.layer, token, delay, self.effects);
     }
 
-    /// Emits a free-form trace record (collected by the executor).
+    /// Emits a free-form [`TraceKind::Note`](crate::trace::TraceKind::Note)
+    /// record to the stack's trace sink — nothing when none is installed.
     pub fn trace(&mut self, text: impl Into<String>) {
-        self.core.note(text.into(), self.effects);
+        self.core.note(text.into());
     }
 
     /// Current virtual time.

@@ -891,10 +891,6 @@ impl Stack {
                             DropReason::Decode
                         };
                         core.trace(TraceKind::FrameDrop { digest: 0, seq: 0, reason });
-                        effects.push(Effect::Trace(format!(
-                            "{}: dropped wire message from {from}: {e}",
-                            core.local
-                        )));
                     }
                 }
             }
@@ -1026,9 +1022,8 @@ impl StackCore {
     }
 
     /// [`LayerCtx::trace`].
-    pub(crate) fn note(&mut self, text: String, effects: &mut Vec<Effect>) {
-        self.trace_lazy(|| TraceKind::Note(text.clone()));
-        effects.push(Effect::Trace(text));
+    pub(crate) fn note(&self, text: String) {
+        self.trace_lazy(|| TraceKind::Note(text));
     }
 
     /// A downcall fell off the bottom of the stack: convert to transport
@@ -1061,11 +1056,13 @@ impl StackCore {
             }
             // Control downcalls consumed by protocol layers; reaching the
             // bottom means no layer in this composition implements them.
-            other => effects.push(Effect::Trace(format!(
-                "{}: downcall `{}` fell off the bottom of the stack unconsumed",
-                self.local,
-                other.kind()
-            ))),
+            other => self.trace_lazy(|| {
+                TraceKind::Note(format!(
+                    "{}: downcall `{}` fell off the bottom of the stack unconsumed",
+                    self.local,
+                    other.kind()
+                ))
+            }),
         }
     }
 
@@ -1215,6 +1212,22 @@ mod tests {
         EndpointAddr::new(i)
     }
 
+    /// A sink that keeps every event's kind.
+    #[derive(Debug, Default)]
+    struct Log(std::sync::Mutex<Vec<TraceKind>>);
+
+    impl TraceSink for Log {
+        fn record(&self, ev: TraceEvent) {
+            self.0.lock().unwrap().push(ev.kind);
+        }
+    }
+
+    impl Log {
+        fn names(&self) -> Vec<&'static str> {
+            self.0.lock().unwrap().iter().map(TraceKind::name).collect()
+        }
+    }
+
     fn two_layer_stack(mode: HeaderMode) -> Stack {
         StackBuilder::new(ep(1))
             .push(Box::new(Seq::default()))
@@ -1309,7 +1322,7 @@ mod tests {
             _ => unreachable!(),
         };
         let fx = b.handle(StackInput::FromNet { from: ep(1), cast: true, wire });
-        assert!(fx.iter().all(|e| matches!(e, Effect::Trace(_))));
+        assert!(fx.is_empty(), "{fx:?}");
         assert_eq!(b.stats().fingerprint_drops, 1);
     }
 
@@ -1373,8 +1386,13 @@ mod tests {
     #[test]
     fn unconsumed_control_downcall_traced() {
         let mut s = two_layer_stack(HeaderMode::Compact);
+        let log = Arc::new(Log::default());
+        s.set_tracer(log.clone());
         let fx = s.handle(StackInput::FromApp(Down::FlushOk));
-        assert!(matches!(&fx[0], Effect::Trace(t) if t.contains("flush_ok")));
+        assert!(fx.is_empty(), "{fx:?}");
+        let kinds = log.0.lock().unwrap();
+        let notes: Vec<_> = kinds.iter().filter(|k| matches!(k, TraceKind::Note(_))).collect();
+        assert!(matches!(notes[..], [TraceKind::Note(t)] if t.contains("flush_ok")), "{kinds:?}");
     }
 
     #[test]
@@ -1562,7 +1580,6 @@ mod tests {
                 Effect::NetJoin { .. } => "NetJoin",
                 Effect::NetLeave => "NetLeave",
                 Effect::SetTimer { .. } => "SetTimer",
-                Effect::Trace(_) => "Trace",
             })
             .collect()
     }
@@ -1573,25 +1590,15 @@ mod tests {
 
         // Alone, every emission leaves the stack at once, and is traced as
         // it does.
-        #[derive(Debug, Default)]
-        struct Kinds(std::sync::Mutex<Vec<&'static str>>);
-        impl TraceSink for Kinds {
-            fn record(&self, ev: TraceEvent) {
-                self.0.lock().unwrap().push(ev.kind.name());
-            }
-        }
         let journal = Journal::default();
-        let traced = Arc::new(Kinds::default());
+        let traced = Arc::new(Log::default());
         let mut alone =
             StackBuilder::new(ep(1)).push(Box::new(Emitter(journal.clone()))).build().unwrap();
         alone.set_tracer(traced.clone());
         let fx = alone.handle(fire(0));
-        assert_eq!(effect_kinds(&fx), ["Trace", "NetCast", "SetTimer", "Deliver", "NetLeave"]);
-        assert!(matches!(&fx[2], Effect::SetTimer { layer: 0, token: 9, .. }));
-        assert_eq!(
-            *traced.0.lock().unwrap(),
-            ["layer-timer", "note", "frame-send", "timer-arm", "deliver"]
-        );
+        assert_eq!(effect_kinds(&fx), ["NetCast", "SetTimer", "Deliver", "NetLeave"]);
+        assert!(matches!(&fx[1], Effect::SetTimer { layer: 0, token: 9, .. }));
+        assert_eq!(traced.names(), ["layer-timer", "note", "frame-send", "timer-arm", "deliver"]);
 
         // Between two layers, what is bound for them waits until the
         // emitter has returned and then runs first in, first out; what is
@@ -1604,8 +1611,8 @@ mod tests {
             .build()
             .unwrap();
         let fx = between.handle(fire(1));
-        assert_eq!(effect_kinds(&fx), ["Trace", "SetTimer", "NetCast", "Deliver", "NetLeave"]);
-        assert!(matches!(&fx[1], Effect::SetTimer { layer: 1, token: 9, .. }));
+        assert_eq!(effect_kinds(&fx), ["SetTimer", "NetCast", "Deliver", "NetLeave"]);
+        assert!(matches!(&fx[0], Effect::SetTimer { layer: 1, token: 9, .. }));
         assert_eq!(
             *journal.lock().unwrap(),
             ["EMITTER returns", "BOTTOM down cast", "TOP up EXIT", "BOTTOM down leave"]

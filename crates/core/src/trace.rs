@@ -5,9 +5,9 @@
 //! loopback transports in `horus-net`, and both executors in
 //! `horus-sim` — reports structured events: layer crossings, frame
 //! send/deliver/drop, timer arm/fire, view installs, crashes, suspicions.
-//! Sink implementations live in `horus-trace` (a lock-free ring for the
-//! real-time executor, an ordered vector-clock-stamped log for the
-//! virtual-time world); this module defines only the trait and the event
+//! Sink implementations live in `horus-trace` (an ordered, vector-clock-
+//! stamped log that both executors record into, and a live latency
+//! aggregator); this module defines only the trait and the event
 //! vocabulary so every crate below `horus-trace` can *emit* without
 //! depending on any collector.
 //!
@@ -113,6 +113,21 @@ impl DropReason {
             DropReason::Mtu => "mtu",
             DropReason::Unroutable => "unroutable",
         }
+    }
+
+    /// The reason whose [`name`](Self::name) is `name`, if any.
+    pub fn by_name(name: &str) -> Option<DropReason> {
+        [
+            DropReason::Decode,
+            DropReason::Fingerprint,
+            DropReason::Induced,
+            DropReason::Loss,
+            DropReason::Partition,
+            DropReason::Mtu,
+            DropReason::Unroutable,
+        ]
+        .into_iter()
+        .find(|r| r.name() == name)
     }
 }
 
@@ -264,34 +279,15 @@ pub enum TraceKind {
         /// Calendar sequence number.
         seq: u64,
     },
-    /// A free-text layer trace ([`crate::LayerCtx::trace`] / `Effect::Trace`).
+    /// Free text: a layer's [`crate::LayerCtx::trace`], or a downcall that
+    /// fell off the bottom of its stack unconsumed.
     Note(String),
 }
 
 impl TraceKind {
     /// Stable kind name used by the trace file format.
     pub fn name(&self) -> &'static str {
-        match self {
-            TraceKind::LayerDown { .. } => "layer-down",
-            TraceKind::LayerUp { .. } => "layer-up",
-            TraceKind::LayerTimer { .. } => "layer-timer",
-            TraceKind::FrameSend { .. } => "frame-send",
-            TraceKind::FrameDeliver { .. } => "frame-deliver",
-            TraceKind::FrameDrop { .. } => "frame-drop",
-            TraceKind::TimerArm { .. } => "timer-arm",
-            TraceKind::TimerFire { .. } => "timer-fire",
-            TraceKind::AppDown { .. } => "app-down",
-            TraceKind::Deliver { .. } => "deliver",
-            TraceKind::ViewInstall { .. } => "view-install",
-            TraceKind::Crash { .. } => "crash",
-            TraceKind::Suspect { .. } => "suspect",
-            TraceKind::InjectCrash => "inject-crash",
-            TraceKind::InjectSuspect { .. } => "inject-suspect",
-            TraceKind::Partition { .. } => "partition",
-            TraceKind::Heal { .. } => "heal",
-            TraceKind::Fault { .. } => "fault",
-            TraceKind::Note(_) => "note",
-        }
+        KIND_NAMES[self.id() as usize]
     }
 
     /// Stable small-integer id for this kind: the bit position in a
@@ -552,6 +548,8 @@ mod tests {
         assert_eq!(TraceKind::LayerDown { layer: "COM" }.name(), "layer-down");
         assert_eq!(TraceKind::Note("x".into()).name(), "note");
         assert_eq!(DropReason::Fingerprint.name(), "fingerprint");
+        assert_eq!(DropReason::by_name("fingerprint"), Some(DropReason::Fingerprint));
+        assert_eq!(DropReason::by_name("bogus"), None);
     }
 
     #[test]
@@ -572,15 +570,17 @@ mod tests {
             assert_eq!(kind_id_by_name(name), Some(i as u8), "{name}");
         }
         assert_eq!(kind_id_by_name("no-such-kind"), None);
-        // Spot-check id() against the table through name().
+        // name() reads the table at id(): spot-check that each id lands on
+        // its own name.
         let samples = [
-            TraceKind::LayerDown { layer: "COM" },
-            TraceKind::FrameSend { cast: true, bytes: 1 },
-            TraceKind::InjectCrash,
-            TraceKind::Note("x".into()),
+            (TraceKind::LayerDown { layer: "COM" }, "layer-down"),
+            (TraceKind::FrameSend { cast: true, bytes: 1 }, "frame-send"),
+            (TraceKind::Suspect { target: EndpointAddr::new(1), digest: 0, seq: 0 }, "suspect"),
+            (TraceKind::InjectCrash, "inject-crash"),
+            (TraceKind::Note("x".into()), "note"),
         ];
-        for k in &samples {
-            assert_eq!(KIND_NAMES[k.id() as usize], k.name());
+        for (k, name) in &samples {
+            assert_eq!(k.name(), *name);
         }
     }
 

@@ -391,6 +391,7 @@ pub fn build_stack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn parses_names_and_params() {
@@ -470,16 +471,35 @@ mod tests {
         assert_eq!(w.delivered_casts(EndpointAddr::new(2)).len(), 1);
     }
 
+    /// The layers' own notes, in order — all but a downcall falling off
+    /// the bottom, which a passive layer there changes.
+    #[derive(Debug, Default)]
+    struct Notes(std::sync::Mutex<Vec<String>>);
+
+    impl TraceSink for Notes {
+        fn record(&self, ev: TraceEvent) {
+            if let TraceKind::Note(text) = ev.kind {
+                if !text.contains("fell off the bottom") {
+                    self.0.lock().unwrap().push(text);
+                }
+            }
+        }
+    }
+
     /// A pair of stacks of one composition, driven by hand: what either
     /// sends the other receives, for a few rounds, and every timer armed on
     /// the way fires once.  Returns, per input, what the stack asked for —
-    /// what left by the bottom, what left by the top, and what a layer
-    /// asked for itself, each in its order — and per stack its counters
-    /// with the number of downcalls fed to it.
+    /// what left by the bottom, what left by the top, what a layer asked
+    /// for itself and the notes its layers traced, each in its order — and
+    /// per stack its counters with the number of downcalls fed to it.
     fn drive_pair(desc: &str, skip_passive: bool) -> (Vec<String>, [(StackStats, u64); 2]) {
         let eps = [EndpointAddr::new(1), EndpointAddr::new(2)];
         let config = StackConfig { skip_passive, ..StackConfig::default() };
         let mut stacks = eps.map(|ep| build_stack(ep, desc, config.clone()).expect(desc));
+        let notes = eps.map(|_| Arc::new(Notes::default()));
+        for (stack, notes) in stacks.iter_mut().zip(&notes) {
+            stack.set_tracer(notes.clone());
+        }
         let mut downcalls = [0u64; 2];
         let mut log = Vec::new();
         let mut todo: std::collections::VecDeque<(usize, StackInput)> = Default::default();
@@ -490,11 +510,11 @@ mod tests {
                 match effect {
                     Effect::Deliver(_) => top.push(effect),
                     Effect::SetTimer { .. } => own.push(effect),
-                    Effect::Trace(t) if !t.contains("fell off the bottom") => own.push(effect),
                     _ => bottom.push(effect),
                 }
             }
-            log.push(format!("{at} {bottom:?} {top:?} {own:?}"));
+            let traced = std::mem::take(&mut *notes[at].0.lock().unwrap());
+            log.push(format!("{at} {bottom:?} {top:?} {own:?} {traced:?}"));
             for effect in bottom.into_iter().chain(own) {
                 match effect.clone() {
                     Effect::NetCast { wire } | Effect::NetSend { wire, .. } => {

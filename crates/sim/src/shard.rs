@@ -641,7 +641,6 @@ impl Outbox {
                     self.timers.push(TimerEntry { due, seq: self.timer_seq, ep, layer, token });
                     self.timer_seq += 1;
                 }
-                Effect::Trace(_) => {}
             }
         }
         if !self.upcalls.is_empty() {

@@ -339,8 +339,6 @@ pub struct SimWorld {
     net: SimNetwork,
     endpoints: BTreeMap<EndpointAddr, Endpoint>,
     sched: Box<dyn NetScheduler + Send>,
-    /// Append-only like [`Slot::upcalls`], and shared the same way.
-    traces: Arc<Vec<(SimTime, String)>>,
     /// The one effect buffer every dispatch emits into and
     /// [`SimWorld::apply_effects`] drains; empty between dispatches.
     sink: EffectSink,
@@ -410,7 +408,6 @@ impl SimWorld {
             net: SimNetwork::new(config),
             endpoints: BTreeMap::new(),
             sched,
-            traces: Arc::default(),
             sink: EffectSink::new(),
             dirty_eps: RefCell::new(Vec::new()),
             slots_sum: Cell::new(0),
@@ -763,26 +760,19 @@ impl SimWorld {
                     Self::touch(&self.dirty_eps, &self.slots_sum, ep, e);
                     e.slot_mut().alive = false;
                     self.net.leave(ep);
-                    self.trace_note(format!("{ep} crashed"));
                 }
             }
             Ev::Partition { regions } => {
                 let slices: Vec<&[EndpointAddr]> = regions.iter().map(|r| r.as_slice()).collect();
                 self.net.partition(&slices);
-                self.trace_note(format!("partition {regions:?}"));
             }
-            Ev::Heal => {
-                self.net.heal();
-                self.trace_note("partitions healed".to_string());
-            }
+            Ev::Heal => self.net.heal(),
             Ev::Suspect { observer, target } => {
                 if self.is_live_slot(observer) {
                     self.input(observer, StackInput::FromApp(Down::Suspect { member: target }));
-                    self.trace_note(format!("{observer} suspects {target} (scripted)"));
                 }
             }
             Ev::Fault { rule } => {
-                self.trace_note(format!("fault installed: {rule:?}"));
                 if let FaultRule::SuspicionStorm { ref observers, target } = rule {
                     // The network cannot evaluate a suspicion storm — it is
                     // executed here, as one scripted suspicion per observer,
@@ -809,10 +799,6 @@ impl SimWorld {
     /// counts: it takes inputs and ignores them).
     fn is_live_slot(&self, ep: EndpointAddr) -> bool {
         self.endpoints.get(&ep).is_some_and(|e| e.slot.alive)
-    }
-
-    fn trace_note(&mut self, note: String) {
-        Arc::make_mut(&mut self.traces).push((self.time, note));
     }
 
     /// Performs (and drains) the effects the last dispatch into `ep` left
@@ -860,7 +846,6 @@ impl SimWorld {
                 Effect::SetTimer { layer, token, delay } => {
                     self.schedule(self.time + delay, Ev::Timer { ep, layer, token });
                 }
-                Effect::Trace(t) => self.trace_note(format!("{ep}: {t}")),
             }
         }
         self.sink = sink;
@@ -913,11 +898,6 @@ impl SimWorld {
     /// Borrow an endpoint's stack (for `focus`/`dump` inspection).
     pub fn stack(&self, ep: EndpointAddr) -> Option<&Stack> {
         self.endpoints.get(&ep).map(|e| &e.slot.stack)
-    }
-
-    /// The world's trace log (layer traces, crash/partition markers).
-    pub fn traces(&self) -> &[(SimTime, String)] {
-        &self.traces
     }
 
     /// Pending calendar entries (diagnostics).
@@ -1157,7 +1137,6 @@ impl SimWorld {
             net: self.net.clone(),
             endpoints: self.endpoints.clone(),
             sched: self.sched.clone_box()?,
-            traces: Arc::clone(&self.traces),
             sink: EffectSink::new(),
             dirty_eps: RefCell::new(self.dirty_eps.borrow().clone()),
             slots_sum: self.slots_sum.clone(),
@@ -1536,17 +1515,31 @@ mod tests {
         assert!(w.take_upcalls(ep(9)).is_empty(), "unknown endpoints yield nothing");
     }
 
+    /// A sink that keeps every event.
+    #[derive(Debug, Default)]
+    struct Log(std::sync::Mutex<Vec<TraceEvent>>);
+
+    impl TraceSink for Log {
+        fn record(&self, ev: TraceEvent) {
+            self.0.lock().unwrap().push(ev);
+        }
+    }
+
     #[test]
     fn traces_record_world_events() {
         let mut w = world_of(2);
+        let log = Arc::new(Log::default());
+        w.set_tracer(log.clone());
         w.crash_at(SimTime::from_millis(1), ep(2));
         w.partition_at(SimTime::from_millis(2), &[&[ep(1)]]);
         w.heal_at(SimTime::from_millis(3));
         w.run_for(Duration::from_millis(10));
-        let text: Vec<&str> = w.traces().iter().map(|(_, t)| t.as_str()).collect();
-        assert!(text.iter().any(|t| t.contains("crashed")));
-        assert!(text.iter().any(|t| t.contains("partition")));
-        assert!(text.iter().any(|t| t.contains("healed")));
+        let events = log.0.lock().unwrap();
+        let at =
+            |ep, kind: fn(&TraceKind) -> bool| events.iter().any(|e| e.ep == ep && kind(&e.kind));
+        assert!(at(ep(2), |k| matches!(k, TraceKind::Crash { .. })));
+        assert!(at(EndpointAddr::NULL, |k| matches!(k, TraceKind::Partition { .. })));
+        assert!(at(EndpointAddr::NULL, |k| matches!(k, TraceKind::Heal { .. })));
     }
 
     #[test]
@@ -1739,13 +1732,17 @@ mod tests {
     #[test]
     fn scripted_suspicion_is_dispatched_and_traced() {
         let mut w = world_of(2);
+        let log = Arc::new(Log::default());
+        w.set_tracer(log.clone());
         w.suspect_at(SimTime::from_millis(3), ep(1), ep(2));
         w.run_for(Duration::from_millis(10));
         // The Nop stack consumes nothing, so the downcall falls out the
         // bottom; what matters here is the scheduling and the audit trail.
-        let text: Vec<&str> = w.traces().iter().map(|(_, t)| t.as_str()).collect();
-        assert!(text.iter().any(|t| t.contains("suspects") && t.contains("scripted")));
-        assert!(text.iter().any(|t| t.contains("suspect") && t.contains("fell off")));
+        let events = log.0.lock().unwrap();
+        let by_ep1 =
+            |kind: fn(&TraceKind) -> bool| events.iter().any(|e| e.ep == ep(1) && kind(&e.kind));
+        assert!(by_ep1(|k| matches!(k, TraceKind::Suspect { target, .. } if *target == ep(2))));
+        assert!(by_ep1(|k| matches!(k, TraceKind::Note(t) if t.contains("`suspect` fell off"))));
     }
 
     #[test]

@@ -2,16 +2,19 @@
 //!
 //! Collectors, file format, and inspection tooling for the structured trace
 //! events the whole Horus runtime emits through
-//! [`horus_core::trace::TraceSink`] (see DESIGN decision 10):
+//! [`horus_core::trace::TraceSink`] (see DESIGN decisions 10 and 25):
 //!
 //! * [`TraceBuf`] — the collector: an ordered log behind a mutex, stamped
 //!   with the vector clock `SimWorld` announces for every dispatch under
 //!   virtual time, clock-less when the shard executor's workers record
 //!   into it;
+//! * [`TraceRecord`] — the one record type, from the hook through the file
+//!   to every reader: [`parse_trace_v2`] returns the records
+//!   [`serialize_trace_v2`] was given, typed;
 //! * the binary **trace file format** (`# horus-trace v2`, module [`v2`])
-//!   with [`serialize_trace_v2`] / [`parse_trace_v2`] — the only encoding
-//!   written or read; [`serialize_parsed`] renders a parsed trace as text
-//!   for people (`horus-trace dump`, `diff`), and nothing parses that text;
+//!   — the only encoding written or read; [`trace_text`] renders a trace as
+//!   text for people (`horus-trace dump`, `diff`), and nothing parses that
+//!   text;
 //! * [`chrome_trace`] — Chrome `about:tracing` / Perfetto JSON export;
 //! * [`delivery_projection`] — the executor-independent canonical view of a
 //!   trace (per `(receiver, sender)` CAST digest sequences) used by the
@@ -29,6 +32,7 @@ use horus_core::time::SimTime;
 use horus_core::trace::{ClockEntry, TraceEvent, TraceKind, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 
 pub mod metrics;
@@ -36,10 +40,6 @@ pub mod v2;
 
 pub use metrics::{latency_stats, Histogram, LatencyStats, MetricsSink};
 pub use v2::{parse_trace_v2, serialize_trace_v2, TRACE_HEADER_V2};
-
-/// Meta key: records a collector dropped because its ring overflowed —
-/// nonzero means the trace has holes and `horus-trace stats` warns.
-pub const META_DROPPED: &str = "dropped_records";
 
 /// Meta key: the `N` of a 1-in-N [`SamplingSink`] capture (absent or `1` =
 /// complete trace).  The trace→schedule bridge refuses traces with `N > 1`.
@@ -138,7 +138,7 @@ impl TraceSink for TraceBuf {
 }
 
 // ---------------------------------------------------------------------------
-// The record view and its text rendering
+// The record's fields and its text rendering
 // ---------------------------------------------------------------------------
 
 /// Percent-escapes a free-text value so a rendered record stays one line
@@ -189,96 +189,81 @@ pub(crate) fn unescape(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// The kind-specific `key=value` fields of one record, in a stable order.
-fn kind_fields(kind: &TraceKind) -> Vec<(&'static str, String)> {
+/// One typed field of a record, as the encoder, the text renderer and the
+/// Chrome export see it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Field<'a> {
+    /// A number, varint-encoded, rendered in decimal.
+    U64(u64),
+    /// A content digest: fixed 8-byte little-endian on the wire
+    /// (hash-uniform values make varints counterproductive), decimal text.
+    Digest(u64),
+    /// A name from a fixed vocabulary (layer, upcall/downcall kind, drop
+    /// reason), stored and rendered as is.
+    Name(&'a str),
+    /// Free text (a view, a note), stored and rendered [`escape`]d.
+    Text(&'a str),
+}
+
+/// Calls `f` with the kind-specific fields of one record, in wire and
+/// rendering order — the one per-kind field list of this crate (the
+/// decoder's `match` in [`v2`] is its inverse, and the round-trip proptest
+/// holds the two together).
+pub(crate) fn with_fields<R>(
+    kind: &TraceKind,
+    f: impl FnOnce(&[(&'static str, Field<'_>)]) -> R,
+) -> R {
+    use Field::{Digest, Name, Text, U64};
     match kind {
         TraceKind::LayerDown { layer } | TraceKind::LayerUp { layer } => {
-            vec![("layer", (*layer).to_string())]
+            f(&[("layer", Name(layer))])
         }
         TraceKind::LayerTimer { layer, token } => {
-            vec![("layer", (*layer).to_string()), ("token", token.to_string())]
+            f(&[("layer", Name(layer)), ("token", U64(*token))])
         }
         TraceKind::FrameSend { cast, bytes } => {
-            vec![("cast", (*cast as u8).to_string()), ("bytes", bytes.to_string())]
+            f(&[("cast", U64(u64::from(*cast))), ("bytes", U64(*bytes as u64))])
         }
-        TraceKind::FrameDeliver { from, cast, bytes, digest, seq } => vec![
-            ("from", from.raw().to_string()),
-            ("cast", (*cast as u8).to_string()),
-            ("bytes", bytes.to_string()),
-            ("digest", digest.to_string()),
-            ("seq", seq.to_string()),
-        ],
-        TraceKind::FrameDrop { digest, seq, reason } => vec![
-            ("digest", digest.to_string()),
-            ("seq", seq.to_string()),
-            ("reason", reason.name().to_string()),
-        ],
-        TraceKind::TimerArm { layer, token, delay_us } => vec![
-            ("layer", layer.to_string()),
-            ("token", token.to_string()),
-            ("delay_us", delay_us.to_string()),
-        ],
-        TraceKind::TimerFire { layer, token, digest, seq } => vec![
-            ("layer", layer.to_string()),
-            ("token", token.to_string()),
-            ("digest", digest.to_string()),
-            ("seq", seq.to_string()),
-        ],
-        TraceKind::AppDown { kind, digest, seq } => vec![
-            ("kind", (*kind).to_string()),
-            ("digest", digest.to_string()),
-            ("seq", seq.to_string()),
-        ],
-        TraceKind::Deliver { kind, src, digest } => vec![
-            ("kind", (*kind).to_string()),
-            ("src", src.to_string()),
-            ("digest", digest.to_string()),
-        ],
-        TraceKind::ViewInstall { view } => vec![("view", escape(view))],
+        TraceKind::FrameDeliver { from, cast, bytes, digest, seq } => f(&[
+            ("from", U64(from.raw())),
+            ("cast", U64(u64::from(*cast))),
+            ("bytes", U64(*bytes as u64)),
+            ("digest", Digest(*digest)),
+            ("seq", U64(*seq)),
+        ]),
+        TraceKind::FrameDrop { digest, seq, reason } => {
+            f(&[("digest", Digest(*digest)), ("seq", U64(*seq)), ("reason", Name(reason.name()))])
+        }
+        TraceKind::TimerArm { layer, token, delay_us } => f(&[
+            ("layer", U64(*layer as u64)),
+            ("token", U64(*token)),
+            ("delay_us", U64(*delay_us)),
+        ]),
+        TraceKind::TimerFire { layer, token, digest, seq } => f(&[
+            ("layer", U64(*layer as u64)),
+            ("token", U64(*token)),
+            ("digest", Digest(*digest)),
+            ("seq", U64(*seq)),
+        ]),
+        TraceKind::AppDown { kind, digest, seq } => {
+            f(&[("kind", Name(kind)), ("digest", Digest(*digest)), ("seq", U64(*seq))])
+        }
+        TraceKind::Deliver { kind, src, digest } => {
+            f(&[("kind", Name(kind)), ("src", U64(*src)), ("digest", Digest(*digest))])
+        }
+        TraceKind::ViewInstall { view } => f(&[("view", Text(view))]),
         TraceKind::Crash { digest, seq }
         | TraceKind::Partition { digest, seq }
         | TraceKind::Heal { digest, seq }
-        | TraceKind::Fault { digest, seq } => {
-            vec![("digest", digest.to_string()), ("seq", seq.to_string())]
+        | TraceKind::Fault { digest, seq } => f(&[("digest", Digest(*digest)), ("seq", U64(*seq))]),
+        TraceKind::Suspect { target, digest, seq } => {
+            f(&[("target", U64(target.raw())), ("digest", Digest(*digest)), ("seq", U64(*seq))])
         }
-        TraceKind::Suspect { target, digest, seq } => vec![
-            ("target", target.raw().to_string()),
-            ("digest", digest.to_string()),
-            ("seq", seq.to_string()),
-        ],
-        TraceKind::InjectCrash => vec![],
+        TraceKind::InjectCrash => f(&[]),
         TraceKind::InjectSuspect { observer, target } => {
-            vec![("observer", observer.raw().to_string()), ("target", target.raw().to_string())]
+            f(&[("observer", U64(observer.raw())), ("target", U64(target.raw()))])
         }
-        TraceKind::Note(text) => vec![("text", escape(text))],
-    }
-}
-
-/// One parsed record: the generic `key=value` view every consumer (CLI,
-/// bridge, tests) works from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedRecord {
-    /// Event time in nanoseconds.
-    pub at_ns: u64,
-    /// Raw endpoint address (`0` = world-global).
-    pub ep: u64,
-    /// Vector clock, empty when the recording executor keeps none.
-    pub clock: Vec<(u64, u64)>,
-    /// The kind name (`frame-deliver`, `timer-fire`, ...).
-    pub kind: String,
-    /// Kind-specific fields, still escaped.
-    pub fields: BTreeMap<String, String>,
-}
-
-impl ParsedRecord {
-    /// A numeric field.
-    pub fn u64_field(&self, key: &str) -> Option<u64> {
-        self.fields.get(key).and_then(|v| v.parse().ok())
-    }
-
-    /// A free-text field, unescaped.
-    pub fn text_field(&self, key: &str) -> Option<String> {
-        self.fields.get(key).map(|v| unescape(v))
+        TraceKind::Note(text) => f(&[("text", Text(text))]),
     }
 }
 
@@ -287,97 +272,56 @@ impl ParsedRecord {
 pub struct ParsedTrace {
     /// The `meta key: value` lines.
     pub meta: BTreeMap<String, String>,
-    /// The records.
-    pub records: Vec<ParsedRecord>,
+    /// The records, exactly as the hook emitted them.
+    pub records: Vec<TraceRecord>,
 }
 
-/// The parsed (`key=value`) view of one collected record — the same view
-/// [`serialize_trace_v2`] + [`parse_trace_v2`] produce, without the trip
-/// through bytes (the encoder serializes from this view, which is what
-/// makes that round trip lossless by construction).
-pub fn parsed_from_record(rec: &TraceRecord) -> ParsedRecord {
-    ParsedRecord {
-        at_ns: rec.at.as_nanos(),
-        ep: rec.ep.raw(),
-        clock: rec.clock.clone(),
-        kind: rec.kind.name().to_string(),
-        fields: kind_fields(&rec.kind).into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-    }
-}
-
-/// Renders one parsed record as a line of text (no trailing newline):
-/// `t=<ns> ep=<raw> vc=<actor:count,...|-> <kind> key=value ...`, free-text
-/// values still escaped.
-///
-/// Fields come out in the canonical per-kind order when the kind is in the
-/// vocabulary (sorted otherwise), so equal records render to equal bytes.
-pub fn parsed_line(rec: &ParsedRecord) -> String {
+/// Renders one record as a line of text (no trailing newline):
+/// `t=<ns> ep=<raw> vc=<actor:count,...|-> <kind> key=value ...`, fields in
+/// wire order, free text escaped.
+pub fn record_line(rec: &TraceRecord) -> String {
     let vc = if rec.clock.is_empty() {
         "-".to_string()
     } else {
         rec.clock.iter().map(|(r, c)| format!("{r}:{c}")).collect::<Vec<_>>().join(",")
     };
-    let mut line = format!("t={} ep={} vc={} {}", rec.at_ns, rec.ep, vc, rec.kind);
-    let canonical: Vec<&str> = match v2::schema_keys(&rec.kind) {
-        Some(keys)
-            if keys.len() == rec.fields.len()
-                && keys.iter().all(|k| rec.fields.contains_key(*k)) =>
-        {
-            keys
+    let mut line =
+        format!("t={} ep={} vc={} {}", rec.at.as_nanos(), rec.ep.raw(), vc, rec.kind.name());
+    with_fields(&rec.kind, |fields| {
+        for (key, field) in fields {
+            let _ = match field {
+                Field::U64(v) | Field::Digest(v) => write!(line, " {key}={v}"),
+                Field::Name(s) => write!(line, " {key}={s}"),
+                Field::Text(s) => write!(line, " {key}={}", escape(s)),
+            };
         }
-        _ => rec.fields.keys().map(String::as_str).collect(),
-    };
-    for k in canonical {
-        line.push(' ');
-        line.push_str(k);
-        line.push('=');
-        line.push_str(&rec.fields[k]);
-    }
+    });
     line
 }
 
 /// Renders a parsed trace as text: `meta key: value` lines in key order,
-/// then one [`parsed_line`] per record.  For people and for `diff`ing —
+/// then one [`record_line`] per record.  For people and for `diff`ing —
 /// there is no parser for it.
-pub fn serialize_parsed(trace: &ParsedTrace) -> String {
+pub fn trace_text(trace: &ParsedTrace) -> String {
     let mut out = String::new();
     for (k, v) in &trace.meta {
         out.push_str(&format!("meta {k}: {v}\n"));
     }
     for rec in &trace.records {
-        out.push_str(&parsed_line(rec));
+        out.push_str(&record_line(rec));
         out.push('\n');
     }
     out
 }
 
-/// Where two record streams first differ.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Divergence {
-    /// Index of the first record present in one stream but not equal in
-    /// (or absent from) the other.
-    pub index: usize,
-    /// Kind at `index` on the left (`None` = left ended first).
-    pub left: Option<String>,
-    /// Kind at `index` on the right (`None` = right ended first).
-    pub right: Option<String>,
-}
-
-/// The first index at which two record streams diverge, with the kinds on
-/// each side — `None` when they are identical.  This is record-level
-/// (timestamps included), so it is strictly stricter than the delivery
-/// projection `diff` judges by; the CLI prints it as the debugging pointer
-/// when traces disagree.
-pub fn first_divergence(a: &[ParsedRecord], b: &[ParsedRecord]) -> Option<Divergence> {
+/// The first index at which two record streams differ (one ending before
+/// the other counts) — `None` when they are identical.  This is
+/// record-level (timestamps included), so it is strictly stricter than the
+/// delivery projection `diff` judges by; the CLI prints it as the debugging
+/// pointer when traces disagree.
+pub fn first_divergence(a: &[TraceRecord], b: &[TraceRecord]) -> Option<usize> {
     let index = a.iter().zip(b).position(|(ra, rb)| ra != rb).unwrap_or(a.len().min(b.len()));
-    if index == a.len() && index == b.len() {
-        return None;
-    }
-    Some(Divergence {
-        index,
-        left: a.get(index).map(|r| r.kind.clone()),
-        right: b.get(index).map(|r| r.kind.clone()),
-    })
+    (index < a.len().max(b.len())).then_some(index)
 }
 
 // ---------------------------------------------------------------------------
@@ -386,26 +330,32 @@ pub fn first_divergence(a: &[ParsedRecord], b: &[ParsedRecord]) -> Option<Diverg
 
 /// Renders records as a Chrome `about:tracing` / Perfetto JSON document:
 /// one instant event per record (`ts` in microseconds, `tid` = endpoint),
-/// with the kind-specific fields as `args`.
-pub fn chrome_trace(records: &[ParsedRecord]) -> String {
+/// with the kind-specific fields as `args` in key order.
+pub fn chrome_trace(records: &[TraceRecord]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let us = r.at_ns as f64 / 1000.0;
+        let us = r.at.as_nanos() as f64 / 1000.0;
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{us},\"pid\":1,\"tid\":{},\"s\":\"t\",\"args\":{{",
-            r.kind, r.ep
+            r.kind.name(),
+            r.ep.raw()
         ));
-        for (j, (k, v)) in r.fields.iter().enumerate() {
+        let mut args = with_fields(&r.kind, |fields| {
+            let value = |field: &Field<'_>| match *field {
+                Field::U64(v) | Field::Digest(v) => v.to_string(),
+                Field::Name(s) | Field::Text(s) => s.replace('\\', "\\\\").replace('"', "\\\""),
+            };
+            fields.iter().map(|(key, field)| (*key, value(field))).collect::<Vec<_>>()
+        });
+        args.sort();
+        for (j, (k, v)) in args.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "\"{k}\":\"{}\"",
-                unescape(v).replace('\\', "\\\\").replace('"', "\\\"")
-            ));
+            out.push_str(&format!("\"{k}\":\"{v}\""));
         }
         out.push_str("}}");
     }
@@ -426,28 +376,21 @@ pub fn chrome_trace(records: &[ParsedRecord]) -> String {
 /// order toward a single receiver), while cross-sender interleaving is
 /// scheduling noise — so this is exactly the part of a trace that must be
 /// equal across executors for the same workload.
-pub fn delivery_projection(records: &[ParsedRecord]) -> BTreeMap<(u64, u64), Vec<u64>> {
+pub fn delivery_projection(records: &[TraceRecord]) -> BTreeMap<(u64, u64), Vec<u64>> {
     let mut out: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
     for r in records {
-        if r.kind != "deliver" {
-            continue;
+        if let TraceKind::Deliver { kind: "CAST", src, digest } = r.kind {
+            out.entry((r.ep.raw(), src)).or_default().push(digest);
         }
-        if r.fields.get("kind").map(String::as_str) != Some("CAST") {
-            continue;
-        }
-        let (Some(src), Some(digest)) = (r.u64_field("src"), r.u64_field("digest")) else {
-            continue;
-        };
-        out.entry((r.ep, src)).or_default().push(digest);
     }
     out
 }
 
 /// Per-kind record counts (the cheap summary `stats` and `diff` lean on).
-pub fn kind_counts(records: &[ParsedRecord]) -> BTreeMap<String, u64> {
+pub fn kind_counts(records: &[TraceRecord]) -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
     for r in records {
-        *out.entry(r.kind.clone()).or_insert(0) += 1;
+        *out.entry(r.kind.name().to_string()).or_insert(0) += 1;
     }
     out
 }
@@ -481,47 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn record_view_and_its_rendering() {
-        let records = [
-            rec(
-                1000,
-                2,
-                TraceKind::FrameDeliver {
-                    from: EndpointAddr::new(1),
-                    cast: true,
-                    bytes: 64,
-                    digest: 0xdead,
-                    seq: 17,
-                },
-            ),
-            rec(2000, 2, TraceKind::ViewInstall { view: "g:1[v2@ep:1 ep:1 ep:2]".into() }),
-            rec(3000, 2, TraceKind::Note("hello world\n100%".into())),
-        ];
-        let parsed = ParsedTrace {
-            meta: [("scenario".to_string(), "wedge".to_string())].into(),
-            records: records.iter().map(parsed_from_record).collect(),
-        };
-        let d = &parsed.records[0];
-        assert_eq!(d.kind, "frame-deliver");
-        assert_eq!(d.at_ns, 1000);
-        assert_eq!(d.ep, 2);
-        assert_eq!(d.clock, vec![(1, 2), (2, 1)]);
-        assert_eq!(d.u64_field("from"), Some(1));
-        assert_eq!(d.u64_field("digest"), Some(0xdead));
-        assert_eq!(d.u64_field("seq"), Some(17));
-        assert_eq!(parsed.records[1].text_field("view").unwrap(), "g:1[v2@ep:1 ep:1 ep:2]");
-        assert_eq!(parsed.records[2].text_field("text").unwrap(), "hello world\n100%");
-        // The rendering: one line per record, free text escaped in place.
-        assert_eq!(
-            serialize_parsed(&parsed),
-            "meta scenario: wedge\n\
-             t=1000 ep=2 vc=1:2,2:1 frame-deliver from=1 cast=1 bytes=64 digest=57005 seq=17\n\
-             t=2000 ep=2 vc=1:2,2:1 view-install view=g:1[v2@ep:1%20ep:1%20ep:2]\n\
-             t=3000 ep=2 vc=1:2,2:1 note text=hello%20world%0A100%25\n"
-        );
-    }
-
-    #[test]
     fn projection_groups_casts_per_sender() {
         let records = [
             rec(1, 2, TraceKind::Deliver { kind: "CAST", src: 1, digest: 11 }),
@@ -529,19 +431,20 @@ mod tests {
             rec(3, 2, TraceKind::Deliver { kind: "CAST", src: 1, digest: 12 }),
             rec(4, 2, TraceKind::Deliver { kind: "VIEW", src: 0, digest: 0 }),
         ];
-        let proj = delivery_projection(&records.map(|r| parsed_from_record(&r)));
+        let proj = delivery_projection(&records);
         assert_eq!(proj[&(2, 1)], vec![11, 12]);
         assert_eq!(proj[&(2, 3)], vec![31]);
         assert!(!proj.contains_key(&(2, 0)));
+        assert_eq!(kind_counts(&records), [("deliver".to_string(), 4)].into());
     }
 
     #[test]
     fn chrome_export_is_valid_shaped_json() {
-        let record = rec(1500, 1, TraceKind::FrameSend { cast: true, bytes: 9 });
-        let json = chrome_trace(&[parsed_from_record(&record)]);
+        let json = chrome_trace(&[rec(1500, 1, TraceKind::FrameSend { cast: true, bytes: 9 })]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"frame-send\""));
         assert!(json.contains("\"ts\":1.5"));
         assert!(json.contains("\"tid\":1"));
+        assert!(json.contains("\"args\":{\"bytes\":\"9\",\"cast\":\"1\"}"));
     }
 }

@@ -18,12 +18,13 @@
 //! the first diverging record for debugging.  `export` renders a
 //! Prometheus-style text exposition.
 
+use horus_core::trace::kind_id_by_name;
 use horus_trace::{
     chrome_trace, delivery_projection, first_divergence, kind_counts, latency_stats,
-    metrics::prometheus_text, parse_trace_v2, parsed_line, serialize_parsed, Histogram,
-    LatencyStats, ParsedTrace, META_DROPPED, META_SAMPLED_OUT, META_SAMPLE_EVERY,
+    metrics::prometheus_text, parse_trace_v2, record_line, trace_text, Histogram, LatencyStats,
+    ParsedTrace, META_SAMPLED_OUT, META_SAMPLE_EVERY,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -34,9 +35,14 @@ fn usage() -> ExitCode {
     ExitCode::from(1)
 }
 
-fn load(path: &str) -> Result<ParsedTrace, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_trace_v2(&bytes).map_err(|e| format!("{path}: {e}"))
+/// Reads and parses a trace file; on failure prints why and yields the
+/// exit code (1).
+fn load(path: &str) -> Result<ParsedTrace, ExitCode> {
+    let parsed = std::fs::read(path).map_err(|e| e.to_string()).and_then(|b| parse_trace_v2(&b));
+    parsed.map_err(|e| {
+        eprintln!("error: {path}: {e}");
+        ExitCode::from(1)
+    })
 }
 
 fn main() -> ExitCode {
@@ -60,12 +66,20 @@ fn cmd_dump(args: &[String]) -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--chrome" => chrome = true,
-            "--ep" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) => ep_filter = Some(v),
+            "--ep" => match it.next().map(|v| (v, v.parse::<u64>())) {
+                Some((_, Ok(v))) => ep_filter = Some(v),
+                Some((v, Err(_))) => {
+                    eprintln!("error: --ep wants an endpoint number, got {v:?}");
+                    return ExitCode::from(1);
+                }
                 None => return usage(),
             },
-            "--kind" => match it.next() {
-                Some(v) => kind_filter = Some(v.clone()),
+            "--kind" => match it.next().map(|v| (v, kind_id_by_name(v))) {
+                Some((_, Some(id))) => kind_filter = Some(id),
+                Some((v, None)) => {
+                    eprintln!("error: --kind: unknown kind {v:?}");
+                    return ExitCode::from(1);
+                }
                 None => return usage(),
             },
             _ if file.is_none() => file = Some(a.clone()),
@@ -75,18 +89,17 @@ fn cmd_dump(args: &[String]) -> ExitCode {
     let Some(file) = file else { return usage() };
     let mut trace = match load(&file) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
+        Err(code) => return code,
     };
     trace.records.retain(|r| {
-        ep_filter.is_none_or(|ep| r.ep == ep) && kind_filter.as_deref().is_none_or(|k| r.kind == k)
+        ep_filter.is_none_or(|ep| r.ep.raw() == ep)
+            && kind_filter.is_none_or(|id| r.kind.id() == id)
     });
-    // File order is already dispatch order under virtual time; the ring
-    // collectors may interleave shards, so present by timestamp.
-    trace.records.sort_by_key(|r| r.at_ns);
-    let text = if chrome { chrome_trace(&trace.records) } else { serialize_parsed(&trace) };
+    // File order is already dispatch order under virtual time; the shard
+    // executor's workers record into one buffer concurrently, so present
+    // by timestamp.
+    trace.records.sort_by_key(|r| r.at);
+    let text = if chrome { chrome_trace(&trace.records) } else { trace_text(&trace) };
     // A reader that stops early (`dump ... | head`) is not an error.
     use std::io::Write as _;
     match std::io::stdout().write_all(text.as_bytes()) {
@@ -95,28 +108,6 @@ fn cmd_dump(args: &[String]) -> ExitCode {
             ExitCode::from(1)
         }
         _ => ExitCode::SUCCESS,
-    }
-}
-
-/// Capture-health lines shared by `stats` and `export`: sampling is
-/// reported (the operator asked for it), ring overflow is *warned* — those
-/// records are holes nobody chose.
-fn report_capture_health(trace: &ParsedTrace) {
-    if let Some(every) = trace.meta.get(META_SAMPLE_EVERY).and_then(|v| v.parse::<u64>().ok()) {
-        if every > 1 {
-            let out = trace.meta.get(META_SAMPLED_OUT).map(String::as_str).unwrap_or("?");
-            println!("sampling: 1-in-{every} ({out} records sampled out at capture)");
-        }
-    }
-    match trace.meta.get(META_DROPPED).and_then(|v| v.parse::<u64>().ok()) {
-        Some(0) | None => {}
-        Some(d) => {
-            println!("dropped: {d}");
-            eprintln!(
-                "warning: collector dropped {d} records (ring overflow) — \
-                 this trace has holes; resize the ring or sample harder"
-            );
-        }
     }
 }
 
@@ -162,20 +153,23 @@ fn cmd_stats(args: &[String]) -> ExitCode {
     let Some(file) = file else { return usage() };
     let trace = match load(&file) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
+        Err(code) => return code,
     };
     for (k, v) in &trace.meta {
         println!("meta {k}: {v}");
     }
     let n = trace.records.len();
     println!("records: {n}");
-    report_capture_health(&trace);
+    // Sampling is reported, not warned: the operator asked for the thinning.
+    if let Some(every) = trace.meta.get(META_SAMPLE_EVERY).and_then(|v| v.parse::<u64>().ok()) {
+        if every > 1 {
+            let out = trace.meta.get(META_SAMPLED_OUT).map(String::as_str).unwrap_or("?");
+            println!("sampling: 1-in-{every} ({out} records sampled out at capture)");
+        }
+    }
     if n > 0 {
-        let lo = trace.records.iter().map(|r| r.at_ns).min().unwrap();
-        let hi = trace.records.iter().map(|r| r.at_ns).max().unwrap();
+        let lo = trace.records.iter().map(|r| r.at.as_nanos()).min().unwrap();
+        let hi = trace.records.iter().map(|r| r.at.as_nanos()).max().unwrap();
         println!("span: {lo}ns .. {hi}ns ({}us)", (hi - lo) / 1000);
     }
     println!("by kind:");
@@ -184,7 +178,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
     }
     let mut by_ep: BTreeMap<u64, u64> = BTreeMap::new();
     for r in &trace.records {
-        *by_ep.entry(r.ep).or_insert(0) += 1;
+        *by_ep.entry(r.ep.raw()).or_insert(0) += 1;
     }
     println!("by endpoint:");
     for (ep, count) in by_ep {
@@ -211,16 +205,13 @@ fn cmd_stats(args: &[String]) -> ExitCode {
 
 fn cmd_diff(args: &[String]) -> ExitCode {
     let [a_path, b_path] = args else { return usage() };
-    let (a, b) = match (load(a_path), load(b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
+    let (a, b) = match load(a_path).and_then(|a| Ok((a, load(b_path)?))) {
+        Ok(ab) => ab,
+        Err(code) => return code,
     };
     let (pa, pb) = (delivery_projection(&a.records), delivery_projection(&b.records));
     let mut drift = false;
-    for key in pa.keys().chain(pb.keys()) {
+    for key in pa.keys().chain(pb.keys()).collect::<BTreeSet<_>>() {
         let (va, vb) = (pa.get(key), pb.get(key));
         if va != vb {
             drift = true;
@@ -236,7 +227,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     let (ka, kb) = (kind_counts(&a.records), kind_counts(&b.records));
     if ka != kb {
         println!("kind counts differ:");
-        for kind in ka.keys().chain(kb.keys()) {
+        for kind in ka.keys().chain(kb.keys()).collect::<BTreeSet<_>>() {
             let (ca, cb) = (ka.get(kind).copied().unwrap_or(0), kb.get(kind).copied().unwrap_or(0));
             if ca != cb {
                 println!("  {kind:<16} {ca} vs {cb}");
@@ -246,16 +237,12 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     // The debugging pointer: where, record for record, do the streams
     // first disagree?  Stricter than the projection (timestamps count), so
     // it can be Some even when the verdict below is "match".
-    if let Some(d) = first_divergence(&a.records, &b.records) {
-        println!(
-            "records first diverge at index {} ({} vs {}):",
-            d.index,
-            d.left.as_deref().unwrap_or("end-of-trace"),
-            d.right.as_deref().unwrap_or("end-of-trace"),
-        );
+    if let Some(i) = first_divergence(&a.records, &b.records) {
+        let kind = |t: &ParsedTrace| t.records.get(i).map_or("end-of-trace", |r| r.kind.name());
+        println!("records first diverge at index {i} ({} vs {}):", kind(&a), kind(&b));
         for (name, trace) in [("a", &a), ("b", &b)] {
-            match trace.records.get(d.index) {
-                Some(r) => println!("  {name}: {}", parsed_line(r)),
+            match trace.records.get(i) {
+                Some(r) => println!("  {name}: {}", record_line(r)),
                 None => println!("  {name}: <ended after {} records>", trace.records.len()),
             }
         }
@@ -283,13 +270,10 @@ fn cmd_export(args: &[String]) -> ExitCode {
     let Some(file) = file else { return usage() };
     let trace = match load(&file) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
+        Err(code) => return code,
     };
     let latency = latency_stats(&trace.records);
     let kinds: BTreeMap<String, u64> = kind_counts(&trace.records);
-    print!("{}", prometheus_text(&latency, &kinds, &trace.meta));
+    print!("{}", prometheus_text(&latency, &kinds));
     ExitCode::SUCCESS
 }

@@ -28,9 +28,8 @@
 //! *index*, so the latency is attributed to a layer *name* by the
 //! `layer-timer` crossing that follows the fire.
 
-use crate::{ParsedRecord, META_DROPPED};
+use crate::TraceRecord;
 use horus_core::lock;
-use horus_core::stack::StackStats;
 use horus_core::trace::{ClockEntry, TraceEvent, TraceKind, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -148,35 +147,64 @@ impl Histogram {
 // The dwell/timer state machine
 // ---------------------------------------------------------------------------
 
-/// Shared classifier driving both the offline [`latency_stats`] pass and
-/// the live [`MetricsSink`]: feed it the per-record calls and collect the
-/// histograms at the end.  `K` is the layer-name type (`String` offline,
-/// `&'static str` live) so the hot path never allocates.
-#[derive(Debug, Clone)]
-struct LatencyTracker<K: Ord + Clone> {
+/// The one classifier behind both the offline [`latency_stats`] pass and
+/// the live [`MetricsSink`]: feed it every record with
+/// [`observe`](Self::observe) and collect the histograms at the end.  Layer
+/// names are the records' own `&'static str`s, so the live hot path never
+/// allocates.
+#[derive(Debug, Clone, Default)]
+struct LatencyTracker {
     /// Per endpoint: the open dwell interval (layer, opened-at).
-    pending: BTreeMap<u64, (K, u64)>,
+    pending: BTreeMap<u64, (&'static str, u64)>,
     /// Armed timers by `(ep, layer index, token)` → armed-at.
-    armed: BTreeMap<(u64, u64, u64), u64>,
+    armed: BTreeMap<(u64, usize, u64), u64>,
     /// Per endpoint: a fire latency awaiting its naming `layer-timer`.
     fired: BTreeMap<u64, u64>,
-    dwell: BTreeMap<(u64, K), Histogram>,
-    timer: BTreeMap<(u64, K), Histogram>,
+    dwell: BTreeMap<(u64, &'static str), Histogram>,
+    timer: BTreeMap<(u64, &'static str), Histogram>,
 }
 
-impl<K: Ord + Clone> Default for LatencyTracker<K> {
-    fn default() -> Self {
-        LatencyTracker {
-            pending: BTreeMap::new(),
-            armed: BTreeMap::new(),
-            fired: BTreeMap::new(),
-            dwell: BTreeMap::new(),
-            timer: BTreeMap::new(),
+impl LatencyTracker {
+    /// Classifies one record (see the module docs for the interval
+    /// semantics).
+    fn observe(&mut self, at: u64, ep: u64, kind: &TraceKind) {
+        match *kind {
+            TraceKind::LayerDown { layer } | TraceKind::LayerUp { layer } => {
+                self.crossing(ep, at, layer);
+            }
+            TraceKind::LayerTimer { layer, .. } => {
+                if let Some(lat) = self.fired.remove(&ep) {
+                    self.timer.entry((ep, layer)).or_default().record(lat);
+                }
+                self.crossing(ep, at, layer);
+            }
+            TraceKind::TimerArm { layer, token, .. } => {
+                self.close(ep, at);
+                // Bound the table: timers cancelled without firing would
+                // otherwise accumulate over a long soak.
+                if self.armed.len() >= 8192 {
+                    self.armed.pop_first();
+                }
+                self.armed.insert((ep, layer, token), at);
+            }
+            TraceKind::TimerFire { layer, token, .. } => {
+                self.entry(ep);
+                if let Some(armed_at) = self.armed.remove(&(ep, layer, token)) {
+                    self.fired.insert(ep, at.saturating_sub(armed_at));
+                }
+            }
+            // Same-dispatch continuations: close the open interval.
+            TraceKind::FrameSend { .. }
+            | TraceKind::Deliver { .. }
+            | TraceKind::ViewInstall { .. }
+            | TraceKind::Note(_) => self.close(ep, at),
+            // Everything else starts a new dispatch (frame-deliver,
+            // app-down, crash/suspect/inject-*, partition/heal/fault,
+            // frame-drop).
+            _ => self.entry(ep),
         }
     }
-}
 
-impl<K: Ord + Clone> LatencyTracker<K> {
     /// Closes the open dwell interval, attributing the gap to its layer.
     fn close(&mut self, ep: u64, at: u64) {
         if let Some((layer, opened)) = self.pending.remove(&ep) {
@@ -185,24 +213,9 @@ impl<K: Ord + Clone> LatencyTracker<K> {
     }
 
     /// A layer crossing: closes the previous interval and opens a new one.
-    fn crossing(&mut self, ep: u64, at: u64, layer: K) {
+    fn crossing(&mut self, ep: u64, at: u64, layer: &'static str) {
         self.close(ep, at);
         self.pending.insert(ep, (layer, at));
-    }
-
-    /// The `layer-timer` crossing: additionally resolves a pending fire
-    /// latency to this layer's name.
-    fn layer_timer(&mut self, ep: u64, at: u64, layer: K) {
-        if let Some(lat) = self.fired.remove(&ep) {
-            self.timer.entry((ep, layer.clone())).or_default().record(lat);
-        }
-        self.crossing(ep, at, layer);
-    }
-
-    /// A same-dispatch record that is not a crossing: closes without
-    /// reopening.
-    fn continuation(&mut self, ep: u64, at: u64) {
-        self.close(ep, at);
     }
 
     /// A record that starts a new dispatch: the gap to it is idle time —
@@ -212,28 +225,11 @@ impl<K: Ord + Clone> LatencyTracker<K> {
         self.fired.remove(&ep);
     }
 
-    fn arm(&mut self, ep: u64, layer: u64, token: u64, at: u64) {
-        // Bound the table: timers cancelled without firing would otherwise
-        // accumulate over a long soak.
-        if self.armed.len() >= 8192 {
-            self.armed.pop_first();
-        }
-        self.armed.insert((ep, layer, token), at);
-    }
-
-    fn fire(&mut self, ep: u64, layer: u64, token: u64, at: u64) {
-        if let Some(armed_at) = self.armed.remove(&(ep, layer, token)) {
-            self.fired.insert(ep, at.saturating_sub(armed_at));
-        }
-    }
-}
-
-impl<K: Ord + Clone + Into<String>> LatencyTracker<K> {
     fn finish(self) -> LatencyStats {
-        LatencyStats {
-            dwell: self.dwell.into_iter().map(|((ep, k), h)| ((ep, k.into()), h)).collect(),
-            timer: self.timer.into_iter().map(|((ep, k), h)| ((ep, k.into()), h)).collect(),
-        }
+        let named = |map: BTreeMap<(u64, &str), Histogram>| {
+            map.into_iter().map(|((ep, layer), h)| ((ep, layer.to_string()), h)).collect()
+        };
+        LatencyStats { dwell: named(self.dwell), timer: named(self.timer) }
     }
 }
 
@@ -272,41 +268,11 @@ impl LatencyStats {
 }
 
 /// The offline pass: per-layer dwell and timer-latency histograms from a
-/// parsed trace's records (see the module docs for the interval semantics).
-pub fn latency_stats(records: &[ParsedRecord]) -> LatencyStats {
-    let mut t = LatencyTracker::<String>::default();
+/// trace's records (see the module docs for the interval semantics).
+pub fn latency_stats(records: &[TraceRecord]) -> LatencyStats {
+    let mut t = LatencyTracker::default();
     for r in records {
-        match r.kind.as_str() {
-            "layer-down" | "layer-up" => {
-                if let Some(layer) = r.text_field("layer") {
-                    t.crossing(r.ep, r.at_ns, layer);
-                }
-            }
-            "layer-timer" => {
-                if let Some(layer) = r.text_field("layer") {
-                    t.layer_timer(r.ep, r.at_ns, layer);
-                }
-            }
-            "timer-arm" => {
-                t.continuation(r.ep, r.at_ns);
-                if let (Some(layer), Some(token)) = (r.u64_field("layer"), r.u64_field("token")) {
-                    t.arm(r.ep, layer, token, r.at_ns);
-                }
-            }
-            "timer-fire" => {
-                t.entry(r.ep);
-                if let (Some(layer), Some(token)) = (r.u64_field("layer"), r.u64_field("token")) {
-                    t.fire(r.ep, layer, token, r.at_ns);
-                }
-            }
-            // Same-dispatch continuations: close the open interval.
-            "frame-send" | "deliver" | "view-install" | "note" => t.continuation(r.ep, r.at_ns),
-            // Everything else starts a new dispatch (frame-deliver,
-            // app-down, crash/suspect/inject-*, partition/heal/fault,
-            // frame-drop) — or is unknown, which we treat the same way:
-            // discarding an interval can only under-count, never corrupt.
-            _ => t.entry(r.ep),
-        }
+        t.observe(r.at.as_nanos(), r.ep.raw(), &r.kind);
     }
     t.finish()
 }
@@ -325,7 +291,7 @@ thread_local! {
 
 #[derive(Default, Clone)]
 struct MetricsShard {
-    tracker: LatencyTracker<&'static str>,
+    tracker: LatencyTracker,
     kinds: BTreeMap<&'static str, u64>,
     records: u64,
 }
@@ -399,28 +365,7 @@ impl TraceSink for MetricsSink {
     fn record(&self, ev: TraceEvent) {
         let slot = SLOT.with(|s| *s);
         let mut shard = lock(&self.shards[slot % METRIC_SHARDS]);
-        let at = ev.at.as_nanos();
-        let ep = ev.ep.raw();
-        let t = &mut shard.tracker;
-        match &ev.kind {
-            TraceKind::LayerDown { layer } | TraceKind::LayerUp { layer } => {
-                t.crossing(ep, at, layer);
-            }
-            TraceKind::LayerTimer { layer, .. } => t.layer_timer(ep, at, layer),
-            TraceKind::TimerArm { layer, token, .. } => {
-                t.continuation(ep, at);
-                t.arm(ep, *layer as u64, *token, at);
-            }
-            TraceKind::TimerFire { layer, token, .. } => {
-                t.entry(ep);
-                t.fire(ep, *layer as u64, *token, at);
-            }
-            TraceKind::FrameSend { .. }
-            | TraceKind::Deliver { .. }
-            | TraceKind::ViewInstall { .. }
-            | TraceKind::Note(_) => t.continuation(ep, at),
-            _ => t.entry(ep),
-        }
+        shard.tracker.observe(ev.at.as_nanos(), ev.ep.raw(), &ev.kind);
         *shard.kinds.entry(ev.kind.name()).or_insert(0) += 1;
         shard.records += 1;
     }
@@ -459,13 +404,9 @@ fn put_summary(
     }
 }
 
-/// Renders latency histograms, per-kind counts, and capture metadata as a
-/// Prometheus text exposition (`horus-trace export --prometheus`).
-pub fn prometheus_text(
-    latency: &LatencyStats,
-    kinds: &BTreeMap<String, u64>,
-    meta: &BTreeMap<String, String>,
-) -> String {
+/// Renders latency histograms and per-kind counts as a Prometheus text
+/// exposition (`horus-trace export --prometheus`).
+pub fn prometheus_text(latency: &LatencyStats, kinds: &BTreeMap<String, u64>) -> String {
     let mut out = String::new();
     put_summary(
         &mut out,
@@ -484,42 +425,6 @@ pub fn prometheus_text(
         let _ = writeln!(out, "# TYPE horus_trace_records_total counter");
         for (kind, count) in kinds {
             let _ = writeln!(out, "horus_trace_records_total{{kind=\"{kind}\"}} {count}");
-        }
-    }
-    if let Some(d) = meta.get(META_DROPPED).and_then(|v| v.parse::<u64>().ok()) {
-        let _ = writeln!(out, "# HELP horus_trace_dropped_total Records lost to ring overflow.");
-        let _ = writeln!(out, "# TYPE horus_trace_dropped_total counter");
-        let _ = writeln!(out, "horus_trace_dropped_total {d}");
-    }
-    out
-}
-
-/// Renders the always-on [`StackStats`] counters for one stack as
-/// Prometheus gauges — the non-histogram half of the exposition.
-pub fn prometheus_stack_stats(ep: u64, layer_names: &[&str], stats: &StackStats) -> String {
-    let mut out = String::new();
-    let pairs: [(&str, u64); 10] = [
-        ("msgs_sent", stats.msgs_sent),
-        ("msgs_received", stats.msgs_received),
-        ("bytes_sent", stats.bytes_sent),
-        ("bytes_received", stats.bytes_received),
-        ("header_bytes_sent", stats.header_bytes_sent),
-        ("dispatches", stats.dispatches),
-        ("skipped", stats.skipped),
-        ("batched_inputs", stats.batched_inputs),
-        ("batches", stats.batches),
-        ("scratch_peak", stats.scratch_peak),
-    ];
-    for (name, v) in pairs {
-        let _ = writeln!(out, "horus_stack_{name}{{ep=\"{ep}\"}} {v}");
-    }
-    for (i, t) in stats.per_layer.iter().enumerate() {
-        let layer = layer_names.get(i).copied().unwrap_or("?");
-        for (dir, v) in [("down", t.downs), ("up", t.ups), ("timer", t.timers)] {
-            let _ = writeln!(
-                out,
-                "horus_layer_dispatches{{ep=\"{ep}\",layer=\"{layer}\",dir=\"{dir}\"}} {v}"
-            );
         }
     }
     out
@@ -634,56 +539,15 @@ mod tests {
     }
 
     #[test]
-    fn offline_pass_matches_the_live_sink() {
-        use crate::{parse_trace_v2, serialize_trace_v2, TraceBuf};
-        use std::sync::Arc;
-        let events = [
-            ev(10, 1, TraceKind::AppDown { kind: "CAST", digest: 1, seq: 1 }),
-            ev(20, 1, TraceKind::LayerDown { layer: "NAK" }),
-            ev(45, 1, TraceKind::LayerDown { layer: "COM" }),
-            ev(60, 1, TraceKind::FrameSend { cast: true, bytes: 4 }),
-            ev(
-                70,
-                2,
-                TraceKind::FrameDeliver {
-                    from: EndpointAddr::new(1),
-                    cast: true,
-                    bytes: 4,
-                    digest: 1,
-                    seq: 2,
-                },
-            ),
-            ev(80, 2, TraceKind::LayerUp { layer: "COM" }),
-            ev(95, 2, TraceKind::LayerUp { layer: "NAK" }),
-            ev(99, 2, TraceKind::Deliver { kind: "CAST", src: 1, digest: 1 }),
-        ];
-        let live = MetricsSink::new();
-        let buf = Arc::new(TraceBuf::new());
-        for e in &events {
-            live.record(e.clone());
-            buf.record(e.clone());
-        }
-        let bytes = serialize_trace_v2(&[], &buf.take());
-        let offline = latency_stats(&parse_trace_v2(&bytes).unwrap().records);
-        assert_eq!(live.snapshot().latency, offline);
-        assert!(!offline.is_empty());
-        assert_eq!(LatencyStats::aggregate(&offline.dwell)["NAK"].count(), 2);
-    }
-
-    #[test]
     fn prometheus_exposition_is_well_shaped() {
         let sink = MetricsSink::new();
         sink.record(ev(10, 1, TraceKind::LayerDown { layer: "COM" }));
         sink.record(ev(35, 1, TraceKind::FrameSend { cast: true, bytes: 4 }));
         let snap = sink.snapshot();
-        let meta: BTreeMap<String, String> = [(META_DROPPED.to_string(), "3".to_string())].into();
-        let text = prometheus_text(&snap.latency, &snap.kinds, &meta);
+        let text = prometheus_text(&snap.latency, &snap.kinds);
         assert!(text.contains("# TYPE horus_layer_dwell_ns summary"));
         assert!(text.contains("horus_layer_dwell_ns{ep=\"1\",layer=\"COM\",quantile=\"0.5\"} 24"));
         assert!(text.contains("horus_layer_dwell_ns_count{ep=\"all\",layer=\"COM\"} 1"));
         assert!(text.contains("horus_trace_records_total{kind=\"frame-send\"} 1"));
-        assert!(text.contains("horus_trace_dropped_total 3"));
-        let stack = prometheus_stack_stats(1, &["NAK", "COM"], &StackStats::default());
-        assert!(stack.contains("horus_stack_msgs_sent{ep=\"1\"} 0"));
     }
 }

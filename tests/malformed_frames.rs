@@ -10,7 +10,9 @@ use horus::layers::registry::{build_stack, layer_names};
 use horus::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
 use horus_core::WireFrame;
+use horus_trace::TraceBuf;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Drives every `WireReader` getter over the buffer until exhaustion;
 /// each must return an error (never panic) on truncated or nonsense input.
@@ -44,23 +46,30 @@ fn receiver(name: &str) -> Stack {
 
 /// Frames `chunk` for `rx` (a single-layer FRAG or NFRAG stack) under
 /// that layer's header with the given field values, and returns what the
-/// stack did with it.
-fn feed_fragment(rx: &mut Stack, fields: &[u64], chunk: &[u8]) -> Vec<Effect> {
+/// stack did with it: its effects, and the notes its layer traced.
+fn feed_fragment(rx: &mut Stack, fields: &[u64], chunk: &[u8]) -> (Vec<Effect>, Vec<String>) {
     let mut msg = rx.new_message(Bytes::copy_from_slice(chunk));
     msg.push_header(0);
     for (i, &v) in fields.iter().enumerate() {
         msg.set_field(0, i, v);
     }
     let wire = WireFrame::build(rx.fingerprint(), msg.header_area(), msg.body().clone());
-    rx.handle(StackInput::FromNet { from: EndpointAddr::new(1), cast: true, wire })
+    let buf = Arc::new(TraceBuf::new());
+    rx.set_tracer(buf.clone());
+    let fx = rx.handle(StackInput::FromNet { from: EndpointAddr::new(1), cast: true, wire });
+    let notes = buf.take().into_iter().filter_map(|r| match r.kind {
+        TraceKind::Note(text) => Some(text),
+        _ => None,
+    });
+    (fx, notes.collect())
 }
 
 fn delivered(fx: &[Effect]) -> usize {
     fx.iter().filter(|e| matches!(e, Effect::Deliver(Up::Cast { .. }))).count()
 }
 
-fn traced(fx: &[Effect]) -> bool {
-    fx.iter().any(|e| matches!(e, Effect::Trace(t) if t.contains("reassembly decode failed")))
+fn traced(notes: &[String]) -> bool {
+    notes.iter().any(|t| t.contains("reassembly decode failed"))
 }
 
 /// The layer's own dump says how many reassemblies it is holding.
@@ -89,9 +98,9 @@ fn frag_drops_malformed_fragment_sequences_with_a_trace() {
     for (n, case) in cases.iter().enumerate() {
         let mut rx = receiver("FRAG");
         for (i, &(chunk, last)) in case.iter().enumerate() {
-            let fx = feed_fragment(&mut rx, &[last, 1], chunk);
+            let (fx, notes) = feed_fragment(&mut rx, &[last, 1], chunk);
             assert_eq!(delivered(&fx), 0, "case {n}, fragment {i}");
-            assert_eq!(traced(&fx), last == 1, "case {n}, fragment {i}: {fx:?}");
+            assert_eq!(traced(&notes), last == 1, "case {n}, fragment {i}: {notes:?}");
         }
         assert!(holds_no_partial(&rx), "case {n}: {:?}", rx.dump());
     }
@@ -112,12 +121,12 @@ fn order_body(g_base: u64, n: u32, entries: &[(u64, u32)]) -> Vec<u8> {
 }
 
 /// TOTAL's `[kind, tseq]` header: data is kind 0, an ORDER kind 1.
-fn feed_total(rx: &mut Stack, kind: u64, tseq: u64, body: &[u8]) -> Vec<Effect> {
+fn feed_total(rx: &mut Stack, kind: u64, tseq: u64, body: &[u8]) -> (Vec<Effect>, Vec<String>) {
     feed_fragment(rx, &[kind, tseq], body)
 }
 
-fn traces(fx: &[Effect], what: &str) -> usize {
-    fx.iter().filter(|e| matches!(e, Effect::Trace(t) if t.contains(what))).count()
+fn traces(notes: &[String], what: &str) -> usize {
+    notes.iter().filter(|t| t.contains(what)).count()
 }
 
 /// A forged ORDER is parsed whole before any of it is applied: a range
@@ -140,14 +149,14 @@ fn total_drops_a_malformed_order_whole() {
     let mut rx = receiver("TOTAL");
     let before = rx.dump();
     for (i, body) in forged.iter().enumerate() {
-        let fx = feed_total(&mut rx, 1, 0, body);
-        assert_eq!(traces(&fx, "malformed ORDER"), 1, "case {i}: {fx:?}");
-        assert_eq!(fx.len(), 1, "case {i}: nothing but the trace: {fx:?}");
+        let (fx, notes) = feed_total(&mut rx, 1, 0, body);
+        assert_eq!(traces(&notes, "malformed ORDER"), 1, "case {i}: {notes:?}");
+        assert!(fx.is_empty(), "case {i}: nothing but the trace: {fx:?}");
         assert_eq!(rx.dump(), before, "case {i}");
     }
     // The intact one is applied.
-    let fx = feed_total(&mut rx, 1, 0, &intact);
-    assert!(fx.is_empty(), "{fx:?}");
+    let (fx, notes) = feed_total(&mut rx, 1, 0, &intact);
+    assert!(fx.is_empty() && notes.is_empty(), "{fx:?} {notes:?}");
     assert!(rx.dump()[0].1.contains("frontier=3 delivered=0 buffered=0 ordered=2 assigned=2"));
 
     // Far ahead of the frontier an ORDER parks — as the message it came in,
@@ -155,7 +164,8 @@ fn total_drops_a_malformed_order_whole() {
     // good as any.
     for g_base in [1 << 40, u64::MAX - 2] {
         let mut rx = receiver("TOTAL");
-        assert!(feed_total(&mut rx, 1, 0, &order_body(g_base, 2, &entries)).is_empty());
+        let (fx, notes) = feed_total(&mut rx, 1, 0, &order_body(g_base, 2, &entries));
+        assert!(fx.is_empty() && notes.is_empty(), "{fx:?} {notes:?}");
         let dump = rx.dump()[0].1.clone();
         assert!(dump.contains("frontier=1 delivered=0 buffered=0 ordered=2 assigned=2"), "{dump}");
         assert!(
@@ -173,13 +183,13 @@ fn total_buffers_out_of_order_data_once() {
     let mut rx = receiver("TOTAL");
     let buffered = |rx: &Stack| rx.dump()[0].1.split(' ').nth(5).unwrap().to_string();
     for (tseq, repeats) in [(5, 0), (3, 0), (5, 1), (3, 1), (4, 0), (0, 1)] {
-        let fx = feed_total(&mut rx, 0, tseq, &[tseq as u8]);
-        assert_eq!(traces(&fx, "duplicate data"), repeats, "tseq {tseq}: {fx:?}");
+        let (fx, notes) = feed_total(&mut rx, 0, tseq, &[tseq as u8]);
+        assert_eq!(traces(&notes, "duplicate data"), repeats, "tseq {tseq}: {notes:?}");
         assert_eq!(delivered(&fx), 0);
     }
     assert_eq!(buffered(&rx), "buffered=3");
     // Sender 1 is the `from` of every frame `feed_fragment` builds.
-    let fx = feed_total(&mut rx, 1, 0, &order_body(1, 3, &[(1, 3), (1, 4), (1, 5)]));
+    let (fx, _) = feed_total(&mut rx, 1, 0, &order_body(1, 3, &[(1, 3), (1, 4), (1, 5)]));
     let bodies: Vec<u8> = fx
         .iter()
         .filter_map(|e| match e {
@@ -189,8 +199,8 @@ fn total_buffers_out_of_order_data_once() {
         .collect();
     assert_eq!(bodies, [3, 4, 5]);
     for tseq in [4, 5, 1] {
-        let fx = feed_total(&mut rx, 0, tseq, &[tseq as u8]);
-        assert_eq!((traces(&fx, "duplicate data"), fx.len()), (1, 1), "tseq {tseq}: {fx:?}");
+        let (fx, notes) = feed_total(&mut rx, 0, tseq, &[tseq as u8]);
+        assert_eq!((traces(&notes, "duplicate data"), fx.len()), (1, 0), "tseq {tseq}: {fx:?}");
     }
     assert_eq!(buffered(&rx), "buffered=0");
 }
@@ -223,7 +233,7 @@ proptest! {
     ) {
         let mut frag = receiver("FRAG");
         for (chunk, last) in &chunks {
-            let fx = feed_fragment(&mut frag, &[*last as u64, 1], chunk);
+            let (fx, _) = feed_fragment(&mut frag, &[*last as u64, 1], chunk);
             prop_assert!(delivered(&fx) <= 1);
         }
         let _ = feed_fragment(&mut frag, &[1, 1], &[]);
@@ -245,7 +255,7 @@ proptest! {
         }
         for idx in 0..count {
             let chunk = chunks.get(idx as usize).map_or(&[][..], |(c, _)| &c[..]);
-            let fx = feed_fragment(&mut nfrag, &[1, 9, idx, count], chunk);
+            let (fx, _) = feed_fragment(&mut nfrag, &[1, 9, idx, count], chunk);
             prop_assert!(delivered(&fx) <= 1);
             prop_assert!(idx + 1 == count || fx.is_empty());
         }

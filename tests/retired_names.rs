@@ -45,6 +45,21 @@ const RETIRED: &[(&str, &[&str])] = &[
             "parking_lot",
         ],
     ),
+    (
+        "one trace record from hook to file to reader",
+        &[
+            "ParsedRecord",
+            "parsed_from_record",
+            "kind_fields",
+            "SCHEMAS",
+            "schema_keys",
+            "u64_field",
+            "Effect::Trace",
+            "trace_note",
+            "META_DROPPED",
+            "prometheus_stack_stats",
+        ],
+    ),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.

@@ -36,7 +36,6 @@ enum Policy {
 struct Observed {
     now: SimTime,
     upcalls: Vec<String>,
-    traces: String,
     pending: usize,
     net_stats: String,
     fingerprint: u64,
@@ -49,7 +48,6 @@ fn observe(scenario: &Scenario, w: &SimWorld) -> Observed {
         upcalls: (1..=scenario.members)
             .map(|m| format!("{:?}", w.upcalls(EndpointAddr::new(m))))
             .collect(),
-        traces: format!("{:?}", w.traces()),
         pending: w.pending_events(),
         net_stats: format!("{:?}", w.net_stats()),
         fingerprint: w.fingerprint(),

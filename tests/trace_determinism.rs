@@ -29,12 +29,12 @@ use horus_check::schedule::verdict_line;
 use horus_check::{
     replay_choices, replay_choices_traced, schedule_from_trace, trace_meta, CheckConfig, Scenario,
 };
-use horus_core::trace::TraceSink;
+use horus_core::trace::{TraceKind, TraceSink};
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
 use horus_trace::{
-    delivery_projection, kind_counts, latency_stats, parse_trace_v2, parsed_from_record,
-    serialize_trace_v2, LatencyStats, MetricsSink, ParsedRecord, ParsedTrace, TraceBuf,
+    delivery_projection, kind_counts, latency_stats, parse_trace_v2, serialize_trace_v2,
+    LatencyStats, MetricsSink, ParsedTrace, TraceBuf,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,8 +92,7 @@ fn projection(shards: usize, casts: usize) -> std::collections::BTreeMap<(u64, u
     });
     assert!(ok, "{shards}-shard flood incomplete");
     ex.stop();
-    let records: Vec<ParsedRecord> = buf.take().iter().map(parsed_from_record).collect();
-    delivery_projection(&records)
+    delivery_projection(&buf.take())
 }
 
 #[test]
@@ -143,8 +142,7 @@ fn latency_stats_agree_across_formats_and_runs() {
     let buf = Arc::new(TraceBuf::new());
     let _ = replay_choices_traced(scenario, &[], &cfg, buf.clone() as Arc<dyn TraceSink>);
     let collected = buf.take();
-    let in_memory: Vec<ParsedRecord> = collected.iter().map(parsed_from_record).collect();
-    let from_memory = latency_stats(&in_memory);
+    let from_memory = latency_stats(&collected);
     assert!(!from_memory.dwell.is_empty(), "a flush3 replay must cross layers");
     let file = parse_trace_v2(&serialize_trace_v2(&[], &collected)).unwrap();
     assert_eq!(latency_stats(&file.records), from_memory, "the file must agree on latency");
@@ -187,8 +185,8 @@ fn soak_wedge_plan_bridges_to_the_committed_fixture() {
     let cfg = CheckConfig::default();
     let trace = traced_replay(scenario, &[], &cfg);
     assert!(
-        trace.records.iter().any(|r| r.kind == "partition")
-            && trace.records.iter().any(|r| r.kind == "crash"),
+        trace.records.iter().any(|r| matches!(r.kind, TraceKind::Partition { .. }))
+            && trace.records.iter().any(|r| matches!(r.kind, TraceKind::Crash { .. })),
         "the fault plan's partition and crash must appear in the trace"
     );
     let schedule = schedule_from_trace(&trace).expect("trace bridges");
