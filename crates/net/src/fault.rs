@@ -380,15 +380,14 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::sched::RandomScheduler;
 
     fn ep(i: u64) -> EndpointAddr {
         EndpointAddr::new(i)
     }
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    fn rng() -> RandomScheduler {
+        RandomScheduler::new(7)
     }
 
     #[test]

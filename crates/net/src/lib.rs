@@ -22,4 +22,4 @@ pub mod threaded;
 pub use fault::{FaultDrop, FaultPlan, FaultRule};
 pub use sched::{ChanceKind, FixedScheduler, NetScheduler, RandomScheduler};
 pub use sim::{Delivery, NetConfig, NetStats, SimNetwork};
-pub use threaded::{FrameSink, LoopbackNet, LoopbackStatsSnapshot};
+pub use threaded::{FrameSink, LoopbackNet, LoopbackStats};

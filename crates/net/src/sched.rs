@@ -9,9 +9,6 @@
 //! [`FixedScheduler`], which collapses the physics to a deterministic
 //! no-fault network and moves drop/reorder decisions up to the explorer's
 //! own choice list.
-//!
-//! `StdRng` itself implements the trait, so call sites that historically
-//! passed `&mut StdRng` keep compiling (and keep their byte streams).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,20 +51,6 @@ pub trait NetScheduler {
     }
 }
 
-impl NetScheduler for StdRng {
-    fn chance(&mut self, _kind: ChanceKind, p: f64) -> bool {
-        self.gen_bool(p)
-    }
-
-    fn latency_nanos(&mut self, lo: u64, hi: u64) -> u64 {
-        self.gen_range(lo..=hi)
-    }
-
-    fn pick(&mut self, n: usize) -> usize {
-        self.gen_range(0..n)
-    }
-}
-
 /// The production scheduler: the world's seeded RNG, drawn in the exact
 /// order the network historically consumed it.
 #[derive(Debug, Clone)]
@@ -87,16 +70,16 @@ impl NetScheduler for RandomScheduler {
         Some(Box::new(self.clone()))
     }
 
-    fn chance(&mut self, kind: ChanceKind, p: f64) -> bool {
-        self.rng.chance(kind, p)
+    fn chance(&mut self, _kind: ChanceKind, p: f64) -> bool {
+        self.rng.gen_bool(p)
     }
 
     fn latency_nanos(&mut self, lo: u64, hi: u64) -> u64 {
-        self.rng.latency_nanos(lo, hi)
+        self.rng.gen_range(lo..=hi)
     }
 
     fn pick(&mut self, n: usize) -> usize {
-        self.rng.pick(n)
+        self.rng.gen_range(0..n)
     }
 }
 

@@ -489,15 +489,14 @@ fn garble(wire: &WireFrame, sched: &mut dyn NetScheduler) -> WireFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::sched::RandomScheduler;
 
     fn ep(i: u64) -> EndpointAddr {
         EndpointAddr::new(i)
     }
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> RandomScheduler {
+        RandomScheduler::new(42)
     }
 
     fn raw(b: &'static [u8]) -> WireFrame {

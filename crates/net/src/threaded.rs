@@ -85,45 +85,40 @@ struct Registry {
 
 /// Transport counters — the `horus-net::sim` [`crate::NetStats`] counterpart
 /// for the threaded loopback (there is no physics here, so the only drop
-/// class is a closed/deregistered receiver).
-///
-/// Counters are atomics: delivery counters are bumped outside the registry
-/// lock, on the lock-free section of the fan-out; `dropped_unregistered` is
-/// bumped during the snapshot (where the gap is observed).
-#[derive(Debug, Default)]
-pub struct LoopbackStats {
-    /// Frames handed to `cast`.
-    pub frames_cast: AtomicU64,
-    /// Frames handed to `send`.
-    pub frames_sent: AtomicU64,
-    /// Point deliveries queued (one cast to N members counts N).
-    pub deliveries: AtomicU64,
-    /// Deliveries dropped because the receiver's sink was closed
-    /// (deregistered between snapshot and delivery).
-    pub dropped_closed: AtomicU64,
-    /// Deliveries skipped because the destination was never registered (a
-    /// group member or explicit `send` target with no sink installed).
-    pub dropped_unregistered: AtomicU64,
-}
-
-/// A plain-integer copy of [`LoopbackStats`], for assertions and reports.
+/// class is a closed/deregistered receiver), as [`LoopbackNet::stats`]
+/// reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoopbackStatsSnapshot {
+pub struct LoopbackStats {
     /// Frames handed to `cast`.
     pub frames_cast: u64,
     /// Frames handed to `send`.
     pub frames_sent: u64,
     /// Point deliveries queued (one cast to N members counts N).
     pub deliveries: u64,
-    /// Deliveries dropped on a closed/deregistered receiver.
+    /// Deliveries dropped because the receiver's sink was closed
+    /// (deregistered between snapshot and delivery).
     pub dropped_closed: u64,
-    /// Deliveries skipped because the destination was never registered.
+    /// Deliveries skipped because the destination was never registered (a
+    /// group member or explicit `send` target with no sink installed).
     pub dropped_unregistered: u64,
 }
 
-impl LoopbackStats {
-    fn snapshot(&self) -> LoopbackStatsSnapshot {
-        LoopbackStatsSnapshot {
+/// [`LoopbackStats`] as the transport writes them.  Delivery counters are
+/// bumped outside the registry lock, on the lock-free section of the
+/// fan-out; `dropped_unregistered` is bumped during the snapshot (where the
+/// gap is observed).
+#[derive(Debug, Default)]
+struct LoopbackCounters {
+    frames_cast: AtomicU64,
+    frames_sent: AtomicU64,
+    deliveries: AtomicU64,
+    dropped_closed: AtomicU64,
+    dropped_unregistered: AtomicU64,
+}
+
+impl LoopbackCounters {
+    fn read(&self) -> LoopbackStats {
+        LoopbackStats {
             frames_cast: self.frames_cast.load(Ordering::Relaxed),
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             deliveries: self.deliveries.load(Ordering::Relaxed),
@@ -171,7 +166,7 @@ struct LoopbackTracer {
 #[derive(Clone, Default)]
 pub struct LoopbackNet {
     inner: Arc<Mutex<Registry>>,
-    stats: Arc<LoopbackStats>,
+    stats: Arc<LoopbackCounters>,
     /// Observes only the transport's drop classes (unroutable/closed) — the
     /// success path is traced at the stacks, keeping this entirely off the
     /// delivery hot path.
@@ -180,7 +175,7 @@ pub struct LoopbackNet {
 
 impl std::fmt::Debug for LoopbackNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoopbackNet").field("stats", &self.stats.snapshot()).finish()
+        f.debug_struct("LoopbackNet").field("stats", &self.stats.read()).finish()
     }
 }
 
@@ -191,8 +186,8 @@ impl LoopbackNet {
     }
 
     /// Transport counters (frames cast/sent, deliveries, drops).
-    pub fn stats(&self) -> LoopbackStatsSnapshot {
-        self.stats.snapshot()
+    pub fn stats(&self) -> LoopbackStats {
+        self.stats.read()
     }
 
     /// Installs a trace sink observing this transport's drop classes.

@@ -7,9 +7,9 @@
 //! * [`world::SimWorld`] — the event calendar: endpoints with stacks,
 //!   the simulated network of `horus-net`, virtual time, scripted crashes,
 //!   suspicions, targeted faults, partitions, and merges.  One seed ⇒ one
-//!   execution, always.
-//! * [`detector::FailureDetector`] — the scripted (possibly inaccurate)
-//!   failure detector of §5, a deterministic suspicion schedule.
+//!   execution, always.  [`world::SimWorld::suspect_at`] is the scripted
+//!   (possibly inaccurate) failure detector of §5: a suspicion delivered
+//!   at an exact virtual instant.
 //! * [`invariants`] — checkers for the virtual-synchrony guarantees of §5
 //!   (view agreement, same-view delivery agreement, FIFO and total order),
 //!   applied to the upcall logs a `SimWorld` records, and
@@ -32,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod detector;
 pub mod invariants;
 pub mod sched;
 pub mod shard;
@@ -40,7 +39,6 @@ pub mod soak;
 pub mod workload;
 pub mod world;
 
-pub use detector::{FailureDetector, Suspicion};
 pub use invariants::{
     check_fifo, check_total_order, check_virtual_synchrony, DeliveryLog, SafetyMonitor,
 };

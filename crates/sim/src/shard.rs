@@ -34,17 +34,16 @@
 //!   worker that has just finished a burst polls its queue, yielding its
 //!   processor between polls, for a window that grows while parks keep
 //!   being ended by input it just missed (the guest halt-polling rule).
-//!   When to poll, spin or park is decided by `WaitCore` on the instants
-//!   it is handed, apart from the thread; the two rules of the loop —
-//!   what is dispatched first, and when the thread sleeps — are stated
-//!   once, on `Worker::run`, and [`ShardExecutor::wake_stats`] counts what
-//!   the second one did.
+//!   Every decision — what is dispatched first, which timer fires, when to
+//!   spin or park — is `Core::step`'s, on the [`SimTime`] it is handed; the
+//!   thread around it is the only reader of the clock, and
+//!   [`ShardExecutor::wake_stats`] counts the waits it performed.
 //!
 //! This is the one real-time executor: a [`ShardConfig::default`] executor
 //! holding one stack is the paper's "one scheduling thread per stack", and
 //! is what `horus::socket::GroupSocket` runs on.  Timekeeping maps the
-//! monotonic OS clock onto [`SimTime`], so protocol timers behave as they do
-//! in the simulated world.
+//! monotonic OS clock onto [`SimTime`] from one epoch per executor, so
+//! protocol timers behave as they do in the simulated world.
 
 use bytes::Bytes;
 use horus_core::lock;
@@ -52,7 +51,7 @@ use horus_core::prelude::*;
 use horus_core::stack::StackStats;
 use horus_net::threaded::{Frame, FrameSink};
 use horus_net::LoopbackNet;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -102,7 +101,7 @@ struct EpLog {
 }
 
 /// How one shard's worker waited for input (see the park/spin rule on
-/// `Worker::run`): monotone counts since the executor was created.
+/// `Core::step`): monotone counts since the executor was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeStats {
     /// Sleeps on the inbox entered: each is a thread the next sender has
@@ -199,10 +198,11 @@ impl Inbox {
     }
 
     /// [`Inbox::take`], sleeping until input is queued or `until` passes.
-    fn take_or_wait(&self, burst: &mut Vec<ShardIn>, until: Instant) -> bool {
+    fn take_or_wait(&self, burst: &mut Vec<ShardIn>, until: SimTime, clock: Epoch) -> bool {
         let mut state = lock(&self.state);
         while state.items.is_empty() {
-            let Some(wait) = until.checked_duration_since(Instant::now()) else { return false };
+            let now = clock.now();
+            let Some(wait) = (now < until).then(|| until - now) else { return false };
             state.asleep = true;
             state = self.ready.wait_timeout(state, wait).unwrap_or_else(PoisonError::into_inner).0;
             state.asleep = false;
@@ -216,30 +216,14 @@ impl Inbox {
     }
 }
 
-struct TimerEntry {
-    due: Instant,
-    /// Arming order: timers due at the same instant fire in it, as
-    /// `SimWorld`'s calendar orders `(time, seq)`.
-    seq: u64,
-    ep: EndpointAddr,
-    layer: usize,
-    token: u64,
-}
+/// The executor's one clock: the monotonic time since it was created, as
+/// the [`SimTime`] its stacks, timers and traces run on.
+#[derive(Debug, Clone, Copy)]
+struct Epoch(Instant);
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq)) // min-heap
+impl Epoch {
+    fn now(self) -> SimTime {
+        SimTime::from_nanos(self.0.elapsed().as_nanos() as u64)
     }
 }
 
@@ -252,21 +236,29 @@ struct Owned {
     tracer: Option<Arc<dyn TraceSink>>,
 }
 
-/// One shard: a single-threaded run-to-completion loop over the stacks it
-/// owns.  All state here is thread-local to the worker.
+/// One shard's thread: the clock, the inbox, and the core it steps.
 struct Worker {
     inbox: Arc<Inbox>,
-    epoch: Instant,
+    clock: Epoch,
+    core: Core,
+    wake: Arc<WakeCounters>,
+}
+
+/// One shard's dispatch state, apart from its thread: the stacks it owns
+/// and everything [`Core::step`] decides on.  It reads no clock.
+struct Core {
     stacks: BTreeMap<EndpointAddr, Owned>,
     /// Reusable effect buffer: zero allocations per event once warm.
     sink: EffectSink,
     out: Outbox,
-    /// The burst being processed: the inbox's buffer, swapped out whole,
-    /// and swapped back in empty by the next take.
-    burst: Vec<ShardIn>,
     /// When to poll, spin or park.
     wait: WaitCore,
-    wake: Arc<WakeCounters>,
+    /// Whether the last step handed out a wait, judged by the next step.
+    waiting: bool,
+    /// Whether the last burst has yet to earn its spin.
+    after_burst: bool,
+    /// Bursts dispatched since the queue was last seen empty.
+    bursts: u32,
 }
 
 /// However the worker's thread ends, its inbox refuses what comes after.
@@ -276,14 +268,16 @@ impl Drop for Worker {
     }
 }
 
-/// Where a stack's effects go: the transport, the timer heap, the upcall
+/// Where a stack's effects go: the transport, the timer queue, the upcall
 /// log.  Apart from the stacks, so that effects are performed while the
 /// stack that asked for them is still borrowed from the map.
 struct Outbox {
     net: LoopbackNet,
     record_upcalls: bool,
-    timers: BinaryHeap<TimerEntry>,
-    /// Timers armed so far: the next one's [`TimerEntry::seq`].
+    /// Armed timers by `(due, arming order)`, as `SimWorld`'s calendar
+    /// orders `(time, seq)`.
+    timers: BTreeMap<(SimTime, u64), (EndpointAddr, usize, u64)>,
+    /// Timers armed so far: the next one's arming order.
     timer_seq: u64,
     /// Casts pending transmission for `pending_from`, flushed in one
     /// registry snapshot.
@@ -319,22 +313,24 @@ const SPIN_POLL_EVERY: Duration = Duration::from_micros(1);
 /// must not starve retransmission and failure-detection timers.
 const TIMER_PASS_EVERY: u32 = 16;
 
-/// What a worker whose queue is empty does next.
+/// What the worker's thread does before its next step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Next {
-    /// Go back to the top of the loop: a timer is due.
+    /// Take whatever is queued, without waiting.
     Poll,
     /// Poll the queue every [`SPIN_POLL_EVERY`] until input turns up or
-    /// the instant passes, yielding the processor in between.
-    SpinUntil(Instant),
-    /// Block until input turns up or the instant passes.
-    ParkUntil(Instant),
+    /// the time passes, yielding the processor in between.
+    SpinUntil(SimTime),
+    /// Block until input turns up or the time passes.
+    ParkUntil(SimTime),
+    /// Exit: the burst held `Stop`.
+    Stop,
 }
 
 /// The worker's wait policy, kept apart from its thread so that each rule
-/// is a function of the instants it is handed: the thread asks
-/// [`WaitCore::next`] what to do, does it, and reports how the spin or
-/// park ended through [`WaitCore::ended`].
+/// is a function of the times it is handed: the core asks
+/// [`WaitCore::next`] what its thread is to do, and reports how the spin or
+/// park ended, as the next step finds it, through [`WaitCore::ended`].
 ///
 /// The spin window adapts as Linux's guest halt-polling governor does
 /// (`Documentation/virt/guest-halt-polling.rst`): it starts at
@@ -354,7 +350,7 @@ struct WaitCore {
     window: Duration,
     /// When the last spin started, until the park after it (or the input
     /// it caught) has been judged.
-    spun_at: Option<Instant>,
+    spun_at: Option<SimTime>,
     /// Whether the wait handed out last is a park.
     parking: bool,
 }
@@ -368,7 +364,7 @@ impl WaitCore {
     /// timer due at `due` comes first, a spin is earned only by a
     /// `burst` just processed, and neither a spin nor a park runs past
     /// `due`.
-    fn next(&mut self, now: Instant, burst: bool, due: Option<Instant>) -> Next {
+    fn next(&mut self, now: SimTime, burst: bool, due: Option<SimTime>) -> Next {
         let until = |wait: Duration| due.map_or(now + wait, |due| due.min(now + wait));
         self.parking = false;
         if due.is_some_and(|due| due <= now) {
@@ -385,7 +381,7 @@ impl WaitCore {
     /// How the wait [`WaitCore::next`] handed out ended: with input seen at
     /// `input`, or with its time up (`None`).  A spin that finds nothing is
     /// judged by the park after it; a park after no spin is not judged.
-    fn ended(&mut self, input: Option<Instant>) {
+    fn ended(&mut self, input: Option<SimTime>) {
         if !std::mem::take(&mut self.parking) {
             if input.is_some() {
                 self.spun_at = None;
@@ -394,98 +390,51 @@ impl WaitCore {
         }
         let Some(start) = self.spun_at.take() else { return };
         self.window = match input {
-            Some(at) if at.saturating_duration_since(start) <= SPIN_MAX => {
-                (self.window * 2).min(SPIN_MAX)
-            }
+            Some(at) if at.saturating_since(start) <= SPIN_MAX => (self.window * 2).min(SPIN_MAX),
             _ => (self.window / 2).max(SPIN_MIN),
         };
     }
 }
 
 impl Worker {
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    /// The worker's loop, and the two rules every executor built from it
-    /// inherits.
-    ///
-    /// **Inputs before timers.**  Whatever is already queued is dispatched
-    /// first, and a due timer fires only once the queue has been seen empty
-    /// (or [`TIMER_PASS_EVERY`] bursts have gone by) — one timer, then the
-    /// queue again, since the frames that timer sent are inputs too.  Frames
-    /// that piled up while this thread was stalled or descheduled are older
-    /// than the `now` a timer is handed, and a layer that compares the two —
-    /// NAK's failure detector — must see them first, or it suspects peers
-    /// whose traffic is sitting in the queue.
-    ///
-    /// **Spin, then park.**  With the queue empty and no timer due, the
-    /// worker does what [`WaitCore::next`] says: a worker that has just
-    /// processed a burst polls the queue every [`SPIN_POLL_EVERY`] for the
-    /// core's current window, never past the next timer's `due`, and
-    /// yields its processor between polls, so the thread that will fill
-    /// the queue — or the one that just did — can run; a poll that finds
-    /// input takes the whole burst.  Otherwise it blocks, for at most
-    /// [`IDLE_WAIT`] or until that timer.  A worker woken by a timeout, or
-    /// by a timer that sent nothing, has processed no burst and parks again
-    /// at once, so an idle executor burns nothing; one whose machine has a
-    /// single hardware thread never spins.  Either way the loop comes back
-    /// to its top, so the first rule holds across a spin as it does across
-    /// a park.
+    /// The thread: performs the take or wait its core asked for, reads the
+    /// clock once, and steps the core at that time with what it took, until
+    /// told to stop.
     fn run(mut self) {
-        let mut bursts = 0;
-        let mut after_burst = false;
+        let mut burst = Vec::new();
+        let mut next = Next::Poll;
         loop {
-            if !self.inbox.take(&mut self.burst) {
-                bursts = 0;
-                if self.fire_next_due_timer() {
-                    continue;
+            match next {
+                Next::Poll => {
+                    self.inbox.take(&mut burst);
                 }
-                let due = self.out.timers.peek().map(|t| t.due);
-                match self.wait.next(Instant::now(), std::mem::take(&mut after_burst), due) {
-                    Next::Poll => continue,
-                    Next::SpinUntil(until) => {
-                        self.wake.spins.fetch_add(1, Ordering::Relaxed);
-                        let took = self.spin_until(until);
-                        self.wait.ended(took.then(Instant::now));
-                        if !took {
-                            continue;
-                        }
+                Next::SpinUntil(until) => {
+                    self.wake.spins.fetch_add(1, Ordering::Relaxed);
+                    if self.spin_until(until, &mut burst) {
                         self.wake.spin_takes.fetch_add(1, Ordering::Relaxed);
                     }
-                    Next::ParkUntil(until) => {
-                        self.wake.parks.fetch_add(1, Ordering::Relaxed);
-                        let took = self.inbox.take_or_wait(&mut self.burst, until);
-                        self.wait.ended(took.then(Instant::now));
-                        if !took {
-                            continue;
-                        }
-                    }
                 }
+                Next::ParkUntil(until) => {
+                    self.wake.parks.fetch_add(1, Ordering::Relaxed);
+                    self.inbox.take_or_wait(&mut burst, until, self.clock);
+                }
+                Next::Stop => return,
             }
-            if self.process_burst() {
-                return;
-            }
-            after_burst = true;
-            bursts += 1;
-            if bursts >= TIMER_PASS_EVERY {
-                bursts = 0;
-                while self.fire_next_due_timer() {}
-            }
+            next = self.core.step(self.clock.now(), &mut burst);
         }
     }
 
-    /// The spin: polls the queue into `self.burst` until input turns up
+    /// The spin: polls the queue into `burst` until input turns up
     /// (`true`) or `until` passes, yielding the processor between polls.
-    fn spin_until(&mut self, until: Instant) -> bool {
-        let mut now = Instant::now();
+    fn spin_until(&self, until: SimTime, burst: &mut Vec<ShardIn>) -> bool {
+        let mut now = self.clock.now();
         loop {
             let next_poll = now + SPIN_POLL_EVERY;
             while now < next_poll {
                 std::thread::yield_now();
-                now = Instant::now();
+                now = self.clock.now();
             }
-            if self.inbox.take(&mut self.burst) {
+            if self.inbox.take(burst) {
                 return true;
             }
             if now >= until {
@@ -493,18 +442,90 @@ impl Worker {
             }
         }
     }
+}
 
-    /// Processes the taken burst, in order; returns `true` on `Stop`.
+impl Core {
+    fn new(net: LoopbackNet, record_upcalls: bool, spin: bool) -> Self {
+        Core {
+            stacks: BTreeMap::new(),
+            sink: EffectSink::with_capacity(64),
+            out: Outbox {
+                net,
+                record_upcalls,
+                timers: BTreeMap::new(),
+                timer_seq: 0,
+                pending_casts: Vec::new(),
+                pending_from: None,
+                upcalls: Vec::new(),
+            },
+            wait: WaitCore::new(spin),
+            waiting: false,
+            after_burst: false,
+            bursts: 0,
+        }
+    }
+
+    /// One step at `now`, handed the burst the thread took (empty if it
+    /// took nothing), which it leaves empty: every dispatch decision the
+    /// worker makes, and the two rules every executor built from it
+    /// inherits.
+    ///
+    /// **Inputs before timers.**  A burst is dispatched first, and a due
+    /// timer fires only in a step handed an empty burst (or once
+    /// [`TIMER_PASS_EVERY`] bursts have gone by without one) — one timer,
+    /// then [`Next::Poll`], since the frames that timer sent are inputs too.
+    /// Frames that piled up while the thread was stalled or descheduled are
+    /// older than the `now` a timer is handed, and a layer that compares the
+    /// two — NAK's failure detector — must see them first, or it suspects
+    /// peers whose traffic is sitting in the queue.
+    ///
+    /// **Spin, then park.**  With nothing to dispatch and no timer due, the
+    /// thread is told what [`WaitCore::next`] says: after a burst, to poll
+    /// the queue every [`SPIN_POLL_EVERY`] for the core's current window,
+    /// never past the next timer's `due`, yielding its processor between
+    /// polls, so the thread that will fill the queue — or the one that just
+    /// did — can run; otherwise to block, for at most [`IDLE_WAIT`] or until
+    /// that timer.  A step after a timeout, or after a timer that sent
+    /// nothing, follows no burst and parks again, so an idle executor burns
+    /// nothing; one whose machine has a single hardware thread never spins.
+    /// Either way the next step is handed what the wait took, so the first
+    /// rule holds across a spin as it does across a park.
+    fn step(&mut self, now: SimTime, burst: &mut Vec<ShardIn>) -> Next {
+        if std::mem::take(&mut self.waiting) {
+            self.wait.ended((!burst.is_empty()).then_some(now));
+        }
+        if !burst.is_empty() {
+            if self.dispatch(now, burst) {
+                return Next::Stop;
+            }
+            self.after_burst = true;
+            self.bursts += 1;
+            if self.bursts >= TIMER_PASS_EVERY {
+                self.bursts = 0;
+                while self.fire_due(now) {}
+            }
+            return Next::Poll;
+        }
+        self.bursts = 0;
+        if self.fire_due(now) {
+            return Next::Poll;
+        }
+        let due = self.out.timers.keys().next().map(|&(due, _)| due);
+        let next = self.wait.next(now, std::mem::take(&mut self.after_burst), due);
+        self.waiting = next != Next::Poll;
+        next
+    }
+
+    /// Dispatches `burst` at `now`, in order, draining it; returns `true`
+    /// on `Stop`, dropping what follows it.
     ///
     /// Each run of consecutive inputs for one endpoint is fed to
     /// [`Stack::handle_batch`] straight from the burst: one `set_now`, one
     /// reusable sink, one effect walk per run instead of per event.
-    fn process_burst(&mut self) -> bool {
-        let now = self.now();
-        let mut burst = std::mem::take(&mut self.burst);
+    fn dispatch(&mut self, now: SimTime, burst: &mut Vec<ShardIn>) -> bool {
         let mut inputs = burst.drain(..).peekable();
-        let mut stop = false;
-        while let Some(next) = inputs.next() {
+        let stop = loop {
+            let Some(next) = inputs.next() else { break false };
             match next {
                 ShardIn::Input { ep, input } => {
                     let rest = std::iter::from_fn(|| {
@@ -520,30 +541,25 @@ impl Worker {
                         stack.handle_batch(run.inspect(arrived), sink);
                     });
                 }
-                ShardIn::AddStack { stack, log } => self.adopt(*stack, log),
+                ShardIn::AddStack { stack, log } => self.adopt(*stack, log, now),
                 ShardIn::Stats { reply } => {
                     self.out.flush_casts();
                     let stats: Vec<(EndpointAddr, StackStats)> =
                         self.stacks.iter().map(|(&ep, o)| (ep, o.stack.stats().clone())).collect();
                     let _ = reply.send(stats);
                 }
-                ShardIn::Stop => {
-                    stop = true;
-                    break;
-                }
+                ShardIn::Stop => break true,
             }
-        }
-        drop(inputs);
-        self.burst = burst;
+        };
         self.out.flush_casts();
         stop
     }
 
-    fn adopt(&mut self, stack: Stack, log: Arc<EpLog>) {
+    fn adopt(&mut self, stack: Stack, log: Arc<EpLog>, now: SimTime) {
         let ep = stack.local_addr();
         let tracer = stack.tracer().cloned();
         self.stacks.insert(ep, Owned { stack, log, tracer });
-        self.feed(ep, self.now(), |stack, _, sink| sink.extend(stack.init()));
+        self.feed(ep, now, |stack, _, sink| sink.extend(stack.init()));
     }
 
     /// Run-to-completion dispatch into `ep`'s stack: one look-up of the
@@ -558,16 +574,15 @@ impl Worker {
         let Some(owned) = self.stacks.get_mut(&ep) else { return };
         owned.stack.set_now(now);
         inputs(&mut owned.stack, owned.tracer.as_deref(), &mut self.sink);
-        self.out.apply_effects(ep, &owned.log, &mut self.sink);
+        self.out.apply_effects(ep, now, &owned.log, &mut self.sink);
     }
 
-    /// Fires the earliest timer if it is due; returns whether one fired.
-    fn fire_next_due_timer(&mut self) -> bool {
-        if self.out.timers.peek().is_none_or(|t| t.due > Instant::now()) {
+    /// Fires the earliest timer if it is due at `now`; whether one fired.
+    fn fire_due(&mut self, now: SimTime) -> bool {
+        let Some(due) = self.out.timers.first_entry().filter(|t| t.key().0 <= now) else {
             return false;
-        }
-        let TimerEntry { ep, layer, token, .. } = self.out.timers.pop().expect("peeked");
-        let now = self.now();
+        };
+        let (ep, layer, token) = due.remove();
         self.feed(ep, now, |stack, tracer, sink| {
             let input = StackInput::Timer { layer, token, now };
             trace_arrival(tracer, ep, now, &input);
@@ -600,20 +615,24 @@ fn trace_arrival(
 }
 
 impl Outbox {
-    /// Drains the sink, performing `ep`'s effects.  Casts are accumulated
-    /// and flushed in one [`LoopbackNet::cast_batch`] snapshot; any effect
-    /// whose transport ordering could interleave with them flushes first.
-    /// The walk's upcalls are moved into `log` under one lock at its end —
-    /// a swap when the reader has emptied it — and only then are its casts
-    /// published.
-    fn apply_effects(&mut self, ep: EndpointAddr, log: &EpLog, sink: &mut EffectSink) {
+    /// Drains the sink, performing the effects `ep` asked for at `now`: a
+    /// walk's timers are due together, and fire in arming order.  Casts are
+    /// accumulated and flushed in one [`LoopbackNet::cast_batch`] snapshot;
+    /// any effect whose transport ordering could interleave with them
+    /// flushes first.  The walk's upcalls are moved into `log` under one
+    /// lock at its end — a swap when the reader has emptied it — and only
+    /// then are its casts published.
+    fn apply_effects(
+        &mut self,
+        ep: EndpointAddr,
+        now: SimTime,
+        log: &EpLog,
+        sink: &mut EffectSink,
+    ) {
         if self.pending_from != Some(ep) {
             self.flush_casts();
             self.pending_from = Some(ep);
         }
-        // One clock read per walk: timers armed together are due together,
-        // and fire in arming order.
-        let mut now = None;
         let mut casts = 0;
         for fx in sink.drain() {
             match fx {
@@ -637,8 +656,7 @@ impl Outbox {
                     self.net.leave(ep);
                 }
                 Effect::SetTimer { layer, token, delay } => {
-                    let due = *now.get_or_insert_with(Instant::now) + delay;
-                    self.timers.push(TimerEntry { due, seq: self.timer_seq, ep, layer, token });
+                    self.timers.insert((now + delay, self.timer_seq), (ep, layer, token));
                     self.timer_seq += 1;
                 }
             }
@@ -733,6 +751,7 @@ impl FrameSink for ShardSink {
 /// # Ok::<(), HorusError>(())
 /// ```
 pub struct ShardExecutor {
+    clock: Epoch,
     inboxes: Vec<Arc<Inbox>>,
     workers: Vec<JoinHandle<()>>,
     net: LoopbackNet,
@@ -757,6 +776,7 @@ impl ShardExecutor {
     /// waits for off the processor, so the workers park at once.
     fn with_parallelism(net: LoopbackNet, config: ShardConfig, parallelism: usize) -> Self {
         let n = config.shards.max(1);
+        let clock = Epoch(Instant::now());
         let mut inboxes = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         let mut wake = Vec::with_capacity(n);
@@ -765,20 +785,8 @@ impl ShardExecutor {
             let counters = Arc::new(WakeCounters::default());
             let worker = Worker {
                 inbox: Arc::clone(&inbox),
-                epoch: Instant::now(),
-                stacks: BTreeMap::new(),
-                sink: EffectSink::with_capacity(64),
-                out: Outbox {
-                    net: net.clone(),
-                    record_upcalls: config.record_upcalls,
-                    timers: BinaryHeap::new(),
-                    timer_seq: 0,
-                    pending_casts: Vec::new(),
-                    pending_from: None,
-                    upcalls: Vec::new(),
-                },
-                burst: Vec::new(),
-                wait: WaitCore::new(parallelism > 1),
+                clock,
+                core: Core::new(net.clone(), config.record_upcalls, parallelism > 1),
                 wake: Arc::clone(&counters),
             };
             inboxes.push(inbox);
@@ -790,7 +798,7 @@ impl ShardExecutor {
                     .expect("spawn shard worker"),
             );
         }
-        ShardExecutor { inboxes, workers, net, eps: BTreeMap::new(), wake, stopped: false }
+        ShardExecutor { clock, inboxes, workers, net, eps: BTreeMap::new(), wake, stopped: false }
     }
 
     /// Number of shards.
@@ -861,8 +869,8 @@ impl ShardExecutor {
     /// Busy-waits (politely) until `pred` holds or `timeout` elapses;
     /// returns whether the predicate held.
     pub fn wait_until(&self, timeout: Duration, mut pred: impl FnMut(&Self) -> bool) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
+        let deadline = self.clock.now() + timeout;
+        while self.clock.now() < deadline {
             if pred(self) {
                 return true;
             }
@@ -887,15 +895,6 @@ impl ShardExecutor {
         out
     }
 
-    /// Per-shard aggregated counters (index = shard).
-    pub fn shard_stats(&self) -> Vec<StackStats> {
-        let mut per_shard = vec![StackStats::default(); self.inboxes.len()];
-        for (ep, stats) in self.stats_by_endpoint() {
-            per_shard[self.shard_of(ep)].merge(&stats);
-        }
-        per_shard
-    }
-
     /// How each shard's worker has waited for input so far (index = shard).
     /// Read from shared counters, not through the queue, so asking does not
     /// itself wake a parked worker.
@@ -906,8 +905,8 @@ impl ShardExecutor {
     /// All shards' counters merged into one.
     pub fn aggregate_stats(&self) -> StackStats {
         let mut total = StackStats::default();
-        for s in self.shard_stats() {
-            total.merge(&s);
+        for stats in self.stats_by_endpoint().values() {
+            total.merge(stats);
         }
         total
     }
@@ -967,7 +966,7 @@ mod tests {
             ex.add_stack(nop_stack(i));
             ex.down(ep(i), Down::Join { group: g });
         }
-        std::thread::sleep(Duration::from_millis(20));
+        assert!(ex.wait_until(Duration::from_secs(5), |ex| ex.net().members(g).len() == 4));
         for k in 0..50u8 {
             ex.cast_bytes(ep(1), vec![k]);
         }
@@ -1004,37 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_under_real_time() {
-        #[derive(Debug, Default, Clone)]
-        struct Tick {
-            count: u64,
-        }
-        impl Layer for Tick {
-            fn name(&self) -> &'static str {
-                "TICK"
-            }
-            fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
-                ctx.set_timer(Duration::from_millis(5), 0);
-            }
-            fn on_timer(&mut self, _t: u64, ctx: &mut LayerCtx<'_>) {
-                self.count += 1;
-                if self.count < 3 {
-                    ctx.set_timer(Duration::from_millis(5), 0);
-                } else {
-                    ctx.up(Up::Exit);
-                }
-            }
-        }
-        let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::default());
-        let s = StackBuilder::new(ep(9)).push(Box::new(Tick::default())).build().unwrap();
-        ex.add_stack(s);
-        assert!(ex.wait_until(Duration::from_secs(5), |ex| {
-            ex.take_upcalls(ep(9)).iter().any(|u| matches!(u, Up::Exit))
-        }));
-        ex.stop();
-    }
-
-    #[test]
     fn stats_aggregate_per_shard_and_overall() {
         let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::with_shards(2));
         let g = GroupAddr::new(1);
@@ -1042,7 +1010,7 @@ mod tests {
             ex.add_stack(nop_stack(i));
             ex.down(ep(i), Down::Join { group: g });
         }
-        std::thread::sleep(Duration::from_millis(20));
+        assert!(ex.wait_until(Duration::from_secs(5), |ex| ex.net().members(g).len() == 2));
         for _ in 0..10 {
             ex.cast_bytes(ep(1), &b"x"[..]);
         }
@@ -1054,9 +1022,11 @@ mod tests {
         assert_eq!(total.msgs_sent, 10);
         assert_eq!(total.msgs_received, 20, "loopback + remote delivery");
         // ep(1) is on shard 1, ep(2) on shard 0: per-shard split holds.
-        let per_shard = ex.shard_stats();
-        assert_eq!(per_shard[1].msgs_sent, 10);
-        assert_eq!(per_shard[0].msgs_sent, 0);
+        let mut sent_by_shard = [0; 2];
+        for (ep, stats) in &by_ep {
+            sent_by_shard[ex.shard_of(*ep)] += stats.msgs_sent;
+        }
+        assert_eq!(sent_by_shard, [0, 10]);
         assert!(total.batches > 0, "batched dispatch must be exercised");
         ex.stop();
     }
@@ -1068,41 +1038,10 @@ mod tests {
         let g = GroupAddr::new(1);
         ex.add_stack(nop_stack(1));
         ex.down(ep(1), Down::Join { group: g });
-        std::thread::sleep(Duration::from_millis(10));
+        assert!(ex.wait_until(Duration::from_secs(5), |ex| ex.net().members(g).len() == 1));
         ex.cast_bytes(ep(1), &b"x"[..]);
         assert!(ex.wait_until(Duration::from_secs(5), |ex| ex.cast_count(ep(1)) >= 1));
         assert!(ex.take_upcalls(ep(1)).is_empty(), "recording disabled");
-        ex.stop();
-    }
-
-    #[test]
-    fn timers_armed_together_fire_in_arming_order() {
-        #[derive(Debug, Default, Clone)]
-        struct Ties;
-        impl Layer for Ties {
-            fn name(&self) -> &'static str {
-                "TIES"
-            }
-            fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
-                for token in 0..16 {
-                    ctx.set_timer(Duration::from_millis(1), token);
-                }
-            }
-            fn on_timer(&mut self, token: u64, ctx: &mut LayerCtx<'_>) {
-                ctx.up(Up::DumpInfo { layer: "TIES", info: token.to_string() });
-            }
-        }
-        let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::default());
-        ex.add_stack(StackBuilder::new(ep(1)).push(Box::new(Ties)).build().unwrap());
-        let mut fired = Vec::new();
-        assert!(ex.wait_until(Duration::from_secs(5), |ex| {
-            fired.extend(ex.take_upcalls(ep(1)).into_iter().filter_map(|up| match up {
-                Up::DumpInfo { info, .. } => Some(info),
-                _ => None,
-            }));
-            fired.len() == 16
-        }));
-        assert_eq!(fired, (0..16).map(|t| t.to_string()).collect::<Vec<_>>());
         ex.stop();
     }
 
@@ -1143,25 +1082,6 @@ mod tests {
             taken += casts(ex.take_upcalls(ep(1)));
             assert!(taken >= count, "cast_count read {count} with {taken} casts in the log");
         });
-        ex.stop();
-    }
-
-    /// What counts alone show: no burst, no spin; one burst (NOP sets no
-    /// timer) earns one spin, which finds nothing, and parks follow it.
-    #[test]
-    fn an_idle_worker_parks_and_does_not_spin() {
-        let wake = |ex: &ShardExecutor| ex.wake_stats()[0];
-        let cfg = ShardConfig::default();
-        let mut ex = ShardExecutor::with_parallelism(LoopbackNet::new(), cfg, 2);
-        assert!(ex.wait_until(Duration::from_secs(5), |ex| wake(ex).parks >= 1));
-        let idle = wake(&ex);
-        assert_eq!((idle.spins, idle.spin_takes), (0, 0), "no burst, so no spin");
-        ex.add_stack(nop_stack(1));
-        assert!(ex.wait_until(Duration::from_secs(5), |ex| wake(ex).spins >= 1));
-        let parks = wake(&ex).parks;
-        assert!(ex.wait_until(Duration::from_secs(5), |ex| wake(ex).parks > parks));
-        let after = wake(&ex);
-        assert_eq!((after.spins, after.spin_takes), (1, 0));
         ex.stop();
     }
 
@@ -1227,7 +1147,7 @@ mod tests {
         assert!(!inbox.take(&mut burst), "one take leaves nothing queued");
     }
 
-    // The wait policy, on synthetic instants: no thread, no sleep.
+    // The wait policy, on virtual time: no thread, no sleep.
 
     fn us(n: u64) -> Duration {
         Duration::from_micros(n)
@@ -1235,7 +1155,7 @@ mod tests {
 
     /// After a burst at `at`: a spin that finds nothing, then a park that
     /// input ends at `input` (`None`: it times out).
-    fn spin_then_park(core: &mut WaitCore, at: Instant, input: Option<Instant>) {
+    fn spin_then_park(core: &mut WaitCore, at: SimTime, input: Option<SimTime>) {
         let Next::SpinUntil(until) = core.next(at, true, None) else {
             panic!("a burst earns a spin");
         };
@@ -1246,7 +1166,7 @@ mod tests {
 
     #[test]
     fn a_park_ended_by_an_early_input_grows_the_window() {
-        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        let (mut core, t) = (WaitCore::new(true), SimTime::ZERO);
         assert_eq!(core.next(t, true, None), Next::SpinUntil(t + SPIN_MIN));
         core.ended(None);
         core.next(t + SPIN_MIN, false, None);
@@ -1257,7 +1177,7 @@ mod tests {
 
     #[test]
     fn a_timeout_or_a_late_input_shrinks_the_window() {
-        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        let (mut core, t) = (WaitCore::new(true), SimTime::ZERO);
         spin_then_park(&mut core, t, Some(t + us(83)));
         spin_then_park(&mut core, t, Some(t + us(83)));
         assert_eq!(core.window, us(200));
@@ -1269,7 +1189,7 @@ mod tests {
 
     #[test]
     fn the_window_stays_within_its_bounds() {
-        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        let (mut core, t) = (WaitCore::new(true), SimTime::ZERO);
         for _ in 0..5 {
             spin_then_park(&mut core, t, Some(t + us(10)));
         }
@@ -1282,7 +1202,7 @@ mod tests {
 
     #[test]
     fn a_spin_that_catches_its_input_leaves_the_window_alone() {
-        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        let (mut core, t) = (WaitCore::new(true), SimTime::ZERO);
         spin_then_park(&mut core, t, Some(t + us(83)));
         core.next(t, true, None);
         core.ended(Some(t + us(83)));
@@ -1295,7 +1215,7 @@ mod tests {
 
     #[test]
     fn no_spin_or_park_runs_past_a_timer() {
-        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        let (mut core, t) = (WaitCore::new(true), SimTime::ZERO);
         for _ in 0..2 {
             spin_then_park(&mut core, t, Some(t + us(10)));
         }
@@ -1308,7 +1228,7 @@ mod tests {
 
     #[test]
     fn no_spin_without_a_burst_or_a_second_hardware_thread() {
-        let t = Instant::now();
+        let t = SimTime::ZERO;
         let mut core = WaitCore::new(true);
         assert_eq!(core.next(t, false, None), Next::ParkUntil(t + IDLE_WAIT));
         core.ended(Some(t + us(10)));
@@ -1321,7 +1241,7 @@ mod tests {
     /// found 10 µs after it arrived if the worker was parked.  Returns, per
     /// gap, whether the input met a parked worker and the window after it.
     fn stream(gap: Duration, gaps: usize) -> Vec<(bool, Duration)> {
-        let (mut core, t) = (WaitCore::new(true), Instant::now());
+        let (mut core, t) = (WaitCore::new(true), SimTime::ZERO);
         (1..=gaps as u32)
             .map(|k| {
                 let (done, input) = (t + gap * (k - 1) + us(3), t + gap * k);
@@ -1356,5 +1276,264 @@ mod tests {
     fn sporadic_input_never_grows_the_window() {
         let gaps = stream(Duration::from_millis(1), 50);
         assert!(gaps.iter().all(|&(parked, window)| parked && window == SPIN_MIN), "{gaps:?}");
+    }
+
+    // The dispatch rules, on virtual time: a core over a real inbox and
+    // loopback, stepped by hand as its thread would step it.  No thread,
+    // no clock, no sleep.
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    /// One shard's core, its inbox, and the upcall logs and layouts of the
+    /// stacks it was handed.
+    struct Stepper {
+        core: Core,
+        inbox: Arc<Inbox>,
+        burst: Vec<ShardIn>,
+        eps: BTreeMap<EndpointAddr, (Arc<EpLog>, Arc<HeaderLayout>)>,
+    }
+
+    impl Stepper {
+        fn new(net: &LoopbackNet, spin: bool) -> Self {
+            let core = Core::new(net.clone(), true, spin);
+            Stepper { core, inbox: Arc::default(), burst: Vec::new(), eps: BTreeMap::new() }
+        }
+
+        /// Hands `stack` over as [`ShardExecutor::add_stack`] does, and
+        /// queues its JOIN to group 1 behind it.
+        fn add(&mut self, stack: Stack) {
+            let ep = stack.local_addr();
+            let log = Arc::new(EpLog::default());
+            let inbox = Arc::clone(&self.inbox);
+            self.core.out.net.register_sink(ep, Arc::new(ShardSink { ep, inbox }));
+            self.eps.insert(ep, (Arc::clone(&log), stack.layout().clone()));
+            let join = StackInput::FromApp(Down::Join { group: GroupAddr::new(1) });
+            let stack = Box::new(stack);
+            self.inbox.push([ShardIn::AddStack { stack, log }, ShardIn::Input { ep, input: join }]);
+        }
+
+        /// Queues a cast from `ep`'s application.
+        fn cast(&self, ep: EndpointAddr) {
+            let msg = Message::new(self.eps[&ep].1.clone(), &b"app"[..]);
+            let input = StackInput::FromApp(Down::Cast(msg));
+            self.inbox.push([ShardIn::Input { ep, input }]);
+        }
+
+        /// One step at `now`, handed whatever is queued — what the
+        /// thread's take, spin or park would have taken.
+        fn step(&mut self, now: SimTime) -> Next {
+            self.inbox.take(&mut self.burst);
+            self.core.step(now, &mut self.burst)
+        }
+
+        /// Steps at `now` until the core asks for a wait, and returns it.
+        fn settle(&mut self, now: SimTime) -> Next {
+            loop {
+                match self.step(now) {
+                    Next::Poll => {}
+                    next => return next,
+                }
+            }
+        }
+
+        /// Takes `ep`'s upcalls so far.
+        fn upcalls(&self, ep: EndpointAddr) -> Vec<Up> {
+            std::mem::take(&mut *lock(&self.eps[&ep].0.log))
+        }
+    }
+
+    /// Arms one timer per token, each `delay` from init, and reports each
+    /// as a `DumpInfo` upcall when it fires.
+    #[derive(Debug, Clone)]
+    struct Ties {
+        tokens: u64,
+        delay: Duration,
+    }
+
+    impl Layer for Ties {
+        fn name(&self) -> &'static str {
+            "TIES"
+        }
+        fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
+            for token in 0..self.tokens {
+                ctx.set_timer(self.delay, token);
+            }
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut LayerCtx<'_>) {
+            ctx.up(Up::DumpInfo { layer: "TIES", info: token.to_string() });
+        }
+    }
+
+    fn ties(i: u64, tokens: u64, delay: Duration) -> Stack {
+        StackBuilder::new(ep(i)).push(Box::new(Ties { tokens, delay })).build().unwrap()
+    }
+
+    /// The tokens of the timers fired at `ep` so far, in firing order.
+    fn fired(s: &Stepper, ep: EndpointAddr) -> Vec<u64> {
+        let ups = s.upcalls(ep);
+        ups.iter()
+            .filter_map(|up| match up {
+                Up::DumpInfo { layer: "TIES", info } => info.parse().ok(),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The thread is told to sleep until the next timer and no longer, and
+    /// the timer fires at the first step whose clock has reached it.
+    #[test]
+    fn a_timer_fires_at_the_first_step_that_reaches_it() {
+        let mut s = Stepper::new(&LoopbackNet::new(), false);
+        s.add(ties(1, 1, Duration::from_millis(5)));
+        assert_eq!(s.settle(ms(0)), Next::ParkUntil(ms(5)));
+        assert_eq!(s.settle(ms(4)), Next::ParkUntil(ms(5)), "a spurious wake-up");
+        assert!(fired(&s, ep(1)).is_empty(), "fired a millisecond early");
+        assert_eq!(s.settle(ms(5)), Next::ParkUntil(ms(5) + IDLE_WAIT));
+        assert_eq!(fired(&s, ep(1)), [0]);
+    }
+
+    /// Timers armed in one walk are due together and fire in arming order,
+    /// one a step: after each, the thread is sent back to its queue.
+    #[test]
+    fn timers_armed_together_fire_in_arming_order() {
+        let mut s = Stepper::new(&LoopbackNet::new(), false);
+        s.add(ties(1, 16, Duration::from_millis(1)));
+        s.settle(ms(0));
+        for token in 0..16 {
+            assert_eq!(s.step(ms(1)), Next::Poll);
+            assert_eq!(fired(&s, ep(1)), [token], "one timer a step, in arming order");
+        }
+        assert_eq!(s.step(ms(1)), Next::ParkUntil(ms(1) + IDLE_WAIT));
+    }
+
+    /// With no burst to follow, an idle core parks; a burst earns one spin,
+    /// which finds nothing, and parks follow it.
+    #[test]
+    fn an_idle_core_parks_and_a_burst_earns_one_spin() {
+        let mut s = Stepper::new(&LoopbackNet::new(), true);
+        assert_eq!(s.step(ms(0)), Next::ParkUntil(ms(0) + IDLE_WAIT), "no burst, so no spin");
+        s.add(nop_stack(1));
+        assert_eq!(s.step(ms(1)), Next::Poll);
+        assert_eq!(s.step(ms(1)), Next::SpinUntil(ms(1) + SPIN_MIN));
+        let spun = ms(1) + SPIN_MIN;
+        assert_eq!(s.step(spun), Next::ParkUntil(spun + IDLE_WAIT));
+        assert_eq!(s.step(spun + IDLE_WAIT), Next::ParkUntil(spun + IDLE_WAIT * 2));
+    }
+
+    /// How long a [`Watch`] hears nothing from its peer before it suspects
+    /// it, and how often it beats.
+    const SILENCE: Duration = Duration::from_millis(25);
+    const BEAT: Duration = Duration::from_millis(20);
+
+    /// A stand-in for NAK's failure detector: every [`BEAT`] it casts a
+    /// heartbeat, and raises `Problem` when the timer's `now` is more than
+    /// [`SILENCE`] past the last frame it heard from `peer`.
+    #[derive(Debug, Clone)]
+    struct Watch {
+        peer: EndpointAddr,
+        heard: SimTime,
+    }
+
+    impl Layer for Watch {
+        fn name(&self) -> &'static str {
+            "WATCH"
+        }
+        fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
+            ctx.set_timer(BEAT, 0);
+        }
+        fn on_up(&mut self, ev: Up, ctx: &mut LayerCtx<'_>) {
+            if matches!(ev, Up::Cast { src, .. } if src == self.peer) {
+                self.heard = ctx.now();
+            }
+            ctx.up(ev);
+        }
+        fn on_timer(&mut self, _token: u64, ctx: &mut LayerCtx<'_>) {
+            if ctx.now().saturating_since(self.heard) > SILENCE {
+                ctx.up(Up::Problem { member: self.peer });
+            }
+            let beat = ctx.new_message(&b"beat"[..]);
+            ctx.down(Down::Cast(beat));
+            ctx.set_timer(BEAT, 0);
+        }
+    }
+
+    fn watch(i: u64, peer: u64) -> Stack {
+        let watch = Watch { peer: ep(peer), heard: SimTime::ZERO };
+        StackBuilder::new(ep(i)).push(Box::new(watch)).build().unwrap()
+    }
+
+    /// The members `ep` has raised `Problem` for so far.
+    fn problems(s: &Stepper, ep: EndpointAddr) -> Vec<EndpointAddr> {
+        let ups = s.upcalls(ep);
+        ups.iter()
+            .filter_map(|up| match up {
+                Up::Problem { member } => Some(*member),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// How many timers `ep`'s one layer has been handed.
+    fn timers_fired(s: &Stepper, ep: EndpointAddr) -> u64 {
+        s.core.stacks[&ep].stack.stats().per_layer[0].timers
+    }
+
+    /// Inputs before timers: a shard stalled for three beats finds its
+    /// peer's heartbeats queued and its own timer long due, and dispatches
+    /// the heartbeats first, so it does not suspect a live peer.  The peer,
+    /// on a shard that kept running, rightly suspects the stalled one.
+    #[test]
+    fn a_stalled_shard_dispatches_queued_frames_before_its_due_timer() {
+        let net = LoopbackNet::new();
+        let (mut stalled, mut live) = (Stepper::new(&net, false), Stepper::new(&net, false));
+        stalled.add(watch(1, 2));
+        live.add(watch(2, 1));
+        stalled.settle(ms(0));
+        live.settle(ms(0));
+        for beat in 1..=3 {
+            live.settle(SimTime::ZERO + BEAT * beat);
+        }
+        assert!(problems(&live, ep(2)).contains(&ep(1)), "the stand-in detects silence");
+        let queued = lock(&stalled.inbox.state).items.len();
+        assert_eq!(queued, 3, "the live peer's heartbeats wait in the stalled inbox");
+        stalled.settle(SimTime::ZERO + BEAT * 3);
+        assert_eq!(timers_fired(&stalled, ep(1)), 1);
+        assert!(problems(&stalled, ep(1)).is_empty(), "a live peer suspected after a stall");
+    }
+
+    /// One timer, then the queue: two members' timers come due together;
+    /// the first one's heartbeat reaches the second before the second's
+    /// own timer fires, so neither suspects the other.
+    #[test]
+    fn frames_a_timer_sent_are_dispatched_before_the_next_due_timer() {
+        let mut s = Stepper::new(&LoopbackNet::new(), false);
+        s.add(watch(1, 2));
+        s.add(watch(2, 1));
+        s.settle(ms(0));
+        // Both timers fell due at `BEAT`; the thread comes back past
+        // `SILENCE`, with one application cast from member 2 queued.
+        s.cast(ep(2));
+        let late = SimTime::ZERO + SILENCE + Duration::from_millis(1);
+        s.settle(late);
+        for (i, peer) in [(1, 2), (2, 1)] {
+            assert_eq!(timers_fired(&s, ep(i)), 1);
+            assert!(problems(&s, ep(i)).is_empty(), "member {i} suspected member {peer}");
+        }
+    }
+
+    /// The pass: a queue that is never seen empty still lets a due timer
+    /// fire within 16 bursts ([`TIMER_PASS_EVERY`]).
+    #[test]
+    fn a_due_timer_fires_though_the_queue_is_never_empty() {
+        let mut s = Stepper::new(&LoopbackNet::new(), false);
+        s.add(ties(1, 1, Duration::from_millis(1)));
+        s.settle(ms(0));
+        for _ in 0..16 {
+            s.cast(ep(1));
+            assert_eq!(s.step(ms(1)), Next::Poll);
+        }
+        assert_eq!(fired(&s, ep(1)), [0], "starved by a busy queue");
     }
 }

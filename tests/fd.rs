@@ -13,7 +13,6 @@ mod common;
 
 use common::*;
 use horus::prelude::*;
-use horus::sim::FailureDetector;
 use horus_net::{FaultRule, NetConfig};
 use horus_sim::check_virtual_synchrony;
 use std::time::Duration;
@@ -71,7 +70,9 @@ fn scripted_false_suspicion_never_permanently_ejects() {
     for seed in 1..=3 {
         let mut w = joined_world(3, seed, NetConfig::reliable(), FD_MERGE_STACK);
         let t = w.now() + Duration::from_millis(20);
-        FailureDetector::new().suspect_all(t, &[ep(1), ep(2)], ep(3)).install(&mut w);
+        for observer in [ep(1), ep(2)] {
+            w.suspect_at(t, observer, ep(3));
+        }
         w.run_for(Duration::from_secs(8));
         assert!(w.is_alive(ep(3)), "seed {seed}: ep3 was never actually down");
         for i in 1..=3u64 {
@@ -95,22 +96,14 @@ fn false_suspicion_storm_converges() {
     for seed in [5u64, 6, 7] {
         let mut w = joined_world(4, seed, NetConfig::reliable(), FD_MERGE_STACK);
         let t = w.now();
-        let mut fd = FailureDetector::new();
         for round in 0..2u64 {
             for observer in 1..=4u64 {
-                for target in 1..=4u64 {
-                    if observer != target {
-                        fd = fd.suspect(
-                            t + Duration::from_millis(40 * round + 3 * observer),
-                            ep(observer),
-                            ep(target),
-                        );
-                    }
+                for target in (1..=4u64).filter(|&target| target != observer) {
+                    let at = t + Duration::from_millis(40 * round + 3 * observer);
+                    w.suspect_at(at, ep(observer), ep(target));
                 }
             }
         }
-        assert_eq!(fd.len(), 24);
-        fd.install(&mut w);
         for i in 1..=4u64 {
             w.cast_bytes_at(t + Duration::from_millis(10 * i), ep(i), &b"storm"[..]);
         }

@@ -60,6 +60,16 @@ const RETIRED: &[(&str, &[&str])] = &[
             "prometheus_stack_stats",
         ],
     ),
+    (
+        "one step, one clock: the shard worker's dispatch rules, and the wrappers nothing needed",
+        &[
+            "TimerEntry",
+            "fire_next_due_timer",
+            "FailureDetector",
+            "LoopbackStatsSnapshot",
+            "shard_stats",
+        ],
+    ),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.

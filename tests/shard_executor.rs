@@ -15,7 +15,7 @@ use horus_sim::shard::{ShardConfig, ShardExecutor};
 use horus_trace::TraceBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn ep(i: u64) -> EndpointAddr {
     EndpointAddr::new(i)
@@ -42,7 +42,9 @@ fn multi_group_delivery_with_accounting_parity() {
             ex.down(e, Down::Join { group: g });
         }
     }
-    std::thread::sleep(Duration::from_millis(20));
+    let joined =
+        |ex: &ShardExecutor| (1..=GROUPS).all(|gi| ex.net().members(GroupAddr::new(gi)).len() == 2);
+    assert!(ex.wait_until(Duration::from_secs(5), joined));
     for k in 0..CASTS {
         for gi in 0..GROUPS {
             ex.cast_bytes(ep(gi * 2 + 1), vec![(k % 251) as u8; 8]);
@@ -72,9 +74,11 @@ fn multi_group_delivery_with_accounting_parity() {
     assert_eq!(net_stats.frames_sent, 0, "no point-to-point sends in this workload");
 
     // Work landed on both shards and went through the batch path.
-    let per_shard = ex.shard_stats();
-    assert_eq!(per_shard.len(), 2);
-    assert!(per_shard.iter().all(|s| s.msgs_received > 0), "both shards processed frames");
+    let mut received_by_shard = [0; 2];
+    for (ep, stats) in &by_ep {
+        received_by_shard[ex.shard_of(*ep)] += stats.msgs_received;
+    }
+    assert!(received_by_shard.iter().all(|&n| n > 0), "both shards processed frames");
     let total = ex.aggregate_stats();
     assert!(total.batches > 0 && total.batched_inputs >= total_casts);
     ex.stop();
@@ -95,7 +99,7 @@ fn dropped_receiver_is_counted_not_silent() {
     // A bare transport endpoint whose receiver is gone joins the group.
     net.register_sink(ep(99), Arc::new(|_| false));
     net.join(g, ep(99));
-    std::thread::sleep(Duration::from_millis(20));
+    assert!(ex.wait_until(Duration::from_secs(5), |_| net.members(g).len() == 3));
 
     ex.cast_bytes(ep(1), &b"gone"[..]);
     assert!(ex.wait_until(Duration::from_secs(5), |ex| ex.cast_count(ep(2)) >= 1));
@@ -142,13 +146,18 @@ fn arrivals_are_traced_through_the_owning_stacks_sink() {
         ex.add_stack(s);
         ex.down(ep(i), Down::Join { group: g });
     }
-    std::thread::sleep(Duration::from_millis(20));
+    assert!(ex.wait_until(Duration::from_secs(5), |ex| ex.net().members(g).len() == 3));
     for i in 1..=3 {
         ex.cast_bytes(ep(i), vec![i as u8; 8]);
     }
     assert!(ex.wait_until(Duration::from_secs(5), |ex| (1..=3).all(|i| ex.cast_count(ep(i)) >= 3)));
-    // NAK's 20 ms status timer fires at every member meanwhile.
-    std::thread::sleep(Duration::from_millis(60));
+    // NAK's 20 ms status timer fires at every member.
+    const NAK: usize = 0;
+    let ticked = |ex: &ShardExecutor| {
+        let stats = ex.stats_by_endpoint();
+        (1..=3).all(|i| stats[&ep(i)].per_layer[NAK].timers > 0)
+    };
+    assert!(ex.wait_until(Duration::from_secs(5), ticked));
     ex.stop();
     for (i, buf) in bufs.iter().enumerate() {
         let me = ep(i as u64 + 1);
@@ -199,7 +208,9 @@ fn an_uninterested_sink_is_never_called() {
         ex.add_stack(s);
         ex.down(ep(i), Down::Join { group: GroupAddr::new(1) });
     }
-    std::thread::sleep(Duration::from_millis(20));
+    assert!(
+        ex.wait_until(Duration::from_secs(5), |ex| ex.net().members(GroupAddr::new(1)).len() == 2)
+    );
     for k in 0..1000u32 {
         ex.cast_bytes(ep(1), k.to_le_bytes().to_vec());
     }
@@ -231,122 +242,4 @@ fn a_downcall_queued_before_stop_is_still_cast() {
     assert_eq!(net.stats().dropped_unregistered, 0);
     assert_eq!(net.members(g), vec![ep(2)], "stop() deregistered the leaver afterwards");
     peer.stop();
-}
-
-/// Blocks the worker thread for [`STALL`] inside the downcall that carries
-/// the body `b"stall"`; a pass-through otherwise.
-#[derive(Debug, Clone)]
-struct StallOnCue;
-
-const STALL: Duration = Duration::from_millis(120);
-
-impl Layer for StallOnCue {
-    fn name(&self) -> &'static str {
-        "STALL"
-    }
-
-    fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
-        if matches!(&ev, Down::Cast(msg) if msg.body() == &b"stall"[..]) {
-            std::thread::sleep(STALL);
-        }
-        ctx.down(ev);
-    }
-}
-
-/// A worker that stalls for longer than NAK's `fail_timeout` must dispatch
-/// the frames that queued up meanwhile before it fires the timers that
-/// came due meanwhile: those frames are what NAK's failure detector would
-/// have heard, and firing first raises PROBLEM for a peer whose casts are
-/// sitting in the queue.  One timer at a time, too — the stalled member's
-/// overdue status has to reach its peer before the peer's own tick.
-///
-/// The same rule has to hold for a worker that is not asleep between
-/// inputs but spinning: the test opens with a sender that never lets it
-/// park, for six status periods, and every status timer of those periods
-/// must still fire (a spin ends at the next timer's `due`) without anybody
-/// being suspected.
-#[test]
-fn a_stalled_worker_does_not_suspect_live_members() {
-    use horus::core::view::View;
-    use horus::layers::registry::{build_layer, parse_stack};
-
-    let mut ex = ShardExecutor::new(LoopbackNet::new(), ShardConfig::default());
-    let view = View::initial(GroupAddr::new(1), ep(1)).with_joined(&[ep(2)]);
-    for i in 1..=2 {
-        let mut b = StackBuilder::new(ep(i)).push(Box::new(StallOnCue));
-        for spec in parse_stack("NAK(fail_timeout=50):COM").unwrap() {
-            b = b.push(build_layer(&spec).unwrap());
-        }
-        ex.add_stack(b.build().unwrap());
-        ex.down(ep(i), Down::Join { group: GroupAddr::new(1) });
-    }
-    std::thread::sleep(Duration::from_millis(20));
-    for i in 1..=2 {
-        ex.down(ep(i), Down::InstallView(view.clone()));
-    }
-
-    // One cast at a time, the next the instant the last is delivered: the
-    // queue is empty between any two, and the worker spins instead of parking.
-    const NAK: usize = 1; // STALL:NAK:COM
-    let nak_ticks = |ex: &ShardExecutor| -> Vec<u64> {
-        let stats = ex.stats_by_endpoint();
-        (1..=2).map(|i| stats[&ep(i)].per_layer[NAK].timers).collect()
-    };
-    let (ticks_before, parks_before) = (nak_ticks(&ex), ex.wake_stats()[0].parks);
-    let started = Instant::now();
-    let mut rounds = 0;
-    while started.elapsed() < Duration::from_millis(120) {
-        ex.cast_bytes(ep(2), vec![(rounds % 251) as u8; 8]);
-        rounds += 1;
-        let give_up = Instant::now() + Duration::from_secs(10);
-        while ex.cast_count(ep(1)) < rounds {
-            assert!(Instant::now() < give_up, "cast {rounds} not delivered");
-            std::hint::spin_loop();
-        }
-    }
-    let parks = ex.wake_stats()[0].parks - parks_before;
-    for (i, (after, before)) in nak_ticks(&ex).iter().zip(&ticks_before).enumerate() {
-        let fired = after - before;
-        assert!(fired >= 5, "member {}: {fired} status timers in six periods", i + 1);
-    }
-    if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-        assert!(
-            parks < rounds as u64 / 10,
-            "{parks} parks in {rounds} rounds: not a spinning worker"
-        );
-    }
-
-    // The peer casts once a millisecond throughout; 30 ms in, member 1 is
-    // handed the downcall that blocks the (one) worker for 120 ms.
-    let mut peer_casts = rounds;
-    for ms in 0..300 {
-        if ms == 30 {
-            ex.cast_bytes(ep(1), &b"stall"[..]);
-        }
-        ex.cast_bytes(ep(2), vec![(ms % 251) as u8; 8]);
-        peer_casts += 1;
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    for i in 1..=2 {
-        assert!(
-            ex.wait_until(Duration::from_secs(10), |ex| ex.cast_count(ep(i)) > peer_casts),
-            "ep {i} delivered {} of {} casts",
-            ex.cast_count(ep(i)),
-            peer_casts + 1
-        );
-    }
-    // Two more status periods, so a suspicion raised late still shows.
-    std::thread::sleep(Duration::from_millis(50));
-    for i in 1..=2 {
-        let problems: Vec<EndpointAddr> = ex
-            .take_upcalls(ep(i))
-            .iter()
-            .filter_map(|up| match up {
-                Up::Problem { member } => Some(*member),
-                _ => None,
-            })
-            .collect();
-        assert!(problems.is_empty(), "ep {i} suspected {problems:?} after the stall");
-    }
-    ex.stop();
 }
