@@ -17,7 +17,7 @@
 //!
 //! The mapping leans on two invariants:
 //!
-//! * option enumeration is the shared [`enumerate_options`] — the bridge
+//! * option enumeration is the shared `enumerate_options` — the bridge
 //!   sees byte-for-byte the option lists a replay will see;
 //! * calendar sequence numbers are a pure function of the world's
 //!   insertion history, so re-executing the same prefix reproduces the same

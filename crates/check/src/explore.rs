@@ -82,7 +82,7 @@ pub type FpSet = HashSet<u64, BuildHasherDefault<FpHasher>>;
 
 /// The sleep-aware visited map: per distinct world fingerprint, the
 /// smallest sleep set any visit arrived with (canonicalized; see
-/// [`Visited::check_insert`]).
+/// `Visited::check_insert`).
 ///
 /// Plain fingerprint caching is unsound under sleep sets: a state first
 /// reached with events asleep explored *fewer* continuations than a later

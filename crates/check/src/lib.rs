@@ -19,7 +19,7 @@
 //!   flush/merge story, concurrent casts under an unordered stack, a merge
 //!   interrupted by a false suspicion) with the invariant oracles each must
 //!   satisfy.
-//! * [`explore`] — the depth-first schedule explorer: snapshot-resume
+//! * [`explore`](mod@explore) — the depth-first schedule explorer: snapshot-resume
 //!   search over choice prefixes, sleep-aware visited-state pruning on
 //!   [`horus_sim::SimWorld::fingerprint`], and happens-before dynamic
 //!   partial-order reduction via sleep sets — runs that merely reorder
@@ -30,7 +30,7 @@
 //!   equal.
 //! * [`schedule`] — the serialized schedule format: scenario + bounds +
 //!   choice list, replayable byte-identically with `horus-check replay`.
-//! * [`shrink`] — delta-debugging (`ddmin`) of violating choice lists down
+//! * [`shrink`](mod@shrink) — delta-debugging (`ddmin`) of violating choice lists down
 //!   to minimal counterexamples.
 //! * [`bridge`] — the trace→schedule bridge: a causal trace captured by
 //!   `horus-trace` collectors re-enacted into a replayable schedule, so an

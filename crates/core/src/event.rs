@@ -278,9 +278,6 @@ pub enum StackInput {
     },
     /// A timer set by layer `layer` with the given token has expired.
     Timer { layer: usize, token: u64, now: SimTime },
-    /// The virtual clock advanced (executors call this before handing in
-    /// other inputs; carries no work by itself).
-    Tick { now: SimTime },
 }
 
 /// Effects a stack asks its executor to perform.

@@ -900,9 +900,6 @@ impl Stack {
                     core.scratch.push_back((layer, Item::Timer(token)));
                 }
             }
-            StackInput::Tick { now } => {
-                core.now = core.now.max(now);
-            }
         }
         let mut ctx = LayerCtx { layer: 0, core, effects };
         run_queue(layers, layer_digests, &mut ctx);

@@ -6,10 +6,8 @@
 //! outgoing message), and filters out spurious messages from endpoints not
 //! in its view."
 //!
-//! In this reproduction the transport already reports the frame source, so
-//! pushing the source address is optional ([`Com::with_pushed_src`]) — when
-//! enabled it overrides the transport-reported source, which is exactly the
-//! behaviour needed on source-less networks like raw ATM.  View filtering
+//! In this reproduction both transports report the frame source, so COM
+//! pushes no source address: it hands the transport's up.  View filtering
 //! starts after the first `view` downcall installs a member set; before
 //! that, COM is promiscuous (plain stacks without a membership layer never
 //! install views).
@@ -17,15 +15,11 @@
 use horus_core::prelude::*;
 use std::fmt;
 
-const FIELDS_SRC: &[FieldSpec] = &[FieldSpec::new("src", 64)];
-const FIELDS_NONE: &[FieldSpec] = &[];
-
 /// The COM layer.  Providing properties P10 (byte re-ordering detection is
 /// delegated to the frame decoder and fingerprint) and P11 (source
 /// address).
 #[derive(Debug, Default, Clone)]
 pub struct Com {
-    push_src: bool,
     /// Filter casts whose source is outside the installed member set.
     filter: bool,
     members: Option<Vec<EndpointAddr>>,
@@ -39,12 +33,6 @@ impl Com {
     /// filtering enabled once a view is installed.
     pub fn new() -> Self {
         Com { filter: true, ..Com::default() }
-    }
-
-    /// A COM layer that pushes the source endpoint address onto every
-    /// outgoing message (for source-less transports).
-    pub fn with_pushed_src() -> Self {
-        Com { push_src: true, filter: true, ..Com::default() }
     }
 
     /// Disables spurious-source filtering (promiscuous mode, used by merge
@@ -66,30 +54,11 @@ impl Layer for Com {
         "COM"
     }
 
-    fn header_fields(&self) -> &'static [FieldSpec] {
-        if self.push_src {
-            FIELDS_SRC
-        } else {
-            FIELDS_NONE
-        }
-    }
-
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
         match ev {
-            Down::Cast(mut msg) => {
+            Down::Cast(msg) => {
                 self.casts += 1;
-                if self.push_src {
-                    ctx.stamp(&mut msg);
-                    ctx.set(&mut msg, 0, ctx.local_addr().raw());
-                }
                 ctx.down(Down::Cast(msg));
-            }
-            Down::Send { dests, mut msg } => {
-                if self.push_src {
-                    ctx.stamp(&mut msg);
-                    ctx.set(&mut msg, 0, ctx.local_addr().raw());
-                }
-                ctx.down(Down::Send { dests, msg });
             }
             Down::InstallView(view) => {
                 // COM is the designated consumer of view installations: it
@@ -103,20 +72,6 @@ impl Layer for Com {
     fn on_up(&mut self, ev: Up, ctx: &mut LayerCtx<'_>) {
         match ev {
             Up::Cast { src, mut msg } => {
-                let src = if self.push_src {
-                    match ctx.open(&mut msg) {
-                        Ok(()) => {
-                            let raw = ctx.get(&msg, 0);
-                            if raw == 0 {
-                                return; // malformed: drop silently
-                            }
-                            EndpointAddr::new(raw)
-                        }
-                        Err(_) => return, // header mismatch: drop
-                    }
-                } else {
-                    src
-                };
                 if self.spurious(src) {
                     self.filtered += 1;
                     return;
@@ -126,20 +81,6 @@ impl Layer for Com {
                 ctx.up(Up::Cast { src, msg });
             }
             Up::Send { src, mut msg } => {
-                let src = if self.push_src {
-                    match ctx.open(&mut msg) {
-                        Ok(()) => {
-                            let raw = ctx.get(&msg, 0);
-                            if raw == 0 {
-                                return;
-                            }
-                            EndpointAddr::new(raw)
-                        }
-                        Err(_) => return,
-                    }
-                } else {
-                    src
-                };
                 // Point-to-point sends are never view-filtered: merge
                 // requests arrive from outside the view by design (§5).
                 msg.meta.set_src(Some(src));
@@ -226,25 +167,6 @@ mod tests {
         };
         let fx = b.handle(StackInput::FromNet { from: ep(9), cast: false, wire });
         assert!(fx.iter().any(|e| matches!(e, Effect::Deliver(Up::Send { .. }))));
-    }
-
-    #[test]
-    fn pushed_src_overrides_transport_source() {
-        let mut a =
-            StackBuilder::new(ep(7)).push(Box::new(Com::with_pushed_src())).build().unwrap();
-        let mut b =
-            StackBuilder::new(ep(2)).push(Box::new(Com::with_pushed_src())).build().unwrap();
-        let wire = cast_wire(&mut a, b"x");
-        // Transport claims ep(9), header says ep(7): header wins.
-        let fx = b.handle(StackInput::FromNet { from: ep(9), cast: true, wire });
-        let src = fx
-            .iter()
-            .find_map(|e| match e {
-                Effect::Deliver(Up::Cast { src, .. }) => Some(*src),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(src, ep(7));
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! a fixed timeout tied to NAK's own traffic.  FD is the dedicated,
 //! composable detector the paper describes:
 //!
-//! * every member multicasts a small **heartbeat** on a configurable
-//!   period;
+//! * every member multicasts a small **heartbeat** on a fixed period;
 //! * per monitored member, FD keeps an **EWMA of observed heartbeat
 //!   inter-arrival times** (the classic adaptive-timeout construction: the
 //!   network's real jitter, not a guessed constant, sets the horizon);
-//! * the suspicion timeout is `max(min_timeout, margin × EWMA + jitter)` —
+//! * the suspicion timeout is `max(MIN_TIMEOUT, MARGIN × EWMA + JITTER)` —
 //!   silence beyond it raises a PROBLEM upcall, which MBRSHIP above
 //!   converts into a flush;
 //! * a fresh heartbeat from a suspected member **rescinds** the suspicion
@@ -46,41 +45,18 @@ const TIMER_BEAT: u64 = 0;
 /// EWMA gain for inter-arrival smoothing (1/8, the TCP SRTT constant).
 const EWMA_ALPHA: f64 = 0.125;
 
-/// Tuning knobs for the FD layer.
-#[derive(Debug, Clone)]
-pub struct FdConfig {
-    /// Heartbeat multicast period.
-    pub period: Duration,
-    /// Floor for the suspicion timeout (never suspect faster than this,
-    /// whatever the EWMA says).
-    pub min_timeout: Duration,
-    /// Multiplier on the smoothed inter-arrival time.
-    pub margin: f64,
-    /// Additive jitter allowance on top of the scaled EWMA.
-    pub jitter: Duration,
-}
+/// Heartbeat multicast period.
+const PERIOD: Duration = Duration::from_millis(25);
 
-impl Default for FdConfig {
-    fn default() -> Self {
-        FdConfig {
-            period: Duration::from_millis(25),
-            min_timeout: Duration::from_millis(75),
-            margin: 3.0,
-            jitter: Duration::from_millis(10),
-        }
-    }
-}
+/// Floor for the suspicion timeout (never suspect faster than this,
+/// whatever the EWMA says).
+const MIN_TIMEOUT: Duration = Duration::from_millis(75);
 
-impl FdConfig {
-    /// The adaptive suspicion horizon for one peer:
-    /// `max(min_timeout, margin × EWMA + jitter)`; before any inter-arrival
-    /// sample exists, `max(min_timeout, margin × period + jitter)`.
-    fn timeout_for(&self, peer: &PeerFd) -> Duration {
-        let base_ns = peer.ewma_ns.unwrap_or(self.period.as_nanos() as f64);
-        let adaptive = Duration::from_nanos((self.margin * base_ns) as u64) + self.jitter;
-        adaptive.max(self.min_timeout)
-    }
-}
+/// Multiplier on the smoothed inter-arrival time.
+const MARGIN: f64 = 3.0;
+
+/// Additive jitter allowance on top of the scaled EWMA.
+const JITTER: Duration = Duration::from_millis(10);
 
 /// Per-monitored-member detector state.
 #[derive(Debug, Clone)]
@@ -98,12 +74,20 @@ impl PeerFd {
     fn fresh(now: SimTime) -> Self {
         PeerFd { last: now, ewma_ns: None, suspected: false }
     }
+
+    /// The adaptive suspicion horizon for this peer:
+    /// `max(MIN_TIMEOUT, MARGIN × EWMA + JITTER)`; before any inter-arrival
+    /// sample exists, `max(MIN_TIMEOUT, MARGIN × PERIOD + JITTER)`.
+    fn timeout(&self) -> Duration {
+        let base_ns = self.ewma_ns.unwrap_or(PERIOD.as_nanos() as f64);
+        let adaptive = Duration::from_nanos((MARGIN * base_ns) as u64) + JITTER;
+        adaptive.max(MIN_TIMEOUT)
+    }
 }
 
 /// The adaptive heartbeat failure detector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Fd {
-    cfg: FdConfig,
     me: Option<EndpointAddr>,
     /// Current view membership, if a membership layer above installs one.
     view: Option<View>,
@@ -117,28 +101,7 @@ pub struct Fd {
     heartbeats_seen: u64,
 }
 
-impl Default for Fd {
-    fn default() -> Self {
-        Fd::new(FdConfig::default())
-    }
-}
-
 impl Fd {
-    /// Creates an FD layer with the given tuning.
-    pub fn new(cfg: FdConfig) -> Self {
-        Fd {
-            cfg,
-            me: None,
-            view: None,
-            peers: BTreeMap::new(),
-            hseq: 0,
-            problems_raised: 0,
-            rescissions: 0,
-            heartbeats_sent: 0,
-            heartbeats_seen: 0,
-        }
-    }
-
     fn beat(&mut self, ctx: &mut LayerCtx<'_>) {
         self.hseq += 1;
         self.heartbeats_sent += 1;
@@ -188,13 +151,12 @@ impl Fd {
 
     fn check_peers(&mut self, ctx: &mut LayerCtx<'_>) {
         let now = ctx.now();
-        let cfg = self.cfg.clone();
         let mut newly_suspect = Vec::new();
         for (&m, peer) in self.peers.iter_mut() {
             if peer.suspected {
                 continue;
             }
-            if now.saturating_since(peer.last) > cfg.timeout_for(peer) {
+            if now.saturating_since(peer.last) > peer.timeout() {
                 peer.suspected = true;
                 newly_suspect.push(m);
             }
@@ -234,7 +196,7 @@ impl Layer for Fd {
 
     fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.local_addr());
-        ctx.set_timer(self.cfg.period, TIMER_BEAT);
+        ctx.set_timer(PERIOD, TIMER_BEAT);
     }
 
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
@@ -284,7 +246,7 @@ impl Layer for Fd {
         if token == TIMER_BEAT {
             self.beat(ctx);
             self.check_peers(ctx);
-            ctx.set_timer(self.cfg.period, TIMER_BEAT);
+            ctx.set_timer(PERIOD, TIMER_BEAT);
         }
     }
 
@@ -315,18 +277,18 @@ mod tests {
         EndpointAddr::new(i)
     }
 
-    fn fd_stack(i: u64, cfg: FdConfig) -> Stack {
+    fn fd_stack(i: u64) -> Stack {
         StackBuilder::new(ep(i))
-            .push(Box::new(Fd::new(cfg)))
+            .push(Box::new(Fd::default()))
             .push(Box::new(Com::promiscuous()))
             .build()
             .unwrap()
     }
 
-    fn fd_world(n: u64, seed: u64, cfg: FdConfig) -> SimWorld {
+    fn fd_world(n: u64, seed: u64) -> SimWorld {
         let mut w = SimWorld::new(seed, NetConfig::reliable());
         for i in 1..=n {
-            w.add_endpoint(fd_stack(i, cfg.clone()));
+            w.add_endpoint(fd_stack(i));
             w.join(ep(i), GroupAddr::new(1));
         }
         w
@@ -344,7 +306,7 @@ mod tests {
 
     #[test]
     fn quiet_group_raises_no_suspicions() {
-        let mut w = fd_world(3, 1, FdConfig::default());
+        let mut w = fd_world(3, 1);
         w.run_for(Duration::from_secs(2));
         for i in 1..=3 {
             assert!(problems(&w, i).is_empty(), "ep{i} suspected someone");
@@ -353,9 +315,7 @@ mod tests {
 
     #[test]
     fn crash_detected_within_bounded_heartbeat_periods() {
-        let cfg = FdConfig::default();
-        let period = cfg.period;
-        let mut w = fd_world(3, 2, cfg.clone());
+        let mut w = fd_world(3, 2);
         w.run_for(Duration::from_millis(500));
         let t_crash = w.now();
         w.crash_at(t_crash, ep(3));
@@ -371,7 +331,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("ep{i} never suspected the crashed member"));
             let lag = t_detect.saturating_since(t_crash);
             assert!(
-                lag <= period * 10,
+                lag <= PERIOD * 10,
                 "ep{i} took {lag:?} (> 10 heartbeat periods) to detect the crash"
             );
         }
@@ -381,7 +341,7 @@ mod tests {
     fn fresh_heartbeat_rescinds_suspicion() {
         // Partition ep2 away long enough to be suspected, then heal: the
         // next heartbeat must clear the suspicion, not eject the member.
-        let mut w = fd_world(2, 3, FdConfig::default());
+        let mut w = fd_world(2, 3);
         w.run_for(Duration::from_millis(300));
         let t = w.now();
         w.partition_at(t, &[&[ep(1)], &[ep(2)]]);
@@ -403,33 +363,22 @@ mod tests {
 
     #[test]
     fn adaptive_timeout_tracks_interarrival_ewma() {
-        let mut fast = Fd::new(FdConfig {
-            min_timeout: Duration::from_millis(1),
-            jitter: Duration::ZERO,
-            ..FdConfig::default()
-        });
-        let peer_fast = PeerFd {
+        let peer = |ewma: Duration| PeerFd {
             last: SimTime::ZERO,
-            ewma_ns: Some(Duration::from_millis(10).as_nanos() as f64),
+            ewma_ns: Some(ewma.as_nanos() as f64),
             suspected: false,
         };
-        let peer_slow = PeerFd {
-            last: SimTime::ZERO,
-            ewma_ns: Some(Duration::from_millis(40).as_nanos() as f64),
-            suspected: false,
-        };
-        let t_fast = fast.cfg.timeout_for(&peer_fast);
-        let t_slow = fast.cfg.timeout_for(&peer_slow);
-        assert!(t_slow > t_fast, "slower arrivals must mean a longer horizon");
-        assert_eq!(t_fast, Duration::from_millis(30), "margin × EWMA");
-        // The floor binds when the EWMA is tiny.
-        fast.cfg.min_timeout = Duration::from_millis(500);
-        assert_eq!(fast.cfg.timeout_for(&peer_fast), Duration::from_millis(500));
+        // 3 × 10 ms + 10 ms is under the floor, which binds.
+        assert_eq!(peer(Duration::from_millis(10)).timeout(), MIN_TIMEOUT);
+        // Slower arrivals mean a longer horizon: 3 × 40 ms + 10 ms.
+        assert_eq!(peer(Duration::from_millis(40)).timeout(), Duration::from_millis(130));
+        // Before any sample, the period stands in for the EWMA.
+        assert_eq!(PeerFd::fresh(SimTime::ZERO).timeout(), Duration::from_millis(85));
     }
 
     #[test]
     fn heartbeats_are_invisible_above_fd() {
-        let mut w = fd_world(2, 4, FdConfig::default());
+        let mut w = fd_world(2, 4);
         w.run_for(Duration::from_secs(1));
         assert!(
             w.delivered_casts(ep(1)).is_empty() && w.delivered_casts(ep(2)).is_empty(),

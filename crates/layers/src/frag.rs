@@ -16,9 +16,9 @@
 //! reassembly a simple accumulation.
 //!
 //! Each hop touches a payload byte once: every fragment past the message's
-//! own header is a slice of the caller's body ([`fragments`]), the receiver
+//! own header is a slice of the caller's body (`fragments`), the receiver
 //! holds the fragments it is handed until the last one arrives, and
-//! [`reassemble`] gathers them with one allocation and one copy.
+//! `reassemble` gathers them with one allocation and one copy.
 //!
 //! [`NFrag`] is the Table 3 variant that sits *below* FIFO (directly on
 //! COM): it tags fragments with a message id and index so reassembly

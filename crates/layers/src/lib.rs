@@ -72,7 +72,7 @@ pub mod total;
 pub mod util;
 
 pub use com::Com;
-pub use fd::{Fd, FdConfig};
+pub use fd::Fd;
 pub use frag::{Frag, NFrag};
 pub use mbrship::{Mbrship, MbrshipConfig};
 pub use nak::{Nak, NakConfig};

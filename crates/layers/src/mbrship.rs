@@ -105,6 +105,9 @@ const KIND_USEND: u64 = 10;
 
 const TIMER_TICK: u64 = 0;
 
+/// Give up merging after this many MERGE_REQ retries.
+const MERGE_RETRIES: u32 = 8;
+
 /// Tuning and policy knobs for MBRSHIP.
 #[derive(Debug, Clone)]
 pub struct MbrshipConfig {
@@ -117,8 +120,6 @@ pub struct MbrshipConfig {
     pub tick: Duration,
     /// Restart a stalled flush (or retry a merge) after this long.
     pub flush_timeout: Duration,
-    /// Give up merging after this many MERGE_REQ retries.
-    pub merge_retries: u32,
 }
 
 impl Default for MbrshipConfig {
@@ -128,7 +129,6 @@ impl Default for MbrshipConfig {
             primary_partition: false,
             tick: Duration::from_millis(25),
             flush_timeout: Duration::from_millis(400),
-            merge_retries: 8,
         }
     }
 }
@@ -1220,7 +1220,7 @@ impl Mbrship {
             }
             Phase::Merging { contact, attempts, last_try } => {
                 if now.saturating_since(*last_try) > self.cfg.flush_timeout {
-                    if *attempts >= self.cfg.merge_retries {
+                    if *attempts >= MERGE_RETRIES {
                         Action::AbandonMerge
                     } else {
                         *attempts += 1;

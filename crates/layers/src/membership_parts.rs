@@ -57,6 +57,12 @@ const B_JOIN: u64 = 5;
 
 const BMS_TICK: u64 = 0;
 
+/// Period of BMS's progress check.
+const BMS_TICK_PERIOD: Duration = Duration::from_millis(25);
+
+/// How long a view change may stall before BMS escalates.
+const BMS_TIMEOUT: Duration = Duration::from_millis(400);
+
 #[derive(Debug, Clone)]
 enum BmsPhase {
     Idle,
@@ -80,8 +86,6 @@ enum BmsPhase {
 /// The basic membership service: consistent views, nothing more.
 #[derive(Clone)]
 pub struct Bms {
-    tick: Duration,
-    timeout: Duration,
     /// Answer our own FLUSH upcalls immediately (no layer above or
     /// application participates in the flush).  The registry derives this
     /// from the composition: `false` when VSS or FLUSH sit above.
@@ -104,10 +108,8 @@ pub struct Bms {
 impl Bms {
     /// Creates a BMS layer; see the `auto_ok` field for the flush_ok
     /// contract.
-    pub fn new(tick: Duration, timeout: Duration, auto_ok: bool) -> Self {
+    pub fn new(auto_ok: bool) -> Self {
         Bms {
-            tick,
-            timeout,
             auto_ok,
             me: None,
             group: None,
@@ -303,7 +305,7 @@ impl Layer for Bms {
     fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.local_addr());
         self.last_progress = ctx.now();
-        ctx.set_timer(self.tick, BMS_TICK);
+        ctx.set_timer(BMS_TICK_PERIOD, BMS_TICK);
     }
 
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
@@ -395,10 +397,10 @@ impl Layer for Bms {
         let waited = now.saturating_since(self.last_progress);
         match &self.phase {
             BmsPhase::Collecting { epoch, prepare, .. } => {
-                if waited > self.timeout {
+                if waited > BMS_TIMEOUT {
                     self.last_progress = now;
                     self.propose(ctx, true); // re-propose with a higher epoch
-                } else if waited > self.timeout / 4 {
+                } else if waited > BMS_TIMEOUT / 4 {
                     // Rebroadcast the PREPARE: joiners outside the view may
                     // have missed the (pruned) original.
                     let (epoch, prepare) = (*epoch, prepare.clone());
@@ -409,7 +411,7 @@ impl Layer for Bms {
             // A member gives the coordinator twice its own retry budget
             // before mutiny — simultaneous stall suspicion on both sides
             // splits the group.
-            BmsPhase::Ready { coordinator } if waited > self.timeout * 2 => {
+            BmsPhase::Ready { coordinator } if waited > BMS_TIMEOUT * 2 => {
                 let c = *coordinator;
                 self.last_progress = now;
                 if c != self.me() {
@@ -420,7 +422,7 @@ impl Layer for Bms {
             }
             // Unserved joins/suspicions are retried here.
             BmsPhase::Normal
-                if waited > self.timeout
+                if waited > BMS_TIMEOUT
                     && (!self.joiners.is_empty() || !self.suspects.is_empty()) =>
             {
                 self.last_progress = now;
@@ -428,7 +430,7 @@ impl Layer for Bms {
             }
             _ => {}
         }
-        ctx.set_timer(self.tick, BMS_TICK);
+        ctx.set_timer(BMS_TICK_PERIOD, BMS_TICK);
     }
 
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
@@ -806,7 +808,7 @@ mod tests {
         StackBuilder::new(ep(i))
             .push(Box::new(FlushLayer::new()))
             .push(Box::new(Vss::new(false)))
-            .push(Box::new(Bms::new(Duration::from_millis(25), Duration::from_millis(400), false)))
+            .push(Box::new(Bms::new(false)))
             .push(Box::new(Frag::default()))
             .push(Box::new(Nak::new(NakConfig {
                 fail_timeout: Duration::from_millis(120),
@@ -820,7 +822,7 @@ mod tests {
     fn bms_only_stack(i: u64) -> Stack {
         StackBuilder::new(ep(i))
             .push(Box::new(Vss::new(true)))
-            .push(Box::new(Bms::new(Duration::from_millis(25), Duration::from_millis(400), false)))
+            .push(Box::new(Bms::new(false)))
             .push(Box::new(Frag::default()))
             .push(Box::new(Nak::new(NakConfig {
                 fail_timeout: Duration::from_millis(120),

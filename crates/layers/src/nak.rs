@@ -21,7 +21,7 @@
 //! through PROBLEM upcalls.  The window is ack-clocked: besides the periodic
 //! status, a receiver multicasts one as soon as it has delivered half a
 //! window more from some sender than it last advertised, so a saturated
-//! sender is limited by its receivers' progress, not by `status_period`.
+//! sender is limited by its receivers' progress, not by the status period.
 //! Point-to-point `send`s get their own reliable
 //! FIFO channels with positive acknowledgements — the membership layer's
 //! flush protocol depends on them.
@@ -51,11 +51,26 @@ const TIMER_TICK: u64 = 0;
 /// Longest seq range one NAK message may request.
 const MAX_NAK_RANGE: u32 = 64;
 
+/// Period of the status multicast (acks, liveness, flow control).
+const STATUS_PERIOD: Duration = Duration::from_millis(20);
+
+/// Backoff ceiling: the per-message retransmission interval never exceeds
+/// this (or `rto`, if that is longer), so a long outage cannot push
+/// recovery arbitrarily far out once the peer returns.
+const RTO_MAX: Duration = Duration::from_millis(320);
+
+/// Give up on a point-to-point channel to a peer **outside the installed
+/// view** after this much incoming silence: unacked messages are abandoned
+/// (retransmission stops, pending work drains) and a SKIP control heals
+/// the receiver-side sequence gap if the peer ever reconnects.  Channels
+/// to current view members never expire — the membership flush depends on
+/// them.  Without this, a single unacked message to a departed member is
+/// retransmitted forever (the liveness wedge the chaos soak surfaced).
+const UNI_GC: Duration = Duration::from_millis(1600);
+
 /// Tuning knobs for the NAK layer.
 #[derive(Debug, Clone)]
 pub struct NakConfig {
-    /// Period of the status multicast (acks, liveness, flow control).
-    pub status_period: Duration,
     /// Suspect a view member after this much status silence.
     pub fail_timeout: Duration,
     /// Maximum unacknowledged multicasts in flight before new casts queue.
@@ -65,21 +80,8 @@ pub struct NakConfig {
     pub buffer_cap: usize,
     /// Initial retransmission timeout for unacked point-to-point messages.
     /// Each further retransmission of the same message doubles the wait
-    /// (exponential backoff) up to `rto_max`.
+    /// (exponential backoff) up to `RTO_MAX`.
     pub rto: Duration,
-    /// Backoff ceiling: the per-message retransmission interval never
-    /// exceeds this, so a long outage cannot push recovery arbitrarily far
-    /// out once the peer returns.
-    pub rto_max: Duration,
-    /// Give up on a point-to-point channel to a peer **outside the
-    /// installed view** after this much incoming silence: unacked messages
-    /// are abandoned (retransmission stops, pending work drains) and a SKIP
-    /// control heals the receiver-side sequence gap if the peer ever
-    /// reconnects.  Channels to current view members never expire — the
-    /// membership flush depends on them.  Without this, a single unacked
-    /// message to a departed member is retransmitted forever (the
-    /// liveness wedge the chaos soak surfaced).
-    pub uni_gc: Duration,
     /// Disables every retransmission path (NAK-triggered multicast
     /// recovery and point-to-point timer retransmits) when `false`.
     /// **Deliberately breaks liveness** — this is the planted-bug knob the
@@ -91,13 +93,10 @@ pub struct NakConfig {
 impl Default for NakConfig {
     fn default() -> Self {
         NakConfig {
-            status_period: Duration::from_millis(20),
             fail_timeout: Duration::from_millis(200),
             window: 4096,
             buffer_cap: 16384,
             rto: Duration::from_millis(40),
-            rto_max: Duration::from_millis(320),
-            uni_gc: Duration::from_millis(1600),
             retransmit: true,
         }
     }
@@ -153,7 +152,7 @@ struct UniChan {
     acked: u32,
     /// Last time anything (data or ack) arrived from this peer; the
     /// channel-GC idle clock.  Initialised to the channel's creation time
-    /// so a fresh channel gets a full `uni_gc` grace period.
+    /// so a fresh channel gets a full `UNI_GC` grace period.
     last_in: SimTime,
     /// Highest seq the channel GC abandoned unacked.  While the peer's
     /// cumulative ack trails this, every ack triggers a SKIP control that
@@ -644,7 +643,7 @@ impl Layer for Nak {
 
     fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.local_addr());
-        ctx.set_timer(self.cfg.status_period, TIMER_TICK);
+        ctx.set_timer(STATUS_PERIOD, TIMER_TICK);
     }
 
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
@@ -726,12 +725,12 @@ impl Layer for Nak {
         self.check_failures(ctx);
         // Retransmit stale unacked point-to-point messages with
         // exponential backoff: the k-th retransmission waits 2^k × rto,
-        // capped at rto_max.  A dead or partitioned peer costs O(log)
+        // capped at RTO_MAX.  A dead or partitioned peer costs O(log)
         // retransmissions per message instead of a fixed-period stream,
         // while the cap keeps recovery prompt once the peer returns.
         let now = ctx.now();
         // Channel GC: a peer outside the installed view that has been
-        // incoming-silent for `uni_gc` is gone (crashed, excluded, or
+        // incoming-silent for `UNI_GC` is gone (crashed, excluded, or
         // behind a long partition the view change already resolved).
         // Abandon its unacked messages — retransmitting to it forever is
         // the wedge the progress watchdog flags — and remember the
@@ -739,12 +738,11 @@ impl Layer for Nak {
         // gap if it ever reconnects.  In-view channels never expire: the
         // membership flush relies on their reliability.
         if let Some(dests) = self.dests.clone() {
-            let gc = self.cfg.uni_gc;
             for (peer, chan) in self.uni.iter_mut() {
                 if dests.contains(peer) || (chan.out.is_empty() && chan.ooo.is_empty()) {
                     continue;
                 }
-                if now.saturating_since(chan.last_in) > gc {
+                if now.saturating_since(chan.last_in) > UNI_GC {
                     chan.abandoned = chan.abandoned.max(chan.next);
                     chan.out.clear();
                     chan.ooo.clear();
@@ -754,13 +752,13 @@ impl Layer for Nak {
         }
         if self.cfg.retransmit {
             let rto = self.cfg.rto;
-            let rto_max = self.cfg.rto_max.max(rto);
+            let ceiling = RTO_MAX.max(rto);
             let mut to_resend: Vec<(EndpointAddr, u32)> = Vec::new();
             for (&peer, chan) in &self.uni {
                 for (&seq, out) in &chan.out {
                     let backoff = rto
                         .checked_mul(1u32 << out.attempts.min(16))
-                        .map_or(rto_max, |b| b.min(rto_max));
+                        .map_or(ceiling, |b| b.min(ceiling));
                     if now.saturating_since(out.sent_at) > backoff {
                         to_resend.push((peer, seq));
                     }
@@ -779,7 +777,7 @@ impl Layer for Nak {
             }
         }
         self.pump_pending(ctx);
-        ctx.set_timer(self.cfg.status_period, TIMER_TICK);
+        ctx.set_timer(STATUS_PERIOD, TIMER_TICK);
     }
 
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
@@ -1058,9 +1056,7 @@ mod tests {
         w.run_for(Duration::from_micros(1));
         assert_eq!(nak_counter(&w, 1, "sent"), window as u64);
         assert_eq!(nak_counter(&w, 1, "pending"), casts - window as u64);
-        w.run_until(
-            SimTime::ZERO + (NakConfig::default().status_period - Duration::from_millis(1)),
-        );
+        w.run_until(SimTime::ZERO + (STATUS_PERIOD - Duration::from_millis(1)));
         for i in 1..=3 {
             assert_eq!(w.delivered_casts(ep(i)).len() as u64, casts, "endpoint {i}");
             assert_eq!(nak_ticks(&w, i), 0, "endpoint {i}: no periodic status yet");
@@ -1081,7 +1077,7 @@ mod tests {
         // frame on the wire is a cast or a tick's status, as before the
         // ack clock existed (which is what keeps recorded runs stable).
         let mut w = windowed_world(2, 64, 11);
-        let period = NakConfig::default().status_period;
+        let period = STATUS_PERIOD;
         for k in 0..(5 * 31) {
             let at = SimTime::from_millis(1) + period * (k / 31) + Duration::from_micros(k as u64);
             w.cast_bytes_at(at, ep(1), Workload::body(ep(1), k as u64 + 1, 16));

@@ -26,6 +26,10 @@ const KIND_ACK: u64 = 1;
 
 const TIMER_TICK: u64 = 0;
 
+/// Retransmission timeout for unacked sends, and the period of the timer
+/// that checks for them.
+const RTO: Duration = Duration::from_millis(30);
+
 #[derive(Debug, Default, Clone)]
 struct Chan {
     /// Next sequence to assign.
@@ -45,22 +49,20 @@ struct Chan {
 pub struct Nnak {
     /// Maximum unacked messages per destination before queueing.
     window: u32,
-    rto: Duration,
     chans: BTreeMap<EndpointAddr, Chan>,
     retransmissions: u64,
 }
 
 impl Nnak {
-    /// Creates an NNAK layer with the given per-destination window and
-    /// retransmission timeout.
-    pub fn new(window: u32, rto: Duration) -> Self {
-        Nnak { window: window.max(1), rto, chans: BTreeMap::new(), retransmissions: 0 }
+    /// Creates an NNAK layer with the given per-destination window.
+    pub fn new(window: u32) -> Self {
+        Nnak { window: window.max(1), chans: BTreeMap::new(), retransmissions: 0 }
     }
 }
 
 impl Default for Nnak {
     fn default() -> Self {
-        Nnak::new(8, Duration::from_millis(30))
+        Nnak::new(8)
     }
 }
 
@@ -106,7 +108,7 @@ impl Layer for Nnak {
     }
 
     fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
-        ctx.set_timer(self.rto, TIMER_TICK);
+        ctx.set_timer(RTO, TIMER_TICK);
     }
 
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
@@ -180,11 +182,10 @@ impl Layer for Nnak {
             return;
         }
         let now = ctx.now();
-        let rto = self.rto;
         let mut resend: Vec<(EndpointAddr, Message)> = Vec::new();
         for (&dest, chan) in &mut self.chans {
             for (msg, sent) in chan.out.values_mut() {
-                if now.saturating_since(*sent) > rto {
+                if now.saturating_since(*sent) > RTO {
                     *sent = now;
                     resend.push((dest, msg.clone()));
                 }
@@ -194,7 +195,7 @@ impl Layer for Nnak {
             self.retransmissions += 1;
             ctx.down(Down::Send { dests: vec![dest], msg });
         }
-        ctx.set_timer(self.rto, TIMER_TICK);
+        ctx.set_timer(RTO, TIMER_TICK);
     }
 
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
@@ -226,7 +227,7 @@ mod tests {
         let mut w = SimWorld::new(seed, net);
         for i in 1..=2 {
             let s = StackBuilder::new(ep(i))
-                .push(Box::new(Nnak::new(window, Duration::from_millis(30))))
+                .push(Box::new(Nnak::new(window)))
                 .push(Box::new(Com::new()))
                 .build()
                 .unwrap();

@@ -27,12 +27,13 @@ const KIND_WHEEL: u64 = 1;
 
 const TIMER_SLOT: u64 = 0;
 
+/// Length of one rotation slot.
+const SLOT: Duration = Duration::from_millis(20);
+
 /// The rotating stability layer.
 #[derive(Debug, Clone)]
 pub struct Pinwheel {
     auto_ack: bool,
-    /// Length of one rotation slot.
-    slot: Duration,
     me: Option<EndpointAddr>,
     view: Option<View>,
     my_seq: u64,
@@ -51,16 +52,15 @@ pub struct Pinwheel {
 
 impl Default for Pinwheel {
     fn default() -> Self {
-        Pinwheel::new(true, Duration::from_millis(20))
+        Pinwheel::new(true)
     }
 }
 
 impl Pinwheel {
-    /// Creates a PINWHEEL layer with the given rotation slot length.
-    pub fn new(auto_ack: bool, slot: Duration) -> Self {
+    /// Creates a PINWHEEL layer; `auto_ack` as for STABLE.
+    pub fn new(auto_ack: bool) -> Self {
         Pinwheel {
             auto_ack,
-            slot,
             me: None,
             view: None,
             my_seq: 0,
@@ -128,7 +128,7 @@ impl Layer for Pinwheel {
 
     fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.local_addr());
-        ctx.set_timer(self.slot, TIMER_SLOT);
+        ctx.set_timer(SLOT, TIMER_SLOT);
     }
 
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
@@ -212,7 +212,7 @@ impl Layer for Pinwheel {
                 self.spin(ctx);
             }
             self.slots_elapsed += 1;
-            ctx.set_timer(self.slot, TIMER_SLOT);
+            ctx.set_timer(SLOT, TIMER_SLOT);
         }
     }
 

@@ -44,16 +44,20 @@ const KIND_SKIP: u64 = 4;
 
 const TICK: u64 = 0;
 
+/// Period of the status multicast.
+const STATUS_PERIOD: Duration = Duration::from_millis(20);
+
+/// Suspect a view member after this much status silence.
+const FAIL_TIMEOUT: Duration = Duration::from_millis(200);
+
 /// Reference FIFO layer: go-back-N multicast plus stop-and-wait unicast.
 ///
 /// Receivers deliver only the next in-sequence message and *discard*
 /// everything else; each periodic status tells every sender how far this
 /// receiver got, and senders simply re-multicast their whole unacked tail.
 /// Obviously correct, obviously wasteful.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NakRef {
-    period: Duration,
-    fail_timeout: Duration,
     me: Option<EndpointAddr>,
     next_seq: u32,
     sent: BTreeMap<u32, Message>,
@@ -75,33 +79,10 @@ pub struct NakRef {
     pub retransmissions: u64,
 }
 
-impl Default for NakRef {
-    fn default() -> Self {
-        NakRef::new(Duration::from_millis(20), Duration::from_millis(200))
-    }
-}
-
 impl NakRef {
     /// Creates a reference NAK layer.
-    pub fn new(period: Duration, fail_timeout: Duration) -> Self {
-        NakRef {
-            period,
-            fail_timeout,
-            me: None,
-            next_seq: 0,
-            sent: BTreeMap::new(),
-            expected: BTreeMap::new(),
-            acked: BTreeMap::new(),
-            uni_next: BTreeMap::new(),
-            uni_inflight: BTreeMap::new(),
-            uni_queue: BTreeMap::new(),
-            uni_expected: BTreeMap::new(),
-            dests: None,
-            pruned_to: 0,
-            last_heard: BTreeMap::new(),
-            suspected: Vec::new(),
-            retransmissions: 0,
-        }
+    pub fn new() -> Self {
+        NakRef::default()
     }
 
     fn min_acked(&self) -> u32 {
@@ -149,7 +130,7 @@ impl Layer for NakRef {
 
     fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.local_addr());
-        ctx.set_timer(self.period, TICK);
+        ctx.set_timer(STATUS_PERIOD, TICK);
     }
 
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
@@ -314,7 +295,7 @@ impl Layer for NakRef {
                 let silent = self
                     .last_heard
                     .get(&d)
-                    .map(|t| now.saturating_since(*t) > self.fail_timeout)
+                    .map(|t| now.saturating_since(*t) > FAIL_TIMEOUT)
                     .unwrap_or(false);
                 if silent {
                     self.suspected.push(d);
@@ -322,7 +303,7 @@ impl Layer for NakRef {
                 }
             }
         }
-        ctx.set_timer(self.period, TICK);
+        ctx.set_timer(STATUS_PERIOD, TICK);
     }
 
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {

@@ -14,10 +14,13 @@
 //! The registry holds "a library of about thirty different protocols, each
 //! providing a particular communication feature" (§1) — 37 layer
 //! types in this reproduction; [`layer_names`] enumerates them.
+//!
+//! The parameter vocabulary is closed: a key its layer does not read, or a
+//! key given twice, is an error rather than a silently ignored typo.
 
 use crate::causal::{Causal, Ts};
 use crate::com::Com;
-use crate::fd::{Fd, FdConfig};
+use crate::fd::Fd;
 use crate::frag::{Frag, NFrag};
 use crate::mbrship::{Mbrship, MbrshipConfig};
 use crate::membership_parts::{Bms, FlushLayer, Vss};
@@ -44,13 +47,14 @@ use std::time::Duration;
 pub struct Params(BTreeMap<String, String>);
 
 impl Params {
-    /// Looks up and parses a parameter.
+    /// Takes a parameter out and parses it.  What no read takes out is a
+    /// key its layer does not read, which [`build_layer`] refuses.
     ///
     /// # Errors
     ///
     /// Fails if the value does not parse as `T`.
-    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, HorusError> {
-        match self.0.get(key) {
+    pub fn get<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, HorusError> {
+        match self.0.remove(key) {
             None => Ok(None),
             Some(v) => v.parse::<T>().map(Some).map_err(|_| {
                 HorusError::BadParam(format!("parameter {key}={v} is not a valid value"))
@@ -59,7 +63,7 @@ impl Params {
     }
 
     /// Like [`Params::get`] with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, HorusError> {
+    pub fn get_or<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, HorusError> {
         Ok(self.get(key)?.unwrap_or(default))
     }
 
@@ -69,7 +73,7 @@ impl Params {
     ///
     /// Fails if the value does not parse as `T` or is zero.
     pub fn positive_or<T: std::str::FromStr + Default + PartialEq>(
-        &self,
+        &mut self,
         key: &str,
         default: T,
     ) -> Result<T, HorusError> {
@@ -81,7 +85,7 @@ impl Params {
     }
 
     /// A `Duration` parameter expressed in milliseconds.
-    pub fn millis_or(&self, key: &str, default: Duration) -> Result<Duration, HorusError> {
+    pub fn millis_or(&mut self, key: &str, default: Duration) -> Result<Duration, HorusError> {
         Ok(self.get::<u64>(key)?.map(Duration::from_millis).unwrap_or(default))
     }
 
@@ -105,8 +109,8 @@ pub struct LayerSpec {
 ///
 /// # Errors
 ///
-/// Fails on empty input, unbalanced parentheses, or malformed `key=value`
-/// pairs.
+/// Fails on empty input, unbalanced parentheses, malformed `key=value`
+/// pairs, or a key given twice to one layer.
 pub fn parse_stack(desc: &str) -> Result<Vec<LayerSpec>, HorusError> {
     let desc = desc.trim();
     if desc.is_empty() {
@@ -154,64 +158,52 @@ fn parse_one(part: &str) -> Result<LayerSpec, HorusError> {
             (&part[..i], inner)
         }
     };
+    let name = name.trim().to_uppercase();
     let mut params = BTreeMap::new();
     for pair in args.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let (k, v) = pair
             .split_once('=')
             .ok_or_else(|| HorusError::BadParam(format!("expected key=value, got {pair:?}")))?;
-        params.insert(k.trim().to_string(), v.trim().to_string());
+        let k = k.trim();
+        if params.insert(k.to_string(), v.trim().to_string()).is_some() {
+            return Err(HorusError::BadParam(format!("{name}: parameter {k} given twice")));
+        }
     }
-    Ok(LayerSpec { name: name.trim().to_uppercase(), params: Params(params) })
+    Ok(LayerSpec { name, params: Params(params) })
 }
 
 /// Instantiates a single layer from its spec.
 ///
 /// # Errors
 ///
-/// Fails on unknown names, unparseable parameters, or a zero size or
-/// count (`FRAG(size=0)`, `PACK(msgs=0)`) that the layer cannot work with.
+/// Fails on unknown names, unparseable parameters, a key the layer does not
+/// read, or a zero size or count (`FRAG(size=0)`, `PACK(msgs=0)`) that the
+/// layer cannot work with.
 pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
-    let p = &spec.params;
-    Ok(match spec.name.as_str() {
-        "COM" => {
-            let promiscuous = p.get_or("promiscuous", false)?;
-            let push_src = p.get_or("push_src", false)?;
-            Box::new(match (promiscuous, push_src) {
-                (true, _) => Com::promiscuous(),
-                (false, true) => Com::with_pushed_src(),
-                (false, false) => Com::new(),
-            })
-        }
+    new_layer(&spec.name, spec.params.clone())
+}
+
+/// Builds the layer called `name`, taking out of `p` every key it reads;
+/// a key left over is one the layer does not read.
+fn new_layer(name: &str, mut p: Params) -> Result<Box<dyn Layer>, HorusError> {
+    let layer: Box<dyn Layer> = match name {
+        "COM" => Box::new(match p.get_or("promiscuous", false)? {
+            true => Com::promiscuous(),
+            false => Com::new(),
+        }),
         "NAK" => {
             let d = NakConfig::default();
             Box::new(Nak::new(NakConfig {
-                status_period: p.millis_or("period", d.status_period)?,
                 fail_timeout: p.millis_or("fail_timeout", d.fail_timeout)?,
                 window: p.get_or("window", d.window)?,
                 buffer_cap: p.get_or("buffer", d.buffer_cap)?,
                 rto: p.millis_or("rto", d.rto)?,
-                rto_max: p.millis_or("rto_max", d.rto_max)?,
-                uni_gc: p.millis_or("uni_gc", d.uni_gc)?,
                 retransmit: p.get_or("retransmit", d.retransmit)?,
             }))
         }
-        "FD" => {
-            let d = FdConfig::default();
-            Box::new(Fd::new(FdConfig {
-                period: p.millis_or("period", d.period)?,
-                min_timeout: p.millis_or("min_timeout", d.min_timeout)?,
-                margin: p.get_or("margin", d.margin)?,
-                jitter: p.millis_or("jitter", d.jitter)?,
-            }))
-        }
-        "NNAK" => Box::new(Nnak::new(
-            p.get_or("window", 8)?,
-            p.millis_or("rto", Duration::from_millis(30))?,
-        )),
-        "NAK_REF" => Box::new(NakRef::new(
-            p.millis_or("period", Duration::from_millis(20))?,
-            p.millis_or("fail_timeout", Duration::from_millis(200))?,
-        )),
+        "FD" => Box::new(Fd::default()),
+        "NNAK" => Box::new(Nnak::new(p.get_or("window", 8)?)),
+        "NAK_REF" => Box::new(NakRef::new()),
         "FRAG" => Box::new(Frag::new(p.positive_or("size", 1024)?)),
         "PACK" => Box::new(Pack::new(
             p.positive_or("msgs", 16)?,
@@ -229,14 +221,9 @@ pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
                 primary_partition: p.get_or("primary", d.primary_partition)?,
                 tick: p.millis_or("tick", d.tick)?,
                 flush_timeout: p.millis_or("flush_timeout", d.flush_timeout)?,
-                merge_retries: p.get_or("merge_retries", d.merge_retries)?,
             }))
         }
-        "BMS" => Box::new(Bms::new(
-            p.millis_or("tick", Duration::from_millis(25))?,
-            p.millis_or("timeout", Duration::from_millis(400))?,
-            p.get_or("auto_ok", false)?,
-        )),
+        "BMS" => Box::new(Bms::new(p.get_or("auto_ok", false)?)),
         "VSS" => Box::new(Vss::new(p.get_or("auto_ok", true)?)),
         "FLUSH" => Box::new(FlushLayer::new()),
         "TOTAL" => Box::new(Total::new()),
@@ -244,14 +231,8 @@ pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
         "CAUSAL" => Box::new(Causal::new()),
         "TS" => Box::new(Ts::new()),
         "SAFE" => Box::new(Safe::new()),
-        "STABLE" => Box::new(Stable::new(
-            p.get_or("auto_ack", true)?,
-            p.millis_or("period", Duration::from_millis(20))?,
-        )),
-        "PINWHEEL" => Box::new(Pinwheel::new(
-            p.get_or("auto_ack", true)?,
-            p.millis_or("slot", Duration::from_millis(20))?,
-        )),
+        "STABLE" => Box::new(Stable::new(p.get_or("auto_ack", true)?)),
+        "PINWHEEL" => Box::new(Pinwheel::new(p.get_or("auto_ack", true)?)),
         "MERGE" => {
             let contacts: Vec<EndpointAddr> = match p.get::<String>("contacts")? {
                 Some(list) => list
@@ -271,12 +252,9 @@ pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
         "SIGN" => Box::new(Sign::new(p.get_or("key", 0)?)),
         "ENCRYPT" => Box::new(Encrypt::new(p.get_or("key", 0)?)),
         "COMPRESS" => Box::new(Compress::default()),
-        "FLOW" => Box::new(Flow::new(
-            p.get_or("rate", 100)?,
-            p.millis_or("period", Duration::from_millis(10))?,
-        )),
+        "FLOW" => Box::new(Flow::new(p.get_or("rate", 100)?)),
         "PRIO" => Box::new(Prio::new(p.millis_or("window", Duration::from_millis(1))?)),
-        "TRACE" => Box::new(Trace::new(p.get_or("verbose", false)?)),
+        "TRACE" => Box::new(Trace::new()),
         "ACCT" => Box::new(Acct::new()),
         "LOGGER" => Box::new(Logger::new()),
         "DROP" => Box::new(DropEvery::new(p.positive_or("nth", 2)?)),
@@ -294,7 +272,11 @@ pub fn build_layer(spec: &LayerSpec) -> Result<Box<dyn Layer>, HorusError> {
         "NOP" => Box::new(Nop),
         "NOP_OPAQUE" => Box::new(NopOpaque),
         other => return Err(HorusError::UnknownLayer(other.to_string())),
-    })
+    };
+    match p.0.keys().next() {
+        Some(key) => Err(HorusError::BadParam(format!("{name} reads no parameter {key}"))),
+        None => Ok(layer),
+    }
 }
 
 /// Every layer name the registry can instantiate — the protocol library
@@ -363,7 +345,8 @@ pub fn build_stack(
     // Composition-aware flush_ok defaults (Table 1's `flush`/`flush_ok`
     // contract): the *topmost* flush participant answers.  A FLUSH layer
     // does real recovery; otherwise VSS answers immediately; a bare BMS
-    // answers itself.  Explicit `auto_ok=...` parameters always win.
+    // answers itself.  Explicit `auto_ok=...` parameters always win; the
+    // layers read them, and every other key, in `build_layer`.
     let mut flush_above = false;
     let mut responder_above = false;
     for spec in specs.iter_mut() {
@@ -371,19 +354,20 @@ pub fn build_stack(
             flush_above = true;
             responder_above = true;
         }
+        let explicit = spec.params.0.contains_key("auto_ok");
         if spec.name == "VSS" {
-            if spec.params.get::<bool>("auto_ok")?.is_none() {
+            if !explicit {
                 spec.params.set("auto_ok", if flush_above { "false" } else { "true" });
             }
             responder_above = true;
         }
-        if spec.name == "BMS" && spec.params.get::<bool>("auto_ok")?.is_none() {
+        if spec.name == "BMS" && !explicit {
             spec.params.set("auto_ok", if responder_above { "false" } else { "true" });
         }
     }
     let mut b = StackBuilder::new(local).config(config);
-    for spec in &specs {
-        b = b.push(build_layer(spec)?);
+    for spec in specs {
+        b = b.push(new_layer(&spec.name, spec.params)?);
     }
     b.build()
 }
@@ -395,7 +379,8 @@ mod tests {
 
     #[test]
     fn parses_names_and_params() {
-        let specs = parse_stack("total:MBRSHIP:FRAG(size=512):NAK(window=64, rto=10):COM").unwrap();
+        let mut specs =
+            parse_stack("total:MBRSHIP:FRAG(size=512):NAK(window=64, rto=10):COM").unwrap();
         let names: Vec<_> = specs.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["TOTAL", "MBRSHIP", "FRAG", "NAK", "COM"]);
         assert_eq!(specs[2].params.get::<usize>("size").unwrap(), Some(512));
@@ -426,7 +411,7 @@ mod tests {
     fn parameterless_layers_take_their_config_defaults() {
         let built = |name: &str| build_layer(&parse_stack(name).unwrap().remove(0)).unwrap().dump();
         assert_eq!(built("NAK"), Nak::new(NakConfig::default()).dump());
-        assert_eq!(built("FD"), Fd::new(FdConfig::default()).dump());
+        assert_eq!(built("FD"), Fd::default().dump());
         assert_eq!(built("MBRSHIP"), Mbrship::new(MbrshipConfig::default()).dump());
     }
 

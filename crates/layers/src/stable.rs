@@ -32,13 +32,14 @@ const KIND_ROW: u64 = 1;
 
 const TIMER_TICK: u64 = 0;
 
+/// Gossip period.
+const PERIOD: Duration = Duration::from_millis(20);
+
 /// The eager stability-gossip layer.
 #[derive(Debug, Clone)]
 pub struct Stable {
     /// Acknowledge on delivery instead of waiting for the `ack` downcall.
     auto_ack: bool,
-    /// Gossip period.
-    period: Duration,
     me: Option<EndpointAddr>,
     view: Option<View>,
     my_seq: u64,
@@ -55,7 +56,7 @@ pub struct Stable {
 
 impl Default for Stable {
     fn default() -> Self {
-        Stable::new(true, Duration::from_millis(20))
+        Stable::new(true)
     }
 }
 
@@ -63,10 +64,9 @@ impl Stable {
     /// Creates a STABLE layer.  With `auto_ack` the layer acknowledges
     /// messages as soon as they are delivered (receipt stability);
     /// otherwise stability is driven by the application's `ack` downcall.
-    pub fn new(auto_ack: bool, period: Duration) -> Self {
+    pub fn new(auto_ack: bool) -> Self {
         Stable {
             auto_ack,
-            period,
             me: None,
             view: None,
             my_seq: 0,
@@ -82,7 +82,7 @@ impl Stable {
     /// Application-driven variant (stability means whatever the app's
     /// `ack` downcall means).
     pub fn app_driven() -> Self {
-        Stable::new(false, Duration::from_millis(20))
+        Stable::new(false)
     }
 
     fn gossip_row(&mut self, ctx: &mut LayerCtx<'_>) {
@@ -135,7 +135,7 @@ impl Layer for Stable {
 
     fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
         self.me = Some(ctx.local_addr());
-        ctx.set_timer(self.period, TIMER_TICK);
+        ctx.set_timer(PERIOD, TIMER_TICK);
     }
 
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
@@ -212,7 +212,7 @@ impl Layer for Stable {
                 self.dirty = false;
                 self.gossip_row(ctx);
             }
-            ctx.set_timer(self.period, TIMER_TICK);
+            ctx.set_timer(PERIOD, TIMER_TICK);
         }
     }
 

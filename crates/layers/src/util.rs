@@ -358,13 +358,15 @@ impl Layer for Compress {
 
 const FLOW_REFILL: u64 = 0;
 
+/// FLOW's token refill period.
+const FLOW_PERIOD: Duration = Duration::from_millis(10);
+
 /// Congestion prevention (Figure 1): a token-bucket rate limiter on
 /// outgoing casts.
 #[derive(Debug, Clone)]
 pub struct Flow {
     /// Casts allowed per refill period.
     rate: u32,
-    period: Duration,
     tokens: u32,
     queue: VecDeque<Message>,
     /// Longest queue observed.
@@ -372,15 +374,15 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// Creates a FLOW layer allowing `rate` casts per `period`.
-    pub fn new(rate: u32, period: Duration) -> Self {
-        Flow { rate, period, tokens: rate, queue: VecDeque::new(), max_queue: 0 }
+    /// Creates a FLOW layer allowing `rate` casts per `FLOW_PERIOD`.
+    pub fn new(rate: u32) -> Self {
+        Flow { rate, tokens: rate, queue: VecDeque::new(), max_queue: 0 }
     }
 }
 
 impl Default for Flow {
     fn default() -> Self {
-        Flow::new(100, Duration::from_millis(10))
+        Flow::new(100)
     }
 }
 
@@ -389,7 +391,7 @@ impl Layer for Flow {
         "FLOW"
     }
     fn on_init(&mut self, ctx: &mut LayerCtx<'_>) {
-        ctx.set_timer(self.period, FLOW_REFILL);
+        ctx.set_timer(FLOW_PERIOD, FLOW_REFILL);
     }
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
         match ev {
@@ -417,7 +419,7 @@ impl Layer for Flow {
                     None => break,
                 }
             }
-            ctx.set_timer(self.period, FLOW_REFILL);
+            ctx.set_timer(FLOW_PERIOD, FLOW_REFILL);
         }
     }
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
@@ -488,30 +490,22 @@ impl Layer for Prio {
 // ---------------------------------------------------------------------
 
 /// Debugging and statistics (Figure 1): counts every event crossing the
-/// layer and optionally emits trace records.
-#[derive(Debug, Clone)]
+/// layer.
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
-    verbose: bool,
     downs: BTreeMap<&'static str, u64>,
     ups: BTreeMap<&'static str, u64>,
 }
 
 impl Trace {
-    /// Creates a TRACE layer; `verbose` additionally emits a trace record
-    /// per event.
-    pub fn new(verbose: bool) -> Self {
-        Trace { verbose, downs: BTreeMap::new(), ups: BTreeMap::new() }
+    /// Creates a TRACE layer.
+    pub fn new() -> Self {
+        Trace::default()
     }
 
     /// Event counts observed going down.
     pub fn down_counts(&self) -> &BTreeMap<&'static str, u64> {
         &self.downs
-    }
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::new(false)
     }
 }
 
@@ -521,16 +515,10 @@ impl Layer for Trace {
     }
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
         *self.downs.entry(ev.kind()).or_insert(0) += 1;
-        if self.verbose {
-            ctx.trace(format!("TRACE down {}", ev.kind()));
-        }
         ctx.down(ev);
     }
     fn on_up(&mut self, ev: Up, ctx: &mut LayerCtx<'_>) {
         *self.ups.entry(ev.kind()).or_insert(0) += 1;
-        if self.verbose {
-            ctx.trace(format!("TRACE up {}", ev.kind()));
-        }
         ctx.up(ev);
     }
     fn dump_to(&self, w: &mut dyn fmt::Write) -> fmt::Result {
@@ -850,9 +838,7 @@ mod tests {
 
     #[test]
     fn flow_paces_bursts() {
-        let mk = || -> Vec<Box<dyn Layer>> {
-            vec![Box::new(Flow::new(5, Duration::from_millis(10))), Box::new(Com::new())]
-        };
+        let mk = || -> Vec<Box<dyn Layer>> { vec![Box::new(Flow::new(5)), Box::new(Com::new())] };
         let mut w = pair_world(5, mk, NetConfig::reliable());
         for k in 0..20u8 {
             w.cast_bytes(ep(1), vec![k]);

@@ -23,6 +23,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Latency of an endpoint's loopback delivery of its own multicast.
+/// Loopback is reliable and partition-immune.
+const LOOPBACK_LATENCY: Duration = Duration::from_micros(5);
+
 /// Tunable physics of the simulated network.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -31,9 +35,6 @@ pub struct NetConfig {
     /// Maximum one-way latency (uniformly distributed; a wide range causes
     /// reordering between consecutive frames).
     pub latency_max: Duration,
-    /// Latency of an endpoint's loopback delivery of its own multicast.
-    /// Loopback is reliable and partition-immune.
-    pub local_latency: Duration,
     /// Probability that a frame is silently lost.
     pub loss: f64,
     /// Probability that a frame is delivered twice.
@@ -49,7 +50,6 @@ impl Default for NetConfig {
         NetConfig {
             latency_min: Duration::from_micros(50),
             latency_max: Duration::from_micros(200),
-            local_latency: Duration::from_micros(5),
             loss: 0.0,
             duplicate: 0.0,
             garble: 0.0,
@@ -389,7 +389,7 @@ impl SimNetwork {
                     to,
                     from,
                     cast,
-                    at: now + self.config.local_latency,
+                    at: now + LOOPBACK_LATENCY,
                     wire: wire.clone(),
                 });
                 continue;

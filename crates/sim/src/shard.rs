@@ -609,7 +609,7 @@ fn trace_arrival(
         StackInput::Timer { layer, token, .. } => {
             TraceKind::TimerFire { layer, token, digest: 0, seq: 0 }
         }
-        StackInput::FromApp(_) | StackInput::Tick { .. } => return,
+        StackInput::FromApp(_) => return,
     };
     tracer.record(TraceEvent { at, ep, kind });
 }

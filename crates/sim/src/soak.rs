@@ -13,7 +13,7 @@
 //!    interleaved with a round-robin multicast workload.
 //! 2. [`run_soak`] executes the plan on a [`SimWorld`], sampling every
 //!    member's [`Stack::pending_work`] into a
-//!    [`ProgressWatchdog`][crate::invariants::ProgressWatchdog] each
+//!    [`ProgressWatchdog`] each
 //!    half-quiet window and feeding the window's new upcalls to a
 //!    [`SafetyMonitor`]; only when it trips do the one-shot safety
 //!    checkers run, over every member's whole history, to word the

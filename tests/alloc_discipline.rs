@@ -7,8 +7,7 @@
 //! (building the wire frame's header block).  This test pins that down
 //! with a counting global allocator:
 //!
-//! * a `Tick` or stray-`Timer` dispatch on a warm stack allocates **zero**
-//!   bytes;
+//! * a stray-`Timer` dispatch on a warm stack allocates **zero** bytes;
 //! * a batch of N casts allocates exactly N × the single-cast cost — no
 //!   per-event machinery allocations appear at any batch size;
 //! * the `Vec`-returning `handle` shim costs extra allocations per call,
@@ -158,23 +157,21 @@ fn steady_state_dispatch_does_not_allocate() {
         stack.handle_into(cast_input(&stack, k), &mut sink);
         sink.clear();
     }
-    stack.handle_into(StackInput::Tick { now: SimTime::from_nanos(1) }, &mut sink);
     stack.handle_into(
         StackInput::Timer { layer: 0, token: 99, now: SimTime::from_nanos(2) },
         &mut sink,
     );
     sink.clear();
 
-    // 1. Pure dispatch machinery (tick, stray timer): zero allocations.
+    // 1. Pure dispatch machinery (a stray timer): zero allocations.
     let before = allocs();
-    stack.handle_into(StackInput::Tick { now: SimTime::from_nanos(3) }, &mut sink);
     stack.handle_into(
         StackInput::Timer { layer: 0, token: 7, now: SimTime::from_nanos(4) },
         &mut sink,
     );
-    let tick_allocs = allocs() - before;
+    let timer_allocs = allocs() - before;
     sink.clear();
-    assert_eq!(tick_allocs, 0, "tick/timer dispatch on a warm stack must not allocate");
+    assert_eq!(timer_allocs, 0, "a timer dispatch on a warm stack must not allocate");
 
     // 2. Single warm cast: only the inherent wire-building allocations.
     let input = cast_input(&stack, 40);

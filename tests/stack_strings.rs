@@ -3,7 +3,8 @@
 //!
 //! `build_stack` answers any `stack:` string with `Ok` or `Err`, and a cast
 //! a layer cannot carry comes back as `Up::SystemError`, the way MBRSHIP
-//! and CAUSAL refuse casts they cannot order.
+//! and CAUSAL refuse casts they cannot order.  The parameter vocabulary is
+//! closed: a key its layer does not read, or one given twice, is an error.
 
 use horus::layers::registry::{build_stack, layer_names};
 use horus::prelude::*;
@@ -14,7 +15,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// Every parameter name the registry reads, and one it does not.
+/// Every parameter name the registry reads, the names it no longer reads
+/// (`rto_max`, `uni_gc`, `min_timeout`, `margin`, `jitter`,
+/// `merge_retries`, `slot`, `verbose`, `push_src`), and one it never did.
 const KEYS: [&str; 35] = [
     "size",
     "msgs",
@@ -163,4 +166,25 @@ fn a_cast_nfrag_cannot_index_is_refused_and_the_stack_goes_on() {
     let delivered: Vec<usize> =
         w.delivered_casts(b).iter().map(|(_, body, _)| body.len()).collect();
     assert_eq!(delivered, vec![3000], "the next cast still fragments and arrives");
+}
+
+#[test]
+fn an_unread_or_repeated_key_is_an_error() {
+    // A typo, a key no layer reads any more, one no layer ever read, one
+    // another layer reads, and a key given twice.
+    for (desc, layer, key) in [
+        ("FRAG(szie=512):NAK:COM", "FRAG", "szie"),
+        ("NAK(rto_max=5):COM", "NAK", "rto_max"),
+        ("COM(bogus=1)", "COM", "bogus"),
+        ("STABLE(period=20):MBRSHIP:FRAG:NAK:COM", "STABLE", "period"),
+        ("FRAG(size=512,size=1024):COM", "FRAG", "size"),
+    ] {
+        let built = build_stack(EndpointAddr::new(1), desc, StackConfig::default());
+        match built.err() {
+            Some(HorusError::BadParam(m)) => {
+                assert!(m.contains(layer) && m.contains(key), "{desc}: {m}")
+            }
+            other => panic!("{desc}: {other:?}"),
+        }
+    }
 }
