@@ -45,9 +45,12 @@
 //! suite holds the DPOR visited-fingerprint set equal to the oracle's on
 //! every registry scenario, at a fraction of the runs (E27 vs E24).
 //! Visited-state pruning cooperates via sleep-aware entries: a state is
-//! pruned only when it was previously reached with a sleep set no larger
-//! than the current one (re-visits store the intersection), which is what
-//! keeps caching sound under sleep sets.
+//! pruned only when it was previously reached with a sleep set that is a
+//! subset of the current one (re-visits store the intersection), which is
+//! what keeps caching sound under sleep sets.  A stored sleep set is a
+//! bitset over the `(delay, digest)` pairs the search has interned, so a
+//! visited state costs its fingerprint, a handle and a word or two of bits
+//! (DESIGN decision 28).
 
 use crate::scenario::{Oracle, Scenario};
 use horus_core::prelude::{EndpointAddr, SimTime, Up};
@@ -81,7 +84,8 @@ impl Hasher for FpHasher {
 pub type FpSet = HashSet<u64, BuildHasherDefault<FpHasher>>;
 
 /// The sleep-aware visited map: per distinct world fingerprint, the
-/// smallest sleep set any visit arrived with (canonicalized; see
+/// smallest sleep set any visit arrived with, as a bitset over the
+/// `(delay, digest)` pairs the search has seen (see
 /// `Visited::check_insert`).
 ///
 /// Plain fingerprint caching is unsound under sleep sets: a state first
@@ -92,10 +96,26 @@ pub type FpSet = HashSet<u64, BuildHasherDefault<FpHasher>>;
 /// current one; otherwise re-explore and store the intersection.  Under the
 /// oracle every sleep set is empty, every subset test passes, and this
 /// degenerates to exactly the plain [`FpSet`] behaviour.
+///
+/// Few distinct pairs ever sleep (44 over all of `flush4`), so each gets
+/// a dense bit index the first time it is seen, and a sleep set is a
+/// bitset over those indices: the subset test is `stored & !key == 0` and
+/// the intersection an AND, word by word.  Interning is a bijection on
+/// the pairs seen, so both commute with it: a prune decision depends on
+/// which pairs sleep, not on their order or bit indices.  A fingerprint's entry is a fixed
+/// `(start, len)` handle into one arena of key words, trailing zero words
+/// trimmed: an empty set is `len` 0, and a visited state costs its
+/// fingerprint, the handle and a word or two.
 #[derive(Default)]
 pub struct Visited {
-    #[allow(clippy::type_complexity)]
-    map: HashMap<u64, Box<[(u64, u64)]>, BuildHasherDefault<FpHasher>>,
+    /// Per fingerprint, its stored key's `(start, len)` in `words`.
+    map: HashMap<u64, (u32, u32), BuildHasherDefault<FpHasher>>,
+    /// The bit index of each `(delay, digest)` pair seen so far.
+    bits: HashMap<(u64, u64), usize>,
+    /// Every stored key's words, end to end.
+    words: Vec<u64>,
+    /// The key under check, rebuilt in place by `load_key`.
+    key: Vec<u64>,
 }
 
 impl Visited {
@@ -114,43 +134,76 @@ impl Visited {
         self.map.keys().copied()
     }
 
-    /// Whether a visit to `fp` under `key` would be pruned: some earlier
-    /// visit's stored key is a subset of it.  Coverage only grows — a
-    /// re-visit stores the intersection, never a superset — so a visit
-    /// covered now is covered at any later check.
-    fn covers(&self, fp: u64, key: &[(u64, u64)]) -> bool {
-        self.map.get(&fp).is_some_and(|stored| covered(stored, key))
+    /// Whether a visit to `fp` under the sleep set `key` would be pruned:
+    /// some earlier visit's stored key is a subset of it.  Coverage only
+    /// grows — a re-visit stores the intersection, never a superset — so a
+    /// visit covered now is covered at any later check.
+    fn covers(&mut self, fp: u64, key: impl IntoIterator<Item = (u64, u64)>) -> bool {
+        self.load_key(key);
+        self.map.get(&fp).is_some_and(|&(start, len)| {
+            is_subset(&self.words[start as usize..][..len as usize], &self.key)
+        })
     }
 
-    /// Records a visit to `fp` under canonical sleep key `key`.  Returns
-    /// `false` when the visit is redundant (prune): some earlier visit
-    /// covered at least every continuation this one would explore.
-    fn check_insert(&mut self, fp: u64, key: &[(u64, u64)]) -> bool {
+    /// Records a visit to `fp` under the sleep set `key`.  Returns `false`
+    /// when the visit is redundant (prune): some earlier visit covered at
+    /// least every continuation this one would explore.
+    fn check_insert(&mut self, fp: u64, key: impl IntoIterator<Item = (u64, u64)>) -> bool {
+        self.load_key(key);
         match self.map.entry(fp) {
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(key.into());
+                e.insert((arena_index(self.words.len()), arena_index(self.key.len())));
+                self.words.extend_from_slice(&self.key);
                 true
             }
             std::collections::hash_map::Entry::Occupied(mut e) => {
-                let stored = e.get();
-                if covered(stored, key) {
+                let (start, len) = *e.get();
+                let stored = &mut self.words[start as usize..][..len as usize];
+                if is_subset(stored, &self.key) {
                     return false;
                 }
                 // Re-explore; remember the intersection so future visits
-                // prune only against what *both* explorations covered.
-                let both: Vec<(u64, u64)> =
-                    stored.iter().copied().filter(|s| key.contains(s)).collect();
-                e.insert(both.into_boxed_slice());
+                // prune only against what *both* explorations covered.  It
+                // is a subset of the stored key, so it fits in its words.
+                for (i, s) in stored.iter_mut().enumerate() {
+                    *s &= word(&self.key, i);
+                }
+                let len = stored.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+                e.insert((start, arena_index(len)));
                 true
             }
         }
     }
+
+    /// Rebuilds `self.key` as the bitset of `pairs`, interning new ones.
+    /// The top word is non-zero by construction, so the key is trimmed.
+    fn load_key(&mut self, pairs: impl IntoIterator<Item = (u64, u64)>) {
+        self.key.clear();
+        for pair in pairs {
+            let next = self.bits.len();
+            let bit = *self.bits.entry(pair).or_insert(next);
+            if self.key.len() <= bit / 64 {
+                self.key.resize(bit / 64 + 1, 0);
+            }
+            self.key[bit / 64] |= 1 << (bit % 64);
+        }
+    }
 }
 
-/// The prune test: `stored ⊆ key`, i.e. an earlier visit explored at least
+/// The prune test, `stored ⊆ key`: an earlier visit explored at least
 /// every continuation a visit under `key` would.
-fn covered(stored: &[(u64, u64)], key: &[(u64, u64)]) -> bool {
-    stored.iter().all(|s| key.contains(s))
+fn is_subset(stored: &[u64], key: &[u64]) -> bool {
+    stored.iter().enumerate().all(|(i, &s)| s & !word(key, i) == 0)
+}
+
+/// Word `i` of a trimmed bitset; the words past its end are zero.
+fn word(set: &[u64], i: usize) -> u64 {
+    set.get(i).copied().unwrap_or(0)
+}
+
+/// An arena offset or length as stored in a handle.
+fn arena_index(n: usize) -> u32 {
+    u32::try_from(n).expect("the visited map's key arena outgrew u32 words")
 }
 
 /// One sleeping event: a pending calendar entry whose firing is postponed
@@ -218,16 +271,13 @@ fn independent(
     !f_clock.is_some_and(|c| world.causally_ordered(e.id, c))
 }
 
-/// Canonicalizes a sleep set for the visited map: sorted
-/// `(effective-delay, payload-digest)` pairs.  Calendar ids are
+/// A sleeping event's element of the visited key: its
+/// `(effective-delay, payload-digest)` pair.  Calendar ids are
 /// run-*dependent* (insertion sequence), absolute times depend on the path
 /// length — the delay relative to `now` plus the payload digest is what two
 /// converging runs agree on.
-fn sleep_key<'e>(now: SimTime, sleep: impl IntoIterator<Item = &'e SleepEntry>) -> Vec<(u64, u64)> {
-    let mut key: Vec<(u64, u64)> =
-        sleep.into_iter().map(|e| ((e.at.max(now) - now).as_nanos() as u64, e.digest)).collect();
-    key.sort_unstable();
-    key
+fn sleep_pair(now: SimTime, e: &SleepEntry) -> (u64, u64) {
+    ((e.at.max(now) - now).as_nanos() as u64, e.digest)
 }
 
 /// Whether the `Step::Drop(i)` sibling spawned with sleep set `sleep` would
@@ -243,16 +293,17 @@ fn drop_is_covered(
     ready: &[ReadyEvent],
     i: usize,
     sleep: &[SleepEntry],
-    visited: &Visited,
+    visited: &mut Visited,
     deadline: SimTime,
 ) -> bool {
     // `ready[0]` is the calendar's first entry, due by the deadline (the
     // run would not be asking otherwise); dropping it leaves `ready[1]`.
     let continues = i != 0 || ready.get(1).is_some_and(|e| e.at <= deadline);
     let id = ready[i].id;
+    let now = world.now();
     continues
         && world.fingerprint_without(id).is_some_and(|fp| {
-            visited.covers(fp, &sleep_key(world.now(), sleep.iter().filter(|e| e.id != id)))
+            visited.covers(fp, sleep.iter().filter(|e| e.id != id).map(|e| sleep_pair(now, e)))
         })
 }
 
@@ -644,8 +695,8 @@ impl Scheduler for ControlledScheduler<'_> {
                 }
                 let fp =
                     if self.cfg.oracle { world.fingerprint_fresh() } else { world.fingerprint() };
-                let key = sleep_key(world.now(), &self.sleep);
-                if !visited.check_insert(fp, &key) {
+                let now = world.now();
+                if !visited.check_insert(fp, self.sleep.iter().map(|e| sleep_pair(now, e))) {
                     self.rec.pruned = true;
                     return Step::Halt;
                 }
@@ -716,7 +767,7 @@ impl Scheduler for ControlledScheduler<'_> {
                     if asleep[alt] {
                         continue;
                     }
-                    let covered_drop = match (opts[alt], self.visited.as_deref()) {
+                    let covered_drop = match (opts[alt], self.visited.as_deref_mut()) {
                         (Step::Drop(i), Some(visited)) if !self.cfg.oracle => drop_is_covered(
                             world,
                             ready,
@@ -1007,6 +1058,106 @@ mod tests {
 
     fn tiny_cfg() -> CheckConfig {
         CheckConfig { max_depth: 3, max_states: 5_000, max_runs: 500, ..CheckConfig::default() }
+    }
+
+    /// The visited map as it stood before sleep keys became bitsets: per
+    /// fingerprint, the sorted pairs of the smallest sleep set a visit
+    /// arrived with, tested by `contains` and narrowed by filtering.
+    /// [`Visited`] must answer every call as this does.
+    #[derive(Default)]
+    struct SortedPairModel(HashMap<u64, Vec<(u64, u64)>>);
+
+    /// The model's prune test: `stored ⊆ key`.
+    fn covered(stored: &[(u64, u64)], key: &[(u64, u64)]) -> bool {
+        stored.iter().all(|s| key.contains(s))
+    }
+
+    impl SortedPairModel {
+        fn covers(&self, fp: u64, key: &[(u64, u64)]) -> bool {
+            self.0.get(&fp).is_some_and(|stored| covered(stored, key))
+        }
+
+        fn check_insert(&mut self, fp: u64, key: &[(u64, u64)]) -> bool {
+            match self.0.get(&fp) {
+                None => {
+                    let mut sorted = key.to_vec();
+                    sorted.sort_unstable();
+                    self.0.insert(fp, sorted);
+                    true
+                }
+                Some(stored) if covered(stored, key) => false,
+                Some(stored) => {
+                    let both = stored.iter().copied().filter(|s| key.contains(s)).collect();
+                    self.0.insert(fp, both);
+                    true
+                }
+            }
+        }
+    }
+
+    /// One of 130 distinct `(delay, digest)` pairs (three words of bits)
+    /// that share delays and digests with each other, so a pair is told
+    /// apart only by both halves.
+    fn pair(i: u8) -> (u64, u64) {
+        let i = u64::from(i) % 130;
+        ((i % 7) * 1_000, (i / 7).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Random `check_insert`/`covers` sequences over four fingerprints,
+        /// with sleep sets drawn mostly from a dozen pairs (so subsets and
+        /// re-visits are common) and sometimes from all 130, duplicates and
+        /// empty sets included: the bitset map answers each call, and ends
+        /// with the same fingerprints, as the sorted-pair model.  `warm`
+        /// first interns all 130 pairs in reverse, which moves the dozen
+        /// into the second and third words.
+        #[test]
+        fn bitset_visited_matches_its_sorted_pair_model(
+            warm in proptest::prelude::any::<bool>(),
+            script in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    0..4u64,
+                    proptest::collection::vec(
+                        proptest::prop_oneof![
+                            0..12u8,
+                            0..12u8,
+                            0..12u8,
+                            proptest::prelude::any::<u8>()
+                        ],
+                        0..8,
+                    ),
+                ),
+                0..200,
+            ),
+        ) {
+            let (mut bits, mut model) = (Visited::default(), SortedPairModel::default());
+            if warm {
+                let all: Vec<(u64, u64)> = (0..130).rev().map(pair).collect();
+                proptest::prop_assert!(bits.check_insert(4, all.iter().copied()));
+                proptest::prop_assert!(model.check_insert(4, &all));
+            }
+            for (insert, fp, set) in script {
+                let pairs: Vec<(u64, u64)> = set.into_iter().map(pair).collect();
+                let (got, want) = if insert {
+                    (bits.check_insert(fp, pairs.iter().copied()), model.check_insert(fp, &pairs))
+                } else {
+                    (bits.covers(fp, pairs.iter().copied()), model.covers(fp, &pairs))
+                };
+                proptest::prop_assert_eq!(got, want, "insert {}, fp {}, {:?}", insert, fp, pairs);
+                proptest::prop_assert_eq!(bits.len(), model.0.len() as u64);
+            }
+            let mut fps: Vec<u64> = bits.fingerprints().collect();
+            fps.sort_unstable();
+            let mut want: Vec<u64> = model.0.keys().copied().collect();
+            want.sort_unstable();
+            proptest::prop_assert_eq!(fps, want);
+        }
     }
 
     #[test]

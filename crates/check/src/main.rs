@@ -23,7 +23,7 @@
 //! meta; sampled traces cannot be bridged).  `bridge` re-enacts a captured
 //! trace into a replayable schedule.
 
-use horus_check::schedule::verdict_line;
+use horus_check::schedule::{verdict_line, MAX_WINDOW_US};
 use horus_check::{
     explore, replay_choices, replay_choices_traced, schedule_from_trace, trace_meta, CheckConfig,
     Scenario, Schedule,
@@ -125,7 +125,14 @@ fn explore_flags(flags: &[String]) -> Result<(CheckConfig, Option<String>), Exit
             "--max-suspects" => cfg.max_suspects = number(flag, it.next())?,
             "--states" => cfg.max_states = number(flag, it.next())?,
             "--runs" => cfg.max_runs = number(flag, it.next())?,
-            "--window-us" => cfg.window = Duration::from_micros(number(flag, it.next())?),
+            "--window-us" => {
+                let us = number(flag, it.next())?;
+                if us > MAX_WINDOW_US {
+                    eprintln!("{flag}: at most {MAX_WINDOW_US} µs (an hour), got {us}");
+                    return Err(ExitCode::from(1));
+                }
+                cfg.window = Duration::from_micros(us);
+            }
             "--wedge-oracle" => cfg.wedge_oracle = true,
             "--oracle" => cfg.oracle = true,
             "--out" => match it.next() {

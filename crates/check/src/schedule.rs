@@ -31,8 +31,9 @@ pub const HEADER: &str = "# horus-check schedule v1";
 
 /// The longest concurrency window a schedule may ask for: an hour, the
 /// bound a `.soak` artifact puts on its times.  A file is outside input,
-/// and virtual time past the window's end must not overflow.
-const MAX_WINDOW_US: u64 = 3_600_000_000;
+/// and virtual time past the window's end must not overflow.  `explore
+/// --window-us` is held to it too, so every schedule it writes replays.
+pub const MAX_WINDOW_US: u64 = 3_600_000_000;
 
 /// A parsed (or to-be-written) schedule file.
 #[derive(Debug, Clone, PartialEq, Eq)]

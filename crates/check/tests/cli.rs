@@ -47,6 +47,13 @@ fn a_bad_explore_value_names_its_flag() {
         (&["--drops", "-1"][..], r#"--drops: expected a number, got "-1""#),
         (&["--window-us", "1.5"][..], r#"--window-us: expected a number, got "1.5""#),
         (&["--depth", "2", "--runs"][..], "--runs: expected a number, got nothing"),
+        // Past an hour virtual time overflowed into a clean verdict, and
+        // the schedule written would not replay.
+        (
+            &["--depth", "2", "--window-us", "18446744073709551"][..],
+            "--window-us: at most 3600000000 µs (an hour), got 18446744073709551",
+        ),
+        (&["--window-us", "3600000001"][..], "--window-us: at most 3600000000 µs"),
     ] {
         let (code, stderr) = explore(flags);
         assert_eq!(code, Some(1), "{flags:?}: {stderr}");

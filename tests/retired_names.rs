@@ -84,6 +84,10 @@ const RETIRED: &[(&str, &[&str])] = &[
             "::Tick\\b",
         ],
     ),
+    (
+        "a visited state is a fingerprint and a few bits: no sorted, boxed sleep keys",
+        &["sleep_key", "Box<[(u64, u64)]>"],
+    ),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.
