@@ -19,7 +19,7 @@ pub mod sched;
 pub mod sim;
 pub mod threaded;
 
-pub use fault::{FaultDrop, FaultPlan, FaultRule};
+pub use fault::FaultRule;
 pub use sched::{ChanceKind, FixedScheduler, NetScheduler, RandomScheduler};
 pub use sim::{Delivery, NetConfig, NetStats, SimNetwork};
 pub use threaded::{FrameSink, LoopbackNet, LoopbackStats};

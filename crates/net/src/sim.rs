@@ -85,13 +85,9 @@ pub struct NetStats {
     pub dropped_partition: u64,
     /// Deliveries suppressed by a [`FaultRule::DirectedLoss`] rule.
     pub dropped_directed: u64,
-    /// Deliveries suppressed by a set-based [`FaultRule::Partition`] rule
-    /// (the declarative, windowed cousin of `dropped_partition` above).
-    pub dropped_fault_partition: u64,
-    /// Deliveries suppressed by a [`FaultRule::OneWayCut`] rule.
+    /// Deliveries suppressed by an active [`FaultRule::Cut`] (the
+    /// declarative, windowed cousin of `dropped_partition` above).
     pub dropped_cut: u64,
-    /// Deliveries suppressed inside a [`FaultRule::BurstLoss`] window.
-    pub dropped_burst: u64,
     /// Deliveries corrupted by a [`FaultRule::TargetedCorrupt`] rule
     /// (random garbling is counted in `garbled`, not here).
     pub corrupted_targeted: u64,
@@ -139,7 +135,8 @@ struct Topology {
 ///
 /// Cloning is cheap: the maps and the fault plan sit behind `Arc`s that the
 /// clone shares, and whichever side changes one first (a join, leave,
-/// partition, heal, or a fault rule counting a hit) copies it then.
+/// partition, heal, a rule installed, or a corrupt rule counting a frame)
+/// copies it then.
 #[derive(Debug, Clone)]
 pub struct SimNetwork {
     config: NetConfig,
@@ -149,9 +146,9 @@ pub struct SimNetwork {
     stats: NetStats,
     /// Cached membership/partition digest (see
     /// [`SimNetwork::digest_cached_into`]), cleared on every join, leave,
-    /// partition, and heal.  Fault state is never cached: rule hit counters
-    /// advance on the frame hot path, where a digest would be invalidated
-    /// far more often than it is read.
+    /// partition, and heal.  Fault state is never cached: the corrupt
+    /// rules' frame counters advance on the frame hot path, where a digest
+    /// would be invalidated far more often than it is read.
     membership_digest: std::cell::Cell<Option<u64>>,
     /// Trace hook for physics drops (loss, partitions, MTU).  `None` (the
     /// default) costs one branch per drop; successful deliveries are traced
@@ -213,11 +210,12 @@ impl SimNetwork {
         &mut self.stats
     }
 
-    /// Feeds the network's delivery-relevant state — group membership and
-    /// partition regions — into a model-checking state digest.  Statistics
-    /// counters are deliberately excluded (they are monotonic observers, not
-    /// behaviour), but fault-rule hit counters are included because rules
-    /// like `BurstLoss` change behaviour as they accumulate hits.
+    /// Feeds the network's delivery-relevant state — group membership,
+    /// partition regions and the fault plan — into a model-checking state
+    /// digest.  Statistics counters are deliberately excluded: they are
+    /// monotonic observers, not behaviour.  The plan digests its rules and
+    /// the per-source frame counts its corrupt rules count against, the one
+    /// piece of fault history that changes what happens next.
     pub fn digest_into(&self, d: &mut horus_core::digest::StateDigest) {
         d.write_u64(self.membership_digest_fresh());
         self.faults.digest_into(d);
@@ -255,21 +253,13 @@ impl SimNetwork {
         e.finish()
     }
 
-    /// Installs a targeted fault rule, returning its index into
-    /// [`SimNetwork::fault_hits`].
-    pub fn add_fault(&mut self, rule: FaultRule) -> usize {
-        self.fault_plan_mut().add(rule)
-    }
-
-    /// Mutable access to the fault plan (scenario scripts add or clear
-    /// rules mid-run).
-    pub fn fault_plan_mut(&mut self) -> &mut FaultPlan {
-        Arc::make_mut(&mut self.faults)
-    }
-
-    /// Per-rule hit counts, parallel to the order rules were added.
-    pub fn fault_hits(&self) -> &[u64] {
-        self.faults.hits()
+    /// Installs a targeted fault rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed rule (see [`FaultRule`]).
+    pub fn add_fault(&mut self, rule: FaultRule) {
+        Arc::make_mut(&mut self.faults).add(rule);
     }
 
     /// Registers `ep` as a transport-level receiver of `group` multicasts.
@@ -308,13 +298,16 @@ impl SimNetwork {
         topo.member_of.get(&ep).and_then(|g| topo.groups.get(g)).cloned().unwrap_or_default()
     }
 
-    /// Splits the network: each inner slice becomes one partition region.
-    /// Endpoints not mentioned keep their previous region.
+    /// Splits the network: each inner slice becomes one new partition
+    /// region, numbered after the largest region in use (so a call on a
+    /// healed network numbers from 1).  Endpoints not mentioned keep their
+    /// previous region.
     pub fn partition(&mut self, regions: &[&[EndpointAddr]]) {
         let topo = self.topo_mut();
+        let base = topo.regions.values().max().copied().unwrap_or(0);
         for (i, eps) in regions.iter().enumerate() {
             for &ep in *eps {
-                topo.regions.insert(ep, i as u32 + 1);
+                topo.regions.insert(ep, base + i as u32 + 1);
             }
         }
     }
@@ -377,7 +370,8 @@ impl SimNetwork {
         self.stats.bytes_sent += wire.len() as u64;
         // Targeted nth-frame corruption is decided once per frame (the
         // per-source frame counter must not depend on the receiver set).
-        let corrupt_frame = !self.faults.is_empty() && self.fault_plan_mut().corrupt_frame(from);
+        let corrupt_frame =
+            !self.faults.is_empty() && Arc::make_mut(&mut self.faults).corrupt_frame(from);
         let mut out = Vec::with_capacity(dests.len());
         for &to in dests {
             if to == from {
@@ -399,35 +393,19 @@ impl SimNetwork {
                 self.trace_drop(now, to, DropReason::Partition);
                 continue;
             }
-            // An empty plan drops nothing; skipping it keeps a shared plan
-            // shared.
-            let verdict = if self.faults.is_empty() {
-                None
-            } else {
-                self.fault_plan_mut().drop_verdict(from, to, now, sched)
-            };
-            match verdict {
-                Some(FaultDrop::Cut) => {
-                    self.stats.dropped_cut += 1;
-                    self.trace_drop(now, to, DropReason::Partition);
-                    continue;
-                }
-                Some(FaultDrop::Burst) => {
-                    self.stats.dropped_burst += 1;
-                    self.trace_drop(now, to, DropReason::Partition);
-                    continue;
-                }
-                Some(FaultDrop::Directed) => {
-                    self.stats.dropped_directed += 1;
-                    self.trace_drop(now, to, DropReason::Partition);
-                    continue;
-                }
-                Some(FaultDrop::Partition) => {
-                    self.stats.dropped_fault_partition += 1;
-                    self.trace_drop(now, to, DropReason::Partition);
-                    continue;
-                }
-                None => {}
+            if let Some(drop) = self.faults.drop_verdict(from, to, now, sched) {
+                let reason = match drop {
+                    FaultDrop::Cut => {
+                        self.stats.dropped_cut += 1;
+                        DropReason::Partition
+                    }
+                    FaultDrop::Directed => {
+                        self.stats.dropped_directed += 1;
+                        DropReason::Loss
+                    }
+                };
+                self.trace_drop(now, to, reason);
+                continue;
             }
             if sched.chance(ChanceKind::Loss, self.config.loss) {
                 self.stats.dropped_loss += 1;
@@ -501,6 +479,12 @@ mod tests {
 
     fn raw(b: &'static [u8]) -> WireFrame {
         WireFrame::raw(Bytes::from_static(b))
+    }
+
+    fn digest(n: &SimNetwork) -> u64 {
+        let mut d = horus_core::digest::StateDigest::new();
+        n.digest_into(&mut d);
+        d.finish()
     }
 
     fn joined_net(config: NetConfig) -> SimNetwork {
@@ -598,11 +582,27 @@ mod tests {
     }
 
     #[test]
+    fn successive_partitions_do_not_alias_regions() {
+        let mut n = SimNetwork::new(NetConfig::reliable());
+        n.partition(&[&[ep(1)], &[ep(2)]]);
+        n.partition(&[&[ep(3)], &[ep(4)]]);
+        for (a, b) in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)] {
+            assert!(!n.connected(ep(a), ep(b)), "ep{a} and ep{b} sit in different regions");
+        }
+        // A call on a healed network numbers its regions from 1 again.
+        n.heal();
+        n.partition(&[&[ep(1)], &[ep(2)]]);
+        let mut fresh = SimNetwork::new(NetConfig::reliable());
+        fresh.partition(&[&[ep(1)], &[ep(2)]]);
+        assert_eq!(digest(&n), digest(&fresh));
+    }
+
+    #[test]
     fn one_way_cut_blocks_only_forward_direction() {
         let mut n = joined_net(NetConfig::reliable());
-        n.add_fault(FaultRule::OneWayCut {
-            from: ep(1),
-            to: ep(2),
+        n.add_fault(FaultRule::Cut {
+            from: vec![ep(1)],
+            to: vec![ep(2)],
             start: SimTime::ZERO,
             end: None,
         });
@@ -616,30 +616,51 @@ mod tests {
     }
 
     #[test]
-    fn partition_rule_cuts_both_directions_and_heals_on_window_end() {
+    fn a_cut_each_way_partitions_and_heals_on_window_end() {
         let mut n = joined_net(NetConfig::reliable());
-        n.add_fault(FaultRule::Partition {
-            sides: vec![vec![ep(1)], vec![ep(2), ep(3)]],
-            start: SimTime::ZERO,
-            end: Some(SimTime::from_millis(50)),
-        });
+        let (a, b) = (vec![ep(1)], vec![ep(2), ep(3)]);
+        let end = Some(SimTime::from_millis(50));
+        n.add_fault(FaultRule::Cut { from: a.clone(), to: b.clone(), start: SimTime::ZERO, end });
+        n.add_fault(FaultRule::Cut { from: b, to: a, start: SimTime::ZERO, end });
         let d = n.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
         assert!(d.iter().all(|d| d.to == ep(1)), "only the loopback survives");
         let d = n.cast(ep(2), raw(b"y"), SimTime::ZERO, &mut rng());
         assert!(d.iter().all(|d| d.to != ep(1)), "symmetric: reverse direction cut too");
         assert!(d.iter().any(|d| d.to == ep(3)), "same-side traffic flows");
-        assert_eq!(n.stats().dropped_fault_partition, 3);
-        // Past the window the rule heals without any explicit heal() call.
+        assert_eq!(n.stats().dropped_cut, 3);
+        // Past the window the cuts heal without any explicit heal() call.
         let t = SimTime::from_millis(50);
         let d = n.cast(ep(1), raw(b"z"), t, &mut rng());
         assert_eq!(d.iter().filter(|d| d.to != ep(1)).count(), 2, "healed");
-        assert_eq!(n.stats().dropped_fault_partition, 3);
+        assert_eq!(n.stats().dropped_cut, 3);
+    }
+
+    #[test]
+    fn what_a_cut_dropped_is_not_state() {
+        // Two networks with the same rules digest equal however many
+        // frames their cuts dropped: the count lives in `NetStats`, an
+        // observer, not in the fault plan.
+        let cut = || FaultRule::Cut {
+            from: vec![ep(1)],
+            to: vec![ep(2)],
+            start: SimTime::ZERO,
+            end: None,
+        };
+        let (mut quiet, mut busy) =
+            (joined_net(NetConfig::reliable()), joined_net(NetConfig::reliable()));
+        quiet.add_fault(cut());
+        busy.add_fault(cut());
+        for _ in 0..3 {
+            busy.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
+        }
+        assert_eq!((quiet.stats().dropped_cut, busy.stats().dropped_cut), (0, 3));
+        assert_eq!(digest(&quiet), digest(&busy));
     }
 
     #[test]
     fn targeted_corruption_spares_loopback_and_counts_frames() {
         let mut n = joined_net(NetConfig::reliable());
-        let r = n.add_fault(FaultRule::TargetedCorrupt { src: ep(1), every_nth: 1 });
+        n.add_fault(FaultRule::TargetedCorrupt { src: ep(1), every_nth: 1 });
         let d = n.cast(ep(1), raw(b"abcd"), SimTime::ZERO, &mut rng());
         let local = d.iter().find(|d| d.to == ep(1)).unwrap();
         assert_eq!(&local.wire.to_bytes()[..], b"abcd", "loopback never corrupted");
@@ -649,11 +670,10 @@ mod tests {
         // Two corrupted deliveries from one corrupted frame.
         assert_eq!(n.stats().corrupted_targeted, 2);
         assert_eq!(n.stats().garbled, 0, "targeted corruption is not random garbling");
-        assert_eq!(n.fault_hits()[r], 1, "rule hit counted per frame");
-        // Frames from other sources are untouched and uncounted.
+        // Frames from other sources are untouched.
         let d = n.cast(ep(2), raw(b"efgh"), SimTime::ZERO, &mut rng());
         assert!(d.iter().all(|d| &d.wire.to_bytes()[..] == b"efgh"));
-        assert_eq!(n.fault_hits()[r], 1);
+        assert_eq!(n.stats().corrupted_targeted, 2);
     }
 
     #[test]
@@ -661,7 +681,7 @@ mod tests {
         let mut cfg = NetConfig::reliable();
         cfg.duplicate = 1.0;
         let mut n = joined_net(cfg);
-        let r = n.add_fault(FaultRule::DirectedLoss { from: ep(1), to: ep(2), rate: 1.0 });
+        n.add_fault(FaultRule::DirectedLoss { from: ep(1), to: ep(2), rate: 1.0 });
         let d = n.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
         // ep2's copies are all eaten by the targeted rule, before
         // duplication; ep3 still gets its duplicated pair.
@@ -669,7 +689,6 @@ mod tests {
         assert_eq!(d.iter().filter(|d| d.to == ep(3)).count(), 2);
         assert_eq!(n.stats().dropped_directed, 1);
         assert_eq!(n.stats().dropped_loss, 0);
-        assert_eq!(n.fault_hits()[r], 1);
     }
 
     #[test]

@@ -354,20 +354,27 @@ fn soak(
                 let heal = ev.at + *dur;
                 watchdog.disturb(heal);
                 last_disturbance = last_disturbance.max(heal);
-                w.fault_at(
-                    ev.at,
-                    FaultRule::Partition { sides: sides.clone(), start: ev.at, end: Some(heal) },
-                );
+                // One cut from each side to every other side (the sides
+                // are disjoint).
+                for side in sides {
+                    let to = sides.iter().flatten().copied().filter(|ep| !side.contains(ep));
+                    let cut = FaultRule::Cut {
+                        from: side.clone(),
+                        to: to.collect(),
+                        start: ev.at,
+                        end: Some(heal),
+                    };
+                    w.fault_at(ev.at, cut);
+                }
             }
             SoakAction::Crash { ep } => {
                 crashed.insert(*ep);
                 w.crash_at(ev.at, *ep);
             }
             SoakAction::Storm { observers, target } => {
-                w.fault_at(
-                    ev.at,
-                    FaultRule::SuspicionStorm { observers: observers.clone(), target: *target },
-                );
+                for &observer in observers {
+                    w.suspect_at(ev.at, observer, *target);
+                }
             }
             SoakAction::Merge { who, contact } => {
                 w.down_at(ev.at, *who, Down::Merge { contact: *contact });

@@ -772,26 +772,7 @@ impl SimWorld {
                     self.input(observer, StackInput::FromApp(Down::Suspect { member: target }));
                 }
             }
-            Ev::Fault { rule } => {
-                if let FaultRule::SuspicionStorm { ref observers, target } = rule {
-                    // The network cannot evaluate a suspicion storm — it is
-                    // executed here, as one scripted suspicion per observer,
-                    // and the injections are credited to the rule's hit
-                    // counter so chaos tests can assert the storm fired.
-                    let observers = observers.clone();
-                    let idx = self.net.add_fault(rule);
-                    let mut fired = 0;
-                    for observer in observers {
-                        if self.is_live_slot(observer) {
-                            self.dispatch(Ev::Suspect { observer, target });
-                            fired += 1;
-                        }
-                    }
-                    self.net.fault_plan_mut().record_hits(idx, fired);
-                    return;
-                }
-                self.net.add_fault(rule);
-            }
+            Ev::Fault { rule } => self.net.add_fault(rule),
         }
     }
 
@@ -1750,7 +1731,7 @@ mod tests {
         let mut w = world_of(2);
         w.fault_at(
             SimTime::from_millis(5),
-            FaultRule::OneWayCut { from: ep(1), to: ep(2), start: SimTime::ZERO, end: None },
+            FaultRule::Cut { from: vec![ep(1)], to: vec![ep(2)], start: SimTime::ZERO, end: None },
         );
         w.cast_bytes_at(SimTime::from_millis(2), ep(1), &b"before"[..]);
         w.cast_bytes_at(SimTime::from_millis(8), ep(1), &b"after"[..]);

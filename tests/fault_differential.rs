@@ -1,14 +1,15 @@
-//! Differential equivalence for the set-based partition rule.
+//! Differential equivalence for the set cut.
 //!
-//! `FaultRule::Partition` is a declarative window over a symmetric split;
-//! its semantics are *defined* to equal the cross-product of one-way cuts
-//! between the sides.  This suite holds the implementation to that
-//! definition byte-for-byte: two worlds built from the same seed, one
-//! carrying the partition rule and one carrying the equivalent
-//! `OneWayCut` pairs, must produce identical delivery transcripts — same
-//! views, same casts, same timestamps.  Any divergence (a missed
-//! direction, an off-by-one on the window edge, an RNG draw consumed by
-//! one encoding but not the other) shows up as a transcript diff.
+//! `FaultRule::Cut` drops every frame from an endpoint in `from` to an
+//! endpoint in `to` inside its window; its semantics are *defined* to equal
+//! the per-link cuts it covers.  This suite holds the implementation to
+//! that definition byte-for-byte: two worlds built from the same seed, one
+//! carrying a symmetric partition as one set cut each way and one carrying
+//! the same partition as one-endpoint cuts, must produce identical
+//! delivery transcripts — same views, same casts, same timestamps.  Any
+//! divergence (a missed direction, an off-by-one on the window edge, an
+//! RNG draw consumed by one encoding but not the other) shows up as a
+//! transcript diff.
 
 mod common;
 
@@ -33,48 +34,54 @@ fn run_with(rules: Vec<FaultRule>, seed: u64) -> String {
     transcript(&w, &[ep(1), ep(2), ep(3)])
 }
 
-/// The partition window used by every encoding below, relative to the
+/// A cut over the window every encoding below uses, relative to the
 /// settle time of `joined_world` (3s).
-fn window() -> (SimTime, Option<SimTime>) {
+fn cut(from: &[u64], to: &[u64]) -> FaultRule {
     let start = SimTime::from_millis(3010);
-    (start, Some(start + Duration::from_millis(800)))
+    FaultRule::Cut {
+        from: from.iter().copied().map(ep).collect(),
+        to: to.iter().copied().map(ep).collect(),
+        start,
+        end: Some(start + Duration::from_millis(800)),
+    }
 }
 
-fn partition_encoding() -> Vec<FaultRule> {
-    let (start, end) = window();
-    vec![FaultRule::Partition { sides: vec![vec![ep(1)], vec![ep(2), ep(3)]], start, end }]
+/// The partition `{1} | {2, 3}` as one set cut each way.
+fn set_encoding() -> Vec<FaultRule> {
+    vec![cut(&[1], &[2, 3]), cut(&[2, 3], &[1])]
 }
 
-fn cut_pair_encoding() -> Vec<FaultRule> {
-    let (start, end) = window();
+/// The same partition as one cut per directed link.
+fn per_link_encoding() -> Vec<FaultRule> {
     let mut rules = Vec::new();
-    for &(a, b) in &[(ep(1), ep(2)), (ep(1), ep(3))] {
-        rules.push(FaultRule::OneWayCut { from: a, to: b, start, end });
-        rules.push(FaultRule::OneWayCut { from: b, to: a, start, end });
+    for b in [2, 3] {
+        rules.push(cut(&[1], &[b]));
+        rules.push(cut(&[b], &[1]));
     }
     rules
 }
 
 #[test]
-fn partition_equals_its_oneway_cut_cross_product() {
+fn a_set_cut_equals_its_per_link_cuts() {
     for seed in [7, 19] {
-        let via_partition = run_with(partition_encoding(), seed);
-        let via_cuts = run_with(cut_pair_encoding(), seed);
+        let via_sets = run_with(set_encoding(), seed);
+        let via_links = run_with(per_link_encoding(), seed);
         assert_eq!(
-            via_partition, via_cuts,
-            "seed {seed}: the set-based partition must behave exactly like its cut pairs"
+            via_sets, via_links,
+            "seed {seed}: a set cut must behave exactly like its links"
         );
     }
 }
 
 #[test]
 fn the_window_actually_bites() {
-    // Guard against a vacuous equivalence: a partition that never dropped a
-    // frame would also "equal" its cut encoding.  The faulted transcript
-    // must differ from the fault-free one (recovered casts arrive late).
-    let faulted = run_with(partition_encoding(), 7);
+    // Guard against a vacuous equivalence: a cut that never dropped a
+    // frame would also "equal" its per-link encoding.  The faulted
+    // transcript must differ from the fault-free one (recovered casts
+    // arrive late).
+    let faulted = run_with(set_encoding(), 7);
     let clean = run_with(Vec::new(), 7);
-    assert_ne!(faulted, clean, "the partition window must perturb delivery");
+    assert_ne!(faulted, clean, "the cut window must perturb delivery");
 }
 
 #[test]
@@ -82,12 +89,7 @@ fn half_the_cuts_are_not_a_partition() {
     // Dropping only the outbound directions models an asymmetric fault and
     // must NOT match the symmetric partition: ep:1's frames die, but the
     // replies still reach it, so NAK recovery behaves differently.
-    let (start, end) = window();
-    let outbound_only = vec![
-        FaultRule::OneWayCut { from: ep(1), to: ep(2), start, end },
-        FaultRule::OneWayCut { from: ep(1), to: ep(3), start, end },
-    ];
-    let asymmetric = run_with(outbound_only, 7);
-    let symmetric = run_with(partition_encoding(), 7);
+    let asymmetric = run_with(vec![cut(&[1], &[2]), cut(&[1], &[3])], 7);
+    let symmetric = run_with(set_encoding(), 7);
     assert_ne!(asymmetric, symmetric, "cut direction must matter");
 }

@@ -134,17 +134,15 @@ fn coordinator_and_successor_death_mid_flush_converges() {
         let t = w.now();
         // Contributions cannot reach the coordinator: the flush is pinned
         // open for the whole scenario window.
-        for from in [ep(3), ep(4)] {
-            w.fault_at(
-                t,
-                FaultRule::BurstLoss {
-                    from,
-                    to: ep(1),
-                    start: t + Duration::from_millis(5),
-                    end: t + Duration::from_millis(600),
-                },
-            );
-        }
+        w.fault_at(
+            t,
+            FaultRule::Cut {
+                from: vec![ep(3), ep(4)],
+                to: vec![ep(1)],
+                start: t + Duration::from_millis(5),
+                end: Some(t + Duration::from_millis(600)),
+            },
+        );
         // ep5 dies; the scripted detector reports it to the coordinator,
         // which starts a flush reaching every survivor.
         w.crash_at(t + Duration::from_millis(5), ep(5));

@@ -88,6 +88,18 @@ const RETIRED: &[(&str, &[&str])] = &[
         "a visited state is a fingerprint and a few bits: no sorted, boxed sleep keys",
         &["sleep_key", "Box<[(u64, u64)]>"],
     ),
+    (
+        "a link fault is said once: one cut rule, no storms in the network, no hit counters",
+        &[
+            "OneWayCut",
+            "BurstLoss",
+            "SuspicionStorm",
+            "record_hits",
+            "fault_hits",
+            "dropped_burst",
+            "dropped_fault_partition",
+        ],
+    ),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.
