@@ -41,12 +41,9 @@ pub enum FaultRule {
     /// A directed set cut: every frame from an endpoint in `from` to an
     /// endpoint in `to` is dropped while `start <= now < end`; traffic the
     /// other way still flows.  One endpoint a side is a one-way cut, a cut
-    /// with an `end` is a burst, and a symmetric partition with sides
-    /// `S1…Sk` is `k` cuts, `Si` to every other side.  Endpoints named on
-    /// neither side keep full connectivity.  Unlike
-    /// [`crate::SimNetwork::partition`] — a mutable region map with a single
-    /// global [`crate::SimNetwork::heal`] — a cut heals by itself when `end`
-    /// passes and several cuts can overlap.
+    /// with an `end` is a burst, and a symmetric partition is the cuts
+    /// [`FaultRule::partition`] builds.  Endpoints named on neither side
+    /// keep full connectivity, and several cuts can overlap.
     Cut {
         /// Transmitting endpoints (non-empty).
         from: Vec<EndpointAddr>,
@@ -54,7 +51,8 @@ pub enum FaultRule {
         to: Vec<EndpointAddr>,
         /// When the cut takes effect.
         start: SimTime,
-        /// When the links heal; `None` means the cut is permanent.
+        /// When the links heal; `None` means until the next
+        /// [`crate::SimNetwork::heal`].
         end: Option<SimTime>,
     },
     /// Corrupts every `every_nth` frame transmitted by `src` (to all of its
@@ -69,6 +67,32 @@ pub enum FaultRule {
 }
 
 impl FaultRule {
+    /// The partition with sides `S1…Sk` over `[start, end)`: `k` cuts, `Si`
+    /// to every other side.  Panics unless there are two or more sides, none
+    /// is empty and no endpoint is on two.
+    pub fn partition(
+        sides: &[Vec<EndpointAddr>],
+        start: SimTime,
+        end: Option<SimTime>,
+    ) -> Vec<FaultRule> {
+        assert!(sides.len() >= 2, "partition: needs at least two sides");
+        assert!(sides.iter().all(|s| !s.is_empty()), "partition: a side is empty");
+        let mut all = sides.concat();
+        all.sort();
+        if let Some(pair) = all.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("partition: {} appears twice", pair[0]);
+        }
+        sides
+            .iter()
+            .map(|side| FaultRule::Cut {
+                from: side.clone(),
+                to: sides.iter().flatten().copied().filter(|ep| !side.contains(ep)).collect(),
+                start,
+                end,
+            })
+            .collect()
+    }
+
     /// Feeds the rule's identity into a state digest, field-direct (no
     /// `Debug` formatting, no allocation; the probability digests as its
     /// bit pattern).
@@ -124,7 +148,7 @@ pub(crate) enum FaultDrop {
 pub(crate) struct FaultPlan {
     rules: Vec<FaultRule>,
     /// Frames transmitted per source since the first
-    /// [`FaultRule::TargetedCorrupt`] rule was installed.
+    /// [`FaultRule::TargetedCorrupt`] rule naming it was installed.
     frames_from: BTreeMap<EndpointAddr, u64>,
 }
 
@@ -166,9 +190,9 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan has no rules (the hot path skips evaluation).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+    /// Removes every cut that has no `end`.
+    pub(crate) fn heal(&mut self) {
+        self.rules.retain(|rule| !matches!(rule, FaultRule::Cut { end: None, .. }));
     }
 
     /// Decides whether the delivery `from → to` at `now` is dropped by a
@@ -201,13 +225,18 @@ impl FaultPlan {
         directed.then_some(FaultDrop::Directed)
     }
 
-    /// Called once per transmitted frame: advances the per-source frame
-    /// counter and reports whether a [`FaultRule::TargetedCorrupt`] rule
-    /// corrupts this frame.
+    /// Whether a [`FaultRule::TargetedCorrupt`] rule names `from`: only such
+    /// a source's frames are counted.
+    pub(crate) fn targets(&self, from: EndpointAddr) -> bool {
+        self.rules
+            .iter()
+            .any(|r| matches!(*r, FaultRule::TargetedCorrupt { src, .. } if src == from))
+    }
+
+    /// Called once per frame from a source the plan [`targets`](Self::targets):
+    /// advances its frame counter and reports whether a rule corrupts this
+    /// frame.
     pub(crate) fn corrupt_frame(&mut self, from: EndpointAddr) -> bool {
-        if self.rules.iter().all(|r| !matches!(r, FaultRule::TargetedCorrupt { .. })) {
-            return false;
-        }
         let n = self.frames_from.entry(from).or_insert(0);
         *n += 1;
         let count = *n;
@@ -233,10 +262,9 @@ mod tests {
 
     #[test]
     fn empty_plan_never_drops_and_never_draws() {
-        let mut p = FaultPlan::default();
-        assert!(p.is_empty());
+        let p = FaultPlan::default();
         assert_eq!(p.drop_verdict(ep(1), ep(2), SimTime::ZERO, &mut rng()), None);
-        assert!(!p.corrupt_frame(ep(1)));
+        assert!(!p.targets(ep(1)));
     }
 
     #[test]
@@ -296,8 +324,9 @@ mod tests {
     fn nth_frame_corruption_counts_per_source() {
         let mut p = FaultPlan::default();
         p.add(FaultRule::TargetedCorrupt { src: ep(2), every_nth: 3 });
-        // Frames from other sources never corrupt and never advance ep2's count.
-        assert!(!p.corrupt_frame(ep(1)));
+        // Frames from other sources are not counted at all.
+        assert!(!p.targets(ep(1)));
+        assert!(p.targets(ep(2)));
         let pattern: Vec<bool> = (0..9).map(|_| p.corrupt_frame(ep(2))).collect();
         assert_eq!(pattern, vec![false, false, true, false, false, true, false, false, true]);
     }
@@ -329,5 +358,65 @@ mod tests {
             start: t,
             end: Some(t),
         });
+    }
+
+    #[test]
+    fn a_partition_is_one_cut_per_side_and_heal_ends_only_open_cuts() {
+        let sides = [vec![ep(1)], vec![ep(2), ep(3)], vec![ep(4)]];
+        let cuts = FaultRule::partition(&sides, SimTime::ZERO, None);
+        let pairs: Vec<_> = cuts
+            .iter()
+            .map(|c| match c {
+                FaultRule::Cut { from, to, .. } => (from.clone(), to.clone()),
+                other => panic!("not a cut: {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (vec![ep(1)], vec![ep(2), ep(3), ep(4)]),
+                (vec![ep(2), ep(3)], vec![ep(1), ep(4)]),
+                (vec![ep(4)], vec![ep(1), ep(2), ep(3)]),
+            ]
+        );
+        let mut p = FaultPlan::default();
+        for cut in cuts {
+            p.add(cut);
+        }
+        let windowed = FaultRule::Cut {
+            from: vec![ep(5)],
+            to: vec![ep(6)],
+            start: SimTime::ZERO,
+            end: Some(SimTime::from_millis(10)),
+        };
+        p.add(windowed);
+        let mut g = rng();
+        assert_eq!(p.drop_verdict(ep(3), ep(4), SimTime::ZERO, &mut g), Some(FaultDrop::Cut));
+        assert_eq!(p.drop_verdict(ep(2), ep(3), SimTime::ZERO, &mut g), None, "same side");
+        p.heal();
+        assert_eq!(p.drop_verdict(ep(3), ep(4), SimTime::ZERO, &mut g), None, "healed");
+        assert_eq!(
+            p.drop_verdict(ep(5), ep(6), SimTime::ZERO, &mut g),
+            Some(FaultDrop::Cut),
+            "a windowed cut keeps its own window"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "partition: needs at least two sides")]
+    fn a_one_sided_partition_is_rejected() {
+        FaultRule::partition(&[vec![ep(1), ep(2)]], SimTime::ZERO, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition: a side is empty")]
+    fn a_partition_with_an_empty_side_is_rejected() {
+        FaultRule::partition(&[vec![ep(1)], Vec::new()], SimTime::ZERO, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition: ep:2 appears twice")]
+    fn a_partition_with_an_endpoint_on_two_sides_is_rejected() {
+        FaultRule::partition(&[vec![ep(1), ep(2)], vec![ep(2)]], SimTime::ZERO, None);
     }
 }

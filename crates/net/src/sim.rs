@@ -3,8 +3,8 @@
 //! [`SimNetwork`] models the "basic protocol class that supports best-effort
 //! byte delivery" of §2: messages may be **delayed**, **lost**, **garbled**,
 //! **duplicated**, or **reordered**, frames larger than the MTU are dropped
-//! (motivating FRAG), and the membership of network *partitions* can change
-//! over time (motivating MBRSHIP/MERGE).  It provides exactly property `P1`
+//! (motivating FRAG), and the network can be *partitioned* and healed over
+//! time (motivating MBRSHIP/MERGE).  It provides exactly property `P1`
 //! (best-effort delivery) of Table 4.
 //!
 //! The network is a pure function of its configuration and the caller's RNG:
@@ -80,13 +80,10 @@ pub struct NetStats {
     /// Deliveries suppressed by *random* (uniform `NetConfig::loss`) loss.
     /// Targeted fault-plan drops are counted separately below.
     pub dropped_loss: u64,
-    /// Deliveries suppressed because sender and receiver are in different
-    /// partitions.
-    pub dropped_partition: u64,
     /// Deliveries suppressed by a [`FaultRule::DirectedLoss`] rule.
     pub dropped_directed: u64,
-    /// Deliveries suppressed by an active [`FaultRule::Cut`] (the
-    /// declarative, windowed cousin of `dropped_partition` above).
+    /// Deliveries suppressed by an active [`FaultRule::Cut`], a
+    /// [`SimNetwork::partition`]'s included.
     pub dropped_cut: u64,
     /// Deliveries corrupted by a [`FaultRule::TargetedCorrupt`] rule
     /// (random garbling is counted in `garbled`, not here).
@@ -119,19 +116,34 @@ pub struct Delivery {
     pub wire: WireFrame,
 }
 
-/// Who can talk to whom: changed only by join, leave, partition and heal.
+/// Who receives a group's casts: changed only by join and leave.
 #[derive(Debug, Clone, Default)]
 struct Topology {
     /// Transport-level group membership (who receives casts to a group).
     groups: BTreeMap<GroupAddr, Vec<EndpointAddr>>,
     /// Which group an endpoint joined (one per endpoint in this model).
     member_of: BTreeMap<EndpointAddr, GroupAddr>,
-    /// Partition region of each endpoint; unlisted endpoints are region 0.
-    regions: BTreeMap<EndpointAddr, u32>,
+    /// The digest of `groups`, redone by every join and leave: a
+    /// fingerprint reads it far more often than membership changes.
+    digest: u64,
 }
 
-/// The simulated datagram network: transport-level group membership,
-/// partition state, and per-frame physics.
+impl Topology {
+    fn redigest(&mut self) {
+        let mut m = horus_core::digest::StateDigest::new();
+        for (g, members) in &self.groups {
+            m.write_u64(g.raw());
+            for ep in members {
+                m.write_u64(ep.raw());
+            }
+            m.write_bytes(&[0xfd]);
+        }
+        self.digest = m.finish();
+    }
+}
+
+/// The simulated datagram network: transport-level group membership, a
+/// fault plan (partitions are cuts in it), and per-frame physics.
 ///
 /// Cloning is cheap: the maps and the fault plan sit behind `Arc`s that the
 /// clone shares, and whichever side changes one first (a join, leave,
@@ -144,12 +156,6 @@ pub struct SimNetwork {
     /// Scripted targeted faults, composed with the global physics above.
     faults: Arc<FaultPlan>,
     stats: NetStats,
-    /// Cached membership/partition digest (see
-    /// [`SimNetwork::digest_cached_into`]), cleared on every join, leave,
-    /// partition, and heal.  Fault state is never cached: the corrupt
-    /// rules' frame counters advance on the frame hot path, where a digest
-    /// would be invalidated far more often than it is read.
-    membership_digest: std::cell::Cell<Option<u64>>,
     /// Trace hook for physics drops (loss, partitions, MTU).  `None` (the
     /// default) costs one branch per drop; successful deliveries are traced
     /// at the receiving stack, not here.
@@ -159,12 +165,13 @@ pub struct SimNetwork {
 impl SimNetwork {
     /// Creates a network with the given physics.
     pub fn new(config: NetConfig) -> Self {
+        let mut topo = Topology::default();
+        topo.redigest();
         SimNetwork {
             config,
-            topo: Arc::default(),
+            topo: Arc::new(topo),
             faults: Arc::default(),
             stats: NetStats::default(),
-            membership_digest: std::cell::Cell::new(None),
             tracer: None,
         }
     }
@@ -210,47 +217,15 @@ impl SimNetwork {
         &mut self.stats
     }
 
-    /// Feeds the network's delivery-relevant state — group membership,
-    /// partition regions and the fault plan — into a model-checking state
+    /// Feeds the network's delivery-relevant state — group membership and
+    /// the fault plan, partitions included — into a model-checking state
     /// digest.  Statistics counters are deliberately excluded: they are
     /// monotonic observers, not behaviour.  The plan digests its rules and
     /// the per-source frame counts its corrupt rules count against, the one
     /// piece of fault history that changes what happens next.
     pub fn digest_into(&self, d: &mut horus_core::digest::StateDigest) {
-        d.write_u64(self.membership_digest_fresh());
+        d.write_u64(self.topo.digest);
         self.faults.digest_into(d);
-    }
-
-    /// [`SimNetwork::digest_into`] with the membership/partition part served
-    /// from a cache — bit-identical by construction, since both paths write
-    /// the same sub-digest value followed by the same fault-plan writes.
-    pub fn digest_cached_into(&self, d: &mut horus_core::digest::StateDigest) {
-        let m = match self.membership_digest.get() {
-            Some(v) => v,
-            None => {
-                let v = self.membership_digest_fresh();
-                self.membership_digest.set(Some(v));
-                v
-            }
-        };
-        d.write_u64(m);
-        self.faults.digest_into(d);
-    }
-
-    fn membership_digest_fresh(&self) -> u64 {
-        let mut e = horus_core::digest::StateDigest::new();
-        for (g, members) in &self.topo.groups {
-            e.write_u64(g.raw());
-            for m in members {
-                e.write_u64(m.raw());
-            }
-            e.write_bytes(&[0xfd]);
-        }
-        for (ep, region) in &self.topo.regions {
-            e.write_u64(ep.raw());
-            e.write_u64(*region as u64);
-        }
-        e.finish()
     }
 
     /// Installs a targeted fault rule.
@@ -264,12 +239,13 @@ impl SimNetwork {
 
     /// Registers `ep` as a transport-level receiver of `group` multicasts.
     pub fn join(&mut self, group: GroupAddr, ep: EndpointAddr) {
-        let topo = self.topo_mut();
+        let topo = Arc::make_mut(&mut self.topo);
         let members = topo.groups.entry(group).or_default();
         if !members.contains(&ep) {
             members.push(ep);
         }
         topo.member_of.insert(ep, group);
+        topo.redigest();
     }
 
     /// Deregisters `ep` from its group (leave, destroy, or crash).
@@ -277,19 +253,13 @@ impl SimNetwork {
         if !self.topo.member_of.contains_key(&ep) {
             return;
         }
-        let topo = self.topo_mut();
+        let topo = Arc::make_mut(&mut self.topo);
         if let Some(group) = topo.member_of.remove(&ep) {
             if let Some(members) = topo.groups.get_mut(&group) {
                 members.retain(|&m| m != ep);
             }
         }
-    }
-
-    /// Write access to the topology: invalidates the cached digest and
-    /// copies the maps first if a clone of this network still shares them.
-    fn topo_mut(&mut self) -> &mut Topology {
-        self.membership_digest.set(None);
-        Arc::make_mut(&mut self.topo)
+        topo.redigest();
     }
 
     /// Transport-level receivers of `ep`'s multicasts (including `ep`).
@@ -298,32 +268,19 @@ impl SimNetwork {
         topo.member_of.get(&ep).and_then(|g| topo.groups.get(g)).cloned().unwrap_or_default()
     }
 
-    /// Splits the network: each inner slice becomes one new partition
-    /// region, numbered after the largest region in use (so a call on a
-    /// healed network numbers from 1).  Endpoints not mentioned keep their
-    /// previous region.
-    pub fn partition(&mut self, regions: &[&[EndpointAddr]]) {
-        let topo = self.topo_mut();
-        let base = topo.regions.values().max().copied().unwrap_or(0);
-        for (i, eps) in regions.iter().enumerate() {
-            for &ep in *eps {
-                topo.regions.insert(ep, base + i as u32 + 1);
-            }
+    /// Installs [`FaultRule::partition`]'s cuts with no end, until the next
+    /// [`heal`](Self::heal).  They start at time zero, so the state does not
+    /// depend on when they were installed.
+    pub fn partition(&mut self, sides: &[Vec<EndpointAddr>]) {
+        let plan = Arc::make_mut(&mut self.faults);
+        for cut in FaultRule::partition(sides, SimTime::ZERO, None) {
+            plan.add(cut);
         }
     }
 
-    /// Heals all partitions: every endpoint returns to region 0.
+    /// Removes every cut that has no `end`; windowed cuts keep theirs.
     pub fn heal(&mut self) {
-        self.topo_mut().regions.clear();
-    }
-
-    /// Whether two endpoints can currently exchange frames.
-    pub fn connected(&self, a: EndpointAddr, b: EndpointAddr) -> bool {
-        self.region(a) == self.region(b)
-    }
-
-    fn region(&self, ep: EndpointAddr) -> u32 {
-        self.topo.regions.get(&ep).copied().unwrap_or(0)
+        Arc::make_mut(&mut self.faults).heal();
     }
 
     /// Transmits a multicast frame from `from` to its transport group
@@ -369,13 +326,15 @@ impl SimNetwork {
         }
         self.stats.bytes_sent += wire.len() as u64;
         // Targeted nth-frame corruption is decided once per frame (the
-        // per-source frame counter must not depend on the receiver set).
+        // per-source frame counter must not depend on the receiver set).  A
+        // source no rule names is not counted, so its frames neither copy
+        // a shared plan nor change the digest.
         let corrupt_frame =
-            !self.faults.is_empty() && Arc::make_mut(&mut self.faults).corrupt_frame(from);
+            self.faults.targets(from) && Arc::make_mut(&mut self.faults).corrupt_frame(from);
         let mut out = Vec::with_capacity(dests.len());
         for &to in dests {
             if to == from {
-                // Loopback: reliable, immune to loss/garbling/partitions,
+                // Loopback: reliable, immune to loss/garbling/cuts,
                 // and out of reach of the fault plan (a flaky NIC still
                 // hands the local copy up without touching the wire).
                 self.stats.deliveries += 1;
@@ -386,11 +345,6 @@ impl SimNetwork {
                     at: now + LOOPBACK_LATENCY,
                     wire: wire.clone(),
                 });
-                continue;
-            }
-            if !self.connected(from, to) {
-                self.stats.dropped_partition += 1;
-                self.trace_drop(now, to, DropReason::Partition);
                 continue;
             }
             if let Some(drop) = self.faults.drop_verdict(from, to, now, sched) {
@@ -517,17 +471,24 @@ mod tests {
         assert_eq!(n.stats().dropped_loss, 2);
     }
 
-    #[test]
-    fn partitions_block_cross_region_traffic() {
-        let mut n = joined_net(NetConfig::reliable());
-        n.partition(&[&[ep(1)], &[ep(2), ep(3)]]);
-        let d = n.cast(ep(2), raw(b"x"), SimTime::ZERO, &mut rng());
-        let mut tos: Vec<_> = d.iter().map(|d| d.to.raw()).collect();
+    fn remote_targets(n: &mut SimNetwork, from: u64) -> Vec<u64> {
+        let d = n.cast(ep(from), raw(b"x"), SimTime::from_millis(1000), &mut rng());
+        let mut tos: Vec<_> = d.iter().map(|d| d.to.raw()).filter(|&to| to != from).collect();
         tos.sort();
-        assert_eq!(tos, vec![2, 3]);
-        assert!(!n.connected(ep(1), ep(2)));
+        tos
+    }
+
+    #[test]
+    fn partitions_block_cross_side_traffic_until_healed() {
+        let mut n = joined_net(NetConfig::reliable());
+        let before = digest(&n);
+        n.partition(&[vec![ep(1)], vec![ep(2), ep(3)]]);
+        assert_eq!(remote_targets(&mut n, 2), vec![3]);
+        assert_eq!(remote_targets(&mut n, 1), Vec::<u64>::new());
+        assert_eq!(n.stats().dropped_cut, 3);
         n.heal();
-        assert!(n.connected(ep(1), ep(2)));
+        assert_eq!(remote_targets(&mut n, 1), vec![2, 3]);
+        assert_eq!(digest(&n), before, "a heal restores the unpartitioned state");
     }
 
     #[test]
@@ -582,18 +543,22 @@ mod tests {
     }
 
     #[test]
-    fn successive_partitions_do_not_alias_regions() {
-        let mut n = SimNetwork::new(NetConfig::reliable());
-        n.partition(&[&[ep(1)], &[ep(2)]]);
-        n.partition(&[&[ep(3)], &[ep(4)]]);
-        for (a, b) in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)] {
-            assert!(!n.connected(ep(a), ep(b)), "ep{a} and ep{b} sit in different regions");
-        }
-        // A call on a healed network numbers its regions from 1 again.
+    fn partitions_compose_and_spare_outsiders() {
+        let mut n = joined_net(NetConfig::reliable());
+        n.join(GroupAddr::new(1), ep(4));
+        n.partition(&[vec![ep(1)], vec![ep(2)]]);
+        n.partition(&[vec![ep(2)], vec![ep(3)]]);
+        // A link is down if any partition separates its ends; ep4 is on no
+        // side and reaches everyone.
+        assert_eq!(remote_targets(&mut n, 1), vec![3, 4]);
+        assert_eq!(remote_targets(&mut n, 2), vec![4]);
+        assert_eq!(remote_targets(&mut n, 4), vec![1, 2, 3]);
+        // A partition's state does not depend on when it was installed.
         n.heal();
-        n.partition(&[&[ep(1)], &[ep(2)]]);
-        let mut fresh = SimNetwork::new(NetConfig::reliable());
-        fresh.partition(&[&[ep(1)], &[ep(2)]]);
+        n.partition(&[vec![ep(1)], vec![ep(2)]]);
+        let mut fresh = joined_net(NetConfig::reliable());
+        fresh.join(GroupAddr::new(1), ep(4));
+        fresh.partition(&[vec![ep(1)], vec![ep(2)]]);
         assert_eq!(digest(&n), digest(&fresh));
     }
 
@@ -689,6 +654,33 @@ mod tests {
         assert_eq!(d.iter().filter(|d| d.to == ep(3)).count(), 2);
         assert_eq!(n.stats().dropped_directed, 1);
         assert_eq!(n.stats().dropped_loss, 0);
+    }
+
+    #[test]
+    fn frames_from_a_source_no_rule_names_are_not_state() {
+        let corrupt = || FaultRule::TargetedCorrupt { src: ep(2), every_nth: 2 };
+        let (mut quiet, mut busy) =
+            (joined_net(NetConfig::reliable()), joined_net(NetConfig::reliable()));
+        quiet.add_fault(corrupt());
+        busy.add_fault(corrupt());
+        busy.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
+        assert_eq!(digest(&quiet), digest(&busy));
+    }
+
+    #[test]
+    fn the_group_digest_follows_joins_and_leaves() {
+        let empty = digest(&SimNetwork::new(NetConfig::reliable()));
+        let mut n = joined_net(NetConfig::reliable());
+        let three = digest(&n);
+        assert_ne!(three, empty);
+        n.leave(ep(3));
+        let mut two = SimNetwork::new(NetConfig::reliable());
+        for i in 1..=2 {
+            two.join(GroupAddr::new(1), ep(i));
+        }
+        assert_eq!(digest(&n), digest(&two));
+        n.join(GroupAddr::new(1), ep(3));
+        assert_eq!(digest(&n), three);
     }
 
     #[test]

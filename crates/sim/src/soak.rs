@@ -354,16 +354,9 @@ fn soak(
                 let heal = ev.at + *dur;
                 watchdog.disturb(heal);
                 last_disturbance = last_disturbance.max(heal);
-                // One cut from each side to every other side (the sides
-                // are disjoint).
-                for side in sides {
-                    let to = sides.iter().flatten().copied().filter(|ep| !side.contains(ep));
-                    let cut = FaultRule::Cut {
-                        from: side.clone(),
-                        to: to.collect(),
-                        start: ev.at,
-                        end: Some(heal),
-                    };
+                // Windowed cuts, not `partition_at`: the soak's partitions
+                // overlap, and each heals on its own.
+                for cut in FaultRule::partition(sides, ev.at, Some(heal)) {
                     w.fault_at(ev.at, cut);
                 }
             }

@@ -35,8 +35,8 @@ enum Ev {
     App { ep: EndpointAddr, down: Down },
     /// The endpoint crashes (fail-stop).
     Crash { ep: EndpointAddr },
-    /// The network splits into the given regions.
-    Partition { regions: Vec<Vec<EndpointAddr>> },
+    /// The network splits into the given sides.
+    Partition { sides: Vec<Vec<EndpointAddr>> },
     /// All partitions heal.
     Heal,
     /// The scripted failure detector (§5) tells `observer` that `target`
@@ -583,13 +583,21 @@ impl SimWorld {
         self.schedule(at, Ev::Crash { ep });
     }
 
-    /// Schedules a network partition (each slice becomes one region).
-    pub fn partition_at(&mut self, at: SimTime, regions: &[&[EndpointAddr]]) {
-        let regions = regions.iter().map(|r| r.to_vec()).collect();
-        self.schedule(at, Ev::Partition { regions });
+    /// Schedules a partition into `sides` until the next
+    /// [`heal_at`](Self::heal_at).  Endpoints on no side keep full
+    /// connectivity; partitions since the last heal compose (a link is down
+    /// if any of them separates its ends); a partition takes effect when its
+    /// entry fires, so a frame an earlier entry sends at that instant still
+    /// leaves.  Panics here, not when the entry fires, on malformed sides
+    /// (see [`FaultRule::partition`]).
+    pub fn partition_at(&mut self, at: SimTime, sides: &[&[EndpointAddr]]) {
+        let sides: Vec<Vec<EndpointAddr>> = sides.iter().map(|s| s.to_vec()).collect();
+        FaultRule::partition(&sides, at, None);
+        self.schedule(at, Ev::Partition { sides });
     }
 
-    /// Schedules the healing of all partitions.
+    /// Schedules the healing of all partitions; cuts installed with
+    /// [`fault_at`](Self::fault_at) keep their own windows.
     pub fn heal_at(&mut self, at: SimTime) {
         self.schedule(at, Ev::Heal);
     }
@@ -762,10 +770,7 @@ impl SimWorld {
                     self.net.leave(ep);
                 }
             }
-            Ev::Partition { regions } => {
-                let slices: Vec<&[EndpointAddr]> = regions.iter().map(|r| r.as_slice()).collect();
-                self.net.partition(&slices);
-            }
+            Ev::Partition { sides } => self.net.partition(&sides),
             Ev::Heal => self.net.heal(),
             Ev::Suspect { observer, target } => {
                 if self.is_live_slot(observer) {
@@ -1132,7 +1137,7 @@ impl SimWorld {
 
     /// A 64-bit fingerprint of the world's explorable state: per-endpoint
     /// stack digests and liveness, observable delivery histories, network
-    /// membership/partition state, and the pending-event multiset with times
+    /// membership and fault plan, and the pending-event multiset with times
     /// taken *relative to now* (so two runs reaching the same configuration
     /// at different absolute instants merge).
     ///
@@ -1174,7 +1179,7 @@ impl SimWorld {
         let mut d = StateDigest::new();
         d.write_u64(self.endpoints.len() as u64);
         d.write_u64(self.slots_sum_cached());
-        self.net.digest_cached_into(&mut d);
+        self.net.digest_into(&mut d);
         Self::write_pending_combine(&mut d, self.time, n, s1, s2);
         d.finish()
     }
@@ -1283,11 +1288,11 @@ fn ev_digest(ev: &Ev) -> u64 {
             e.write_u64(4);
             e.write_u64(ep.raw());
         }
-        Ev::Partition { regions } => {
+        Ev::Partition { sides } => {
             e.write_u64(5);
-            for r in regions {
-                e.write_u64(r.len() as u64);
-                for m in r {
+            for side in sides {
+                e.write_u64(side.len() as u64);
+                for m in side {
                     e.write_u64(m.raw());
                 }
             }
@@ -1512,7 +1517,7 @@ mod tests {
         let log = Arc::new(Log::default());
         w.set_tracer(log.clone());
         w.crash_at(SimTime::from_millis(1), ep(2));
-        w.partition_at(SimTime::from_millis(2), &[&[ep(1)]]);
+        w.partition_at(SimTime::from_millis(2), &[&[ep(1)], &[ep(2)]]);
         w.heal_at(SimTime::from_millis(3));
         w.run_for(Duration::from_millis(10));
         let events = log.0.lock().unwrap();

@@ -9,29 +9,38 @@
 //! delivery transcripts — same views, same casts, same timestamps.  Any
 //! divergence (a missed direction, an off-by-one on the window edge, an
 //! RNG draw consumed by one encoding but not the other) shows up as a
-//! transcript diff.
+//! transcript diff.  A scripted `partition_at` + `heal_at` is held to its
+//! windowed cuts the same way.
 
 mod common;
 
 use common::*;
 use horus::prelude::*;
 use horus::sim::soak::transcript;
-use horus::sim::Workload;
+use horus::sim::{SimWorld, Workload};
 use horus_net::{FaultRule, NetConfig};
 use std::time::Duration;
 
-/// Runs a 3-member VSYNC world with steady traffic and the given fault
-/// rules installed 2ms after assembly; returns the delivery transcript.
-fn run_with(rules: Vec<FaultRule>, seed: u64) -> String {
+/// Runs a 3-member VSYNC world with steady traffic and whatever `script`
+/// schedules, handed the world and its settle time; returns the delivery
+/// transcript.
+fn run_script(seed: u64, script: impl FnOnce(&mut SimWorld, SimTime)) -> String {
     let mut w = joined_world(3, seed, NetConfig::reliable(), VSYNC);
     let t = w.now();
     let wl = Workload::round_robin(vec![ep(1), ep(2), ep(3)], 12);
     wl.schedule(&mut w, t + Duration::from_millis(1));
-    for r in rules {
-        w.fault_at(t + Duration::from_millis(2), r);
-    }
+    script(&mut w, t);
     w.run_for(Duration::from_secs(4));
     transcript(&w, &[ep(1), ep(2), ep(3)])
+}
+
+/// [`run_script`] with the given fault rules installed 2ms after assembly.
+fn run_with(rules: Vec<FaultRule>, seed: u64) -> String {
+    run_script(seed, |w, t| {
+        for r in rules {
+            w.fault_at(t + Duration::from_millis(2), r);
+        }
+    })
 }
 
 /// A cut over the window every encoding below uses, relative to the
@@ -92,4 +101,24 @@ fn half_the_cuts_are_not_a_partition() {
     let asymmetric = run_with(vec![cut(&[1], &[2]), cut(&[1], &[3])], 7);
     let symmetric = run_with(set_encoding(), 7);
     assert_ne!(asymmetric, symmetric, "cut direction must matter");
+}
+
+#[test]
+fn a_scripted_partition_equals_its_windowed_cuts() {
+    // Off the workload's whole-millisecond instants: a cast an earlier
+    // entry schedules at the partition's own instant leaves before the
+    // partition entry fires, while a windowed cut already covers it.
+    let (start, end) = (SimTime::from_micros(3_010_500), SimTime::from_micros(3_810_500));
+    let sides = [vec![ep(1)], vec![ep(2), ep(3)]];
+    for seed in [7, 19] {
+        let scripted = run_script(seed, |w, _| {
+            w.partition_at(start, &[&sides[0], &sides[1]]);
+            w.heal_at(end);
+        });
+        let windowed = run_with(FaultRule::partition(&sides, start, Some(end)), seed);
+        assert_eq!(
+            scripted, windowed,
+            "seed {seed}: a partition must behave exactly like its cuts"
+        );
+    }
 }

@@ -100,6 +100,10 @@ const RETIRED: &[(&str, &[&str])] = &[
             "dropped_fault_partition",
         ],
     ),
+    (
+        "a partition is said once: partitions are cuts, one network digest path",
+        &["dropped_partition\\b", "digest_cached_into", "membership_digest", "fn connected\\b"],
+    ),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.
