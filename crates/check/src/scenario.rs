@@ -87,7 +87,9 @@ pub struct Scenario {
     /// its budget on the scripted situation, not on group assembly.
     pub settle: Duration,
     /// Scripts the situation; `base` is the settle deadline, so events are
-    /// scheduled at `base + offset`.
+    /// scheduled at `base + offset`.  A script may also run the world on
+    /// past `base` to set its situation up; that stretch is settling too,
+    /// and the horizon counts from `settle`, not from where it stopped.
     pub script: fn(&mut SimWorld, SimTime),
     /// Exploration horizon past the settle point.  Events scheduled beyond
     /// `settle + horizon` terminate the run (periodic timers never quiesce,
@@ -252,6 +254,32 @@ fn script_stability(w: &mut SimWorld, base: SimTime) {
     w.cast_bytes_at(base + Duration::from_millis(1), ep(3), &b"3:1"[..]);
 }
 
+/// The casts `3:first ..= 3:last` of `ep:3`, `gap` apart from `at`.
+fn casts_of_c(w: &mut SimWorld, at: SimTime, first: u32, last: u32, gap: Duration) {
+    for k in first..=last {
+        w.cast_bytes_at(at + gap * (k - first), ep(3), format!("3:{k}").into_bytes());
+    }
+}
+
+fn script_trim3(w: &mut SimWorld, base: SimTime) {
+    // Stability mid-flush.  Settling (unexplored) brings c to 1 023 casts of
+    // the view and runs past the members' NAK status round at base +
+    // 300 ms, so the window opens on c: its 1 024th cast — a stability
+    // report point for every member — two more casts at the same instant,
+    // and its crash.  The reports race c's last casts, and the flush that
+    // excludes c (NAK suspects it 200 ms later) runs on logs trimmed at
+    // whatever frontier the reports reached.  Two casts past the report
+    // point, because a trimmed entry the flush still needed shows only
+    // where a later one survives it.  No FIFO oracle: the explorer may
+    // reorder c's same-instant casts, so their payloads need not follow
+    // c's sequence.
+    casts_of_c(w, base, 1, 1023, Duration::from_micros(20));
+    w.run_until(base + Duration::from_micros(300_500));
+    let t = base + Duration::from_millis(301);
+    casts_of_c(w, t, 1024, 1026, Duration::ZERO);
+    w.crash_at(t, ep(3));
+}
+
 fn script_soakwedge(w: &mut SimWorld, base: SimTime) {
     // The soak-minimized wedge plan, re-enacted as a checking scenario: the
     // committed `.soak` fixture's (partition, crash) pair — once a
@@ -383,6 +411,16 @@ static SCENARIOS: &[Scenario] = &[
         settle: Duration::from_millis(400),
         script: script_stability,
         horizon: Duration::from_millis(500),
+        oracles: &[Oracle::VirtualSynchrony],
+    },
+    Scenario {
+        name: "trim3",
+        summary: "stability reports race an origin's last casts and crash (MBRSHIP log trim)",
+        stack: VSYNC,
+        members: 3,
+        settle: Duration::from_millis(400),
+        script: script_trim3,
+        horizon: Duration::from_millis(550),
         oracles: &[Oracle::VirtualSynchrony],
     },
     Scenario {

@@ -41,16 +41,34 @@
 //!
 //! Step 2 needs every member to hold the messages of a sender that may
 //! yet be declared failed, so each cast sent, delivered or recovered in
-//! the current view is logged until the next view is installed.  The log
-//! is one queue per origin (`UnstableLog`): sequence numbers are
-//! per-origin and only ever logged in increasing order, so an entry is
-//! appended, never searched for — except the sender's own loopback copy,
-//! which replaces the entry made at send time.  An entry is not an
-//! encoding but an [`InnerImage`]: the header area (inline) and the body
-//! by reference count.  The message is serialized only if a flush has to
-//! contribute it, which is also the only place the log copies a payload
-//! (and counts the copy).  Trimming the queues at the stability frontier
-//! is a `drain(..k)` this layer does not do yet (ROADMAP, bounded state).
+//! the current view is logged until every member has it (below) or the
+//! next view is installed.  The log is one queue per origin
+//! (`UnstableLog`): sequence numbers are per-origin and only ever logged
+//! in increasing order, so an entry is appended, never searched for —
+//! except the sender's own loopback copy, which replaces the entry made
+//! at send time.  An entry is not an encoding but an [`InnerImage`]: the
+//! header area (inline) and the body by reference count.  The message is
+//! serialized only if a flush has to contribute it, which is also the
+//! only place the log copies a payload (and counts the copy).
+//!
+//! Only *unstable* messages need the log, so it is trimmed at the
+//! **stability frontier**.  Whenever a member logs message `k` of some
+//! origin with `k` a multiple of `STABILITY_EVERY` (1 024) — at send time
+//! for its own casts, at delivery for everyone else's — it casts a
+//! **stability report** in the normal phase: its view id and the
+//! cumulative receive vector its flush contribution would carry.  A
+//! member keeps the last report of each view member, its own included,
+//! and drains every origin's queue up to the minimum, over the view, of
+//! the reported counts for that origin.  A trimmed entry is one every
+//! member of the view has received, so no survivor would accept it from
+//! a SYNC (`handle_sync` delivers only `seq > recv[origin]`): trimming
+//! shrinks contributions and SYNCs but changes neither the cut nor what
+//! anyone delivers.  While every member keeps casting or delivering, a
+//! queue holds about 2 × `STABILITY_EVERY` entries plus what is in
+//! flight; a member that goes silent freezes the frontier until the flush
+//! that excludes it, and the queues grow meanwhile as they did before the
+//! trim.  A view with fewer than `STABILITY_EVERY` casts per origin sends
+//! no report at all.
 //!
 //! ## Merging
 //!
@@ -102,6 +120,14 @@ const KIND_LEAVE_REQ: u64 = 9;
 /// An application-level subset send (Table 1 `send`): delivered within
 /// the view it was sent in, not subject to flush recovery.
 const KIND_USEND: u64 = 10;
+/// A stability report: the sender's view id and receive vector.
+const KIND_STABLE: u64 = 11;
+
+/// A member casts a stability report each time it logs a message whose
+/// per-view sequence number is a multiple of this.  It trades the log's
+/// bound (about twice this many entries per origin) against report
+/// traffic (one report per member per this many casts of each origin).
+const STABILITY_EVERY: u32 = 1024;
 
 const TIMER_TICK: u64 = 0;
 
@@ -234,6 +260,16 @@ impl UnstableLog {
             .map(|(&origin, queue)| (origin, &queue[..]))
     }
 
+    /// Drops every entry at or below `frontier(origin)`.  A queue keeps its
+    /// capacity, so a trimmed log refills without allocating.
+    fn trim(&mut self, frontier: impl Fn(EndpointAddr) -> u32) {
+        for (&origin, queue) in &mut self.by_origin {
+            let stable = frontier(origin);
+            let k = queue.partition_point(|&(seq, _)| seq <= stable);
+            queue.drain(..k);
+        }
+    }
+
     fn clear(&mut self) {
         self.by_origin.clear();
     }
@@ -256,6 +292,11 @@ pub struct Mbrship {
     /// Log of every data message received/sent in the current view
     /// (the unstable-message log of Figure 2), as post-open images.
     log: UnstableLog,
+    /// Per member of the current view, the receive vector of its last
+    /// stability report: what decides the log's trim frontier.  Left
+    /// out of `dump_to`, like the log itself — it only decides which log
+    /// entries exist, and a trimmed entry is one no SYNC delivery needs.
+    heard: BTreeMap<EndpointAddr, BTreeMap<EndpointAddr, u32>>,
     /// Data that arrived for a view we have not installed yet.
     future: BTreeMap<(u32, EndpointAddr, u32), Message>,
     /// Subset sends that arrived for a view we have not installed yet
@@ -296,6 +337,7 @@ impl Mbrship {
             my_seq: 0,
             recv: BTreeMap::new(),
             log: UnstableLog::default(),
+            heard: BTreeMap::new(),
             future: BTreeMap::new(),
             future_sends: Vec::new(),
             pending: VecDeque::new(),
@@ -365,6 +407,68 @@ impl Mbrship {
         ctx.set(&mut msg, 2, self.vc() as u64);
         ctx.set(&mut msg, 3, seq as u64);
         ctx.down(Down::Cast(msg));
+        self.maybe_report(seq, ctx);
+    }
+
+    /// Writes our cumulative receive vector — one `(member, count)` per
+    /// view member, our own casts counted as received even while their
+    /// loopback copies are in flight — as flush contributions and
+    /// stability reports carry it.
+    fn put_recv_vector(&self, view: &View, w: &mut WireWriter) {
+        w.put_u32(view.len() as u32);
+        for &m in view.members() {
+            let mut acked = self.recv.get(&m).copied().unwrap_or(0);
+            if m == self.me() {
+                acked = acked.max(self.my_seq);
+            }
+            w.put_addr(m);
+            w.put_u32(acked);
+        }
+    }
+
+    /// Reads what [`Mbrship::put_recv_vector`] wrote.
+    fn get_recv_vector(r: &mut WireReader<'_>) -> Option<BTreeMap<EndpointAddr, u32>> {
+        let n = r.get_u32().ok()?;
+        let mut vector = BTreeMap::new();
+        for _ in 0..n {
+            vector.insert(r.get_addr().ok()?, r.get_u32().ok()?);
+        }
+        Some(vector)
+    }
+
+    /// Casts a stability report if message `seq` of some origin, just
+    /// logged, is a report point (module doc, "The unstable-message log").
+    fn maybe_report(&self, seq: u32, ctx: &mut LayerCtx<'_>) {
+        let (Phase::Normal, Some(view)) = (&self.phase, &self.view) else { return };
+        if !seq.is_multiple_of(STABILITY_EVERY) {
+            return;
+        }
+        let mut w = WireWriter::with_capacity(24 + 12 * view.len());
+        w.put_u64(view.id().counter);
+        w.put_addr(view.id().coordinator);
+        self.put_recv_vector(view, &mut w);
+        self.control_cast(ctx, KIND_STABLE, 0, w.finish());
+    }
+
+    /// Records `src`'s stability report (our own included, through the
+    /// loopback) and trims the log at the new frontier.  A report counts
+    /// only in the normal phase and only if it names our very view: two
+    /// partitions can both reach the same view counter, and their sequence
+    /// numbers mean different messages.
+    fn handle_stable(&mut self, src: EndpointAddr, body: &[u8]) {
+        let (Phase::Normal, Some(view)) = (&self.phase, &self.view) else { return };
+        let mut r = WireReader::new(body);
+        let (Ok(counter), Ok(coordinator)) = (r.get_u64(), r.get_addr()) else { return };
+        if !view.contains(src) || view.id() != (ViewId { counter, coordinator }) {
+            return;
+        }
+        let Some(vector) = Self::get_recv_vector(&mut r) else { return };
+        self.heard.insert(src, vector);
+        let heard = &self.heard;
+        self.log.trim(|origin| {
+            let reported = |m| heard.get(m).and_then(|v| v.get(&origin)).copied().unwrap_or(0);
+            view.members().iter().map(reported).min().unwrap_or(0)
+        });
     }
 
     // ------------------------------------------------------------------
@@ -383,6 +487,7 @@ impl Mbrship {
         self.my_seq = 0;
         self.recv = v.members().iter().map(|&m| (m, 0)).collect();
         self.log.clear();
+        self.heard.clear();
         self.suspects.clear();
         self.leave_reqs.clear();
         self.pending_joiners.retain(|jv| !jv.members().iter().all(|m| v.contains(*m)));
@@ -532,6 +637,10 @@ impl Mbrship {
         self.delivered += 1;
         ctx.up(Up::Cast { src, msg });
         self.maybe_flush_ok(ctx);
+        // Our own casts were reported when they were sent.
+        if src != self.me() {
+            self.maybe_report(seq, ctx);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -700,25 +809,10 @@ impl Mbrship {
     /// Unicasts our contribution (ack vector + failed-sender messages) to
     /// the coordinator of the current round.
     fn send_contrib(&mut self, ctx: &mut LayerCtx<'_>) {
-        let me = self.me();
         let Phase::Flushing(round) = &self.phase else { return };
         let Some(view) = &self.view else { return };
-        let mut entries: Vec<(EndpointAddr, u32)> = Vec::new();
-        for &m in view.members() {
-            let mut acked = self.recv.get(&m).copied().unwrap_or(0);
-            if m == me {
-                // Our own casts count as received even if the loopback copy
-                // is still in flight.
-                acked = acked.max(self.my_seq);
-            }
-            entries.push((m, acked));
-        }
-        let mut w = WireWriter::with_capacity(8 + 12 * entries.len());
-        w.put_u32(entries.len() as u32);
-        for (m, acked) in &entries {
-            w.put_addr(*m);
-            w.put_u32(*acked);
-        }
+        let mut w = WireWriter::with_capacity(8 + 12 * view.len());
+        self.put_recv_vector(view, &mut w);
         // The one place a logged message is serialized: a copy of every
         // unstable message of a failed sender.
         let unstable: usize = self.log.of(&round.failed).map(|(_, queue)| queue.len()).sum();
@@ -748,12 +842,7 @@ impl Mbrship {
                 return;
             }
             let mut r = WireReader::new(body);
-            let Ok(n) = r.get_u32() else { return };
-            let mut vector = BTreeMap::new();
-            for _ in 0..n {
-                let (Ok(addr), Ok(acked)) = (r.get_addr(), r.get_u32()) else { return };
-                vector.insert(addr, acked);
-            }
+            let Some(vector) = Self::get_recv_vector(&mut r) else { return };
             let Ok(n_msgs) = r.get_u32() else { return };
             for _ in 0..n_msgs {
                 let (Ok(origin), Ok(seq)) = (r.get_addr(), r.get_u32()) else { return };
@@ -1456,6 +1545,7 @@ impl Layer for Mbrship {
                     KIND_MERGE_REQ => self.handle_merge_req(src, &msg.body().clone(), ctx),
                     KIND_MERGE_DENY => self.handle_merge_deny(&msg.body().clone(), ctx),
                     KIND_SUSPECT => self.handle_suspect_report(vc, &msg.body().clone(), ctx),
+                    KIND_STABLE => self.handle_stable(src, &msg.body().clone()),
                     KIND_USEND => {
                         // Subset sends honour view boundaries like casts,
                         // but carry no sequence and are not flushed.  A

@@ -67,20 +67,32 @@ pub enum FaultRule {
 }
 
 impl FaultRule {
+    /// What is wrong with `sides` as a partition's sides, if anything:
+    /// there must be two or more, none empty, and no endpoint on two.
+    pub fn partition_sides_error(sides: &[Vec<EndpointAddr>]) -> Option<String> {
+        if sides.len() < 2 {
+            return Some("partition: needs at least two sides".into());
+        }
+        if sides.iter().any(Vec::is_empty) {
+            return Some("partition: a side is empty".into());
+        }
+        let mut all = sides.concat();
+        all.sort();
+        let pair = all.windows(2).find(|pair| pair[0] == pair[1])?;
+        Some(format!("partition: {} appears twice", pair[0]))
+    }
+
     /// The partition with sides `S1…Sk` over `[start, end)`: `k` cuts, `Si`
-    /// to every other side.  Panics unless there are two or more sides, none
-    /// is empty and no endpoint is on two.
+    /// to every other side.  Panics with
+    /// [`partition_sides_error`](Self::partition_sides_error)'s text on
+    /// malformed sides.
     pub fn partition(
         sides: &[Vec<EndpointAddr>],
         start: SimTime,
         end: Option<SimTime>,
     ) -> Vec<FaultRule> {
-        assert!(sides.len() >= 2, "partition: needs at least two sides");
-        assert!(sides.iter().all(|s| !s.is_empty()), "partition: a side is empty");
-        let mut all = sides.concat();
-        all.sort();
-        if let Some(pair) = all.windows(2).find(|pair| pair[0] == pair[1]) {
-            panic!("partition: {} appears twice", pair[0]);
+        if let Some(error) = Self::partition_sides_error(sides) {
+            panic!("{error}");
         }
         sides
             .iter()
@@ -140,6 +152,11 @@ pub(crate) enum FaultDrop {
     Cut,
 }
 
+/// Whether `rule` is a cut whose window ended at or before `now`.
+fn expired(rule: &FaultRule, now: SimTime) -> bool {
+    matches!(*rule, FaultRule::Cut { end: Some(end), .. } if end <= now)
+}
+
 /// An ordered, deterministic schedule of targeted faults.
 ///
 /// Cuts are checked before probabilistic directed loss, so RNG consumption
@@ -153,13 +170,15 @@ pub(crate) struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Installs a rule.
+    /// Installs a rule at `now`, and drops every cut whose window has
+    /// ended by then: an expired cut never drops a frame again, so keeping
+    /// it would only lengthen every verdict's scan.
     ///
     /// # Panics
     ///
     /// Panics on malformed rules (`rate` outside `[0, 1]`, `every_nth == 0`,
     /// a cut with an empty side or an empty window).
-    pub(crate) fn add(&mut self, rule: FaultRule) {
+    pub(crate) fn add(&mut self, rule: FaultRule, now: SimTime) {
         match &rule {
             FaultRule::DirectedLoss { rate, .. } => {
                 assert!((0.0..=1.0).contains(rate), "loss rate must be in [0,1]");
@@ -175,13 +194,16 @@ impl FaultPlan {
             }
         }
         self.rules.push(rule);
+        self.rules.retain(|rule| !expired(rule, now));
     }
 
-    /// Feeds the plan's behavioural state into a state digest: every rule,
-    /// plus the per-source frame counters the corrupt rules count against
-    /// (the one piece of history a rule's behaviour depends on).
-    pub(crate) fn digest_into(&self, d: &mut horus_core::digest::StateDigest) {
-        for rule in &self.rules {
+    /// Feeds the plan's behavioural state at `now` into a state digest:
+    /// every rule that can still act (a cut whose window has ended cannot,
+    /// so a plan that outlived one digests as if it never had it), plus
+    /// the per-source frame counters the corrupt rules count against (the
+    /// one piece of history a rule's behaviour depends on).
+    pub(crate) fn digest_into(&self, d: &mut horus_core::digest::StateDigest, now: SimTime) {
+        for rule in self.rules.iter().filter(|rule| !expired(rule, now)) {
             rule.digest_into(d);
         }
         for (ep, frames) in &self.frames_from {
@@ -251,6 +273,7 @@ impl FaultPlan {
 mod tests {
     use super::*;
     use crate::sched::RandomScheduler;
+    use std::time::Duration;
 
     fn ep(i: u64) -> EndpointAddr {
         EndpointAddr::new(i)
@@ -270,12 +293,15 @@ mod tests {
     #[test]
     fn a_set_cut_is_directional_windowed_and_spares_outsiders() {
         let mut p = FaultPlan::default();
-        p.add(FaultRule::Cut {
-            from: vec![ep(1), ep(2)],
-            to: vec![ep(3)],
-            start: SimTime::from_millis(10),
-            end: Some(SimTime::from_millis(20)),
-        });
+        p.add(
+            FaultRule::Cut {
+                from: vec![ep(1), ep(2)],
+                to: vec![ep(3)],
+                start: SimTime::from_millis(10),
+                end: Some(SimTime::from_millis(20)),
+            },
+            SimTime::ZERO,
+        );
         let mut g = rng();
         let t = SimTime::from_millis(15);
         // Every link from a `from` endpoint to a `to` endpoint is cut.
@@ -297,12 +323,10 @@ mod tests {
     #[test]
     fn permanent_cut_has_no_end() {
         let mut p = FaultPlan::default();
-        p.add(FaultRule::Cut {
-            from: vec![ep(1)],
-            to: vec![ep(2)],
-            start: SimTime::ZERO,
-            end: None,
-        });
+        p.add(
+            FaultRule::Cut { from: vec![ep(1)], to: vec![ep(2)], start: SimTime::ZERO, end: None },
+            SimTime::ZERO,
+        );
         let mut g = rng();
         assert_eq!(
             p.drop_verdict(ep(1), ep(2), SimTime::from_millis(3_600_000), &mut g),
@@ -313,7 +337,7 @@ mod tests {
     #[test]
     fn directed_loss_is_per_link_and_probabilistic() {
         let mut p = FaultPlan::default();
-        p.add(FaultRule::DirectedLoss { from: ep(1), to: ep(2), rate: 1.0 });
+        p.add(FaultRule::DirectedLoss { from: ep(1), to: ep(2), rate: 1.0 }, SimTime::ZERO);
         let mut g = rng();
         assert_eq!(p.drop_verdict(ep(1), ep(2), SimTime::ZERO, &mut g), Some(FaultDrop::Directed));
         assert_eq!(p.drop_verdict(ep(2), ep(1), SimTime::ZERO, &mut g), None);
@@ -323,7 +347,7 @@ mod tests {
     #[test]
     fn nth_frame_corruption_counts_per_source() {
         let mut p = FaultPlan::default();
-        p.add(FaultRule::TargetedCorrupt { src: ep(2), every_nth: 3 });
+        p.add(FaultRule::TargetedCorrupt { src: ep(2), every_nth: 3 }, SimTime::ZERO);
         // Frames from other sources are not counted at all.
         assert!(!p.targets(ep(1)));
         assert!(p.targets(ep(2)));
@@ -334,30 +358,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "every_nth")]
     fn zeroth_frame_rule_rejected() {
-        FaultPlan::default().add(FaultRule::TargetedCorrupt { src: ep(1), every_nth: 0 });
+        FaultPlan::default()
+            .add(FaultRule::TargetedCorrupt { src: ep(1), every_nth: 0 }, SimTime::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "cut sides must be non-empty")]
     fn a_cut_with_an_empty_side_is_rejected() {
-        FaultPlan::default().add(FaultRule::Cut {
-            from: vec![ep(1)],
-            to: Vec::new(),
-            start: SimTime::ZERO,
-            end: None,
-        });
+        FaultPlan::default().add(
+            FaultRule::Cut { from: vec![ep(1)], to: Vec::new(), start: SimTime::ZERO, end: None },
+            SimTime::ZERO,
+        );
     }
 
     #[test]
     #[should_panic(expected = "cut window must be non-empty")]
     fn a_cut_with_an_empty_window_is_rejected() {
         let t = SimTime::from_millis(5);
-        FaultPlan::default().add(FaultRule::Cut {
-            from: vec![ep(1)],
-            to: vec![ep(2)],
-            start: t,
-            end: Some(t),
-        });
+        FaultPlan::default().add(
+            FaultRule::Cut { from: vec![ep(1)], to: vec![ep(2)], start: t, end: Some(t) },
+            SimTime::ZERO,
+        );
     }
 
     #[test]
@@ -381,7 +402,7 @@ mod tests {
         );
         let mut p = FaultPlan::default();
         for cut in cuts {
-            p.add(cut);
+            p.add(cut, SimTime::ZERO);
         }
         let windowed = FaultRule::Cut {
             from: vec![ep(5)],
@@ -389,7 +410,7 @@ mod tests {
             start: SimTime::ZERO,
             end: Some(SimTime::from_millis(10)),
         };
-        p.add(windowed);
+        p.add(windowed, SimTime::ZERO);
         let mut g = rng();
         assert_eq!(p.drop_verdict(ep(3), ep(4), SimTime::ZERO, &mut g), Some(FaultDrop::Cut));
         assert_eq!(p.drop_verdict(ep(2), ep(3), SimTime::ZERO, &mut g), None, "same side");
@@ -400,6 +421,26 @@ mod tests {
             Some(FaultDrop::Cut),
             "a windowed cut keeps its own window"
         );
+    }
+
+    #[test]
+    fn a_plan_after_windowed_partitions_holds_only_the_live_cuts() {
+        // One 2 ms partition every 10 ms: when the next is installed, every
+        // earlier one has ended and leaves the plan.
+        let mut p = FaultPlan::default();
+        let sides = [vec![ep(1)], vec![ep(2), ep(3)]];
+        for k in 0..50 {
+            let start = SimTime::from_millis(10 * k);
+            for cut in FaultRule::partition(&sides, start, Some(start + Duration::from_millis(2))) {
+                p.add(cut, start);
+            }
+            assert_eq!(p.rules.len(), 2, "partition {k}: its two cuts only");
+        }
+        p.add(
+            FaultRule::partition(&sides, SimTime::ZERO, None)[0].clone(),
+            SimTime::from_millis(1000),
+        );
+        assert_eq!(p.rules.len(), 1, "the expired pair went, the open cut stayed");
     }
 
     #[test]

@@ -222,19 +222,21 @@ impl SimNetwork {
     /// digest.  Statistics counters are deliberately excluded: they are
     /// monotonic observers, not behaviour.  The plan digests its rules and
     /// the per-source frame counts its corrupt rules count against, the one
-    /// piece of fault history that changes what happens next.
-    pub fn digest_into(&self, d: &mut horus_core::digest::StateDigest) {
+    /// piece of fault history that changes what happens next.  A cut
+    /// whose window ended by `now` is left out: it cannot act again.
+    pub fn digest_into(&self, d: &mut horus_core::digest::StateDigest, now: SimTime) {
         d.write_u64(self.topo.digest);
-        self.faults.digest_into(d);
+        self.faults.digest_into(d, now);
     }
 
-    /// Installs a targeted fault rule.
+    /// Installs a targeted fault rule at `now`, dropping the cuts whose
+    /// windows have ended by then.
     ///
     /// # Panics
     ///
     /// Panics on a malformed rule (see [`FaultRule`]).
-    pub fn add_fault(&mut self, rule: FaultRule) {
-        Arc::make_mut(&mut self.faults).add(rule);
+    pub fn add_fault(&mut self, rule: FaultRule, now: SimTime) {
+        Arc::make_mut(&mut self.faults).add(rule, now);
     }
 
     /// Registers `ep` as a transport-level receiver of `group` multicasts.
@@ -269,12 +271,13 @@ impl SimNetwork {
     }
 
     /// Installs [`FaultRule::partition`]'s cuts with no end, until the next
-    /// [`heal`](Self::heal).  They start at time zero, so the state does not
-    /// depend on when they were installed.
-    pub fn partition(&mut self, sides: &[Vec<EndpointAddr>]) {
+    /// [`heal`](Self::heal), at `now` (see [`add_fault`](Self::add_fault)).
+    /// They start at time zero, so the state does not depend on when they
+    /// were installed.
+    pub fn partition(&mut self, sides: &[Vec<EndpointAddr>], now: SimTime) {
         let plan = Arc::make_mut(&mut self.faults);
         for cut in FaultRule::partition(sides, SimTime::ZERO, None) {
-            plan.add(cut);
+            plan.add(cut, now);
         }
     }
 
@@ -436,8 +439,12 @@ mod tests {
     }
 
     fn digest(n: &SimNetwork) -> u64 {
+        digest_at(n, SimTime::ZERO)
+    }
+
+    fn digest_at(n: &SimNetwork, now: SimTime) -> u64 {
         let mut d = horus_core::digest::StateDigest::new();
-        n.digest_into(&mut d);
+        n.digest_into(&mut d, now);
         d.finish()
     }
 
@@ -482,7 +489,7 @@ mod tests {
     fn partitions_block_cross_side_traffic_until_healed() {
         let mut n = joined_net(NetConfig::reliable());
         let before = digest(&n);
-        n.partition(&[vec![ep(1)], vec![ep(2), ep(3)]]);
+        n.partition(&[vec![ep(1)], vec![ep(2), ep(3)]], SimTime::ZERO);
         assert_eq!(remote_targets(&mut n, 2), vec![3]);
         assert_eq!(remote_targets(&mut n, 1), Vec::<u64>::new());
         assert_eq!(n.stats().dropped_cut, 3);
@@ -546,8 +553,8 @@ mod tests {
     fn partitions_compose_and_spare_outsiders() {
         let mut n = joined_net(NetConfig::reliable());
         n.join(GroupAddr::new(1), ep(4));
-        n.partition(&[vec![ep(1)], vec![ep(2)]]);
-        n.partition(&[vec![ep(2)], vec![ep(3)]]);
+        n.partition(&[vec![ep(1)], vec![ep(2)]], SimTime::ZERO);
+        n.partition(&[vec![ep(2)], vec![ep(3)]], SimTime::ZERO);
         // A link is down if any partition separates its ends; ep4 is on no
         // side and reaches everyone.
         assert_eq!(remote_targets(&mut n, 1), vec![3, 4]);
@@ -555,22 +562,20 @@ mod tests {
         assert_eq!(remote_targets(&mut n, 4), vec![1, 2, 3]);
         // A partition's state does not depend on when it was installed.
         n.heal();
-        n.partition(&[vec![ep(1)], vec![ep(2)]]);
+        n.partition(&[vec![ep(1)], vec![ep(2)]], SimTime::ZERO);
         let mut fresh = joined_net(NetConfig::reliable());
         fresh.join(GroupAddr::new(1), ep(4));
-        fresh.partition(&[vec![ep(1)], vec![ep(2)]]);
+        fresh.partition(&[vec![ep(1)], vec![ep(2)]], SimTime::ZERO);
         assert_eq!(digest(&n), digest(&fresh));
     }
 
     #[test]
     fn one_way_cut_blocks_only_forward_direction() {
         let mut n = joined_net(NetConfig::reliable());
-        n.add_fault(FaultRule::Cut {
-            from: vec![ep(1)],
-            to: vec![ep(2)],
-            start: SimTime::ZERO,
-            end: None,
-        });
+        n.add_fault(
+            FaultRule::Cut { from: vec![ep(1)], to: vec![ep(2)], start: SimTime::ZERO, end: None },
+            SimTime::ZERO,
+        );
         let d = n.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
         assert!(d.iter().all(|d| d.to != ep(2)), "forward direction cut");
         assert!(d.iter().any(|d| d.to == ep(3)), "other links untouched");
@@ -585,8 +590,11 @@ mod tests {
         let mut n = joined_net(NetConfig::reliable());
         let (a, b) = (vec![ep(1)], vec![ep(2), ep(3)]);
         let end = Some(SimTime::from_millis(50));
-        n.add_fault(FaultRule::Cut { from: a.clone(), to: b.clone(), start: SimTime::ZERO, end });
-        n.add_fault(FaultRule::Cut { from: b, to: a, start: SimTime::ZERO, end });
+        n.add_fault(
+            FaultRule::Cut { from: a.clone(), to: b.clone(), start: SimTime::ZERO, end },
+            SimTime::ZERO,
+        );
+        n.add_fault(FaultRule::Cut { from: b, to: a, start: SimTime::ZERO, end }, SimTime::ZERO);
         let d = n.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
         assert!(d.iter().all(|d| d.to == ep(1)), "only the loopback survives");
         let d = n.cast(ep(2), raw(b"y"), SimTime::ZERO, &mut rng());
@@ -598,6 +606,25 @@ mod tests {
         let d = n.cast(ep(1), raw(b"z"), t, &mut rng());
         assert_eq!(d.iter().filter(|d| d.to != ep(1)).count(), 2, "healed");
         assert_eq!(n.stats().dropped_cut, 3);
+    }
+
+    #[test]
+    fn an_expired_cut_is_not_state() {
+        // A cut over [0, 1 ms) and a cast at 5 ms: the cast reaches
+        // everyone, and the network digests as one that never had the cut.
+        let (mut cut, mut never) =
+            (joined_net(NetConfig::reliable()), joined_net(NetConfig::reliable()));
+        let end = Some(SimTime::from_millis(1));
+        cut.add_fault(
+            FaultRule::Cut { from: vec![ep(1)], to: vec![ep(2)], start: SimTime::ZERO, end },
+            SimTime::ZERO,
+        );
+        let t = SimTime::from_millis(5);
+        for n in [&mut cut, &mut never] {
+            assert_eq!(n.cast(ep(1), raw(b"x"), t, &mut rng()).len(), 3, "no drop");
+        }
+        assert_ne!(digest_at(&cut, SimTime::ZERO), digest_at(&never, SimTime::ZERO), "live cut");
+        assert_eq!(digest_at(&cut, t), digest_at(&never, t));
     }
 
     #[test]
@@ -613,8 +640,8 @@ mod tests {
         };
         let (mut quiet, mut busy) =
             (joined_net(NetConfig::reliable()), joined_net(NetConfig::reliable()));
-        quiet.add_fault(cut());
-        busy.add_fault(cut());
+        quiet.add_fault(cut(), SimTime::ZERO);
+        busy.add_fault(cut(), SimTime::ZERO);
         for _ in 0..3 {
             busy.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
         }
@@ -625,7 +652,7 @@ mod tests {
     #[test]
     fn targeted_corruption_spares_loopback_and_counts_frames() {
         let mut n = joined_net(NetConfig::reliable());
-        n.add_fault(FaultRule::TargetedCorrupt { src: ep(1), every_nth: 1 });
+        n.add_fault(FaultRule::TargetedCorrupt { src: ep(1), every_nth: 1 }, SimTime::ZERO);
         let d = n.cast(ep(1), raw(b"abcd"), SimTime::ZERO, &mut rng());
         let local = d.iter().find(|d| d.to == ep(1)).unwrap();
         assert_eq!(&local.wire.to_bytes()[..], b"abcd", "loopback never corrupted");
@@ -646,7 +673,7 @@ mod tests {
         let mut cfg = NetConfig::reliable();
         cfg.duplicate = 1.0;
         let mut n = joined_net(cfg);
-        n.add_fault(FaultRule::DirectedLoss { from: ep(1), to: ep(2), rate: 1.0 });
+        n.add_fault(FaultRule::DirectedLoss { from: ep(1), to: ep(2), rate: 1.0 }, SimTime::ZERO);
         let d = n.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
         // ep2's copies are all eaten by the targeted rule, before
         // duplication; ep3 still gets its duplicated pair.
@@ -661,8 +688,8 @@ mod tests {
         let corrupt = || FaultRule::TargetedCorrupt { src: ep(2), every_nth: 2 };
         let (mut quiet, mut busy) =
             (joined_net(NetConfig::reliable()), joined_net(NetConfig::reliable()));
-        quiet.add_fault(corrupt());
-        busy.add_fault(corrupt());
+        quiet.add_fault(corrupt(), SimTime::ZERO);
+        busy.add_fault(corrupt(), SimTime::ZERO);
         busy.cast(ep(1), raw(b"x"), SimTime::ZERO, &mut rng());
         assert_eq!(digest(&quiet), digest(&busy));
     }

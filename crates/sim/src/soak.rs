@@ -667,13 +667,8 @@ fn parse_event(rest: &str) -> Result<SoakEvent, String> {
                 .map(Duration::from_micros)
                 .ok_or("partition: bad duration")?;
             let sides = sides_s.split('|').map(parse_members).collect::<Result<Vec<_>, _>>()?;
-            if sides.len() < 2 {
-                return Err("partition: needs at least two sides".into());
-            }
-            let mut all: Vec<&EndpointAddr> = sides.iter().flatten().collect();
-            all.sort();
-            if let Some(pair) = all.windows(2).find(|pair| pair[0] == pair[1]) {
-                return Err(format!("partition: {} appears twice", pair[0]));
+            if let Some(error) = FaultRule::partition_sides_error(&sides) {
+                return Err(error);
             }
             SoakAction::Partition { sides, dur }
         }

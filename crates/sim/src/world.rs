@@ -770,14 +770,14 @@ impl SimWorld {
                     self.net.leave(ep);
                 }
             }
-            Ev::Partition { sides } => self.net.partition(&sides),
+            Ev::Partition { sides } => self.net.partition(&sides, self.time),
             Ev::Heal => self.net.heal(),
             Ev::Suspect { observer, target } => {
                 if self.is_live_slot(observer) {
                     self.input(observer, StackInput::FromApp(Down::Suspect { member: target }));
                 }
             }
-            Ev::Fault { rule } => self.net.add_fault(rule),
+            Ev::Fault { rule } => self.net.add_fault(rule, self.time),
         }
     }
 
@@ -1179,7 +1179,7 @@ impl SimWorld {
         let mut d = StateDigest::new();
         d.write_u64(self.endpoints.len() as u64);
         d.write_u64(self.slots_sum_cached());
-        self.net.digest_into(&mut d);
+        self.net.digest_into(&mut d, self.time);
         Self::write_pending_combine(&mut d, self.time, n, s1, s2);
         d.finish()
     }
@@ -1217,7 +1217,7 @@ impl SimWorld {
             sum = sum.wrapping_add(Self::slot_digest(*ep, &e.slot, e.slot.stack.state_digest()));
         }
         d.write_u64(sum);
-        self.net.digest_into(&mut d);
+        self.net.digest_into(&mut d, self.time);
         let (n, s1, s2) = self.pending_sums_fresh();
         Self::write_pending_combine(&mut d, self.time, n, s1, s2);
         d.finish()

@@ -30,9 +30,12 @@
 //! * MBRSHIP's log and TOTAL's order book are queues: a cast through a lone
 //!   MBRSHIP layer allocates its wire frame and nothing else, data and
 //!   ORDERs arriving at a lone MBRSHIP or TOTAL layer allocate nothing once
-//!   the queues have grown, and a 64-byte cast through three merged §7
-//!   stacks costs at most 10 allocations end to end — the same for the
-//!   100 000th cast of a view as for the first;
+//!   the queues have grown — except at each 1 024th message of an origin,
+//!   where MBRSHIP also casts a stability report (one more frame and its
+//!   body) — and a 64-byte cast through three merged §7 stacks costs at
+//!   most 10 allocations end to end — the same for the 100 000th cast of a
+//!   view as for the first — while the live heap stays within 256 KiB of
+//!   where it stood after the 10 000th (the reports trim the logs);
 //! * an exhaustive `flush4` search at `check_dpor`'s bounds (depth 3, one
 //!   drop: 3 208 runs, 17 295 states) holds at most 64 B of heap per
 //!   visited state at its peak (87.4 B when each state's sleep key was a
@@ -288,23 +291,38 @@ fn the_section_7_stack_orders_a_cast_in_ten_allocations() {
     // Sending: the wire frame is the only thing a cast allocates; the log
     // entry is an append to a queue that has grown past it.
     // Receiving: nothing at all.
-    let (mut sent, mut received) = (0, 0);
+    // At every 1 024th message of an origin, sent or delivered, the member
+    // also casts a stability report, which is counted apart.
+    let ([mut sent, mut received], [mut sent_reports, mut received_reports]) = ([0; 2], [0; 2]);
+    let is_report = |fx: &Effect| matches!(fx, Effect::NetCast { .. });
     for seq in 1..=4096u64 {
         let warm = seq > 2049; // entry 2 049 doubles both queues; the next doubling is 4 097's
+        let report = seq % 1024 == 0;
         let msg = member.new_message(payload.clone());
         let before = allocs();
         member.handle_into(StackInput::FromApp(Down::Cast(msg)), &mut sink);
-        sent += if warm { allocs() - before } else { 0 };
-        sink.clear();
+        let cost = if warm { allocs() - before } else { 0 };
+        *(if report { &mut sent_reports } else { &mut sent }) += cost;
+        assert_eq!(sink.len(), 1 + report as usize, "cast {seq}: its frame, then any report");
+        assert!(sink.drain().all(|fx| is_report(&fx)), "cast {seq}: only casts");
         let wire = framed(&member, &[0, 0, vc, seq], payload.clone());
         let before = allocs();
         member.handle_into(StackInput::FromNet { from: ep(1), cast: true, wire }, &mut sink);
-        received += if warm { allocs() - before } else { 0 };
-        assert_eq!(sink.len(), 1, "cast {seq} of member 1 is delivered");
-        sink.clear();
+        let cost = if warm { allocs() - before } else { 0 };
+        *(if report { &mut received_reports } else { &mut received }) += cost;
+        assert_eq!(sink.len(), 1 + report as usize, "cast {seq} of member 1 is delivered");
+        let fx: Vec<Effect> = sink.drain().collect();
+        assert!(matches!(fx[0], Effect::Deliver(Up::Cast { .. })), "cast {seq}: delivered");
+        assert!(fx[1..].iter().all(is_report), "cast {seq}: then the report");
     }
-    assert_eq!(sent, 2047 * one_frame, "a cast through MBRSHIP allocates its frame only");
+    assert_eq!(sent, 2045 * one_frame, "a cast through MBRSHIP allocates its frame only");
     assert_eq!(received, 0, "a delivery through MBRSHIP allocates nothing");
+    // A report is its frame plus two blocks for its body (the writer's
+    // buffer and the `Bytes` that shares it); casts 3 072 and 4 096 are the
+    // warm report points.
+    let report = one_frame + 2;
+    assert_eq!(sent_reports, 2 * (one_frame + report), "a report point's cast: two frames");
+    assert_eq!(received_reports, 2 * report, "a report point's delivery: the report only");
 
     // 8b. TOTAL alone (header `[kind, tseq]`, data 0, ORDER 1): eight casts
     // of member 1, then the ORDER that names them; from the second round
@@ -373,7 +391,7 @@ fn the_section_7_stack_orders_a_cast_in_ten_allocations() {
         assert_eq!(s.view().map(View::len), Some(3), "{} joined", s.local_addr());
     }
     // 64-byte casts round-robin, counted in windows of 10 000.
-    let mut windows = Vec::new();
+    let (mut windows, mut live) = (Vec::new(), Vec::new());
     for window in 0..10 {
         let before = allocs();
         for k in 0..10_000 {
@@ -382,6 +400,7 @@ fn the_section_7_stack_orders_a_cast_in_ten_allocations() {
             pump(&mut stacks, &mut delivered, at, StackInput::FromApp(Down::Cast(msg)));
         }
         windows.push(allocs() - before);
+        live.push(LIVE_BYTES.load(Ordering::Relaxed));
         assert_eq!(delivered, [10_000 * (window + 1); 3], "every cast is delivered everywhere");
     }
     let (first, last) = (windows[0], windows[9]);
@@ -389,6 +408,13 @@ fn the_section_7_stack_orders_a_cast_in_ten_allocations() {
     assert!(
         first.abs_diff(last) <= 2_500,
         "casts 1-10 000 and 90 001-100 000 of one view cost the same: {windows:?}"
+    );
+    // The stability reports trim every MBRSHIP log, so the view's heap
+    // stops growing: it grew 77 MB over these casts when the log kept
+    // every cast of the view.
+    assert!(
+        live[9].abs_diff(live[0]) <= 256 * 1024,
+        "live heap after casts 10 000, 20 000, ... 100 000: {live:?}"
     );
 }
 

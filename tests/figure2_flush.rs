@@ -23,6 +23,20 @@ fn figure2(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode) {
 /// Runs the Figure 2 script: D, partitioned together with C, casts M and
 /// crashes; the flush must deliver M at A and B exactly once, recovered.
 fn figure2_with(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode, m_body: Bytes) {
+    figure2_after(stack, seed, net, mode, m_body, 0);
+}
+
+/// [`figure2_with`] after D first casts `d_casts` messages in the formed
+/// view; returns the payload copies all four stacks made from the
+/// partition on, which is to say the flush's.
+fn figure2_after(
+    stack: &str,
+    seed: u64,
+    net: NetConfig,
+    mode: HeaderMode,
+    m_body: Bytes,
+    d_casts: u64,
+) -> u64 {
     let (a, b, c, d) = (ep(1), ep(2), ep(3), ep(4));
     let config = StackConfig { mode, ..StackConfig::default() };
     let mut w = SimWorld::new(seed, net);
@@ -36,6 +50,15 @@ fn figure2_with(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode, m_body
     }
     w.run_for(Duration::from_secs(3));
     assert_eq!(w.installed_views(a).last().unwrap().len(), 4, "{stack} seed {seed}: formed");
+    let t = w.now();
+    for k in 0..d_casts {
+        w.cast_bytes_at(t + Duration::from_micros(200 * k), d, Bytes::from(k.to_string()));
+    }
+    w.run_for(Duration::from_secs(1));
+    let copies = |w: &SimWorld| -> u64 {
+        [a, b, c, d].iter().map(|&e| w.stack_stats(e).map_or(0, |s| s.payload_copies)).sum()
+    };
+    let copies_before = copies(&w);
 
     let t = w.now();
     w.partition_at(t + Duration::from_millis(1), &[&[a, b], &[c, d]]);
@@ -48,6 +71,7 @@ fn figure2_with(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode, m_body
         let from_d: Vec<bool> = w
             .upcalls(m)
             .iter()
+            .filter(|(at, _)| *at > t)
             .filter_map(|(_, up)| match up {
                 Up::Cast { src, msg } if *src == d => {
                     assert_eq!(msg.body(), &m_body, "{stack} seed {seed}: {m} delivers M intact");
@@ -66,6 +90,7 @@ fn figure2_with(stack: &str, seed: u64, net: NetConfig, mode: HeaderMode, m_body
     let logs = logs(&w, 4);
     let violations = check_virtual_synchrony(&logs);
     assert!(violations.is_empty(), "{stack} seed {seed}: {violations:?}");
+    copies(&w) - copies_before
 }
 
 #[test]
@@ -100,6 +125,28 @@ fn figure2_multi_fragment_message() {
         }
     }
     figure2_with(VSYNC, 73, NetConfig::lossy(0.1), HeaderMode::Compact, m_body);
+}
+
+/// Figure 2 at the end of a long view: D has cast 1 100 messages before
+/// the partition, past the first stability report point, so every member
+/// has trimmed the log it flushes from.  M is still recovered everywhere,
+/// and the flush copies a trimmed log's worth of payloads — it copied
+/// 3 309 when the log kept all 1 100 casts.
+#[test]
+fn figure2_after_a_long_view() {
+    for seed in 1..=3 {
+        let copies = figure2_after(
+            VSYNC,
+            seed,
+            NetConfig::reliable(),
+            HeaderMode::Compact,
+            Bytes::from_static(b"M"),
+            1_100,
+        );
+        // Mostly D's 76 casts past the frontier (1 025 to 1 100), which
+        // each survivor contributes.
+        assert_eq!(copies, 237, "seed {seed}: the flush's payload copies");
+    }
 }
 
 #[test]
