@@ -24,12 +24,14 @@
 //! 3. With all contributions in hand the coordinator computes the **cut**
 //!    (per sender, the highest message any survivor holds; for survivors
 //!    this equals everything they sent, because they stopped) and
-//!    multicasts `SYNC(cuts, retransmissions)` carrying every
-//!    failed-sender message some survivor might lack.
-//! 4. Each participant delivers retransmitted messages it misses, waits —
-//!    still delivering — until its receive vector reaches the cut (the
-//!    reliable FIFO layer below supplies survivors' in-flight messages),
-//!    and then unicasts `FLUSH_OK`.
+//!    multicasts a `SYNC` carrying every failed-sender message some
+//!    survivor might lack.  Sequence numbers are per view and a merge
+//!    spans several, so the SYNC has one section per *epoch community*:
+//!    its view id, then the cuts and retransmissions numbered in it.
+//! 4. Each participant reads its own view's section: it delivers the
+//!    retransmitted messages it misses, waits — still delivering — until
+//!    its receive vector reaches the cut (the reliable FIFO layer below
+//!    supplies survivors' in-flight messages), and unicasts `FLUSH_OK`.
 //! 5. On the last `FLUSH_OK` the coordinator multicasts the new **view**;
 //!    everyone installs it, resets per-view state, and resumes.
 //!
@@ -159,6 +161,10 @@ impl Default for MbrshipConfig {
     }
 }
 
+/// A flush round's cut, by the epoch community that numbered the count
+/// and the member: no count can be looked up by a bare address.
+type Cuts = BTreeMap<(ViewId, EndpointAddr), u32>;
+
 /// State of one flush round.
 #[derive(Debug, Clone)]
 struct FlushRound {
@@ -169,13 +175,15 @@ struct FlushRound {
     joiner_views: Vec<View>,
     /// Coordinator: contributions received (per contributor, ack vector).
     contribs: BTreeMap<EndpointAddr, BTreeMap<EndpointAddr, u32>>,
-    /// Coordinator: failed-sender messages gathered from contributions.
-    collected: BTreeMap<(EndpointAddr, u32), Bytes>,
+    /// Coordinator: failed-sender messages gathered from contributions,
+    /// by the community of the contributor that logged them.
+    collected: BTreeMap<(ViewId, EndpointAddr, u32), Bytes>,
     /// Coordinator: FLUSH_OKs received.
     flush_oks: BTreeSet<EndpointAddr>,
     sync_sent: bool,
-    /// Member: the cut to reach before FLUSH_OK.
-    cuts: Option<BTreeMap<EndpointAddr, u32>>,
+    /// The cut, per community; a member reaches its own view's before
+    /// FLUSH_OK.
+    cuts: Option<Cuts>,
     flush_ok_sent: bool,
 }
 
@@ -199,6 +207,19 @@ impl FlushRound {
             sync_sent: false,
             cuts: None,
             flush_ok_sent: false,
+        }
+    }
+
+    /// The epoch community `m` counts in, which keys its flush counts: the
+    /// last joiner view other than `own` that lists `m`, else `own` if it
+    /// does.  A member still listed in `own` that moved on to a foreign
+    /// joiner view (asymmetric partition) numbers its messages there;
+    /// mixing those counts with ours makes a cut nobody can reach (a flush
+    /// wedge the chaos soak caught) and delivers its messages as ours.
+    fn community(&self, own: &View, m: EndpointAddr) -> Option<ViewId> {
+        match self.joiner_views.iter().rev().find(|jv| jv.id() != own.id() && jv.contains(m)) {
+            Some(jv) => Some(jv.id()),
+            None => own.contains(m).then(|| own.id()),
         }
     }
 }
@@ -667,25 +688,57 @@ impl Mbrship {
         w.finish()
     }
 
-    fn sync_body(
-        cuts: &BTreeMap<EndpointAddr, u32>,
-        retrans: &[(EndpointAddr, u32, Bytes)],
-    ) -> Bytes {
-        let mut w = WireWriter::with_capacity(
-            8 + 12 * cuts.len() + retrans.iter().map(|(_, _, b)| 16 + b.len()).sum::<usize>(),
-        );
-        w.put_u32(cuts.len() as u32);
-        for (&m, &c) in cuts {
-            w.put_addr(m);
-            w.put_u32(c);
-        }
-        w.put_u32(retrans.len() as u32);
-        for (origin, seq, inner) in retrans {
-            w.put_addr(*origin);
-            w.put_u32(*seq);
-            w.put_bytes(inner);
+    /// A SYNC body: one section per epoch community, each its view id
+    /// (written as a stability report writes it), then the cuts and the
+    /// retransmissions numbered in that view.
+    fn sync_body(cuts: &Cuts, collected: &BTreeMap<(ViewId, EndpointAddr, u32), Bytes>) -> Bytes {
+        let mut ids: Vec<ViewId> =
+            cuts.keys().map(|k| k.0).chain(collected.keys().map(|k| k.0)).collect();
+        ids.sort();
+        ids.dedup();
+        let size = collected.values().map(|b| 16 + b.len()).sum::<usize>();
+        let mut w = WireWriter::with_capacity(4 + 24 * ids.len() + 12 * cuts.len() + size);
+        w.put_u32(ids.len() as u32);
+        for id in ids {
+            let cuts: Vec<_> = cuts.iter().filter(|(k, _)| k.0 == id).collect();
+            let retrans: Vec<_> = collected.iter().filter(|(k, _)| k.0 == id).collect();
+            w.put_u64(id.counter);
+            w.put_addr(id.coordinator);
+            w.put_u32(cuts.len() as u32);
+            for (&(_, m), &cut) in cuts {
+                w.put_addr(m);
+                w.put_u32(cut);
+            }
+            w.put_u32(retrans.len() as u32);
+            for (&(_, origin, seq), inner) in retrans {
+                w.put_addr(origin);
+                w.put_u32(seq);
+                w.put_bytes(inner);
+            }
         }
         w.finish()
+    }
+
+    /// Reads a SYNC body whole (a malformed one is dropped): the cuts of
+    /// every section, and the retransmissions of the section numbered in
+    /// `own`, the only ones we may deliver.
+    #[allow(clippy::type_complexity)]
+    fn read_sync(body: &[u8], own: ViewId) -> Option<(Cuts, Vec<(EndpointAddr, u32, &[u8])>)> {
+        let mut r = WireReader::new(body);
+        let (mut cuts, mut retrans) = (BTreeMap::new(), Vec::new());
+        for _ in 0..r.get_u32().ok()? {
+            let id = ViewId { counter: r.get_u64().ok()?, coordinator: r.get_addr().ok()? };
+            for _ in 0..r.get_u32().ok()? {
+                cuts.insert((id, r.get_addr().ok()?), r.get_u32().ok()?);
+            }
+            for _ in 0..r.get_u32().ok()? {
+                let entry = (r.get_addr().ok()?, r.get_u32().ok()?, r.get_bytes().ok()?);
+                if id == own {
+                    retrans.push(entry);
+                }
+            }
+        }
+        Some((cuts, retrans))
     }
 
     /// The coordinator re-broadcasts FLUSH (and SYNC) while waiting: the
@@ -695,14 +748,9 @@ impl Mbrship {
         let Phase::Flushing(round) = &self.phase else { return };
         let body = Self::flush_body(&round.failed, &round.leaving, &round.joiner_views);
         let epoch = round.epoch;
-        let sync = if round.sync_sent {
-            round.cuts.as_ref().map(|cuts| {
-                let retrans: Vec<(EndpointAddr, u32, Bytes)> =
-                    round.collected.iter().map(|(&(o, s), b)| (o, s, b.clone())).collect();
-                Self::sync_body(cuts, &retrans)
-            })
-        } else {
-            None
+        let sync = match &round.cuts {
+            Some(cuts) if round.sync_sent => Some(Self::sync_body(cuts, &round.collected)),
+            _ => None,
         };
         self.control_cast(ctx, KIND_FLUSH, epoch, body);
         if let Some(sync) = sync {
@@ -751,13 +799,11 @@ impl Mbrship {
         let Ok(failed_list) = r.get_addrs() else { return };
         let Ok(leaving_list) = r.get_addrs() else { return };
         let Ok(n_joiners) = r.get_u32() else { return };
-        let mut joiner_views = Vec::with_capacity(n_joiners as usize);
-        for _ in 0..n_joiners {
-            match r.get_view() {
-                Ok(v) => joiner_views.push(v),
-                Err(_) => return,
-            }
-        }
+        // Not pre-sized: the count is whatever the wire says.
+        let Ok(joiner_views) = (0..n_joiners).map(|_| r.get_view()).collect::<Result<Vec<_>, _>>()
+        else {
+            return;
+        };
         let me = self.me();
         let Some(view) = &self.view else { return };
         let failed: BTreeSet<EndpointAddr> = failed_list.into_iter().collect();
@@ -844,10 +890,14 @@ impl Mbrship {
             let mut r = WireReader::new(body);
             let Some(vector) = Self::get_recv_vector(&mut r) else { return };
             let Ok(n_msgs) = r.get_u32() else { return };
+            // The contributor's log is numbered in its own view.
+            let community = self.view.as_ref().and_then(|view| round.community(view, src));
             for _ in 0..n_msgs {
                 let (Ok(origin), Ok(seq)) = (r.get_addr(), r.get_u32()) else { return };
                 let Ok(inner) = r.get_bytes() else { return };
-                round.collected.insert((origin, seq), Bytes::copy_from_slice(inner));
+                if let Some(c) = community {
+                    round.collected.insert((c, origin, seq), Bytes::copy_from_slice(inner));
+                }
             }
             // A re-delivered duplicate is not progress; letting it reset
             // the stall clock would postpone wedge recovery forever under
@@ -880,7 +930,7 @@ impl Mbrship {
 
     fn try_sync(&mut self, ctx: &mut LayerCtx<'_>) {
         let me = self.me();
-        let (epoch, cuts, retrans) = {
+        let (epoch, body) = {
             let Phase::Flushing(round) = &mut self.phase else { return };
             if round.coordinator != me || round.sync_sent {
                 return;
@@ -890,67 +940,30 @@ impl Mbrship {
             if !participants.iter().all(|p| round.contribs.contains_key(p)) {
                 return;
             }
-            // The cut: per sender, the highest message any participant
-            // holds — computed within each epoch community.  Sequence
-            // numbers are view-scoped, so a member that follows a
-            // foreign joiner view (asymmetric partition: it is still
-            // listed in our view but moved on) reports counts in *its*
-            // epoch; folding those into our members' cut — or ours into
-            // theirs — produces a bar nobody's receive vector can ever
-            // reach (a flush wedge the chaos soak caught).
-            let my_id = view.id();
-            let mut community: BTreeMap<EndpointAddr, usize> = BTreeMap::new();
-            for m in view.members() {
-                community.insert(*m, 0);
-            }
-            for (i, jv) in round.joiner_views.iter().enumerate() {
-                if jv.id() == my_id {
-                    continue;
-                }
-                for m in jv.members() {
-                    community.insert(*m, i + 1); // joiner epoch wins over ours
-                }
-            }
-            let mut cuts: BTreeMap<EndpointAddr, u32> = BTreeMap::new();
-            for (c, vector) in &round.contribs {
-                let cc = community.get(c).copied();
+            // The cut: per member, the highest message any contributor of
+            // its epoch community holds.  Retransmissions: everything the
+            // contributions supplied from failed senders, up to their cut.
+            let mut cuts = BTreeMap::new();
+            for (&c, vector) in &round.contribs {
+                let Some(community) = round.community(view, c) else { continue };
                 for (&m, &acked) in vector {
-                    if community.get(&m).copied() != cc {
-                        continue;
+                    if round.community(view, m) == Some(community) {
+                        let cut = cuts.entry((community, m)).or_insert(0);
+                        *cut = acked.max(*cut);
                     }
-                    let e = cuts.entry(m).or_insert(0);
-                    *e = (*e).max(acked);
                 }
             }
-            // Retransmissions: everything from failed senders up to their
-            // cut (contributions supplied exactly these).
-            let retrans: Vec<(EndpointAddr, u32, Bytes)> = round
-                .collected
-                .iter()
-                .map(|(&(origin, seq), inner)| (origin, seq, inner.clone()))
-                .collect();
             round.sync_sent = true;
-            round.cuts = Some(cuts.clone());
-            (round.epoch, cuts, retrans)
+            let body = Self::sync_body(&cuts, &round.collected);
+            round.cuts = Some(cuts);
+            (round.epoch, body)
         };
-        self.control_cast(ctx, KIND_SYNC, epoch, Self::sync_body(&cuts, &retrans));
+        self.control_cast(ctx, KIND_SYNC, epoch, body);
     }
 
     fn handle_sync(&mut self, src: EndpointAddr, epoch: u16, body: &[u8], ctx: &mut LayerCtx<'_>) {
-        let mut r = WireReader::new(body);
-        let Ok(n) = r.get_u32() else { return };
-        let mut cuts = BTreeMap::new();
-        for _ in 0..n {
-            let (Ok(addr), Ok(c)) = (r.get_addr(), r.get_u32()) else { return };
-            cuts.insert(addr, c);
-        }
-        let Ok(n_msgs) = r.get_u32() else { return };
-        let mut retrans: Vec<(EndpointAddr, u32, &[u8])> = Vec::new();
-        for _ in 0..n_msgs {
-            let (Ok(origin), Ok(seq)) = (r.get_addr(), r.get_u32()) else { return };
-            let Ok(inner) = r.get_bytes() else { return };
-            retrans.push((origin, seq, inner));
-        }
+        let Some(view) = &self.view else { return };
+        let Some((cuts, mut retrans)) = Self::read_sync(body, view.id()) else { return };
         {
             let Phase::Flushing(round) = &mut self.phase else { return };
             if round.coordinator != src || round.epoch != epoch {
@@ -962,9 +975,8 @@ impl Mbrship {
         // Deliver recovered messages from failed senders, in order.
         retrans.sort_by_key(|&(origin, seq, _)| (origin, seq));
         for (origin, seq, inner) in retrans {
-            let Some(view) = &self.view else { break };
             if !view.contains(origin) {
-                continue; // other side's failed member
+                continue; // not a member of ours, whatever the section says
             }
             let cum = self.recv.entry(origin).or_insert(0);
             if seq <= *cum {
@@ -997,26 +1009,11 @@ impl Mbrship {
             if round.flush_ok_sent {
                 return;
             }
-            // Members that also appear in a *foreign* joiner view stopped
-            // following our epoch (asymmetric partition: they excluded us
-            // and moved on) — their contributed cut is numbered in *their*
-            // view and can never be met from ours.  Skip them: nobody who
-            // still follows our view has a second log to disagree with,
-            // and the merged view re-establishes synchrony from scratch.
-            // Our own view showing up in `joiner_views` (we are the
-            // joiner side of somebody else's round) does NOT make our
-            // fellow members foreign — their cut is in our epoch and
-            // must be honoured.
-            let my_id = view.id();
-            let foreign: BTreeSet<EndpointAddr> = round
-                .joiner_views
-                .iter()
-                .filter(|jv| jv.id() != my_id)
-                .flat_map(|jv| jv.members().iter().copied())
-                .collect();
-            let complete = view.members().iter().all(|m| {
-                let have = self.recv.get(m).copied().unwrap_or(0);
-                foreign.contains(m) || have >= cuts.get(m).copied().unwrap_or(0)
+            // A member that follows a foreign joiner view counts in that
+            // view's section, so ours holds no cut for it.
+            let complete = view.members().iter().all(|&m| {
+                let have = self.recv.get(&m).copied().unwrap_or(0);
+                have >= cuts.get(&(view.id(), m)).copied().unwrap_or(0)
             });
             if !complete {
                 return;
@@ -1932,7 +1929,8 @@ mod tests {
     /// `encode_inner()` of every cast sent (before stamping), delivered, or
     /// recovered from a SYNC.  The model is filled from what the layer is
     /// seen to do, and every CONTRIB and SYNC the layer emits must be, byte
-    /// for byte, what the model's contents serialize to.
+    /// for byte, what the model's contents serialize to: a SYNC holds one
+    /// section per epoch community of the round.
     struct Probe {
         stack: Stack,
         me: EndpointAddr,
@@ -1948,15 +1946,20 @@ mod tests {
         round: Option<Round>,
         bodies: u64,
         contribs_checked: u32,
+        /// The last SYNC `me` cast.
+        last_sync: Option<Bytes>,
     }
 
     /// The test's view of the flush round in progress.
     struct Round {
         failed: BTreeSet<EndpointAddr>,
+        joiners: Vec<View>,
         synced: bool,
-        /// Coordinator role: what `me` has been handed, in arrival order.
-        contribs: BTreeMap<EndpointAddr, BTreeMap<EndpointAddr, u32>>,
-        collected: BTreeMap<(EndpointAddr, u32), Bytes>,
+        /// Coordinator role: what `me` has been handed — per contributor,
+        /// the view it counts in and its vector — and the failed members'
+        /// casts, by the view that numbered them.
+        contribs: BTreeMap<EndpointAddr, (ViewId, BTreeMap<EndpointAddr, u32>)>,
+        collected: BTreeMap<(ViewId, EndpointAddr, u32), Bytes>,
     }
 
     impl Probe {
@@ -1981,6 +1984,7 @@ mod tests {
                 round: None,
                 bodies: 0,
                 contribs_checked: 0,
+                last_sync: None,
             };
             p.feed(StackInput::FromApp(Down::Join { group: GroupAddr::new(1) }));
             let members: Vec<_> = (1..=4).map(ep).collect();
@@ -2135,9 +2139,15 @@ mod tests {
         }
 
         fn begin_round(&mut self, flush_body: &[u8]) {
-            let failed = WireReader::new(flush_body).get_addrs().expect("failed list");
+            let mut r = WireReader::new(flush_body);
+            let failed = r.get_addrs().expect("failed list");
+            r.get_addrs().expect("leaving list");
+            let joiners = (0..r.get_u32().expect("joiner count"))
+                .map(|_| r.get_view().expect("a joiner view"))
+                .collect();
             self.round = Some(Round {
                 failed: failed.into_iter().collect(),
+                joiners,
                 synced: false,
                 contribs: BTreeMap::new(),
                 collected: BTreeMap::new(),
@@ -2183,17 +2193,17 @@ mod tests {
                 w.put_addr(origin);
                 w.put_u32(seq);
                 w.put_bytes(inner);
-                round.collected.insert((origin, seq), inner.clone());
+                round.collected.insert((self.view.id(), origin, seq), inner.clone());
             }
             assert_eq!(got, &w.finish()[..], "CONTRIB of {}", self.me);
-            round.contribs.insert(self.me, vector);
+            round.contribs.insert(self.me, (self.view.id(), vector));
             self.contribs_checked += 1;
         }
 
         /// A surviving peer's CONTRIB: it has everything the survivors
         /// cast, and the first `got` casts of each failed member.
         fn peer_contributes(&mut self, peer: EndpointAddr, got: u8) {
-            let round = self.round.as_mut().expect("a round is on");
+            let round = self.round.as_ref().expect("a round is on");
             let mut vector = BTreeMap::new();
             let mut msgs = Vec::new();
             for &m in self.view.members() {
@@ -2211,6 +2221,18 @@ mod tests {
                 };
                 vector.insert(m, acked as u32);
             }
+            self.contribute(peer, self.view.id(), vector, msgs);
+        }
+
+        /// Hands `me` the CONTRIB of `peer`, which counts in view `counts_in`.
+        fn contribute(
+            &mut self,
+            peer: EndpointAddr,
+            counts_in: ViewId,
+            vector: BTreeMap<EndpointAddr, u32>,
+            msgs: Vec<(EndpointAddr, u32, Bytes)>,
+        ) {
+            let round = self.round.as_mut().expect("a round is on");
             let mut w = WireWriter::new();
             w.put_u32(vector.len() as u32);
             for (&m, &acked) in &vector {
@@ -2222,19 +2244,30 @@ mod tests {
                 w.put_addr(origin);
                 w.put_u32(seq);
                 w.put_bytes(&inner);
-                round.collected.insert((origin, seq), inner);
+                round.collected.insert((counts_in, origin, seq), inner);
             }
-            round.contribs.insert(peer, vector);
+            round.contribs.insert(peer, (counts_in, vector));
             let wire = self.frame(KIND_CONTRIB, self.epoch, 0, w.finish());
             self.deliver(peer, false, wire);
         }
 
-        fn cuts(round: &Round) -> BTreeMap<EndpointAddr, u32> {
+        /// The view `m` counts in during `round`: a joiner view that lists
+        /// it, unless that view is ours; the last such view wins.
+        fn counts_in(&self, round: &Round, m: EndpointAddr) -> ViewId {
+            let foreign = round.joiners.iter().filter(|jv| jv.id() != self.view.id());
+            foreign.filter(|jv| jv.contains(m)).last().map_or(self.view.id(), View::id)
+        }
+
+        /// Per community, per member: the highest count any contributor
+        /// of that community reported for a member of it.
+        fn cuts(&self, round: &Round) -> Cuts {
             let mut cuts = BTreeMap::new();
-            for vector in round.contribs.values() {
+            for (community, vector) in round.contribs.values() {
                 for (&m, &acked) in vector {
-                    let cut = cuts.entry(m).or_insert(0);
-                    *cut = acked.max(*cut);
+                    if self.counts_in(round, m) == *community {
+                        let cut = cuts.entry((*community, m)).or_insert(0);
+                        *cut = acked.max(*cut);
+                    }
                 }
             }
             cuts
@@ -2242,11 +2275,10 @@ mod tests {
 
         /// The SYNC the contributions handed to `me` add up to.
         fn check_sync(&mut self, got: &[u8]) {
-            let round = self.round.as_mut().expect("a round is on");
-            let retrans: Vec<_> =
-                round.collected.iter().map(|(&(o, s), inner)| (o, s, inner.clone())).collect();
-            assert_eq!(got, &Mbrship::sync_body(&Self::cuts(round), &retrans)[..]);
-            round.synced = true;
+            let round = self.round.as_ref().expect("a round is on");
+            assert_eq!(got, &Mbrship::sync_body(&self.cuts(round), &round.collected)[..]);
+            self.round.as_mut().expect("a round is on").synced = true;
+            self.last_sync = Some(Bytes::copy_from_slice(got));
         }
 
         /// Brings the round to its SYNC: as coordinator by collecting the
@@ -2268,23 +2300,25 @@ mod tests {
                 );
             } else {
                 let round = self.round.as_mut().expect("a round is on");
+                let id = self.view.id();
                 let mut cuts = BTreeMap::new();
-                let mut retrans = Vec::new();
+                let mut retrans = BTreeMap::new();
                 for &m in self.view.members() {
                     let cast = self.cast_by.get(&m).map_or(0, Vec::len);
-                    let cut = if m == self.me {
-                        self.my_seq as usize
-                    } else if round.failed.contains(&m) {
-                        let have = self.recv.get(&m).copied().unwrap_or(0) as usize;
-                        let cut = have + got as usize % (cast - have + 1);
-                        retrans.extend(
-                            (1..=cut).map(|seq| (m, seq as u32, self.cast_by[&m][seq - 1].clone())),
-                        );
-                        cut
-                    } else {
-                        cast
-                    };
-                    cuts.insert(m, cut as u32);
+                    let cut =
+                        if m == self.me {
+                            self.my_seq as usize
+                        } else if round.failed.contains(&m) {
+                            let have = self.recv.get(&m).copied().unwrap_or(0) as usize;
+                            let cut = have + got as usize % (cast - have + 1);
+                            retrans.extend((1..=cut).map(|seq| {
+                                ((id, m, seq as u32), self.cast_by[&m][seq - 1].clone())
+                            }));
+                            cut
+                        } else {
+                            cast
+                        };
+                    cuts.insert((id, m), cut as u32);
                 }
                 round.synced = true;
                 let wire =
@@ -2380,6 +2414,104 @@ mod tests {
                 },
             }
         }
+    }
+
+    /// A fresh cast numbered `seq`, as a receiver logs it.
+    fn cast_in(probe: &mut Probe, seq: u32) -> Bytes {
+        let body = probe.body();
+        probe.open(&probe.frame(KIND_DATA, 0, seq, body)).encode_inner()
+    }
+
+    /// A merge round whose failed member ep:4 is listed both in the probe's
+    /// view and in the joiner view it moved on to (same counter, another
+    /// coordinator), with two casts in each: ours reach ep:2 and ep:3 but
+    /// not the probe, theirs reach ep:5.  Returns the joiner view, ep:4's
+    /// casts in it, and the FLUSH body that opens the round.
+    fn cross_view_round(probe: &mut Probe) -> (View, Vec<Bytes>, Bytes) {
+        let (x, joiner) = (ep(4), ep(5));
+        probe.peer_casts(x);
+        probe.peer_casts(x);
+        let id = ViewId { counter: probe.vc(), coordinator: x };
+        let theirs = View::from_parts(GroupAddr::new(1), id, vec![x, joiner], vec![1, 1]);
+        let casts = (1..=2).map(|seq| cast_in(probe, seq)).collect();
+        let flush = Mbrship::flush_body(
+            &BTreeSet::from([x]),
+            &BTreeSet::new(),
+            std::slice::from_ref(&theirs),
+        );
+        (theirs, casts, flush)
+    }
+
+    /// What the probe delivered from `origin`: its log of this view.
+    fn delivered_from(probe: &Probe, origin: EndpointAddr) -> Vec<Bytes> {
+        probe.log.range((origin, 0)..=(origin, u32::MAX)).map(|(_, b)| b.clone()).collect()
+    }
+
+    /// As coordinator of that round: ep:5 hands in ep:4's casts as the
+    /// joiner view numbered them, at the same `(ep:4, seq)` as ours, after
+    /// ep:2 and ep:3 handed in ours.  The SYNC keeps the two logs in
+    /// separate sections, and the coordinator, a member of the main view,
+    /// delivers ep:4's casts of that view and none of the joiner view's
+    /// (when `collected` was keyed by `(origin, seq)` alone, the joiner's
+    /// entries overwrote ours and were delivered as ours).
+    #[test]
+    fn a_joiner_views_log_is_not_delivered_as_ours() {
+        for mode in [HeaderMode::Compact, HeaderMode::Aligned] {
+            let mut probe = Probe::new(ep(1), mode);
+            let (x, joiner) = (ep(4), ep(5));
+            let (theirs, their_casts, _) = cross_view_round(&mut probe);
+            // ep:5 asks to merge its view in; while the round is on, ep:4
+            // is suspected and the round restarts with it failed.
+            let mut w = WireWriter::new();
+            w.put_view(&theirs);
+            let wire = probe.frame(KIND_MERGE_REQ, 0, 0, w.finish());
+            probe.deliver(joiner, false, wire);
+            probe.feed(StackInput::FromApp(Down::Suspect { member: x }));
+            assert_eq!(probe.round.as_ref().map(|r| r.failed.clone()), Some(BTreeSet::from([x])));
+            probe.peer_contributes(ep(2), 2);
+            probe.peer_contributes(ep(3), 2);
+            let vector = BTreeMap::from([(x, 2), (joiner, 0)]);
+            let msgs = (1..=2).zip(&their_casts).map(|(seq, b)| (x, seq, b.clone())).collect();
+            probe.contribute(joiner, theirs.id(), vector, msgs);
+
+            let sync = probe.last_sync.clone().expect("the last CONTRIB brings the SYNC");
+            assert_eq!(WireReader::new(&sync).get_u32().ok(), Some(2), "one section per view");
+            let ours = probe.view.id();
+            for (id, casts) in [(ours, probe.cast_by[&x].clone()), (theirs.id(), their_casts)] {
+                let (cuts, retrans) = Mbrship::read_sync(&sync, id).expect("a SYNC");
+                let bodies: Vec<_> = retrans.iter().map(|&(_, _, b)| b).collect();
+                assert_eq!(bodies, casts.iter().map(|b| &b[..]).collect::<Vec<_>>(), "{id}");
+                // ep:4 counts in the view it moved on to.
+                assert_eq!(cuts.get(&(id, x)), (id == theirs.id()).then_some(&2));
+            }
+            assert_eq!(delivered_from(&probe, x), probe.cast_by[&x], "{mode:?}");
+        }
+    }
+
+    /// As a plain member of the main view: handed a SYNC with both
+    /// sections, it delivers from its own view's section only.
+    #[test]
+    fn a_member_reads_only_its_own_views_section() {
+        let mut probe = Probe::new(ep(2), HeaderMode::Compact);
+        let x = ep(4);
+        let (theirs, their_casts, flush) = cross_view_round(&mut probe);
+        probe.drain(ep(1));
+        probe.epoch += 1;
+        probe.begin_round(&flush);
+        let wire = probe.frame(KIND_FLUSH, probe.epoch, 0, flush);
+        probe.deliver(ep(1), true, wire);
+        assert_eq!(probe.contribs_checked, 1);
+        let ours = probe.view.id();
+        let mut cuts = BTreeMap::from([((theirs.id(), x), 2), ((theirs.id(), ep(5)), 0)]);
+        cuts.extend(probe.view.members()[..3].iter().map(|&m| ((ours, m), 0)));
+        let mut collected = BTreeMap::new();
+        for (seq, (b_ours, b_theirs)) in (1..).zip(probe.cast_by[&x].iter().zip(&their_casts)) {
+            collected.insert((ours, x, seq), b_ours.clone());
+            collected.insert((theirs.id(), x, seq), b_theirs.clone());
+        }
+        let wire = probe.frame(KIND_SYNC, probe.epoch, 0, Mbrship::sync_body(&cuts, &collected));
+        probe.deliver(ep(1), true, wire);
+        assert_eq!(delivered_from(&probe, x), probe.cast_by[&x]);
     }
 
     proptest::proptest! {

@@ -205,6 +205,30 @@ fn total_buffers_out_of_order_data_once() {
     assert_eq!(buffered(&rx), "buffered=0");
 }
 
+/// Counts MBRSHIP reads off the wire before any view check: a FLUSH whose
+/// joiner-view count is `u32::MAX` over an empty rest (the layer used to
+/// reserve that many views up front, and the allocation aborted the
+/// process), and a SYNC whose section count is.  A joined member drops
+/// both: nothing comes out, and its state is as before.
+#[test]
+fn mbrship_drops_a_count_its_body_cannot_hold() {
+    let mut rx = receiver("MBRSHIP");
+    let _ = rx.handle(StackInput::FromApp(Down::Join { group: GroupAddr::new(1) }));
+    let before = rx.dump();
+    let mut flush = WireWriter::new();
+    flush.put_addrs(&[]);
+    flush.put_addrs(&[]);
+    flush.put_u32(u32::MAX);
+    let mut sync = WireWriter::new();
+    sync.put_u32(u32::MAX);
+    // MBRSHIP's `[kind, epoch, vc, seq]` header: FLUSH is kind 1, SYNC 3.
+    for (kind, body) in [(1, flush.finish()), (3, sync.finish())] {
+        let (fx, _) = feed_fragment(&mut rx, &[kind, 1, 0, 0], &body);
+        assert!(fx.is_empty(), "kind {kind}: {fx:?}");
+        assert_eq!(rx.dump(), before, "kind {kind}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
