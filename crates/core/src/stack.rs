@@ -67,8 +67,6 @@ pub struct StackStats {
     pub msgs_received: u64,
     /// Total bytes handed to the transport.
     pub bytes_sent: u64,
-    /// Total bytes received from the transport.
-    pub bytes_received: u64,
     /// Header bytes (excluding frame and body) transmitted.
     pub header_bytes_sent: u64,
     /// Individual layer dispatches performed.
@@ -131,7 +129,6 @@ impl StackStats {
             msgs_sent,
             msgs_received,
             bytes_sent,
-            bytes_received,
             header_bytes_sent,
             dispatches,
             skipped,
@@ -150,7 +147,6 @@ impl StackStats {
         self.msgs_sent += msgs_sent;
         self.msgs_received += msgs_received;
         self.bytes_sent += bytes_sent;
-        self.bytes_received += bytes_received;
         self.header_bytes_sent += header_bytes_sent;
         self.dispatches += dispatches;
         self.skipped += skipped;
@@ -869,31 +865,28 @@ impl Stack {
                 }
                 core.route_down(core.routes.from_app, down, effects);
             }
-            StackInput::FromNet { from, cast, wire } => {
-                core.stats.bytes_received += wire.len() as u64;
-                match core.decode_frame(&wire) {
-                    Ok(mut msg) => {
-                        core.stats.msgs_received += 1;
-                        msg.meta.set_src(Some(from));
-                        let up = if cast {
-                            Up::Cast { src: from, msg }
-                        } else {
-                            Up::Send { src: from, msg }
-                        };
-                        core.route_up(core.routes.from_net, up, effects);
-                    }
-                    Err(e) => {
-                        let reason = if matches!(e, FrameError::Fingerprint) {
-                            core.stats.fingerprint_drops += 1;
-                            DropReason::Fingerprint
-                        } else {
-                            core.stats.decode_drops += 1;
-                            DropReason::Decode
-                        };
-                        core.trace(TraceKind::FrameDrop { digest: 0, seq: 0, reason });
-                    }
+            StackInput::FromNet { from, cast, wire } => match core.decode_frame(&wire) {
+                Ok(mut msg) => {
+                    core.stats.msgs_received += 1;
+                    msg.meta.set_src(Some(from));
+                    let up = if cast {
+                        Up::Cast { src: from, msg }
+                    } else {
+                        Up::Send { src: from, msg }
+                    };
+                    core.route_up(core.routes.from_net, up, effects);
                 }
-            }
+                Err(e) => {
+                    let reason = if matches!(e, FrameError::Fingerprint) {
+                        core.stats.fingerprint_drops += 1;
+                        DropReason::Fingerprint
+                    } else {
+                        core.stats.decode_drops += 1;
+                        DropReason::Decode
+                    };
+                    core.trace(TraceKind::FrameDrop { digest: 0, seq: 0, reason });
+                }
+            },
             StackInput::Timer { layer, token, now } => {
                 core.now = core.now.max(now);
                 if layer < layers.len() {

@@ -83,6 +83,15 @@
 //! ([`MbrshipConfig::primary_partition`]) instead blocks any side that
 //! loses a majority.
 //!
+//! ## Views on the wire
+//!
+//! A header carries its sender's view counter in 32 bits, and `place`
+//! alone reads it: *ahead* (above ours), *ours* (equal, from a member) or
+//! *stale*.  Data and subset sends that are ahead wait, and each install
+//! places them again, data by sender and sequence before sends in arrival
+//! order.  Two partitions can reach one counter; telling their messages
+//! apart takes a wider field, written in `write_header`, read in `place`.
+//!
 //! ## Failure detection
 //!
 //! MBRSHIP consumes failure *suspicions* — PROBLEM upcalls from the NAK
@@ -98,6 +107,7 @@ use bytes::Bytes;
 use horus_core::message::InnerImage;
 use horus_core::prelude::*;
 use horus_core::wire::{WireReader, WireWriter};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::time::Duration;
@@ -159,6 +169,27 @@ impl Default for MbrshipConfig {
             flush_timeout: Duration::from_millis(400),
         }
     }
+}
+
+impl MbrshipConfig {
+    /// Whether moving from view `old` to `new` loses the majority of `old`
+    /// in primary-partition mode (a singleton has no majority to lose).
+    fn loses_majority(&self, old: &View, new: &View) -> bool {
+        self.primary_partition
+            && old.len() > 1
+            && old.members().iter().filter(|m| new.contains(**m)).count() * 2 <= old.len()
+    }
+}
+
+/// Where a message stands against our view.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Placed {
+    /// Sent in an older view, or by someone outside ours: dropped.
+    Stale,
+    /// Sent in our view by one of its members.
+    Ours,
+    /// Sent in a view we have not installed yet.
+    Ahead,
 }
 
 /// A flush round's cut, by the epoch community that numbered the count
@@ -342,7 +373,6 @@ pub struct Mbrship {
     flushes_started: u64,
     delivered: u64,
     recovered: u64,
-    dropped_stale: u64,
 }
 
 impl Mbrship {
@@ -373,7 +403,6 @@ impl Mbrship {
             flushes_started: 0,
             delivered: 0,
             recovered: 0,
-            dropped_stale: 0,
         }
     }
 
@@ -381,21 +410,39 @@ impl Mbrship {
         self.me.expect("layer initialised")
     }
 
+    /// Our view's counter as the header's 32-bit `vc` field carries it (0
+    /// before the first view): the one place the counter is truncated.
     fn vc(&self) -> u32 {
-        self.view.as_ref().map(|v| v.id().counter as u32).unwrap_or(0)
+        self.view.as_ref().map_or(0, |v| v.id().counter as u32)
+    }
+
+    /// Places a message that `src` stamped with view counter `vc` against
+    /// our view (module doc, "Views on the wire").
+    fn place(&self, src: EndpointAddr, vc: u32) -> Placed {
+        match vc.cmp(&self.vc()) {
+            Ordering::Greater => Placed::Ahead,
+            Ordering::Equal if self.view.as_ref().is_some_and(|v| v.contains(src)) => Placed::Ours,
+            _ => Placed::Stale,
+        }
     }
 
     // ------------------------------------------------------------------
     // Message construction helpers
     // ------------------------------------------------------------------
 
+    /// Stamps our header on `msg`: its kind, the flush epoch, our view's
+    /// counter and the sequence number (0 but on data).
+    fn write_header(&self, ctx: &LayerCtx<'_>, msg: &mut Message, kind: u64, epoch: u16, seq: u32) {
+        ctx.stamp(msg);
+        ctx.set(msg, 0, kind);
+        ctx.set(msg, 1, epoch.into());
+        ctx.set(msg, 2, self.vc().into());
+        ctx.set(msg, 3, seq.into());
+    }
+
     fn control(&self, ctx: &mut LayerCtx<'_>, kind: u64, epoch: u16, body: Bytes) -> Message {
         let mut m = ctx.new_message(body);
-        ctx.stamp(&mut m);
-        ctx.set(&mut m, 0, kind);
-        ctx.set(&mut m, 1, epoch as u64);
-        ctx.set(&mut m, 2, self.vc() as u64);
-        ctx.set(&mut m, 3, 0);
+        self.write_header(ctx, &mut m, kind, epoch, 0);
         m
     }
 
@@ -422,11 +469,7 @@ impl Mbrship {
         // Log before stamping so the stored image matches what receivers
         // log after opening our header.
         self.log.put(self.me(), seq, msg.inner_image());
-        ctx.stamp(&mut msg);
-        ctx.set(&mut msg, 0, KIND_DATA);
-        ctx.set(&mut msg, 1, 0);
-        ctx.set(&mut msg, 2, self.vc() as u64);
-        ctx.set(&mut msg, 3, seq as u64);
+        self.write_header(ctx, &mut msg, KIND_DATA, 0, seq);
         ctx.down(Down::Cast(msg));
         self.maybe_report(seq, ctx);
     }
@@ -518,30 +561,19 @@ impl Mbrship {
         self.view = Some(v.clone());
         ctx.down(Down::InstallView(v.clone()));
         ctx.up(Up::View(v.clone()));
-        // Replay data that raced ahead of this installation.
-        let vc = v.id().counter as u32;
-        let ready: Vec<((u32, EndpointAddr, u32), Message)> = {
-            let keys: Vec<_> = self
-                .future
-                .range((vc, EndpointAddr::new(1), 0)..=(vc, EndpointAddr::new(u64::MAX), u32::MAX))
-                .map(|(k, _)| *k)
-                .collect();
-            keys.into_iter().map(|k| (k, self.future.remove(&k).expect("present"))).collect()
-        };
-        for ((fvc, src, seq), msg) in ready {
-            debug_assert_eq!(fvc, vc);
-            self.handle_data(src, fvc, seq, msg, ctx);
-        }
-        // Drop data for views that can no longer happen.
-        self.future.retain(|&(fvc, _, _), _| fvc > vc);
-        // Release subset sends addressed to this view.
-        let sends = std::mem::take(&mut self.future_sends);
-        for (svc, src, msg) in sends {
-            if svc == vc && v.contains(src) {
-                ctx.up(Up::Send { src, msg });
-            } else if svc > vc {
-                self.future_sends.push((svc, src, msg));
+        // Place what raced ahead of this installation again: data by
+        // sender and sequence, then subset sends in arrival order.
+        for ((vc, src, seq), msg) in std::mem::take(&mut self.future) {
+            match self.place(src, vc) {
+                Placed::Ours => self.handle_data(src, vc, seq, msg, ctx),
+                Placed::Ahead => {
+                    self.future.insert((vc, src, seq), msg);
+                }
+                Placed::Stale => {}
             }
+        }
+        for (vc, src, msg) in std::mem::take(&mut self.future_sends) {
+            self.handle_send(src, vc, msg, ctx);
         }
         // Release queued casts into the new view.
         while let Some(m) = self.pending.pop_front() {
@@ -561,17 +593,9 @@ impl Mbrship {
             return; // stale
         }
         if v_new.contains(me) {
-            if self.cfg.primary_partition {
-                if let Some(old) = &self.view {
-                    if old.len() > 1 {
-                        let surviving =
-                            old.members().iter().filter(|m| v_new.contains(**m)).count();
-                        if surviving * 2 <= old.len() {
-                            self.block(ctx);
-                            return;
-                        }
-                    }
-                }
+            if self.view.as_ref().is_some_and(|old| self.cfg.loses_majority(old, &v_new)) {
+                self.block(ctx);
+                return;
             }
             for &l in &leaving {
                 ctx.up(Up::Leave { member: l });
@@ -582,9 +606,7 @@ impl Mbrship {
         }
         // Not a member: only meaningful if we were explicitly excluded.
         if leaving.contains(&me) && self.leaving_self {
-            self.phase = Phase::Exited;
-            ctx.down(Down::Leave);
-            ctx.up(Up::Exit);
+            self.exit(ctx);
             return;
         }
         if excluded.contains(&me) {
@@ -611,6 +633,29 @@ impl Mbrship {
         ctx.up(Up::SystemError { reason: "lost primary partition; progress blocked".to_string() });
     }
 
+    /// Leaves the group for good.
+    fn exit(&mut self, ctx: &mut LayerCtx<'_>) {
+        self.phase = Phase::Exited;
+        ctx.down(Down::Leave);
+        ctx.up(Up::Exit);
+    }
+
+    /// Asks the view's coordinator to let us leave: as the coordinator we
+    /// flush our own leave, anyone else sends it a LEAVE_REQ.  False when
+    /// there is nobody to ask, the view being ours alone.
+    fn request_leave(&mut self, ctx: &mut LayerCtx<'_>) -> bool {
+        let me = self.me();
+        let Some(view) = self.view.as_ref().filter(|v| v.len() > 1) else { return false };
+        let coordinator = view.coordinator_among(view.members()).expect("non-empty view");
+        if coordinator == me {
+            self.leave_reqs.insert(me);
+            self.start_flush(ctx);
+        } else {
+            self.control_send(ctx, coordinator, KIND_LEAVE_REQ, 0, Bytes::new());
+        }
+        true
+    }
+
     // ------------------------------------------------------------------
     // Data path
     // ------------------------------------------------------------------
@@ -623,23 +668,17 @@ impl Mbrship {
         msg: Message,
         ctx: &mut LayerCtx<'_>,
     ) {
-        let Some(view) = &self.view else { return };
-        let my_vc = view.id().counter as u32;
         if matches!(self.phase, Phase::Blocked | Phase::Exited | Phase::Idle) {
             return;
         }
-        if vc < my_vc {
-            self.dropped_stale += 1;
-            return;
-        }
-        if vc > my_vc {
-            // Sender is ahead of us; hold until we install that view.
-            self.future.insert((vc, src, seq), msg);
-            return;
-        }
-        if !view.contains(src) {
-            self.dropped_stale += 1;
-            return;
+        match self.place(src, vc) {
+            Placed::Ours => {}
+            Placed::Ahead => {
+                // Sent in a view we have yet to install: held until we do.
+                self.future.insert((vc, src, seq), msg);
+                return;
+            }
+            Placed::Stale => return,
         }
         // During a flush, messages from supposedly failed members are
         // ignored; their pre-cut messages return via SYNC retransmission.
@@ -650,7 +689,6 @@ impl Mbrship {
         }
         let cum = self.recv.entry(src).or_insert(0);
         if seq <= *cum {
-            self.dropped_stale += 1;
             return; // duplicate (e.g. already recovered through a flush)
         }
         *cum = seq;
@@ -661,6 +699,17 @@ impl Mbrship {
         // Our own casts were reported when they were sent.
         if src != self.me() {
             self.maybe_report(seq, ctx);
+        }
+    }
+
+    /// Subset sends honour view boundaries like casts, but carry no
+    /// sequence and are not flushed.
+    fn handle_send(&mut self, src: EndpointAddr, vc: u32, msg: Message, ctx: &mut LayerCtx<'_>) {
+        match self.place(src, vc) {
+            Placed::Ours => ctx.up(Up::Send { src, msg }),
+            // Unicasts can beat the VIEW cast: held until we install it.
+            Placed::Ahead => self.future_sends.push((vc, src, msg)),
+            Placed::Stale => {}
         }
     }
 
@@ -758,6 +807,14 @@ impl Mbrship {
         }
     }
 
+    /// The flush coordinator of `view` once `excluded` are gone: the most
+    /// senior other member, elected without any message exchange.
+    fn elect(view: &View, excluded: &BTreeSet<EndpointAddr>) -> Option<EndpointAddr> {
+        let candidates: Vec<EndpointAddr> =
+            view.members().iter().copied().filter(|m| !excluded.contains(m)).collect();
+        view.coordinator_among(&candidates)
+    }
+
     /// Starts (or restarts) a flush round, electing the coordinator
     /// deterministically.
     fn start_flush(&mut self, ctx: &mut LayerCtx<'_>) {
@@ -768,9 +825,7 @@ impl Mbrship {
         let me = self.me();
         let failed: BTreeSet<EndpointAddr> =
             self.suspects.iter().copied().filter(|s| view.contains(*s) && *s != me).collect();
-        let participants: Vec<EndpointAddr> =
-            view.members().iter().copied().filter(|m| !failed.contains(m)).collect();
-        let Some(coordinator) = view.coordinator_among(&participants) else { return };
+        let Some(coordinator) = Self::elect(view, &failed) else { return };
         if coordinator == me {
             self.cur_epoch += 1;
             self.flushes_started += 1;
@@ -810,7 +865,7 @@ impl Mbrship {
         let leaving: BTreeSet<EndpointAddr> = leaving_list.into_iter().collect();
 
         // Which side of the flush are we on?
-        let in_main = view.contains(src) && vc == view.id().counter as u32;
+        let in_main = self.place(src, vc) == Placed::Ours;
         let my_view_id = view.id();
         let in_joiner = joiner_views.iter().any(|jv| jv.id() == my_view_id && jv.contains(me));
         if !(in_main || in_joiner) {
@@ -821,9 +876,7 @@ impl Mbrship {
                 return; // we are being excluded; the VIEW message decides
             }
             // Validate the sender's right to coordinate this round.
-            let participants: Vec<EndpointAddr> =
-                view.members().iter().copied().filter(|m| !failed.contains(m)).collect();
-            if view.coordinator_among(&participants) != Some(src) {
+            if Self::elect(view, &failed) != Some(src) {
                 return;
             }
             if let Phase::Flushing(round) = &self.phase {
@@ -874,6 +927,16 @@ impl Mbrship {
         self.control_send(ctx, round.coordinator, KIND_CONTRIB, round.epoch, w.finish());
     }
 
+    /// The flush round of `epoch`, if one is running and we coordinate it.
+    fn coordinating(phase: &mut Phase, me: EndpointAddr, epoch: u16) -> Option<&mut FlushRound> {
+        match phase {
+            Phase::Flushing(round) if round.coordinator == me && round.epoch == epoch => {
+                Some(round)
+            }
+            _ => None,
+        }
+    }
+
     fn handle_contrib(
         &mut self,
         src: EndpointAddr,
@@ -882,32 +945,52 @@ impl Mbrship {
         ctx: &mut LayerCtx<'_>,
     ) {
         let me = self.me();
-        {
-            let Phase::Flushing(round) = &mut self.phase else { return };
-            if round.coordinator != me || round.epoch != epoch {
-                return;
-            }
-            let mut r = WireReader::new(body);
-            let Some(vector) = Self::get_recv_vector(&mut r) else { return };
-            let Ok(n_msgs) = r.get_u32() else { return };
-            // The contributor's log is numbered in its own view.
-            let community = self.view.as_ref().and_then(|view| round.community(view, src));
-            for _ in 0..n_msgs {
-                let (Ok(origin), Ok(seq)) = (r.get_addr(), r.get_u32()) else { return };
-                let Ok(inner) = r.get_bytes() else { return };
-                if let Some(c) = community {
-                    round.collected.insert((c, origin, seq), Bytes::copy_from_slice(inner));
-                }
-            }
-            // A re-delivered duplicate is not progress; letting it reset
-            // the stall clock would postpone wedge recovery forever under
-            // a steady drizzle of retransmissions.
-            if round.contribs.insert(src, vector.clone()) == Some(vector) {
-                return;
+        let Some(round) = Self::coordinating(&mut self.phase, me, epoch) else { return };
+        let mut r = WireReader::new(body);
+        let Some(vector) = Self::get_recv_vector(&mut r) else { return };
+        let Ok(n_msgs) = r.get_u32() else { return };
+        // The contributor's log is numbered in its own view.
+        let community = self.view.as_ref().and_then(|view| round.community(view, src));
+        for _ in 0..n_msgs {
+            let (Ok(origin), Ok(seq)) = (r.get_addr(), r.get_u32()) else { return };
+            let Ok(inner) = r.get_bytes() else { return };
+            if let Some(c) = community {
+                round.collected.insert((c, origin, seq), Bytes::copy_from_slice(inner));
             }
         }
+        // A re-delivered duplicate is not progress; letting it reset
+        // the stall clock would postpone wedge recovery forever under
+        // a steady drizzle of retransmissions.
+        if round.contribs.insert(src, vector.clone()) == Some(vector) {
+            return;
+        }
         self.last_progress = ctx.now();
-        self.try_sync(ctx);
+        if round.sync_sent {
+            return;
+        }
+        let Some(view) = &self.view else { return };
+        let participants = Self::round_participants(view, round, &self.suspects);
+        if !participants.iter().all(|p| round.contribs.contains_key(p)) {
+            return;
+        }
+        // Every contribution is in.  The cut: per member, the highest
+        // message any contributor of its epoch community holds.
+        // Retransmissions: everything the contributions supplied from
+        // failed senders, up to their cut.
+        let mut cuts = BTreeMap::new();
+        for (&c, vector) in &round.contribs {
+            let Some(community) = round.community(view, c) else { continue };
+            for (&m, &acked) in vector {
+                if round.community(view, m) == Some(community) {
+                    let cut = cuts.entry((community, m)).or_insert(0);
+                    *cut = acked.max(*cut);
+                }
+            }
+        }
+        round.sync_sent = true;
+        let body = Self::sync_body(&cuts, &round.collected);
+        round.cuts = Some(cuts);
+        self.control_cast(ctx, KIND_SYNC, epoch, body);
     }
 
     /// All participants of the current round, main view and joiners alike.
@@ -926,39 +1009,6 @@ impl Mbrship {
             set.extend(jv.members().iter().copied().filter(|m| !suspects.contains(m)));
         }
         set
-    }
-
-    fn try_sync(&mut self, ctx: &mut LayerCtx<'_>) {
-        let me = self.me();
-        let (epoch, body) = {
-            let Phase::Flushing(round) = &mut self.phase else { return };
-            if round.coordinator != me || round.sync_sent {
-                return;
-            }
-            let Some(view) = &self.view else { return };
-            let participants = Self::round_participants(view, round, &self.suspects);
-            if !participants.iter().all(|p| round.contribs.contains_key(p)) {
-                return;
-            }
-            // The cut: per member, the highest message any contributor of
-            // its epoch community holds.  Retransmissions: everything the
-            // contributions supplied from failed senders, up to their cut.
-            let mut cuts = BTreeMap::new();
-            for (&c, vector) in &round.contribs {
-                let Some(community) = round.community(view, c) else { continue };
-                for (&m, &acked) in vector {
-                    if round.community(view, m) == Some(community) {
-                        let cut = cuts.entry((community, m)).or_insert(0);
-                        *cut = acked.max(*cut);
-                    }
-                }
-            }
-            round.sync_sent = true;
-            let body = Self::sync_body(&cuts, &round.collected);
-            round.cuts = Some(cuts);
-            (round.epoch, body)
-        };
-        self.control_cast(ctx, KIND_SYNC, epoch, body);
     }
 
     fn handle_sync(&mut self, src: EndpointAddr, epoch: u16, body: &[u8], ctx: &mut LayerCtx<'_>) {
@@ -1026,22 +1076,11 @@ impl Mbrship {
 
     fn handle_flush_ok(&mut self, src: EndpointAddr, epoch: u16, ctx: &mut LayerCtx<'_>) {
         let me = self.me();
-        {
-            let Phase::Flushing(round) = &mut self.phase else { return };
-            if round.coordinator != me || round.epoch != epoch {
-                return;
-            }
-            round.flush_oks.insert(src);
-        }
+        let Some(round) = Self::coordinating(&mut self.phase, me, epoch) else { return };
+        round.flush_oks.insert(src);
         self.last_progress = ctx.now();
         ctx.up(Up::FlushOk { from: src });
-        self.try_install(ctx);
-    }
-
-    fn try_install(&mut self, ctx: &mut LayerCtx<'_>) {
-        let me = self.me();
-        let Phase::Flushing(round) = &self.phase else { return };
-        if round.coordinator != me || !round.sync_sent {
+        if !round.sync_sent {
             return;
         }
         let Some(view) = &self.view else { return };
@@ -1055,21 +1094,16 @@ impl Mbrship {
         let no_survivors = view.members().iter().all(|m| removed.contains(m));
         if no_survivors && joiner_views.is_empty() {
             // Everyone (including us) is leaving: nothing to install.
-            self.phase = Phase::Exited;
-            ctx.down(Down::Leave);
-            ctx.up(Up::Exit);
+            self.exit(ctx);
             return;
         }
         let mut v_new = view.successor(me, &removed, &[]);
         for jv in joiner_views {
             v_new = v_new.merged(jv, me);
         }
-        if self.cfg.primary_partition && view.len() > 1 {
-            let surviving = view.members().iter().filter(|m| v_new.contains(**m)).count();
-            if surviving * 2 <= view.len() {
-                self.block(ctx);
-                return;
-            }
+        if self.cfg.loses_majority(view, &v_new) {
+            self.block(ctx);
+            return;
         }
         let failed_vec: Vec<EndpointAddr> = failed.iter().copied().collect();
         let leaving_vec: Vec<EndpointAddr> = leaving.iter().copied().collect();
@@ -1131,13 +1165,11 @@ impl Mbrship {
         }
     }
 
-    /// Suspicion is view-relative: a report generated in another view (for
-    /// example one that crossed a partition and was delivered, reliably but
-    /// late, after the merge) must not poison the current view.
-    fn handle_suspect_report(&mut self, vc: u32, body: &[u8], ctx: &mut LayerCtx<'_>) {
-        if vc != self.vc() {
-            return;
-        }
+    /// Handles a SUSPECT report placed in our view.  Suspicion is
+    /// view-relative: a report from another view (one that crossed a
+    /// partition and arrived, reliably but late, after the merge) must not
+    /// poison the current view.
+    fn handle_suspect_report(&mut self, body: &[u8], ctx: &mut LayerCtx<'_>) {
         let mut r = WireReader::new(body);
         let Ok(list) = r.get_addrs() else { return };
         for m in list {
@@ -1292,13 +1324,7 @@ impl Mbrship {
                     // this watchdog would unicast SUSPECT reports to a dead
                     // successor forever.
                     let view = self.view.as_ref().expect("flushing implies view");
-                    let live: Vec<EndpointAddr> = view
-                        .members()
-                        .iter()
-                        .copied()
-                        .filter(|m| !self.suspects.contains(m))
-                        .collect();
-                    let awaited = view.coordinator_among(&live).unwrap_or(round.coordinator);
+                    let awaited = Self::elect(view, &self.suspects).unwrap_or(round.coordinator);
                     Action::SuspectCoordinator(awaited)
                 } else {
                     Action::None
@@ -1368,19 +1394,7 @@ impl Mbrship {
             Action::Rebroadcast => self.rebroadcast_round(ctx),
             Action::RetryMerge(contact) => self.send_merge_req(contact, ctx),
             Action::RetryLeave => {
-                if let Some(view) = &self.view {
-                    if view.len() > 1 {
-                        let coordinator =
-                            view.coordinator_among(view.members()).expect("non-empty view");
-                        let me = self.me();
-                        if coordinator == me {
-                            self.leave_reqs.insert(me);
-                            self.start_flush(ctx);
-                        } else {
-                            self.control_send(ctx, coordinator, KIND_LEAVE_REQ, 0, Bytes::new());
-                        }
-                    }
-                }
+                self.request_leave(ctx);
             }
             Action::AbandonMerge => {
                 self.phase = Phase::Normal;
@@ -1437,11 +1451,7 @@ impl Layer for Mbrship {
                 }),
             },
             Down::Send { dests, mut msg } => {
-                ctx.stamp(&mut msg);
-                ctx.set(&mut msg, 0, KIND_USEND);
-                ctx.set(&mut msg, 1, 0);
-                ctx.set(&mut msg, 2, self.vc() as u64);
-                ctx.set(&mut msg, 3, 0);
+                self.write_header(ctx, &mut msg, KIND_USEND, 0, 0);
                 ctx.down(Down::Send { dests, msg });
             }
             Down::Suspect { member } => self.suspect(member, ctx),
@@ -1494,24 +1504,10 @@ impl Layer for Mbrship {
                 }
             }
             Down::Leave => {
-                let me = self.me();
                 self.leaving_self = true;
-                match (&self.phase, self.view.as_ref()) {
-                    (Phase::Normal | Phase::Flushing(_), Some(view)) if view.len() > 1 => {
-                        let coordinator =
-                            view.coordinator_among(view.members()).expect("non-empty view");
-                        if coordinator == me {
-                            self.leave_reqs.insert(me);
-                            self.start_flush(ctx);
-                        } else {
-                            self.control_send(ctx, coordinator, KIND_LEAVE_REQ, 0, Bytes::new());
-                        }
-                    }
-                    _ => {
-                        self.phase = Phase::Exited;
-                        ctx.down(Down::Leave);
-                        ctx.up(Up::Exit);
-                    }
+                let active = matches!(self.phase, Phase::Normal | Phase::Flushing(_));
+                if !(active && self.request_leave(ctx)) {
+                    self.exit(ctx);
                 }
             }
             Down::Destroy => {
@@ -1541,22 +1537,12 @@ impl Layer for Mbrship {
                     KIND_VIEW => self.handle_view_msg(src, &msg.body().clone(), ctx),
                     KIND_MERGE_REQ => self.handle_merge_req(src, &msg.body().clone(), ctx),
                     KIND_MERGE_DENY => self.handle_merge_deny(&msg.body().clone(), ctx),
-                    KIND_SUSPECT => self.handle_suspect_report(vc, &msg.body().clone(), ctx),
-                    KIND_STABLE => self.handle_stable(src, &msg.body().clone()),
-                    KIND_USEND => {
-                        // Subset sends honour view boundaries like casts,
-                        // but carry no sequence and are not flushed.  A
-                        // send for a newer view than ours buffers until we
-                        // install it (unicasts can beat the VIEW cast).
-                        if vc > self.vc() {
-                            self.future_sends.push((vc, src, msg));
-                        } else if vc == self.vc()
-                            && self.view.as_ref().map(|v| v.contains(src)).unwrap_or(false)
-                        {
-                            ctx.up(Up::Send { src, msg });
-                        }
+                    KIND_SUSPECT if self.place(src, vc) == Placed::Ours => {
+                        self.handle_suspect_report(&msg.body().clone(), ctx);
                     }
-                    KIND_LEAVE_REQ if vc == self.vc() => {
+                    KIND_STABLE => self.handle_stable(src, &msg.body().clone()),
+                    KIND_USEND => self.handle_send(src, vc, msg, ctx),
+                    KIND_LEAVE_REQ if self.place(src, vc) == Placed::Ours => {
                         self.leave_reqs.insert(src);
                         if matches!(self.phase, Phase::Normal) {
                             self.start_flush(ctx);
@@ -1916,6 +1902,197 @@ mod tests {
         ));
         // It falls back to a singleton view and could merge back.
         assert_eq!(w.installed_views(ep(3)).last().unwrap().members(), &[ep(3)]);
+    }
+
+    #[test]
+    fn a_leave_lost_with_the_coordinator_is_retried_under_its_successor() {
+        let mut w = joined_world(3, 11, MbrshipConfig::default(), NetConfig::reliable());
+        let t = w.now();
+        // ep3's LEAVE_REQ goes to ep1, which is already dead.
+        w.crash_at(t + Duration::from_millis(5), ep(1));
+        w.down_at(t + Duration::from_millis(6), ep(3), Down::Leave);
+        w.run_for(Duration::from_secs(3));
+        // The exclusion flush keeps ep3, whose leave is then retried
+        // toward ep2 once it has waited a flush timeout in the new view.
+        let views: Vec<_> = w.installed_views(ep(2)).iter().map(|v| v.members().to_vec()).collect();
+        assert_eq!(views[views.len() - 2..], [vec![ep(2), ep(3)], vec![ep(2)]]);
+        assert!(w.upcalls(ep(3)).iter().any(|(_, up)| matches!(up, Up::Exit)));
+    }
+
+    // ------------------------------------------------------------------
+    // A lone layer and hand-built frames
+    // ------------------------------------------------------------------
+
+    /// One MBRSHIP layer at ep:1, joined, whose peers are played by the
+    /// test with frames stamped as their MBRSHIP would stamp them.  What it
+    /// casts, or sends to itself, loops back to it as the transport would.
+    struct Lone {
+        stack: Stack,
+        /// The kind of every frame it put on the wire, in order.
+        sent: Vec<u64>,
+        ups: Vec<Up>,
+    }
+
+    impl Lone {
+        fn new(cfg: MbrshipConfig) -> Self {
+            let mut stack =
+                StackBuilder::new(ep(1)).push(Box::new(Mbrship::new(cfg))).build().unwrap();
+            let _ = stack.init();
+            let mut lone = Lone { stack, sent: Vec::new(), ups: Vec::new() };
+            lone.feed(StackInput::FromApp(Down::Join { group: GroupAddr::new(1) }));
+            lone
+        }
+
+        fn feed(&mut self, input: StackInput) {
+            let mut todo = VecDeque::from(self.stack.handle(input));
+            while let Some(fx) = todo.pop_front() {
+                let (wire, cast) = match fx {
+                    Effect::Deliver(up) => {
+                        self.ups.push(up);
+                        continue;
+                    }
+                    Effect::NetCast { wire } => (wire, true),
+                    Effect::NetSend { dests, wire } if dests == [ep(1)] => (wire, false),
+                    _ => continue,
+                };
+                let layout = self.stack.layout().clone();
+                let msg = Message::decode_parts(layout, &wire.head()[8..], wire.body().clone())
+                    .expect("a frame of this stack");
+                self.sent.push(msg.field(0, 0));
+                todo.extend(self.stack.handle(StackInput::FromNet { from: ep(1), cast, wire }));
+            }
+        }
+
+        /// Hands it a frame from `src` with MBRSHIP's header `[kind, epoch,
+        /// vc, seq]`.
+        fn frame(&mut self, src: u64, header: [u64; 4], body: Bytes) {
+            let mut msg = self.stack.new_message(body);
+            msg.push_header(0);
+            for (field, val) in header.into_iter().enumerate() {
+                msg.set_field(0, field, val);
+            }
+            let wire =
+                WireFrame::build(self.stack.fingerprint(), msg.header_area(), msg.body().clone());
+            self.feed(StackInput::FromNet { from: ep(src), cast: true, wire });
+        }
+
+        /// Hands it the VIEW of `members` numbered `counter`, cast by the
+        /// first of them.
+        fn view(&mut self, counter: u64, members: &[u64]) {
+            let id = ViewId { counter, coordinator: ep(members[0]) };
+            let epochs = vec![1; members.len()];
+            let members = members.iter().map(|&i| ep(i)).collect();
+            let mut w = WireWriter::new();
+            w.put_view(&View::from_parts(GroupAddr::new(1), id, members, epochs));
+            w.put_addrs(&[]);
+            w.put_addrs(&[]);
+            self.frame(id.coordinator.raw(), [KIND_VIEW, 0, counter, 0], w.finish());
+        }
+
+        /// The sizes of the views it installed, oldest first.
+        fn views(&self) -> Vec<usize> {
+            self.ups
+                .iter()
+                .filter_map(|up| if let Up::View(v) = up { Some(v.len()) } else { None })
+                .collect()
+        }
+
+        fn casts(&self) -> usize {
+            self.ups.iter().filter(|up| matches!(up, Up::Cast { .. })).count()
+        }
+
+        fn phase(&self) -> String {
+            let (_, state) = &self.stack.dump()[0];
+            state.split_whitespace().next().unwrap().to_string()
+        }
+    }
+
+    #[test]
+    fn a_subset_send_for_a_later_view_waits_across_an_install() {
+        let mut lone = Lone::new(MbrshipConfig::default());
+        lone.frame(2, [KIND_USEND, 0, 3, 0], Bytes::from_static(b"v3"));
+        lone.frame(2, [KIND_USEND, 0, 2, 0], Bytes::from_static(b"v2"));
+        let sends = |lone: &Lone| -> Vec<Bytes> {
+            let sends = lone.ups.iter().filter_map(|up| match up {
+                Up::Send { src, msg } if *src == ep(2) => Some(msg.body().clone()),
+                _ => None,
+            });
+            sends.collect()
+        };
+        assert!(sends(&lone).is_empty());
+        lone.view(2, &[1, 2]);
+        assert_eq!(sends(&lone), [&b"v2"[..]]);
+        lone.view(3, &[1, 2]);
+        assert_eq!(sends(&lone), [&b"v2"[..], &b"v3"[..]]);
+        assert_eq!(lone.stack.pending_work(), 0);
+    }
+
+    #[test]
+    fn a_member_blocks_on_a_view_that_loses_the_majority_and_drops_data() {
+        let cfg = MbrshipConfig { primary_partition: true, ..MbrshipConfig::default() };
+        let mut kept = Lone::new(cfg.clone());
+        kept.view(2, &[1, 2, 3, 4]);
+        kept.view(3, &[1, 2, 3]);
+        assert_eq!(kept.views(), [1, 4, 3]);
+        let mut lone = Lone::new(cfg);
+        lone.view(2, &[1, 2, 3, 4]);
+        lone.view(3, &[1, 2]);
+        assert_eq!(lone.views(), [1, 4], "half the old view is no majority");
+        assert_eq!(lone.phase(), "phase=blocked");
+        assert!(lone.ups.iter().any(
+            |up| matches!(up, Up::SystemError { reason } if reason.contains("primary partition"))
+        ));
+        // A cast of the view it still holds is not delivered while blocked.
+        lone.frame(2, [KIND_DATA, 0, 2, 1], Bytes::from_static(b"data"));
+        assert_eq!(lone.casts(), 0);
+    }
+
+    #[test]
+    fn a_singleton_leaves_at_once_and_then_delivers_nothing() {
+        let mut lone = Lone::new(MbrshipConfig::default());
+        lone.feed(StackInput::FromApp(Down::Leave));
+        assert!(matches!(lone.ups.last(), Some(Up::Exit)));
+        assert_eq!(lone.phase(), "phase=exited");
+        // Its own cast of its last view, arriving late, is not delivered.
+        lone.frame(1, [KIND_DATA, 0, 1, 1], Bytes::from_static(b"data"));
+        assert_eq!(lone.casts(), 0);
+    }
+
+    #[test]
+    fn a_round_that_removes_every_member_exits_instead_of_installing() {
+        let mut lone = Lone::new(MbrshipConfig::default());
+        lone.view(2, &[1, 2]);
+        // ep2 asks to leave; while that round runs, ep1 (the coordinator)
+        // leaves too, and its second round removes both.
+        lone.frame(2, [KIND_LEAVE_REQ, 0, 2, 0], Bytes::new());
+        lone.feed(StackInput::FromApp(Down::Leave));
+        assert_eq!(lone.sent, [KIND_FLUSH, KIND_CONTRIB, KIND_FLUSH, KIND_CONTRIB]);
+        let mut contrib = WireWriter::new();
+        contrib.put_u32(2);
+        for m in [ep(1), ep(2)] {
+            contrib.put_addr(m);
+            contrib.put_u32(0);
+        }
+        contrib.put_u32(0);
+        lone.frame(2, [KIND_CONTRIB, 2, 2, 0], contrib.finish());
+        lone.frame(2, [KIND_FLUSH_OK, 2, 2, 0], Bytes::new());
+        assert_eq!(lone.sent[4..], [KIND_SYNC, KIND_FLUSH_OK], "no VIEW is cast");
+        assert!(matches!(lone.ups.last(), Some(Up::Exit)));
+        assert_eq!(lone.phase(), "phase=exited");
+    }
+
+    /// LEAVE_REQ and SUSPECT are placed like every other kind: at our
+    /// counter but from outside our view, neither starts a flush.
+    #[test]
+    fn a_non_member_cannot_start_a_flush_at_our_counter() {
+        let mut lone = Lone::new(MbrshipConfig::default());
+        lone.view(2, &[1, 2]);
+        let mut suspects = WireWriter::new();
+        suspects.put_addrs(&[ep(2)]);
+        lone.frame(3, [KIND_SUSPECT, 0, 2, 0], suspects.finish());
+        lone.frame(3, [KIND_LEAVE_REQ, 0, 2, 0], Bytes::new());
+        assert!(lone.sent.is_empty(), "{:?}", lone.sent);
+        assert_eq!(lone.phase(), "phase=normal");
     }
 
     // ------------------------------------------------------------------

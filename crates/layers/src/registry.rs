@@ -407,6 +407,48 @@ mod tests {
         assert!(layer_names().len() >= 30, "the paper's ~thirty protocols");
     }
 
+    /// `Down::Dump` has one answer per layer, its name and its state
+    /// report: every registered layer gives it over COM, fresh and after
+    /// a two-member group has formed and cast.
+    #[test]
+    fn every_registered_layer_answers_a_dump() {
+        use horus_net::NetConfig;
+        use horus_sim::SimWorld;
+        let dumped = |w: &mut SimWorld, at: EndpointAddr| -> Vec<&'static str> {
+            w.take_upcalls(at);
+            w.down(at, Down::Dump);
+            w.run_for(std::time::Duration::ZERO);
+            let ups = w.take_upcalls(at).into_iter();
+            ups.filter_map(
+                |(_, up)| if let Up::DumpInfo { layer, .. } = up { Some(layer) } else { None },
+            )
+            .collect()
+        };
+        for name in layer_names() {
+            let desc = if name == "COM" { "COM".to_string() } else { format!("{name}:COM") };
+            let mut w = SimWorld::new(1, NetConfig::reliable());
+            let eps = [EndpointAddr::new(1), EndpointAddr::new(2)];
+            for ep in eps {
+                w.add_endpoint(build_stack(ep, &desc, StackConfig::default()).expect(name));
+            }
+            assert_eq!(dumped(&mut w, eps[1])[0], name, "{desc}, fresh");
+            for ep in eps {
+                w.join(ep, GroupAddr::new(1));
+            }
+            w.down(eps[1], Down::Merge { contact: eps[0] });
+            w.run_for(std::time::Duration::from_millis(200));
+            for k in 0..4u8 {
+                w.cast_bytes(eps[usize::from(k % 2)], vec![k; 32]);
+            }
+            w.run_for(std::time::Duration::from_millis(200));
+            for ep in eps {
+                let layers = dumped(&mut w, ep);
+                assert_eq!(layers.len(), desc.split(':').count(), "{desc}");
+                assert_eq!(layers[0], name, "{desc}, after casts");
+            }
+        }
+    }
+
     #[test]
     fn parameterless_layers_take_their_config_defaults() {
         let built = |name: &str| build_layer(&parse_stack(name).unwrap().remove(0)).unwrap().dump();

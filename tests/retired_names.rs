@@ -104,6 +104,7 @@ const RETIRED: &[(&str, &[&str])] = &[
         "a partition is said once: partitions are cuts, one network digest path",
         &["dropped_partition\\b", "digest_cached_into", "membership_digest", "fn connected\\b"],
     ),
+    ("a counter nothing read: the stack's received-byte total", &["bytes_received"]),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.

@@ -2,14 +2,15 @@
 //! committed list.
 //!
 //! CI's seeded campaign runs seeds 1–10 and must be clean; these rows run
-//! the same generated plans over a thousand seeds, where some are known
+//! the same generated plans over hundreds of seeds, where some are known
 //! not to be.  Each row's list is exact: a seed that starts violating
 //! fails the test with its first verdict, and a listed seed that runs
 //! clean fails it too ("seed N is now clean: remove it"), so the list
 //! shrinks in the change that fixes it and says why.
 //!
-//! A row takes seconds in release and minutes in debug, so the tests are
-//! ignored in tier-1 and run by CI as
+//! A row takes seconds in release (the six together 30–45 s on two
+//! vCPUs) and minutes in debug, so the tests are ignored in tier-1 and
+//! run by CI as
 //! `cargo test --release --test soak_census -- --ignored`.
 
 use horus::layers::registry::build_stack;
@@ -69,4 +70,44 @@ fn total_row_violates_exactly_the_listed_seeds() {
     let cfg =
         SoakConfig { stack: format!("TOTAL:{}", default.stack), check_total: true, ..default };
     census(cfg, 1..=300, TOTAL_ROW);
+}
+
+/// The default row at 2 000 casts, over seeds 1–300.  240 breaks safety
+/// (a delivery disagreement); the rest are liveness verdicts.
+const CASTS_2000_ROW: &[u64] = &[19, 103, 109, 174, 198, 217, 240];
+
+/// The default row at 6 000 casts, over seeds 1–120.  2 breaks safety (a
+/// delivery disagreement); the rest are liveness verdicts.
+const CASTS_6000_ROW: &[u64] = &[2, 73, 106, 109];
+
+/// The default row with six members, over seeds 1–300.  172 breaks safety
+/// (a delivery disagreement); the rest are liveness verdicts.
+const MEMBERS_6_ROW: &[u64] = &[2, 4, 11, 39, 53, 81, 121, 131, 156, 172, 211, 223, 258, 291];
+
+/// The default row with 14 chaos events, over seeds 1–300.  291 breaks
+/// safety (a delivery disagreement); the rest are liveness verdicts.
+const EVENTS_14_ROW: &[u64] = &[12, 83, 128, 167, 196, 213, 264, 285, 291];
+
+#[test]
+#[ignore = "release-only census, run by CI"]
+fn casts_2000_row_violates_exactly_the_listed_seeds() {
+    census(SoakConfig { casts: 2000, ..SoakConfig::default() }, 1..=300, CASTS_2000_ROW);
+}
+
+#[test]
+#[ignore = "release-only census, run by CI"]
+fn casts_6000_row_violates_exactly_the_listed_seeds() {
+    census(SoakConfig { casts: 6000, ..SoakConfig::default() }, 1..=120, CASTS_6000_ROW);
+}
+
+#[test]
+#[ignore = "release-only census, run by CI"]
+fn members_6_row_violates_exactly_the_listed_seeds() {
+    census(SoakConfig { members: 6, ..SoakConfig::default() }, 1..=300, MEMBERS_6_ROW);
+}
+
+#[test]
+#[ignore = "release-only census, run by CI"]
+fn events_14_row_violates_exactly_the_listed_seeds() {
+    census(SoakConfig { events: 14, ..SoakConfig::default() }, 1..=300, EVENTS_14_ROW);
 }
