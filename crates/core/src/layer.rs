@@ -16,6 +16,7 @@ use crate::event::{Down, Effect, Up};
 use crate::message::{FieldSpec, Message};
 use crate::stack::StackCore;
 use crate::time::SimTime;
+use crate::trace::{DropReason, TraceKind};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -63,7 +64,7 @@ impl<'a> LayerCtx<'a> {
         self.core.arm_timer(self.layer, token, delay, self.effects);
     }
 
-    /// Emits a free-form [`TraceKind::Note`](crate::trace::TraceKind::Note)
+    /// Emits a free-form [`TraceKind::Note`]
     /// record to the stack's trace sink — nothing when none is installed.
     pub fn trace(&mut self, text: impl Into<String>) {
         self.core.note(text.into());
@@ -110,9 +111,16 @@ impl<'a> LayerCtx<'a> {
     /// # Errors
     ///
     /// Fails when the message's top header record belongs to another layer —
-    /// i.e. the message was not stamped by this layer's peer.
-    pub fn open(&self, msg: &mut Message) -> Result<(), crate::error::HorusError> {
-        msg.pop_header(self.layer)
+    /// i.e. the message was not stamped by this layer's peer.  The failure
+    /// is counted in `decode_drops` and traced as a decode drop; the caller
+    /// drops the message.
+    pub fn open(&mut self, msg: &mut Message) -> Result<(), crate::error::HorusError> {
+        let opened = msg.pop_header(self.layer);
+        if opened.is_err() {
+            self.core.stats.decode_drops += 1;
+            self.core.trace(TraceKind::FrameDrop { digest: 0, seq: 0, reason: DropReason::Decode });
+        }
+        opened
     }
 
     /// Writes field `field` of this layer's header.

@@ -75,7 +75,8 @@ pub struct StackStats {
     pub skipped: u64,
     /// Incoming wire messages dropped for a stack-fingerprint mismatch.
     pub fingerprint_drops: u64,
-    /// Incoming wire messages dropped as undecodable.
+    /// Incoming wire messages dropped as undecodable, a message that lacks
+    /// a layer's header record (aligned mode) included.
     pub decode_drops: u64,
     /// Wire frames that carried more than one coalesced message (PACK).
     pub frames_packed: u64,
@@ -944,7 +945,7 @@ impl StackCore {
     /// so call this only with cheap (copy/`&'static str`) payloads outside
     /// a `traced`-checked block.
     #[inline]
-    fn trace(&self, kind: TraceKind) {
+    pub(crate) fn trace(&self, kind: TraceKind) {
         if self.traced {
             if let Some(t) = &self.tracer {
                 t.record(TraceEvent { at: self.now, ep: self.local, kind });

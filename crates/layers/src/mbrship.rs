@@ -641,11 +641,13 @@ impl Mbrship {
     }
 
     /// Asks the view's coordinator to let us leave: as the coordinator we
-    /// flush our own leave, anyone else sends it a LEAVE_REQ.  False when
-    /// there is nobody to ask, the view being ours alone.
-    fn request_leave(&mut self, ctx: &mut LayerCtx<'_>) -> bool {
+    /// flush our own leave, anyone else sends it a LEAVE_REQ.  With nobody
+    /// to ask, the view being ours alone, we exit at once.
+    fn leave(&mut self, ctx: &mut LayerCtx<'_>) {
         let me = self.me();
-        let Some(view) = self.view.as_ref().filter(|v| v.len() > 1) else { return false };
+        let Some(view) = self.view.as_ref().filter(|v| v.len() > 1) else {
+            return self.exit(ctx);
+        };
         let coordinator = view.coordinator_among(view.members()).expect("non-empty view");
         if coordinator == me {
             self.leave_reqs.insert(me);
@@ -653,7 +655,6 @@ impl Mbrship {
         } else {
             self.control_send(ctx, coordinator, KIND_LEAVE_REQ, 0, Bytes::new());
         }
-        true
     }
 
     // ------------------------------------------------------------------
@@ -1393,9 +1394,7 @@ impl Mbrship {
             }
             Action::Rebroadcast => self.rebroadcast_round(ctx),
             Action::RetryMerge(contact) => self.send_merge_req(contact, ctx),
-            Action::RetryLeave => {
-                self.request_leave(ctx);
-            }
+            Action::RetryLeave => self.leave(ctx),
             Action::AbandonMerge => {
                 self.phase = Phase::Normal;
                 ctx.up(Up::MergeDenied { why: "merge timed out".to_string() });
@@ -1505,8 +1504,9 @@ impl Layer for Mbrship {
             }
             Down::Leave => {
                 self.leaving_self = true;
-                let active = matches!(self.phase, Phase::Normal | Phase::Flushing(_));
-                if !(active && self.request_leave(ctx)) {
+                if matches!(self.phase, Phase::Normal | Phase::Flushing(_)) {
+                    self.leave(ctx);
+                } else {
                     self.exit(ctx);
                 }
             }
@@ -1917,6 +1917,19 @@ mod tests {
         let views: Vec<_> = w.installed_views(ep(2)).iter().map(|v| v.members().to_vec()).collect();
         assert_eq!(views[views.len() - 2..], [vec![ep(2), ep(3)], vec![ep(2)]]);
         assert!(w.upcalls(ep(3)).iter().any(|(_, up)| matches!(up, Up::Exit)));
+    }
+
+    #[test]
+    fn a_leave_lost_with_the_coordinator_exits_once_the_leaver_is_alone() {
+        let mut w = joined_world(2, 12, MbrshipConfig::default(), NetConfig::reliable());
+        let t = w.now();
+        // ep2's LEAVE_REQ goes to ep1, which is already dead; the exclusion
+        // flush leaves ep2 alone, with nobody to ask when it retries.
+        w.crash_at(t + Duration::from_millis(5), ep(1));
+        w.down_at(t + Duration::from_millis(6), ep(2), Down::Leave);
+        w.run_for(Duration::from_secs(5));
+        assert_eq!(w.installed_views(ep(2)).last().unwrap().members(), &[ep(2)]);
+        assert!(w.upcalls(ep(2)).iter().any(|(_, up)| matches!(up, Up::Exit)));
     }
 
     // ------------------------------------------------------------------

@@ -18,6 +18,7 @@ pub mod fault;
 pub mod sched;
 pub mod sim;
 pub mod threaded;
+mod topology;
 
 pub use fault::FaultRule;
 pub use sched::{ChanceKind, FixedScheduler, NetScheduler, RandomScheduler};

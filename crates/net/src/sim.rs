@@ -14,12 +14,12 @@
 
 use crate::fault::{FaultDrop, FaultPlan, FaultRule};
 use crate::sched::{ChanceKind, NetScheduler};
+use crate::topology::Topology;
 use bytes::Bytes;
 use horus_core::addr::{EndpointAddr, GroupAddr};
 use horus_core::frame::WireFrame;
 use horus_core::time::SimTime;
 use horus_core::trace::{DropReason, TraceEvent, TraceKind, TraceSink};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -116,32 +116,6 @@ pub struct Delivery {
     pub wire: WireFrame,
 }
 
-/// Who receives a group's casts: changed only by join and leave.
-#[derive(Debug, Clone, Default)]
-struct Topology {
-    /// Transport-level group membership (who receives casts to a group).
-    groups: BTreeMap<GroupAddr, Vec<EndpointAddr>>,
-    /// Which group an endpoint joined (one per endpoint in this model).
-    member_of: BTreeMap<EndpointAddr, GroupAddr>,
-    /// The digest of `groups`, redone by every join and leave: a
-    /// fingerprint reads it far more often than membership changes.
-    digest: u64,
-}
-
-impl Topology {
-    fn redigest(&mut self) {
-        let mut m = horus_core::digest::StateDigest::new();
-        for (g, members) in &self.groups {
-            m.write_u64(g.raw());
-            for ep in members {
-                m.write_u64(ep.raw());
-            }
-            m.write_bytes(&[0xfd]);
-        }
-        self.digest = m.finish();
-    }
-}
-
 /// The simulated datagram network: transport-level group membership, a
 /// fault plan (partitions are cuts in it), and per-frame physics.
 ///
@@ -165,11 +139,9 @@ pub struct SimNetwork {
 impl SimNetwork {
     /// Creates a network with the given physics.
     pub fn new(config: NetConfig) -> Self {
-        let mut topo = Topology::default();
-        topo.redigest();
         SimNetwork {
             config,
-            topo: Arc::new(topo),
+            topo: Arc::default(),
             faults: Arc::default(),
             stats: NetStats::default(),
             tracer: None,
@@ -225,7 +197,7 @@ impl SimNetwork {
     /// piece of fault history that changes what happens next.  A cut
     /// whose window ended by `now` is left out: it cannot act again.
     pub fn digest_into(&self, d: &mut horus_core::digest::StateDigest, now: SimTime) {
-        d.write_u64(self.topo.digest);
+        d.write_u64(self.topo.digest());
         self.faults.digest_into(d, now);
     }
 
@@ -241,33 +213,14 @@ impl SimNetwork {
 
     /// Registers `ep` as a transport-level receiver of `group` multicasts.
     pub fn join(&mut self, group: GroupAddr, ep: EndpointAddr) {
-        let topo = Arc::make_mut(&mut self.topo);
-        let members = topo.groups.entry(group).or_default();
-        if !members.contains(&ep) {
-            members.push(ep);
-        }
-        topo.member_of.insert(ep, group);
-        topo.redigest();
+        Arc::make_mut(&mut self.topo).join(group, ep);
     }
 
     /// Deregisters `ep` from its group (leave, destroy, or crash).
     pub fn leave(&mut self, ep: EndpointAddr) {
-        if !self.topo.member_of.contains_key(&ep) {
-            return;
+        if self.topo.is_member(ep) {
+            Arc::make_mut(&mut self.topo).leave(ep);
         }
-        let topo = Arc::make_mut(&mut self.topo);
-        if let Some(group) = topo.member_of.remove(&ep) {
-            if let Some(members) = topo.groups.get_mut(&group) {
-                members.retain(|&m| m != ep);
-            }
-        }
-        topo.redigest();
-    }
-
-    /// Transport-level receivers of `ep`'s multicasts (including `ep`).
-    pub fn cast_targets(&self, ep: EndpointAddr) -> Vec<EndpointAddr> {
-        let topo = &*self.topo;
-        topo.member_of.get(&ep).and_then(|g| topo.groups.get(g)).cloned().unwrap_or_default()
     }
 
     /// Installs [`FaultRule::partition`]'s cuts with no end, until the next
@@ -296,8 +249,10 @@ impl SimNetwork {
         now: SimTime,
         sched: &mut dyn NetScheduler,
     ) -> Vec<Delivery> {
-        let targets = self.cast_targets(from);
-        self.transmit(from, &targets, true, wire, now, sched)
+        // The receivers are borrowed from a handle on the membership, which
+        // transmitting cannot change.
+        let topo = Arc::clone(&self.topo);
+        self.transmit(from, topo.receivers(from), true, wire, now, sched)
     }
 
     /// Transmits a point-to-point frame to explicit destinations.

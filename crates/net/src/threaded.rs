@@ -6,26 +6,24 @@
 //! in-process analogue to the paper's "almost no overhead at all" ATM
 //! configuration.
 //!
-//! Two hot-path properties matter for the sharded executor built on top:
-//!
-//! * **Short critical sections** — `cast`/`send` snapshot the destination
-//!   sinks under the registry lock and deliver *outside* it, under a
-//!   per-group fan-out lock.  A slow receiver sink can only stall senders
-//!   in its own group, never unrelated ones — while members of one group
-//!   still observe concurrent casts in a single consistent order (the
-//!   transport-level atomic-multicast property the membership and flush
-//!   protocols rely on).
-//! * **Batched fan-out** — [`LoopbackNet::cast_batch`] amortizes the
-//!   registry snapshot over a whole burst of frames: one lock acquisition
-//!   per burst instead of one per frame.
+//! The transport is one registry under one lock: the group membership, the
+//! sinks, the counters and the tracer.  `cast`, `cast_batch` and `send`
+//! hand their frames to the sinks under that lock, so members of one group
+//! observe concurrent casts and sends in one order (the transport-level
+//! atomic multicast the membership and flush protocols rely on).  Because
+//! sinks run under that lock, a sink must not block or call back into the
+//! transport; the sharded executor's sink is a non-blocking push into a
+//! shard's inbox.
+//! [`LoopbackNet::cast_batch`] hands a member a whole burst of frames in
+//! one call: one lock acquisition per burst instead of one per frame.
 
+use crate::topology::Topology;
 use horus_core::addr::{EndpointAddr, GroupAddr};
 use horus_core::frame::WireFrame;
 use horus_core::lock;
 use horus_core::time::SimTime;
 use horus_core::trace::{DropReason, TraceEvent, TraceKind, TraceSink};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -44,6 +42,9 @@ pub struct Frame {
 /// hands [`LoopbackNet::register_sink`].  The sharded executor registers a
 /// sink that pushes frames straight into the owning shard's input queue, so
 /// no thread sits between the transport and the stack.
+///
+/// The transport calls a sink under its one lock, so a sink must not block
+/// and must not call back into the transport.
 pub trait FrameSink: Send + Sync {
     /// Delivers one frame; `false` means the receiver is gone (its frames
     /// are counted as dropped-on-closed-channel).
@@ -65,27 +66,9 @@ impl<F: Fn(Frame) -> bool + Send + Sync> FrameSink for F {
     }
 }
 
-#[derive(Default)]
-struct Group {
-    members: Vec<EndpointAddr>,
-    /// Serializes fan-outs *within* this group (held outside the registry
-    /// lock).  Guarantees every member observes concurrent casts in the same
-    /// relative order — the transport-level atomic-multicast property the
-    /// membership/flush protocols rely on — without letting one group's slow
-    /// receiver sink stall senders in unrelated groups.
-    fanout: Arc<Mutex<()>>,
-}
-
-#[derive(Default)]
-struct Registry {
-    endpoints: BTreeMap<EndpointAddr, Arc<dyn FrameSink>>,
-    groups: BTreeMap<GroupAddr, Group>,
-    member_of: BTreeMap<EndpointAddr, GroupAddr>,
-}
-
 /// Transport counters — the `horus-net::sim` [`crate::NetStats`] counterpart
 /// for the threaded loopback (there is no physics here, so the only drop
-/// class is a closed/deregistered receiver), as [`LoopbackNet::stats`]
+/// classes are a closed or unregistered receiver), as [`LoopbackNet::stats`]
 /// reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoopbackStats {
@@ -95,37 +78,11 @@ pub struct LoopbackStats {
     pub frames_sent: u64,
     /// Point deliveries queued (one cast to N members counts N).
     pub deliveries: u64,
-    /// Deliveries dropped because the receiver's sink was closed
-    /// (deregistered between snapshot and delivery).
+    /// Deliveries refused by a registered sink whose receiver is gone.
     pub dropped_closed: u64,
     /// Deliveries skipped because the destination was never registered (a
     /// group member or explicit `send` target with no sink installed).
     pub dropped_unregistered: u64,
-}
-
-/// [`LoopbackStats`] as the transport writes them.  Delivery counters are
-/// bumped outside the registry lock, on the lock-free section of the
-/// fan-out; `dropped_unregistered` is bumped during the snapshot (where the
-/// gap is observed).
-#[derive(Debug, Default)]
-struct LoopbackCounters {
-    frames_cast: AtomicU64,
-    frames_sent: AtomicU64,
-    deliveries: AtomicU64,
-    dropped_closed: AtomicU64,
-    dropped_unregistered: AtomicU64,
-}
-
-impl LoopbackCounters {
-    fn read(&self) -> LoopbackStats {
-        LoopbackStats {
-            frames_cast: self.frames_cast.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            deliveries: self.deliveries.load(Ordering::Relaxed),
-            dropped_closed: self.dropped_closed.load(Ordering::Relaxed),
-            dropped_unregistered: self.dropped_unregistered.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The installed trace sink plus the wall-clock epoch its timestamps are
@@ -133,6 +90,63 @@ impl LoopbackCounters {
 struct LoopbackTracer {
     sink: Arc<dyn TraceSink>,
     epoch: Instant,
+}
+
+/// Everything the transport knows, under its one lock.
+#[derive(Default)]
+struct Registry {
+    topo: Topology,
+    out: Outlets,
+}
+
+/// The registered sinks and what happened at them: the registry apart from
+/// its topology, so a fan-out can read one while it writes the other.
+#[derive(Default)]
+struct Outlets {
+    sinks: BTreeMap<EndpointAddr, Arc<dyn FrameSink>>,
+    stats: LoopbackStats,
+    /// Observes only the transport's drop classes (unroutable/closed) — the
+    /// success path is traced at the stacks.
+    tracer: Option<LoopbackTracer>,
+}
+
+impl Outlets {
+    /// Records an unroutable-frame drop against `ep` (the destination when
+    /// known, the sender for closed-channel drops).
+    fn trace_drop(&self, ep: EndpointAddr) {
+        if let Some(t) = &self.tracer {
+            t.sink.record(TraceEvent {
+                at: SimTime::from_nanos(t.epoch.elapsed().as_nanos() as u64),
+                ep,
+                kind: TraceKind::FrameDrop { digest: 0, seq: 0, reason: DropReason::Unroutable },
+            });
+        }
+    }
+
+    /// Hands `to` what `deliver` queues from `from`, out of `frames`;
+    /// returns how many were queued.  A destination with no registered sink
+    /// is counted, not silently dropped, so a misconfigured harness (join
+    /// before register) shows up in the stats instead of as a mystery hang.
+    fn deliver(
+        &mut self,
+        from: EndpointAddr,
+        to: EndpointAddr,
+        frames: usize,
+        deliver: impl FnOnce(&dyn FrameSink) -> usize,
+    ) -> usize {
+        let Some(sink) = self.sinks.get(&to) else {
+            self.stats.dropped_unregistered += 1;
+            self.trace_drop(to);
+            return 0;
+        };
+        let queued = deliver(&**sink);
+        self.stats.deliveries += queued as u64;
+        for _ in queued..frames {
+            self.stats.dropped_closed += 1;
+            self.trace_drop(from);
+        }
+        queued
+    }
 }
 
 /// A shared in-process transport; clone handles freely across threads.
@@ -166,16 +180,11 @@ struct LoopbackTracer {
 #[derive(Clone, Default)]
 pub struct LoopbackNet {
     inner: Arc<Mutex<Registry>>,
-    stats: Arc<LoopbackCounters>,
-    /// Observes only the transport's drop classes (unroutable/closed) — the
-    /// success path is traced at the stacks, keeping this entirely off the
-    /// delivery hot path.
-    tracer: Arc<Mutex<Option<LoopbackTracer>>>,
 }
 
 impl std::fmt::Debug for LoopbackNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoopbackNet").field("stats", &self.stats.read()).finish()
+        f.debug_struct("LoopbackNet").field("stats", &self.stats()).finish()
     }
 }
 
@@ -187,194 +196,83 @@ impl LoopbackNet {
 
     /// Transport counters (frames cast/sent, deliveries, drops).
     pub fn stats(&self) -> LoopbackStats {
-        self.stats.read()
+        lock(&self.inner).out.stats
     }
 
     /// Installs a trace sink observing this transport's drop classes.
     /// Timestamps are elapsed time since installation.
     pub fn set_tracer(&self, sink: Arc<dyn TraceSink>) {
-        *lock(&self.tracer) = Some(LoopbackTracer { sink, epoch: Instant::now() });
+        lock(&self.inner).out.tracer = Some(LoopbackTracer { sink, epoch: Instant::now() });
     }
 
     /// Removes the trace sink.
     pub fn clear_tracer(&self) {
-        *lock(&self.tracer) = None;
-    }
-
-    /// Records an unroutable-frame drop against `ep` (the destination when
-    /// known, the sender for closed-channel drops observed mid-fan-out).
-    fn trace_drop(&self, ep: EndpointAddr) {
-        let guard = lock(&self.tracer);
-        if let Some(t) = guard.as_ref() {
-            t.sink.record(TraceEvent {
-                at: SimTime::from_nanos(t.epoch.elapsed().as_nanos() as u64),
-                ep,
-                kind: TraceKind::FrameDrop { digest: 0, seq: 0, reason: DropReason::Unroutable },
-            });
-        }
+        lock(&self.inner).out.tracer = None;
     }
 
     /// Registers an endpoint: its frames go to `sink` (e.g. a shard queue).
     /// Re-registering an address replaces the previous sink.
     pub fn register_sink(&self, ep: EndpointAddr, sink: Arc<dyn FrameSink>) {
-        lock(&self.inner).endpoints.insert(ep, sink);
+        lock(&self.inner).out.sinks.insert(ep, sink);
     }
 
     /// Removes an endpoint entirely (its sink is dropped).
     pub fn deregister(&self, ep: EndpointAddr) {
         let mut reg = lock(&self.inner);
-        reg.endpoints.remove(&ep);
-        if let Some(g) = reg.member_of.remove(&ep) {
-            if let Some(group) = reg.groups.get_mut(&g) {
-                group.members.retain(|&m| m != ep);
-            }
-        }
+        reg.out.sinks.remove(&ep);
+        reg.topo.leave(ep);
     }
 
     /// Adds `ep` to the transport-level multicast group.
     pub fn join(&self, group: GroupAddr, ep: EndpointAddr) {
-        let mut reg = lock(&self.inner);
-        let entry = reg.groups.entry(group).or_default();
-        if !entry.members.contains(&ep) {
-            entry.members.push(ep);
-        }
-        reg.member_of.insert(ep, group);
+        lock(&self.inner).topo.join(group, ep);
     }
 
     /// Removes `ep` from its multicast group (but keeps it registered).
     pub fn leave(&self, ep: EndpointAddr) {
-        let mut reg = lock(&self.inner);
-        if let Some(g) = reg.member_of.remove(&ep) {
-            if let Some(group) = reg.groups.get_mut(&g) {
-                group.members.retain(|&m| m != ep);
-            }
-        }
-    }
-
-    /// Snapshots the sinks of `from`'s group members (and the group's
-    /// fan-out lock) under the registry lock.  Members with no registered
-    /// sink are skipped — counted, not silently dropped — so a misconfigured
-    /// harness (join before register) shows up in the stats instead of as a
-    /// mystery hang.
-    #[allow(clippy::type_complexity)]
-    fn cast_targets(
-        &self,
-        from: EndpointAddr,
-    ) -> Option<(Vec<Arc<dyn FrameSink>>, Arc<Mutex<()>>)> {
-        let reg = lock(&self.inner);
-        let group = reg.member_of.get(&from)?;
-        let group = reg.groups.get(group)?;
-        let mut sinks = Vec::with_capacity(group.members.len());
-        for to in &group.members {
-            match reg.endpoints.get(to) {
-                Some(sink) => sinks.push(Arc::clone(sink)),
-                None => {
-                    self.stats.dropped_unregistered.fetch_add(1, Ordering::Relaxed);
-                    self.trace_drop(*to);
-                }
-            }
-        }
-        Some((sinks, Arc::clone(&group.fanout)))
+        lock(&self.inner).topo.leave(ep);
     }
 
     /// Multicasts a frame to `from`'s group, including a loopback copy.
     /// Returns the number of endpoints the frame was queued for.
-    ///
-    /// The registry lock is held only to snapshot the member sinks; the
-    /// sends happen outside it under the group's own fan-out lock, so one
-    /// slow receiver sink cannot stall senders in unrelated groups — while
-    /// members of the *same* group still observe concurrent casts in one
-    /// consistent order (fan-outs within a group are atomic).
     pub fn cast(&self, from: EndpointAddr, wire: WireFrame) -> usize {
-        self.stats.frames_cast.fetch_add(1, Ordering::Relaxed);
-        let Some((targets, fanout)) = self.cast_targets(from) else { return 0 };
-        let mut queued = 0;
-        {
-            let _order = lock(&fanout);
-            for sink in &targets {
-                if sink.deliver(Frame { from, cast: true, wire: wire.clone() }) {
-                    queued += 1;
-                } else {
-                    self.stats.dropped_closed.fetch_add(1, Ordering::Relaxed);
-                    self.trace_drop(from);
-                }
-            }
-        }
-        self.stats.deliveries.fetch_add(queued as u64, Ordering::Relaxed);
-        queued
+        self.cast_batch(from, std::slice::from_ref(&wire))
     }
 
-    /// Multicasts a burst of frames to `from`'s group with a single registry
-    /// snapshot — the dispatch-boundary batching of the sharded executor.
-    /// Each member sink is handed the whole slice through
-    /// [`FrameSink::deliver_many`]: one lock acquisition and one wake-up per
-    /// member per burst, instead of one per frame.
+    /// Multicasts a burst of frames to `from`'s group — the
+    /// dispatch-boundary batching of the sharded executor.  Each member
+    /// sink is handed the whole slice through [`FrameSink::deliver_many`]:
+    /// one lock acquisition and one wake-up per member per burst, instead
+    /// of one per frame.
     pub fn cast_batch(&self, from: EndpointAddr, wires: &[WireFrame]) -> usize {
-        self.stats.frames_cast.fetch_add(wires.len() as u64, Ordering::Relaxed);
+        let mut reg = lock(&self.inner);
+        let Registry { topo, out } = &mut *reg;
+        out.stats.frames_cast += wires.len() as u64;
         if wires.is_empty() {
             return 0;
         }
-        let Some((targets, fanout)) = self.cast_targets(from) else { return 0 };
-        let mut queued = 0;
-        {
-            let _order = lock(&fanout);
-            for sink in &targets {
-                let delivered = sink.deliver_many(from, wires);
-                queued += delivered;
-                let refused = wires.len() - delivered;
-                if refused > 0 {
-                    self.stats.dropped_closed.fetch_add(refused as u64, Ordering::Relaxed);
-                    (0..refused).for_each(|_| self.trace_drop(from));
-                }
-            }
-        }
-        self.stats.deliveries.fetch_add(queued as u64, Ordering::Relaxed);
-        queued
+        let receivers = topo.receivers(from).iter();
+        receivers
+            .map(|&to| out.deliver(from, to, wires.len(), |sink| sink.deliver_many(from, wires)))
+            .sum()
     }
 
-    /// Sends a frame to explicit destinations.  As with [`LoopbackNet::cast`],
-    /// the destination sinks are snapshotted under the registry lock and the
-    /// sends performed outside it; when the sender belongs to a group, the
-    /// delivery runs under that group's fan-out lock so point-to-point
-    /// control traffic stays ordered with the group's multicasts.
+    /// Sends a frame to explicit destinations, in the same order as the
+    /// sender's group's casts.
     pub fn send(&self, from: EndpointAddr, dests: &[EndpointAddr], wire: WireFrame) -> usize {
-        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        let (targets, fanout) = {
-            let reg = lock(&self.inner);
-            let mut targets: Vec<Arc<dyn FrameSink>> = Vec::with_capacity(dests.len());
-            for to in dests {
-                match reg.endpoints.get(to) {
-                    Some(sink) => targets.push(Arc::clone(sink)),
-                    None => {
-                        self.stats.dropped_unregistered.fetch_add(1, Ordering::Relaxed);
-                        self.trace_drop(*to);
-                    }
-                }
-            }
-            let fanout = reg
-                .member_of
-                .get(&from)
-                .and_then(|g| reg.groups.get(g))
-                .map(|group| Arc::clone(&group.fanout));
-            (targets, fanout)
-        };
-        let _order = fanout.as_ref().map(|f| lock(f));
-        let mut queued = 0;
-        for sink in &targets {
-            if sink.deliver(Frame { from, cast: false, wire: wire.clone() }) {
-                queued += 1;
-            } else {
-                self.stats.dropped_closed.fetch_add(1, Ordering::Relaxed);
-                self.trace_drop(from);
-            }
-        }
-        self.stats.deliveries.fetch_add(queued as u64, Ordering::Relaxed);
-        queued
+        let mut reg = lock(&self.inner);
+        let out = &mut reg.out;
+        out.stats.frames_sent += 1;
+        let frame = || Frame { from, cast: false, wire: wire.clone() };
+        dests
+            .iter()
+            .map(|&to| out.deliver(from, to, 1, |sink| usize::from(sink.deliver(frame()))))
+            .sum()
     }
 
     /// Current transport-level members of a group.
     pub fn members(&self, group: GroupAddr) -> Vec<EndpointAddr> {
-        lock(&self.inner).groups.get(&group).map(|g| g.members.clone()).unwrap_or_default()
+        lock(&self.inner).topo.members(group).to_vec()
     }
 }
 
@@ -382,7 +280,6 @@ impl LoopbackNet {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use std::time::{Duration, Instant};
 
     fn ep(i: u64) -> EndpointAddr {
         EndpointAddr::new(i)
@@ -516,47 +413,48 @@ mod tests {
         assert_eq!(s.dropped_closed, 0);
     }
 
-    /// The regression the snapshot-then-send discipline exists for: a
-    /// receiver whose sink is slow (blocking in `deliver`) must not hold the
-    /// registry lock and thereby stall senders between unrelated endpoints.
+    /// Members of a group see concurrent casts, bursts and sends in one
+    /// order: the atomic multicast MBRSHIP's flush relies on.
     #[test]
-    fn slow_receiver_does_not_stall_unrelated_senders() {
+    fn members_see_concurrent_casts_in_one_order() {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
-        let _in1 = inbox(&net, ep(1));
-        net.register_sink(
-            ep(2),
-            Arc::new(|_f: Frame| {
-                std::thread::sleep(Duration::from_millis(200));
-                true
-            }),
-        );
-        net.join(g, ep(1));
-        net.join(g, ep(2));
-        // Unrelated pair in its own group.
-        let _in3 = inbox(&net, ep(3));
-        let in4 = inbox(&net, ep(4));
-        let g2 = GroupAddr::new(2);
-        net.join(g2, ep(3));
-        net.join(g2, ep(4));
-
-        // A cast into the slow sink, running on another thread, holds no lock
-        // while it sleeps...
-        let slow_net = net.clone();
-        let slow = std::thread::spawn(move || {
-            slow_net.cast(ep(1), raw(b"slow"));
-        });
-        std::thread::sleep(Duration::from_millis(20)); // let it enter the sleep
-                                                       // ...so the unrelated sender completes immediately.
-        let t0 = Instant::now();
-        assert_eq!(net.cast(ep(3), raw(b"fast")), 2);
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(100),
-            "unrelated cast stalled behind a slow receiver: {elapsed:?}"
-        );
-        assert_eq!(in4.take()[0].from, ep(3));
-        slow.join().unwrap();
+        let members: Vec<EndpointAddr> = (1..=4).map(ep).collect();
+        let inboxes: Vec<_> = members
+            .iter()
+            .map(|&m| {
+                net.join(g, m);
+                inbox(&net, m)
+            })
+            .collect();
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let senders: Vec<_> = (1..=3)
+            .map(|t| {
+                let (net, start, members) = (net.clone(), start.clone(), members.clone());
+                std::thread::spawn(move || {
+                    let wire = |i: usize, part: &str| {
+                        WireFrame::raw(Bytes::from(format!("{t}.{i}.{part}").into_bytes()))
+                    };
+                    start.wait();
+                    for i in 0..200 {
+                        net.cast(ep(t), wire(i, "cast"));
+                        net.cast_batch(ep(t), &[wire(i, "burst0"), wire(i, "burst1")]);
+                        net.send(ep(t), &members, wire(i, "send"));
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        let logs: Vec<Vec<(bool, Bytes)>> = inboxes
+            .iter()
+            .map(|inbox| inbox.take().into_iter().map(|f| (f.cast, f.wire.to_bytes())).collect())
+            .collect();
+        assert_eq!(logs[0].len(), 3 * 200 * 4);
+        for log in &logs[1..] {
+            assert!(log == &logs[0], "members saw the group's traffic in different orders");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   per-event allocations.  A burst has no cap; it is whatever queued
 //!   while the worker was busy.  A walk's upcalls reach the endpoint's log
 //!   under one lock, and consecutive casts from one endpoint leave through
-//!   [`LoopbackNet::cast_batch`] as one slice under a single registry
-//!   snapshot.
+//!   [`LoopbackNet::cast_batch`] as one slice, under one acquisition of the
+//!   transport's lock.
 //! * **Direct shard delivery** — endpoints are registered on the loopback
 //!   transport with a sink that pushes frames straight into the owning
 //!   shard's inbox, a cast burst's frames under one lock and at most one
@@ -280,7 +280,7 @@ struct Outbox {
     /// Timers armed so far: the next one's arming order.
     timer_seq: u64,
     /// Casts pending transmission for `pending_from`, flushed in one
-    /// registry snapshot.
+    /// [`LoopbackNet::cast_batch`].
     pending_casts: Vec<WireFrame>,
     pending_from: Option<EndpointAddr>,
     /// The upcalls of the effect walk in progress, moved into the
@@ -617,7 +617,7 @@ fn trace_arrival(
 impl Outbox {
     /// Drains the sink, performing the effects `ep` asked for at `now`: a
     /// walk's timers are due together, and fire in arming order.  Casts are
-    /// accumulated and flushed in one [`LoopbackNet::cast_batch`] snapshot;
+    /// accumulated and flushed in one [`LoopbackNet::cast_batch`];
     /// any effect whose transport ordering could interleave with them
     /// flushes first.  The walk's upcalls are moved into `log` under one
     /// lock at its end — a swap when the reader has emptied it — and only
@@ -697,7 +697,9 @@ struct EpEntry {
 /// The transport sink for one endpoint: frames go straight into the owning
 /// shard's inbox, each built there as the stack input it will be.  A cast
 /// burst is queued under one lock with at most one wake-up, which is where
-/// the dispatch-boundary batching pays on the receive side.
+/// the dispatch-boundary batching pays on the receive side.  The inbox is
+/// unbounded, so a push never blocks: the transport calls its sinks under
+/// its one lock.
 struct ShardSink {
     ep: EndpointAddr,
     inbox: Arc<Inbox>,

@@ -18,7 +18,7 @@ use horus_layers::registry::build_stack;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A datagram-socket-flavoured facade over a Horus protocol stack.
 ///
@@ -45,10 +45,42 @@ pub struct GroupSocket {
     addr: EndpointAddr,
     /// One worker thread, owning this socket's one stack.
     ex: ShardExecutor,
+    heard: Heard,
+}
+
+/// What the socket's stack has delivered and the application not yet read.
+#[derive(Default)]
+struct Heard {
     inbox: VecDeque<(EndpointAddr, Bytes)>,
     /// Non-CAST upcalls observed (views, problems, ...), for curious
     /// applications; capped to the most recent 1024.
     events: VecDeque<Up>,
+}
+
+impl Heard {
+    /// Takes in the upcalls `ex` has recorded for `addr`; returns `self`.
+    fn drain(&mut self, ex: &ShardExecutor, addr: EndpointAddr) -> &mut Self {
+        for up in ex.take_upcalls(addr) {
+            match up {
+                Up::Cast { src, msg } => self.inbox.push_back((src, msg.body().clone())),
+                other => {
+                    self.events.push_back(other);
+                    while self.events.len() > 1024 {
+                        self.events.pop_front();
+                    }
+                }
+            }
+        }
+        self
+    }
+
+    /// The most recent view observed.
+    fn view(&self) -> Option<&View> {
+        self.events.iter().rev().find_map(|up| match up {
+            Up::View(v) => Some(v),
+            _ => None,
+        })
+    }
 }
 
 impl GroupSocket {
@@ -62,7 +94,7 @@ impl GroupSocket {
         let stack = build_stack(addr, stack, StackConfig::default())?;
         let mut ex = ShardExecutor::new(net.clone(), ShardConfig::default());
         ex.add_stack(stack);
-        Ok(GroupSocket { addr, ex, inbox: VecDeque::new(), events: VecDeque::new() })
+        Ok(GroupSocket { addr, ex, heard: Heard::default() })
     }
 
     /// The socket's own address.
@@ -88,55 +120,33 @@ impl GroupSocket {
 
     /// The most recent view observed, if the stack runs membership.
     pub fn current_view(&mut self) -> Option<View> {
-        self.drain();
-        self.events.iter().rev().find_map(|up| match up {
-            Up::View(v) => Some(v.clone()),
-            _ => None,
-        })
+        self.heard.drain(&self.ex, self.addr).view().cloned()
     }
 
     /// Blocks until the view reaches `n` members or `timeout` elapses.
     pub fn wait_for_view(&mut self, n: usize, timeout: Duration) -> Option<View> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(v) = self.current_view() {
-                if v.len() >= n {
-                    return Some(v);
-                }
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let (addr, heard) = (self.addr, &mut self.heard);
+        let reached = |heard: &Heard| heard.view().filter(|v| v.len() >= n).cloned();
+        self.ex.wait_until(timeout, |ex| reached(heard.drain(ex, addr)).is_some());
+        reached(heard)
     }
 
     /// `recvfrom`: blocks (up to `timeout`) for the next incoming
     /// multicast, returning the sender and payload.
     pub fn recvfrom(&mut self, timeout: Duration) -> Option<(EndpointAddr, Bytes)> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.drain();
-            if let Some(item) = self.inbox.pop_front() {
-                return Some(item);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        let (addr, heard) = (self.addr, &mut self.heard);
+        self.ex.wait_until(timeout, |ex| !heard.drain(ex, addr).inbox.is_empty());
+        heard.inbox.pop_front()
     }
 
     /// Non-blocking `recvfrom`.
     pub fn try_recvfrom(&mut self) -> Option<(EndpointAddr, Bytes)> {
-        self.drain();
-        self.inbox.pop_front()
+        self.heard.drain(&self.ex, self.addr).inbox.pop_front()
     }
 
     /// Drains non-data events (view changes etc.) observed so far.
     pub fn take_events(&mut self) -> Vec<Up> {
-        self.drain();
-        self.events.drain(..).collect()
+        self.heard.drain(&self.ex, self.addr).events.drain(..).collect()
     }
 
     /// Issues a raw HCPI downcall (for callers that outgrow the datagram
@@ -151,20 +161,6 @@ impl GroupSocket {
     pub fn close(mut self) {
         self.ex.down(self.addr, Down::Leave);
         self.ex.stop();
-    }
-
-    fn drain(&mut self) {
-        for up in self.ex.take_upcalls(self.addr) {
-            match up {
-                Up::Cast { src, msg } => self.inbox.push_back((src, msg.body().clone())),
-                other => {
-                    self.events.push_back(other);
-                    while self.events.len() > 1024 {
-                        self.events.pop_front();
-                    }
-                }
-            }
-        }
     }
 }
 

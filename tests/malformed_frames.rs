@@ -357,3 +357,82 @@ proptest! {
         }
     }
 }
+
+/// One `L:COM` stack per registered layer name in the aligned (1995)
+/// header layout, where a layer's `open` pops a real record.
+fn aligned_receiver(name: &str) -> Stack {
+    let config = StackConfig { mode: HeaderMode::Aligned, ..StackConfig::default() };
+    let mut s = build_stack(EndpointAddr::new(2), &format!("{name}:COM"), config)
+        .unwrap_or_else(|e| panic!("{name}:COM: aligned stack builds: {e}"));
+    let _ = s.init();
+    let _ = s.handle(StackInput::FromApp(Down::Join { group: GroupAddr::new(1) }));
+    s
+}
+
+/// Hands `rx` a frame with header area `hdr`, as a cast or a send from
+/// ep:1; returns its effects and the frame drops it traced.
+fn feed_area(rx: &mut Stack, hdr: &[u8], cast: bool) -> (Vec<Effect>, Vec<DropReason>) {
+    let wire = WireFrame::build(rx.fingerprint(), hdr, Bytes::from_static(b"body"));
+    let buf = Arc::new(TraceBuf::new());
+    rx.set_tracer(buf.clone());
+    let fx = rx.handle(StackInput::FromNet { from: EndpointAddr::new(1), cast, wire });
+    let drops = buf.take().into_iter().filter_map(|r| match r.kind {
+        TraceKind::FrameDrop { reason, .. } => Some(reason),
+        _ => None,
+    });
+    (fx, drops.collect())
+}
+
+/// The aligned layout's `open` guards: a frame whose record stack lacks
+/// the layer's record (here, an empty one, since COM pushes none), as a
+/// cast and as a send, at every registered layer with a header.  Wherever
+/// the layer opens the message, the drop is traced and counted, and
+/// nothing reaches the application; every such layer opens in at least one
+/// direction.  A layer with no header opens nothing and drops nothing.
+#[test]
+fn every_layer_drops_a_frame_without_its_aligned_record() {
+    let mut opened = 0;
+    for name in layer_names() {
+        let mut traced = 0;
+        for cast in [true, false] {
+            let mut rx = aligned_receiver(name);
+            let (fx, drops) = feed_area(&mut rx, &[], cast);
+            assert!(drops.iter().all(|&r| r == DropReason::Decode), "{name}: {drops:?}");
+            assert_eq!(rx.stats().decode_drops, drops.len() as u64, "{name}");
+            if !drops.is_empty() {
+                assert!(fx.is_empty(), "{name} (cast: {cast}): {fx:?}");
+            }
+            traced += drops.len();
+        }
+        let has_header = !aligned_receiver(name).layout().fields_of(0).is_empty();
+        assert_eq!(traced > 0, has_header, "{name}: {traced} drops");
+        opened += usize::from(has_header);
+    }
+    assert_eq!(opened, 26);
+}
+
+/// The aligned record stack is parsed off the wire before any layer runs:
+/// a record header cut short, one naming a layer the stack lacks or a
+/// length its layer does not have, and a record that runs past the header
+/// area are each a traced decode drop, with nothing delivered.
+#[test]
+fn a_malformed_aligned_record_stack_is_a_decode_drop() {
+    let mut rx = aligned_receiver("NAK");
+    let record: usize = rx.layout().fields_of(0).iter().map(|f| f.aligned_bytes()).sum();
+    let (len, pad) = (record as u16, (record.div_ceil(4) * 4 - record) as u8);
+    assert!(pad > 0, "NAK's record is padded, so the cases below differ");
+    let [lo, hi] = len.to_le_bytes();
+    let areas: [&[u8]; 5] = [
+        &[0, pad],                  // half a record header
+        &[7, pad, lo, hi],          // a layer the stack does not have
+        &[0, pad, lo + 1, hi],      // a length NAK's record does not have
+        &[0, pad + 1, lo, hi],      // padding that does not word-align it
+        &[0, pad, lo, hi, 1, 2, 3], // a record that overruns the area
+    ];
+    for (i, area) in areas.iter().enumerate() {
+        let (fx, drops) = feed_area(&mut rx, area, true);
+        assert_eq!(drops, [DropReason::Decode], "case {i}");
+        assert!(fx.is_empty(), "case {i}: {fx:?}");
+    }
+    assert_eq!(rx.stats().decode_drops, areas.len() as u64);
+}

@@ -105,6 +105,10 @@ const RETIRED: &[(&str, &[&str])] = &[
         &["dropped_partition\\b", "digest_cached_into", "membership_digest", "fn connected\\b"],
     ),
     ("a counter nothing read: the stack's received-byte total", &["bytes_received"]),
+    (
+        "the loopback is one lock: no per-group fan-out lock, sink snapshot or atomic counters",
+        &["LoopbackCounters", "fn cast_targets"],
+    ),
 ];
 
 /// `clone_box` survives on `NetScheduler` only, a separate contract.
